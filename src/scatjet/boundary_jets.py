@@ -83,6 +83,14 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
     )
 
 
+def _require_finite(name: str, arr: np.ndarray, grid_ndim: int) -> None:
+    """Raise :class:`ConfigError` naming ``name`` and its first non-finite grid index."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0][:grid_ndim])
+        raise ConfigError(f"{name} is not finite at grid index {idx}")
+
+
 @dataclass(frozen=True)
 class BoundaryPatch:
     """Grid samples of ``(alpha, V-jet, h-jet)`` on a periodic boundary patch.
@@ -108,6 +116,7 @@ class BoundaryPatch:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != shape:
             raise ConfigError(f"alpha has shape {alpha.shape}, expected {shape}")
+        _require_finite("alpha", alpha, self.n)
         if not np.all(alpha > 0):
             raise ConfigError("alpha must be strictly positive")
         v_jet = tuple(np.asarray(v, dtype=float) for v in self.v_jet)
@@ -116,6 +125,9 @@ class BoundaryPatch:
         h_jet = tuple(np.asarray(h, dtype=float) for h in self.h_jet)
         if not h_jet or any(h.shape != shape + (self.n, self.n) for h in h_jet):
             raise ConfigError("h_jet entries must have shape grid + (n, n)")
+        for name, jet in (("v_jet", v_jet), ("h_jet", h_jet)):
+            for order, arr in enumerate(jet):
+                _require_finite(f"{name}[{order}]", arr, self.n)
         h0 = h_jet[0]
         if not np.allclose(h0, np.swapaxes(h0, -1, -2), atol=1e-12):
             raise ConfigError("h^(0) must be symmetric")

@@ -244,6 +244,13 @@ def _integral_level(which: str, flag_l: int) -> int:
 
 
 def cmd_integrals(args) -> int:
+    try:
+        return _integrals(args)
+    except ValueError as exc:
+        raise ConfigError(f"integrals: {exc}") from None
+
+
+def _integrals(args) -> int:
     which = args.which.strip().upper()
     sigma = parse_complex(args.sigma)
     n = args.n

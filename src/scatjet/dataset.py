@@ -9,7 +9,9 @@ covector labels join with ``+`` (``"0"`` for ``e_1``, ``"0+1"`` for
 """
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -78,6 +80,62 @@ def _cov_key(key: tuple[int, ...]) -> str:
 
 def _parse_cov_key(key: str) -> tuple[int, ...]:
     return tuple(int(p) for p in key.split("+"))
+
+
+def polarization_covectors(n: int) -> list[tuple[int, ...]]:
+    """Covector labels every grid point must carry: ``e_i`` and ``e_i + e_j`` (``i < j``)."""
+    return [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _decode_finite(obj: Any, where: str) -> complex:
+    z = decode_complex(obj)
+    if not cmath.isfinite(z):
+        raise IoError(f"{where}: {z} is not finite")
+    return z
+
+
+def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], required: dict) -> dict:
+    """Decode energy ``e``'s symbol block, checking completeness and finiteness.
+
+    ``required`` maps each covector label every grid point must carry to its
+    tuple form.
+    """
+    per_idx = {}
+    for key, pairs in grid_block.items():
+        decoded = {}
+        for ck, (pv, pvt) in pairs.items():
+            v, vt = decode_complex(pv), decode_complex(pvt)
+            if not (cmath.isfinite(v) and cmath.isfinite(vt)):
+                raise IoError(
+                    f"symbols: energy index {e}, grid key {key!r}, covector {ck!r}: "
+                    "sample is not finite"
+                )
+            decoded[required.get(ck) or _parse_cov_key(ck)] = (v, vt)
+        if not required.keys() <= pairs.keys():
+            ck = next(ck for ck in required if ck not in pairs)
+            raise IoError(f"symbols: energy index {e}, grid key {key!r}: covector {ck!r} missing")
+        per_idx[_parse_grid_key(key)] = decoded
+    for key in grid_keys:
+        if key not in grid_block:
+            raise IoError(f"symbols: energy index {e}: grid key {key!r} missing")
+    return per_idx
+
+
+def _decode_singularity(block: Mapping, grid_keys: list[str]) -> dict:
+    """Decode the first-order samples, checking completeness and finiteness."""
+    for key in grid_keys:
+        if key not in block:
+            raise IoError(f"singularity: grid key {key!r} missing")
+    out = {}
+    for key, samples in block.items():
+        decoded = []
+        for j, s in enumerate(samples):
+            value = decode_complex(s["value"])
+            if not (all(map(math.isfinite, s["omega"])) and cmath.isfinite(value)):
+                raise IoError(f"singularity: grid key {key!r}, sample {j}: not finite")
+            decoded.append(SingularitySample(omega=np.asarray(s["omega"], dtype=float), value=value))
+        out[_parse_grid_key(key)] = tuple(decoded)
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,38 +227,41 @@ class SymbolDataset:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
+        """Decode and check a dataset: every grid index, covector and number.
+
+        Raises :class:`IoError` naming the energy index, grid key and
+        covector of the first missing or non-finite entry.
+        """
         if data.get("schema") != SCHEMA:
             raise IoError(f"unrecognized dataset schema {data.get('schema')!r}")
-        energies = tuple(decode_complex(z) for z in data["energies"])
-        symbols = []
-        for e in range(len(energies)):
-            grid_block = data["symbols"][str(e)]
-            per_idx = {}
-            for key, pairs in grid_block.items():
-                per_idx[_parse_grid_key(key)] = {
-                    _parse_cov_key(ck): (decode_complex(pv[0]), decode_complex(pv[1]))
-                    for ck, pv in pairs.items()
-                }
-            symbols.append(per_idx)
-        singularity = None
-        if "singularity" in data:
-            singularity = {
-                _parse_grid_key(key): tuple(
-                    SingularitySample(
-                        omega=np.asarray(s["omega"], dtype=float),
-                        value=decode_complex(s["value"]),
-                    )
-                    for s in samples
-                )
-                for key, samples in data["singularity"].items()
-            }
-        t_pair = None
-        if "t_pair" in data:
-            t_pair = (decode_complex(data["t_pair"][0]), decode_complex(data["t_pair"][1]))
+        try:
+            n = int(data["n"])
+            grid_shape = tuple(int(m) for m in data["grid_shape"])
+            scale_t = float(data["scale_t"])
+            if not math.isfinite(scale_t):
+                raise IoError(f"scale_t is not finite: {scale_t}")
+            energies = tuple(_decode_finite(z, "energies") for z in data["energies"])
+            grid_keys = [_grid_key(idx) for idx in np.ndindex(*grid_shape)]
+            required = {_cov_key(cov): cov for cov in polarization_covectors(n)}
+            symbols = []
+            for e in range(len(energies)):
+                grid_block = data["symbols"].get(str(e))
+                if grid_block is None:
+                    raise IoError(f"symbols: energy index {e} missing")
+                symbols.append(_decode_symbols(grid_block, e, grid_keys, required))
+            singularity = None
+            if "singularity" in data:
+                singularity = _decode_singularity(data["singularity"], grid_keys)
+            t_pair = None
+            if "t_pair" in data:
+                t1, t2 = data["t_pair"]
+                t_pair = (_decode_finite(t1, "t_pair"), _decode_finite(t2, "t_pair"))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise IoError(f"malformed dataset: {type(exc).__name__}: {exc}") from None
         return cls(
-            n=int(data["n"]),
-            grid_shape=tuple(data["grid_shape"]),
-            scale_t=float(data["scale_t"]),
+            n=n,
+            grid_shape=grid_shape,
+            scale_t=scale_t,
             energies=energies,
             symbols=tuple(symbols),
             singularity=singularity,

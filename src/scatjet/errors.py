@@ -39,7 +39,7 @@ class NotConvergent(ScatjetError):
 
 
 class QuadratureFailure(ScatjetError):
-    """Adaptive quadrature could not meet its error target within budget."""
+    """Adaptive quadrature could not meet its error tolerance within budget."""
 
 
 class GammaPole(ScatjetError):

@@ -345,7 +345,8 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     from .spectral_sets import Admissibility, ExceptionalSet, is_admissible
     from .boundary_jets import ComplexEnergy
 
-    assert isinstance(dataset, SymbolDataset)
+    if not isinstance(dataset, SymbolDataset):
+        raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
     cfg = config or InversionConfig()
     n = dataset.n
     shape = dataset.grid_shape
@@ -383,15 +384,17 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
                     raise InconsistentData(f"no symbol pairs at grid index {idx}")
                 mean = sum(ests) / len(ests)
                 spread = max(abs(e - mean) for e in ests)
+                # written so that a NaN spread fails too
+                if not spread <= cfg.sigma_consistency_tol:
+                    raise InconsistentData(
+                        f"sigma estimates disagree across covectors at grid index {idx} "
+                        f"(spread {spread:.3e})"
+                    )
                 spread_max = max(spread_max, spread)
                 sig[idx] = mean
             sigma_fields.append(sig)
             norm_maps.append(norms)
         report.residuals["sigma_consistency"] = spread_max
-        if spread_max > cfg.sigma_consistency_tol:
-            raise InconsistentData(
-                f"sigma estimates disagree across covectors (spread {spread_max:.3e})"
-            )
     report.sigma1 = sigma_fields[0]
     if not single_energy:
         report.sigma2 = sigma_fields[1]

@@ -1,27 +1,32 @@
 """Model integrals on the hyperbolic half-space and their quadrature.
 
-The recurring object is the two-center integral
+Every model integral here is one softened two-center integral
 
-    int_0^inf int_{R^n}  u^E / ((u^2 + |v|^2)^p (u^2 + |e1 - v|^2)^p)  dv du
+    int_0^inf int_{R^n}  u^E (u^2 + |v|^2 + r_a^2)^-p (u^2 + |v - d e1|^2 + r_b^2)^-p  dv du
 
-over ``(u, v) in (0, inf) x R^n``.  Three public integrals reduce to it:
+over ``(u, v) in (0, inf) x R^n``: one center at ``v = 0`` with width
+``r_a``, one at ``v = d e1`` with width ``r_b``.  The public integrals pick
+its parameters:
 
-* ``j_integral(l, k, sigma, n)`` uses ``E = 2 Re(sigma) + k + 3 - 2l - n``
-  and ``p = Re(sigma)``; it converges iff ``2 Re(sigma) >= max(n-k+1, k+2)``.
-* ``t_limit_integral(l, sigma, n)`` uses ``E = 2 sigma + 4 - 2l - n`` and
-  ``p = sigma``: the dominated-convergence limit of the scaled full integral
-  below as ``s -> 0`` and ``|z| -> inf``.
-* ``i_full_integral(l, sigma, s, z)`` is the un-substituted integral over
-  ``(t, U)``; the exact change of variables ``|z| u = s/t``, ``U = v/u``
-  sends it to ``s^sigma |z|^(-2 sigma + 5 - 2l)`` times a mollified
-  two-center integral, which is how the limit above arises.
+* ``j_integral(l, k, sigma, n)``: ``d = 1``, ``r_a = r_b = 0``,
+  ``E = 2 Re(sigma) + k + 3 - 2l - n`` and ``p = Re(sigma)``; it converges
+  iff ``2 Re(sigma) >= max(n-k+1, k+2)``.
+* ``t_limit_integral(l, sigma, n)``: ``d = 1``, ``r_a = r_b = 0``,
+  ``E = 2 sigma + 4 - 2l - n`` and ``p = sigma``: the dominated-convergence
+  limit of the scaled full integral below as ``s -> 0`` and ``|z| -> inf``.
+* ``i_full_integral(l, sigma, s, z)``: the integral over ``(t, U)``.  The
+  exact substitution ``t = s/u``, ``U = V/u`` turns it into ``s^sigma`` times
+  the softened integral with T's ``E`` and ``p``, ``r_a = s`` and ``r_b = 1``
+  about ``V = z``.  That integrand depends on ``z`` only through ``|z|``, so
+  ``z`` is rotated onto ``e1``: ``d = |z|``.  Rescaling ``(u, V)`` by ``|z|``
+  gives ``s^-sigma |z|^(2 sigma - 5 + 2l) I_l -> T_l``.
 
-All quadrature runs on the fixed compactification ``u = tan(theta)``
+All quadrature runs on the substitution ``u = tan(theta)``
 (``theta in (0, pi/2)``) per half-line axis and ``v = tan(phi)``
 (``phi in (-pi/2, pi/2)``) per real axis, with globally adaptive cell
 subdivision and an embedded two-order Gauss-Legendre error estimate.  Cells
-are seeded so that the integrable corner singularities at ``v = 0`` and
-``v = e1`` sit on cell boundaries, never at quadrature nodes.
+are seeded so that both centers and the edges of their widths sit on cell
+faces, never at quadrature nodes.
 """
 from __future__ import annotations
 
@@ -57,20 +62,17 @@ _ORDERS = {2: (7, 15), 3: (6, 12), 4: (5, 10)}
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and budget for the adaptive compactified quadrature."""
+    """Error tolerances and budget for the adaptive quadrature."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-10
     max_subdivisions: int = 6000
-    compactification: str = "tan"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.compactification != "tan":
-            raise ValueError("only the tan compactification is supported")
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,13 @@ def _integrate_adaptive(
 
     subdivisions = 0
     while True:
-        target = max(spec.rel_tol * abs(total_v), spec.abs_tol)
-        if _SAFETY * total_e <= target:
+        tol = max(spec.rel_tol * abs(total_v), spec.abs_tol)
+        if _SAFETY * total_e <= tol:
             break
         if subdivisions >= spec.max_subdivisions:
             raise QuadratureFailure(
-                f"error estimate {_SAFETY * total_e:.3e} above target {target:.3e} "
-                f"after {subdivisions} subdivisions"
+                f"error estimate {_SAFETY * total_e:.3e} above tolerance {tol:.3e} "
+                f"after {subdivisions} subdivisions ({n_evals} evals, {len(cells)} live cells)"
             )
         _, _, worst = heapq.heappop(cells)
         total_v -= worst.value
@@ -181,49 +183,37 @@ def _integrate_adaptive(
 # -- two-center integrand ---------------------------------------------------
 
 
-def _unit_target(n: int, target) -> np.ndarray:
-    if target is None:
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        return e1
-    t = np.asarray(target, dtype=float)
-    if t.shape != (n,) or abs(np.linalg.norm(t) - 1.0) > 1e-9:
-        raise ValueError("target must be a unit vector of length n")
-    return t
+def _two_center(E, p, n, d, r_a, r_b, spec) -> ModelIntegralValue:
+    """The softened two-center integral of the module docstring.
 
-
-def _two_center_integrand(E: complex, p: complex, target: np.ndarray):
-    """Compactified integrand with Jacobians; powers taken via exp/log."""
+    Powers are taken via exp/log.  The widths are squared only inside the
+    integrand; the cell edges use them as given, so at zero width the edges
+    reduce exactly to the unsoftened ones.
+    """
+    if not 1 <= n <= 3:
+        raise ValueError("n must be 1..3 (quadrature dimension budget)")
+    center = np.zeros(n)
+    center[0] = d
+    ra_sq, rb_sq = r_a * r_a, r_b * r_b
 
     def f(pts: np.ndarray) -> np.ndarray:
         u = np.tan(pts[:, 0])
         v = np.tan(pts[:, 1:])
         jac = (1.0 + u * u) * np.prod(1.0 + v * v, axis=1)
-        A = u * u + np.sum(v * v, axis=1)
-        B = u * u + np.sum((v - target) ** 2, axis=1)
+        A = u * u + np.sum(v * v, axis=1) + ra_sq
+        B = u * u + np.sum((v - center) ** 2, axis=1) + rb_sq
         return np.exp(E * np.log(u) - p * (np.log(A) + np.log(B))) * jac
 
-    return f
-
-
-def _two_center_breaks(n: int, target: np.ndarray) -> list[np.ndarray]:
-    """Initial cell edges: corners at v in {0, target} land on cell faces."""
-    theta = np.array([0.0, math.atan(1.0), math.pi / 2])
-    breaks = [theta]
+    u_cuts = {0.0, math.pi / 2, math.atan(1.0), math.atan(r_a)}
+    if r_a < 1.0:
+        u_cuts.add(math.atan(10.0 * r_a))
+    breaks = [np.array(sorted(u_cuts))]
     for a in range(n):
+        edges = (-r_a, r_a) + ((d - r_b, d, d + r_b) if a == 0 else (-r_b, r_b))
         cuts = {-math.pi / 2, 0.0, math.pi / 2}
-        if target[a] != 0.0:
-            cuts.add(math.atan(target[a]))
+        cuts.update(math.atan(x) for x in edges)
         breaks.append(np.array(sorted(cuts)))
-    return breaks
-
-
-def _run_two_center(E, p, n, spec, target) -> ModelIntegralValue:
-    if not 1 <= n <= 3:
-        raise ValueError("n must be 1..3 (quadrature dimension budget)")
-    tgt = _unit_target(n, target)
-    f = _two_center_integrand(E, p, tgt)
-    return _integrate_adaptive(f, _two_center_breaks(n, tgt), spec)
+    return _integrate_adaptive(f, breaks, spec)
 
 
 # -- public integrals -------------------------------------------------------
@@ -240,7 +230,6 @@ def j_integral(
     sigma: complex,
     n: int,
     spec: QuadratureSpec = QuadratureSpec(),
-    target=None,
 ) -> ModelIntegralValue:
     """Convergence-scale integral with exponent ``2 Re(sigma) + k + 3 - 2l - n``.
 
@@ -259,7 +248,7 @@ def j_integral(
         )
     p = complex(sigma).real
     E = 2.0 * p + k + 3 - 2 * l - n
-    return _run_two_center(E, p, n, spec, target)
+    return _two_center(E, p, n, 1.0, 0.0, 0.0, spec)
 
 
 def _t_convergent(l: int, sigma: complex, n: int) -> tuple[bool, str]:
@@ -277,7 +266,6 @@ def t_limit_integral(
     sigma: complex,
     n: int,
     spec: QuadratureSpec = QuadratureSpec(),
-    target=None,
 ) -> ModelIntegralValue:
     """Limit integral ``T_l(sigma)`` with exponent ``2 sigma + 4 - 2l - n``.
 
@@ -291,7 +279,7 @@ def t_limit_integral(
         raise NotConvergent(f"T_{l} diverges for sigma={sigma}, n={n}: {why}")
     sig = complex(sigma)
     E = 2.0 * sig + 4 - 2 * l - n
-    return _run_two_center(E, sig, n, spec, target)
+    return _two_center(E, sig, n, 1.0, 0.0, 0.0, spec)
 
 
 def i_full_integral(
@@ -313,7 +301,8 @@ def i_full_integral(
     width ``s`` and V = z with width 1), so axis-aligned adaptive refinement
     stays efficient even for extreme separations like ``s = 1e-3``,
     ``|z| = 1e3``; the raw ``(t, U)`` form concentrates on a sheared ridge
-    instead and starves the subdivision budget.
+    instead and starves the subdivision budget.  The integrand depends on
+    ``z`` only through ``|z|``, so ``z`` is rotated onto ``e1`` first.
     """
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
@@ -328,26 +317,7 @@ def i_full_integral(
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
     sig = complex(sigma)
     E = 2.0 * sig + 4 - 2 * l - n
-    s_sq = s * s
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        u = np.tan(pts[:, 0])
-        V = np.tan(pts[:, 1:])
-        jac = (1.0 + u * u) * np.prod(1.0 + V * V, axis=1)
-        A = u * u + np.sum(V * V, axis=1) + s_sq
-        B = u * u + np.sum((V - zv) ** 2, axis=1) + 1.0
-        return np.exp(E * np.log(u) - sig * (np.log(A) + np.log(B))) * jac
-
-    u_cuts = {0.0, math.pi / 2, math.atan(1.0), math.atan(s)}
-    if s < 1.0:
-        u_cuts.add(math.atan(10.0 * s))
-    v_breaks = []
-    for a in range(n):
-        cuts = {-math.pi / 2, 0.0, math.pi / 2}
-        for edge in (-s, s, zv[a] - 1.0, zv[a], zv[a] + 1.0):
-            cuts.add(math.atan(edge))
-        v_breaks.append(np.array(sorted(cuts)))
-    raw = _integrate_adaptive(f, [np.array(sorted(u_cuts))] + v_breaks, spec)
+    raw = _two_center(E, sig, n, math.hypot(*zv), s, 1.0, spec)
     front = cmath.exp(sig * math.log(s))
     return ModelIntegralValue(
         value=front * raw.value,

@@ -18,7 +18,7 @@ from .boundary_jets import (
     indicial_root_at,
     perturbation_coefficients,
 )
-from .dataset import SymbolDataset, exceptional_to_dict
+from .dataset import SymbolDataset, exceptional_to_dict, polarization_covectors
 from .errors import ScatjetError
 from .forward_scattering import (
     ProbeSet,
@@ -132,13 +132,8 @@ def forward_dataset(
     """
     n = patch1.n
     shape = patch1.alpha.shape
-    covectors: dict[tuple[int, ...], np.ndarray] = {}
     eye = np.eye(n)
-    for i in range(n):
-        covectors[(i,)] = eye[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            covectors[(i, j)] = eye[i] + eye[j]
+    covectors = {key: eye[list(key)].sum(axis=0) for key in polarization_covectors(n)}
 
     symbols = []
     for en in energies:

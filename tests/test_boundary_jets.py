@@ -1,4 +1,6 @@
 """Boundary patch construction, indicial roots, and jet differences."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,26 @@ def test_patch_rejects_nonpositive_alpha():
     h = np.broadcast_to(np.eye(1), (4, 1, 1)).copy()
     with pytest.raises(ConfigError):
         BoundaryPatch(n=1, axes=(4,), alpha=-np.ones(4), v_jet=v, h_jet=h[None])
+
+
+def _with_bad_entry(arr, where, bad=np.nan):
+    out = np.array(arr)
+    out[where] = bad
+    return out
+
+
+def test_patch_rejects_non_finite():
+    good = constant_patch(2, 1.0, 0.0, np.eye(2), v1=0.1, h1=np.eye(2))
+    v0, v1 = good.v_jet
+    h0, h1 = good.h_jet
+    for changes, message in (
+        ({"v_jet": (_with_bad_entry(v0, (1, 2)), v1)}, r"v_jet\[0\] is not finite at grid index \(1, 2\)"),
+        ({"v_jet": (v0, _with_bad_entry(v1, (3, 0)))}, r"v_jet\[1\] is not finite at grid index \(3, 0\)"),
+        ({"h_jet": (h0, _with_bad_entry(h1, (2, 1, 0, 1)))}, r"h_jet\[1\] is not finite at grid index \(2, 1\)"),
+        ({"alpha": _with_bad_entry(good.alpha, (0, 3), np.inf)}, r"alpha is not finite at grid index \(0, 3\)"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(good, **changes)
 
 
 def test_patch_rejects_asymmetric_or_indefinite_metric():

@@ -100,6 +100,47 @@ def test_dataset_io_errors(tmp_path):
         SymbolDataset.load(wrong)
 
 
+def _drop(path):
+    def mutate(data):
+        *parents, last = path
+        block = data
+        for part in parents:
+            block = block[part]
+        del block[last]
+
+    return mutate
+
+
+def _set_nan(data):
+    data["symbols"]["1"]["0,1"]["0"][1] = [math.nan, 0.0]
+
+
+def _truncate_pair(data):
+    data["symbols"]["0"]["2,3"]["1"] = [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_drop(["symbols", "0", "1,1"]), r"energy index 0: grid key '1,1' missing"),
+        (_drop(["symbols", "1", "0,0", "0+1"]), r"energy index 1, grid key '0,0': covector '0\+1' missing"),
+        (_drop(["singularity", "1,0"]), r"singularity: grid key '1,0' missing"),
+        (_set_nan, r"energy index 1, grid key '0,1', covector '0': sample is not finite"),
+        (_truncate_pair, r"malformed dataset: ValueError"),
+    ],
+    ids=["missing-grid-index", "missing-covector", "missing-singularity", "nan-sample", "malformed-pair"],
+)
+def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    data = ds.to_dict()
+    mutate(data)
+    with pytest.raises(IoError, match=message):
+        SymbolDataset.from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["invert", "--data", str(path)]) == 2
+
+
 # -- CLI: integrals ----------------------------------------------------------
 
 
@@ -144,6 +185,20 @@ def test_cli_integrals_error_codes(tmp_path):
     # below the convergence gate: numeric-stage refusal, not a config problem
     assert main(["integrals", "--which", "T1", "--sigma", "0.9+0i", "--n", "1"]) == 1
     assert main(["integrals", "--which", "I", "--sigma", "2+0i", "--n", "2", "--z", "1,2,3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--which", "I1", "--n", "1", "--z", "abc"],
+        ["--which", "I1", "--n", "1", "--s", "-1"],
+        ["--which", "T1", "--n", "4"],
+        ["--which", "T1", "--n", "1", "--rel-tol", "0"],
+    ],
+    ids=["z-not-a-number", "negative-s", "n-too-large", "zero-rel-tol"],
+)
+def test_cli_integrals_bad_arguments_exit_2(extra):
+    assert main(["integrals", "--sigma", "2+0i", *extra]) == 2
 
 
 # -- CLI: forward / invert ---------------------------------------------------

@@ -1,4 +1,5 @@
 """Stage-by-stage recovery tests, mostly exact algebraic round trips."""
+import dataclasses
 import math
 
 import numpy as np
@@ -341,3 +342,20 @@ def test_driver_detects_inconsistent_homogeneity():
     ds.symbols[0][idx][key] = (v, 1.5 * vt)
     with pytest.raises(InconsistentData, match=r"\[stage sigma\].*disagree"):
         layer_strip_driver(ds)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_driver_rejects_nan_symbol_pair():
+    _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
+    idx = (1, 0)
+    first = {point: dict(pairs) for point, pairs in ds.symbols[0].items()}
+    v, vt = first[idx][(0,)]
+    first[idx][(0,)] = (v, complex(math.nan, 0.0))
+    bad = dataclasses.replace(ds, symbols=(first,) + ds.symbols[1:])
+    with pytest.raises(InconsistentData, match=r"\[stage sigma\].*grid index \(1, 0\)"):
+        layer_strip_driver(bad)
+
+
+def test_driver_rejects_non_dataset():
+    with pytest.raises(TypeError, match="SymbolDataset"):
+        layer_strip_driver({"n": 2})
