@@ -6,9 +6,7 @@ from .boundary_jets import (
     ComplexEnergy,
     IndicialField,
     PerturbationData,
-    density_ratio_coefficient,
     indicial_root,
-    indicial_root_at,
     perturbation_coefficients,
 )
 from .dataset import SymbolDataset
@@ -27,7 +25,6 @@ from .hyperbolic_model import (
     green_residual_check,
     green_residual_convergence,
     hyperbolic_laplacian_apply,
-    normal_operator_apply,
 )
 from .inversion import (
     InversionConfig,
@@ -68,7 +65,6 @@ __all__ = [
     "SymbolDataset",
     "blowup_coordinates",
     "default_probe_set",
-    "density_ratio_coefficient",
     "exceptional_set",
     "first_order_recovery",
     "forward_dataset",
@@ -79,14 +75,12 @@ __all__ = [
     "hyperbolic_laplacian_apply",
     "i_full_integral",
     "indicial_root",
-    "indicial_root_at",
     "is_admissible",
     "j_converges",
     "j_integral",
     "layer_strip_driver",
     "make_synthetic_pair",
     "metric_boundary_recovery",
-    "normal_operator_apply",
     "perturbation_coefficients",
     "principal_symbol",
     "radial_derivative_kernel",

@@ -205,10 +205,6 @@ class IndicialField:
     sigma: np.ndarray
     branch: str = "principal"
 
-    def sigma_minus(self) -> np.ndarray:
-        """The conjugate root; the two roots always sum to ``n``."""
-        return self.n - self.sigma
-
 
 @dataclass(frozen=True)
 class PerturbationData:
@@ -227,8 +223,12 @@ class PerturbationData:
 
 def _discriminant(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     n = patch.n
-    v0 = patch.v_jet[0]
-    return (n / 2.0) ** 2 - (v0 - energy.lam_sq - n * n / 4.0) / patch.alpha**2
+    shifted = patch.v_jet[0] - energy.lam_sq - n * n / 4.0
+    a2 = patch.alpha**2
+    # divide each part by the real alpha^2: numpy's complex-by-complex division
+    # multiplies by a rounded reciprocal, which is off by an ulp where the
+    # discriminant of a double root must vanish exactly
+    return (n / 2.0) ** 2 - (shifted.real / a2 + 1j * (shifted.imag / a2))
 
 
 def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> IndicialField:
@@ -254,21 +254,6 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> IndicialField:
             )
     sigma = patch.n / 2.0 + np.sqrt(disc)
     return IndicialField(n=patch.n, sigma=sigma)
-
-
-def indicial_root_at(
-    patch: BoundaryPatch, y_index: tuple[int, ...], energy: ComplexEnergy
-) -> complex:
-    """Indicial root at a single grid point (no other point can raise)."""
-    n = patch.n
-    v0 = float(patch.v_jet[0][y_index])
-    a2 = float(patch.alpha[y_index]) ** 2
-    disc = complex((n / 2.0) ** 2 - (v0 - energy.lam_sq - n * n / 4.0) / a2)
-    if energy.lam.imag == 0.0 and disc.imag == 0.0 and disc.real < 0.0:
-        raise BranchCut(
-            f"indicial discriminant negative real at y-index {y_index}", points=[y_index]
-        )
-    return n / 2.0 + np.sqrt(disc)
 
 
 def indicial_identity_residual(
@@ -319,8 +304,3 @@ def perturbation_coefficients(
         float(patch2.v_jet[j][y_index] - patch1.v_jet[j][y_index]) for j in range(j_max + 1)
     )
     return PerturbationData(n=n, L=L, H=H, T=T, W=W)
-
-
-def density_ratio_coefficient(pd: PerturbationData) -> float:
-    """Order-x coefficient of ``(det(h0 + x L)/det h0)^(1/4)``, i.e. ``T/4``."""
-    return pd.T / 4.0

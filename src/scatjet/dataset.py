@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import IoError
+from .errors import ConfigError, IoError
 from .forward_scattering import SingularitySample
 
 SCHEMA = "scatjet.symbols/1"
@@ -78,10 +78,6 @@ def _cov_key(key: tuple[int, ...]) -> str:
     return "+".join(str(i) for i in key)
 
 
-def _parse_cov_key(key: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in key.split("+"))
-
-
 def polarization_covectors(n: int) -> list[tuple[int, ...]]:
     """Covector labels every grid point must carry: ``e_i`` and ``e_i + e_j`` (``i < j``)."""
     return [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -94,15 +90,19 @@ def _decode_finite(obj: Any, where: str) -> complex:
     return z
 
 
-def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], required: dict) -> dict:
+def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], slots: dict) -> list:
     """Decode energy ``e``'s symbol block, checking completeness and finiteness.
 
-    ``required`` maps each covector label every grid point must carry to its
-    tuple form.
+    ``slots`` maps each covector label every grid point must carry to its
+    position in :func:`polarization_covectors`.  Returns one row of
+    ``(S(xi), S(t xi))`` pairs per grid key, in slot order.
     """
-    per_idx = {}
-    for key, pairs in grid_block.items():
-        decoded = {}
+    rows = []
+    for key in grid_keys:
+        pairs = grid_block.get(key)
+        if pairs is None:
+            raise IoError(f"symbols: energy index {e}: grid key {key!r} missing")
+        row = [None] * len(slots)
         for ck, (pv, pvt) in pairs.items():
             v, vt = decode_complex(pv), decode_complex(pvt)
             if not (cmath.isfinite(v) and cmath.isfinite(vt)):
@@ -110,15 +110,17 @@ def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], required:
                     f"symbols: energy index {e}, grid key {key!r}, covector {ck!r}: "
                     "sample is not finite"
                 )
-            decoded[required.get(ck) or _parse_cov_key(ck)] = (v, vt)
-        if not required.keys() <= pairs.keys():
-            ck = next(ck for ck in required if ck not in pairs)
+            slot = slots.get(ck)
+            if slot is None:
+                raise IoError(
+                    f"symbols: energy index {e}, grid key {key!r}: unknown covector {ck!r}"
+                )
+            row[slot] = (v, vt)
+        if len(pairs) != len(slots):
+            ck = next(ck for ck in slots if ck not in pairs)
             raise IoError(f"symbols: energy index {e}, grid key {key!r}: covector {ck!r} missing")
-        per_idx[_parse_grid_key(key)] = decoded
-    for key in grid_keys:
-        if key not in grid_block:
-            raise IoError(f"symbols: energy index {e}: grid key {key!r} missing")
-    return per_idx
+        rows.append(row)
+    return rows
 
 
 def _decode_singularity(block: Mapping, grid_keys: list[str]) -> dict:
@@ -142,29 +144,41 @@ def _decode_singularity(block: Mapping, grid_keys: list[str]) -> dict:
 class SymbolDataset:
     """Symbol samples over a boundary grid, with optional extras.
 
-    ``symbols[e][idx][cov]`` holds the pair ``(S(xi), S(t xi))`` for energy
-    index ``e``, grid index ``idx`` and covector ``cov``; ``singularity``
-    (if present) holds per-point angular samples of the first-order
-    singularity coefficient, and ``t_pair`` the two model-integral factors
-    needed to invert them.
+    ``symbols`` is a read-only complex array of shape
+    ``(E, *grid_shape, C, 2)``: ``symbols[e, *idx, c]`` holds the pair
+    ``(S(xi), S(t xi))`` for energy index ``e``, grid index ``idx`` and the
+    covector ``polarization_covectors(n)[c]``.  ``singularity`` (if present)
+    holds per-point angular samples of the first-order singularity
+    coefficient, and ``t_pair`` the two model-integral factors needed to
+    invert them.
     """
 
     n: int
     grid_shape: tuple[int, ...]
     scale_t: float
     energies: tuple[complex, ...]
-    symbols: tuple[Mapping[tuple[int, ...], Mapping[tuple[int, ...], tuple[complex, complex]]], ...]
+    symbols: np.ndarray
     singularity: Mapping[tuple[int, ...], tuple[SingularitySample, ...]] | None = None
     t_pair: tuple[complex, complex] | None = None
     exceptional: dict | None = None
 
-    def symbol_pairs(
-        self, idx: tuple[int, ...], lam: complex
-    ) -> Mapping[tuple[int, ...], tuple[complex, complex]]:
-        for e, known in enumerate(self.energies):
-            if known == lam:
-                return self.symbols[e][tuple(idx)]
-        raise KeyError(f"energy {lam} not in dataset")
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError(f"dataset dimension n={self.n} must be at least 1")
+        symbols = np.array(self.symbols, dtype=complex)
+        want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
+        if symbols.shape != want:
+            raise ConfigError(f"symbols has shape {symbols.shape}, expected {want}")
+        symbols.setflags(write=False)
+        object.__setattr__(self, "symbols", symbols)
+        if self.singularity is not None:
+            for idx in np.ndindex(*self.grid_shape):
+                if idx not in self.singularity:
+                    raise ConfigError(f"singularity: grid index {idx} missing")
+            if len(self.singularity) != math.prod(self.grid_shape):
+                grid = set(np.ndindex(*self.grid_shape))
+                extra = next(idx for idx in self.singularity if idx not in grid)
+                raise ConfigError(f"singularity: {extra} is not a grid index")
 
     def singularity_samples(self, idx: tuple[int, ...]) -> tuple[SingularitySample, ...]:
         if not self.singularity:
@@ -194,15 +208,12 @@ class SymbolDataset:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        grid_keys = [_grid_key(idx) for idx in np.ndindex(*self.grid_shape)]
+        cov_keys = [_cov_key(cov) for cov in polarization_covectors(self.n)]
         sym_block: dict[str, dict] = {}
-        for e in range(len(self.energies)):
-            grid_block: dict[str, dict] = {}
-            for idx, pairs in self.symbols[e].items():
-                grid_block[_grid_key(idx)] = {
-                    _cov_key(cov): [encode_complex(v), encode_complex(vt)]
-                    for cov, (v, vt) in pairs.items()
-                }
-            sym_block[str(e)] = grid_block
+        for e, sym in enumerate(self.symbols):
+            rows = encode_complex_array(sym.reshape(len(grid_keys), len(cov_keys), 2))
+            sym_block[str(e)] = {key: dict(zip(cov_keys, row)) for key, row in zip(grid_keys, rows)}
         out: dict[str, Any] = {
             "schema": SCHEMA,
             "n": self.n,
@@ -242,13 +253,16 @@ class SymbolDataset:
                 raise IoError(f"scale_t is not finite: {scale_t}")
             energies = tuple(_decode_finite(z, "energies") for z in data["energies"])
             grid_keys = [_grid_key(idx) for idx in np.ndindex(*grid_shape)]
-            required = {_cov_key(cov): cov for cov in polarization_covectors(n)}
+            slots = {_cov_key(cov): c for c, cov in enumerate(polarization_covectors(n))}
             symbols = []
             for e in range(len(energies)):
                 grid_block = data["symbols"].get(str(e))
                 if grid_block is None:
                     raise IoError(f"symbols: energy index {e} missing")
-                symbols.append(_decode_symbols(grid_block, e, grid_keys, required))
+                symbols.append(_decode_symbols(grid_block, e, grid_keys, slots))
+            symbols = np.array(symbols, dtype=complex).reshape(
+                (len(energies), *grid_shape, len(slots), 2)
+            )
             singularity = None
             if "singularity" in data:
                 singularity = _decode_singularity(data["singularity"], grid_keys)
@@ -263,7 +277,7 @@ class SymbolDataset:
             grid_shape=grid_shape,
             scale_t=scale_t,
             energies=energies,
-            symbols=tuple(symbols),
+            symbols=symbols,
             singularity=singularity,
             t_pair=t_pair,
             exceptional=data.get("exceptional"),

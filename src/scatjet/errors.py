@@ -6,6 +6,8 @@ programming errors.  Names describe the failure mode, one class per mode.
 """
 from __future__ import annotations
 
+import numpy as np
+
 
 class ScatjetError(Exception):
     """Base class for all toolkit errors."""
@@ -88,3 +90,26 @@ class ConfigError(ScatjetError):
 
 class IoError(ScatjetError):
     """File/JSON input could not be read or parsed."""
+
+
+def raise_first(n: int, checks) -> None:
+    """Raise for the first failing entry, in C order, of elementwise checks.
+
+    ``checks`` lists ``(failed, error_class, message)`` in the order one
+    point is checked: ``failed`` is a boolean scalar or array and
+    ``message(i)`` describes the failure at index ``i``.  At the first index
+    where any check fails, the first check that fails there raises.  For
+    array input the message ends with the grid index (the first ``n`` axes)
+    and, when the arrays carry more axes, the sample index along them.
+    """
+    masks = np.broadcast_arrays(*(np.asarray(failed, dtype=bool) for failed, _, _ in checks))
+    hits = np.flatnonzero(np.logical_or.reduce(masks))
+    if not hits.size:
+        return
+    i = tuple(int(k) for k in np.unravel_index(hits[0], masks[0].shape))
+    where = ""
+    if i:
+        where = f" at grid index {i[:n]}" + (f", sample {i[n:]}" if len(i) > n else "")
+    for mask, (_, error_class, message) in zip(masks, checks):
+        if mask[i]:
+            raise error_class(message(i) + where)

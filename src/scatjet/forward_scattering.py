@@ -8,7 +8,8 @@ The principal symbol of the scattering matrix at energy ``lambda`` is
 
 with ``sigma = sigma(lambda, y)`` the indicial root and
 ``|xi|_{h0}^2 = xi^T h0^-1 xi`` the covector norm, homogeneous of degree
-``2 sigma - n``.
+``2 sigma - n``.  ``principal_symbol`` evaluates it over the whole grid for a
+stack of covectors at once.
 
 When two operators share boundary data to zeroth order, the difference of
 their scattering kernels has radial leading singularity with angular
@@ -20,48 +21,31 @@ where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
 are model-integral factors (all remaining scalar prefactors are normalized
 to one here; a CLI hook can scale them).  Probe directions are understood in
-the frame where ``alpha^2 h0`` is the identity; ``boundary_normalization``
-produces the linear map into that frame.
+the frame where ``alpha^2 h0`` is the identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .boundary_jets import (
-    BoundaryPatch,
-    ComplexEnergy,
-    PerturbationData,
-    indicial_root_at,
-)
-from .errors import ChartUndefined, GammaPole, ZeroCovector
+from .boundary_jets import BoundaryPatch, ComplexEnergy, PerturbationData, indicial_root
+from .errors import ChartUndefined, GammaPole, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
 __all__ = [
-    "SymbolSample",
     "SingularitySample",
     "ProbeSet",
     "gamma_prefactor",
-    "covector_norm",
     "principal_symbol",
     "radial_derivative_kernel",
     "singularity_coefficient",
     "default_probe_set",
-    "probe_design_rank",
-    "boundary_normalization",
     "blowup_coordinates",
     "BlowupCharts",
 ]
-
-
-@dataclass(frozen=True)
-class SymbolSample:
-    y_index: tuple[int, ...]
-    xi: tuple[float, ...]
-    lam: complex
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -101,65 +85,57 @@ def default_probe_set(n: int) -> ProbeSet:
     return ProbeSet(vectors=tuple(tuple(v) for v in vecs))
 
 
-def probe_design_rank(probes: ProbeSet, tol: float = 1e-10) -> tuple[int, np.ndarray]:
-    """Rank of the rows ``[vech(omega omega^T), 1]`` over the probe set.
+def prefactor_and_poles(sigma: np.ndarray, n: int):
+    """Unchecked ``gamma_prefactor`` values, and the pole check it raises.
 
-    For unit probes every row satisfies ``tr(omega omega^T) = 1``, which ties
-    the constant column to the diagonal columns; the attainable rank is
-    therefore ``n(n+1)/2`` and the deficit is reported, not treated as an
-    error.
+    The check is a ``(failed, error_class, message)`` entry for
+    :func:`~scatjet.errors.raise_first`; off the poles the values are final.
     """
-    n = len(probes.vectors[0])
-    rows = []
-    for w in probes:
-        outer = np.outer(w, w)
-        row = [outer[i, i] for i in range(n)]
-        row += [2.0 * outer[i, j] for i in range(n) for j in range(i + 1, n)]
-        row.append(1.0)
-        rows.append(row)
-    mat = np.asarray(rows)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0]))
-    return rank, svals
-
-
-def gamma_prefactor(sigma: complex, n: int) -> complex:
-    """``2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)``."""
-    sig = complex(sigma)
-    half_off = sig - n / 2.0
-    if abs(half_off.imag) < 1e-12 and abs(half_off.real - round(half_off.real)) < 1e-12:
-        raise GammaPole(
-            f"sigma - n/2 = {half_off} is an integer: Gamma pole/zero in the prefactor"
-        )
-    return complex(2.0 ** (n - 2.0 * sig) * _gamma(n / 2.0 - sig) / _gamma(sig - n / 2.0))
-
-
-def covector_norm(xi: Sequence[float], h0: np.ndarray) -> float:
-    """``sqrt(xi^T h0^-1 xi)``, the boundary-metric norm of a covector."""
-    v = np.asarray(xi, dtype=float)
-    if not np.any(v):
-        raise ZeroCovector("covector is zero")
-    q = float(v @ np.linalg.solve(h0, v))
-    return float(np.sqrt(q))
-
-
-def principal_symbol(
-    patch: BoundaryPatch,
-    y_index: tuple[int, ...],
-    xi: Sequence[float],
-    energy: ComplexEnergy,
-) -> SymbolSample:
-    """Principal symbol sample at one boundary point and covector."""
-    sigma = indicial_root_at(patch, y_index, energy)
-    pref = gamma_prefactor(sigma, patch.n)
-    norm = covector_norm(xi, np.asarray(patch.h_jet[0][y_index]))
-    value = pref * np.exp((2.0 * sigma - patch.n) * np.log(norm))
-    return SymbolSample(
-        y_index=tuple(y_index),
-        xi=tuple(float(c) for c in np.asarray(xi, dtype=float)),
-        lam=energy.lam,
-        value=complex(value),
+    half_off = sigma - n / 2.0
+    at_pole = (np.abs(half_off.imag) < 1e-12) & (
+        np.abs(half_off.real - np.round(half_off.real)) < 1e-12
     )
+    z = n - 2.0 * sigma
+    with np.errstate(all="ignore"):
+        # 2^z as a real power times a phase: numpy's complex power goes through
+        # exp(z log 2) and loses up to four ulps, the real power about one
+        power = np.power(2.0, z.real) * np.exp(1j * (z.imag * math.log(2.0)))
+        value = power * _gamma(n / 2.0 - sigma) / _gamma(sigma - n / 2.0)
+    return value, (
+        at_pole,
+        GammaPole,
+        lambda i: f"sigma - n/2 = {half_off[i]} is an integer: Gamma pole/zero in the prefactor",
+    )
+
+
+def gamma_prefactor(sigma, n: int):
+    """``2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)``, elementwise.
+
+    Takes a scalar or a grid array; a pole names its first grid index.
+    """
+    value, pole_check = prefactor_and_poles(np.asarray(sigma, dtype=complex), n)
+    raise_first(n, [pole_check])
+    return value[()]
+
+
+def principal_symbol(patch: BoundaryPatch, xi, energy: ComplexEnergy) -> np.ndarray:
+    """Principal symbol over the whole grid for a stack of covectors.
+
+    ``xi`` has shape ``(..., n)``; the result has shape
+    ``patch.grid_shape + xi.shape[:-1]``.
+    """
+    n = patch.n
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (n,):
+        raise ValueError(f"covectors need a last axis of length n={n}, got shape {xi.shape}")
+    if not np.all(np.any(xi, axis=-1)):
+        raise ZeroCovector("covector is zero")
+    pad = patch.grid_shape + (1,) * (xi.ndim - 1)
+    sigma = indicial_root(patch, energy).sigma
+    pref = gamma_prefactor(sigma, n).reshape(pad)
+    h0 = patch.h_jet[0].reshape(pad + (n, n))
+    norm = np.sqrt((xi[..., None, :] @ np.linalg.solve(h0, xi[..., None]))[..., 0, 0])
+    return pref * np.exp((2.0 * sigma - n).reshape(pad) * np.log(norm))
 
 
 def radial_derivative_kernel(omega: Sequence[float], sigma: complex) -> np.ndarray:
@@ -174,18 +150,6 @@ def radial_derivative_kernel(omega: Sequence[float], sigma: complex) -> np.ndarr
     sig = complex(sigma)
     n = w.size
     return (3.0 - 2.0 * sig) * (np.eye(n) + (1.0 - 2.0 * sig) * np.outer(w, w))
-
-
-def boundary_normalization(alpha: float, h0: np.ndarray) -> np.ndarray:
-    """Upper-triangular ``R`` with ``R^T R = alpha^2 h0``.
-
-    ``y -> R y`` maps physical boundary coordinates to the frame where the
-    rescaled metric is the identity; probe directions live in that frame
-    (``R w / |R w|`` converts a physical direction ``w``).
-    """
-    m = alpha * alpha * np.asarray(h0, dtype=float)
-    # numpy returns the lower factor; transpose for the upper one
-    return np.linalg.cholesky(m).T
 
 
 def singularity_coefficient(

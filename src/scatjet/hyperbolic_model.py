@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy
 from .errors import GridTooCoarse
 
 _MIN_POINTS = 16
@@ -150,25 +149,6 @@ def hyperbolic_laplacian_apply(f: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray
     s = np.exp(grid.tau)
     s2 = (s * s).reshape((-1,) + (1,) * grid.n)
     return -d2_tau + grid.n * d1_tau - s2 * lap_z
-
-
-def normal_operator_apply(
-    f: np.ndarray,
-    alpha_c: float,
-    v0_c: float,
-    energy: ComplexEnergy,
-    grid: HalfSpaceGrid,
-) -> np.ndarray:
-    """Frozen-coefficient normal operator ``alpha_c^2 D0 f - (v0_c - lambda^2 - n^2/4) f``.
-
-    With sigma the indicial root for ``(alpha_c, v0_c, lambda)`` this equals
-    ``alpha_c^2 (D0 - sigma (n - sigma)) f`` and annihilates ``s^sigma`` up
-    to the ``O(dtau^2)`` discretization error.
-    """
-    n = grid.n
-    core = f[tuple(slice(1, -1) for _ in range(f.ndim))]
-    mult = complex(v0_c) - energy.lam_sq - n * n / 4.0
-    return alpha_c**2 * hyperbolic_laplacian_apply(f, grid) - mult * core
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,14 @@ Stage by stage:
 """
 from __future__ import annotations
 
-import cmath
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import SymbolDataset, polarization_covectors
 from .errors import (
     BranchAmbiguity,
     DegenerateEnergies,
@@ -36,12 +37,11 @@ from .errors import (
     NotPositiveDefinite,
     ZeroIntegralFactor,
     ZeroSymbol,
+    raise_first,
 )
 from .forward_scattering import (
-    ProbeSet,
     SingularitySample,
-    default_probe_set,
-    gamma_prefactor,
+    prefactor_and_poles,
     radial_derivative_kernel,
 )
 
@@ -50,83 +50,122 @@ log = logging.getLogger(__name__)
 _SV_CUT = 1e-10
 
 
+def _divide(a, b):
+    """Complex ``a / b`` by Smith's method, ending in a true division.
+
+    numpy's complex division multiplies by a rounded reciprocal instead;
+    the extra rounding, amplified by the two-energy solve, moved ``V0`` by
+    up to 1e-12 against the scalar division.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    real_big = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(real_big, b.imag / b.real, b.real / b.imag)
+    denom = np.where(real_big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    re = np.where(real_big, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(real_big, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return re / denom + 1j * (im / denom)
+
+
 @dataclass(frozen=True)
 class SigmaRecovery:
-    sigma: complex
-    norm: float
-    prefactor_imag_residual: float
+    sigma: complex | np.ndarray
+    norm: float | np.ndarray
+    prefactor_imag_residual: float | np.ndarray
 
 
 def recover_sigma_from_symbol(
-    value_xi: complex,
-    value_txi: complex,
+    value_xi,
+    value_txi,
     t: float,
     n: int,
     tol: float = 1e-8,
 ) -> SigmaRecovery:
-    """Indicial root and covector norm from one homogeneity pair.
+    """Indicial root and covector norm from homogeneity pairs, elementwise.
 
     The real part of sigma comes from moduli and is branch-free; the
     principal log fixes the imaginary part (documented ambiguity of
     ``pi / log t``).  Raises :class:`BranchAmbiguity` if the recovered root
-    falls below the principal half-plane ``Re sigma >= n/2``.
+    falls below the principal half-plane ``Re sigma >= n/2``.  The samples
+    may be scalars or arrays whose first ``n`` axes are the grid; a failure
+    names the first failing grid index.
     """
     if t <= 0 or t == 1.0:
         raise ValueError("scale factor t must be positive and != 1")
-    if value_xi == 0 or value_txi == 0:
-        raise ZeroSymbol("symbol sample is zero; cannot take ratios")
-    ratio = value_txi / value_xi
-    sigma = n / 2.0 + cmath.log(ratio) / (2.0 * cmath.log(t))
-    if sigma.real < n / 2.0 - tol:
-        raise BranchAmbiguity(
-            f"recovered Re sigma = {sigma.real:.6g} below n/2 = {n / 2}; "
-            "no log branch restores the principal half-plane"
-        )
-    pref = gamma_prefactor(sigma, n)
-    power = value_xi / pref
-    if power == 0:
-        raise ZeroSymbol("prefactor-normalized sample is zero")
-    w = cmath.log(power) / (2.0 * sigma - n)
+    v = np.asarray(value_xi, dtype=complex)
+    vt = np.asarray(value_txi, dtype=complex)
+    with np.errstate(all="ignore"):
+        sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+        pref, pole_check = prefactor_and_poles(sigma, n)
+        power = _divide(v, pref)
+        w = _divide(np.log(power), 2.0 * sigma - n)
+    finite = np.isfinite(v) & np.isfinite(vt)
+    raise_first(
+        n,
+        [
+            (~finite, InconsistentData, lambda i: "symbol sample is not finite"),
+            (
+                (v == 0) | (vt == 0),
+                ZeroSymbol,
+                lambda i: "symbol sample is zero; cannot take ratios",
+            ),
+            (
+                sigma.real < n / 2.0 - tol,
+                BranchAmbiguity,
+                lambda i: f"recovered Re sigma = {sigma.real[i]:.6g} below n/2 = {n / 2}; "
+                "no log branch restores the principal half-plane",
+            ),
+            pole_check,
+            (power == 0, ZeroSymbol, lambda i: "prefactor-normalized sample is zero"),
+        ],
+    )
     # consistent data gives a positive real norm; imaginary leakage is reported
     return SigmaRecovery(
-        sigma=sigma, norm=float(np.exp(w.real)), prefactor_imag_residual=abs(w.imag)
+        sigma=sigma[()], norm=np.exp(w.real)[()], prefactor_imag_residual=np.abs(w.imag)[()]
     )
 
 
-def metric_boundary_recovery(
-    norms: Mapping[tuple[int, ...], float], n: int
-) -> np.ndarray:
+def metric_boundary_recovery(norms: Mapping[tuple[int, ...], float], n: int) -> np.ndarray:
     """Boundary metric from covector norms at ``{e_i}`` and ``{e_i + e_j}``.
 
     ``norms`` maps ``(i,)`` to ``|e_i|_{h0}`` and ``(i, j)`` (``i < j``) to
-    ``|e_i + e_j|_{h0}``; polarization fills the inverse metric, which must
-    come out positive definite.
+    ``|e_i + e_j|_{h0}``, as scalars or grid arrays; polarization fills the
+    inverse metric, which must come out positive definite.  The result has
+    shape ``grid + (n, n)``.
     """
-    M = np.empty((n, n))
     try:
-        for i in range(n):
-            M[i, i] = norms[(i,)] ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                M[i, j] = M[j, i] = (norms[(i, j)] ** 2 - M[i, i] - M[j, j]) / 2.0
+        sq = {key: np.asarray(norms[key], dtype=float) ** 2 for key in polarization_covectors(n)}
     except KeyError as exc:
         raise InconsistentData(f"missing covector norm sample {exc}") from None
+    M = np.empty(np.broadcast_shapes(*(q.shape for q in sq.values())) + (n, n))
+    for i in range(n):
+        M[..., i, i] = sq[(i,)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[..., i, j] = M[..., j, i] = (sq[(i, j)] - sq[(i,)] - sq[(j,)]) / 2.0
     eigs = np.linalg.eigvalsh(M)
-    if eigs.min() <= 0:
-        raise NotPositiveDefinite(
-            f"recovered inverse metric has eigenvalues {eigs}; not positive definite"
-        )
+    raise_first(
+        n,
+        [
+            (
+                eigs.min(axis=-1) <= 0,
+                NotPositiveDefinite,
+                lambda i: f"recovered inverse metric has eigenvalues {eigs[i]}; "
+                "not positive definite",
+            )
+        ],
+    )
     return np.linalg.inv(M)
 
 
 def two_energy_recovery(
-    sigma1: complex,
-    sigma2: complex,
+    sigma1,
+    sigma2,
     lam1: complex,
     lam2: complex,
     n: int,
     realness_tol: float = 1e-8,
-) -> tuple[float, float, float]:
+):
     """Curvature scale and boundary potential from roots at two energies.
 
     Solves ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4``:
@@ -134,29 +173,45 @@ def two_energy_recovery(
         alpha^2 = (lambda_2^2 - lambda_1^2) / (sigma_1(n-sigma_1) - sigma_2(n-sigma_2))
         V0      = lambda_1^2 + n^2/4 + alpha^2 sigma_1 (n - sigma_1)
 
-    Returns ``(alpha_sq, v0, realness_residual)``; both outputs must be real
-    to ``realness_tol`` (relative) and ``alpha_sq`` positive.
+    Returns ``(alpha_sq, v0, realness_residual)``, scalars or grid arrays
+    like the roots; both outputs must be real to ``realness_tol``
+    (relative) and ``alpha_sq`` positive.
     """
     l1sq, l2sq = complex(lam1) ** 2, complex(lam2) ** 2
     if abs(l1sq - l2sq) <= 1e-12 * max(1.0, abs(l1sq)):
         raise DegenerateEnergies(f"lambda^2 values coincide: {l1sq} vs {l2sq}")
-    s1, s2 = complex(sigma1), complex(sigma2)
-    denom = s1 * (n - s1) - s2 * (n - s2)
-    if abs(denom) <= 1e-12 * max(1.0, abs(s1 * (n - s1))):
-        raise InconsistentData("indicial products coincide; system is singular")
-    alpha_sq = (l2sq - l1sq) / denom
-    v0 = l1sq + n * n / 4.0 + alpha_sq * s1 * (n - s1)
-    resid = max(
-        abs(alpha_sq.imag) / (1.0 + abs(alpha_sq.real)),
-        abs(v0.imag) / (1.0 + abs(v0.real)),
-    )
-    if resid > realness_tol:
-        raise InconsistentData(
-            f"recovered alpha^2/V0 not real to tolerance (residual {resid:.3e})"
+    s1 = np.asarray(sigma1, dtype=complex)
+    s2 = np.asarray(sigma2, dtype=complex)
+    p1 = s1 * (n - s1)
+    denom = p1 - s2 * (n - s2)
+    with np.errstate(all="ignore"):
+        alpha_sq = _divide(l2sq - l1sq, denom)
+        v0 = l1sq + n * n / 4.0 + alpha_sq * s1 * (n - s1)
+        resid = np.maximum(
+            np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
+            np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
         )
-    if alpha_sq.real <= 0:
-        raise InconsistentData(f"recovered alpha^2 = {alpha_sq.real:.6g} is not positive")
-    return float(alpha_sq.real), float(v0.real), float(resid)
+    raise_first(
+        n,
+        [
+            (
+                np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
+                InconsistentData,
+                lambda i: "indicial products coincide; system is singular",
+            ),
+            (
+                resid > realness_tol,
+                InconsistentData,
+                lambda i: f"recovered alpha^2/V0 not real to tolerance (residual {resid[i]:.3e})",
+            ),
+            (
+                alpha_sq.real <= 0,
+                InconsistentData,
+                lambda i: f"recovered alpha^2 = {alpha_sq.real[i]:.6g} is not positive",
+            ),
+        ],
+    )
+    return alpha_sq.real[()], v0.real[()], resid[()]
 
 
 # -- first-order stage ------------------------------------------------------
@@ -341,7 +396,6 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     first-order fit when singularity samples are present.  Jets of order
     two and higher are out of scope and flagged in ``notes``.
     """
-    from .dataset import SymbolDataset  # local import to avoid a cycle
     from .spectral_sets import Admissibility, ExceptionalSet, is_admissible
     from .boundary_jets import ComplexEnergy
 
@@ -365,53 +419,45 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     single_energy = len(energies) == 1
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
 
-    sigma_fields = []
-    norm_maps = []  # per energy: dict grid-index -> {xi-key: norm}
-    spread_max = 0.0
     with _stage("sigma"):
-        for lam in energies:
-            sig = np.empty(shape, dtype=complex)
-            norms: dict[tuple[int, ...], dict[tuple[int, ...], float]] = {}
-            for idx in np.ndindex(*shape):
-                pairs = dataset.symbol_pairs(idx, lam)
-                ests = []
-                norms[idx] = {}
-                for key, (v, vt) in pairs.items():
-                    rec = recover_sigma_from_symbol(v, vt, dataset.scale_t, n)
-                    ests.append(rec.sigma)
-                    norms[idx][key] = rec.norm
-                if not ests:
-                    raise InconsistentData(f"no symbol pairs at grid index {idx}")
-                mean = sum(ests) / len(ests)
-                spread = max(abs(e - mean) for e in ests)
-                # written so that a NaN spread fails too
-                if not spread <= cfg.sigma_consistency_tol:
-                    raise InconsistentData(
-                        f"sigma estimates disagree across covectors at grid index {idx} "
-                        f"(spread {spread:.3e})"
+        recs = [
+            recover_sigma_from_symbol(sym[..., 0], sym[..., 1], dataset.scale_t, n)
+            for sym in dataset.symbols
+        ]
+        sigma_fields = []
+        spread_max = 0.0
+        for rec in recs:
+            mean = rec.sigma.mean(axis=-1)
+            spread = np.max(np.abs(rec.sigma - mean[..., None]), axis=-1)
+            # written so that a NaN spread fails too
+            raise_first(
+                n,
+                [
+                    (
+                        ~(spread <= cfg.sigma_consistency_tol),
+                        InconsistentData,
+                        lambda i: "sigma estimates disagree across covectors "
+                        f"(spread {spread[i]:.3e})",
                     )
-                spread_max = max(spread_max, spread)
-                sig[idx] = mean
-            sigma_fields.append(sig)
-            norm_maps.append(norms)
+                ],
+            )
+            spread_max = max(spread_max, float(spread.max()))
+            sigma_fields.append(mean)
         report.residuals["sigma_consistency"] = spread_max
     report.sigma1 = sigma_fields[0]
     if not single_energy:
         report.sigma2 = sigma_fields[1]
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
-    h0_field = np.empty(shape + (n, n))
-    h0_cross = 0.0
+    covectors = polarization_covectors(n)
     with _stage("metric"):
-        for idx in np.ndindex(*shape):
-            h0_first = metric_boundary_recovery(norm_maps[0][idx], n)
-            h0_field[idx] = h0_first
-            if not single_energy:
-                h0_second = metric_boundary_recovery(norm_maps[1][idx], n)
-                h0_cross = max(h0_cross, float(np.max(np.abs(h0_second - h0_first))))
-    report.h0 = h0_field
+        h0_fields = [
+            metric_boundary_recovery({cov: rec.norm[..., c] for c, cov in enumerate(covectors)}, n)
+            for rec in recs[:2]
+        ]
+    h0_field = report.h0 = h0_fields[0]
     if not single_energy:
-        report.residuals["h0_cross_energy"] = h0_cross
+        report.residuals["h0_cross_energy"] = float(np.max(np.abs(h0_fields[1] - h0_field)))
 
     if single_energy and cfg.alpha_sq_known is None:
         report.status = "partial: sigma and h0 only (one energy, alpha unknown)"
@@ -420,20 +466,14 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         )
         return report
 
-    alpha_field = np.empty(shape)
-    v0_field = np.empty(shape)
-    realness = 0.0
     if single_energy:
         log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
         a2 = float(cfg.alpha_sq_known)
-        lam = energies[0]
-        with _stage("zeroth-order"):
-            for idx in np.ndindex(*shape):
-                s1 = complex(sigma_fields[0][idx])
-                v0 = complex(lam) ** 2 + n * n / 4.0 + a2 * s1 * (n - s1)
-                realness = max(realness, abs(v0.imag) / (1.0 + abs(v0.real)))
-                alpha_field[idx] = a2
-                v0_field[idx] = v0.real
+        s1 = sigma_fields[0]
+        v0 = complex(energies[0]) ** 2 + n * n / 4.0 + a2 * s1 * (n - s1)
+        realness = np.abs(v0.imag) / (1.0 + np.abs(v0.real))
+        alpha_field = np.full(shape, a2)
+        v0_field = v0.real
         report.notes.append("alpha^2 supplied a priori; single-energy recovery of V0")
     else:
         log.info(
@@ -441,21 +481,12 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             "V0 = l1^2 + n^2/4 + alpha^2 s1(n-s1)"
         )
         with _stage("zeroth-order"):
-            for idx in np.ndindex(*shape):
-                a2, v0, resid = two_energy_recovery(
-                    sigma_fields[0][idx],
-                    sigma_fields[1][idx],
-                    energies[0],
-                    energies[1],
-                    n,
-                    cfg.realness_tol,
-                )
-                alpha_field[idx] = a2
-                v0_field[idx] = v0
-                realness = max(realness, resid)
+            alpha_field, v0_field, realness = two_energy_recovery(
+                sigma_fields[0], sigma_fields[1], energies[0], energies[1], n, cfg.realness_tol
+            )
     report.alpha_sq = alpha_field
     report.v0 = v0_field
-    report.residuals["zeroth_order_realness"] = realness
+    report.residuals["zeroth_order_realness"] = float(np.max(realness))
 
     if dataset.singularity:
         log.info(

@@ -15,7 +15,7 @@ import numpy as np
 from .boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
-    indicial_root_at,
+    indicial_root,
     perturbation_coefficients,
 )
 from .dataset import SymbolDataset, exceptional_to_dict, polarization_covectors
@@ -131,37 +131,27 @@ def forward_dataset(
     attached together with the model-integral factor pair used to build them.
     """
     n = patch1.n
-    shape = patch1.alpha.shape
+    shape = patch1.grid_shape
     eye = np.eye(n)
-    covectors = {key: eye[list(key)].sum(axis=0) for key in polarization_covectors(n)}
-
-    symbols = []
-    for en in energies:
-        per_idx = {}
-        for idx in np.ndindex(*shape):
-            pairs = {}
-            for key, xi in covectors.items():
-                v = principal_symbol(patch1, idx, xi, en).value
-                vt = principal_symbol(patch1, idx, scale_t * xi, en).value
-                pairs[key] = (complex(v), complex(vt))
-            per_idx[idx] = pairs
-        symbols.append(per_idx)
+    covectors = np.stack([eye[list(key)].sum(axis=0) for key in polarization_covectors(n)])
+    xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
+    symbols = np.stack([principal_symbol(patch1, xi, en) for en in energies])
 
     singularity = None
     if patch2 is not None:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
         probes = probes if probes is not None else default_probe_set(n)
+        sigma = indicial_root(patch1, energies[0]).sigma
         singularity = {}
         for idx in np.ndindex(*shape):
             pd = perturbation_coefficients(patch1, patch2, idx)
-            sig = indicial_root_at(patch1, idx, energies[0])
             singularity[idx] = tuple(
                 singularity_coefficient(
                     pd,
                     np.asarray(patch1.h_jet[0][idx]),
                     float(patch1.alpha[idx]),
-                    sig,
+                    sigma[idx],
                     t_pair[0],
                     t_pair[1],
                     w,
@@ -174,7 +164,7 @@ def forward_dataset(
         grid_shape=shape,
         scale_t=float(scale_t),
         energies=tuple(en.lam for en in energies),
-        symbols=tuple(symbols),
+        symbols=symbols,
         singularity=singularity,
         t_pair=t_pair,
         exceptional=exceptional_to_dict(exceptional_set(patch1, k_max=k_max)),

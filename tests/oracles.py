@@ -179,8 +179,3 @@ def hessian_profile_sym(sigma_val: complex, omega: np.ndarray) -> np.ndarray:
             out[i, j] = complex(sp.simplify(dij.subs(subs)))
     return out
 
-
-def quarter_density_slope_fd(h0: np.ndarray, L: np.ndarray, dx: float = 1e-6) -> float:
-    """Centered difference of ``(det(h0 + x L)/det h0)^(1/4)`` at ``x = 0``."""
-    ratio = lambda x: (np.linalg.det(h0 + x * L) / np.linalg.det(h0)) ** 0.25
-    return (ratio(dx) - ratio(-dx)) / (2.0 * dx)

@@ -4,6 +4,7 @@ Most CLI tests drive ``scatjet.cli.main`` in process; the determinism test and
 one exit-code check run the real process entry point through
 ``python -m scatjet``.
 """
+import dataclasses
 import json
 import math
 
@@ -66,17 +67,36 @@ def test_dataset_save_load_identical(tmp_path):
     again = SymbolDataset.load(path)
     assert canonical_json(again.to_dict()) == canonical_json(ds.to_dict())
     assert again.energies == ds.energies
+    np.testing.assert_array_equal(again.symbols, ds.symbols)
+    assert again.symbols.shape == (2, 4, 4, 3, 2) and not again.symbols.flags.writeable
     idx = (0, 0)
-    assert again.symbol_pairs(idx, ds.energies[0]) == ds.symbol_pairs(idx, ds.energies[0])
     assert len(again.singularity_samples(idx)) == len(ds.singularity_samples(idx))
 
 
 def test_dataset_unknown_energy_and_missing_extras():
     patch = constant_patch(1, 1.0, 0.2, np.eye(1))
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
-    with pytest.raises(KeyError):
-        ds.symbol_pairs((0,), 9.0)
+    with pytest.raises(ConfigError, match=r"expected \(2, 4, 1, 2\)"):
+        dataclasses.replace(ds, energies=ds.energies + (9.0,))
     assert ds.singularity_samples((0,)) == ()
+
+
+def test_dataset_rejects_symbols_of_wrong_shape():
+    _, ds = make_synthetic_pair(seed=4, n=2, with_first_order=False)
+    with pytest.raises(ConfigError, match=r"shape \(2, 4, 3, 3, 2\), expected \(2, 4, 4, 3, 2\)"):
+        dataclasses.replace(ds, symbols=ds.symbols[:, :, 1:])
+
+
+def test_dataset_rejects_singularity_without_every_grid_index():
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    singularity = dict(ds.singularity)
+    del singularity[(1, 1)]
+    with pytest.raises(ConfigError, match=r"grid index \(1, 1\) missing"):
+        dataclasses.replace(ds, singularity=singularity)
+    singularity = dict(ds.singularity)
+    singularity[(4, 0)] = singularity[(0, 0)]
+    with pytest.raises(ConfigError, match=r"\(4, 0\) is not a grid index"):
+        dataclasses.replace(ds, singularity=singularity)
 
 
 def test_dataset_from_dict_ignores_unknown_keys():
@@ -119,6 +139,10 @@ def _truncate_pair(data):
     data["symbols"]["0"]["2,3"]["1"] = [[1.0, 0.0]]
 
 
+def _add_unknown_covector(data):
+    data["symbols"]["0"]["1,1"]["1+1"] = [[1.0, 0.0], [2.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -127,8 +151,16 @@ def _truncate_pair(data):
         (_drop(["singularity", "1,0"]), r"singularity: grid key '1,0' missing"),
         (_set_nan, r"energy index 1, grid key '0,1', covector '0': sample is not finite"),
         (_truncate_pair, r"malformed dataset: ValueError"),
+        (_add_unknown_covector, r"energy index 0, grid key '1,1': unknown covector '1\+1'"),
     ],
-    ids=["missing-grid-index", "missing-covector", "missing-singularity", "nan-sample", "malformed-pair"],
+    ids=[
+        "missing-grid-index",
+        "missing-covector",
+        "missing-singularity",
+        "nan-sample",
+        "malformed-pair",
+        "unknown-covector",
+    ],
 )
 def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
     _, ds = make_synthetic_pair(seed=4, n=2)

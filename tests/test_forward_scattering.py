@@ -4,23 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from scatjet.boundary_jets import ComplexEnergy, PerturbationData, perturbation_coefficients
+from scatjet.boundary_jets import (
+    ComplexEnergy,
+    PerturbationData,
+    indicial_root,
+    perturbation_coefficients,
+)
 from scatjet.errors import ChartUndefined, GammaPole, ZeroCovector
 from scatjet.forward_scattering import (
     ProbeSet,
     blowup_coordinates,
-    boundary_normalization,
-    covector_norm,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
-    probe_design_rank,
     radial_derivative_kernel,
     singularity_coefficient,
 )
 from scatjet.synthetic import constant_patch
 
 from oracles import hessian_profile_sym
+from varying_patch import varying_patch_pair
 
 
 def _pd(n, H, T=0.0, W1=0.0):
@@ -47,34 +50,32 @@ def test_prefactor_pole_detection():
 def test_symbol_closed_value_n1():
     patch = constant_patch(1, 1.0, 0.0, np.eye(1))
     # alpha = 1, V0 = 0, lambda = i/2: sigma = 1/2 + sqrt(1/2 + lambda^2) = 1
-    sample = principal_symbol(patch, (0,), [1.0], ComplexEnergy(0.5j))
-    assert sample.value == pytest.approx(-1.0, abs=1e-12)
+    values = principal_symbol(patch, [1.0], ComplexEnergy(0.5j))
+    assert values.shape == (4,)
+    np.testing.assert_allclose(values, -1.0, atol=1e-12)
 
 
 def test_symbol_homogeneity():
     rng = np.random.default_rng(7)
     patch = constant_patch(2, 1.3, 0.4, np.diag([2.0, 0.5]))
     en = ComplexEnergy(2.0 + 1.5j)
-    from scatjet.boundary_jets import indicial_root_at
-
-    sigma = indicial_root_at(patch, (0, 0), en)
-    for _ in range(50):
-        xi = rng.standard_normal(2)
-        base = principal_symbol(patch, (0, 0), xi, en).value
-        for t in (2.0, 4.0, 8.0):
-            scaled = principal_symbol(patch, (0, 0), t * xi, en).value
-            assert abs(scaled - t ** (2 * sigma - 2) * base) <= 1e-10 * abs(base)
+    sigma = indicial_root(patch, en).sigma[0, 0]
+    xi = rng.standard_normal((50, 2))
+    scales = np.array([1.0, 2.0, 4.0, 8.0])
+    values = principal_symbol(patch, scales[:, None, None] * xi, en)
+    assert values.shape == (4, 4, 4, 50)
+    base = values[0, 0, 0]
+    for t, scaled in zip(scales[1:], values[0, 0, 1:]):
+        assert np.all(np.abs(scaled - t ** (2 * sigma - 2) * base) <= 1e-10 * np.abs(base))
 
 
 def test_symbol_log_slope():
     patch = constant_patch(2, 1.0, 0.3, np.eye(2))
     en = ComplexEnergy(1.0 + 2.0j)
-    from scatjet.boundary_jets import indicial_root_at
-
-    sigma = indicial_root_at(patch, (0, 0), en)
+    sigma = indicial_root(patch, en).sigma[0, 0]
     xi = np.array([0.6, -0.8])
     ts = np.array([1.0, 2.0, 4.0, 8.0])
-    vals = [abs(principal_symbol(patch, (0, 0), t * xi, en).value) for t in ts]
+    vals = np.abs(principal_symbol(patch, np.outer(ts, xi), en)[0, 0])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     assert slope == pytest.approx(2 * sigma.real - 2, abs=1e-10)
 
@@ -82,10 +83,8 @@ def test_symbol_log_slope():
 def test_symbol_isotropy_for_euclidean_metric():
     patch = constant_patch(2, 1.0, 0.2, np.eye(2))
     en = ComplexEnergy(3.0j)
-    vals = [
-        principal_symbol(patch, (0, 0), [math.cos(a), math.sin(a)], en).value
-        for a in (0.0, 0.7, 2.1)
-    ]
+    angles = np.array([0.0, 0.7, 2.1])
+    vals = principal_symbol(patch, np.stack([np.cos(angles), np.sin(angles)], axis=-1), en)[0, 0]
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
@@ -93,14 +92,32 @@ def test_symbol_isotropy_for_euclidean_metric():
 def test_symbol_zero_covector():
     patch = constant_patch(2, 1.0, 0.2, np.eye(2))
     with pytest.raises(ZeroCovector):
-        principal_symbol(patch, (0, 0), [0.0, 0.0], ComplexEnergy(3.0j))
+        principal_symbol(patch, [0.0, 0.0], ComplexEnergy(3.0j))
+    with pytest.raises(ZeroCovector):
+        principal_symbol(patch, [[1.0, 0.0], [0.0, 0.0]], ComplexEnergy(3.0j))
 
 
-def test_covector_norm_uses_inverse_metric():
-    h0 = np.diag([4.0, 1.0])
-    assert covector_norm([1.0, 0.0], h0) == pytest.approx(0.5)
-    assert covector_norm([0.0, 1.0], h0) == pytest.approx(1.0)
-    assert covector_norm([1.0, 1.0], h0) == pytest.approx(math.sqrt(1.25))
+def test_symbol_matches_pointwise_formula_on_varying_patch():
+    """The grid evaluation against the closed form written out point by point."""
+    patch, _, energies, _ = varying_patch_pair(seed=41)
+    n = patch.n
+    xi = np.array([[1.0, 0.0], [0.3, -1.7], [2.0, 2.0]])
+    for en in energies:
+        got = principal_symbol(patch, xi, en)
+        assert got.shape == patch.grid_shape + (3,)
+        worst = 0.0
+        for idx in np.ndindex(*patch.grid_shape):
+            alpha = float(patch.alpha[idx])
+            v0 = float(patch.v_jet[0][idx])
+            lam = en.lam.real
+            sigma = n / 2 + math.sqrt((n / 2) ** 2 - (v0 - lam * lam - n * n / 4) / alpha**2)
+            pref = 2.0 ** (n - 2 * sigma) * math.gamma(n / 2 - sigma) / math.gamma(sigma - n / 2)
+            h0_inv = np.linalg.inv(patch.h_jet[0][idx])
+            for k, row in enumerate(xi):
+                norm = math.sqrt(row @ h0_inv @ row)
+                want = pref * norm ** (2 * sigma - n)
+                worst = max(worst, abs(got[idx + (k,)] - want) / abs(want))
+        assert worst <= 1e-12
 
 
 # -- angular derivative kernel ----------------------------------------------
@@ -155,23 +172,9 @@ def test_default_probe_set_layout():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_probe_design_rank(n):
-    rank, svals = probe_design_rank(default_probe_set(n))
-    assert rank == n * (n + 1) // 2
-    assert svals[0] > 0
-
-
 def test_probe_set_rejects_non_unit():
     with pytest.raises(ValueError):
         ProbeSet(vectors=(np.array([1.0, 1.0]),))
-
-
-def test_boundary_normalization_factor():
-    h0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-    R = boundary_normalization(1.4, h0)
-    np.testing.assert_allclose(R.T @ R, 1.4**2 * h0, atol=1e-12)
-    assert abs(R[1, 0]) < 1e-14  # upper triangular
 
 
 # -- singularity coefficient ------------------------------------------------

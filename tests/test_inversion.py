@@ -1,11 +1,12 @@
 """Stage-by-stage recovery tests, mostly exact algebraic round trips."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root_at
+from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root
 from scatjet.errors import (
     BranchAmbiguity,
     DegenerateEnergies,
@@ -16,7 +17,6 @@ from scatjet.errors import (
 )
 from scatjet.forward_scattering import (
     ProbeSet,
-    covector_norm,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
@@ -31,6 +31,8 @@ from scatjet.inversion import (
     two_energy_recovery,
 )
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
+
+from varying_patch import varying_patch_pair
 
 
 def _symbol_pair(sigma, norm, t, n):
@@ -72,11 +74,10 @@ def test_sigma_noise_robustness():
 def test_sigma_via_forward_module():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
     en = ComplexEnergy(4.0)
-    xi = [0.6, 0.8]
-    v = principal_symbol(patch, (0, 0), xi, en).value
-    vt = principal_symbol(patch, (0, 0), [2 * x for x in xi], en).value
+    xi = np.array([0.6, 0.8])
+    v, vt = principal_symbol(patch, [xi, 2 * xi], en)[0, 0]
     rec = recover_sigma_from_symbol(v, vt, 2.0, 2)
-    assert rec.sigma == pytest.approx(indicial_root_at(patch, (0, 0), en), abs=1e-12)
+    assert rec.sigma == pytest.approx(indicial_root(patch, en).sigma[0, 0], abs=1e-12)
     assert rec.norm == pytest.approx(1.0, abs=1e-12)  # h0 = I and |xi| = 1
 
 
@@ -86,6 +87,47 @@ def test_sigma_zero_and_scale_validation():
     for t in (1.0, 0.0, -2.0):
         with pytest.raises(ValueError):
             recover_sigma_from_symbol(1.0, 1.0, t, 2)
+
+
+def test_sigma_rejects_non_finite_sample():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentData, match="not finite"):
+            recover_sigma_from_symbol(math.nan, 1.0 + 0j, 2.0, 2)
+        v, vt = _symbol_pair(2.3, 1.7, 2.0, 2)
+        values = np.full((4, 4), v)
+        values[1, 0] = complex(math.inf, 0.0)
+        with pytest.raises(InconsistentData, match=r"not finite at grid index \(1, 0\)$"):
+            recover_sigma_from_symbol(values, np.full((4, 4), vt), 2.0, 2)
+
+
+def test_stages_name_the_first_failing_grid_index():
+    """Grid input raises at the first failing index in C order, naming it."""
+    v, vt = _symbol_pair(2.3, 1.7, 2.0, 2)
+    values = np.full((3, 4, 2), v)
+    values[2, 0, 0] = 0.0
+    values[1, 3, 1] = 0.0
+    with pytest.raises(ZeroSymbol, match=r"grid index \(1, 3\), sample \(1,\)$"):
+        recover_sigma_from_symbol(values, np.full((3, 4, 2), vt), 2.0, 2)
+    # the first failing index wins, even when a later index fails an earlier check
+    values = np.full((2, 2), v)
+    txi = np.full((2, 2), vt)
+    txi[0, 1] = 0.5 * v
+    values[1, 0] = 0.0
+    with pytest.raises(BranchAmbiguity, match=r"grid index \(0, 1\)$"):
+        recover_sigma_from_symbol(values, txi, 2.0, 2)
+
+    norms = {(0,): np.ones((2, 3)), (1,): np.ones((2, 3)), (0, 1): np.full((2, 3), 2**0.5)}
+    norms[(0, 1)][1, 2] = 5.0
+    with pytest.raises(NotPositiveDefinite, match=r"grid index \(1, 2\)$"):
+        metric_boundary_recovery(norms, 2)
+
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma
+    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma.copy()
+    s2[3, 1] = s1[3, 1]
+    with pytest.raises(InconsistentData, match=r"singular at grid index \(3, 1\)$"):
+        two_energy_recovery(s1, s2, 3j, 5j, 2)
 
 
 def test_sigma_branch_ambiguity():
@@ -126,10 +168,11 @@ def test_metric_random_round_trip(n):
 
         h0 = random_spd(rng, n)
         eye = np.eye(n)
-        norms = {(i,): covector_norm(eye[i], h0) for i in range(n)}
+        norm = lambda xi: math.sqrt(xi @ np.linalg.solve(h0, xi))
+        norms = {(i,): norm(eye[i]) for i in range(n)}
         for i in range(n):
             for j in range(i + 1, n):
-                norms[(i, j)] = covector_norm(eye[i] + eye[j], h0)
+                norms[(i, j)] = norm(eye[i] + eye[j])
         np.testing.assert_allclose(metric_boundary_recovery(norms, n), h0, atol=1e-10)
 
 
@@ -149,8 +192,8 @@ def test_metric_missing_sample():
 
 def test_two_energy_worked_example():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root_at(patch, (0, 0), ComplexEnergy(3j))
-    s2 = indicial_root_at(patch, (0, 0), ComplexEnergy(5j))
+    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma[0, 0]
+    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma[0, 0]
     a2, v0, resid = two_energy_recovery(s1, s2, 3j, 5j, 2)
     assert a2 == pytest.approx(1.69, abs=1e-12)
     assert v0 == pytest.approx(0.7, abs=1e-12)
@@ -175,8 +218,8 @@ def test_two_energy_realness_enforced():
 def test_two_energy_rejects_negative_alpha_sq():
     # swapping the energies against the roots flips the sign of alpha^2
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root_at(patch, (0, 0), ComplexEnergy(3j))
-    s2 = indicial_root_at(patch, (0, 0), ComplexEnergy(5j))
+    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma[0, 0]
+    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma[0, 0]
     with pytest.raises(InconsistentData, match="positive"):
         two_energy_recovery(s2, s1, 3j, 5j, 2)
 
@@ -325,35 +368,49 @@ def test_driver_refuses_inadmissible_energy():
     assert report.notes and report.sigma1 is None
 
 
+def _with_symbol(ds, index, value):
+    """``ds`` with one symbol sample replaced (datasets are read-only)."""
+    symbols = ds.symbols.copy()
+    symbols[index] = value
+    return dataclasses.replace(ds, symbols=symbols)
+
+
 def test_driver_stage_labels_on_failure():
     truth, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
-    idx = (0,) * len(ds.grid_shape)
-    key = next(iter(ds.symbols[0][idx]))
-    ds.symbols[0][idx][key] = (0j, 0j)
-    with pytest.raises(ZeroSymbol, match=r"\[stage sigma\]"):
-        layer_strip_driver(ds)
+    bad = _with_symbol(ds, (0, 0, 0, 0), [0j, 0j])
+    with pytest.raises(ZeroSymbol, match=r"\[stage sigma\].*grid index \(0, 0\)"):
+        layer_strip_driver(bad)
 
 
 def test_driver_detects_inconsistent_homogeneity():
     truth, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
-    idx = (0,) * len(ds.grid_shape)
-    key = next(iter(ds.symbols[0][idx]))
-    v, vt = ds.symbols[0][idx][key]
-    ds.symbols[0][idx][key] = (v, 1.5 * vt)
+    v, vt = ds.symbols[0, 0, 0, 0]
+    bad = _with_symbol(ds, (0, 0, 0, 0), [v, 1.5 * vt])
     with pytest.raises(InconsistentData, match=r"\[stage sigma\].*disagree"):
-        layer_strip_driver(ds)
+        layer_strip_driver(bad)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_driver_rejects_nan_symbol_pair():
     _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
-    idx = (1, 0)
-    first = {point: dict(pairs) for point, pairs in ds.symbols[0].items()}
-    v, vt = first[idx][(0,)]
-    first[idx][(0,)] = (v, complex(math.nan, 0.0))
-    bad = dataclasses.replace(ds, symbols=(first,) + ds.symbols[1:])
+    bad = _with_symbol(ds, (0, 1, 0, 0, 1), complex(math.nan, 0.0))
     with pytest.raises(InconsistentData, match=r"\[stage sigma\].*grid index \(1, 0\)"):
         layer_strip_driver(bad)
+
+
+def test_driver_round_trip_on_varying_patch():
+    """Every field recovered point by point where every field varies."""
+    patch1, patch2, energies, H = varying_patch_pair(seed=29)
+    ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(1.0 + 0j, 1.0 + 0j))
+    report = layer_strip_driver(ds)
+    assert report.status == "ok"
+    sigmas = [indicial_root(patch1, en).sigma for en in energies]
+    np.testing.assert_allclose(report.sigma1, sigmas[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.sigma2, sigmas[1], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.h0, patch1.h_jet[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.alpha_sq, patch1.alpha**2, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.v0, patch1.v_jet[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.H, H, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.W1, 0.0, rtol=0, atol=1e-8)
 
 
 def test_driver_rejects_non_dataset():

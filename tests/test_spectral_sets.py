@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root_at
+from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root
 from scatjet.errors import EvaluationFailure, NotConvergent
 from scatjet.forward_scattering import gamma_prefactor
 from scatjet.model_quadrature import QuadratureSpec, t_limit_integral
@@ -69,7 +69,7 @@ def test_modes_hit_half_integer_roots():
     for m in omega_prime_modes(patch, k_max=3):
         lam = complex(np.sqrt(complex(m.lambda_sq)))
         en = ComplexEnergy(lam, lam_sq=complex(m.lambda_sq))
-        sig = indicial_root_at(patch, m.y_index, en)
+        sig = indicial_root(patch, en).sigma[m.y_index]
         assert 2 - sig == pytest.approx((2 - m.k) / 2.0, abs=1e-8)
 
 
