@@ -26,7 +26,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BranchCut, ConfigError, MismatchedBoundary
+from .errors import BranchCut, ConfigError, MismatchedBoundary, raise_first
 from .expressions import evaluate_field
 
 _BOUNDARY_MATCH_TOL = 1e-10
@@ -211,14 +211,15 @@ class PerturbationData:
     """First-order differences of two patches sharing zeroth-order data.
 
     ``L = h2^(1) - h1^(1)``, ``H = h0^-1 L h0^-1``, ``T = tr(h0^-1 L)`` and
-    ``W[j] = V2^(j) - V1^(j)`` at a single boundary point.
+    ``W[j] = V2^(j) - V1^(j)``, as grid arrays (``L`` and ``H`` of shape
+    ``grid + (n, n)``) or as the scalars of one point.
     """
 
     n: int
     L: np.ndarray
     H: np.ndarray
-    T: float
-    W: tuple[float, ...]
+    T: float | np.ndarray
+    W: tuple[float | np.ndarray, ...]
 
 
 def _discriminant(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
@@ -272,35 +273,36 @@ def indicial_identity_residual(
     return np.abs(lhs - rhs)
 
 
-def perturbation_coefficients(
-    patch1: BoundaryPatch, patch2: BoundaryPatch, y_index: tuple[int, ...]
-) -> PerturbationData:
-    """First-order difference data at one grid point of two compatible patches."""
+def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> PerturbationData:
+    """First-order difference data of two compatible patches over the whole grid.
+
+    A zeroth-order mismatch names its first grid index in C order.
+    """
     if patch1.n != patch2.n or patch1.axes != patch2.axes:
         raise MismatchedBoundary(
             f"patch layouts differ: n={patch1.n}/{patch2.n}, axes={patch1.axes}/{patch2.axes}"
         )
     if patch1.jet_order < 1 or patch2.jet_order < 1:
         raise ConfigError("both patches must carry jets to order >= 1")
-    bad = []
-    if abs(patch1.alpha[y_index] - patch2.alpha[y_index]) > _BOUNDARY_MATCH_TOL:
-        bad.append("alpha")
-    if abs(patch1.v_jet[0][y_index] - patch2.v_jet[0][y_index]) > _BOUNDARY_MATCH_TOL:
-        bad.append("V^(0)")
-    if np.max(np.abs(patch1.h_jet[0][y_index] - patch2.h_jet[0][y_index])) > _BOUNDARY_MATCH_TOL:
-        bad.append("h^(0)")
-    if bad:
-        raise MismatchedBoundary(
-            f"zeroth-order boundary data disagree at y-index {y_index}: {', '.join(bad)}"
-        )
     n = patch1.n
-    h0 = np.asarray(patch1.h_jet[0][y_index], dtype=float)
-    L = np.asarray(patch2.h_jet[1][y_index] - patch1.h_jet[1][y_index], dtype=float)
+    h0 = patch1.h_jet[0]
+    bad = {
+        "alpha": np.abs(patch1.alpha - patch2.alpha) > _BOUNDARY_MATCH_TOL,
+        "V^(0)": np.abs(patch1.v_jet[0] - patch2.v_jet[0]) > _BOUNDARY_MATCH_TOL,
+        "h^(0)": np.max(np.abs(h0 - patch2.h_jet[0]), axis=(-2, -1)) > _BOUNDARY_MATCH_TOL,
+    }
+
+    def disagree(i):
+        return "zeroth-order boundary data disagree: " + ", ".join(k for k, b in bad.items() if b[i])
+
+    raise_first(n, [(np.logical_or.reduce(list(bad.values())), MismatchedBoundary, disagree)])
+    L = patch2.h_jet[1] - patch1.h_jet[1]
     h0_inv = np.linalg.inv(h0)
-    H = h0_inv @ L @ h0_inv
-    T = float(np.trace(h0_inv @ L))
     j_max = min(patch1.jet_order, patch2.jet_order)
-    W = tuple(
-        float(patch2.v_jet[j][y_index] - patch1.v_jet[j][y_index]) for j in range(j_max + 1)
+    return PerturbationData(
+        n=n,
+        L=L,
+        H=h0_inv @ L @ h0_inv,
+        T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
+        W=tuple(patch2.v_jet[j] - patch1.v_jet[j] for j in range(j_max + 1)),
     )
-    return PerturbationData(n=n, L=L, H=H, T=T, W=W)

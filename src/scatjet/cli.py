@@ -83,6 +83,17 @@ def _z_vector(raw: str, n: int) -> np.ndarray:
     return np.asarray(parts)
 
 
+def _load_probes(path: str, n: int) -> ProbeSet:
+    """``--probes``: a JSON list of unit probe vectors with ``n`` components each."""
+    try:
+        probes = ProbeSet(vectors=tuple(tuple(float(c) for c in v) for v in _load_json(path)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--probes: {exc}") from None
+    if len(probes.vectors[0]) != n:
+        raise ConfigError(f"--probes: probe 0 {probes.vectors[0]} does not have n={n} components")
+    return probes
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -97,10 +108,7 @@ def cmd_forward(args) -> int:
         if args.t1 is None or args.t2 is None:
             raise ConfigError("--t1 and --t2 must be given together")
         t_pair = (parse_complex(args.t1), parse_complex(args.t2))
-    probes = None
-    if args.probes:
-        vecs = _load_json(args.probes)
-        probes = ProbeSet(vectors=tuple(tuple(float(c) for c in v) for v in vecs))
+    probes = _load_probes(args.probes, patch.n) if args.probes else None
     log.info(
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"

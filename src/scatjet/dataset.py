@@ -5,7 +5,10 @@ The JSON layout is deliberately flat and canonical: complex scalars are
 and separators fixed, so the same dataset always serializes to the same
 bytes.  Grid indices become comma-joined keys (``"3"`` or ``"1,2"``),
 covector labels join with ``+`` (``"0"`` for ``e_1``, ``"0+1"`` for
-``e_1 + e_2``).
+``e_1 + e_2``).  The optional ``singularity`` block maps each grid key to its
+list of ``{"omega": [...], "value": [re, im]}`` samples; in memory it is one
+complex ``(*grid, P)`` array beside a ``(*grid, P, n)`` probe array, so every
+grid key must carry the same number ``P`` of samples.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .forward_scattering import SingularitySample
 
 SCHEMA = "scatjet.symbols/1"
 
@@ -41,8 +43,11 @@ def encode_complex_array(arr: np.ndarray) -> list:
 
 
 def decode_complex_array(obj: Any) -> np.ndarray:
-    raw = np.asarray(obj, dtype=float)
-    return raw[..., 0] + 1j * raw[..., 1]
+    """Nested ``[re, im]`` pairs to a complex array, every bit kept (``-0.0`` too)."""
+    raw = np.array(obj, dtype=float)
+    if raw.shape[-1:] != (2,):
+        raise ValueError(f"complex entries must be [re, im] pairs, got shape {raw.shape}")
+    return raw.view(complex)[..., 0]
 
 
 def canonical_json(obj: Any) -> str:
@@ -68,10 +73,6 @@ def exceptional_to_dict(es) -> dict:
 
 def _grid_key(idx: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in idx)
-
-
-def _parse_grid_key(key: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in key.split(","))
 
 
 def _cov_key(key: tuple[int, ...]) -> str:
@@ -123,21 +124,47 @@ def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], slots: di
     return rows
 
 
-def _decode_singularity(block: Mapping, grid_keys: list[str]) -> dict:
-    """Decode the first-order samples, checking completeness and finiteness."""
+def _decode_singularity(block: Mapping, grid_shape: tuple[int, ...], n: int):
+    """Decode the first-order samples into ``(values, probes)`` arrays over the grid.
+
+    Every grid key must carry the same positive number of samples, each with
+    a finite value and a finite unit ``omega`` of length ``n``.
+    """
+    grid_keys = [_grid_key(idx) for idx in np.ndindex(*grid_shape)]
+    extra = set(block).difference(grid_keys)
+    if extra:
+        raise IoError(f"singularity: grid key {min(extra)!r} is not a grid index")
+    omegas, values, count = [], [], 0
     for key in grid_keys:
-        if key not in block:
+        samples = block.get(key)
+        if samples is None:
             raise IoError(f"singularity: grid key {key!r} missing")
-    out = {}
-    for key, samples in block.items():
-        decoded = []
+        if not samples:
+            raise IoError(f"singularity: grid key {key!r}: no samples")
+        count = count or len(samples)
+        if len(samples) != count:
+            raise IoError(
+                f"singularity: grid key {key!r}: {len(samples)} samples, "
+                f"grid key {grid_keys[0]!r} has {count}"
+            )
         for j, s in enumerate(samples):
-            value = decode_complex(s["value"])
-            if not (all(map(math.isfinite, s["omega"])) and cmath.isfinite(value)):
-                raise IoError(f"singularity: grid key {key!r}, sample {j}: not finite")
-            decoded.append(SingularitySample(omega=np.asarray(s["omega"], dtype=float), value=value))
-        out[_parse_grid_key(key)] = tuple(decoded)
-    return out
+            if len(s["omega"]) != n:
+                raise IoError(
+                    f"singularity: grid key {key!r}, sample {j}: omega has "
+                    f"{len(s['omega'])} components, expected n={n}"
+                )
+            omegas.append(s["omega"])
+            values.append(s["value"])
+    probes = np.array(omegas, dtype=float).reshape(grid_shape + (count, n))
+    value = decode_complex_array(values).reshape(grid_shape + (count,))
+    finite = np.all(np.isfinite(probes), axis=-1) & np.isfinite(value)
+    # the first-order fit's own bound; written so that a NaN norm fails too
+    unit = np.abs(np.linalg.norm(probes, axis=-1) - 1.0) <= 1e-9
+    for ok, what in ((finite, "not finite"), (unit, "omega is not a unit vector")):
+        if not ok.all():
+            *idx, j = np.argwhere(~ok)[0]
+            raise IoError(f"singularity: grid key {_grid_key(idx)!r}, sample {j}: {what}")
+    return value, probes
 
 
 @dataclass(frozen=True)
@@ -148,9 +175,10 @@ class SymbolDataset:
     ``(E, *grid_shape, C, 2)``: ``symbols[e, *idx, c]`` holds the pair
     ``(S(xi), S(t xi))`` for energy index ``e``, grid index ``idx`` and the
     covector ``polarization_covectors(n)[c]``.  ``singularity`` (if present)
-    holds per-point angular samples of the first-order singularity
-    coefficient, and ``t_pair`` the two model-integral factors needed to
-    invert them.
+    is a read-only complex array of shape ``(*grid_shape, P)`` holding the
+    first-order singularity coefficient ``F`` at ``P`` probes per point, and
+    ``probes`` the read-only ``(*grid_shape, P, n)`` array of those probes;
+    ``t_pair`` holds the two model-integral factors needed to invert them.
     """
 
     n: int
@@ -158,7 +186,8 @@ class SymbolDataset:
     scale_t: float
     energies: tuple[complex, ...]
     symbols: np.ndarray
-    singularity: Mapping[tuple[int, ...], tuple[SingularitySample, ...]] | None = None
+    singularity: np.ndarray | None = None
+    probes: np.ndarray | None = None
     t_pair: tuple[complex, complex] | None = None
     exceptional: dict | None = None
 
@@ -172,18 +201,20 @@ class SymbolDataset:
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
         if self.singularity is not None:
-            for idx in np.ndindex(*self.grid_shape):
-                if idx not in self.singularity:
-                    raise ConfigError(f"singularity: grid index {idx} missing")
-            if len(self.singularity) != math.prod(self.grid_shape):
-                grid = set(np.ndindex(*self.grid_shape))
-                extra = next(idx for idx in self.singularity if idx not in grid)
-                raise ConfigError(f"singularity: {extra} is not a grid index")
-
-    def singularity_samples(self, idx: tuple[int, ...]) -> tuple[SingularitySample, ...]:
-        if not self.singularity:
-            return ()
-        return self.singularity[tuple(idx)]
+            singularity = np.array(self.singularity, dtype=complex)
+            probes = np.array(self.probes, dtype=float)
+            if singularity.shape[:-1] != self.grid_shape or singularity.shape[-1:] in ((), (0,)):
+                raise ConfigError(
+                    f"singularity has shape {singularity.shape}, "
+                    f"expected {self.grid_shape} plus a nonzero probe count"
+                )
+            if probes.shape != singularity.shape + (self.n,):
+                raise ConfigError(
+                    f"probes has shape {probes.shape}, expected {singularity.shape + (self.n,)}"
+                )
+            for arr, name in ((singularity, "singularity"), (probes, "probes")):
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     def exceptional_set(self):
         if self.exceptional is None:
@@ -223,12 +254,12 @@ class SymbolDataset:
             "symbols": sym_block,
         }
         if self.singularity is not None:
+            count = self.singularity.shape[-1]
+            omegas = self.probes.reshape(len(grid_keys), count, self.n).tolist()
+            values = encode_complex_array(self.singularity.reshape(len(grid_keys), count))
             out["singularity"] = {
-                _grid_key(idx): [
-                    {"omega": [float(w) for w in s.omega], "value": encode_complex(s.value)}
-                    for s in samples
-                ]
-                for idx, samples in self.singularity.items()
+                key: [{"omega": w, "value": v} for w, v in zip(ws, vs)]
+                for key, ws, vs in zip(grid_keys, omegas, values)
             }
         if self.t_pair is not None:
             out["t_pair"] = [encode_complex(self.t_pair[0]), encode_complex(self.t_pair[1])]
@@ -263,9 +294,9 @@ class SymbolDataset:
             symbols = np.array(symbols, dtype=complex).reshape(
                 (len(energies), *grid_shape, len(slots), 2)
             )
-            singularity = None
+            singularity = probes = None
             if "singularity" in data:
-                singularity = _decode_singularity(data["singularity"], grid_keys)
+                singularity, probes = _decode_singularity(data["singularity"], grid_shape, n)
             t_pair = None
             if "t_pair" in data:
                 t1, t2 = data["t_pair"]
@@ -279,6 +310,7 @@ class SymbolDataset:
             energies=energies,
             symbols=symbols,
             singularity=singularity,
+            probes=probes,
             t_pair=t_pair,
             exceptional=data.get("exceptional"),
         )

@@ -21,7 +21,9 @@ where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
 are model-integral factors (all remaining scalar prefactors are normalized
 to one here; a CLI hook can scale them).  Probe directions are understood in
-the frame where ``alpha^2 h0`` is the identity.
+the frame where ``alpha^2 h0`` is the identity.  ``singularity_coefficient``
+evaluates ``F`` over the whole grid for a stack of probes at once, from the
+grid arrays of ``boundary_jets.perturbation_coefficients``.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from .errors import ChartUndefined, GammaPole, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
 __all__ = [
-    "SingularitySample",
     "ProbeSet",
     "gamma_prefactor",
     "principal_symbol",
@@ -49,29 +50,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SingularitySample:
-    omega: tuple[float, ...]
-    value: complex
-
-
-@dataclass(frozen=True)
 class ProbeSet:
-    """Unit probe directions for first-order recovery."""
+    """Unit probe directions for first-order recovery: at least one, all of one length."""
 
     vectors: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         vecs = tuple(tuple(float(c) for c in v) for v in self.vectors)
-        for v in vecs:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(f"probe {v} is not a unit vector")
+        if not vecs:
+            raise ValueError("probe set is empty")
+        for j, v in enumerate(vecs):
+            if len(v) != len(vecs[0]):
+                raise ValueError(f"probe {j} {v} has {len(v)} components, probe 0 has {len(vecs[0])}")
+            # written so that a NaN component fails too
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+                raise ValueError(f"probe {j} {v} is not a unit vector")
         object.__setattr__(self, "vectors", vecs)
-
-    def __iter__(self):
-        return iter(np.asarray(v) for v in self.vectors)
-
-    def __len__(self):
-        return len(self.vectors)
 
 
 def default_probe_set(n: int) -> ProbeSet:
@@ -138,37 +132,47 @@ def principal_symbol(patch: BoundaryPatch, xi, energy: ComplexEnergy) -> np.ndar
     return pref * np.exp((2.0 * sigma - n).reshape(pad) * np.log(norm))
 
 
-def radial_derivative_kernel(omega: Sequence[float], sigma: complex) -> np.ndarray:
+def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     """Unit-sphere Hessian profile ``(3-2s)(delta_ij + (1-2s) w_i w_j)``.
 
     Equals ``|Y|^(2s-1) d_i d_j |Y|^(3-2s)`` evaluated at ``Y = omega``;
-    scale invariant in ``|Y|``, with trace ``(3-2s)(n + 1 - 2s)``.
+    scale invariant in ``|Y|``, with trace ``(3-2s)(n + 1 - 2s)``.  ``omega``
+    is a ``(..., n)`` stack of unit vectors and ``sigma`` broadcasts against
+    ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
     """
     w = np.asarray(omega, dtype=float)
-    if abs(np.linalg.norm(w) - 1.0) > 1e-9:
+    # written so that a NaN component fails too
+    if not np.all(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-9):
         raise ValueError("omega must be a unit vector")
-    sig = complex(sigma)
-    n = w.size
-    return (3.0 - 2.0 * sig) * (np.eye(n) + (1.0 - 2.0 * sig) * np.outer(w, w))
+    sig = np.asarray(sigma, dtype=complex)[..., None, None]
+    n = w.shape[-1]
+    return (3.0 - 2.0 * sig) * (np.eye(n) + (1.0 - 2.0 * sig) * (w[..., :, None] * w[..., None, :]))
 
 
 def singularity_coefficient(
     pd: PerturbationData,
-    h0: np.ndarray,
-    alpha: float,
-    sigma: complex,
+    alpha,
+    sigma,
     t1: complex,
     t2: complex,
-    omega: Sequence[float],
-) -> SingularitySample:
-    """Angular singularity coefficient ``F(omega)`` of the kernel difference."""
-    D = radial_derivative_kernel(omega, sigma)
-    value = t1 * np.sum(pd.H * D) + t2 * (
-        pd.W[1] - alpha * alpha * (1.0 - pd.n) * pd.T / 4.0
-    )
-    return SingularitySample(
-        omega=tuple(float(c) for c in np.asarray(omega, dtype=float)), value=complex(value)
-    )
+    omega,
+) -> np.ndarray:
+    """Angular singularity coefficient ``F(omega)`` of the kernel difference.
+
+    ``pd``, ``alpha`` and ``sigma`` are grid arrays or one point's scalars,
+    broadcast against each other; ``omega`` is a ``(..., n)`` stack of unit
+    probes shared by every point.  The result has shape
+    ``grid_shape + omega.shape[:-1]``.
+    """
+    n = pd.n
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape[-1:] != (n,):
+        raise ValueError(f"probes need a last axis of length n={n}, got shape {omega.shape}")
+    stack = (None,) * (omega.ndim - 1)
+    D = radial_derivative_kernel(omega, np.asarray(sigma)[(..., *stack)])
+    H = np.asarray(pd.H)[(..., *stack, slice(None), slice(None))]
+    const = pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[(..., *stack)]
 
 
 # -- stretched double-space charts -----------------------------------------

@@ -11,21 +11,23 @@ Stage by stage:
    ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4`` for
    ``alpha^2`` and ``V0``.
 4. ``first_order_recovery`` fits the first-order angular samples
-   ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``.
+   ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``,
+   at every grid point through one batched SVD.
    The fit has a structural one-dimensional kernel: ``omega^T H omega`` is
    constant over unit probes when ``H`` is a multiple of the identity, so
    that direction trades off against the constant ``W`` term.  The kernel
    and the smallest singular value over the identity-trade-off plane are
    reported, never silently resolved.
 
-``layer_strip_driver`` chains the stages over a full symbol dataset.
+Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
+chains the stages over a full symbol dataset, one call per stage and energy.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -39,11 +41,7 @@ from .errors import (
     ZeroSymbol,
     raise_first,
 )
-from .forward_scattering import (
-    SingularitySample,
-    prefactor_and_poles,
-    radial_derivative_kernel,
-)
+from .forward_scattering import prefactor_and_poles, radial_derivative_kernel
 
 log = logging.getLogger(__name__)
 
@@ -217,104 +215,110 @@ def two_energy_recovery(
 # -- first-order stage ------------------------------------------------------
 
 
-def _unknown_labels(n: int) -> list[str]:
-    labels = [f"H{i + 1}{i + 1}" for i in range(n)]
-    labels += [f"H{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
-    labels.append("W")
-    return labels
-
-
-def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, complex]:
-    H = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for i in range(n):
-        H[i, i] = x[pos]
-        pos += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = x[pos]
-            pos += 1
-    return H, complex(x[pos])
+def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(H, W)`` from unknowns ``(H_ii..., H_ij (i<j)..., W)`` along the last axis."""
+    H = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    H[..., d, d] = x[..., :n]
+    H[..., i, j] = H[..., j, i] = x[..., n:-1]
+    return H, x[..., -1]
 
 
 @dataclass(frozen=True)
 class FirstOrderResult:
+    """The first-order fit: every field's leading axes are the grid.
+
+    ``right_vectors`` holds each point's ``Vh`` from the SVD of its design.
+    """
+
     H: np.ndarray
-    W1: complex
-    residual: float
-    design_rank: int
+    W1: np.ndarray
+    residual: np.ndarray
+    design_rank: np.ndarray
     singular_values: np.ndarray
-    kernel_basis: tuple[tuple[np.ndarray, complex], ...]
-    identity_direction_sv: float
-    labels: tuple[str, ...] = field(repr=False, default=())
+    right_vectors: np.ndarray
+    identity_direction_sv: np.ndarray
+
+    def kernel_basis(self, idx: tuple[int, ...] = ()) -> tuple[tuple[np.ndarray, complex], ...]:
+        """The ``(H, W)`` kernel directions of the fit at grid index ``idx``."""
+        n = self.H.shape[-1]
+        rank = int(self.design_rank[idx])
+        Hs, Ws = _unpack(self.right_vectors[idx][rank:].conj(), n)
+        return tuple((H, complex(W)) for H, W in zip(Hs, Ws))
 
 
 def first_order_recovery(
-    samples: Sequence[SingularitySample],
-    sigma: complex,
+    values,
+    probes,
+    sigma,
     t1: complex,
     t2: complex,
-    alpha_sq: float,
-    h0: np.ndarray,
+    alpha_sq,
+    h0,
 ) -> FirstOrderResult:
-    """Minimum-norm fit of ``(H, W)`` to angular singularity samples.
+    """Minimum-norm fit of ``(H, W)`` to angular singularity samples, pointwise.
 
-    Design rows follow the forward model
-    ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``;
-    rank deficiency is reported, not raised.
+    ``values`` has shape ``(..., P)`` and ``probes`` ``(..., P, n)``: ``P``
+    samples ``F(omega)`` per point; ``sigma`` and ``alpha_sq`` are scalars or
+    arrays over ``...`` and ``h0`` has shape ``(..., n, n)``.  Design rows
+    follow the forward model
+    ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``
+    in the unknowns ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order.
+    Every point's design gets one SVD; rank deficiency is reported, not raised.
     """
     if abs(t1) < 1e-12 or abs(t2) < 1e-12:
         raise ZeroIntegralFactor(f"model-integral factors t1={t1}, t2={t2} too small")
-    if not samples:
+    b = np.asarray(values, dtype=complex)
+    if b.shape[-1:] in ((), (0,)):
         raise ValueError("no singularity samples given")
-    n = len(samples[0].omega)
     h0 = np.asarray(h0, dtype=float)
-    c_trace = t2 * alpha_sq * (1.0 - n) / 4.0
-    rows, rhs = [], []
-    for sample in samples:
-        D = radial_derivative_kernel(sample.omega, sigma)
-        row = [t1 * D[i, i] - c_trace * h0[i, i] for i in range(n)]
-        row += [
-            2.0 * (t1 * D[i, j] - c_trace * h0[i, j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        row.append(t2)
-        rows.append(row)
-        rhs.append(sample.value)
-    A = np.asarray(rows, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
+    n = h0.shape[-1]
+    if np.shape(probes)[-1:] != (n,):
+        raise ValueError(f"probes need a last axis of length n={n}, got shape {np.shape(probes)}")
+    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+    G = t1 * radial_derivative_kernel(probes, np.asarray(sigma)[..., None]) - (
+        c_trace[..., None, None, None] * h0[..., None, :, :]
+    )
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    w_column = np.broadcast_to(np.complex128(t2), G.shape[:-2] + (1,))
+    A = np.ascontiguousarray(np.concatenate([G[..., d, d], 2.0 * G[..., i, j], w_column], axis=-1))
 
     U, svals, Vh = np.linalg.svd(A, full_matrices=True)
-    cut = _SV_CUT * (svals[0] if svals.size else 1.0)
-    rank = int(np.sum(svals > cut))
-    # minimum-norm least-squares solution through the truncated SVD
-    x = np.zeros(A.shape[1], dtype=complex)
-    for r in range(rank):
-        x += (U[:, r].conj() @ b) / svals[r] * Vh[r].conj()
-    residual = float(np.linalg.norm(A @ x - b))
-    kernel = tuple(_unpack(Vh[r].conj(), n) for r in range(rank, A.shape[1]))
+    keep = svals > _SV_CUT * svals[..., :1]
+    # minimum-norm least-squares solution through the truncated SVD; the
+    # C-order design, the contiguous rows of U^T, the direction-by-direction
+    # sum and norm's one-vector formula make the BLAS calls of a one-point fit,
+    # so every point gets the same bits in any grid (np.vecdot: numpy >= 2)
+    k = svals.shape[-1]
+    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)[..., :k, :]), b[..., None, :])
+    coef = np.divide(proj, svals, out=np.zeros_like(proj), where=keep)
+    x = np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
+    for r in range(k):
+        x = np.where(keep[..., r, None], x + coef[..., r, None] * Vh[..., r, :].conj(), x)
+    miss = (A @ x[..., None])[..., 0] - b
+    residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
 
     # smallest singular value of the design restricted to the plane spanned by
     # (H = identity, W = 0) and (H = 0, W = 1): the identity/constant trade-off.
     # Gram-matrix route so both plane directions count even with one probe row.
-    basis = np.zeros((A.shape[1], 2), dtype=complex)
+    basis = np.zeros((A.shape[-1], 2), dtype=complex)
     basis[:n, 0] = 1.0 / np.sqrt(n)
     basis[-1, 1] = 1.0
     M = A @ basis
-    gram_eigs = np.linalg.eigvalsh(M.conj().T @ M)
-    id_sv = float(np.sqrt(max(gram_eigs[0].real, 0.0)))
+    gram_eigs = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)
+    id_sv = np.sqrt(np.maximum(gram_eigs[..., 0].real, 0.0))
 
     H, W = _unpack(x, n)
     return FirstOrderResult(
         H=H,
         W1=W,
         residual=residual,
-        design_rank=rank,
+        design_rank=keep.sum(axis=-1),
         singular_values=svals,
-        kernel_basis=kernel,
+        right_vectors=Vh,
         identity_direction_sv=id_sv,
-        labels=tuple(_unknown_labels(n)),
     )
 
 
@@ -488,7 +492,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     report.v0 = v0_field
     report.residuals["zeroth_order_realness"] = float(np.max(realness))
 
-    if dataset.singularity:
+    if dataset.singularity is not None:
         log.info(
             "first-order stage: F(w) = t1 sum H_ij D_ij(w) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)"
         )
@@ -496,30 +500,24 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         if t_pair is None:
             report.notes.append("no t1/t2 factors available; first-order stage skipped")
         else:
-            H_field = np.empty(shape + (n, n), dtype=complex)
-            W_field = np.empty(shape, dtype=complex)
-            fit_resid = 0.0
-            fo = None
             with _stage("first-order"):
-                for idx in np.ndindex(*shape):
-                    samples = dataset.singularity_samples(idx)
-                    fo = first_order_recovery(
-                        samples,
-                        complex(sigma_fields[0][idx]),
-                        t_pair[0],
-                        t_pair[1],
-                        float(alpha_field[idx]),
-                        h0_field[idx],
-                    )
-                    H_field[idx] = fo.H
-                    W_field[idx] = fo.W1
-                    fit_resid = max(fit_resid, fo.residual)
-            report.H = H_field
-            report.W1 = W_field
-            report.residuals["first_order_fit"] = fit_resid
-            report.design_rank = fo.design_rank
-            report.kernel_basis = fo.kernel_basis
-            report.identity_direction_sv = fo.identity_direction_sv
+                fo = first_order_recovery(
+                    dataset.singularity,
+                    dataset.probes,
+                    sigma_fields[0],
+                    t_pair[0],
+                    t_pair[1],
+                    alpha_field,
+                    h0_field,
+                )
+            report.H = fo.H
+            report.W1 = fo.W1
+            report.residuals["first_order_fit"] = float(np.max(fo.residual))
+            # the fit's structure, as seen at the last grid index
+            last = tuple(m - 1 for m in shape)
+            report.design_rank = int(fo.design_rank[last])
+            report.kernel_basis = fo.kernel_basis(last)
+            report.identity_direction_sv = float(fo.identity_direction_sv[last])
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
     report.status = "ok"

@@ -126,9 +126,10 @@ def forward_dataset(
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
     Symbols are sampled at ``xi in {e_i} u {e_i + e_j}`` and at ``scale_t``
-    times each, per grid point and energy.  When a second patch is supplied,
-    the first-order angular samples ``F(omega)`` over the probe set are
-    attached together with the model-integral factor pair used to build them.
+    times each, at every grid point and energy.  When a second patch is
+    supplied, the first-order angular samples ``F(omega)`` over the probe set,
+    at every grid point, are attached together with the model-integral
+    factor pair used to build them.
     """
     n = patch1.n
     shape = patch1.grid_shape
@@ -137,27 +138,17 @@ def forward_dataset(
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     symbols = np.stack([principal_symbol(patch1, xi, en) for en in energies])
 
-    singularity = None
+    singularity = omega = None
     if patch2 is not None:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
         probes = probes if probes is not None else default_probe_set(n)
         sigma = indicial_root(patch1, energies[0]).sigma
-        singularity = {}
-        for idx in np.ndindex(*shape):
-            pd = perturbation_coefficients(patch1, patch2, idx)
-            singularity[idx] = tuple(
-                singularity_coefficient(
-                    pd,
-                    np.asarray(patch1.h_jet[0][idx]),
-                    float(patch1.alpha[idx]),
-                    sigma[idx],
-                    t_pair[0],
-                    t_pair[1],
-                    w,
-                )
-                for w in probes
-            )
+        pd = perturbation_coefficients(patch1, patch2)
+        singularity = singularity_coefficient(
+            pd, patch1.alpha, sigma, t_pair[0], t_pair[1], probes.vectors
+        )
+        omega = np.broadcast_to(probes.vectors, singularity.shape + (n,))
 
     return SymbolDataset(
         n=n,
@@ -166,6 +157,7 @@ def forward_dataset(
         energies=tuple(en.lam for en in energies),
         symbols=symbols,
         singularity=singularity,
+        probes=omega,
         t_pair=t_pair,
         exceptional=exceptional_to_dict(exceptional_set(patch1, k_max=k_max)),
     )

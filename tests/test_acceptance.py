@@ -255,12 +255,8 @@ def test_acceptance_first_order_round_trip():
     assert gap_q <= 1e-6
 
     # no perturbation at all must come back as exactly (0, 0)
-    from scatjet.forward_scattering import SingularitySample
-
-    zero_samples = [
-        SingularitySample(omega=w, value=0j) for w in default_probe_set(2)
-    ]
-    res0 = first_order_recovery(zero_samples, 2.3, 1.0, 1.0, 1.0, np.eye(2))
+    probes = np.array(default_probe_set(2).vectors)
+    res0 = first_order_recovery(np.zeros(len(probes)), probes, 2.3, 1.0, 1.0, 1.0, np.eye(2))
     assert np.max(np.abs(res0.H)) <= 1e-12 and abs(res0.W1) <= 1e-12
     return f"unit-factor error {worst:.2e}; computed-factor error {gap_q:.2e}"
 

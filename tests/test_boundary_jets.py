@@ -213,29 +213,30 @@ def _patch_pair(n, h0, v1_delta=0.0, h1_delta=None, v0=0.25):
 
 def test_perturbation_identical_patches():
     p1, p2 = _patch_pair(2, np.eye(2))
-    pd = perturbation_coefficients(p1, p2, (0, 0))
+    pd = perturbation_coefficients(p1, p2)
+    assert pd.H.shape == (4, 4, 2, 2) and pd.T.shape == (4, 4)
     assert not pd.L.any() and not pd.H.any()
-    assert pd.T == 0.0
+    assert not pd.T.any()
     assert not np.asarray(pd.W).any()
 
 
 def test_perturbation_identity_metric():
     L = np.diag([2.0, -2.0])
     p1, p2 = _patch_pair(2, np.eye(2), h1_delta=L)
-    pd = perturbation_coefficients(p1, p2, (0, 0))
-    np.testing.assert_allclose(pd.H, L, atol=1e-14)
-    assert pd.T == pytest.approx(0.0, abs=1e-14)
+    pd = perturbation_coefficients(p1, p2)
+    np.testing.assert_allclose(pd.H, np.broadcast_to(L, (4, 4, 2, 2)), atol=1e-14)
+    np.testing.assert_allclose(pd.T, 0.0, atol=1e-14)
 
 
 def test_perturbation_worked_case():
     h0 = np.diag([4.0, 1.0])
     L = np.array([[4.0, 2.0], [2.0, 1.0]])
     p1, p2 = _patch_pair(2, h0, h1_delta=L, v1_delta=0.7)
-    pd = perturbation_coefficients(p1, p2, (0, 0))
-    np.testing.assert_allclose(pd.L, L, atol=1e-14)
-    np.testing.assert_allclose(pd.H, [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
-    assert pd.T == pytest.approx(2.0)
-    assert pd.W[1] == pytest.approx(0.7)
+    pd = perturbation_coefficients(p1, p2)
+    np.testing.assert_allclose(pd.L[0, 0], L, atol=1e-14)
+    np.testing.assert_allclose(pd.H[0, 0], [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
+    assert pd.T[0, 0] == pytest.approx(2.0)
+    assert pd.W[1][0, 0] == pytest.approx(0.7)
     # reconstruction invariant
     np.testing.assert_allclose(h0 @ pd.H @ h0, pd.L, atol=1e-12)
 
@@ -246,11 +247,11 @@ def test_perturbation_antisymmetric_under_swap():
     sym = rng.standard_normal((3, 3))
     L = sym + sym.T
     p1, p2 = _patch_pair(3, h0, h1_delta=L, v1_delta=-0.4)
-    fwd = perturbation_coefficients(p1, p2, (0, 0, 0))
-    rev = perturbation_coefficients(p2, p1, (0, 0, 0))
+    fwd = perturbation_coefficients(p1, p2)
+    rev = perturbation_coefficients(p2, p1)
     np.testing.assert_allclose(fwd.L, -rev.L, atol=1e-13)
     np.testing.assert_allclose(fwd.H, -rev.H, atol=1e-13)
-    assert fwd.T == pytest.approx(-rev.T)
+    np.testing.assert_allclose(fwd.T, -rev.T, rtol=1e-12)
     np.testing.assert_allclose(fwd.W, -np.asarray(rev.W), atol=1e-13)
 
 
@@ -258,17 +259,35 @@ def test_perturbation_mismatched_zeroth_order():
     p1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
     p2 = constant_patch(2, 1.0, 0.30, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
     with pytest.raises(MismatchedBoundary, match="V"):
-        perturbation_coefficients(p1, p2, (0, 0))
+        perturbation_coefficients(p1, p2)
     p3 = constant_patch(2, 1.0, 0.25, np.diag([1.0, 2.0]), v1=0.0, h1=np.zeros((2, 2)))
     with pytest.raises(MismatchedBoundary):
-        perturbation_coefficients(p1, p3, (0, 0))
+        perturbation_coefficients(p1, p3)
+
+
+def test_perturbation_mismatch_names_first_grid_index():
+    """Faults at (1, 2) and (2, 0): the first in C order is named, with its fields."""
+    p1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
+    alpha = p1.alpha.copy()
+    v0 = p1.v_jet[0].copy()
+    h0 = p1.h_jet[0].copy()
+    alpha[2, 0] = 1.5
+    v0[1, 2] = 0.5
+    h0[1, 2] = np.diag([1.0, 3.0])
+    p2 = BoundaryPatch(
+        n=2, axes=p1.axes, alpha=alpha, v_jet=(v0, p1.v_jet[1]), h_jet=(h0, p1.h_jet[1])
+    )
+    with pytest.raises(
+        MismatchedBoundary, match=r"disagree: V\^\(0\), h\^\(0\) at grid index \(1, 2\)$"
+    ):
+        perturbation_coefficients(p1, p2)
 
 
 def test_perturbation_needs_first_order_jets():
     p1 = constant_patch(2, 1.0, 0.25, np.eye(2))  # zeroth-order only
     p2 = constant_patch(2, 1.0, 0.25, np.eye(2))
     with pytest.raises(ConfigError):
-        perturbation_coefficients(p1, p2, (0, 0))
+        perturbation_coefficients(p1, p2)
 
 
 def test_perturbation_layout_mismatch():
@@ -276,4 +295,4 @@ def test_perturbation_layout_mismatch():
     q1, _ = _patch_pair(2, np.eye(2))
     q1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.1, h1=np.zeros((2, 2)), axes=(6, 6))
     with pytest.raises(MismatchedBoundary):
-        perturbation_coefficients(p1, q1, (0, 0))
+        perturbation_coefficients(p1, q1)

@@ -7,9 +7,13 @@ one exit-code check run the real process entry point through
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scatjet.boundary_jets import ComplexEnergy
 from scatjet.cli import main, parse_complex
@@ -69,8 +73,58 @@ def test_dataset_save_load_identical(tmp_path):
     assert again.energies == ds.energies
     np.testing.assert_array_equal(again.symbols, ds.symbols)
     assert again.symbols.shape == (2, 4, 4, 3, 2) and not again.symbols.flags.writeable
-    idx = (0, 0)
-    assert len(again.singularity_samples(idx)) == len(ds.singularity_samples(idx))
+    np.testing.assert_array_equal(again.singularity, ds.singularity)
+    np.testing.assert_array_equal(again.probes, ds.probes)
+    assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 4, 4, 2)
+    assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
+
+
+def _bits(arr):
+    """The raw float64 words of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    """Datasets with singularity data: any finite numbers, unit probes, small grids."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    grid = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    n_energies = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 4))
+
+    def complex_array(shape):
+        return draw(hnp.arrays(float, shape + (2,), elements=_FINITE)).view(complex)[..., 0]
+
+    raw = draw(hnp.arrays(float, grid + (count, n), elements=st.floats(-1.0, 1.0)))
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    assume(np.all(norm > 1e-3))
+    return SymbolDataset(
+        n=n,
+        grid_shape=grid,
+        scale_t=draw(st.floats(0.1, 10.0)),
+        energies=tuple(complex_array((n_energies,))),
+        symbols=complex_array((n_energies, *grid, n * (n + 1) // 2, 2)),
+        singularity=complex_array(grid + (count,)),
+        probes=raw / norm,
+        t_pair=tuple(complex_array((2,))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets())
+def test_dataset_encode_decode_is_identity(ds):
+    text = canonical_json(ds.to_dict())
+    again = SymbolDataset.from_dict(json.loads(text))
+    assert canonical_json(again.to_dict()) == text
+    for name in ("symbols", "singularity", "probes"):
+        np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
+    assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
+    assert _bits(np.array(again.energies + again.t_pair)).tolist() == _bits(
+        np.array(ds.energies + ds.t_pair)
+    ).tolist()
 
 
 def test_dataset_unknown_energy_and_missing_extras():
@@ -78,7 +132,7 @@ def test_dataset_unknown_energy_and_missing_extras():
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
     with pytest.raises(ConfigError, match=r"expected \(2, 4, 1, 2\)"):
         dataclasses.replace(ds, energies=ds.energies + (9.0,))
-    assert ds.singularity_samples((0,)) == ()
+    assert ds.singularity is None and ds.probes is None
 
 
 def test_dataset_rejects_symbols_of_wrong_shape():
@@ -89,14 +143,14 @@ def test_dataset_rejects_symbols_of_wrong_shape():
 
 def test_dataset_rejects_singularity_without_every_grid_index():
     _, ds = make_synthetic_pair(seed=4, n=2)
-    singularity = dict(ds.singularity)
-    del singularity[(1, 1)]
-    with pytest.raises(ConfigError, match=r"grid index \(1, 1\) missing"):
-        dataclasses.replace(ds, singularity=singularity)
-    singularity = dict(ds.singularity)
-    singularity[(4, 0)] = singularity[(0, 0)]
-    with pytest.raises(ConfigError, match=r"\(4, 0\) is not a grid index"):
-        dataclasses.replace(ds, singularity=singularity)
+    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 3, 4\), expected \(4, 4\)"):
+        dataclasses.replace(ds, singularity=ds.singularity[:, 1:])
+    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 4, 0\)"):
+        dataclasses.replace(ds, singularity=ds.singularity[..., :0], probes=ds.probes[..., :0, :])
+    with pytest.raises(ConfigError, match=r"probes has shape \(4, 4, 4, 1\), expected \(4, 4, 4, 2\)"):
+        dataclasses.replace(ds, probes=ds.probes[..., :1])
+    with pytest.raises(ConfigError, match=r"probes has shape \(\), expected \(4, 4, 4, 2\)"):
+        dataclasses.replace(ds, probes=None)
 
 
 def test_dataset_from_dict_ignores_unknown_keys():
@@ -143,6 +197,24 @@ def _add_unknown_covector(data):
     data["symbols"]["0"]["1,1"]["1+1"] = [[1.0, 0.0], [2.0, 0.0]]
 
 
+def _set_omega(key, j, omega):
+    def mutate(data):
+        data["singularity"][key][j]["omega"] = omega
+
+    return mutate
+
+
+def _set_samples(key, keep):
+    def mutate(data):
+        data["singularity"][key] = data["singularity"][key][:keep]
+
+    return mutate
+
+
+def _add_singularity_key(data):
+    data["singularity"]["4,0"] = data["singularity"]["0,0"]
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -152,6 +224,25 @@ def _add_unknown_covector(data):
         (_set_nan, r"energy index 1, grid key '0,1', covector '0': sample is not finite"),
         (_truncate_pair, r"malformed dataset: ValueError"),
         (_add_unknown_covector, r"energy index 0, grid key '1,1': unknown covector '1\+1'"),
+        (
+            _set_omega("0,0", 0, [1.0]),
+            r"singularity: grid key '0,0', sample 0: omega has 1 components, expected n=2",
+        ),
+        (
+            _set_omega("2,1", 3, [1.0, 0.0, 0.0]),
+            r"singularity: grid key '2,1', sample 3: omega has 3 components, expected n=2",
+        ),
+        (
+            _set_omega("1,3", 2, [1.0, 1.0]),
+            r"singularity: grid key '1,3', sample 2: omega is not a unit vector",
+        ),
+        (
+            _set_omega("3,0", 1, [math.nan, 1.0]),
+            r"singularity: grid key '3,0', sample 1: not finite",
+        ),
+        (_set_samples("0,2", 0), r"singularity: grid key '0,2': no samples"),
+        (_set_samples("3,3", 3), r"singularity: grid key '3,3': 3 samples, grid key '0,0' has 4"),
+        (_add_singularity_key, r"singularity: grid key '4,0' is not a grid index"),
     ],
     ids=[
         "missing-grid-index",
@@ -160,6 +251,13 @@ def _add_unknown_covector(data):
         "nan-sample",
         "malformed-pair",
         "unknown-covector",
+        "omega-too-short",
+        "omega-too-long",
+        "omega-not-unit",
+        "omega-not-finite",
+        "no-samples",
+        "sample-counts-differ",
+        "singularity-key-off-grid",
     ],
 )
 def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
@@ -284,6 +382,29 @@ def test_cli_forward_invert_flow(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "index,alpha_sq,v0,sigma1_re,sigma1_im"
     assert len(lines) == 1 + 4 * 4  # default 4-per-axis grid
+
+
+@pytest.mark.parametrize(
+    "probes,message",
+    [
+        ([[1.0, 1.0]], r"probe 0 \(1.0, 1.0\) is not a unit vector"),
+        ([[1.0, 0.0, 0.0]], r"probe 0 \(1.0, 0.0, 0.0\) does not have n=2 components"),
+        ([], r"probe set is empty"),
+        ([[1.0]], r"probe 0 \(1.0,\) does not have n=2 components"),
+        ([[1.0, 0.0], [0.0, 1.0, 0.0]], r"probe 1 \(0.0, 1.0, 0.0\) has 3 components"),
+    ],
+    ids=["not-unit", "three-components", "empty", "one-component", "ragged"],
+)
+def test_cli_forward_rejects_bad_probes(tmp_path, caplog, probes, message):
+    p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.1))
+    p2 = _write_patch(tmp_path, "p2.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.2))
+    probe_path = tmp_path / "probes.json"
+    probe_path.write_text(json.dumps(probes))
+    out = tmp_path / "ds.json"
+    argv = ["forward", "--patch", str(p1), "--patch2", str(p2), "--lam", "4.0", "--lam", "5.0"]
+    assert main([*argv, "--probes", str(probe_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any(re.search(message, r.getMessage()) for r in caplog.records)
 
 
 def test_cli_forward_requires_energy(tmp_path):

@@ -160,6 +160,21 @@ def test_kernel_rotation_equivariance():
 def test_kernel_requires_unit_probe():
     with pytest.raises(ValueError):
         radial_derivative_kernel([1.0, 1.0], 2.0)
+    with pytest.raises(ValueError):
+        radial_derivative_kernel([math.nan, 0.0], 2.0)
+    with pytest.raises(ValueError):
+        radial_derivative_kernel([[1.0, 0.0], [0.6, 0.6]], 2.0)
+
+
+def test_kernel_stacks_probes_and_roots():
+    """A (P, n) probe stack against a grid of roots equals the one-at-a-time kernels."""
+    probes = np.array(default_probe_set(3).vectors)
+    sigma = np.array([[2.0, 2.5 + 0.3j], [1.7, 3.1]])
+    got = radial_derivative_kernel(probes, sigma[..., None])
+    assert got.shape == (2, 2, len(probes), 3, 3)
+    for idx in np.ndindex(2, 2):
+        for k, w in enumerate(probes):
+            np.testing.assert_array_equal(got[idx][k], radial_derivative_kernel(w, sigma[idx]))
 
 
 # -- probes -----------------------------------------------------------------
@@ -167,14 +182,20 @@ def test_kernel_requires_unit_probe():
 
 def test_default_probe_set_layout():
     ps = default_probe_set(2)
-    assert len(ps) == 4  # e1, e2, (e1 +/- e2)/sqrt(2)
-    for v in ps:
+    assert len(ps.vectors) == 4  # e1, e2, (e1 +/- e2)/sqrt(2)
+    for v in ps.vectors:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probe_set_rejects_non_unit():
     with pytest.raises(ValueError):
         ProbeSet(vectors=(np.array([1.0, 1.0]),))
+    with pytest.raises(ValueError, match="probe 0 .* not a unit vector"):
+        ProbeSet(vectors=((math.nan, 0.0),))
+    with pytest.raises(ValueError, match="empty"):
+        ProbeSet(vectors=())
+    with pytest.raises(ValueError, match="probe 1 .* has 3 components, probe 0 has 2"):
+        ProbeSet(vectors=((1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 # -- singularity coefficient ------------------------------------------------
@@ -182,8 +203,8 @@ def test_probe_set_rejects_non_unit():
 
 def test_singularity_zero_data():
     pd = _pd(2, np.zeros((2, 2)))
-    s = singularity_coefficient(pd, np.eye(2), 1.0, 2.0, 1.0, 1.0, [1.0, 0.0])
-    assert s.value == 0.0
+    F = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, [1.0, 0.0])
+    assert F == 0.0
 
 
 def test_singularity_linearity():
@@ -193,11 +214,11 @@ def test_singularity_linearity():
     H2 = rng.standard_normal((2, 2))
     H2 = H2 + H2.T
     omega = [0.0, 1.0]
-    args = (np.eye(2), 1.2, 2.3, 0.7 + 0.1j, 1.1, omega)
+    args = (1.2, 2.3, 0.7 + 0.1j, 1.1, omega)
     a, b = 2.0, -0.5
-    f1 = singularity_coefficient(_pd(2, H1, W1=0.4), *args).value
-    f2 = singularity_coefficient(_pd(2, H2, W1=-1.0), *args).value
-    fc = singularity_coefficient(_pd(2, a * H1 + b * H2, W1=a * 0.4 + b * -1.0), *args).value
+    f1 = singularity_coefficient(_pd(2, H1, W1=0.4), *args)
+    f2 = singularity_coefficient(_pd(2, H2, W1=-1.0), *args)
+    fc = singularity_coefficient(_pd(2, a * H1 + b * H2, W1=a * 0.4 + b * -1.0), *args)
     assert fc == pytest.approx(a * f1 + b * f2, rel=1e-12)
 
 
@@ -206,8 +227,8 @@ def test_singularity_worked_identity_case():
     # sum H_ij D_ij = trace D = (3-4)(2+1-4) = 1, so F = 1 + alpha^2/2
     for alpha in (1.0, 1.3):
         pd = _pd(2, np.eye(2), T=2.0)
-        s = singularity_coefficient(pd, np.eye(2), alpha, 2.0, 1.0, 1.0, [1.0, 0.0])
-        assert s.value == pytest.approx(1.0 + alpha**2 / 2.0, rel=1e-12)
+        F = singularity_coefficient(pd, alpha, 2.0, 1.0, 1.0, [1.0, 0.0])
+        assert F == pytest.approx(1.0 + alpha**2 / 2.0, rel=1e-12)
 
 
 def test_singularity_quadratic_form_decomposition():
@@ -218,20 +239,17 @@ def test_singularity_quadratic_form_decomposition():
     pd = _pd(2, H, T=1.1, W1=0.6)
     sigma, t1, t2 = 2.4, 0.9 + 0.2j, 1.3
     A = t1 * (3 - 2 * sigma) * (1 - 2 * sigma)
-    consts = []
-    for omega in default_probe_set(2):
-        F = singularity_coefficient(pd, np.eye(2), 1.2, sigma, t1, t2, omega).value
-        consts.append(F - A * (omega @ H @ omega))
-    assert max(abs(c - consts[0]) for c in consts) <= 1e-10
+    probes = np.array(default_probe_set(2).vectors)
+    F = singularity_coefficient(pd, 1.2, sigma, t1, t2, probes)
+    consts = F - A * np.einsum("pi,ij,pj->p", probes, H, probes)
+    assert np.max(np.abs(consts - consts[0])) <= 1e-10
 
 
 def test_singularity_all_ones_varies_with_probe():
     pd = _pd(2, np.ones((2, 2)))
-    vals = [
-        singularity_coefficient(pd, np.eye(2), 1.0, 2.0, 1.0, 1.0, omega).value
-        for omega in default_probe_set(2)
-    ]
-    assert max(v.real for v in vals) - min(v.real for v in vals) > 0.5
+    vals = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, default_probe_set(2).vectors)
+    assert vals.shape == (4,)
+    assert np.ptp(vals.real) > 0.5
 
 
 def test_singularity_consistent_with_patch_pipeline():
@@ -240,11 +258,35 @@ def test_singularity_consistent_with_patch_pipeline():
     L = np.array([[4.0, 2.0], [2.0, 1.0]])
     p1 = constant_patch(2, 1.0, 0.25, h0, v1=0.1, h1=np.zeros((2, 2)))
     p2 = constant_patch(2, 1.0, 0.25, h0, v1=0.1, h1=L)
-    pd = perturbation_coefficients(p1, p2, (0, 0))
-    F = singularity_coefficient(pd, h0, 1.0, 2.0, 1.0, 1.0, [1.0, 0.0]).value
+    pd = perturbation_coefficients(p1, p2)
+    F = singularity_coefficient(pd, p1.alpha, 2.0, 1.0, 1.0, [[1.0, 0.0]])
+    assert F.shape == (4, 4, 1)
     # H = [[.25,.5],[.5,1]], D = diag(2,-1) at e1: sum H D = .5 - 1 = -.5
     # trace term: -(1-n) alpha^2 T/4 = 2/4 = 0.5 with T = 2
-    assert F == pytest.approx(-0.5 + 0.5, abs=1e-12)
+    np.testing.assert_allclose(F, -0.5 + 0.5, rtol=0, atol=1e-12)
+
+
+def test_singularity_over_a_varying_grid_matches_each_point():
+    """The grid call equals the one-point formula at every point of a varying patch."""
+    patch1, patch2, energies, _ = varying_patch_pair(seed=29)
+    sigma = indicial_root(patch1, energies[0]).sigma
+    probes = np.array(default_probe_set(2).vectors)
+    t1, t2 = 0.9 + 0.2j, 1.3 - 0.1j
+    pd = perturbation_coefficients(patch1, patch2)
+    F = singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, probes)
+    assert F.shape == patch1.grid_shape + (len(probes),)
+    for idx in np.ndindex(*patch1.grid_shape):
+        h0 = patch1.h_jet[0][idx]
+        L = patch2.h_jet[1][idx] - patch1.h_jet[1][idx]
+        H = np.linalg.solve(h0, np.linalg.solve(h0, L).T)
+        T = np.trace(np.linalg.solve(h0, L))
+        for k, w in enumerate(probes):
+            s = sigma[idx]
+            quad = (3 - 2 * s) * (np.trace(H) + (1 - 2 * s) * (w @ H @ w))
+            want = t1 * quad - t2 * patch1.alpha[idx] ** 2 * (1 - 2) * T / 4
+            assert F[idx][k] == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="last axis of length n=2"):
+        singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, [[1.0]])
 
 
 # -- blow-up charts ---------------------------------------------------------

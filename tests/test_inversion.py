@@ -228,19 +228,18 @@ def test_two_energy_rejects_negative_alpha_sq():
 
 
 def _samples(H, W1, h0, alpha, sigma, t1, t2, probes=None):
+    """``(values, probes)``: the forward model's samples at one point."""
     n = H.shape[0]
     pd = PerturbationData(
         n=n, L=h0 @ H @ h0, H=H, T=float(np.trace(h0 @ H)), W=(0.0, W1)
     )
-    probes = probes if probes is not None else default_probe_set(n)
-    return [
-        singularity_coefficient(pd, h0, alpha, sigma, t1, t2, w) for w in probes
-    ]
+    probes = np.array((probes if probes is not None else default_probe_set(n)).vectors)
+    return singularity_coefficient(pd, alpha, sigma, t1, t2, probes), probes
 
 
 def test_first_order_zero_data():
     samples = _samples(np.zeros((2, 2)), 0.0, np.eye(2), 1.0, 2.3, 1.0, 1.0)
-    res = first_order_recovery(samples, 2.3, 1.0, 1.0, 1.0, np.eye(2))
+    res = first_order_recovery(*samples, 2.3, 1.0, 1.0, 1.0, np.eye(2))
     assert np.max(np.abs(res.H)) <= 1e-12
     assert abs(res.W1) <= 1e-12
     assert res.residual <= 1e-12
@@ -250,14 +249,13 @@ def test_first_order_traceless_exact():
     H = np.diag([1.0, -1.0])
     h0 = np.diag([4.0, 1.0])
     samples = _samples(H, 0.0, h0, 1.2, 2.4, 1.0, 1.0)
-    res = first_order_recovery(samples, 2.4, 1.0, 1.0, 1.2**2, h0)
+    res = first_order_recovery(*samples, 2.4, 1.0, 1.0, 1.2**2, h0)
     np.testing.assert_allclose(res.H, H, atol=1e-8)
     assert abs(res.W1) <= 1e-8
     assert res.residual <= 1e-10
     assert res.design_rank == 3  # 4 unknowns, one structural kernel direction
-    assert len(res.kernel_basis) == 1
+    assert len(res.kernel_basis()) == 1
     assert res.identity_direction_sv <= 1e-8 * res.singular_values[0]
-    assert res.labels == ("H11", "H22", "H12", "W")
 
 
 def test_first_order_kernel_direction():
@@ -265,8 +263,8 @@ def test_first_order_kernel_direction():
     sigma, t1, t2, alpha, n = 2.4, 1.0 + 0.0j, 1.0 + 0.0j, 1.2, 2
     h0 = np.diag([4.0, 1.0])
     samples = _samples(np.diag([1.0, -1.0]), 0.0, h0, alpha, sigma, t1, t2)
-    res = first_order_recovery(samples, sigma, t1, t2, alpha**2, h0)
-    Hk, Wk = res.kernel_basis[0]
+    res = first_order_recovery(*samples, sigma, t1, t2, alpha**2, h0)
+    Hk, Wk = res.kernel_basis()[0]
     # H-part proportional to the identity ...
     off = Hk - np.trace(Hk) / n * np.eye(n)
     assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(Hk))
@@ -285,12 +283,12 @@ def test_first_order_nonzero_w_hits_projection():
     H = np.diag([1.0, -1.0])
     h0 = np.eye(2)
     samples = _samples(H, 0.7, h0, 1.0, 2.4, 1.0, 1.0)
-    res = first_order_recovery(samples, 2.4, 1.0, 1.0, 1.0, h0)
+    res = first_order_recovery(*samples, 2.4, 1.0, 1.0, 1.0, h0)
     assert res.residual <= 1e-10  # data still fit perfectly
     dH = res.H - H
     dW = res.W1 - 0.7
     assert abs(dW) > 1e-3  # genuinely not the truth
-    Hk, Wk = res.kernel_basis[0]
+    Hk, Wk = res.kernel_basis()[0]
     scale = dW / Wk
     np.testing.assert_allclose(dH, scale * Hk, atol=1e-8)
 
@@ -302,12 +300,12 @@ def test_first_order_probe_rotation_invariance():
     c, s = math.cos(theta), math.sin(theta)
     base = default_probe_set(2)
     rotated = ProbeSet(
-        tuple((c * w[0] - s * w[1], s * w[0] + c * w[1]) for w in base)
+        tuple((c * w[0] - s * w[1], s * w[0] + c * w[1]) for w in base.vectors)
     )
     results = []
     for probes in (base, rotated):
         samples = _samples(H, 0.0, h0, 1.0, 2.4, 1.0, 1.0, probes=probes)
-        results.append(first_order_recovery(samples, 2.4, 1.0, 1.0, 1.0, h0))
+        results.append(first_order_recovery(*samples, 2.4, 1.0, 1.0, 1.0, h0))
     np.testing.assert_allclose(results[0].H, results[1].H, atol=1e-8)
     assert abs(results[0].W1 - results[1].W1) <= 1e-8
 
@@ -315,14 +313,40 @@ def test_first_order_probe_rotation_invariance():
 def test_first_order_zero_factor():
     samples = _samples(np.zeros((2, 2)), 0.0, np.eye(2), 1.0, 2.3, 1.0, 1.0)
     with pytest.raises(ZeroIntegralFactor):
-        first_order_recovery(samples, 2.3, 0.0, 1.0, 1.0, np.eye(2))
+        first_order_recovery(*samples, 2.3, 0.0, 1.0, 1.0, np.eye(2))
 
 
 def test_first_order_n1_rank():
     samples = _samples(np.array([[0.0]]), 0.0, np.eye(1), 1.0, 2.1, 1.0, 1.0)
-    res = first_order_recovery(samples, 2.1, 1.0, 1.0, 1.0, np.eye(1))
+    res = first_order_recovery(*samples, 2.1, 1.0, 1.0, 1.0, np.eye(1))
     assert res.design_rank == 1  # 2 unknowns collapse onto one usable direction
     assert res.identity_direction_sv <= 1e-6 * res.singular_values[0]
+
+
+def test_first_order_grid_matches_each_point():
+    """One call over a varying grid equals the one-point fit at every point."""
+    patch1, patch2, energies, _ = varying_patch_pair(seed=29)
+    ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(0.9 + 0.2j, 1.3 - 0.1j))
+    sigma = indicial_root(patch1, energies[0]).sigma
+    alpha_sq = patch1.alpha**2
+    h0 = patch1.h_jet[0]
+    args = (0.9 + 0.2j, 1.3 - 0.1j)
+    grid = first_order_recovery(ds.singularity, ds.probes, sigma, *args, alpha_sq, h0)
+    assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank.shape == (5, 6)
+    for idx in np.ndindex(5, 6):
+        one = first_order_recovery(
+            ds.singularity[idx], ds.probes[idx], sigma[idx], *args, alpha_sq[idx], h0[idx]
+        )
+        for name in ("H", "W1", "residual", "identity_direction_sv", "singular_values"):
+            np.testing.assert_allclose(
+                getattr(grid, name)[idx], getattr(one, name), rtol=1e-12, atol=1e-14
+            )
+        assert grid.design_rank[idx] == one.design_rank == 3
+        for (Hg, Wg), (H1, W1) in zip(grid.kernel_basis(idx), one.kernel_basis(), strict=True):
+            np.testing.assert_array_equal(Hg, H1)
+            assert Wg == W1
+    with pytest.raises(ValueError, match="last axis of length n=2"):
+        first_order_recovery(ds.singularity, ds.probes[..., :1], sigma, *args, alpha_sq, h0)
 
 
 # -- full driver ------------------------------------------------------------
