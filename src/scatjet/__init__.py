@@ -13,7 +13,6 @@ from .dataset import SymbolDataset
 from .errors import ScatjetError
 from .forward_scattering import (
     ProbeSet,
-    blowup_coordinates,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
@@ -44,7 +43,7 @@ from .model_quadrature import (
     j_integral,
     t_limit_integral,
 )
-from .spectral_sets import ExceptionalSet, exceptional_set, is_admissible, zero_scan
+from .spectral_sets import ExceptionalSet, exceptional_set, is_admissible
 from .synthetic import forward_dataset, make_synthetic_pair
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "RecoveryReport",
     "ScatjetError",
     "SymbolDataset",
-    "blowup_coordinates",
     "default_probe_set",
     "exceptional_set",
     "first_order_recovery",
@@ -88,5 +86,4 @@ __all__ = [
     "singularity_coefficient",
     "t_limit_integral",
     "two_energy_recovery",
-    "zero_scan",
 ]

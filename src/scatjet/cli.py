@@ -43,7 +43,7 @@ from .model_quadrature import (
     j_integral,
     t_limit_integral,
 )
-from .spectral_sets import exceptional_set, is_admissible, zero_scan
+from .spectral_sets import exceptional_set, is_admissible
 from .synthetic import constant_patch, forward_dataset, make_synthetic_pair, random_spd
 
 log = logging.getLogger("scatjet.cli")
@@ -167,30 +167,13 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _t_zero_scan(n: int, step: float) -> dict:
-    """Scan T_1, T_2 for zeros along a real window above their convergence gates.
-
-    The window is a heuristic slice of the principal-branch region; the scan is
-    grid-limited (zeros between samples can be missed) and uses a loosened
-    quadrature tolerance, so treat the output as advisory.
-    """
-    loose = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8, max_subdivisions=2000)
-    out: dict = {"step": step, "caveat": "grid-limited scan; zeros off the window or finer than the step may be missed"}
-    for l in (1, 2):
-        lo = max(n / 2.0, (5 - 2 * l) / 2.0) + 0.6
-        hi = lo + 2.0
-        zeros = zero_scan(
-            lambda sig, l=l: t_limit_integral(l, sig, n, loose).value,
-            (lo, hi, 0.0, 0.0),
-            step,
-            tol=1e-4,
-        )
-        out[f"T{l}"] = [encode_complex(z) for z in zeros]
-        out[f"T{l}_window"] = [lo, hi]
-    return out
-
-
 def cmd_sets(args) -> int:
+    """Exceptional sets of a patch and admissibility of the given energies.
+
+    The model integrals add no exceptional energies: where T_l converges it
+    has no zeros, and its continuation has poles only at
+    sigma = (5-2l)/2 - j and sigma = (n+2l-5)/2 - j (j = 0, 1, ...).
+    """
     patch = BoundaryPatch.from_dict(_load_json(args.patch))
     excluded = tuple(parse_complex(s) for s in args.exclude)
     es = exceptional_set(patch, k_max=args.k_max, user_excluded=excluded)
@@ -199,12 +182,6 @@ def cmd_sets(args) -> int:
         "in the lam^2 plane; modes lam^2 = V0 - n^2/4 + alpha^2 (k^2 - n^2)/4"
     )
     block = exceptional_to_dict(es)
-    if not args.no_zero_scan:
-        log.info(
-            "sets: scanning T_1, T_2 for zeros on a real window "
-            "(grid-limited; completeness only up to the scan step)"
-        )
-        block["zeros"] = _t_zero_scan(patch.n, args.zero_step)
     if args.lam:
         checks = []
         for s in args.lam:
@@ -260,7 +237,7 @@ def _integrals(args) -> int:
     elif which in ("I", "I1", "I2"):
         l = _integral_level(which, args.l)
         z = _z_vector(args.z, n)
-        log.info("I_%d at s=%g, |z|=%g (change of variables u = s/(|z| t))", l, args.s, np.linalg.norm(z))
+        log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, np.linalg.norm(z))
         mv = i_full_integral(l, sigma, args.s, z, qspec)
         payload["s"] = args.s
         payload["z"] = [float(c) for c in z]
@@ -434,14 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("sets", help="exceptional sets and admissibility checks")
+    p = sub.add_parser(
+        "sets",
+        help="exceptional sets and admissibility checks",
+        description=(
+            "Exceptional sets and admissibility checks.  T_1 and T_2 have no zeros "
+            "where they converge; their continuation has poles at "
+            "sigma = (5-2l)/2 - j and sigma = (n+2l-5)/2 - j, j = 0, 1, ..."
+        ),
+    )
     p.add_argument("--patch", required=True, help="boundary patch JSON")
     p.add_argument("--k-max", type=int, default=2, help="largest mode order to enumerate")
     p.add_argument("--exclude", action="append", default=[], help="user-excluded energy (repeatable)")
     p.add_argument("--lam", action="append", default=[], help="energy to test for admissibility")
     p.add_argument("--margin", type=float, default=1e-6, help="admissibility margin")
-    p.add_argument("--zero-step", type=float, default=0.25, help="scan step for the T_l zero search")
-    p.add_argument("--no-zero-scan", action="store_true", help="skip the (quadrature-heavy) T_l zero scan")
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_sets)
 

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, raise_first
 
 SCHEMA = "scatjet.symbols/1"
 
@@ -124,6 +124,14 @@ def _decode_symbols(grid_block: Mapping, e: int, grid_keys: list[str], slots: di
     return rows
 
 
+def _probe_masks(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-probe ``(finite, unit)`` masks over a ``(..., n)`` probe array."""
+    finite = np.all(np.isfinite(probes), axis=-1)
+    # the first-order fit's own bound; written so that a NaN norm fails too
+    unit = np.abs(np.linalg.norm(probes, axis=-1) - 1.0) <= 1e-9
+    return finite, unit
+
+
 def _decode_singularity(block: Mapping, grid_shape: tuple[int, ...], n: int):
     """Decode the first-order samples into ``(values, probes)`` arrays over the grid.
 
@@ -157,9 +165,8 @@ def _decode_singularity(block: Mapping, grid_shape: tuple[int, ...], n: int):
             values.append(s["value"])
     probes = np.array(omegas, dtype=float).reshape(grid_shape + (count, n))
     value = decode_complex_array(values).reshape(grid_shape + (count,))
-    finite = np.all(np.isfinite(probes), axis=-1) & np.isfinite(value)
-    # the first-order fit's own bound; written so that a NaN norm fails too
-    unit = np.abs(np.linalg.norm(probes, axis=-1) - 1.0) <= 1e-9
+    finite, unit = _probe_masks(probes)
+    finite &= np.isfinite(value)
     for ok, what in ((finite, "not finite"), (unit, "omega is not a unit vector")):
         if not ok.all():
             *idx, j = np.argwhere(~ok)[0]
@@ -198,6 +205,11 @@ class SymbolDataset:
         want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
         if symbols.shape != want:
             raise ConfigError(f"symbols has shape {symbols.shape}, expected {want}")
+        g = len(self.grid_shape)
+        bad = np.moveaxis(~np.all(np.isfinite(symbols), axis=-1), 0, g)
+        raise_first(
+            g, [(bad, ConfigError, lambda i: "symbols: sample (energy index, covector) is not finite")]
+        )
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
         if self.singularity is not None:
@@ -212,6 +224,15 @@ class SymbolDataset:
                 raise ConfigError(
                     f"probes has shape {probes.shape}, expected {singularity.shape + (self.n,)}"
                 )
+            finite, unit = _probe_masks(probes)
+            raise_first(
+                g,
+                [
+                    (~np.isfinite(singularity), ConfigError, lambda i: "singularity: value is not finite"),
+                    (~finite, ConfigError, lambda i: "probes: omega is not finite"),
+                    (~unit, ConfigError, lambda i: "probes: omega is not a unit vector"),
+                ],
+            )
             for arr, name in ((singularity, "singularity"), (probes, "probes")):
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)

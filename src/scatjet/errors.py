@@ -28,20 +28,12 @@ class MismatchedBoundary(ScatjetError):
     """Two patches disagree where their zeroth-order boundary data must match."""
 
 
-class EvaluationFailure(ScatjetError):
-    """A scanned callable failed to evaluate at some sample point."""
-
-    def __init__(self, message: str, at=None):
-        super().__init__(message)
-        self.at = at
-
-
 class NotConvergent(ScatjetError):
     """Integral fails its absolute-convergence inequality; not attempted."""
 
 
 class QuadratureFailure(ScatjetError):
-    """Adaptive quadrature could not meet its error tolerance within budget."""
+    """The quadrature of a model integral missed its error tolerance within budget."""
 
 
 class GammaPole(ScatjetError):
@@ -78,10 +70,6 @@ class InconsistentData(ScatjetError):
 
 class ZeroIntegralFactor(ScatjetError):
     """A model-integral factor is numerically zero; division would be meaningless."""
-
-
-class ChartUndefined(ScatjetError):
-    """Requested blow-up chart is undefined at the given point."""
 
 
 class ConfigError(ScatjetError):

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, PerturbationData, indicial_root
-from .errors import ChartUndefined, GammaPole, ZeroCovector, raise_first
+from .errors import GammaPole, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "radial_derivative_kernel",
     "singularity_coefficient",
     "default_probe_set",
-    "blowup_coordinates",
-    "BlowupCharts",
 ]
 
 
@@ -174,62 +171,3 @@ def singularity_coefficient(
     const = pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
     return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[(..., *stack)]
 
-
-# -- stretched double-space charts -----------------------------------------
-
-
-@dataclass(frozen=True)
-class BlowupCharts:
-    """Projective charts of the stretched product at a boundary point pair.
-
-    ``left``: ``(s, z) = (x/x', (y - y')/x')`` with base ``(x', y')``;
-    ``right``: ``(t, z') = (x'/x, -(y - y')/x)`` with base ``(x, y)``;
-    ``front``: ``(rho, rho', omega) = (x/|Y|, x'/|Y|, Y/|Y|)`` with
-    ``r = |Y|`` and ``Y = y - y'``.  ``R = sqrt(x^2 + x'^2 + |Y|^2)``.
-    Charts undefined at the given point are ``None``; ``chart(name)`` raises
-    :class:`ChartUndefined` instead.
-    """
-
-    R: float
-    left: dict | None
-    right: dict | None
-    front: dict | None
-
-    def chart(self, name: str) -> dict:
-        got = getattr(self, name, None)
-        if name not in ("left", "right", "front"):
-            raise ValueError(f"unknown chart {name!r}")
-        if got is None:
-            raise ChartUndefined(f"{name} chart undefined at this point")
-        return got
-
-
-def blowup_coordinates(
-    x: float, x_prime: float, y: Sequence[float], y_prime: Sequence[float]
-) -> BlowupCharts:
-    """All well-defined projective charts at ``(x, y, x', y')``.
-
-    On overlaps the left/right charts satisfy ``t = 1/s`` and ``z' = -z/s``.
-    """
-    yv = np.asarray(y, dtype=float)
-    ypv = np.asarray(y_prime, dtype=float)
-    if yv.shape != ypv.shape:
-        raise ValueError("y and y' must have the same length")
-    Y = yv - ypv
-    r = float(np.linalg.norm(Y))
-    R = float(np.sqrt(x * x + x_prime * x_prime + r * r))
-    left = None
-    if x_prime != 0.0:
-        left = {
-            "s": x / x_prime,
-            "z": tuple(Y / x_prime),
-            "x_prime": x_prime,
-            "y_prime": tuple(ypv),
-        }
-    right = None
-    if x != 0.0:
-        right = {"t": x_prime / x, "z_prime": tuple(-Y / x), "x": x, "y": tuple(yv)}
-    front = None
-    if r != 0.0:
-        front = {"rho": x / r, "rho_prime": x_prime / r, "r": r, "omega": tuple(Y / r)}
-    return BlowupCharts(R=R, left=left, right=right, front=front)

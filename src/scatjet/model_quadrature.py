@@ -1,4 +1,4 @@
-"""Model integrals on the hyperbolic half-space and their quadrature.
+"""Model integrals on the hyperbolic half-space, in closed form.
 
 Every model integral here is one softened two-center integral
 
@@ -9,8 +9,7 @@ over ``(u, v) in (0, inf) x R^n``: one center at ``v = 0`` with width
 its parameters:
 
 * ``j_integral(l, k, sigma, n)``: ``d = 1``, ``r_a = r_b = 0``,
-  ``E = 2 Re(sigma) + k + 3 - 2l - n`` and ``p = Re(sigma)``; it converges
-  iff ``2 Re(sigma) >= max(n-k+1, k+2)``.
+  ``E = 2 Re(sigma) + k + 3 - 2l - n`` and ``p = Re(sigma)``.
 * ``t_limit_integral(l, sigma, n)``: ``d = 1``, ``r_a = r_b = 0``,
   ``E = 2 sigma + 4 - 2l - n`` and ``p = sigma``: the dominated-convergence
   limit of the scaled full integral below as ``s -> 0`` and ``|z| -> inf``.
@@ -18,27 +17,46 @@ its parameters:
   exact substitution ``t = s/u``, ``U = V/u`` turns it into ``s^sigma`` times
   the softened integral with T's ``E`` and ``p``, ``r_a = s`` and ``r_b = 1``
   about ``V = z``.  That integrand depends on ``z`` only through ``|z|``, so
-  ``z`` is rotated onto ``e1``: ``d = |z|``.  Rescaling ``(u, V)`` by ``|z|``
-  gives ``s^-sigma |z|^(2 sigma - 5 + 2l) I_l -> T_l``.
+  ``d = |z|``.  Rescaling ``(u, V)`` by ``|z|`` gives
+  ``s^-sigma |z|^(2 sigma - 5 + 2l) I_l -> T_l``.
 
-All quadrature runs on the substitution ``u = tan(theta)``
-(``theta in (0, pi/2)``) per half-line axis and ``v = tan(phi)``
-(``phi in (-pi/2, pi/2)``) per real axis, with globally adaptive cell
-subdivision and an embedded two-order Gauss-Legendre error estimate.  Cells
-are seeded so that both centers and the edges of their widths sit on cell
-faces, never at quadrature nodes.
+A Feynman parameter ``t`` joins the two centers; the ``v``-integral and then
+the ``u``-integral are Beta integrals, which leaves
+
+    pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)
+        * int_0^1 t^(p-1) (1-t)^(p-1) c(t)^-b dt,
+    c(t) = t (1-t) d^2 + t r_a^2 + (1-t) r_b^2,
+    a = (E+1+n)/2 - p,   b = 2p - (E+1+n)/2.
+
+It converges iff ``Re b > 0`` and ``Re (E+1)/2 > 0`` (at zero widths also
+``Re a > 0``, which holds for every integral here: ``a = (5-2l)/2`` for T
+and I, ``(k+4-2l)/2`` for J).
+
+* T and J have ``d = 1`` and zero widths, so the ``t``-integral is
+  ``B(a, a)`` and the value is the closed form
+  ``pi^(n/2) Gamma((E+1)/2) Gamma(b) Gamma(a)^2 / (2 Gamma(p)^2 Gamma(2a))``,
+  summed in ``loggamma``.  Their ``n_evals`` is 0 and ``est_error`` is a
+  rounding bound; the ``spec`` argument is accepted and ignored.
+* I keeps the 1-D ``t``-integral.  Each half of ``(0, 1)`` is integrated in
+  the log of its distance to the near end (``log t``, ``log(1-t)``), where
+  the integrand is smooth and decays like ``e^(p x)``.  A composite
+  Gauss-Legendre rule covers each half on unit panels, with a break at the
+  knee of ``c`` (``t`` about ``1/|z|^2``, ``1-t`` about ``s^2/|z|^2``), down
+  to where the integrand has fallen by ``e^-40``.  A half-order rule on the
+  same panels gives ``est_error``; every panel is bisected until it meets
+  the ``QuadratureSpec``, within ``max_subdivisions`` bisections in all.
+  ``n_evals`` counts integrand evaluations.
 """
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma
+from scipy.special import loggamma
 
 from .errors import GammaPole, NotConvergent, QuadratureFailure
 
@@ -52,17 +70,10 @@ __all__ = [
     "green_kernel",
 ]
 
-# Reported error = _SAFETY * sum of embedded-pair differences; the margin keeps
-# "halving rel_tol moves the value by less than est_error" true in practice.
-_SAFETY = 2.0
-
-# Embedded Gauss-Legendre orders (low, high) by total dimension.
-_ORDERS = {2: (7, 15), 3: (6, 12), 4: (5, 10)}
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error tolerances and budget for the adaptive quadrature."""
+    """Error tolerances and bisection budget for the 1-D rule of ``I``."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-10
@@ -83,145 +94,140 @@ class ModelIntegralValue:
     n_evals: int
 
 
-@lru_cache(maxsize=None)
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
+# Gauss-Legendre nodes and weights on [-1, 1]: the rule and its error check.
+_HIGH = np.polynomial.legendre.leggauss(16)
+_LOW = np.polynomial.legendre.leggauss(8)
+_PANEL = 1.0  # panel width in the log variable
+_DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches this
 
 
-def _tensor_rule(f, lo: np.ndarray, hi: np.ndarray, m: int) -> complex:
-    """Tensor-product Gauss-Legendre of order ``m`` per axis on a box."""
-    t, w = _leggauss(m)
-    nodes, weights = [], []
-    for a in range(len(lo)):
-        c, hw = 0.5 * (lo[a] + hi[a]), 0.5 * (hi[a] - lo[a])
-        nodes.append(c + hw * t)
-        weights.append(hw * w)
-    grids = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(f(pts), dtype=complex).reshape(grids[0].shape)
-    out = vals
-    for wa in reversed(weights):
-        out = out @ wa
-    return complex(out)
-
-
-class _Cell:
-    __slots__ = ("lo", "hi", "value", "err")
-
-    def __init__(self, f, lo, hi, m_lo, m_hi):
-        self.lo = lo
-        self.hi = hi
-        v_hi = _tensor_rule(f, lo, hi, m_hi)
-        v_lo = _tensor_rule(f, lo, hi, m_lo)
-        self.value = v_hi
-        self.err = abs(v_hi - v_lo)
-
-
-def _integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[np.ndarray],
-    spec: QuadratureSpec,
-) -> ModelIntegralValue:
-    """Globally adaptive integration over the box spanned by ``breakpoints``.
-
-    ``breakpoints[a]`` lists the initial cell edges along axis ``a``; the
-    worst cell (largest embedded-pair difference) is repeatedly bisected
-    along its longest axis.  Deterministic: ties break on insertion order.
-    """
-    dim = len(breakpoints)
-    m_lo, m_hi = _ORDERS[dim]
-    evals_per_cell = m_lo**dim + m_hi**dim
-
-    cells: list[tuple[float, int, _Cell]] = []
-    seq = 0
-    total_v = 0.0 + 0.0j
-    total_e = 0.0
-    n_evals = 0
-    edge_lists = [np.asarray(b, dtype=float) for b in breakpoints]
-    for idx in np.ndindex(*(len(e) - 1 for e in edge_lists)):
-        lo = np.array([edge_lists[a][i] for a, i in enumerate(idx)])
-        hi = np.array([edge_lists[a][i + 1] for a, i in enumerate(idx)])
-        cell = _Cell(f, lo, hi, m_lo, m_hi)
-        n_evals += evals_per_cell
-        total_v += cell.value
-        total_e += cell.err
-        heapq.heappush(cells, (-cell.err, seq, cell))
-        seq += 1
-
-    subdivisions = 0
-    while True:
-        tol = max(spec.rel_tol * abs(total_v), spec.abs_tol)
-        if _SAFETY * total_e <= tol:
-            break
-        if subdivisions >= spec.max_subdivisions:
-            raise QuadratureFailure(
-                f"error estimate {_SAFETY * total_e:.3e} above tolerance {tol:.3e} "
-                f"after {subdivisions} subdivisions ({n_evals} evals, {len(cells)} live cells)"
-            )
-        _, _, worst = heapq.heappop(cells)
-        total_v -= worst.value
-        total_e -= worst.err
-        axis = int(np.argmax(worst.hi - worst.lo))
-        mid = 0.5 * (worst.lo[axis] + worst.hi[axis])
-        for half in range(2):
-            lo = worst.lo.copy()
-            hi = worst.hi.copy()
-            (lo if half else hi)[axis] = mid
-            child = _Cell(f, lo, hi, m_lo, m_hi)
-            n_evals += evals_per_cell
-            total_v += child.value
-            total_e += child.err
-            heapq.heappush(cells, (-child.err, seq, child))
-            seq += 1
-        subdivisions += 1
-
-    return ModelIntegralValue(
-        value=total_v, est_error=_SAFETY * total_e, converged=True, n_evals=n_evals
-    )
-
-
-# -- two-center integrand ---------------------------------------------------
-
-
-def _two_center(E, p, n, d, r_a, r_b, spec) -> ModelIntegralValue:
-    """The softened two-center integral of the module docstring.
-
-    Powers are taken via exp/log.  The widths are squared only inside the
-    integrand; the cell edges use them as given, so at zero width the edges
-    reduce exactly to the unsoftened ones.
-    """
+def _check_arguments(l: int, sigma: complex, n: int) -> None:
+    if l not in (1, 2):
+        raise ValueError("l must be 1 or 2")
     if not 1 <= n <= 3:
-        raise ValueError("n must be 1..3 (quadrature dimension budget)")
-    center = np.zeros(n)
-    center[0] = d
-    ra_sq, rb_sq = r_a * r_a, r_b * r_b
+        raise ValueError("n must be 1..3 (the supported boundary dimensions)")
+    if not cmath.isfinite(complex(sigma)):
+        raise ValueError(f"sigma = {sigma} is not finite")
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        u = np.tan(pts[:, 0])
-        v = np.tan(pts[:, 1:])
-        jac = (1.0 + u * u) * np.prod(1.0 + v * v, axis=1)
-        A = u * u + np.sum(v * v, axis=1) + ra_sq
-        B = u * u + np.sum((v - center) ** 2, axis=1) + rb_sq
-        return np.exp(E * np.log(u) - p * (np.log(A) + np.log(B))) * jac
 
-    u_cuts = {0.0, math.pi / 2, math.atan(1.0), math.atan(r_a)}
-    if r_a < 1.0:
-        u_cuts.add(math.atan(10.0 * r_a))
-    breaks = [np.array(sorted(u_cuts))]
-    for a in range(n):
-        edges = (-r_a, r_a) + ((d - r_b, d, d + r_b) if a == 0 else (-r_b, r_b))
-        cuts = {-math.pi / 2, 0.0, math.pi / 2}
-        cuts.update(math.atan(x) for x in edges)
-        breaks.append(np.array(sorted(cuts)))
-    return _integrate_adaptive(f, breaks, spec)
+def _divergence(E: complex, p: complex, n: int) -> str:
+    """Why the two-center integral diverges, or ``""`` when it converges."""
+    half = (complex(E).real + 1.0) / 2.0
+    if half <= 0.0:
+        return f"Re (E+1)/2 = {half:g} <= 0 (small-u end)"
+    b = 2.0 * complex(p).real - (complex(E).real + 1.0 + n) / 2.0
+    if b <= 0.0:
+        return f"Re b = {b:g} <= 0 (large-radius end)"
+    return ""
+
+
+def _front_terms(E: complex, p: complex, n: int) -> tuple[complex, list]:
+    """``b`` and the log terms of ``pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)``."""
+    b = 2 * p - (E + 1 + n) / 2
+    terms = [
+        0.5 * n * math.log(math.pi),
+        loggamma((E + 1) / 2),
+        loggamma(b),
+        -math.log(2.0),
+        -2 * loggamma(p),
+    ]
+    return b, terms
+
+
+def _closed_form(E: complex, p: complex, n: int) -> ModelIntegralValue:
+    """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``."""
+    b, terms = _front_terms(E, p, n)
+    a = p - b
+    terms += [2 * loggamma(a), -loggamma(2 * a)]
+    value = complex(np.exp(sum(terms)))
+    rounding = 4 * np.finfo(float).eps * (1 + sum(abs(t) for t in terms))
+    return ModelIntegralValue(value, rounding * abs(value), True, 0)
+
+
+# -- the 1-D rule of I -------------------------------------------------------
+
+
+def _half_sums(edges, near, far, p, b, d_sq):
+    """High- and low-order sums over the panels ``edges`` of one half of ``(0, 1)``.
+
+    With ``w = e^x`` the distance to the half's near end, the integrand
+    (Jacobian included) is ``w^p (1-w)^(p-1) c^-b`` with
+    ``c = w (1-w) d^2 + w near + (1-w) far``.
+    """
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)
+    sums = []
+    for nodes, weights in (_HIGH, _LOW):
+        x = mid + half[:, None] * nodes
+        w = np.exp(x)
+        c = w * (1.0 - w) * d_sq + w * near + (1.0 - w) * far
+        sums.append(half * (np.exp(p * x + (p - 1) * np.log1p(-w) - b * np.log(c)) @ weights))
+    return sums
+
+
+def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec):
+    """``(int_0^1 t^(p-1) (1-t)^(p-1) c(t)^-b dt, est_error, n_evals)`` for I.
+
+    ``c(t) = t (1-t) d^2 + t s^2 + (1-t)``.  The error is judged on the
+    integral times ``scale``; each refinement bisects every panel.
+    """
+    d_sq, s_sq = d * d, s * s
+    top = -math.log(2.0)
+    halves = []
+    # the half near t = 0 (near width s, far width 1), then the one near t = 1
+    for near, far in ((s_sq, 1.0), (1.0, s_sq)):
+        knee = min(math.log(far / (far + near + d_sq)), top)
+        bottom = knee - _DEPTH / p.real
+        edges = np.concatenate(
+            [
+                np.linspace(bottom, knee, math.ceil((knee - bottom) / _PANEL) + 1),
+                np.linspace(knee, top, math.ceil((top - knee) / _PANEL) + 1)[1:],
+            ]
+        )
+        halves.append((edges, near, far))
+    n_evals = subdivisions = 0
+    while True:
+        value, est, panels = 0j, 0.0, 0
+        for edges, near, far in halves:
+            high, low = _half_sums(edges, near, far, p, b, d_sq)
+            value += complex(np.sum(high))
+            est += float(np.sum(np.abs(high - low)))
+            panels += high.size
+        n_evals += panels * (_HIGH[0].size + _LOW[0].size)
+        est *= abs(scale)
+        tol = max(spec.rel_tol * abs(scale * value), spec.abs_tol)
+        if est <= tol:
+            return value, est, n_evals
+        if subdivisions + panels > spec.max_subdivisions:
+            raise QuadratureFailure(
+                f"error estimate {est:.3e} above tolerance {tol:.3e} after {subdivisions} "
+                f"subdivisions ({n_evals} evals, {panels} panels); bisecting every panel "
+                f"would exceed max_subdivisions={spec.max_subdivisions}"
+            )
+        subdivisions += panels
+        halves = [
+            (np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])), near, far)
+            for edges, near, far in halves
+        ]
 
 
 # -- public integrals -------------------------------------------------------
 
 
+def _j_exponents(l: int, k: int, sigma: complex, n: int) -> tuple[float, float]:
+    p = complex(sigma).real
+    return 2.0 * p + k + 3 - 2 * l - n, p
+
+
 def j_converges(l: int, k: int, sigma: complex, n: int) -> bool:
-    """Absolute-convergence inequality ``2 Re(sigma) >= max(n-k+1, k+2)``."""
-    return 2.0 * complex(sigma).real >= max(n - k + 1, k + 2)
+    """Absolute-convergence inequality ``2 Re(sigma) >= max(n-k+1, k+2)``.
+
+    At equality the integral can still diverge: at ``l = 1`` and
+    ``2 Re(sigma) = k + 2``, ``b = 0`` and J diverges logarithmically.  So the
+    closed form's conditions ``Re b > 0`` and ``Re (E+1)/2 > 0`` must hold too.
+    """
+    E, p = _j_exponents(l, k, sigma, n)
+    return 2.0 * p >= max(n - k + 1, k + 2) and not _divergence(E, p, n)
 
 
 def j_integral(
@@ -235,30 +241,19 @@ def j_integral(
 
     The integrand is the absolute-value one (both powers use ``Re sigma``),
     so the value is real positive; it is returned as a complex with zero
-    imaginary part for uniformity.
+    imaginary part for uniformity.  The value is the closed form, so
+    ``spec`` is ignored.
     """
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
+    _check_arguments(l, sigma, n)
     if k < 1:
         raise ValueError("k must be >= 1")
+    E, p = _j_exponents(l, k, sigma, n)
     if not j_converges(l, k, sigma, n):
-        raise NotConvergent(
-            f"2 Re(sigma) = {2 * complex(sigma).real:g} < max(n-k+1, k+2) = "
-            f"{max(n - k + 1, k + 2)} for n={n}, k={k}"
+        why = _divergence(E, p, n) or (
+            f"2 Re(sigma) = {2 * p:g} < max(n-k+1, k+2) = {max(n - k + 1, k + 2)}"
         )
-    p = complex(sigma).real
-    E = 2.0 * p + k + 3 - 2 * l - n
-    return _two_center(E, p, n, 1.0, 0.0, 0.0, spec)
-
-
-def _t_convergent(l: int, sigma: complex, n: int) -> tuple[bool, str]:
-    E_re = 2.0 * complex(sigma).real + 4 - 2 * l - n
-    if E_re <= -1.0:
-        return False, f"small-u exponent {E_re:g} <= -1"
-    decay = 4.0 * complex(sigma).real - E_re
-    if decay <= n + 1.0:
-        return False, f"large-radius decay {decay:g} <= n+1 = {n + 1}"
-    return True, ""
+        raise NotConvergent(f"J_{l} diverges for n={n}, k={k}: {why}")
+    return _closed_form(complex(E), complex(p), n)
 
 
 def t_limit_integral(
@@ -270,16 +265,21 @@ def t_limit_integral(
     """Limit integral ``T_l(sigma)`` with exponent ``2 sigma + 4 - 2l - n``.
 
     This is the ``s -> 0``, ``|z| -> inf`` limit of
-    ``s^(-sigma) |z|^(2 sigma - 5 + 2l) * i_full_integral(l, sigma, s, z)``.
+    ``s^(-sigma) |z|^(2 sigma - 5 + 2l) * i_full_integral(l, sigma, s, z)``:
+
+        T_l = (pi^(n/2)/2) Gamma(sigma + (5-2l-n)/2) Gamma(sigma - (5-2l)/2)
+              Gamma((5-2l)/2)^2 / (Gamma(sigma)^2 Gamma(5-2l)).
+
+    The value is the closed form, so ``spec`` is ignored.  Where T_l
+    converges it has no zeros.
     """
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    ok, why = _t_convergent(l, sigma, n)
-    if not ok:
-        raise NotConvergent(f"T_{l} diverges for sigma={sigma}, n={n}: {why}")
+    _check_arguments(l, sigma, n)
     sig = complex(sigma)
     E = 2.0 * sig + 4 - 2 * l - n
-    return _two_center(E, sig, n, 1.0, 0.0, 0.0, spec)
+    why = _divergence(E, sig, n)
+    if why:
+        raise NotConvergent(f"T_{l} diverges for sigma={sigma}, n={n}: {why}")
+    return _closed_form(E, sig, n)
 
 
 def i_full_integral(
@@ -291,40 +291,30 @@ def i_full_integral(
 ) -> ModelIntegralValue:
     """Full model integral ``I_l(sigma, s, z)`` over ``(t, U)``.
 
-    Internally the exact substitution ``t = s/u``, ``U = V/u`` is applied
-    first, giving
+    The exact substitution ``t = s/u``, ``U = V/u`` gives
 
         s^sigma * integral of u^(2 sigma + 4 - 2l - n)
-            (u^2 + |V|^2 + s^2)^-sigma (u^2 + |V - z|^2 + 1)^-sigma dV du.
+            (u^2 + |V|^2 + s^2)^-sigma (u^2 + |V - z|^2 + 1)^-sigma dV du,
 
-    Both near-singular centers then sit at fixed locations (V = 0 with
-    width ``s`` and V = z with width 1), so axis-aligned adaptive refinement
-    stays efficient even for extreme separations like ``s = 1e-3``,
-    ``|z| = 1e3``; the raw ``(t, U)`` form concentrates on a sheared ridge
-    instead and starves the subdivision budget.  The integrand depends on
-    ``z`` only through ``|z|``, so ``z`` is rotated onto ``e1`` first.
+    which depends on ``z`` only through ``|z|``; the module docstring's 1-D
+    rule evaluates it to the tolerances of ``spec``.
     """
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    if s <= 0:
-        raise ValueError("s must be positive")
     zv = np.asarray(z, dtype=float)
     n = zv.size
-    if not 1 <= n <= 3:
-        raise ValueError("n must be 1..3 (quadrature dimension budget)")
-    ok, why = _t_convergent(l, sigma, n)
-    if not ok:
-        raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
+    _check_arguments(l, sigma, n)
+    if not (0 < s < math.inf):
+        raise ValueError(f"s = {s} must be positive and finite")
+    if not np.all(np.isfinite(zv)):
+        raise ValueError(f"z = {zv} is not finite")
     sig = complex(sigma)
     E = 2.0 * sig + 4 - 2 * l - n
-    raw = _two_center(E, sig, n, math.hypot(*zv), s, 1.0, spec)
-    front = cmath.exp(sig * math.log(s))
-    return ModelIntegralValue(
-        value=front * raw.value,
-        est_error=abs(front) * raw.est_error,
-        converged=raw.converged,
-        n_evals=raw.n_evals,
-    )
+    why = _divergence(E, sig, n)
+    if why:
+        raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
+    b, terms = _front_terms(E, sig, n)
+    front = complex(np.exp(sum(terms) + sig * math.log(s)))
+    value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
+    return ModelIntegralValue(front * value, est, True, n_evals)
 
 
 def _near_nonpositive_int(w: complex, tol: float = 1e-12) -> bool:

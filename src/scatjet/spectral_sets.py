@@ -9,20 +9,15 @@ resolvent poles, which this toolkit does not compute):
 * the discrete mode family ``lambda^2 = V0(y) - n^2/4 + alpha(y)^2 (k^2 - n^2)/4``
   at which the conjugate indicial root hits ``(n - k)/2``,
 * explicit user-excluded energies.
-
-``zero_scan`` is a deliberately heuristic helper: it locates zeros of a
-callable on a rectangle of the complex plane by grid search plus local
-refinement, and is complete only up to the chosen grid resolution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy
-from .errors import EvaluationFailure, ScatjetError
 
 __all__ = [
     "ModePoint",
@@ -32,7 +27,6 @@ __all__ = [
     "omega_prime_modes",
     "exceptional_set",
     "is_admissible",
-    "zero_scan",
 ]
 
 
@@ -136,79 +130,3 @@ def is_admissible(
         )
     return Admissibility(ok=True, reason=None, distances=distances)
 
-
-def _refine_minimum(
-    f_abs: Callable[[complex], float], center: complex, radius: float, *, iters: int = 48
-) -> complex:
-    """Shrinking 5x5 pattern search for a local minimum of ``|f|``."""
-    best = center
-    offsets = np.linspace(-1.0, 1.0, 5)
-    for _ in range(iters):
-        cands = [best + radius * (dx + 1j * dy) for dx in offsets for dy in offsets]
-        vals = [f_abs(c) for c in cands]
-        best = cands[int(np.argmin(vals))]
-        radius *= 0.5
-        if radius < 1e-13:
-            break
-    return best
-
-
-def zero_scan(
-    f: Callable[[complex], complex],
-    region: tuple[float, float, float, float],
-    step: float,
-    tol: float = 1e-6,
-) -> list[complex]:
-    """Approximate zeros of ``f`` on ``region = (re0, re1, im0, im1)``.
-
-    Grid samples ``|f|`` at spacing ``step``, takes local minima as
-    candidates, refines each by a shrinking pattern search, and keeps
-    refined points with ``|f| <= tol``.  Zeros separated by less than
-    ``step/2`` are merged; completeness is only up to the grid resolution.
-    """
-    re0, re1, im0, im1 = region
-    if re1 < re0 or im1 < im0 or step <= 0:
-        raise ValueError("bad scan region or step")
-
-    def f_abs(zz: complex) -> float:
-        try:
-            return abs(f(zz))
-        except ScatjetError as exc:
-            raise EvaluationFailure(f"scan callable failed at {zz}: {exc}", at=zz) from exc
-
-    res = np.arange(re0, re1 + step * 0.5, step)
-    ims = np.arange(im0, im1 + step * 0.5, step)
-    mag = np.full((len(res), len(ims)), np.inf)
-    for i, x in enumerate(res):
-        for j, y in enumerate(ims):
-            mag[i, j] = f_abs(complex(x, y))
-    padded = np.pad(mag, 1, constant_values=np.inf)
-    interior = padded[1:-1, 1:-1]
-    neighbors = [
-        padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        if (di, dj) != (0, 0)
-    ]
-    is_min = np.all([interior <= nb for nb in neighbors], axis=0)
-
-    zeros: list[complex] = []
-    for i, j in np.argwhere(is_min):
-        # Screen: only refine minima that could plausibly reach zero within a
-        # cell, judged by the local slope.  Keeps scans of zero-free functions
-        # (e.g. strictly positive integrals) from paying for refinement.
-        nb = padded[i : i + 3, j : j + 3]
-        finite = nb[np.isfinite(nb)]
-        gap = float(finite.max() - mag[i, j]) if finite.size else np.inf
-        if mag[i, j] > max(tol, 1.5 * gap):
-            continue
-        seed = complex(res[i], ims[j])
-        refined = _refine_minimum(f_abs, seed, step)
-        if f_abs(refined) > tol:
-            continue
-        if im1 - im0 < 1e-12:
-            refined = complex(refined.real, im0)  # collapse to the scanned line
-        if all(abs(refined - z) > step / 2 for z in zeros):
-            zeros.append(refined)
-    zeros.sort(key=lambda z: (z.real, z.imag))
-    return zeros

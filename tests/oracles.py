@@ -1,8 +1,9 @@
 """Slow independent reference routes used to freeze expected test values.
 
-The two-center reference integrator deliberately shares nothing with the
-adaptive engine in :mod:`scatjet.model_quadrature`: no compactification, no
-adaptivity, no embedded error estimate.  It integrates the raw integrand
+The two-center reference integrator deliberately shares nothing with
+:mod:`scatjet.model_quadrature`, which reduces the integral with a Feynman
+parameter to Gamma functions (and, for I, a 1-D integral): no Feynman
+parameter, no adaptivity, no error estimate.  It integrates the raw integrand
 
     u^E * (u^2 + |v|^2 + a_shift)^-p * (u^2 + |v - e1|^2 + b_shift)^-p
 

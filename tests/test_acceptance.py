@@ -153,13 +153,13 @@ def test_acceptance_integral_oracles():
     ]
     worst = 0.0
     for l, sigma, n in t_cases:
-        engine = t_limit_integral(l, sigma, n, loose if n == 3 else spec).value
+        got = t_limit_integral(l, sigma, n, loose if n == 3 else spec).value
         oracle = t_oracle(l, sigma, n)
-        worst = max(worst, abs(engine - oracle) / abs(oracle))
+        worst = max(worst, abs(got - oracle) / abs(oracle))
     for l, k, sigma, n in j_cases:
-        engine = j_integral(l, k, sigma, n, spec).value
+        got = j_integral(l, k, sigma, n, spec).value
         oracle = j_oracle(l, k, sigma, n)
-        worst = max(worst, abs(engine - oracle) / abs(oracle))
+        worst = max(worst, abs(got - oracle) / abs(oracle))
     assert worst <= 1e-5
 
     rng = np.random.default_rng(404)

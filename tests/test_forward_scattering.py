@@ -1,4 +1,4 @@
-"""Symbol synthesis, angular kernels, probes, and blow-up charts."""
+"""Symbol synthesis, angular kernels and probes."""
 import math
 
 import numpy as np
@@ -10,10 +10,9 @@ from scatjet.boundary_jets import (
     indicial_root,
     perturbation_coefficients,
 )
-from scatjet.errors import ChartUndefined, GammaPole, ZeroCovector
+from scatjet.errors import GammaPole, ZeroCovector
 from scatjet.forward_scattering import (
     ProbeSet,
-    blowup_coordinates,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
@@ -288,42 +287,3 @@ def test_singularity_over_a_varying_grid_matches_each_point():
     with pytest.raises(ValueError, match="last axis of length n=2"):
         singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, [[1.0]])
 
-
-# -- blow-up charts ---------------------------------------------------------
-
-
-def test_charts_diagonal_point():
-    charts = blowup_coordinates(1.0, 1.0, [0.3, -0.2], [0.3, -0.2])
-    left = charts.chart("left")
-    assert left["s"] == pytest.approx(1.0)
-    np.testing.assert_allclose(left["z"], [0.0, 0.0], atol=1e-15)
-    assert charts.R == pytest.approx(math.sqrt(2.0))
-
-
-def test_charts_left_right_duality():
-    charts = blowup_coordinates(0.4, 0.8, [1.0, 0.5], [0.2, 0.1])
-    left = charts.chart("left")
-    right = charts.chart("right")
-    s, z = left["s"], np.asarray(left["z"])
-    assert right["t"] == pytest.approx(1.0 / s)
-    np.testing.assert_allclose(right["z_prime"], -z / s, atol=1e-14)
-
-
-def test_charts_front_face_arithmetic():
-    charts = blowup_coordinates(0.1, 0.2, [0.5], [0.0])
-    front = charts.chart("front")
-    assert front["rho"] == pytest.approx(0.2)
-    assert front["rho_prime"] == pytest.approx(0.4)
-    assert front["r"] == pytest.approx(0.5)
-    np.testing.assert_allclose(front["omega"], [1.0])
-
-
-def test_charts_undefined_cases():
-    charts = blowup_coordinates(0.5, 0.0, [0.1], [0.0])
-    with pytest.raises(ChartUndefined):
-        charts.chart("left")  # x' = 0
-    on_axis = blowup_coordinates(0.5, 0.7, [0.2], [0.2])
-    with pytest.raises(ChartUndefined):
-        on_axis.chart("front")  # |Y| = 0
-    with pytest.raises(ValueError):
-        charts.chart("middle")

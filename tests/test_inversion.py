@@ -9,6 +9,7 @@ import pytest
 from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root
 from scatjet.errors import (
     BranchAmbiguity,
+    ConfigError,
     DegenerateEnergies,
     InconsistentData,
     NotPositiveDefinite,
@@ -415,10 +416,10 @@ def test_driver_detects_inconsistent_homogeneity():
 
 
 def test_driver_rejects_nan_symbol_pair():
+    """A NaN pair never reaches layer_strip_driver: the dataset refuses it when built."""
     _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
-    bad = _with_symbol(ds, (0, 1, 0, 0, 1), complex(math.nan, 0.0))
-    with pytest.raises(InconsistentData, match=r"\[stage sigma\].*grid index \(1, 0\)"):
-        layer_strip_driver(bad)
+    with pytest.raises(ConfigError, match=r"symbols: .* not finite at grid index \(1, 0\)"):
+        _with_symbol(ds, (0, 1, 0, 0, 1), complex(math.nan, 0.0))
 
 
 def test_driver_round_trip_on_varying_patch():

@@ -1,9 +1,9 @@
-"""Adaptive model integrals against the independent truncated-Gauss route.
+"""Model integrals against independent routes.
 
-Expected numerical values here are either closed forms or come from
-``oracles.two_center_truncated``, which shares no code or method with the
-adaptive engine (graded fixed-order panels + tail extrapolation vs.
-compactified embedded-pair adaptivity).
+Expected numerical values here are either closed forms, values from
+``oracles.two_center_truncated`` (graded fixed-order panels + tail
+extrapolation of the two-center integral itself, no Feynman parameter), or
+30-digit ``mpmath.quad`` values of the 1-D Feynman integral of ``I``.
 """
 import math
 
@@ -47,10 +47,21 @@ def test_spec_defaults_and_validation():
 def test_j_converges_examples():
     assert j_converges(1, 1, 2.0, 2) is True  # 4 >= max(2,3)
     assert j_converges(1, 1, 1.4, 2) is False  # 2.8 < 3
-    # k = n + 1 makes the threshold max(0, n+3) = n+3
+    # k = n + 1 makes the threshold max(0, n+3) = n+3; at equality b = 1 for
+    # l = 2, but b = 0 for l = 1, where J diverges logarithmically
     for n in (1, 2, 3):
-        assert j_converges(1, n + 1, (n + 3) / 2.0, n) is True
-        assert j_converges(1, n + 1, (n + 3) / 2.0 - 0.01, n) is False
+        assert j_converges(2, n + 1, (n + 3) / 2.0, n) is True
+        assert j_converges(1, n + 1, (n + 3) / 2.0, n) is False
+        for l in (1, 2):
+            assert j_converges(l, n + 1, (n + 3) / 2.0 - 0.01, n) is False
+
+
+@pytest.mark.parametrize("l,k,sigma,n", [(1, 1, 1.5, 1), (1, 2, 2.0, 2)])
+def test_j_boundary_b_zero_not_convergent(l, k, sigma, n):
+    """2 Re(sigma) = k + 2 meets the inequality, but b = 0 there."""
+    assert j_converges(l, k, sigma, n) is False
+    with pytest.raises(NotConvergent, match="Re b = 0 <= 0"):
+        j_integral(l, k, sigma, n, SPEC)
 
 
 def test_j_integral_gates():
@@ -118,6 +129,23 @@ def test_t_schwarz_reflection():
         assert abs(plus.value.conjugate() - minus.value) <= plus.est_error + minus.est_error
 
 
+def test_t_limit_has_no_zeros_where_it_converges():
+    """What ``scatjet sets`` states: T_l has no zeros where it converges.
+
+    Sampled over a complex window above both convergence gates, and on the
+    real window sigma in [1.6, 3.0] for T_2 at n = 1, where it is positive.
+    """
+    for l in (1, 2):
+        for n in (1, 2, 3):
+            lo = max((5 - 2 * l) / 2, (n + 2 * l - 5) / 2)
+            for re in lo + np.linspace(0.05, 3.0, 12):
+                for im in np.linspace(-2.0, 2.0, 9):
+                    value = t_limit_integral(l, complex(re, im), n).value
+                    assert np.isfinite(value) and abs(value) > 0
+    window = [t_limit_integral(2, s, 1).value for s in np.linspace(1.6, 3.0, 15)]
+    assert all(v.imag == 0.0 and v.real > 0.0 for v in window)
+
+
 def test_t_divergent_gate():
     with pytest.raises(NotConvergent):
         t_limit_integral(2, 0.4, 1, SPEC)  # decay 1.6 - (-0.2) = 1.8 <= n+1
@@ -126,28 +154,34 @@ def test_t_divergent_gate():
 
 
 def test_halving_rel_tol_stays_within_estimate():
-    for run in (
-        lambda r: t_limit_integral(2, 2.0, 1, QuadratureSpec(rel_tol=r, abs_tol=1e-12, max_subdivisions=20000)),
-        lambda r: j_integral(1, 1, 3.0, 1, QuadratureSpec(rel_tol=r, abs_tol=1e-12, max_subdivisions=20000)),
-    ):
-        first = run(1e-5)
-        second = run(5e-6)
-        assert first.converged and second.converged
+    """The I rule's error estimate bounds the move of a run at half of it."""
+    for sigma, s, z in ((2.5, 1e-3, [1e3]), (2.2 + 0.3j, 0.5, [3.0, 0.0])):
+        first = i_full_integral(2, sigma, s, z, QuadratureSpec(abs_tol=1e-300))
+        half = 0.5 * first.est_error / abs(first.value)
+        second = i_full_integral(2, sigma, s, z, QuadratureSpec(rel_tol=half, abs_tol=1e-300))
+        assert second.n_evals > first.n_evals  # the tighter run refined
         assert abs(first.value - second.value) <= first.est_error
 
 
 def test_quadrature_failure_on_tiny_budget():
-    starved = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=2)
-    with pytest.raises(QuadratureFailure, match=r"2 subdivisions \(\d+ evals, \d+ live cells\)"):
-        t_limit_integral(1, 2.0, 1, starved)
+    """A tolerance below rounding starves the I rule: it says what it spent."""
+    starved = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=100)
+    with pytest.raises(
+        QuadratureFailure, match=r"after [1-9]\d* subdivisions \([1-9]\d* evals, \d+ panels\)"
+    ):
+        i_full_integral(1, 2.5, 0.5, [3.0], starved)
 
 
 def test_result_invariant():
-    res = t_limit_integral(1, 2.0, 1, SPEC)
-    assert isinstance(res, ModelIntegralValue)
-    assert res.converged
-    assert res.est_error <= max(SPEC.rel_tol * abs(res.value), SPEC.abs_tol)
-    assert res.n_evals > 0
+    for res, evaluated in (
+        (t_limit_integral(1, 2.0, 1, SPEC), False),
+        (j_integral(1, 1, 3.0, 1, SPEC), False),
+        (i_full_integral(1, 2.0, 0.5, [3.0], SPEC), True),
+    ):
+        assert isinstance(res, ModelIntegralValue)
+        assert res.converged
+        assert res.est_error <= max(SPEC.rel_tol * abs(res.value), SPEC.abs_tol)
+        assert (res.n_evals > 0) is evaluated  # closed forms evaluate no integrand
 
 
 # -- full integral ----------------------------------------------------------
@@ -162,6 +196,42 @@ def test_i_scaling_identity():
             2 * sig + 4 - 2 * l - 1, sig, 1, a_shift=(s / zmag) ** 2, b_shift=zmag**-2
         )
         assert abs(got - want) <= 1e-4 * abs(want)
+
+
+def _i_mpmath(l, sigma, s, zmag, n):
+    """I from its 1-D Feynman integral by 30-digit tanh-sinh quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        sig = mp.mpc(sigma)
+        s, d = mp.mpf(s), mp.mpf(zmag)
+        E = 2 * sig + 4 - 2 * l - n
+        b = 2 * sig - (E + 1 + n) / 2
+        front = s**sig * mp.pi ** (mp.mpf(n) / 2) * mp.gamma((E + 1) / 2) * mp.gamma(b)
+        front /= 2 * mp.gamma(sig) ** 2
+
+        def f(t, u):  # u = 1 - t, passed exactly near t = 1
+            return t ** (sig - 1) * u ** (sig - 1) * (t * u * d**2 + t * s**2 + u) ** -b
+
+        half, knee = mp.mpf(1) / 2, 1 / (1 + s**2 + d**2)
+        near_0 = mp.quad(lambda t: f(t, 1 - t), [0, min(knee, half), half])
+        near_1 = mp.quad(lambda u: f(1 - u, u), [0, min(s**2 * knee, half), half])
+        return complex(front * (near_0 + near_1))
+
+
+I_MPMATH_POINTS = [
+    (l, sigma, s, zmag, 1)
+    for l in (1, 2)
+    for sigma in (2.0, 2.5)
+    for s, zmag in ((1e-3, 1e3), (0.5, 3.0), (1e-2, 1e2))
+] + [(l, 2.2 + 0.3j, s, zmag, 2) for l in (1, 2) for s, zmag in ((1e-3, 1e3), (0.5, 3.0))]
+
+
+def test_i_against_mpmath():
+    """At the default spec, tiny values (down to 1e-20) too: abs_tol must not hide them."""
+    for l, sigma, s, zmag, n in I_MPMATH_POINTS:
+        got = i_full_integral(l, sigma, s, [zmag] + [0.0] * (n - 1))
+        want = _i_mpmath(l, sigma, s, zmag, n)
+        assert abs(got.value - want) <= 1e-7 * abs(want), (l, sigma, s, zmag, n)
 
 
 def test_i_positive_real():
@@ -196,8 +266,16 @@ def test_i_rotation_invariance():
 
 
 def test_i_validation():
-    with pytest.raises(ValueError):
-        i_full_integral(1, 2.5, -0.1, [1.0], SPEC)
+    for s, z in ((-0.1, [1.0]), (math.nan, [1.0]), (math.inf, [1.0]), (0.5, [math.inf])):
+        with pytest.raises(ValueError):
+            i_full_integral(1, 2.5, s, z, SPEC)
+    for integral in (
+        lambda sig: i_full_integral(1, sig, 0.5, [1.0], SPEC),
+        lambda sig: t_limit_integral(1, sig, 1, SPEC),
+        lambda sig: j_integral(1, 1, sig, 1, SPEC),
+    ):
+        with pytest.raises(ValueError, match="not finite"):
+            integral(complex(math.nan, 0.0))
     with pytest.raises(ValueError):
         i_full_integral(1, 2.5, 0.5, [1.0] * 4, SPEC)
     with pytest.raises(NotConvergent):

@@ -1,19 +1,14 @@
-"""Exceptional energy sets, admissibility screening, and zero scans."""
-import math
+"""Exceptional energy sets and admissibility screening."""
 
 import numpy as np
 import pytest
 
 from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root
-from scatjet.errors import EvaluationFailure, NotConvergent
-from scatjet.forward_scattering import gamma_prefactor
-from scatjet.model_quadrature import QuadratureSpec, t_limit_integral
 from scatjet.spectral_sets import (
     exceptional_set,
     is_admissible,
     omega_interval,
     omega_prime_modes,
-    zero_scan,
 )
 from scatjet.synthetic import constant_patch
 
@@ -126,55 +121,3 @@ def test_admissibility_margin_validation_and_monotonicity():
     assert is_admissible(lam, es, margin=0.05).ok
     assert not is_admissible(lam, es, margin=1.0).ok
 
-
-# -- zero scans -------------------------------------------------------------
-
-
-def test_scan_linear_root():
-    zeros = zero_scan(lambda s: s - 3.0, (2.0, 4.0, -0.5, 0.5), step=0.3, tol=1e-6)
-    assert len(zeros) == 1
-    assert zeros[0].real == pytest.approx(3.0, abs=1e-6)
-    assert abs(zeros[0].imag) < 1e-6
-
-
-def test_scan_sine_roots():
-    zeros = zero_scan(lambda s: complex(math.sin(s.real) + 1j * s.imag), (0.0, 10.0, -0.5, 0.5), step=0.5)
-    got = sorted(z.real for z in zeros)
-    want = [0.0, math.pi, 2 * math.pi, 3 * math.pi]
-    assert len(got) == 4
-    np.testing.assert_allclose(got, want, atol=1e-5)
-
-
-def test_scan_positive_function_finds_nothing():
-    zeros = zero_scan(lambda s: abs(s) ** 2 + 1.0, (-1.0, 1.0, -1.0, 1.0), step=0.4)
-    assert zeros == []
-
-
-def test_scan_wraps_evaluation_errors():
-    def bad(s):
-        raise NotConvergent("diverges here")
-
-    with pytest.raises(EvaluationFailure) as info:
-        zero_scan(bad, (0.0, 1.0, 0.0, 1.0), step=0.5)
-    assert info.value.at is not None
-
-
-def test_scan_gamma_prefactor_window_clean():
-    # poles/zeros of the Gamma ratio all sit at half-plane boundary or below
-    # Re sigma = n/2; the scan window stays strictly above and off integers
-    zeros = zero_scan(
-        lambda s: gamma_prefactor(s, 2), (1.3, 2.6, -0.2, 0.2), step=0.3, tol=1e-3
-    )
-    assert zeros == []
-
-
-def test_scan_limit_integral_positive_window():
-    """T_2 has no real zeros in a convergent window (scan at loose tolerance)."""
-    loose = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-8, max_subdivisions=2000)
-    zeros = zero_scan(
-        lambda s: t_limit_integral(2, s, 1, loose).value,
-        (1.6, 3.0, 0.0, 0.0),
-        step=0.35,
-        tol=1e-4,
-    )
-    assert zeros == []
