@@ -94,6 +94,15 @@ def _load_probes(path: str, n: int) -> ProbeSet:
     return probes
 
 
+def _t_pair(args) -> tuple[complex, complex] | None:
+    """``--t1`` and ``--t2``: both or neither."""
+    if args.t1 is None and args.t2 is None:
+        return None
+    if args.t1 is None or args.t2 is None:
+        raise ConfigError("--t1 and --t2 must be given together")
+    return parse_complex(args.t1), parse_complex(args.t2)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -103,11 +112,7 @@ def cmd_forward(args) -> int:
     if not args.lam:
         raise ConfigError("forward requires at least one --lam")
     energies = tuple(ComplexEnergy(parse_complex(s)) for s in args.lam)
-    t_pair = None
-    if args.t1 is not None or args.t2 is not None:
-        if args.t1 is None or args.t2 is None:
-            raise ConfigError("--t1 and --t2 must be given together")
-        t_pair = (parse_complex(args.t1), parse_complex(args.t2))
+    t_pair = _t_pair(args)
     probes = _load_probes(args.probes, patch.n) if args.probes else None
     log.info(
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
@@ -149,13 +154,10 @@ def cmd_invert(args) -> int:
             raise ConfigError("--prefactor must be nonzero")
         log.info("applying external prefactor %s to all symbol samples", c)
         ds = dataclasses.replace(ds, symbols=c * ds.symbols)
-    t_pair = None
-    if args.t1 is not None and args.t2 is not None:
-        t_pair = (parse_complex(args.t1), parse_complex(args.t2))
     cfg = InversionConfig(
         margin=args.margin,
         alpha_sq_known=args.alpha_sq_known,
-        t_pair=t_pair,
+        t_pair=_t_pair(args),
     )
     report = layer_strip_driver(ds, cfg)
     _write_out(canonical_json(report.to_dict()), args.out)

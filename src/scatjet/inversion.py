@@ -400,7 +400,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     first-order fit when singularity samples are present.  Jets of order
     two and higher are out of scope and flagged in ``notes``.
     """
-    from .spectral_sets import Admissibility, ExceptionalSet, is_admissible
+    from .spectral_sets import is_admissible
     from .boundary_jets import ComplexEnergy
 
     if not isinstance(dataset, SymbolDataset):
@@ -410,10 +410,9 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
 
-    es = dataset.exceptional_set()
-    if es is not None:
+    if dataset.exceptional is not None:
         for lam in dataset.energies:
-            adm = is_admissible(ComplexEnergy(lam), es, cfg.margin)
+            adm = is_admissible(ComplexEnergy(lam), dataset.exceptional, cfg.margin)
             if not adm.ok:
                 report.status = "refused"
                 report.notes.append(f"energy {lam}: {adm.reason}")

@@ -18,7 +18,7 @@ from .boundary_jets import (
     indicial_root,
     perturbation_coefficients,
 )
-from .dataset import SymbolDataset, exceptional_to_dict, polarization_covectors
+from .dataset import SymbolDataset, polarization_covectors
 from .errors import ScatjetError
 from .forward_scattering import (
     ProbeSet,
@@ -159,7 +159,7 @@ def forward_dataset(
         singularity=singularity,
         probes=omega,
         t_pair=t_pair,
-        exceptional=exceptional_to_dict(exceptional_set(patch1, k_max=k_max)),
+        exceptional=exceptional_set(patch1, k_max=k_max),
     )
 
 

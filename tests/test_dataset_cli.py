@@ -1,8 +1,8 @@
 """Serialization and command-line behavior.
 
 Most CLI tests drive ``scatjet.cli.main`` in process; the determinism test and
-one exit-code check run the real process entry point through
-``python -m scatjet``.
+the exit-code checks named ``test_cli_process_*`` run the real process entry
+point through ``python -m scatjet``.
 """
 import dataclasses
 import json
@@ -21,9 +21,7 @@ from scatjet.dataset import (
     SymbolDataset,
     canonical_json,
     decode_complex,
-    decode_complex_array,
     encode_complex,
-    encode_complex_array,
 )
 from scatjet.errors import ConfigError, IoError
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
@@ -38,12 +36,6 @@ from oracles import t_oracle
 def test_complex_codec_round_trip():
     for z in (0j, 1.5 - 2.25j, complex(-0.0, 3.0)):
         assert decode_complex(encode_complex(z)) == z
-
-
-def test_complex_array_codec_round_trip():
-    arr = np.array([[1 + 2j, -3.5j], [0.25, 7 - 1j]])
-    again = decode_complex_array(encode_complex_array(arr))
-    np.testing.assert_array_equal(again, arr)
 
 
 def test_canonical_json_is_order_independent():
@@ -77,6 +69,7 @@ def test_dataset_save_load_identical(tmp_path):
     np.testing.assert_array_equal(again.probes, ds.probes)
     assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 4, 4, 2)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
+    assert again.exceptional == ds.exceptional
 
 
 def _bits(arr):
@@ -104,7 +97,7 @@ def _datasets(draw):
     return SymbolDataset(
         n=n,
         grid_shape=grid,
-        scale_t=draw(st.floats(0.1, 10.0)),
+        scale_t=draw(st.floats(0.1, 10.0).filter(lambda t: t != 1.0)),
         energies=tuple(complex_array((n_energies,))),
         symbols=complex_array((n_energies, *grid, n * (n + 1) // 2, 2)),
         singularity=complex_array(grid + (count,)),
@@ -218,93 +211,146 @@ def test_dataset_io_errors(tmp_path):
         SymbolDataset.load(wrong)
 
 
-def _drop(path):
+# float shapes of the seed-4, n=2 dataset's flat arrays (grid 4x4, 2 energies,
+# 3 covectors, 4 probes; complex entries as [re, im])
+_FLOAT_SHAPES = {"symbols": (2, 4, 4, 3, 2, 2), "singularity": (4, 4, 4, 2), "probes": (4, 4, 4, 2)}
+
+
+def _set_entry(name, index, value):
+    def mutate(data):
+        arr = np.array(data[name], dtype=float).reshape(_FLOAT_SHAPES[name])
+        arr[index] = value
+        data[name] = arr.ravel().tolist()
+
+    return mutate
+
+
+def _set(path, value):
     def mutate(data):
         *parents, last = path
         block = data
         for part in parents:
             block = block[part]
-        del block[last]
+        block[last] = value
 
     return mutate
 
 
-def _set_nan(data):
-    data["symbols"]["1"]["0,1"]["0"][1] = [math.nan, 0.0]
-
-
-def _truncate_pair(data):
-    data["symbols"]["0"]["2,3"]["1"] = [[1.0, 0.0]]
-
-
-def _add_unknown_covector(data):
-    data["symbols"]["0"]["1,1"]["1+1"] = [[1.0, 0.0], [2.0, 0.0]]
-
-
-def _set_omega(key, j, omega):
+def _drop(key):
     def mutate(data):
-        data["singularity"][key][j]["omega"] = omega
+        del data[key]
 
     return mutate
 
 
-def _set_samples(key, keep):
+def _truncate(name, count):
     def mutate(data):
-        data["singularity"][key] = data["singularity"][key][:keep]
+        data[name] = data[name][:-count]
 
     return mutate
 
 
-def _add_singularity_key(data):
-    data["singularity"]["4,0"] = data["singularity"]["0,0"]
+def _no_samples(data):
+    data["singularity"] = data["probes"] = []
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (_drop(["symbols", "0", "1,1"]), r"energy index 0: grid key '1,1' missing"),
-        (_drop(["symbols", "1", "0,0", "0+1"]), r"energy index 1, grid key '0,0': covector '0\+1' missing"),
-        (_drop(["singularity", "1,0"]), r"singularity: grid key '1,0' missing"),
-        (_set_nan, r"energy index 1, grid key '0,1', covector '0': sample is not finite"),
-        (_truncate_pair, r"malformed dataset: ValueError"),
-        (_add_unknown_covector, r"energy index 0, grid key '1,1': unknown covector '1\+1'"),
         (
-            _set_omega("0,0", 0, [1.0]),
-            r"singularity: grid key '0,0', sample 0: omega has 1 components, expected n=2",
+            _truncate("symbols", 12),
+            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got shape \(372,\)",
         ),
         (
-            _set_omega("2,1", 3, [1.0, 0.0, 0.0]),
-            r"singularity: grid key '2,1', sample 3: omega has 3 components, expected n=2",
+            _truncate("singularity", 2),
+            r"singularity: expected a flat list of 128 numbers for a complex array of shape "
+            r"\(4, 4, 4\), got shape \(126,\)",
         ),
         (
-            _set_omega("1,3", 2, [1.0, 1.0]),
-            r"singularity: grid key '1,3', sample 2: omega is not a unit vector",
+            _truncate("probes", 1),
+            r"probes: expected a flat list of 128 numbers for a float array of shape "
+            r"\(4, 4, 4, 2\), got shape \(127,\)",
         ),
         (
-            _set_omega("3,0", 1, [math.nan, 1.0]),
-            r"singularity: grid key '3,0', sample 1: not finite",
+            _no_samples,
+            r"singularity has shape \(4, 4, 0\), expected \(4, 4\) plus a nonzero probe count",
         ),
-        (_set_samples("0,2", 0), r"singularity: grid key '0,2': no samples"),
-        (_set_samples("3,3", 3), r"singularity: grid key '3,3': 3 samples, grid key '0,0' has 4"),
-        (_add_singularity_key, r"singularity: grid key '4,0' is not a grid index"),
+        (_set(["symbols", 10], "1.5"), r"symbols: not a flat list of numbers \(read as dtype <U"),
+        (
+            _set_entry("symbols", (1, 0, 1, 0, 1, 0), math.nan),
+            r"symbols: sample \(energy index, covector\) is not finite "
+            r"at grid index \(0, 1\), sample \(1, 0\)",
+        ),
+        (
+            _set_entry("singularity", (1, 2, 0, 1), math.inf),
+            r"singularity: value is not finite at grid index \(1, 2\), sample \(0,\)",
+        ),
+        (
+            _set_entry("probes", (3, 0, 1, 0), math.nan),
+            r"probes: omega is not finite at grid index \(3, 0\), sample \(1,\)",
+        ),
+        (
+            _set_entry("probes", (1, 3, 2), 1.0),
+            r"probes: omega is not a unit vector at grid index \(1, 3\), sample \(2,\)",
+        ),
+        (_drop("probes"), r"probes has shape \(\), expected \(4, 4, 4, 2\)"),
+        (_drop("singularity"), r"probes given without singularity"),
+        (
+            _set(["schema"], "scatjet.symbols/1"),
+            r"dataset schema 'scatjet.symbols/1' is no longer read; "
+            r"re-run `scatjet forward` to write 'scatjet.symbols/2'",
+        ),
+        (_set(["scale_t"], 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
+        (_set(["scale_t"], -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
+        (_set(["energies"], []), r"dataset has no energies"),
+        (_set(["grid_shape"], [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
+        (_set(["grid_shape"], [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
+        (_set(["exceptional"], 5), r"exceptional: malformed block: TypeError"),
+        (
+            lambda data: data["exceptional"].pop("interval_lambda_sq"),
+            r"exceptional: malformed block: KeyError: 'interval_lambda_sq'",
+        ),
+        (
+            _set(["exceptional", "modes", 3, "lambda_sq"], "x"),
+            r"exceptional: malformed block: ValueError",
+        ),
+        (
+            _set(["exceptional", "modes", 3, "lambda_sq"], [math.nan, 0.0]),
+            r"exceptional: modes lambda_sq entry 3 is not finite",
+        ),
+        (
+            _set(["exceptional", "user_excluded"], [[1.0, 0.0], [math.nan, 0.0]]),
+            r"exceptional: user_excluded entry 1 is not finite",
+        ),
     ],
     ids=[
         "missing-grid-index",
-        "missing-covector",
-        "missing-singularity",
-        "nan-sample",
-        "malformed-pair",
-        "unknown-covector",
-        "omega-too-short",
-        "omega-too-long",
-        "omega-not-unit",
-        "omega-not-finite",
-        "no-samples",
         "sample-counts-differ",
-        "singularity-key-off-grid",
+        "omega-too-short",
+        "no-samples",
+        "malformed-pair",
+        "nan-sample",
+        "inf-singularity",
+        "omega-not-finite",
+        "omega-not-unit",
+        "singularity-without-probes",
+        "missing-singularity",
+        "schema-1",
+        "scale-t-one",
+        "scale-t-negative",
+        "no-energies",
+        "grid-axis-zero",
+        "grid-rank-not-n",
+        "exceptional-not-a-block",
+        "exceptional-no-interval",
+        "exceptional-mode-not-a-number",
+        "exceptional-nan-mode",
+        "exceptional-nan-excluded",
     ],
 )
 def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
+    """Each way a file can be malformed ends in an IoError naming it, and exit 2."""
     _, ds = make_synthetic_pair(seed=4, n=2)
     data = ds.to_dict()
     mutate(data)
@@ -313,6 +359,20 @@ def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["invert", "--data", str(path)]) == 2
+
+
+def test_cli_process_invert_bad_dataset_exits_2(tmp_path):
+    """A bad header or exceptional block ends in exit 2 with no traceback."""
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    for field, value in (("scale_t", 1.0), ("exceptional", 5)):
+        data = ds.to_dict()
+        data[field] = value
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(data))
+        proc = run_scatjet("invert", "--data", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"ERROR scatjet.cli: {field}" in proc.stderr
 
 
 # -- CLI: integrals ----------------------------------------------------------
@@ -408,7 +468,7 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/1"
+    assert payload["schema"] == "scatjet.symbols/2"
     assert len(payload["sigma_field"]) == 2  # derived block, one entry per energy
 
     report_path = tmp_path / "report.json"
@@ -419,7 +479,7 @@ def test_cli_forward_invert_flow(tmp_path):
     assert report["status"] == "ok"
     a2 = np.asarray(report["alpha_sq"])[..., 0]
     np.testing.assert_allclose(a2, 1.1**2, atol=1e-8)
-    H = decode_complex_array(report["H"])
+    H = np.array(report["H"]).view(complex)[..., 0]
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
     np.testing.assert_allclose(H[0, 0], want_H, atol=1e-8)
 
@@ -467,6 +527,14 @@ def test_cli_invert_zero_prefactor(tmp_path):
     ds_path = tmp_path / "ds.json"
     ds.save(ds_path)
     assert main(["invert", "--data", str(ds_path), "--prefactor", "0+0i"]) == 2
+
+
+def test_cli_invert_t1_needs_t2(tmp_path, caplog):
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    ds_path = tmp_path / "ds.json"
+    ds.save(ds_path)
+    assert main(["invert", "--data", str(ds_path), "--t1", "5"]) == 2
+    assert any("--t1 and --t2 must be given together" in r.getMessage() for r in caplog.records)
 
 
 def test_cli_invert_refused_energy(tmp_path):
