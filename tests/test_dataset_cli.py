@@ -250,6 +250,16 @@ def _truncate(name, count):
     return mutate
 
 
+def _reshape(name, edit):
+    """Replace array ``name`` by ``edit`` of its float array, written back flat."""
+
+    def mutate(data):
+        arr = np.array(data[name], dtype=float).reshape(_FLOAT_SHAPES[name])
+        data[name] = edit(arr).ravel().tolist()
+
+    return mutate
+
+
 def _no_samples(data):
     data["singularity"] = data["probes"] = []
 
@@ -263,6 +273,16 @@ def _no_samples(data):
             r"\(2, 4, 4, 3, 2\), got shape \(372,\)",
         ),
         (
+            _reshape("symbols", lambda a: a[:, :, :, :2]),
+            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got shape \(256,\)",
+        ),
+        (
+            _reshape("symbols", lambda a: np.concatenate([a, a[:, :, :, :1]], axis=3)),
+            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got shape \(512,\)",
+        ),
+        (
             _truncate("singularity", 2),
             r"singularity: expected a flat list of 128 numbers for a complex array of shape "
             r"\(4, 4, 4\), got shape \(126,\)",
@@ -271,6 +291,18 @@ def _no_samples(data):
             _truncate("probes", 1),
             r"probes: expected a flat list of 128 numbers for a float array of shape "
             r"\(4, 4, 4, 2\), got shape \(127,\)",
+        ),
+        (
+            _reshape("probes", lambda a: np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)),
+            r"probes: expected a flat list of 128 numbers for a float array of shape "
+            r"\(4, 4, 4, 2\), got shape \(192,\)",
+        ),
+        (
+            _reshape("singularity", lambda a: np.concatenate([a, a[:1]], axis=0)),
+            # the probe count is read off the singularity length, so a fifth grid row
+            # reads as five probes per point and the probes list no longer matches
+            r"probes: expected a flat list of 160 numbers for a float array of shape "
+            r"\(4, 4, 5, 2\), got shape \(128,\)",
         ),
         (
             _no_samples,
@@ -326,8 +358,12 @@ def _no_samples(data):
     ],
     ids=[
         "missing-grid-index",
+        "missing-covector",
+        "unknown-covector",
         "sample-counts-differ",
         "omega-too-short",
+        "omega-too-long",
+        "singularity-key-off-grid",
         "no-samples",
         "malformed-pair",
         "nan-sample",
