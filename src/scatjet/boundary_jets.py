@@ -158,9 +158,6 @@ class BoundaryPatch:
         grids = np.meshgrid(*self.coords(), indexing="ij")
         return {f"y{i + 1}": g for i, g in enumerate(grids)}
 
-    def grid_points(self) -> list[tuple[int, ...]]:
-        return [tuple(idx) for idx in np.ndindex(*self.axes)]
-
     # -- construction -----------------------------------------------------
 
     @classmethod

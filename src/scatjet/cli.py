@@ -10,8 +10,9 @@ Subcommands::
     roundtrip  seeded synthetic pair -> forward -> invert -> error summary
 
 Exit codes: 0 success, 1 numeric-stage failure, 2 configuration/IO problems.
-All structured output is canonical JSON (sorted keys, complex as [re, im]),
-so identical inputs and seeds produce byte-identical files.
+An out-of-range argument exits 2.  All structured output is canonical JSON
+(sorted keys, complex scalars as [re, im], grid arrays as flat C-order lists
+of floats), so identical inputs and seeds produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -25,16 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
-from .dataset import (
-    SymbolDataset,
-    canonical_json,
-    encode_complex,
-    encode_complex_array,
-    exceptional_to_dict,
-)
+from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict, flat_list
 from .errors import ConfigError, IoError, ScatjetError
 from .forward_scattering import ProbeSet, principal_symbol
-from .hyperbolic_model import green_residual_convergence
+from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import InversionConfig, layer_strip_driver
 from .model_quadrature import (
     QuadratureSpec,
@@ -126,12 +121,7 @@ def cmd_forward(args) -> int:
         probes=probes,
         t_pair=t_pair,
     )
-    payload = ds.to_dict()
-    # Derived convenience block (ignored on load): indicial roots per energy.
-    payload["sigma_field"] = [
-        encode_complex_array(indicial_root(patch, en).sigma) for en in energies
-    ]
-    _write_out(canonical_json(payload), args.out)
+    _write_out(canonical_json(ds.to_dict()), args.out)
     return 0
 
 
@@ -161,11 +151,11 @@ def cmd_invert(args) -> int:
     )
     report = layer_strip_driver(ds, cfg)
     _write_out(canonical_json(report.to_dict()), args.out)
-    if args.csv:
-        Path(args.csv).write_text(_field_csv(report))
     if report.status == "refused":
         log.error("inversion refused: %s", "; ".join(report.notes))
         return 1
+    if args.csv:
+        Path(args.csv).write_text(_field_csv(report))
     return 0
 
 
@@ -184,6 +174,7 @@ def cmd_sets(args) -> int:
         "in the lam^2 plane; modes lam^2 = V0 - n^2/4 + alpha^2 (k^2 - n^2)/4"
     )
     block = exceptional_to_dict(es)
+    block["grid_shape"] = list(patch.grid_shape)
     if args.lam:
         checks = []
         for s in args.lam:
@@ -242,14 +233,12 @@ def _integrals(args) -> int:
         log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, np.linalg.norm(z))
         mv = i_full_integral(l, sigma, args.s, z, qspec)
         payload["s"] = args.s
-        payload["z"] = [float(c) for c in z]
+        payload["z"] = flat_list(z)
     elif which in ("G", "GREEN"):
         z = _z_vector(args.z, n)
         log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
         val = green_kernel(args.s, z, sigma, n)
-        payload.update(
-            {"s": args.s, "z": [float(c) for c in z], "value": encode_complex(val)}
-        )
+        payload.update({"s": args.s, "z": flat_list(z), "value": encode_complex(val)})
         _write_out(canonical_json(payload), args.out)
         return 0
     else:
@@ -383,6 +372,19 @@ def cmd_roundtrip(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _at_least(kind: type, low):
+    """argparse type: a ``kind`` number no smaller than ``low``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="scatjet",
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-sq-known", type=float, help="use a known alpha^2 (single-energy mode)")
     p.add_argument("--t1", help="override model-integral factor t1")
     p.add_argument("--t2", help="override model-integral factor t2")
-    p.add_argument("--margin", type=float, default=1e-6, help="admissibility margin")
+    p.add_argument("--margin", type=_at_least(float, 0), default=1e-6, help="admissibility margin")
     p.add_argument("--prefactor", help="multiply all symbol samples by this complex constant")
     p.add_argument("--csv", help="also write zeroth-order fields as CSV")
     p.add_argument("--out", default="-", help="output path or - for stdout")
@@ -423,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--patch", required=True, help="boundary patch JSON")
-    p.add_argument("--k-max", type=int, default=2, help="largest mode order to enumerate")
+    p.add_argument("--k-max", type=_at_least(int, 0), default=2, help="largest mode order k")
     p.add_argument("--exclude", action="append", default=[], help="user-excluded energy (repeatable)")
     p.add_argument("--lam", action="append", default=[], help="energy to test for admissibility")
-    p.add_argument("--margin", type=float, default=1e-6, help="admissibility margin")
+    p.add_argument("--margin", type=_at_least(float, 0), default=1e-6, help="admissibility margin")
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_sets)
 
@@ -454,8 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", default="1.5", help="indicial root for 'verify green'")
-    p.add_argument("--n", type=int, default=1, help="boundary dimension for 'verify green'")
-    p.add_argument("--grid-size", type=int, default=33, help="coarse grid points for 'verify green'")
+    p.add_argument(
+        "--n", type=int, default=1, choices=(1, 2, 3), help="boundary dimension for 'verify green'"
+    )
+    p.add_argument(
+        "--grid-size",
+        type=_at_least(int, MIN_POINTS),
+        default=33,
+        help="coarse grid points for 'verify green'",
+    )
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -1,10 +1,11 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/2``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/3``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
 The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies`` (and
 optionally ``t_pair``) as ``[re, im]`` pairs.  Each grid array is one flat
-list of floats in C order, a complex entry written as its ``re, im`` pair:
+list of floats in C order, written by :func:`flat_list`, a complex entry as
+its ``re, im`` pair:
 
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
   per energy, grid index and covector of :func:`polarization_covectors`;
@@ -12,12 +13,13 @@ list of floats in C order, a complex entry written as its ``re, im`` pair:
   ``P`` is the list length divided by ``2 * prod(grid)``;
 * ``probes``: real ``(*grid, P, n)``, present exactly when ``singularity`` is.
 
-The optional ``exceptional`` block is the nested layout of
-:func:`exceptional_to_dict`.  Decoding only turns each list into an array of
-its declared shape; every check of the values runs in the
-:class:`SymbolDataset` constructor, for datasets built in memory and read
-from files alike.  Files of the earlier per-grid-key ``scatjet.symbols/1``
-layout are refused.
+The optional ``exceptional`` block holds the interval, the ``user_excluded``
+energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
+with ``K`` read off the list length like ``P``.  Decoding only turns each
+list into an array of its declared shape; every check of the values runs in
+the :class:`SymbolDataset` constructor, for datasets built in memory and
+read from files alike.  Files of the earlier layouts ``scatjet.symbols/1``
+and ``/2`` are refused.
 """
 from __future__ import annotations
 
@@ -31,10 +33,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError, raise_first
-from .spectral_sets import ExceptionalSet, ModePoint
+from .spectral_sets import ExceptionalSet
 
-SCHEMA = "scatjet.symbols/2"
-_OLD_SCHEMA = "scatjet.symbols/1"
+SCHEMA = "scatjet.symbols/3"
+_OLD_SCHEMAS = ("scatjet.symbols/1", "scatjet.symbols/2")
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -48,12 +50,6 @@ def decode_complex(obj: Any) -> complex:
     return complex(re, im)
 
 
-def encode_complex_array(arr: np.ndarray) -> list:
-    arr = np.asarray(arr, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
-
-
 def canonical_json(obj: Any) -> str:
     """Deterministic serialization: sorted keys, fixed separators, newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -63,34 +59,19 @@ def exceptional_to_dict(es: ExceptionalSet) -> dict:
     """JSON block for an exceptional-set summary (see ``spectral_sets``)."""
     return {
         "interval_lambda_sq": [float(es.interval_lambda_sq[0]), float(es.interval_lambda_sq[1])],
-        "modes": [
-            {
-                "k": int(m.k),
-                "y_index": list(m.y_index),
-                "lambda_sq": encode_complex(m.lambda_sq),
-            }
-            for m in es.mode_points
-        ],
+        "modes_lambda_sq": flat_list(es.modes_lambda_sq),
         "user_excluded": [encode_complex(z) for z in es.user_excluded],
     }
 
 
-def exceptional_from_dict(block: Mapping[str, Any]) -> ExceptionalSet:
-    """Inverse of :func:`exceptional_to_dict`; :class:`IoError` if ``block`` is malformed.
-
-    The finiteness of the values is checked by :class:`SymbolDataset`.
-    """
+def exceptional_from_dict(block: Mapping[str, Any], grid_shape: tuple[int, ...]) -> ExceptionalSet:
+    """Inverse of :func:`exceptional_to_dict`; :class:`IoError` if ``block`` is malformed."""
     try:
         lo, hi = block["interval_lambda_sq"]
         return ExceptionalSet(
             interval_lambda_sq=(float(lo), float(hi)),
-            mode_points=tuple(
-                ModePoint(
-                    k=int(m["k"]),
-                    y_index=tuple(int(i) for i in m["y_index"]),
-                    lambda_sq=decode_complex(m["lambda_sq"]),
-                )
-                for m in block["modes"]
+            modes_lambda_sq=_unflatten(
+                block["modes_lambda_sq"], "exceptional: modes_lambda_sq", (*grid_shape, -1), float
             ),
             user_excluded=tuple(decode_complex(z) for z in block["user_excluded"]),
         )
@@ -126,13 +107,18 @@ def _check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies)
             raise ConfigError(f"energies: energy index {e} ({lam}) is not finite")
 
 
-def _flat(arr: np.ndarray) -> list[float]:
-    """An array as one flat C-order list of floats, a complex entry as ``re, im``."""
-    return arr.ravel().view(float).tolist()
+def flat_list(arr: np.ndarray) -> list[float]:
+    """A grid array as JSON: one flat C-order list of floats, a complex entry as ``re, im``."""
+    kind = complex if np.iscomplexobj(arr) else float
+    return np.asarray(arr, dtype=kind).ravel().view(float).tolist()
 
 
 def _unflatten(values: Any, name: str, shape: tuple[int, ...], kind: type) -> np.ndarray:
-    """Inverse of :func:`_flat`: one flat list to a ``kind`` array of ``shape``, every bit kept."""
+    """Inverse of :func:`flat_list`: one flat list to a ``kind`` array of ``shape``, every bit kept.
+
+    A ``-1`` axis takes its length from the list's, rounded up: a list missing
+    some entries then fails the length check as short.
+    """
     try:
         flat = np.array(values)
     except ValueError as exc:
@@ -140,7 +126,10 @@ def _unflatten(values: Any, name: str, shape: tuple[int, ...], kind: type) -> np
     if flat.dtype.kind not in "iuf":
         raise IoError(f"{name}: not a flat list of numbers (read as dtype {flat.dtype})")
     flat = flat.astype(float, copy=False)
-    size = math.prod(shape) * (2 if kind is complex else 1)
+    width = 2 if kind is complex else 1
+    rest = -math.prod(shape) * width
+    shape = tuple(-(-flat.size // rest) if m == -1 else m for m in shape)
+    size = math.prod(shape) * width
     if flat.shape != (size,):
         raise IoError(
             f"{name}: expected a flat list of {size} numbers for a {kind.__name__} array "
@@ -225,12 +214,15 @@ class SymbolDataset:
             raise ConfigError(f"t_pair {self.t_pair} is not finite")
         if self.exceptional is not None:
             es = self.exceptional
-            for name, values in (
-                ("interval_lambda_sq", es.interval_lambda_sq),
-                ("modes lambda_sq", [m.lambda_sq for m in es.mode_points]),
-                ("user_excluded", es.user_excluded),
-            ):
-                bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=complex)))
+            if es.modes_lambda_sq.shape[:-1] != self.grid_shape:
+                raise ConfigError(
+                    f"exceptional: modes_lambda_sq has shape {es.modes_lambda_sq.shape}, "
+                    f"expected {self.grid_shape} plus a mode count"
+                )
+            message = "exceptional: modes_lambda_sq: mode (k,) is not finite"
+            raise_first(g, [(~np.isfinite(es.modes_lambda_sq), ConfigError, lambda i: message)])
+            for name in ("interval_lambda_sq", "user_excluded"):
+                bad = np.flatnonzero(~np.isfinite(np.asarray(getattr(es, name), dtype=complex)))
                 if bad.size:
                     raise ConfigError(f"exceptional: {name} entry {bad[0]} is not finite")
 
@@ -243,11 +235,11 @@ class SymbolDataset:
             "grid_shape": list(self.grid_shape),
             "scale_t": float(self.scale_t),
             "energies": [encode_complex(lam) for lam in self.energies],
-            "symbols": _flat(self.symbols),
+            "symbols": flat_list(self.symbols),
         }
         if self.singularity is not None:
-            out["singularity"] = _flat(self.singularity)
-            out["probes"] = _flat(self.probes)
+            out["singularity"] = flat_list(self.singularity)
+            out["probes"] = flat_list(self.probes)
         if self.t_pair is not None:
             out["t_pair"] = [encode_complex(self.t_pair[0]), encode_complex(self.t_pair[1])]
         if self.exceptional is not None:
@@ -256,7 +248,7 @@ class SymbolDataset:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/2`` dataset and check it.
+        """Decode a ``scatjet.symbols/3`` dataset and check it.
 
         Raises :class:`IoError`: for a list of the wrong length naming the
         array and its expected shape, otherwise with the message of the
@@ -265,7 +257,7 @@ class SymbolDataset:
         """
         try:
             schema = data.get("schema")
-            if schema == _OLD_SCHEMA:
+            if schema in _OLD_SCHEMAS:
                 raise IoError(
                     f"dataset schema {schema!r} is no longer read; "
                     f"re-run `scatjet forward` to write {SCHEMA!r}"
@@ -286,18 +278,16 @@ class SymbolDataset:
             )
             singularity, probes = data.get("singularity"), data.get("probes")
             if singularity is not None:
-                # P rounded up: a list missing some samples fails the length check as short
-                count = -(-len(singularity) // (2 * math.prod(grid_shape)))
-                singularity = _unflatten(singularity, "singularity", (*grid_shape, count), complex)
+                singularity = _unflatten(singularity, "singularity", (*grid_shape, -1), complex)
                 if probes is not None:
-                    probes = _unflatten(probes, "probes", (*grid_shape, count, n), float)
+                    probes = _unflatten(probes, "probes", singularity.shape + (n,), float)
             t_pair = None
             if "t_pair" in data:
                 t1, t2 = data["t_pair"]
                 t_pair = (decode_complex(t1), decode_complex(t2))
             exceptional = None
             if "exceptional" in data:
-                exceptional = exceptional_from_dict(data["exceptional"])
+                exceptional = exceptional_from_dict(data["exceptional"], grid_shape)
             return cls(
                 n=n,
                 grid_shape=grid_shape,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 
-_MIN_POINTS = 16
+MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class HalfSpaceGrid:
         if len(z_axes) != self.n:
             raise ValueError("need one z axis per boundary dimension")
         for ax in (tau, *z_axes):
-            if ax.ndim != 1 or ax.size < _MIN_POINTS:
-                raise GridTooCoarse(f"each axis needs >= {_MIN_POINTS} points, got {ax.size}")
+            if ax.ndim != 1 or ax.size < MIN_POINTS:
+                raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {ax.size}")
             d = np.diff(ax)
             if d[0] <= 0:
                 raise ValueError("axes must be strictly increasing")
@@ -141,8 +141,8 @@ def hyperbolic_laplacian_apply(f: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray
     expected = tuple(m + 2 for m in grid.shape)
     if f.shape != expected:
         raise ValueError(f"f must include one ghost layer: expected shape {expected}, got {f.shape}")
-    if min(grid.shape) < _MIN_POINTS:
-        raise GridTooCoarse(f"grid below {_MIN_POINTS} points per axis")
+    if min(grid.shape) < MIN_POINTS:
+        raise GridTooCoarse(f"grid below {MIN_POINTS} points per axis")
     d2_tau = _second_diff(f, 0, grid.dtau)
     d1_tau = _first_diff(f, 0, grid.dtau)
     lap_z = sum(_second_diff(f, 1 + a, grid.dz(a)) for a in range(grid.n))

@@ -31,17 +31,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import SymbolDataset, polarization_covectors
+from .boundary_jets import ComplexEnergy
+from .dataset import SymbolDataset, encode_complex, flat_list, polarization_covectors
 from .errors import (
     BranchAmbiguity,
+    ConfigError,
     DegenerateEnergies,
     InconsistentData,
     NotPositiveDefinite,
+    ScatjetError,
     ZeroIntegralFactor,
     ZeroSymbol,
     raise_first,
 )
 from .forward_scattering import prefactor_and_poles, radial_derivative_kernel
+from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
 
@@ -335,8 +339,6 @@ class _stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        from .errors import ScatjetError
-
         if exc is not None and isinstance(exc, ScatjetError):
             raise type(exc)(f"[stage {self.name}] {exc}") from exc
         return False
@@ -353,6 +355,13 @@ class InversionConfig:
 
 @dataclass
 class RecoveryReport:
+    """What the driver recovered; a field no stage reached is ``None``.
+
+    Grid fields have shape ``grid_shape``, plus ``(n, n)`` for ``h0`` and
+    ``H``; ``alpha_sq``, ``v0`` and ``h0`` are real.  :meth:`to_dict` writes
+    each through :func:`~scatjet.dataset.flat_list`.
+    """
+
     n: int
     grid_shape: tuple[int, ...]
     status: str
@@ -370,8 +379,6 @@ class RecoveryReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        from .dataset import encode_complex_array  # local import to avoid a cycle
-
         out = {
             "n": self.n,
             "grid_shape": list(self.grid_shape),
@@ -381,12 +388,11 @@ class RecoveryReport:
         }
         for name in ("sigma1", "sigma2", "alpha_sq", "v0", "h0", "H", "W1"):
             val = getattr(self, name)
-            out[name] = None if val is None else encode_complex_array(np.asarray(val))
+            out[name] = None if val is None else flat_list(val)
         out["design_rank"] = self.design_rank
         out["identity_direction_sv"] = self.identity_direction_sv
         out["kernel_basis"] = [
-            {"H": encode_complex_array(h), "W": [w.real, w.imag]}
-            for h, w in self.kernel_basis
+            {"H": flat_list(h), "W": encode_complex(w)} for h, w in self.kernel_basis
         ]
         return out
 
@@ -400,12 +406,12 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     first-order fit when singularity samples are present.  Jets of order
     two and higher are out of scope and flagged in ``notes``.
     """
-    from .spectral_sets import is_admissible
-    from .boundary_jets import ComplexEnergy
-
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
     cfg = config or InversionConfig()
+    a2 = cfg.alpha_sq_known
+    if a2 is not None and not (math.isfinite(a2) and a2 > 0):
+        raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
     n = dataset.n
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
@@ -427,7 +433,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             recover_sigma_from_symbol(sym[..., 0], sym[..., 1], dataset.scale_t, n)
             for sym in dataset.symbols
         ]
-        sigma_fields = []
+        sigmas = []
         spread_max = 0.0
         for rec in recs:
             mean = rec.sigma.mean(axis=-1)
@@ -445,11 +451,11 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
                 ],
             )
             spread_max = max(spread_max, float(spread.max()))
-            sigma_fields.append(mean)
+            sigmas.append(mean)
         report.residuals["sigma_consistency"] = spread_max
-    report.sigma1 = sigma_fields[0]
+    report.sigma1 = sigmas[0]
     if not single_energy:
-        report.sigma2 = sigma_fields[1]
+        report.sigma2 = sigmas[1]
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
     covectors = polarization_covectors(n)
@@ -471,8 +477,8 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
 
     if single_energy:
         log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
-        a2 = float(cfg.alpha_sq_known)
-        s1 = sigma_fields[0]
+        a2 = float(a2)
+        s1 = sigmas[0]
         v0 = complex(energies[0]) ** 2 + n * n / 4.0 + a2 * s1 * (n - s1)
         realness = np.abs(v0.imag) / (1.0 + np.abs(v0.real))
         alpha_field = np.full(shape, a2)
@@ -485,7 +491,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         )
         with _stage("zeroth-order"):
             alpha_field, v0_field, realness = two_energy_recovery(
-                sigma_fields[0], sigma_fields[1], energies[0], energies[1], n, cfg.realness_tol
+                sigmas[0], sigmas[1], energies[0], energies[1], n, cfg.realness_tol
             )
     report.alpha_sq = alpha_field
     report.v0 = v0_field
@@ -503,7 +509,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
                 fo = first_order_recovery(
                     dataset.singularity,
                     dataset.probes,
-                    sigma_fields[0],
+                    sigmas[0],
                     t_pair[0],
                     t_pair[1],
                     alpha_field,

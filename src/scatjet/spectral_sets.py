@@ -7,7 +7,8 @@ resolvent poles, which this toolkit does not compute):
 * the real interval ``[min V0 - alpha_max^2 n^2/4 + n^2/4,
   max V0 - alpha_min^2 n^2/4 + n^2/4]`` swept by the branch data,
 * the discrete mode family ``lambda^2 = V0(y) - n^2/4 + alpha(y)^2 (k^2 - n^2)/4``
-  at which the conjugate indicial root hits ``(n - k)/2``,
+  at which the conjugate indicial root hits ``(n - k)/2``, held as one real
+  array of shape ``(*grid, k_max + 1)``,
 * explicit user-excluded energies.
 """
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .boundary_jets import BoundaryPatch, ComplexEnergy
 
 __all__ = [
-    "ModePoint",
     "ExceptionalSet",
     "Admissibility",
     "omega_interval",
@@ -31,19 +31,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ModePoint:
-    """One conjugate-root mode: at ``lambda_sq`` the lower root is ``(n-k)/2``."""
-
-    k: int
-    y_index: tuple[int, ...]
-    lambda_sq: float
-
-
-@dataclass(frozen=True)
 class ExceptionalSet:
+    """At ``modes_lambda_sq[*idx, k]`` (read-only) the lower root at ``idx`` is ``(n - k)/2``."""
+
     interval_lambda_sq: tuple[float, float]
-    mode_points: tuple[ModePoint, ...]
+    modes_lambda_sq: np.ndarray
     user_excluded: tuple[complex, ...] = ()
+
+    def __post_init__(self):
+        modes = np.array(self.modes_lambda_sq, dtype=float)
+        modes.setflags(write=False)
+        object.__setattr__(self, "modes_lambda_sq", modes)
 
 
 @dataclass(frozen=True)
@@ -67,19 +65,16 @@ def omega_interval(patch: BoundaryPatch) -> tuple[float, float]:
     return (v_min - a_max**2 * quarter + quarter, v_max - a_min**2 * quarter + quarter)
 
 
-def omega_prime_modes(patch: BoundaryPatch, k_max: int) -> list[ModePoint]:
-    """All mode points for ``0 <= k <= k_max`` over the patch grid."""
+def omega_prime_modes(patch: BoundaryPatch, k_max: int) -> np.ndarray:
+    """Mode values ``lambda^2`` of shape ``(*grid, k_max + 1)`` for ``0 <= k <= k_max``."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = patch.n
-    out: list[ModePoint] = []
-    for idx in patch.grid_points():
-        v0 = float(patch.v_jet[0][idx])
-        a2 = float(patch.alpha[idx]) ** 2
-        for k in range(k_max + 1):
-            lam_sq = v0 - n * n / 4.0 + a2 * (k * k - n * n) / 4.0
-            out.append(ModePoint(k=k, y_index=idx, lambda_sq=lam_sq))
-    return out
+    k = np.arange(k_max + 1)
+    # libm's pow, as a Python float's ``**``: written mode values keep their bits,
+    # which ``alpha * alpha`` changes in the last place for about 0.1% of inputs
+    a2 = np.float_power(patch.alpha, 2)[..., None]
+    return patch.v_jet[0][..., None] - n * n / 4.0 + a2 * (k * k - n * n) / 4.0
 
 
 def exceptional_set(
@@ -87,7 +82,7 @@ def exceptional_set(
 ) -> ExceptionalSet:
     return ExceptionalSet(
         interval_lambda_sq=omega_interval(patch),
-        mode_points=tuple(omega_prime_modes(patch, k_max)),
+        modes_lambda_sq=omega_prime_modes(patch, k_max),
         user_excluded=tuple(complex(z) for z in user_excluded),
     )
 
@@ -112,10 +107,8 @@ def is_admissible(
     w = complex(energy.lam_sq)
     a, b = es.interval_lambda_sq
     distances = {"omega-interval": _dist_to_segment(w, a, b)}
-    if es.mode_points:
-        distances["omega-prime-mode"] = min(
-            abs(w - complex(m.lambda_sq)) for m in es.mode_points
-        )
+    if es.modes_lambda_sq.size:
+        distances["omega-prime-mode"] = float(np.min(np.abs(w - es.modes_lambda_sq)))
     if es.user_excluded:
         distances["user-excluded (D)"] = min(
             abs(complex(energy.lam) - z) for z in es.user_excluded

@@ -261,12 +261,15 @@ def test_acceptance_first_order_round_trip():
     return f"unit-factor error {worst:.2e}; computed-factor error {gap_q:.2e}"
 
 
-def _mode_feedback_gap(patch, modes):
+def _mode_feedback_gap(patch, modes, ks):
+    """Largest gap between ``n - sigma`` at ``modes[*idx, k]`` and ``(n - k)/2``, over ``ks``."""
     worst = 0.0
-    for m in modes:
-        en = ComplexEnergy(cmath.sqrt(complex(m.lambda_sq)), lam_sq=complex(m.lambda_sq))
-        sig = indicial_root(patch, en).sigma[m.y_index]
-        worst = max(worst, abs((patch.n - sig) - (patch.n - m.k) / 2.0))
+    for idx in np.ndindex(*modes.shape[:-1]):
+        for k in ks:
+            lam_sq = complex(modes[idx + (k,)])
+            en = ComplexEnergy(cmath.sqrt(lam_sq), lam_sq=lam_sq)
+            sig = indicial_root(patch, en).sigma[idx]
+            worst = max(worst, abs((patch.n - sig) - (patch.n - k) / 2.0))
     return worst
 
 
@@ -287,8 +290,8 @@ def test_acceptance_exceptional_set():
         h_jet=(np.tile(np.eye(2), shape + (1, 1)),),
     )
     es = exceptional_set(patch, k_max=2)
-    assert es.mode_points  # the enumeration is non-trivial
-    worst = _mode_feedback_gap(patch, es.mode_points)
+    assert es.modes_lambda_sq.shape == shape + (3,)  # the enumeration is non-trivial
+    worst = _mode_feedback_gap(patch, es.modes_lambda_sq, range(3))
     assert worst <= 1e-8
 
     # generic transcendental fields: the simple roots (k >= 1) stay tight
@@ -301,8 +304,8 @@ def test_acceptance_exceptional_set():
             "h_jet": [[[1.0, 0.0], [0.0, 1.0]]],
         }
     )
-    g_modes = [m for m in exceptional_set(generic, k_max=2).mode_points if m.k >= 1]
-    worst_g = _mode_feedback_gap(generic, g_modes)
+    g_modes = exceptional_set(generic, k_max=2).modes_lambda_sq
+    worst_g = _mode_feedback_gap(generic, g_modes, range(1, 3))
     assert worst_g <= 1e-8
 
     ok = is_admissible(ComplexEnergy(5j), es, margin=0.1)
@@ -313,7 +316,7 @@ def test_acceptance_exceptional_set():
     vetoed = is_admissible(ComplexEnergy(5j), es_user, margin=0.1)
     assert not vetoed.ok and "excluded" in vetoed.reason
     return (
-        f"max root gap {worst:.2e} over {len(es.mode_points)} modes "
+        f"max root gap {worst:.2e} over {es.modes_lambda_sq.size} modes "
         f"(generic-field simple roots {worst_g:.2e}); screening OK"
     )
 

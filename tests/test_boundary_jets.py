@@ -96,7 +96,6 @@ def test_patch_grid_helpers():
     assert cs[1][1] == pytest.approx(2 * np.pi / 6)
     mesh = patch.mesh()
     assert set(mesh) == {"y1", "y2"} and mesh["y1"].shape == (4, 6)
-    assert len(list(patch.grid_points())) == 24
 
 
 def test_patch_from_dict_expressions_round_trip():

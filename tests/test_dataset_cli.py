@@ -24,6 +24,7 @@ from scatjet.dataset import (
     encode_complex,
 )
 from scatjet.errors import ConfigError, IoError
+from scatjet.spectral_sets import ExceptionalSet
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
 
 from cli_process import run_scatjet
@@ -69,7 +70,12 @@ def test_dataset_save_load_identical(tmp_path):
     np.testing.assert_array_equal(again.probes, ds.probes)
     assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 4, 4, 2)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
-    assert again.exceptional == ds.exceptional
+    es, es_again = ds.exceptional, again.exceptional
+    assert es_again.interval_lambda_sq == es.interval_lambda_sq
+    assert es_again.user_excluded == es.user_excluded
+    np.testing.assert_array_equal(es_again.modes_lambda_sq, es.modes_lambda_sq)
+    assert es_again.modes_lambda_sq.shape == (4, 4, 3)
+    assert not es_again.modes_lambda_sq.flags.writeable
 
 
 def _bits(arr):
@@ -82,14 +88,21 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _datasets(draw):
-    """Datasets with singularity data: any finite numbers, unit probes, small grids."""
+    """Datasets with singularity data and an exceptional set.
+
+    Any finite numbers, -0.0 among them, unit probes and small grids.
+    """
     n = draw(st.sampled_from([1, 2, 3]))
     grid = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     n_energies = draw(st.integers(1, 2))
     count = draw(st.integers(1, 4))
+    n_modes = draw(st.integers(0, 3))
+
+    def real_array(shape):
+        return draw(hnp.arrays(float, shape, elements=st.one_of(st.just(-0.0), _FINITE)))
 
     def complex_array(shape):
-        return draw(hnp.arrays(float, shape + (2,), elements=_FINITE)).view(complex)[..., 0]
+        return real_array(shape + (2,)).view(complex)[..., 0]
 
     raw = draw(hnp.arrays(float, grid + (count, n), elements=st.floats(-1.0, 1.0)))
     norm = np.linalg.norm(raw, axis=-1, keepdims=True)
@@ -103,6 +116,11 @@ def _datasets(draw):
         singularity=complex_array(grid + (count,)),
         probes=raw / norm,
         t_pair=tuple(complex_array((2,))),
+        exceptional=ExceptionalSet(
+            interval_lambda_sq=tuple(real_array((2,)).tolist()),
+            modes_lambda_sq=real_array(grid + (n_modes,)),
+            user_excluded=tuple(complex_array((draw(st.integers(0, 3)),))),
+        ),
     )
 
 
@@ -114,9 +132,15 @@ def test_dataset_encode_decode_is_identity(ds):
     assert canonical_json(again.to_dict()) == text
     for name in ("symbols", "singularity", "probes"):
         np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
+    es, es_again = ds.exceptional, again.exceptional
+    np.testing.assert_array_equal(_bits(es_again.modes_lambda_sq), _bits(es.modes_lambda_sq))
+    assert es_again.modes_lambda_sq.shape == es.modes_lambda_sq.shape
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
     assert _bits(np.array(again.energies + again.t_pair)).tolist() == _bits(
         np.array(ds.energies + ds.t_pair)
+    ).tolist()
+    assert _bits(np.array(es_again.interval_lambda_sq + es_again.user_excluded)).tolist() == _bits(
+        np.array(es.interval_lambda_sq + es.user_excluded)
     ).tolist()
 
 
@@ -212,15 +236,23 @@ def test_dataset_io_errors(tmp_path):
 
 
 # float shapes of the seed-4, n=2 dataset's flat arrays (grid 4x4, 2 energies,
-# 3 covectors, 4 probes; complex entries as [re, im])
-_FLOAT_SHAPES = {"symbols": (2, 4, 4, 3, 2, 2), "singularity": (4, 4, 4, 2), "probes": (4, 4, 4, 2)}
+# 3 covectors, 4 probes, modes k = 0..2; complex entries as [re, im])
+_FLOAT_SHAPES = {
+    "symbols": (2, 4, 4, 3, 2, 2),
+    "singularity": (4, 4, 4, 2),
+    "probes": (4, 4, 4, 2),
+    "modes_lambda_sq": (4, 4, 3),
+}
 
 
-def _set_entry(name, index, value):
+def _set_entry(name, index, value, block=None):
+    """Set one entry of flat array ``name`` (of ``data[block]`` if given)."""
+
     def mutate(data):
-        arr = np.array(data[name], dtype=float).reshape(_FLOAT_SHAPES[name])
+        parent = data if block is None else data[block]
+        arr = np.array(parent[name], dtype=float).reshape(_FLOAT_SHAPES[name])
         arr[index] = value
-        data[name] = arr.ravel().tolist()
+        parent[name] = arr.ravel().tolist()
 
     return mutate
 
@@ -331,7 +363,12 @@ def _no_samples(data):
         (
             _set(["schema"], "scatjet.symbols/1"),
             r"dataset schema 'scatjet.symbols/1' is no longer read; "
-            r"re-run `scatjet forward` to write 'scatjet.symbols/2'",
+            r"re-run `scatjet forward` to write 'scatjet.symbols/3'",
+        ),
+        (
+            _set(["schema"], "scatjet.symbols/2"),
+            r"dataset schema 'scatjet.symbols/2' is no longer read; "
+            r"re-run `scatjet forward` to write 'scatjet.symbols/3'",
         ),
         (_set(["scale_t"], 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
         (_set(["scale_t"], -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
@@ -344,12 +381,19 @@ def _no_samples(data):
             r"exceptional: malformed block: KeyError: 'interval_lambda_sq'",
         ),
         (
-            _set(["exceptional", "modes", 3, "lambda_sq"], "x"),
-            r"exceptional: malformed block: ValueError",
+            _set(["exceptional", "modes_lambda_sq", 3], "x"),
+            r"exceptional: modes_lambda_sq: not a flat list of numbers \(read as dtype <U",
         ),
         (
-            _set(["exceptional", "modes", 3, "lambda_sq"], [math.nan, 0.0]),
-            r"exceptional: modes lambda_sq entry 3 is not finite",
+            lambda data: data["exceptional"]["modes_lambda_sq"].pop(),
+            # K is read off the list length, rounded up like the probe count P
+            r"exceptional: modes_lambda_sq: expected a flat list of 48 numbers for a float "
+            r"array of shape \(4, 4, 3\), got shape \(47,\)",
+        ),
+        (
+            _set_entry("modes_lambda_sq", (1, 0, 2), math.nan, block="exceptional"),
+            r"exceptional: modes_lambda_sq: mode \(k,\) is not finite "
+            r"at grid index \(1, 0\), sample \(2,\)",
         ),
         (
             _set(["exceptional", "user_excluded"], [[1.0, 0.0], [math.nan, 0.0]]),
@@ -373,6 +417,7 @@ def _no_samples(data):
         "singularity-without-probes",
         "missing-singularity",
         "schema-1",
+        "schema-2",
         "scale-t-one",
         "scale-t-negative",
         "no-energies",
@@ -381,6 +426,7 @@ def _no_samples(data):
         "exceptional-not-a-block",
         "exceptional-no-interval",
         "exceptional-mode-not-a-number",
+        "exceptional-modes-too-short",
         "exceptional-nan-mode",
         "exceptional-nan-excluded",
     ],
@@ -504,8 +550,12 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/2"
-    assert len(payload["sigma_field"]) == 2  # derived block, one entry per energy
+    assert payload["schema"] == "scatjet.symbols/3"
+    # every block is a dataset field that load reads: no derived extras
+    assert set(payload) == {
+        "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
+        "symbols", "singularity", "probes", "exceptional",
+    }
 
     report_path = tmp_path / "report.json"
     csv_path = tmp_path / "fields.csv"
@@ -513,9 +563,9 @@ def test_cli_forward_invert_flow(tmp_path):
     assert rc == 0
     report = _read_json(report_path)
     assert report["status"] == "ok"
-    a2 = np.asarray(report["alpha_sq"])[..., 0]
+    a2 = np.reshape(report["alpha_sq"], (4, 4))
     np.testing.assert_allclose(a2, 1.1**2, atol=1e-8)
-    H = np.array(report["H"]).view(complex)[..., 0]
+    H = np.array(report["H"]).view(complex).reshape(4, 4, 2, 2)
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
     np.testing.assert_allclose(H[0, 0], want_H, atol=1e-8)
 
@@ -581,9 +631,27 @@ def test_cli_invert_refused_energy(tmp_path):
     ds_path = tmp_path / "ds.json"
     ds.save(ds_path)
     out = tmp_path / "report.json"
-    rc = main(["invert", "--data", str(ds_path), "--out", str(out), "--margin", "1e-3"])
+    csv = tmp_path / "fields.csv"
+    argv = ["invert", "--data", str(ds_path), "--out", str(out), "--margin", "1e-3"]
+    rc = main([*argv, "--csv", str(csv)])
     assert rc == 1
     assert _read_json(out)["status"] == "refused"
+    assert not csv.exists()  # a refused report has no fields to write
+
+
+@pytest.mark.parametrize("value", ["nan", "-2"])
+def test_cli_invert_rejects_bad_known_alpha(tmp_path, caplog, value):
+    """A known alpha^2 must be finite and positive, as the two-energy stage requires."""
+    patch = constant_patch(2, 1.0, 0.2, np.eye(2))
+    ds_path = tmp_path / "ds.json"
+    forward_dataset(patch, (ComplexEnergy(4.0),)).save(ds_path)
+    out = tmp_path / "report.json"
+    assert main(["invert", "--data", str(ds_path), "--alpha-sq-known", value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any(
+        f"alpha_sq_known={float(value)} must be finite and positive" in r.getMessage()
+        for r in caplog.records
+    )
 
 
 # -- CLI: sets ---------------------------------------------------------------
@@ -605,12 +673,51 @@ def test_cli_sets_admissibility(tmp_path):
     assert rc == 0
     block = _read_json(out)
     assert block["interval_lambda_sq"] == [0.0, 0.0]
-    ks = sorted({m["k"] for m in block["modes"]})
-    assert ks == [0, 1, 2]
+    modes = np.reshape(block["modes_lambda_sq"], (*block["grid_shape"], -1))
+    assert modes.shape == (4, 4, 3)  # K == 3: k = 0, 1, 2
+    np.testing.assert_array_equal(modes[..., 0], -2.0)
     ok_flags = {tuple(c["lam"]): c["ok"] for c in block["admissibility"]}
     assert ok_flags[(0.0, 5.0)] is True  # lambda^2 = -25, far from everything
     assert ok_flags[(0.0, 1.4142135624)] is False  # lambda^2 = -2 is a mode value
     assert "zeros" not in block
+
+
+# -- CLI: argument ranges -----------------------------------------------------
+
+
+_MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["invert", "--data", "ds.json", "--margin", "-1"], _MARGIN_NOT_NEGATIVE),
+        (["sets", "--patch", "p.json", "--margin", "-1"], _MARGIN_NOT_NEGATIVE),
+        (["sets", "--patch", "p.json", "--k-max", "-1"], "argument --k-max: must be at least 0, got -1"),
+        (["verify", "green", "--n", "0"], "argument --n: invalid choice: 0"),
+        (["verify", "green", "--n", "4"], "argument --n: invalid choice: 4"),
+        (["verify", "green", "--grid-size", "1"], "argument --grid-size: must be at least 16, got 1"),
+        (["verify", "green", "--grid-size", "15"], "argument --grid-size: must be at least 16, got 15"),
+        (["sets", "--patch", "p.json", "--margin", "wide"], "invalid float value: 'wide'"),
+    ],
+    ids=[
+        "invert-margin",
+        "sets-margin",
+        "sets-k-max",
+        "verify-n-0",
+        "verify-n-4",
+        "verify-grid-size-1",
+        "verify-grid-size-15",
+        "margin-not-a-number",
+    ],
+)
+def test_cli_out_of_range_argument_exits_2(capsys, argv, message):
+    """An out-of-range argument exits 2 with argparse's message, before any file is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # -- CLI: verify -------------------------------------------------------------

@@ -53,25 +53,51 @@ def test_interval_monotone_in_potential():
 def test_modes_worked_values():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     modes = omega_prime_modes(patch, k_max=2)
-    by_k = {m.k: m.lambda_sq for m in modes}
-    assert by_k[0] == pytest.approx(-2.0)
-    assert by_k[2] == pytest.approx(-1.0)
+    assert modes.shape == (4, 4, 3)
+    assert modes[0, 0, 0] == pytest.approx(-2.0)
+    assert modes[0, 0, 2] == pytest.approx(-1.0)
 
 
 def test_modes_hit_half_integer_roots():
     """Each emitted lambda^2 puts the lower indicial root at (n-k)/2."""
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    for m in omega_prime_modes(patch, k_max=3):
-        lam = complex(np.sqrt(complex(m.lambda_sq)))
-        en = ComplexEnergy(lam, lam_sq=complex(m.lambda_sq))
-        sig = indicial_root(patch, en).sigma[m.y_index]
-        assert 2 - sig == pytest.approx((2 - m.k) / 2.0, abs=1e-8)
+    modes = omega_prime_modes(patch, k_max=3)
+    for *idx, k in np.ndindex(*modes.shape):
+        lam_sq = complex(modes[(*idx, k)])
+        en = ComplexEnergy(complex(np.sqrt(lam_sq)), lam_sq=lam_sq)
+        sig = indicial_root(patch, en).sigma[tuple(idx)]
+        assert 2 - sig == pytest.approx((2 - k) / 2.0, abs=1e-8)
+
+
+def test_modes_match_the_per_point_formula():
+    """The array expression gives the bits of the scalar formula at every point and k.
+
+    4096 random alphas: with ``alpha * alpha`` in place of a Python float's
+    ``** 2`` (libm's pow), a few would differ in the last bit.
+    """
+    rng = np.random.default_rng(3)
+    shape = (64, 64)
+    patch = BoundaryPatch(
+        n=2,
+        axes=shape,
+        alpha=rng.uniform(0.5, 2.0, size=shape),
+        v_jet=(rng.uniform(-1.0, 1.0, size=shape),),
+        h_jet=(np.tile(np.eye(2), shape + (1, 1)),),
+    )
+    modes = omega_prime_modes(patch, k_max=3)
+    assert modes.shape == shape + (4,)
+    n = patch.n
+    for idx in np.ndindex(*shape):
+        v0 = float(patch.v_jet[0][idx])
+        a2 = float(patch.alpha[idx]) ** 2
+        for k in range(4):
+            assert modes[idx + (k,)] == v0 - n * n / 4.0 + a2 * (k * k - n * n) / 4.0
 
 
 def test_modes_constant_patch_dedup_and_validation():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     modes = omega_prime_modes(patch, k_max=0)
-    assert len({m.lambda_sq for m in modes}) == 1
+    assert len(set(modes.ravel().tolist())) == 1
     with pytest.raises(ValueError):
         omega_prime_modes(patch, k_max=-1)
 
