@@ -21,6 +21,7 @@ resolved.  Non-real energies evaluate everywhere.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -34,7 +35,7 @@ _BOUNDARY_MATCH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ComplexEnergy:
-    """Spectral parameter ``lam`` with its cached square."""
+    """Spectral parameter ``lam`` with its cached square, which must be finite."""
 
     lam: complex
     lam_sq: complex = field(default=None)  # type: ignore[assignment]
@@ -49,6 +50,8 @@ class ComplexEnergy:
             if abs(given - lam * lam) > 1e-12 * max(1.0, abs(given)):
                 raise ConfigError("lam_sq does not equal lam**2")
             object.__setattr__(self, "lam_sq", given)
+        if not cmath.isfinite(self.lam_sq):
+            raise ConfigError(f"energy {lam}: lambda^2 = {self.lam_sq} is not finite")
 
 
 def _as_field(value: Any, coords: Mapping[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:

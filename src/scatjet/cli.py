@@ -17,9 +17,11 @@ of floats), so identical inputs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
 from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict, flat_list
-from .errors import ConfigError, IoError, ScatjetError
+from .errors import ConfigError, IoError, QuadratureFailure, ScatjetError
 from .forward_scattering import ProbeSet, principal_symbol
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import InversionConfig, layer_strip_driver
@@ -45,11 +47,17 @@ log = logging.getLogger("scatjet.cli")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` (or ``a+bj``) the way the docs write it."""
+    """Parse ``a+bi`` (or ``a+bj``) the way the docs write it; the value must be finite."""
+    compact = text.strip().replace(" ", "")
+    if compact.endswith("i"):
+        compact = compact[:-1] + "j"
     try:
-        return complex(text.strip().replace(" ", "").replace("i", "j"))
+        value = complex(compact)
     except ValueError:
         raise ConfigError(f"cannot parse complex number from {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -202,6 +210,15 @@ def _integral_level(which: str, flag_l: int) -> int:
     return flag_l
 
 
+def _refuse_non_finite(which: str, sigma: complex, value: complex, err: float = 0.0) -> None:
+    """An integral value past double precision is a numeric failure, never a NaN in the output."""
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise QuadratureFailure(
+            f"{which} at sigma={sigma}: value {value} (error {err}) "
+            "is not finite in double precision"
+        )
+
+
 def cmd_integrals(args) -> int:
     try:
         return _integrals(args)
@@ -238,11 +255,13 @@ def _integrals(args) -> int:
         z = _z_vector(args.z, n)
         log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
         val = green_kernel(args.s, z, sigma, n)
+        _refuse_non_finite(which, sigma, val)
         payload.update({"s": args.s, "z": flat_list(z), "value": encode_complex(val)})
         _write_out(canonical_json(payload), args.out)
         return 0
     else:
         raise ConfigError(f"unknown integral {args.which!r} (use T1,T2,J,I,G)")
+    _refuse_non_finite(which, sigma, mv.value, mv.est_error)
     payload["l"] = l
     payload.update(
         {

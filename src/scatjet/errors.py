@@ -33,7 +33,7 @@ class NotConvergent(ScatjetError):
 
 
 class QuadratureFailure(ScatjetError):
-    """The quadrature of a model integral missed its error tolerance within budget."""
+    """A model integral missed its error tolerance within budget, or its value is not finite."""
 
 
 class GammaPole(ScatjetError):

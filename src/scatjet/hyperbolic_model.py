@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import ConfigError, GridTooCoarse
 
 MIN_POINTS = 16
 
@@ -212,7 +212,8 @@ def green_residual_convergence(
     region; second-order convergence shows as a ratio near 4.  The default
     window keeps the spacing well below ``min s``, the kernel's shortest
     length scale, so the leading-order error term dominates on the coarse
-    grid already.
+    grid already.  A ``sigma`` whose kernel is constant (zero residuals) or
+    overflows (non-finite residuals) has no ratio: :class:`ConfigError`.
     """
     coarse = HalfSpaceGrid.make(n, tau_span, z_extent, base_points)
     fine = HalfSpaceGrid.make(
@@ -220,4 +221,10 @@ def green_residual_convergence(
     )
     rc = green_residual_check(sigma, n, coarse)
     rf = green_residual_check(sigma, n, fine)
+    # written so that a NaN residual fails too
+    if not (0.0 < rf.max_residual < np.inf and rc.max_residual < np.inf):
+        raise ConfigError(
+            f"sigma={sigma}: residuals {rc.max_residual} (coarse) and {rf.max_residual} (fine) "
+            "give no decay ratio; the kernel is constant or overflows"
+        )
     return rc, rf, rc.max_residual / rf.max_residual

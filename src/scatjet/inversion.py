@@ -4,30 +4,32 @@ Stage by stage:
 
 1. ``recover_sigma_from_symbol`` reads the indicial root off the symbol's
    homogeneity: ``sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t)``, then peels
-   the Gamma prefactor to expose the covector norm ``|xi|_{h0}``.
+   the Gamma prefactor to expose the covector norm ``|xi|_{h0}``, which must
+   come out finite.
 2. ``metric_boundary_recovery`` polarizes squared norms at ``{e_i}`` and
    ``{e_i + e_j}`` into the inverse metric and inverts it.
 3. ``two_energy_recovery`` solves the pair of indicial identities
    ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4`` for
-   ``alpha^2`` and ``V0``.
+   ``alpha^2`` and ``V0``; with ``alpha^2`` known, the first identity alone
+   gives ``V0``.  Both routes share one formula for ``V0`` and one check
+   that ``alpha^2`` and ``V0`` come out real, ``alpha^2`` positive.
 4. ``first_order_recovery`` fits the first-order angular samples
    ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``,
    at every grid point through one batched SVD.
    The fit has a structural one-dimensional kernel: ``omega^T H omega`` is
    constant over unit probes when ``H`` is a multiple of the identity, so
-   that direction trades off against the constant ``W`` term.  The kernel
-   and the smallest singular value over the identity-trade-off plane are
-   reported, never silently resolved.
+   that direction trades off against the constant ``W`` term.  The design
+   rank and the kernel directions are reported, never silently resolved.
 
 Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
-chains the stages over a full symbol dataset, one call per stage and energy.
+chains the stages over a full symbol dataset, one call per stage: the sigma
+and metric stages carry the energy axis after the grid axes.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from .spectral_sets import is_admissible
 log = logging.getLogger(__name__)
 
 _SV_CUT = 1e-10
+_BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
+_SIGMA_SPREAD_TOL = 1e-6  # largest spread of sigma across one point's covectors
+_REALNESS_TOL = 1e-8  # largest relative imaginary part of alpha^2 and V0
 
 
 def _divide(a, b):
@@ -81,16 +86,16 @@ def recover_sigma_from_symbol(
     value_txi,
     t: float,
     n: int,
-    tol: float = 1e-8,
 ) -> SigmaRecovery:
     """Indicial root and covector norm from homogeneity pairs, elementwise.
 
     The real part of sigma comes from moduli and is branch-free; the
     principal log fixes the imaginary part (documented ambiguity of
     ``pi / log t``).  Raises :class:`BranchAmbiguity` if the recovered root
-    falls below the principal half-plane ``Re sigma >= n/2``.  The samples
+    falls below the principal half-plane ``Re sigma >= n/2``, and
+    :class:`InconsistentData` if a recovered norm is not finite.  The samples
     may be scalars or arrays whose first ``n`` axes are the grid; a failure
-    names the first failing grid index.
+    names the first failing grid index and the sample along the other axes.
     """
     if t <= 0 or t == 1.0:
         raise ValueError("scale factor t must be positive and != 1")
@@ -101,6 +106,7 @@ def recover_sigma_from_symbol(
         pref, pole_check = prefactor_and_poles(sigma, n)
         power = _divide(v, pref)
         w = _divide(np.log(power), 2.0 * sigma - n)
+        norm = np.exp(w.real)
     finite = np.isfinite(v) & np.isfinite(vt)
     raise_first(
         n,
@@ -112,45 +118,54 @@ def recover_sigma_from_symbol(
                 lambda i: "symbol sample is zero; cannot take ratios",
             ),
             (
-                sigma.real < n / 2.0 - tol,
+                sigma.real < n / 2.0 - _BRANCH_TOL,
                 BranchAmbiguity,
                 lambda i: f"recovered Re sigma = {sigma.real[i]:.6g} below n/2 = {n / 2}; "
                 "no log branch restores the principal half-plane",
             ),
             pole_check,
             (power == 0, ZeroSymbol, lambda i: "prefactor-normalized sample is zero"),
+            (
+                ~np.isfinite(norm),
+                InconsistentData,
+                lambda i: f"recovered covector norm {norm[i]} is not finite",
+            ),
         ],
     )
     # consistent data gives a positive real norm; imaginary leakage is reported
     return SigmaRecovery(
-        sigma=sigma[()], norm=np.exp(w.real)[()], prefactor_imag_residual=np.abs(w.imag)[()]
+        sigma=sigma[()], norm=norm[()], prefactor_imag_residual=np.abs(w.imag)[()]
     )
 
 
-def metric_boundary_recovery(norms: Mapping[tuple[int, ...], float], n: int) -> np.ndarray:
+def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     """Boundary metric from covector norms at ``{e_i}`` and ``{e_i + e_j}``.
 
-    ``norms`` maps ``(i,)`` to ``|e_i|_{h0}`` and ``(i, j)`` (``i < j``) to
-    ``|e_i + e_j|_{h0}``, as scalars or grid arrays; polarization fills the
-    inverse metric, which must come out positive definite.  The result has
-    shape ``grid + (n, n)``.
+    ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
+    covectors of :func:`~scatjet.dataset.polarization_covectors`, in that
+    order.  Polarization fills the inverse metric, which must come out
+    positive definite.  The result has shape ``(..., n, n)``; a failure names
+    the first failing grid index (the first ``n`` axes) and the sample along
+    the axes between the grid and ``C``.
     """
-    try:
-        sq = {key: np.asarray(norms[key], dtype=float) ** 2 for key in polarization_covectors(n)}
-    except KeyError as exc:
-        raise InconsistentData(f"missing covector norm sample {exc}") from None
-    M = np.empty(np.broadcast_shapes(*(q.shape for q in sq.values())) + (n, n))
-    for i in range(n):
-        M[..., i, i] = sq[(i,)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[..., i, j] = M[..., j, i] = (sq[(i, j)] - sq[(i,)] - sq[(j,)]) / 2.0
+    sq = np.asarray(norms, dtype=float) ** 2
+    count = len(polarization_covectors(n))
+    if sq.shape[-1:] != (count,):
+        raise ValueError(
+            f"norms need a last axis of length {count} for n={n}, got shape {sq.shape}"
+        )
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    M = np.empty(sq.shape[:-1] + (n, n))
+    M[..., d, d] = sq[..., :n]
+    M[..., i, j] = M[..., j, i] = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
     eigs = np.linalg.eigvalsh(M)
     raise_first(
         n,
         [
+            # written so that a NaN eigenvalue fails too
             (
-                eigs.min(axis=-1) <= 0,
+                ~(eigs.min(axis=-1) > 0),
                 NotPositiveDefinite,
                 lambda i: f"recovered inverse metric has eigenvalues {eigs[i]}; "
                 "not positive definite",
@@ -160,14 +175,41 @@ def metric_boundary_recovery(norms: Mapping[tuple[int, ...], float], n: int) -> 
     return np.linalg.inv(M)
 
 
-def two_energy_recovery(
-    sigma1,
-    sigma2,
-    lam1: complex,
-    lam2: complex,
-    n: int,
-    realness_tol: float = 1e-8,
-):
+def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
+    """``(alpha_sq, v0, realness_residual)`` from ``alpha^2`` and the first root.
+
+    ``V0 = lambda_1^2 + n^2/4 + alpha^2 sigma_1 (n - sigma_1)``, with the
+    complex ``alpha_sq`` and the roots as scalars or grid arrays.  Both
+    outputs must be real to ``_REALNESS_TOL`` (relative) and ``alpha_sq``
+    positive; ``checks`` come before these at each point.
+    """
+    with np.errstate(all="ignore"):
+        v0 = complex(lam1) ** 2 + n * n / 4.0 + alpha_sq * sigma1 * (n - sigma1)
+        resid = np.maximum(
+            np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
+            np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
+        )
+    raise_first(
+        n,
+        [
+            *checks,
+            # both written so that NaN fails too
+            (
+                ~(resid <= _REALNESS_TOL),
+                InconsistentData,
+                lambda i: f"recovered alpha^2/V0 not real to tolerance (residual {resid[i]:.3e})",
+            ),
+            (
+                ~(alpha_sq.real > 0),
+                InconsistentData,
+                lambda i: f"recovered alpha^2 = {alpha_sq.real[i]:.6g} is not positive",
+            ),
+        ],
+    )
+    return alpha_sq.real[()], v0.real[()], resid[()]
+
+
+def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
     """Curvature scale and boundary potential from roots at two energies.
 
     Solves ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4``:
@@ -176,8 +218,8 @@ def two_energy_recovery(
         V0      = lambda_1^2 + n^2/4 + alpha^2 sigma_1 (n - sigma_1)
 
     Returns ``(alpha_sq, v0, realness_residual)``, scalars or grid arrays
-    like the roots; both outputs must be real to ``realness_tol``
-    (relative) and ``alpha_sq`` positive.
+    like the roots; both outputs must be real to 1e-8 (relative) and
+    ``alpha_sq`` positive.
     """
     l1sq, l2sq = complex(lam1) ** 2, complex(lam2) ** 2
     if abs(l1sq - l2sq) <= 1e-12 * max(1.0, abs(l1sq)):
@@ -188,32 +230,12 @@ def two_energy_recovery(
     denom = p1 - s2 * (n - s2)
     with np.errstate(all="ignore"):
         alpha_sq = _divide(l2sq - l1sq, denom)
-        v0 = l1sq + n * n / 4.0 + alpha_sq * s1 * (n - s1)
-        resid = np.maximum(
-            np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
-            np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
-        )
-    raise_first(
-        n,
-        [
-            (
-                np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
-                InconsistentData,
-                lambda i: "indicial products coincide; system is singular",
-            ),
-            (
-                resid > realness_tol,
-                InconsistentData,
-                lambda i: f"recovered alpha^2/V0 not real to tolerance (residual {resid[i]:.3e})",
-            ),
-            (
-                alpha_sq.real <= 0,
-                InconsistentData,
-                lambda i: f"recovered alpha^2 = {alpha_sq.real[i]:.6g} is not positive",
-            ),
-        ],
+    singular = (
+        np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
+        InconsistentData,
+        lambda i: "indicial products coincide; system is singular",
     )
-    return alpha_sq.real[()], v0.real[()], resid[()]
+    return _zeroth_order(alpha_sq, s1, lam1, n, [singular])
 
 
 # -- first-order stage ------------------------------------------------------
@@ -242,7 +264,6 @@ class FirstOrderResult:
     design_rank: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
-    identity_direction_sv: np.ndarray
 
     def kernel_basis(self, idx: tuple[int, ...] = ()) -> tuple[tuple[np.ndarray, complex], ...]:
         """The ``(H, W)`` kernel directions of the fit at grid index ``idx``."""
@@ -304,16 +325,6 @@ def first_order_recovery(
     miss = (A @ x[..., None])[..., 0] - b
     residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
 
-    # smallest singular value of the design restricted to the plane spanned by
-    # (H = identity, W = 0) and (H = 0, W = 1): the identity/constant trade-off.
-    # Gram-matrix route so both plane directions count even with one probe row.
-    basis = np.zeros((A.shape[-1], 2), dtype=complex)
-    basis[:n, 0] = 1.0 / np.sqrt(n)
-    basis[-1, 1] = 1.0
-    M = A @ basis
-    gram_eigs = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)
-    id_sv = np.sqrt(np.maximum(gram_eigs[..., 0].real, 0.0))
-
     H, W = _unpack(x, n)
     return FirstOrderResult(
         H=H,
@@ -322,7 +333,6 @@ def first_order_recovery(
         design_rank=keep.sum(axis=-1),
         singular_values=svals,
         right_vectors=Vh,
-        identity_direction_sv=id_sv,
     )
 
 
@@ -330,7 +340,11 @@ def first_order_recovery(
 
 
 class _stage:
-    """Re-raise any package error with the failing stage's name prefixed."""
+    """Re-raise any package error with the failing stage's name prefixed.
+
+    A numpy ``LinAlgError`` (a decomposition that did not converge) becomes
+    :class:`InconsistentData` the same way.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -339,8 +353,10 @@ class _stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, ScatjetError):
+        if isinstance(exc, ScatjetError):
             raise type(exc)(f"[stage {self.name}] {exc}") from exc
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise InconsistentData(f"[stage {self.name}] linear algebra failed: {exc}") from exc
         return False
 
 
@@ -349,8 +365,6 @@ class InversionConfig:
     margin: float = 1e-6
     alpha_sq_known: float | None = None
     t_pair: tuple[complex, complex] | None = None
-    realness_tol: float = 1e-8
-    sigma_consistency_tol: float = 1e-6
 
 
 @dataclass
@@ -375,7 +389,6 @@ class RecoveryReport:
     residuals: dict = field(default_factory=dict)
     design_rank: int | None = None
     kernel_basis: tuple = ()
-    identity_direction_sv: float | None = None
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -390,7 +403,6 @@ class RecoveryReport:
             val = getattr(self, name)
             out[name] = None if val is None else flat_list(val)
         out["design_rank"] = self.design_rank
-        out["identity_direction_sv"] = self.identity_direction_sv
         out["kernel_basis"] = [
             {"H": flat_list(h), "W": encode_complex(w)} for h, w in self.kernel_basis
         ]
@@ -401,10 +413,12 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     """Run the staged recovery over a full symbol dataset.
 
     Stages: admissibility screen (when the dataset carries exceptional-set
-    data), per-point root/norm recovery at each energy, metric polarization,
-    two-energy (or known-``alpha``) zeroth-order algebra, then the
-    first-order fit when singularity samples are present.  Jets of order
-    two and higher are out of scope and flagged in ``notes``.
+    data), root/norm recovery and metric polarization over every grid point
+    and energy, two-energy (or known-``alpha``) zeroth-order algebra, then
+    the first-order fit when singularity samples are present.  ``h0`` is the
+    metric at the first energy; ``h0_cross_energy`` is its largest gap to
+    the metric at any other energy.  Jets of order two and higher are out
+    of scope and flagged in ``notes``.
     """
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
@@ -416,82 +430,69 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
 
+    # ComplexEnergy refuses a lambda whose square overflows, screened or not
+    energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
     if dataset.exceptional is not None:
-        for lam in dataset.energies:
-            adm = is_admissible(ComplexEnergy(lam), dataset.exceptional, cfg.margin)
+        for en in energies:
+            adm = is_admissible(en, dataset.exceptional, cfg.margin)
             if not adm.ok:
                 report.status = "refused"
-                report.notes.append(f"energy {lam}: {adm.reason}")
+                report.notes.append(f"energy {en.lam}: {adm.reason}")
                 return report
 
-    energies = dataset.energies
     single_energy = len(energies) == 1
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
-
     with _stage("sigma"):
-        recs = [
-            recover_sigma_from_symbol(sym[..., 0], sym[..., 1], dataset.scale_t, n)
-            for sym in dataset.symbols
-        ]
-        sigmas = []
-        spread_max = 0.0
-        for rec in recs:
-            mean = rec.sigma.mean(axis=-1)
-            spread = np.max(np.abs(rec.sigma - mean[..., None]), axis=-1)
-            # written so that a NaN spread fails too
-            raise_first(
-                n,
-                [
-                    (
-                        ~(spread <= cfg.sigma_consistency_tol),
-                        InconsistentData,
-                        lambda i: "sigma estimates disagree across covectors "
-                        f"(spread {spread[i]:.3e})",
-                    )
-                ],
-            )
-            spread_max = max(spread_max, float(spread.max()))
-            sigmas.append(mean)
-        report.residuals["sigma_consistency"] = spread_max
-    report.sigma1 = sigmas[0]
+        # (*grid, E, C, 2): a failure names the grid index and the sample (energy, covector)
+        symbols = np.moveaxis(dataset.symbols, 0, n)
+        rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], dataset.scale_t, n)
+        sigmas = rec.sigma.mean(axis=-1)
+        spread = np.max(np.abs(rec.sigma - sigmas[..., None]), axis=-1)
+        # written so that a NaN spread fails too
+        raise_first(
+            n,
+            [
+                (
+                    ~(spread <= _SIGMA_SPREAD_TOL),
+                    InconsistentData,
+                    lambda i: f"sigma estimates disagree across covectors (spread {spread[i]:.3e})",
+                )
+            ],
+        )
+    report.residuals["sigma_consistency"] = float(spread.max())
+    sigma1 = report.sigma1 = sigmas[..., 0]
     if not single_energy:
-        report.sigma2 = sigmas[1]
+        report.sigma2 = sigmas[..., 1]
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
-    covectors = polarization_covectors(n)
     with _stage("metric"):
-        h0_fields = [
-            metric_boundary_recovery({cov: rec.norm[..., c] for c, cov in enumerate(covectors)}, n)
-            for rec in recs[:2]
-        ]
-    h0_field = report.h0 = h0_fields[0]
+        h0_fields = metric_boundary_recovery(rec.norm, n)
+    h0_field = report.h0 = h0_fields[..., 0, :, :]
     if not single_energy:
-        report.residuals["h0_cross_energy"] = float(np.max(np.abs(h0_fields[1] - h0_field)))
+        gaps = np.abs(h0_fields[..., 1:, :, :] - h0_field[..., None, :, :])
+        report.residuals["h0_cross_energy"] = float(np.max(gaps))
 
-    if single_energy and cfg.alpha_sq_known is None:
+    if single_energy and a2 is None:
         report.status = "partial: sigma and h0 only (one energy, alpha unknown)"
         report.notes.append(
             "a second energy or a known alpha^2 is required for the zeroth-order algebra"
         )
         return report
 
-    if single_energy:
-        log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
-        a2 = float(a2)
-        s1 = sigmas[0]
-        v0 = complex(energies[0]) ** 2 + n * n / 4.0 + a2 * s1 * (n - s1)
-        realness = np.abs(v0.imag) / (1.0 + np.abs(v0.real))
-        alpha_field = np.full(shape, a2)
-        v0_field = v0.real
-        report.notes.append("alpha^2 supplied a priori; single-energy recovery of V0")
-    else:
-        log.info(
-            "zeroth-order stage: alpha^2 = (l2^2 - l1^2)/(s1(n-s1) - s2(n-s2)), "
-            "V0 = l1^2 + n^2/4 + alpha^2 s1(n-s1)"
-        )
-        with _stage("zeroth-order"):
+    with _stage("zeroth-order"):
+        if single_energy:
+            log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
+            alpha_field, v0_field, realness = _zeroth_order(
+                np.full(shape, complex(a2)), sigma1, energies[0].lam, n
+            )
+            report.notes.append("alpha^2 supplied a priori; single-energy recovery of V0")
+        else:
+            log.info(
+                "zeroth-order stage: alpha^2 = (l2^2 - l1^2)/(s1(n-s1) - s2(n-s2)), "
+                "V0 = l1^2 + n^2/4 + alpha^2 s1(n-s1)"
+            )
             alpha_field, v0_field, realness = two_energy_recovery(
-                sigmas[0], sigmas[1], energies[0], energies[1], n, cfg.realness_tol
+                sigma1, report.sigma2, energies[0].lam, energies[1].lam, n
             )
     report.alpha_sq = alpha_field
     report.v0 = v0_field
@@ -509,7 +510,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
                 fo = first_order_recovery(
                     dataset.singularity,
                     dataset.probes,
-                    sigmas[0],
+                    sigma1,
                     t_pair[0],
                     t_pair[1],
                     alpha_field,
@@ -522,7 +523,6 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             last = tuple(m - 1 for m in shape)
             report.design_rank = int(fo.design_rank[last])
             report.kernel_basis = fo.kernel_basis(last)
-            report.identity_direction_sv = float(fo.identity_direction_sv[last])
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
     report.status = "ok"

@@ -100,7 +100,8 @@ def is_admissible(
 
     Interval and mode distances are measured in the ``lambda^2`` plane; the
     user exclusion list lives in the ``lambda`` plane.  The nearest violating
-    family (if any) is named in ``reason``.
+    family (if any) is named in ``reason``; a NaN distance, such as one to a
+    NaN excluded energy, is a violation.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -113,7 +114,8 @@ def is_admissible(
         distances["user-excluded (D)"] = min(
             abs(complex(energy.lam) - z) for z in es.user_excluded
         )
-    violations = {name: d for name, d in distances.items() if d <= margin}
+    # written so that a NaN distance counts as a violation
+    violations = {name: d for name, d in distances.items() if not d > margin}
     if violations:
         worst = min(violations, key=violations.get)
         return Admissibility(

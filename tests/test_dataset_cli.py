@@ -50,8 +50,15 @@ def test_parse_complex_forms():
     assert parse_complex("2+0i") == 2.0
     assert parse_complex("1.5-2i") == 1.5 - 2j
     assert parse_complex("3j") == 3j
+    assert parse_complex("5i") == 5j
     with pytest.raises(ConfigError):
         parse_complex("two")
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "infinity", "nan", "1e400", "2+infi"])
+def test_parse_complex_refuses_non_finite(text):
+    with pytest.raises(ConfigError, match=rf"^complex number '{re.escape(text)}' is not finite$"):
+        parse_complex(text)
 
 
 # -- dataset round trip ------------------------------------------------------
@@ -680,6 +687,161 @@ def test_cli_sets_admissibility(tmp_path):
     assert ok_flags[(0.0, 5.0)] is True  # lambda^2 = -25, far from everything
     assert ok_flags[(0.0, 1.4142135624)] is False  # lambda^2 = -2 is a mode value
     assert "zeros" not in block
+
+
+@pytest.mark.parametrize("command", ["sets-lam", "sets-exclude", "invert-prefactor"])
+def test_cli_non_finite_complex_argument_exits_2(tmp_path, caplog, command):
+    """A NaN or infinite energy or factor is refused before anything is written."""
+    patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.0, np.eye(2)))
+    ds_path = tmp_path / "ds.json"
+    forward_dataset(constant_patch(2, 1.0, 0.2, np.eye(2)), (ComplexEnergy(4.0),)).save(ds_path)
+    argv, text = {
+        "sets-lam": (["sets", "--patch", str(patch), "--lam", "nan"], "nan"),
+        "sets-exclude": (["sets", "--patch", str(patch), "--exclude", "nan", "--lam", "2"], "nan"),
+        "invert-prefactor": (["invert", "--data", str(ds_path), "--prefactor", "inf"], "inf"),
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any(
+        r.getMessage() == f"complex number '{text}' is not finite" for r in caplog.records
+    )
+
+
+@pytest.mark.parametrize("case", ["sigma-no-first-order", "sigma-first-order", "first-order-svd"])
+def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
+    """Finite input that overflows inside a stage ends in that stage's error, exit 1."""
+    _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=case != "sigma-no-first-order")
+    argv = ["invert", "--data", str(tmp_path / "ds.json"), "--out", str(tmp_path / "out.json")]
+    if case == "first-order-svd":
+        argv += ["--t1", "1e308", "--t2", "1e308"]
+        expected = "[stage first-order] linear algebra failed: SVD did not converge"
+    else:
+        ds = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
+        expected = "[stage sigma] recovered covector norm nan is not finite"
+    ds.save(tmp_path / "ds.json")
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    assert not (tmp_path / "out.json").exists()
+    assert any(r.getMessage().startswith(expected) for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (
+            ["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"],
+            1,
+            "T1 at sigma=(1e+308+0j): value (nan+nanj) (error nan) is not finite",
+        ),
+        (
+            ["integrals", "--which", "G", "--sigma", "1e10", "--n", "2"],
+            1,
+            "G at sigma=(10000000000+0j): value (nan+nanj) (error 0.0) is not finite",
+        ),
+        (
+            ["verify", "green", "--sigma", "0", "--n", "1"],
+            2,
+            "sigma=0j: residuals 0.0 (coarse) and 0.0 (fine) give no decay ratio",
+        ),
+        (["sets", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
+        (["forward", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
+    ],
+    ids=["integrals-t1", "integrals-green", "verify-green-constant", "sets-lam", "forward-lam"],
+)
+def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
+    """Finite arguments whose results leave double range: a named error, no NaN written."""
+    if argv[0] in ("sets", "forward"):
+        patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
+        argv = [*argv, "--patch", str(patch)]
+    out = tmp_path / "out.json"
+    with np.errstate(all="ignore"):
+        assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+    assert any(r.getMessage().startswith(message) for r in caplog.records)
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON output")
+
+
+_COMPLEX_TEXT = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "infinity", "1e400", "-1e400i", "nan+1i", "1+infi", "", " ", "i"]
+        + ["2+", "(", "1e-400", "0", "1e308", "4", "3+0.5i", "5i", "-2.5e3-1e2j"]
+    ),
+    st.text(alphabet="0123456789+-.eEijnaf ()", max_size=10),
+    st.text(max_size=6),
+)
+
+_COMMANDS = {
+    "sets-lam": lambda d, text: ["sets", "--patch", str(d / "p.json"), f"--lam={text}"],
+    "sets-exclude": lambda d, text: [
+        "sets", "--patch", str(d / "p.json"), f"--exclude={text}", "--lam=2"
+    ],
+    "forward-lam": lambda d, text: ["forward", "--patch", str(d / "p.json"), f"--lam={text}"],
+    "invert-prefactor": lambda d, text: [
+        "invert", "--data", str(d / "ds.json"), f"--prefactor={text}"
+    ],
+    "invert-t-pair": lambda d, text: [
+        "invert", "--data", str(d / "ds.json"), f"--t1={text}", f"--t2={text}"
+    ],
+    "integrals-sigma": lambda d, text: [
+        "integrals", "--which", "T1", f"--sigma={text}", "--n", "2"
+    ],
+    "verify-green-sigma": lambda d, text: ["verify", "green", f"--sigma={text}", "--n", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A patch ``p.json`` and a dataset ``ds.json`` with first-order data."""
+    d = tmp_path_factory.mktemp("cli")
+    _write_patch(d, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
+    make_synthetic_pair(seed=3, n=2)[1].save(d / "ds.json")
+    return d
+
+
+def _run_main(argv):
+    """``main``'s exit code, argparse's ``SystemExit`` included; any other exception escapes."""
+    try:
+        with np.errstate(all="ignore"):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)), text=_COMPLEX_TEXT)
+def test_cli_malformed_complex_argument_never_escapes(cli_inputs, command, text):
+    """Exit 2 for text that is not a finite complex number; otherwise 0, 1 or 2 and strict JSON."""
+    try:
+        parse_complex(text)
+        parses = True
+    except ConfigError:
+        parses = False
+    out = cli_inputs / "out.json"
+    out.unlink(missing_ok=True)
+    rc = _run_main([*_COMMANDS[command](cli_inputs, text), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    if not parses:
+        assert rc == 2 and not out.exists()
+    if rc == 0:
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=15, deadline=None)
+@given(entry=st.integers(0, 2 * 4 * 4 * 3 * 2 - 1), exponent=st.integers(1, 400))
+def test_cli_invert_overflowing_entry_never_escapes(cli_inputs, entry, exponent):
+    """One complex symbol entry scaled by 10**exponent (inf past 1e308): exit 1 or 2."""
+    data = _read_json(cli_inputs / "ds.json")
+    factor = float(f"1e{exponent}")
+    for k in (2 * entry, 2 * entry + 1):
+        data["symbols"][k] *= factor
+    path = cli_inputs / "scaled.json"
+    path.write_text(json.dumps(data))
+    out = cli_inputs / "out.json"
+    assert _run_main(["invert", "--data", str(path), "--out", str(out)]) in (1, 2)
 
 
 # -- CLI: argument ranges -----------------------------------------------------

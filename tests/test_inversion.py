@@ -1,12 +1,18 @@
 """Stage-by-stage recovery tests, mostly exact algebraic round trips."""
 import dataclasses
+import json
 import math
 import warnings
 
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root
+from scatjet.dataset import SymbolDataset, canonical_json, polarization_covectors
 from scatjet.errors import (
     BranchAmbiguity,
     ConfigError,
@@ -31,7 +37,13 @@ from scatjet.inversion import (
     recover_sigma_from_symbol,
     two_energy_recovery,
 )
-from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
+from scatjet.synthetic import (
+    constant_patch,
+    draw_admissible_energies,
+    forward_dataset,
+    make_synthetic_pair,
+    traceless_symmetric,
+)
 
 from varying_patch import varying_patch_pair
 
@@ -118,8 +130,8 @@ def test_stages_name_the_first_failing_grid_index():
     with pytest.raises(BranchAmbiguity, match=r"grid index \(0, 1\)$"):
         recover_sigma_from_symbol(values, txi, 2.0, 2)
 
-    norms = {(0,): np.ones((2, 3)), (1,): np.ones((2, 3)), (0, 1): np.full((2, 3), 2**0.5)}
-    norms[(0, 1)][1, 2] = 5.0
+    norms = np.tile([1.0, 1.0, 2**0.5], (2, 3, 1))
+    norms[1, 2, 2] = 5.0
     with pytest.raises(NotPositiveDefinite, match=r"grid index \(1, 2\)$"):
         metric_boundary_recovery(norms, 2)
 
@@ -150,13 +162,13 @@ def test_sigma_phase_leak_detected():
 
 
 def test_metric_identity():
-    norms = {(0,): 1.0, (1,): 1.0, (0, 1): math.sqrt(2.0)}
+    norms = [1.0, 1.0, math.sqrt(2.0)]
     np.testing.assert_allclose(metric_boundary_recovery(norms, 2), np.eye(2), atol=1e-12)
 
 
 def test_metric_worked_diagonal():
-    # h0 = diag(4, 1): quadratic form values 1/4, 1, 5/4
-    norms = {(0,): 0.5, (1,): 1.0, (0, 1): math.sqrt(1.25)}
+    # h0 = diag(4, 1): quadratic form values 1/4, 1, 5/4 at e_0, e_1, e_0 + e_1
+    norms = [0.5, 1.0, math.sqrt(1.25)]
     got = metric_boundary_recovery(norms, 2)
     np.testing.assert_allclose(got, np.diag([4.0, 1.0]), atol=1e-12)
 
@@ -169,23 +181,25 @@ def test_metric_random_round_trip(n):
 
         h0 = random_spd(rng, n)
         eye = np.eye(n)
-        norm = lambda xi: math.sqrt(xi @ np.linalg.solve(h0, xi))
-        norms = {(i,): norm(eye[i]) for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                norms[(i, j)] = norm(eye[i] + eye[j])
+        norms = [
+            math.sqrt(xi @ np.linalg.solve(h0, xi))
+            for xi in (eye[list(cov)].sum(axis=0) for cov in polarization_covectors(n))
+        ]
         np.testing.assert_allclose(metric_boundary_recovery(norms, n), h0, atol=1e-10)
 
 
 def test_metric_rejects_indefinite():
-    norms = {(0,): 1.0, (1,): 1.0, (0, 1): 5.0}
     with pytest.raises(NotPositiveDefinite):
-        metric_boundary_recovery(norms, 2)
+        metric_boundary_recovery([1.0, 1.0, 5.0], 2)
+    # a NaN norm gives NaN eigenvalues, which fail the check too
+    with pytest.raises(NotPositiveDefinite, match=r"grid index \(1,\)$"):
+        metric_boundary_recovery([[1.0, 1.0, 2**0.5], [1.0, math.nan, 2**0.5]], 2)
 
 
 def test_metric_missing_sample():
-    with pytest.raises(InconsistentData, match="missing"):
-        metric_boundary_recovery({(0,): 1.0, (1,): 1.0}, 2)
+    """Norms come as a (..., C) array; a missing covector is a shape error."""
+    with pytest.raises(ValueError, match=r"last axis of length 3 for n=2, got shape \(2,\)"):
+        metric_boundary_recovery([1.0, 1.0], 2)
 
 
 # -- zeroth-order algebra ---------------------------------------------------
@@ -256,7 +270,6 @@ def test_first_order_traceless_exact():
     assert res.residual <= 1e-10
     assert res.design_rank == 3  # 4 unknowns, one structural kernel direction
     assert len(res.kernel_basis()) == 1
-    assert res.identity_direction_sv <= 1e-8 * res.singular_values[0]
 
 
 def test_first_order_kernel_direction():
@@ -321,7 +334,6 @@ def test_first_order_n1_rank():
     samples = _samples(np.array([[0.0]]), 0.0, np.eye(1), 1.0, 2.1, 1.0, 1.0)
     res = first_order_recovery(*samples, 2.1, 1.0, 1.0, 1.0, np.eye(1))
     assert res.design_rank == 1  # 2 unknowns collapse onto one usable direction
-    assert res.identity_direction_sv <= 1e-6 * res.singular_values[0]
 
 
 def test_first_order_grid_matches_each_point():
@@ -338,7 +350,7 @@ def test_first_order_grid_matches_each_point():
         one = first_order_recovery(
             ds.singularity[idx], ds.probes[idx], sigma[idx], *args, alpha_sq[idx], h0[idx]
         )
-        for name in ("H", "W1", "residual", "identity_direction_sv", "singular_values"):
+        for name in ("H", "W1", "residual", "singular_values"):
             np.testing.assert_allclose(
                 getattr(grid, name)[idx], getattr(one, name), rtol=1e-12, atol=1e-14
             )
@@ -384,6 +396,21 @@ def test_driver_single_energy_with_known_alpha():
     assert any("a priori" in note for note in report.notes)
 
 
+def test_driver_known_alpha_checks_realness():
+    """A wrong known alpha^2 at a complex energy gives a complex V0: refused."""
+    patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
+    ds = forward_dataset(patch, (ComplexEnergy(3 + 0.5j),))
+    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    np.testing.assert_allclose(report.v0, 0.4, atol=1e-8)
+    assert report.residuals["zeroth_order_realness"] <= 1e-12
+    with pytest.raises(
+        InconsistentData,
+        match=r"\[stage zeroth-order\] recovered alpha\^2/V0 not real to tolerance "
+        r"\(residual 2\.92\de-01\) at grid index \(0, 0\)$",
+    ):
+        layer_strip_driver(ds, InversionConfig(alpha_sq_known=2.0))
+
+
 def test_driver_refuses_inadmissible_energy():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     # lambda^2 = -2 is a mode value for this patch, so the screen trips
@@ -405,6 +432,47 @@ def test_driver_stage_labels_on_failure():
     bad = _with_symbol(ds, (0, 0, 0, 0), [0j, 0j])
     with pytest.raises(ZeroSymbol, match=r"\[stage sigma\].*grid index \(0, 0\)"):
         layer_strip_driver(bad)
+    # the sample names the energy and the covector
+    bad = _with_symbol(ds, (1, 2, 3, 1), [0j, 0j])
+    with pytest.raises(ZeroSymbol, match=r"grid index \(2, 3\), sample \(1, 1\)$"):
+        layer_strip_driver(bad)
+
+
+@pytest.mark.parametrize("with_first_order", [False, True])
+def test_driver_refuses_non_finite_norm(with_first_order):
+    """Finite but huge samples overflow the norm: an error, not a NaN report."""
+    _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=with_first_order)
+    big = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
+    with pytest.raises(
+        InconsistentData,
+        match=r"\[stage sigma\] recovered covector norm nan is not finite "
+        r"at grid index \(0, 0\), sample \(0, 0\)$",
+    ):
+        layer_strip_driver(big)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_driver_names_the_stage_of_a_linalg_failure():
+    _, ds = make_synthetic_pair(seed=3, n=2)
+    with pytest.raises(
+        InconsistentData, match=r"^\[stage first-order\] linear algebra failed: SVD did not"
+    ):
+        layer_strip_driver(ds, InversionConfig(t_pair=(1e308, 1e308)))
+
+
+def test_driver_checks_the_metric_at_every_energy():
+    patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
+    energies = tuple(ComplexEnergy(lam) for lam in (4.0, 5.0, 5.5))
+    ds = forward_dataset(patch, energies)
+    report = layer_strip_driver(ds)
+    assert report.status == "ok" and report.residuals["h0_cross_energy"] <= 1e-12
+    # scaling both samples of one pair keeps sigma and moves only that norm
+    symbols = ds.symbols.copy()
+    symbols[2, 1, 2, 2] *= 1e6
+    with pytest.raises(
+        NotPositiveDefinite, match=r"^\[stage metric\].*grid index \(1, 2\), sample \(2,\)$"
+    ):
+        layer_strip_driver(dataclasses.replace(ds, symbols=symbols))
 
 
 def test_driver_detects_inconsistent_homogeneity():
@@ -438,6 +506,59 @@ def test_driver_round_trip_on_varying_patch():
     np.testing.assert_allclose(report.W1, 0.0, rtol=0, atol=1e-8)
 
 
+def test_driver_refuses_an_energy_whose_square_overflows():
+    _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=False)
+    for exceptional in (ds.exceptional, None):
+        huge = dataclasses.replace(ds, energies=(1e200, ds.energies[1]), exceptional=exceptional)
+        with pytest.raises(ConfigError, match=r"^energy \(1e\+200\+0j\): lambda\^2 = \(inf\+0j\)"):
+            layer_strip_driver(huge)
+
+
 def test_driver_rejects_non_dataset():
     with pytest.raises(TypeError, match="SymbolDataset"):
         layer_strip_driver({"n": 2})
+
+
+@st.composite
+def _truths(draw):
+    """A constant-coefficient truth and its forward dataset after a JSON round trip.
+
+    ``h0`` has eigenvalues in [0.5, 2] and a random orientation; ``H`` is
+    traceless and ``W1 = 0``, where the minimum-norm first-order fit is exact.
+    """
+    n = draw(st.sampled_from([1, 2, 3]))
+    alpha = draw(st.floats(0.5, 2.0))
+    v0 = draw(st.floats(-1.0, 1.0))
+    eigs = draw(hnp.arrays(float, n, elements=st.floats(0.5, 2.0)))
+    q, _ = np.linalg.qr(np.eye(n) + draw(hnp.arrays(float, (n, n), elements=st.floats(-1, 1))))
+    h0 = (q * eigs) @ q.T
+    h0 = (h0 + h0.T) / 2.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = traceless_symmetric(rng, n)
+    patch1 = constant_patch(n, alpha, v0, h0, v1=0.1, h1=np.zeros((n, n)))
+    patch2 = constant_patch(n, alpha, v0, h0, v1=0.1, h1=h0 @ H @ h0)
+    energies = draw_admissible_energies(rng, patch1)
+    ds = forward_dataset(patch1, energies, patch2=patch2)
+    ds = SymbolDataset.from_dict(json.loads(canonical_json(ds.to_dict())))
+    return alpha * alpha, v0, h0, H, ds
+
+
+@settings(max_examples=30, deadline=None)
+@given(_truths())
+def test_forward_encode_decode_invert_is_identity(truth):
+    alpha_sq, v0, h0, H, ds = truth
+    report = layer_strip_driver(ds)
+    assert report.status == "ok"
+    for got, want in ((report.alpha_sq, alpha_sq), (report.v0, v0), (report.h0, h0), (report.H, H)):
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.W1, 0.0, rtol=0, atol=1e-8)
+
+    # known-alpha mode on the first energy alone
+    one = dataclasses.replace(
+        ds, energies=ds.energies[:1], symbols=ds.symbols[:1], singularity=None, probes=None
+    )
+    report = layer_strip_driver(one, InversionConfig(alpha_sq_known=alpha_sq))
+    assert report.status == "ok"
+    np.testing.assert_array_equal(report.alpha_sq, alpha_sq)
+    np.testing.assert_allclose(report.v0, v0, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.h0, np.broadcast_to(h0, report.h0.shape), rtol=0, atol=1e-8)

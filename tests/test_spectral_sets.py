@@ -136,6 +136,10 @@ def test_inadmissible_user_excluded():
     assert not adm.ok
     assert "user-excluded" in adm.reason
     assert is_admissible(ComplexEnergy(3.0 + 0.05j), es, margin=0.01).ok
+    # a NaN excluded energy gives a NaN distance, which counts as a violation
+    es = exceptional_set(patch, user_excluded=(complex(np.nan, 0.0),))
+    adm = is_admissible(ComplexEnergy(5.0j), es, margin=0.1)
+    assert not adm.ok and "user-excluded" in adm.reason
 
 
 def test_admissibility_margin_validation_and_monotonicity():
