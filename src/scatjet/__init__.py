@@ -4,7 +4,6 @@ exceptional sets, model integrals, and the staged inverse recovery."""
 from .boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
-    IndicialField,
     PerturbationData,
     indicial_root,
     perturbation_coefficients,
@@ -53,7 +52,6 @@ __all__ = [
     "ComplexEnergy",
     "ExceptionalSet",
     "HalfSpaceGrid",
-    "IndicialField",
     "InversionConfig",
     "ModelIntegralValue",
     "PerturbationData",

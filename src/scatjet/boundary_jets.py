@@ -198,15 +198,6 @@ class BoundaryPatch:
 
 
 @dataclass(frozen=True)
-class IndicialField:
-    """Principal indicial root ``sigma`` sampled over a patch grid."""
-
-    n: int
-    sigma: np.ndarray
-    branch: str = "principal"
-
-
-@dataclass(frozen=True)
 class PerturbationData:
     """First-order differences of two patches sharing zeroth-order data.
 
@@ -232,8 +223,8 @@ def _discriminant(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     return (n / 2.0) ** 2 - (shifted.real / a2 + 1j * (shifted.imag / a2))
 
 
-def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> IndicialField:
-    """Principal indicial root field; raises :class:`BranchCut` on the cut.
+def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
+    """Principal indicial root ``sigma`` over the patch grid; :class:`BranchCut` on the cut.
 
     The cut only matters for real energies: a real ``lambda`` whose
     ``lambda^2`` drives the discriminant negative sits in the exceptional
@@ -253,8 +244,7 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> IndicialField:
                 f"first at y-index {pts[0]}; real energy lies in the exceptional interval",
                 points=pts,
             )
-    sigma = patch.n / 2.0 + np.sqrt(disc)
-    return IndicialField(n=patch.n, sigma=sigma)
+    return patch.n / 2.0 + np.sqrt(disc)
 
 
 def indicial_identity_residual(

@@ -230,8 +230,7 @@ def _integrals(args) -> int:
     which = args.which.strip().upper()
     sigma = parse_complex(args.sigma)
     n = args.n
-    rel = args.tol if args.tol is not None else args.rel_tol
-    qspec = QuadratureSpec(rel_tol=rel, abs_tol=args.abs_tol)
+    qspec = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     payload: dict = {"which": which, "n": n, "sigma": encode_complex(sigma)}
     if which in ("T", "T1", "T2"):
         l = _integral_level(which, args.l)
@@ -313,11 +312,11 @@ def cmd_verify(args) -> int:
             lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0))
         en = ComplexEnergy(lam)
         patch = constant_patch(n, alpha, v0, np.eye(n))
-        fld = indicial_root(patch, en)
-        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, fld.sigma, n)
+        sigma = indicial_root(patch, en)
+        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, n)
         scale = max(1.0, abs(v0 - lam * lam - n * n / 4.0))
         worst = max(worst, float(np.max(res)) / scale)
-        branch_ok = branch_ok and bool(np.all(fld.sigma.real >= n / 2.0 - 1e-12))
+        branch_ok = branch_ok and bool(np.all(sigma.real >= n / 2.0 - 1e-12))
     checks.append(
         {
             "name": "indicial-identity",
@@ -338,7 +337,7 @@ def cmd_verify(args) -> int:
         idx = (0,) * n
         scales = (1.0, 2.0, 4.0, 8.0)
         base, *scaled = principal_symbol(patch, np.outer(scales, xi), en)[idx]
-        sig = indicial_root(patch, en).sigma[idx]
+        sig = indicial_root(patch, en)[idx]
         for t, value in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)
             worst_h = max(worst_h, abs(value - expected) / max(1.0, abs(expected)))
@@ -459,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="jet order for J integrals")
     p.add_argument("--s", type=float, default=1.0, help="boundary-defining ratio for I/green")
     p.add_argument("--z", default="1.0", help="boundary offset (scalar or comma-separated vector)")
-    p.add_argument("--tol", type=float, help="relative tolerance (shorthand for --rel-tol)")
     p.add_argument("--rel-tol", type=float, default=1e-7)
     p.add_argument("--abs-tol", type=float, default=1e-10)
     p.add_argument("--out", default="-", help="output path or - for stdout")

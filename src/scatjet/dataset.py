@@ -1,25 +1,25 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/3``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/4``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
-The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies`` (and
-optionally ``t_pair``) as ``[re, im]`` pairs.  Each grid array is one flat
-list of floats in C order, written by :func:`flat_list`, a complex entry as
-its ``re, im`` pair:
+The header holds ``n``, ``grid_shape``, ``scale_t``, the ``energies`` (and
+optionally ``t_pair``) as ``[re, im]`` pairs and, with first-order data, the
+``probes``: the ``P`` unit probe directions shared by every grid point, real
+``(P, n)``.  Each array is one flat list of floats in C order, written by
+:func:`flat_list`, a complex entry as its ``re, im`` pair:
 
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
   per energy, grid index and covector of :func:`polarization_covectors`;
-* ``singularity`` (optional): complex ``(*grid, P)``, where the probe count
-  ``P`` is the list length divided by ``2 * prod(grid)``;
-* ``probes``: real ``(*grid, P, n)``, present exactly when ``singularity`` is.
+* ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
+  ``probes`` is; ``P`` is the ``probes`` length divided by ``n``.
 
 The optional ``exceptional`` block holds the interval, the ``user_excluded``
 energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
-with ``K`` read off the list length like ``P``.  Decoding only turns each
-list into an array of its declared shape; every check of the values runs in
-the :class:`SymbolDataset` constructor, for datasets built in memory and
-read from files alike.  Files of the earlier layouts ``scatjet.symbols/1``
-and ``/2`` are refused.
+with ``K`` read off the list length.  Decoding only turns each list into an
+array of its declared shape; every check of the values runs in the
+:class:`SymbolDataset` constructor, for datasets built in memory and read
+from files alike.  Files of the earlier layouts ``scatjet.symbols/1``,
+``/2`` and ``/3`` are refused.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ import numpy as np
 from .errors import ConfigError, IoError, raise_first
 from .spectral_sets import ExceptionalSet
 
-SCHEMA = "scatjet.symbols/3"
-_OLD_SCHEMAS = ("scatjet.symbols/1", "scatjet.symbols/2")
+SCHEMA = "scatjet.symbols/4"
+_OLD_SCHEMAS = ("scatjet.symbols/1", "scatjet.symbols/2", "scatjet.symbols/3")
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -145,15 +145,16 @@ class SymbolDataset:
     ``symbols`` is a read-only complex array of shape
     ``(E, *grid_shape, C, 2)``: ``symbols[e, *idx, c]`` holds the pair
     ``(S(xi), S(t xi))`` for energy index ``e``, grid index ``idx`` and the
-    covector ``polarization_covectors(n)[c]``.  ``singularity`` (if present)
-    is a read-only complex array of shape ``(*grid_shape, P)`` holding the
-    first-order singularity coefficient ``F`` at ``P`` probes per point, and
-    ``probes`` the read-only ``(*grid_shape, P, n)`` array of those probes;
-    ``t_pair`` holds the two model-integral factors needed to invert them,
-    and ``exceptional`` the exceptional set the energies are screened
-    against.  Construction checks every field and raises
-    :class:`ConfigError` naming the first bad entry, for grid arrays by its
-    grid index and sample.
+    covector ``polarization_covectors(n)[c]``.  ``probes`` (if present) is
+    the read-only real ``(P, n)`` array of the unit probe directions, one set
+    for every grid point, and ``singularity`` the read-only complex
+    ``(*grid_shape, P)`` array of the first-order singularity coefficient
+    ``F`` at those probes; the two come together.  ``t_pair`` holds the two
+    model-integral factors needed to invert them, and ``exceptional`` the
+    exceptional set the energies are screened against.  Construction checks
+    every field and raises :class:`ConfigError` naming the first bad entry:
+    a probe by its index, an entry of a grid array by its grid index and
+    sample.
     """
 
     n: int
@@ -181,31 +182,25 @@ class SymbolDataset:
         object.__setattr__(self, "symbols", symbols)
         if self.singularity is None and self.probes is not None:
             raise ConfigError("probes given without singularity")
+        if self.singularity is not None and self.probes is None:
+            raise ConfigError("singularity given without probes")
         if self.singularity is not None:
-            singularity = np.array(self.singularity, dtype=complex)
             probes = np.array(self.probes, dtype=float)
-            if singularity.shape[:-1] != self.grid_shape or singularity.shape[-1:] in ((), (0,)):
+            if probes.ndim != 2 or probes.shape[0] < 1 or probes.shape[1] != self.n:
                 raise ConfigError(
-                    f"singularity has shape {singularity.shape}, "
-                    f"expected {self.grid_shape} plus a nonzero probe count"
+                    f"probes has shape {probes.shape}, expected (P, {self.n}) with at least one probe"
                 )
-            if probes.shape != singularity.shape + (self.n,):
-                raise ConfigError(
-                    f"probes has shape {probes.shape}, expected {singularity.shape + (self.n,)}"
-                )
-            # the first-order fit's own bound; written so that a NaN norm fails too
-            unit = np.abs(np.linalg.norm(probes, axis=-1) - 1.0) <= 1e-9
+            for j, omega in enumerate(probes):
+                # the first-order fit's own bound; written so that a NaN norm fails too
+                if not abs(np.linalg.norm(omega) - 1.0) <= 1e-9:
+                    why = "a unit vector" if np.all(np.isfinite(omega)) else "finite"
+                    raise ConfigError(f"probes: probe {j} {tuple(omega.tolist())} is not {why}")
+            singularity = np.array(self.singularity, dtype=complex)
+            want = (*self.grid_shape, len(probes))
+            if singularity.shape != want:
+                raise ConfigError(f"singularity has shape {singularity.shape}, expected {want}")
             raise_first(
-                g,
-                [
-                    (~np.isfinite(singularity), ConfigError, lambda i: "singularity: value is not finite"),
-                    (
-                        ~np.all(np.isfinite(probes), axis=-1),
-                        ConfigError,
-                        lambda i: "probes: omega is not finite",
-                    ),
-                    (~unit, ConfigError, lambda i: "probes: omega is not a unit vector"),
-                ],
+                g, [(~np.isfinite(singularity), ConfigError, lambda i: "singularity: value is not finite")]
             )
             for arr, name in ((singularity, "singularity"), (probes, "probes")):
                 arr.setflags(write=False)
@@ -248,12 +243,12 @@ class SymbolDataset:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/3`` dataset and check it.
+        """Decode a ``scatjet.symbols/4`` dataset and check it.
 
         Raises :class:`IoError`: for a list of the wrong length naming the
         array and its expected shape, otherwise with the message of the
-        constructor's :class:`ConfigError` (for a non-finite entry, its
-        grid index and ``(energy index, covector)`` or probe sample).
+        constructor's :class:`ConfigError` (for a bad probe, its index; for
+        a non-finite entry of a grid array, its grid index and sample).
         """
         try:
             schema = data.get("schema")
@@ -277,10 +272,12 @@ class SymbolDataset:
                 complex,
             )
             singularity, probes = data.get("singularity"), data.get("probes")
-            if singularity is not None:
-                singularity = _unflatten(singularity, "singularity", (*grid_shape, -1), complex)
-                if probes is not None:
-                    probes = _unflatten(probes, "probes", singularity.shape + (n,), float)
+            if probes is not None:
+                probes = _unflatten(probes, "probes", (-1, n), float)
+                if singularity is not None:
+                    singularity = _unflatten(
+                        singularity, "singularity", (*grid_shape, len(probes)), complex
+                    )
             t_pair = None
             if "t_pair" in data:
                 t1, t2 = data["t_pair"]

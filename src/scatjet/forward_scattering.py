@@ -122,7 +122,7 @@ def principal_symbol(patch: BoundaryPatch, xi, energy: ComplexEnergy) -> np.ndar
     if not np.all(np.any(xi, axis=-1)):
         raise ZeroCovector("covector is zero")
     pad = patch.grid_shape + (1,) * (xi.ndim - 1)
-    sigma = indicial_root(patch, energy).sigma
+    sigma = indicial_root(patch, energy)
     pref = gamma_prefactor(sigma, n).reshape(pad)
     h0 = patch.h_jet[0].reshape(pad + (n, n))
     norm = np.sqrt((xi[..., None, :] @ np.linalg.solve(h0, xi[..., None]))[..., 0, 0])

@@ -185,10 +185,12 @@ def green_residual_check(
     if grid.n != n:
         raise ValueError("grid dimension does not match n")
     sig = complex(sigma)
-    G = _kernel_on(grid, sig)
-    core = G[tuple(slice(1, -1) for _ in range(G.ndim))]
     eig = sig * (sig - n) if wrong_sign else sig * (n - sig)
-    resid = hyperbolic_laplacian_apply(G, grid) - eig * core
+    # a kernel past double range gives non-finite residuals, which callers refuse
+    with np.errstate(all="ignore"):
+        G = _kernel_on(grid, sig)
+        core = G[tuple(slice(1, -1) for _ in range(G.ndim))]
+        resid = hyperbolic_laplacian_apply(G, grid) - eig * core
     mask = grid.exclusion_mask()
     return GreenResidualReport(
         max_residual=float(np.max(np.abs(resid[mask]))),

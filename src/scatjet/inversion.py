@@ -5,7 +5,7 @@ Stage by stage:
 1. ``recover_sigma_from_symbol`` reads the indicial root off the symbol's
    homogeneity: ``sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t)``, then peels
    the Gamma prefactor to expose the covector norm ``|xi|_{h0}``, which must
-   come out finite.
+   come out finite and real: a phase left on the samples is refused.
 2. ``metric_boundary_recovery`` polarizes squared norms at ``{e_i}`` and
    ``{e_i + e_j}`` into the inverse metric and inverts it.
 3. ``two_energy_recovery`` solves the pair of indicial identities
@@ -55,6 +55,7 @@ _SV_CUT = 1e-10
 _BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
 _SIGMA_SPREAD_TOL = 1e-6  # largest spread of sigma across one point's covectors
 _REALNESS_TOL = 1e-8  # largest relative imaginary part of alpha^2 and V0
+_PHASE_TOL = 1e-8  # largest imaginary part of log |xi|_{h0} from the peeled symbol
 
 
 def _divide(a, b):
@@ -78,7 +79,6 @@ def _divide(a, b):
 class SigmaRecovery:
     sigma: complex | np.ndarray
     norm: float | np.ndarray
-    prefactor_imag_residual: float | np.ndarray
 
 
 def recover_sigma_from_symbol(
@@ -93,9 +93,12 @@ def recover_sigma_from_symbol(
     principal log fixes the imaginary part (documented ambiguity of
     ``pi / log t``).  Raises :class:`BranchAmbiguity` if the recovered root
     falls below the principal half-plane ``Re sigma >= n/2``, and
-    :class:`InconsistentData` if a recovered norm is not finite.  The samples
-    may be scalars or arrays whose first ``n`` axes are the grid; a failure
-    names the first failing grid index and the sample along the other axes.
+    :class:`InconsistentData` if a recovered norm is not finite or its log
+    keeps an imaginary part above 1e-8 once the Gamma prefactor is peeled:
+    the trace of a phase on the samples, or of a root off the principal log
+    branch.  The samples may be scalars or arrays whose first ``n`` axes are
+    the grid; a failure names the first failing grid index and the sample
+    along the other axes.
     """
     if t <= 0 or t == 1.0:
         raise ValueError("scale factor t must be positive and != 1")
@@ -107,6 +110,7 @@ def recover_sigma_from_symbol(
         power = _divide(v, pref)
         w = _divide(np.log(power), 2.0 * sigma - n)
         norm = np.exp(w.real)
+        phase = np.abs(w.imag)
     finite = np.isfinite(v) & np.isfinite(vt)
     raise_first(
         n,
@@ -130,12 +134,16 @@ def recover_sigma_from_symbol(
                 InconsistentData,
                 lambda i: f"recovered covector norm {norm[i]} is not finite",
             ),
+            (
+                ~(phase <= _PHASE_TOL),
+                InconsistentData,
+                lambda i: "log of the recovered covector norm has imaginary part "
+                f"{phase[i]:.3e} above {_PHASE_TOL:g}: a phase on the samples, "
+                "or sigma off the principal log branch",
+            ),
         ],
     )
-    # consistent data gives a positive real norm; imaginary leakage is reported
-    return SigmaRecovery(
-        sigma=sigma[()], norm=norm[()], prefactor_imag_residual=np.abs(w.imag)[()]
-    )
+    return SigmaRecovery(sigma=sigma[()], norm=norm[()])
 
 
 def metric_boundary_recovery(norms, n: int) -> np.ndarray:
@@ -285,9 +293,10 @@ def first_order_recovery(
     """Minimum-norm fit of ``(H, W)`` to angular singularity samples, pointwise.
 
     ``values`` has shape ``(..., P)`` and ``probes`` ``(..., P, n)``: ``P``
-    samples ``F(omega)`` per point; ``sigma`` and ``alpha_sq`` are scalars or
-    arrays over ``...`` and ``h0`` has shape ``(..., n, n)``.  Design rows
-    follow the forward model
+    samples ``F(omega)`` per point, at probes that broadcast against the
+    grid (a dataset's one ``(P, n)`` set); ``sigma`` and ``alpha_sq`` are
+    scalars or arrays over ``...`` and ``h0`` has shape ``(..., n, n)``.
+    Design rows follow the forward model
     ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``
     in the unknowns ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order.
     Every point's design gets one SVD; rank deficiency is reported, not raised.

@@ -36,7 +36,8 @@ and I, ``(k+4-2l)/2`` for J).
   ``B(a, a)`` and the value is the closed form
   ``pi^(n/2) Gamma((E+1)/2) Gamma(b) Gamma(a)^2 / (2 Gamma(p)^2 Gamma(2a))``,
   summed in ``loggamma``.  Their ``n_evals`` is 0 and ``est_error`` is a
-  rounding bound; the ``spec`` argument is accepted and ignored.
+  rounding bound, judged against the ``QuadratureSpec`` like an error
+  estimate: a bound above the tolerance raises ``QuadratureFailure``.
 * I keeps the 1-D ``t``-integral.  Each half of ``(0, 1)`` is integrated in
   the log of its distance to the near end (``log t``, ``log(1-t)``), where
   the integrand is smooth and decays like ``e^(p x)``.  A composite
@@ -73,7 +74,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error tolerances and bisection budget for the 1-D rule of ``I``."""
+    """Error tolerances of every model integral and the bisection budget of ``I``'s rule."""
 
     rel_tol: float = 1e-7
     abs_tol: float = 1e-10
@@ -124,24 +125,39 @@ def _divergence(E: complex, p: complex, n: int) -> str:
 def _front_terms(E: complex, p: complex, n: int) -> tuple[complex, list]:
     """``b`` and the log terms of ``pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)``."""
     b = 2 * p - (E + 1 + n) / 2
-    terms = [
-        0.5 * n * math.log(math.pi),
-        loggamma((E + 1) / 2),
-        loggamma(b),
-        -math.log(2.0),
-        -2 * loggamma(p),
-    ]
+    # past double range the terms come out inf or NaN; callers refuse such a value
+    with np.errstate(all="ignore"):
+        terms = [
+            0.5 * n * math.log(math.pi),
+            loggamma((E + 1) / 2),
+            loggamma(b),
+            -math.log(2.0),
+            -2 * loggamma(p),
+        ]
     return b, terms
 
 
-def _closed_form(E: complex, p: complex, n: int) -> ModelIntegralValue:
-    """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``."""
+def _closed_form(
+    E: complex, p: complex, n: int, spec: QuadratureSpec, name: str
+) -> ModelIntegralValue:
+    """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``.
+
+    ``est_error`` bounds the rounding of the summed log terms; a bound above
+    the tolerance of ``spec`` raises :class:`QuadratureFailure`.
+    """
     b, terms = _front_terms(E, p, n)
     a = p - b
-    terms += [2 * loggamma(a), -loggamma(2 * a)]
-    value = complex(np.exp(sum(terms)))
-    rounding = 4 * np.finfo(float).eps * (1 + sum(abs(t) for t in terms))
-    return ModelIntegralValue(value, rounding * abs(value), True, 0)
+    with np.errstate(all="ignore"):
+        terms += [2 * loggamma(a), -loggamma(2 * a)]
+        value = complex(np.exp(sum(terms)))
+        est = 4 * np.finfo(float).eps * (1 + sum(abs(t) for t in terms)) * abs(value)
+    tol = max(spec.rel_tol * abs(value), spec.abs_tol)
+    if est > tol:
+        raise QuadratureFailure(
+            f"{name}: closed-form rounding bound {est:.3e} above tolerance {tol:.3e}; "
+            "the summed loggamma terms lose the value's digits"
+        )
+    return ModelIntegralValue(value, est, True, 0)
 
 
 # -- the 1-D rule of I -------------------------------------------------------
@@ -241,8 +257,8 @@ def j_integral(
 
     The integrand is the absolute-value one (both powers use ``Re sigma``),
     so the value is real positive; it is returned as a complex with zero
-    imaginary part for uniformity.  The value is the closed form, so
-    ``spec`` is ignored.
+    imaginary part for uniformity.  The value is the closed form; its
+    rounding bound must meet the tolerance of ``spec``.
     """
     _check_arguments(l, sigma, n)
     if k < 1:
@@ -253,7 +269,7 @@ def j_integral(
             f"2 Re(sigma) = {2 * p:g} < max(n-k+1, k+2) = {max(n - k + 1, k + 2)}"
         )
         raise NotConvergent(f"J_{l} diverges for n={n}, k={k}: {why}")
-    return _closed_form(complex(E), complex(p), n)
+    return _closed_form(complex(E), complex(p), n, spec, f"J_{l} at sigma={sigma}, n={n}, k={k}")
 
 
 def t_limit_integral(
@@ -270,8 +286,8 @@ def t_limit_integral(
         T_l = (pi^(n/2)/2) Gamma(sigma + (5-2l-n)/2) Gamma(sigma - (5-2l)/2)
               Gamma((5-2l)/2)^2 / (Gamma(sigma)^2 Gamma(5-2l)).
 
-    The value is the closed form, so ``spec`` is ignored.  Where T_l
-    converges it has no zeros.
+    The value is the closed form; its rounding bound must meet the
+    tolerance of ``spec``.  Where T_l converges it has no zeros.
     """
     _check_arguments(l, sigma, n)
     sig = complex(sigma)
@@ -279,7 +295,7 @@ def t_limit_integral(
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"T_{l} diverges for sigma={sigma}, n={n}: {why}")
-    return _closed_form(E, sig, n)
+    return _closed_form(E, sig, n, spec, f"T_{l} at sigma={sigma}, n={n}")
 
 
 def i_full_integral(
@@ -340,6 +356,8 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     zv = np.asarray(z, dtype=float)
     if zv.shape != (n,):
         raise ValueError(f"z must have length n={n}")
-    const = math.pi ** (-n / 2.0) / 2.0 * _gamma(sig) / _gamma(sig - (n - 2) / 2.0)
     base = 1.0 + s * s + float(zv @ zv)
-    return complex(const * np.exp(sig * (math.log(s) - math.log(base))))
+    # past double range the value comes out inf or NaN; the command line refuses it
+    with np.errstate(all="ignore"):
+        const = math.pi ** (-n / 2.0) / 2.0 * _gamma(sig) / _gamma(sig - (n - 2) / 2.0)
+        return complex(const * np.exp(sig * (math.log(s) - math.log(base))))

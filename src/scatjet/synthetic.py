@@ -31,10 +31,10 @@ from .spectral_sets import exceptional_set, is_admissible
 _ENERGY_DRAWS = 100
 
 
-def random_spd(rng: np.random.Generator, n: int, eig_range=(0.5, 2.0)) -> np.ndarray:
-    """Random symmetric positive definite matrix with bounded spectrum."""
+def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random symmetric positive definite matrix with spectrum in ``[0.5, 2]``."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    eigs = rng.uniform(*eig_range, size=n)
+    eigs = rng.uniform(0.5, 2.0, size=n)
     return q @ np.diag(eigs) @ q.T
 
 
@@ -81,11 +81,7 @@ class SyntheticTruth:
     v0: float
     h0: np.ndarray
     H: np.ndarray
-    L: np.ndarray
     W1: float
-    energies: tuple[complex, complex]
-    scale_t: float
-    t_pair: tuple[complex, complex]
 
     @property
     def alpha_sq(self) -> float:
@@ -93,20 +89,16 @@ class SyntheticTruth:
 
 
 def draw_admissible_energies(
-    rng: np.random.Generator,
-    patch: BoundaryPatch,
-    margin: float = 1e-3,
-    min_gap: float = 0.5,
-    k_max: int = 2,
+    rng: np.random.Generator, patch: BoundaryPatch
 ) -> tuple[ComplexEnergy, ComplexEnergy]:
-    """Two real energies in [3, 6], admissible and with separated squares."""
-    es = exceptional_set(patch, k_max=k_max)
+    """Two real energies in [3, 6], admissible to 1e-3 and with squares 0.5 apart."""
+    es = exceptional_set(patch)
     picked: list[ComplexEnergy] = []
     for _ in range(_ENERGY_DRAWS):
         lam = ComplexEnergy(complex(rng.uniform(3.0, 6.0)))
-        if not is_admissible(lam, es, margin):
+        if not is_admissible(lam, es, 1e-3):
             continue
-        if picked and abs(picked[0].lam_sq - lam.lam_sq) < min_gap:
+        if picked and abs(picked[0].lam_sq - lam.lam_sq) < 0.5:
             continue
         picked.append(lam)
         if len(picked) == 2:
@@ -121,15 +113,15 @@ def forward_dataset(
     scale_t: float = 2.0,
     probes: ProbeSet | None = None,
     t_pair: tuple[complex, complex] | None = None,
-    k_max: int = 2,
 ) -> SymbolDataset:
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
     Symbols are sampled at ``xi in {e_i} u {e_i + e_j}`` and at ``scale_t``
     times each, at every grid point and energy.  When a second patch is
-    supplied, the first-order angular samples ``F(omega)`` over the probe set,
-    at every grid point, are attached together with the model-integral
-    factor pair used to build them.
+    supplied, the first-order angular samples ``F(omega)`` over the probe set
+    (the default set unless given), at every grid point, are attached
+    together with the probes and the model-integral factor pair used to
+    build them (``(1, 1)`` unless given).
     """
     n = patch1.n
     shape = patch1.grid_shape
@@ -142,13 +134,10 @@ def forward_dataset(
     if patch2 is not None:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
-        probes = probes if probes is not None else default_probe_set(n)
-        sigma = indicial_root(patch1, energies[0]).sigma
+        omega = np.array((probes if probes is not None else default_probe_set(n)).vectors)
+        sigma = indicial_root(patch1, energies[0])
         pd = perturbation_coefficients(patch1, patch2)
-        singularity = singularity_coefficient(
-            pd, patch1.alpha, sigma, t_pair[0], t_pair[1], probes.vectors
-        )
-        omega = np.broadcast_to(probes.vectors, singularity.shape + (n,))
+        singularity = singularity_coefficient(pd, patch1.alpha, sigma, t_pair[0], t_pair[1], omega)
 
     return SymbolDataset(
         n=n,
@@ -159,7 +148,7 @@ def forward_dataset(
         singularity=singularity,
         probes=omega,
         t_pair=t_pair,
-        exceptional=exceptional_set(patch1, k_max=k_max),
+        exceptional=exceptional_set(patch1),
     )
 
 
@@ -167,15 +156,15 @@ def make_synthetic_pair(
     seed: int,
     n: int,
     axes: tuple[int, ...] | None = None,
-    scale_t: float = 2.0,
-    t_pair: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j),
     with_first_order: bool = True,
 ) -> tuple[SyntheticTruth, SymbolDataset]:
     """Random constant-coefficient truth plus its forward dataset.
 
-    The first-order perturbation uses a traceless ``H`` (so the fitted
-    system's structural kernel direction is orthogonal to the truth) and
-    ``W1 = 0``, matching the regime in which minimum-norm recovery is exact.
+    The dataset has ``scale_t = 2`` and, with first-order data, the default
+    probes and ``t_pair = (1, 1)``.  The first-order perturbation uses a
+    traceless ``H`` (so the fitted system's structural kernel direction is
+    orthogonal to the truth) and ``W1 = 0``, matching the regime in which
+    minimum-norm recovery is exact.
     """
     rng = np.random.default_rng(seed)
     alpha = float(rng.uniform(0.5, 2.0))
@@ -192,23 +181,5 @@ def make_synthetic_pair(
     patch2 = constant_patch(n, alpha, v0, h0, v1=v1_base + W1, h1=h1_base + L, axes=axes)
     lam1, lam2 = draw_admissible_energies(rng, patch1)
 
-    ds = forward_dataset(
-        patch1,
-        (lam1, lam2),
-        patch2=patch2 if with_first_order else None,
-        scale_t=scale_t,
-        t_pair=t_pair if with_first_order else None,
-    )
-    truth = SyntheticTruth(
-        n=n,
-        alpha=alpha,
-        v0=v0,
-        h0=h0,
-        H=H,
-        L=L,
-        W1=W1,
-        energies=(lam1.lam, lam2.lam),
-        scale_t=scale_t,
-        t_pair=t_pair,
-    )
-    return truth, ds
+    ds = forward_dataset(patch1, (lam1, lam2), patch2=patch2 if with_first_order else None)
+    return SyntheticTruth(n=n, alpha=alpha, v0=v0, h0=h0, H=H, W1=W1), ds

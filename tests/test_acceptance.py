@@ -78,9 +78,9 @@ def test_acceptance_indicial_identity():
         else:
             lam = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0))
         en = ComplexEnergy(lam)
-        fld = indicial_root(patch, en)
-        assert np.all(fld.sigma.real >= n / 2.0 - 1e-12)
-        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, fld.sigma, n)
+        sigma = indicial_root(patch, en)
+        assert np.all(sigma.real >= n / 2.0 - 1e-12)
+        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, n)
         scale = max(1.0, abs(patch.v_jet[0].max() - lam * lam - n * n / 4.0))
         worst = max(worst, float(np.max(res)) / scale)
     assert worst <= 1e-12
@@ -103,7 +103,7 @@ def test_acceptance_symbol_homogeneity():
         idx = (0,) * n
         scales = (1.0, 2.0, 4.0, 8.0)
         base, *scaled = principal_symbol(patch, np.outer(scales, xi), en)[idx]
-        sig = indicial_root(patch, en).sigma[idx]
+        sig = indicial_root(patch, en)[idx]
         for t, got in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)
             worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
@@ -239,7 +239,7 @@ def test_acceptance_first_order_round_trip():
     L = np.array([[0.5, 0.2], [0.2, -0.125]])  # h0^-1 L h0^-1 is traceless
     patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=L)
     en1, en2 = ComplexEnergy(4.0), ComplexEnergy(5.0)
-    sig = indicial_root(patch1, en1).sigma[0, 0]
+    sig = indicial_root(patch1, en1)[0, 0]
     t_pair = (
         t_limit_integral(1, sig, 2, spec).value,
         t_limit_integral(2, sig, 2, spec).value,
@@ -267,7 +267,7 @@ def _mode_feedback_gap(patch, modes, ks):
         for k in ks:
             lam_sq = complex(modes[idx + (k,)])
             en = ComplexEnergy(cmath.sqrt(lam_sq), lam_sq=lam_sq)
-            sig = indicial_root(patch, en).sigma[idx]
+            sig = indicial_root(patch, en)[idx]
             worst = max(worst, abs((patch.n - sig) - (patch.n - k) / 2.0))
     return worst
 

@@ -7,7 +7,6 @@ import pytest
 from scatjet.boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
-    IndicialField,
     indicial_identity_residual,
     indicial_root,
     perturbation_coefficients,
@@ -131,15 +130,14 @@ def test_indicial_shifted_potential_cancels():
     # V0 = lam^2 + 1 at n=2 makes the discriminant (n/2)^2, so sigma = n
     lam = 1.3
     patch = constant_patch(2, 1.0, lam**2 + 1.0, np.eye(2))
-    field = indicial_root(patch, ComplexEnergy(lam))
-    assert isinstance(field, IndicialField)
-    np.testing.assert_allclose(field.sigma, 2.0, atol=1e-14)
+    sigma = indicial_root(patch, ComplexEnergy(lam))
+    assert isinstance(sigma, np.ndarray) and sigma.shape == patch.grid_shape
+    np.testing.assert_allclose(sigma, 2.0, atol=1e-14)
 
 
 def test_indicial_zero_discriminant():
     patch = constant_patch(2, 2.0, 5.0, np.eye(2))
-    field = indicial_root(patch, ComplexEnergy(0.0))
-    np.testing.assert_allclose(field.sigma, 1.0, atol=1e-14)
+    np.testing.assert_allclose(indicial_root(patch, ComplexEnergy(0.0)), 1.0, atol=1e-14)
 
 
 def test_indicial_variable_alpha_identity():
@@ -153,10 +151,10 @@ def test_indicial_variable_alpha_identity():
     }
     patch = BoundaryPatch.from_dict(raw)
     en = ComplexEnergy(2j)
-    field = indicial_root(patch, en)
-    resid = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, field.sigma, 3)
+    sigma = indicial_root(patch, en)
+    resid = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, 3)
     assert np.max(resid) <= 1e-12
-    assert np.min(field.sigma.real) >= 1.5
+    assert np.min(sigma.real) >= 1.5
 
 
 def test_indicial_branch_and_sum_product():
@@ -167,8 +165,7 @@ def test_indicial_branch_and_sum_product():
         v0 = float(rng.uniform(-1.0, 1.0))
         lam = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
         patch = constant_patch(n, alpha, v0, np.eye(n))
-        field = indicial_root(patch, ComplexEnergy(lam))
-        sp = complex(field.sigma.flat[0])
+        sp = complex(indicial_root(patch, ComplexEnergy(lam)).flat[0])
         sm = n - sp
         assert sp.real >= n / 2 - 1e-12
         assert sp + sm == pytest.approx(n)
@@ -183,17 +180,17 @@ def test_branch_cut_only_for_real_energy_in_interval():
         indicial_root(patch, ComplexEnergy(0.0))
     assert info.value.points  # offending grid points are reported
     # the same magnitude off the real axis evaluates fine
-    sig = indicial_root(patch, ComplexEnergy(1e-3 + 0j * 0 + 2j)).sigma
+    sig = indicial_root(patch, ComplexEnergy(1e-3 + 0j * 0 + 2j))
     assert np.all(sig.real >= 1.0)
 
 
 def test_indicial_continuity_in_lambda():
     patch = constant_patch(2, 1.2, 0.4, np.eye(2))
     base = ComplexEnergy(3.0 + 0.5j)
-    ref = indicial_root(patch, base).sigma[0, 0]
+    ref = indicial_root(patch, base)[0, 0]
     diffs = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        sig = indicial_root(patch, ComplexEnergy(3.0 + h + 0.5j)).sigma[0, 0]
+        sig = indicial_root(patch, ComplexEnergy(3.0 + h + 0.5j))[0, 0]
         diffs.append(abs(sig - ref))
     # linear shrink in |delta lambda|
     assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.1)

@@ -75,7 +75,7 @@ def test_dataset_save_load_identical(tmp_path):
     assert again.symbols.shape == (2, 4, 4, 3, 2) and not again.symbols.flags.writeable
     np.testing.assert_array_equal(again.singularity, ds.singularity)
     np.testing.assert_array_equal(again.probes, ds.probes)
-    assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 4, 4, 2)
+    assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 2)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
     es, es_again = ds.exceptional, again.exceptional
     assert es_again.interval_lambda_sq == es.interval_lambda_sq
@@ -97,7 +97,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def _datasets(draw):
     """Datasets with singularity data and an exceptional set.
 
-    Any finite numbers, -0.0 among them, unit probes and small grids.
+    Any finite numbers, -0.0 among them, one set of unit probes and small grids.
     """
     n = draw(st.sampled_from([1, 2, 3]))
     grid = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
@@ -111,7 +111,7 @@ def _datasets(draw):
     def complex_array(shape):
         return real_array(shape + (2,)).view(complex)[..., 0]
 
-    raw = draw(hnp.arrays(float, grid + (count, n), elements=st.floats(-1.0, 1.0)))
+    raw = draw(hnp.arrays(float, (count, n), elements=st.floats(-1.0, 1.0)))
     norm = np.linalg.norm(raw, axis=-1, keepdims=True)
     assume(np.all(norm > 1e-3))
     return SymbolDataset(
@@ -167,13 +167,17 @@ def test_dataset_rejects_symbols_of_wrong_shape():
 
 def test_dataset_rejects_singularity_without_every_grid_index():
     _, ds = make_synthetic_pair(seed=4, n=2)
-    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 3, 4\), expected \(4, 4\)"):
+    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 3, 4\), expected \(4, 4, 4\)"):
         dataclasses.replace(ds, singularity=ds.singularity[:, 1:])
-    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 4, 0\)"):
-        dataclasses.replace(ds, singularity=ds.singularity[..., :0], probes=ds.probes[..., :0, :])
-    with pytest.raises(ConfigError, match=r"probes has shape \(4, 4, 4, 1\), expected \(4, 4, 4, 2\)"):
-        dataclasses.replace(ds, probes=ds.probes[..., :1])
-    with pytest.raises(ConfigError, match=r"probes has shape \(\), expected \(4, 4, 4, 2\)"):
+    with pytest.raises(ConfigError, match=r"singularity has shape \(4, 4, 3\), expected \(4, 4, 4\)"):
+        dataclasses.replace(ds, singularity=ds.singularity[..., 1:])
+    with pytest.raises(ConfigError, match=r"probes has shape \(0, 2\), expected \(P, 2\) with at least"):
+        dataclasses.replace(ds, singularity=ds.singularity[..., :0], probes=ds.probes[:0])
+    with pytest.raises(ConfigError, match=r"probes has shape \(4, 1\), expected \(P, 2\)"):
+        dataclasses.replace(ds, probes=ds.probes[:, :1])
+    with pytest.raises(ConfigError, match=r"probes has shape \(4, 4, 4, 2\), expected \(P, 2\)"):
+        dataclasses.replace(ds, probes=np.broadcast_to(ds.probes, (4, 4, 4, 2)))
+    with pytest.raises(ConfigError, match=r"^singularity given without probes$"):
         dataclasses.replace(ds, probes=None)
 
 
@@ -192,17 +196,12 @@ def _with_entry(array, index, value):
             math.inf,
             r"singularity: value is not finite at grid index \(1, 2\), sample \(0,\)",
         ),
+        ("probes", (1, 0), math.nan, r"^probes: probe 1 \(nan, 1\.0\) is not finite$"),
         (
             "probes",
-            (0, 1, 1, 0),
-            math.nan,
-            r"probes: omega is not finite at grid index \(0, 1\), sample \(1,\)",
-        ),
-        (
-            "probes",
-            (3, 0, 2, 1),
+            (2, 1),
             0.5,
-            r"probes: omega is not a unit vector at grid index \(3, 0\), sample \(2,\)",
+            r"^probes: probe 2 \(0\.7071067811865475, 0\.5\) is not a unit vector$",
         ),
         (
             "symbols",
@@ -247,7 +246,7 @@ def test_dataset_io_errors(tmp_path):
 _FLOAT_SHAPES = {
     "symbols": (2, 4, 4, 3, 2, 2),
     "singularity": (4, 4, 4, 2),
-    "probes": (4, 4, 4, 2),
+    "probes": (4, 2),
     "modes_lambda_sq": (4, 4, 3),
 }
 
@@ -328,24 +327,24 @@ def _no_samples(data):
         ),
         (
             _truncate("probes", 1),
-            r"probes: expected a flat list of 128 numbers for a float array of shape "
-            r"\(4, 4, 4, 2\), got shape \(127,\)",
+            # the probe count is read off the probes length, rounded up
+            r"probes: expected a flat list of 8 numbers for a float array of shape "
+            r"\(4, 2\), got shape \(7,\)",
         ),
         (
-            _reshape("probes", lambda a: np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)),
-            r"probes: expected a flat list of 128 numbers for a float array of shape "
-            r"\(4, 4, 4, 2\), got shape \(192,\)",
+            _reshape("probes", lambda a: np.concatenate([a, np.zeros((4, 1))], axis=-1)),
+            # twelve numbers read as six two-component probes
+            r"singularity: expected a flat list of 192 numbers for a complex array of shape "
+            r"\(4, 4, 6\), got shape \(128,\)",
         ),
         (
             _reshape("singularity", lambda a: np.concatenate([a, a[:1]], axis=0)),
-            # the probe count is read off the singularity length, so a fifth grid row
-            # reads as five probes per point and the probes list no longer matches
-            r"probes: expected a flat list of 160 numbers for a float array of shape "
-            r"\(4, 4, 5, 2\), got shape \(128,\)",
+            r"singularity: expected a flat list of 128 numbers for a complex array of shape "
+            r"\(4, 4, 4\), got shape \(160,\)",
         ),
         (
             _no_samples,
-            r"singularity has shape \(4, 4, 0\), expected \(4, 4\) plus a nonzero probe count",
+            r"probes has shape \(0, 2\), expected \(P, 2\) with at least one probe",
         ),
         (_set(["symbols", 10], "1.5"), r"symbols: not a flat list of numbers \(read as dtype <U"),
         (
@@ -358,24 +357,22 @@ def _no_samples(data):
             r"singularity: value is not finite at grid index \(1, 2\), sample \(0,\)",
         ),
         (
-            _set_entry("probes", (3, 0, 1, 0), math.nan),
-            r"probes: omega is not finite at grid index \(3, 0\), sample \(1,\)",
+            _set_entry("probes", (1, 0), math.nan),
+            r"probes: probe 1 \(nan, 1\.0\) is not finite",
         ),
         (
-            _set_entry("probes", (1, 3, 2), 1.0),
-            r"probes: omega is not a unit vector at grid index \(1, 3\), sample \(2,\)",
+            _set_entry("probes", (2, 0), 1.0),
+            r"probes: probe 2 \(1\.0, 0\.7071067811865475\) is not a unit vector",
         ),
-        (_drop("probes"), r"probes has shape \(\), expected \(4, 4, 4, 2\)"),
+        (_drop("probes"), r"singularity given without probes"),
         (_drop("singularity"), r"probes given without singularity"),
-        (
-            _set(["schema"], "scatjet.symbols/1"),
-            r"dataset schema 'scatjet.symbols/1' is no longer read; "
-            r"re-run `scatjet forward` to write 'scatjet.symbols/3'",
-        ),
-        (
-            _set(["schema"], "scatjet.symbols/2"),
-            r"dataset schema 'scatjet.symbols/2' is no longer read; "
-            r"re-run `scatjet forward` to write 'scatjet.symbols/3'",
+        *(
+            (
+                _set(["schema"], f"scatjet.symbols/{old}"),
+                rf"dataset schema 'scatjet.symbols/{old}' is no longer read; "
+                r"re-run `scatjet forward` to write 'scatjet.symbols/4'",
+            )
+            for old in (1, 2, 3)
         ),
         (_set(["scale_t"], 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
         (_set(["scale_t"], -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
@@ -425,6 +422,7 @@ def _no_samples(data):
         "missing-singularity",
         "schema-1",
         "schema-2",
+        "schema-3",
         "scale-t-one",
         "scale-t-negative",
         "no-energies",
@@ -557,7 +555,7 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/3"
+    assert payload["schema"] == "scatjet.symbols/4"
     # every block is a dataset field that load reads: no derived extras
     assert set(payload) == {
         "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
@@ -735,6 +733,11 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
             "T1 at sigma=(1e+308+0j): value (nan+nanj) (error nan) is not finite",
         ),
         (
+            ["integrals", "--which", "T1", "--sigma", "2+1e300i", "--n", "2"],
+            1,
+            "T_1 at sigma=(2+1e+300j), n=2: closed-form rounding bound 9.623e+287 above tolerance",
+        ),
+        (
             ["integrals", "--which", "G", "--sigma", "1e10", "--n", "2"],
             1,
             "G at sigma=(10000000000+0j): value (nan+nanj) (error 0.0) is not finite",
@@ -747,7 +750,14 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         (["sets", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
         (["forward", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
     ],
-    ids=["integrals-t1", "integrals-green", "verify-green-constant", "sets-lam", "forward-lam"],
+    ids=[
+        "integrals-t1",
+        "integrals-t1-rounding",
+        "integrals-green",
+        "verify-green-constant",
+        "sets-lam",
+        "forward-lam",
+    ],
 )
 def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
     """Finite arguments whose results leave double range: a named error, no NaN written."""
@@ -759,6 +769,22 @@ def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
         assert main([*argv, "--out", str(out)]) == code
     assert not out.exists()
     assert any(r.getMessage().startswith(message) for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"], 1),
+        (["verify", "green", "--sigma", "1e308"], 2),
+    ],
+    ids=["integrals-t1", "verify-green"],
+)
+def test_cli_process_overflow_warns_nothing_raw(argv, code):
+    """An overflow inside numpy ends in the named error alone: no RuntimeWarning on stderr."""
+    proc = run_scatjet(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "ERROR scatjet.cli: " in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def _reject_constant(name):

@@ -58,7 +58,7 @@ def test_symbol_homogeneity():
     rng = np.random.default_rng(7)
     patch = constant_patch(2, 1.3, 0.4, np.diag([2.0, 0.5]))
     en = ComplexEnergy(2.0 + 1.5j)
-    sigma = indicial_root(patch, en).sigma[0, 0]
+    sigma = indicial_root(patch, en)[0, 0]
     xi = rng.standard_normal((50, 2))
     scales = np.array([1.0, 2.0, 4.0, 8.0])
     values = principal_symbol(patch, scales[:, None, None] * xi, en)
@@ -71,7 +71,7 @@ def test_symbol_homogeneity():
 def test_symbol_log_slope():
     patch = constant_patch(2, 1.0, 0.3, np.eye(2))
     en = ComplexEnergy(1.0 + 2.0j)
-    sigma = indicial_root(patch, en).sigma[0, 0]
+    sigma = indicial_root(patch, en)[0, 0]
     xi = np.array([0.6, -0.8])
     ts = np.array([1.0, 2.0, 4.0, 8.0])
     vals = np.abs(principal_symbol(patch, np.outer(ts, xi), en)[0, 0])
@@ -268,7 +268,7 @@ def test_singularity_consistent_with_patch_pipeline():
 def test_singularity_over_a_varying_grid_matches_each_point():
     """The grid call equals the one-point formula at every point of a varying patch."""
     patch1, patch2, energies, _ = varying_patch_pair(seed=29)
-    sigma = indicial_root(patch1, energies[0]).sigma
+    sigma = indicial_root(patch1, energies[0])
     probes = np.array(default_probe_set(2).vectors)
     t1, t2 = 0.9 + 0.2j, 1.3 - 0.1j
     pd = perturbation_coefficients(patch1, patch2)

@@ -63,7 +63,6 @@ def test_sigma_round_trip():
     rec = recover_sigma_from_symbol(v, vt, 2.0, 2)
     assert rec.sigma == pytest.approx(2.3, abs=1e-12)
     assert rec.norm == pytest.approx(1.7, abs=1e-12)
-    assert rec.prefactor_imag_residual <= 1e-12
 
 
 def test_sigma_branch_consistent_across_scales():
@@ -90,7 +89,7 @@ def test_sigma_via_forward_module():
     xi = np.array([0.6, 0.8])
     v, vt = principal_symbol(patch, [xi, 2 * xi], en)[0, 0]
     rec = recover_sigma_from_symbol(v, vt, 2.0, 2)
-    assert rec.sigma == pytest.approx(indicial_root(patch, en).sigma[0, 0], abs=1e-12)
+    assert rec.sigma == pytest.approx(indicial_root(patch, en)[0, 0], abs=1e-12)
     assert rec.norm == pytest.approx(1.0, abs=1e-12)  # h0 = I and |xi| = 1
 
 
@@ -136,8 +135,8 @@ def test_stages_name_the_first_failing_grid_index():
         metric_boundary_recovery(norms, 2)
 
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma
-    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma.copy()
+    s1 = indicial_root(patch, ComplexEnergy(3j))
+    s2 = indicial_root(patch, ComplexEnergy(5j)).copy()
     s2[3, 1] = s1[3, 1]
     with pytest.raises(InconsistentData, match=r"singular at grid index \(3, 1\)$"):
         two_energy_recovery(s1, s2, 3j, 5j, 2)
@@ -151,11 +150,24 @@ def test_sigma_branch_ambiguity():
 
 
 def test_sigma_phase_leak_detected():
-    """An extraneous complex phase on the samples shows up in the residual."""
+    """A complex phase on the samples is refused, naming the grid index and sample."""
     v, vt = _symbol_pair(2.3, 1.7, 2.0, 2)
     phase = np.exp(0.3j)
-    dirty = recover_sigma_from_symbol(v * phase, vt * phase, 2.0, 2)
-    assert dirty.prefactor_imag_residual > 0.01
+    with pytest.raises(InconsistentData, match=r"imaginary part \d\.\d{3}e-0\d above 1e-08"):
+        recover_sigma_from_symbol(v * phase, vt * phase, 2.0, 2)
+    _, ds = make_synthetic_pair(seed=7, n=2)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage sigma\] log of the recovered covector norm has imaginary part "
+        r"1\.287e-01 above 1e-08: .* at grid index \(0, 0\), sample \(0, 0\)$",
+    ):
+        layer_strip_driver(dataclasses.replace(ds, symbols=ds.symbols * np.exp(1j)))
+    # with 2 Im(sigma) log t past pi the root comes back off the principal log
+    # branch, and the peeled prefactor leaves the same trace
+    patch = constant_patch(2, 1.0, 0.3, np.diag([2.0, 0.5]))
+    ds = forward_dataset(patch, (ComplexEnergy(2 + 3j), ComplexEnergy(1 + 4j)))
+    with pytest.raises(InconsistentData, match=r"^\[stage sigma\] log of the recovered"):
+        layer_strip_driver(ds)
 
 
 # -- metric stage -----------------------------------------------------------
@@ -207,8 +219,8 @@ def test_metric_missing_sample():
 
 def test_two_energy_worked_example():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma[0, 0]
-    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma[0, 0]
+    s1 = indicial_root(patch, ComplexEnergy(3j))[0, 0]
+    s2 = indicial_root(patch, ComplexEnergy(5j))[0, 0]
     a2, v0, resid = two_energy_recovery(s1, s2, 3j, 5j, 2)
     assert a2 == pytest.approx(1.69, abs=1e-12)
     assert v0 == pytest.approx(0.7, abs=1e-12)
@@ -233,8 +245,8 @@ def test_two_energy_realness_enforced():
 def test_two_energy_rejects_negative_alpha_sq():
     # swapping the energies against the roots flips the sign of alpha^2
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root(patch, ComplexEnergy(3j)).sigma[0, 0]
-    s2 = indicial_root(patch, ComplexEnergy(5j)).sigma[0, 0]
+    s1 = indicial_root(patch, ComplexEnergy(3j))[0, 0]
+    s2 = indicial_root(patch, ComplexEnergy(5j))[0, 0]
     with pytest.raises(InconsistentData, match="positive"):
         two_energy_recovery(s2, s1, 3j, 5j, 2)
 
@@ -340,7 +352,7 @@ def test_first_order_grid_matches_each_point():
     """One call over a varying grid equals the one-point fit at every point."""
     patch1, patch2, energies, _ = varying_patch_pair(seed=29)
     ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(0.9 + 0.2j, 1.3 - 0.1j))
-    sigma = indicial_root(patch1, energies[0]).sigma
+    sigma = indicial_root(patch1, energies[0])
     alpha_sq = patch1.alpha**2
     h0 = patch1.h_jet[0]
     args = (0.9 + 0.2j, 1.3 - 0.1j)
@@ -348,7 +360,7 @@ def test_first_order_grid_matches_each_point():
     assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank.shape == (5, 6)
     for idx in np.ndindex(5, 6):
         one = first_order_recovery(
-            ds.singularity[idx], ds.probes[idx], sigma[idx], *args, alpha_sq[idx], h0[idx]
+            ds.singularity[idx], ds.probes, sigma[idx], *args, alpha_sq[idx], h0[idx]
         )
         for name in ("H", "W1", "residual", "singular_values"):
             np.testing.assert_allclose(
@@ -359,7 +371,7 @@ def test_first_order_grid_matches_each_point():
             np.testing.assert_array_equal(Hg, H1)
             assert Wg == W1
     with pytest.raises(ValueError, match="last axis of length n=2"):
-        first_order_recovery(ds.singularity, ds.probes[..., :1], sigma, *args, alpha_sq, h0)
+        first_order_recovery(ds.singularity, ds.probes[:, :1], sigma, *args, alpha_sq, h0)
 
 
 # -- full driver ------------------------------------------------------------
@@ -496,7 +508,7 @@ def test_driver_round_trip_on_varying_patch():
     ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(1.0 + 0j, 1.0 + 0j))
     report = layer_strip_driver(ds)
     assert report.status == "ok"
-    sigmas = [indicial_root(patch1, en).sigma for en in energies]
+    sigmas = [indicial_root(patch1, en) for en in energies]
     np.testing.assert_allclose(report.sigma1, sigmas[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.sigma2, sigmas[1], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.h0, patch1.h_jet[0], rtol=0, atol=1e-8)

@@ -164,12 +164,19 @@ def test_halving_rel_tol_stays_within_estimate():
 
 
 def test_quadrature_failure_on_tiny_budget():
-    """A tolerance below rounding starves the I rule: it says what it spent."""
+    """A tolerance below rounding fails every integral, each saying why.
+
+    The I rule names what it spent; T and J name their rounding bound.
+    """
     starved = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=100)
     with pytest.raises(
         QuadratureFailure, match=r"after [1-9]\d* subdivisions \([1-9]\d* evals, \d+ panels\)"
     ):
         i_full_integral(1, 2.5, 0.5, [3.0], starved)
+    with pytest.raises(QuadratureFailure, match=r"^T_1 at sigma=2.5, n=2: closed-form rounding"):
+        t_limit_integral(1, 2.5, 2, starved)
+    with pytest.raises(QuadratureFailure, match=r"^J_2 at sigma=3.0, n=1, k=1: closed-form"):
+        j_integral(2, 1, 3.0, 1, starved)
 
 
 def test_result_invariant():

@@ -65,7 +65,7 @@ def test_modes_hit_half_integer_roots():
     for *idx, k in np.ndindex(*modes.shape):
         lam_sq = complex(modes[(*idx, k)])
         en = ComplexEnergy(complex(np.sqrt(lam_sq)), lam_sq=lam_sq)
-        sig = indicial_root(patch, en).sigma[tuple(idx)]
+        sig = indicial_root(patch, en)[tuple(idx)]
         assert 2 - sig == pytest.approx((2 - k) / 2.0, abs=1e-8)
 
 
