@@ -53,7 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -123,38 +123,41 @@ def _divergence(E: complex, p: complex, n: int) -> str:
 
 
 def _front_terms(E: complex, p: complex, n: int) -> tuple[complex, list]:
-    """``b`` and the log terms of ``pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)``."""
+    """``b`` and the log terms of ``pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)``.
+
+    Past double range the terms come out inf or NaN, which callers refuse;
+    they call this under ``np.errstate`` so that numpy prints no warning.
+    """
     b = 2 * p - (E + 1 + n) / 2
-    # past double range the terms come out inf or NaN; callers refuse such a value
-    with np.errstate(all="ignore"):
-        terms = [
-            0.5 * n * math.log(math.pi),
-            loggamma((E + 1) / 2),
-            loggamma(b),
-            -math.log(2.0),
-            -2 * loggamma(p),
-        ]
+    terms = [
+        0.5 * n * math.log(math.pi),
+        loggamma((E + 1) / 2),
+        loggamma(b),
+        -math.log(2.0),
+        -2 * loggamma(p),
+    ]
     return b, terms
 
 
 def _closed_form(
-    E: complex, p: complex, n: int, spec: QuadratureSpec, name: str
+    E: complex, p: complex, n: int, spec: QuadratureSpec, name: Callable[[], str]
 ) -> ModelIntegralValue:
     """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``.
 
     ``est_error`` bounds the rounding of the summed log terms; a bound above
-    the tolerance of ``spec`` raises :class:`QuadratureFailure`.
+    the tolerance of ``spec`` raises :class:`QuadratureFailure`, its message
+    led by ``name()``.
     """
-    b, terms = _front_terms(E, p, n)
-    a = p - b
     with np.errstate(all="ignore"):
+        b, terms = _front_terms(E, p, n)
+        a = p - b
         terms += [2 * loggamma(a), -loggamma(2 * a)]
         value = complex(np.exp(sum(terms)))
         est = 4 * np.finfo(float).eps * (1 + sum(abs(t) for t in terms)) * abs(value)
     tol = max(spec.rel_tol * abs(value), spec.abs_tol)
     if est > tol:
         raise QuadratureFailure(
-            f"{name}: closed-form rounding bound {est:.3e} above tolerance {tol:.3e}; "
+            f"{name()}: closed-form rounding bound {est:.3e} above tolerance {tol:.3e}; "
             "the summed loggamma terms lose the value's digits"
         )
     return ModelIntegralValue(value, est, True, 0)
@@ -269,7 +272,9 @@ def j_integral(
             f"2 Re(sigma) = {2 * p:g} < max(n-k+1, k+2) = {max(n - k + 1, k + 2)}"
         )
         raise NotConvergent(f"J_{l} diverges for n={n}, k={k}: {why}")
-    return _closed_form(complex(E), complex(p), n, spec, f"J_{l} at sigma={sigma}, n={n}, k={k}")
+    return _closed_form(
+        complex(E), complex(p), n, spec, lambda: f"J_{l} at sigma={sigma}, n={n}, k={k}"
+    )
 
 
 def t_limit_integral(
@@ -295,7 +300,7 @@ def t_limit_integral(
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"T_{l} diverges for sigma={sigma}, n={n}: {why}")
-    return _closed_form(E, sig, n, spec, f"T_{l} at sigma={sigma}, n={n}")
+    return _closed_form(E, sig, n, spec, lambda: f"T_{l} at sigma={sigma}, n={n}")
 
 
 def i_full_integral(
@@ -327,8 +332,9 @@ def i_full_integral(
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
-    b, terms = _front_terms(E, sig, n)
-    front = complex(np.exp(sum(terms) + sig * math.log(s)))
+    with np.errstate(all="ignore"):
+        b, terms = _front_terms(E, sig, n)
+        front = complex(np.exp(sum(terms) + sig * math.log(s)))
     value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
     return ModelIntegralValue(front * value, est, True, n_evals)
 
