@@ -100,6 +100,7 @@ _HIGH = np.polynomial.legendre.leggauss(16)
 _LOW = np.polynomial.legendre.leggauss(8)
 _PANEL = 1.0  # panel width in the log variable
 _DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches this
+_ROUNDING = 4 * np.finfo(float).eps  # relative rounding per unit of summed log magnitude
 
 
 def _check_arguments(l: int, sigma: complex, n: int) -> None:
@@ -125,16 +126,16 @@ def _divergence(E: complex, p: complex, n: int) -> str:
 def _front_terms(E: complex, p: complex, n: int) -> tuple[complex, list]:
     """``b`` and the log terms of ``pi^(n/2) Gamma((E+1)/2) Gamma(b) / (2 Gamma(p)^2)``.
 
-    Past double range the terms come out inf or NaN, which callers refuse;
-    they call this under ``np.errstate`` so that numpy prints no warning.
+    The terms are Python numbers: past double range their arithmetic gives
+    inf or NaN, which callers refuse, without numpy's warnings.
     """
     b = 2 * p - (E + 1 + n) / 2
     terms = [
         0.5 * n * math.log(math.pi),
-        loggamma((E + 1) / 2),
-        loggamma(b),
+        complex(loggamma((E + 1) / 2)),
+        complex(loggamma(b)),
         -math.log(2.0),
-        -2 * loggamma(p),
+        -2 * complex(loggamma(p)),
     ]
     return b, terms
 
@@ -144,16 +145,18 @@ def _closed_form(
 ) -> ModelIntegralValue:
     """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``.
 
-    ``est_error`` bounds the rounding of the summed log terms; a bound above
-    the tolerance of ``spec`` raises :class:`QuadratureFailure`, its message
-    led by ``name()``.
+    ``est_error`` bounds the rounding of the summed log terms.  A bound above
+    the tolerance of ``spec``, or a value that overflows, raises
+    :class:`QuadratureFailure` with a message led by ``name()``.
     """
-    with np.errstate(all="ignore"):
-        b, terms = _front_terms(E, p, n)
-        a = p - b
-        terms += [2 * loggamma(a), -loggamma(2 * a)]
-        value = complex(np.exp(sum(terms)))
-        est = 4 * np.finfo(float).eps * (1 + sum(abs(t) for t in terms)) * abs(value)
+    b, terms = _front_terms(E, p, n)
+    a = p - b
+    terms += [2 * complex(loggamma(a)), -complex(loggamma(2 * a))]
+    try:
+        value = cmath.exp(sum(terms))
+        est = _ROUNDING * (1 + sum(abs(t) for t in terms)) * abs(value)
+    except (OverflowError, ValueError):
+        raise QuadratureFailure(f"{name()}: the closed form overflows double range") from None
     tol = max(spec.rel_tol * abs(value), spec.abs_tol)
     if est > tol:
         raise QuadratureFailure(
@@ -332,8 +335,9 @@ def i_full_integral(
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
+    b, terms = _front_terms(E, sig, n)
+    # past double range the front is inf or NaN, which fails the rule's error check
     with np.errstate(all="ignore"):
-        b, terms = _front_terms(E, sig, n)
         front = complex(np.exp(sum(terms) + sig * math.log(s)))
     value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
     return ModelIntegralValue(front * value, est, True, n_evals)
