@@ -11,8 +11,10 @@ Subcommands::
 
 Exit codes: 0 success, 1 numeric-stage failure, 2 configuration/IO problems.
 An out-of-range argument exits 2.  All structured output is canonical JSON
-(sorted keys, complex scalars as [re, im], grid arrays as flat C-order lists
-of floats), so identical inputs and seeds produce byte-identical files.
+(sorted keys, complex scalars as [re, im], grid arrays as base64 strings of
+their C-order little-endian float64 bytes), so identical inputs and seeds
+produce byte-identical files.  With ``--verbose``, ``forward``, ``invert``
+and ``roundtrip`` log each stage's wall time to stderr as one JSON line.
 """
 from __future__ import annotations
 
@@ -28,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
-from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict, flat_list
+from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict
 from .errors import ConfigError, IoError, QuadratureFailure, ScatjetError
 from .forward_scattering import ProbeSet, principal_symbol
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
-from .inversion import InversionConfig, layer_strip_driver
+from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
 from .model_quadrature import (
     QuadratureSpec,
     green_kernel,
@@ -121,15 +123,18 @@ def cmd_forward(args) -> int:
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"
     )
-    ds = forward_dataset(
-        patch,
-        energies,
-        patch2=patch2,
-        scale_t=args.scale_t,
-        probes=probes,
-        t_pair=t_pair,
-    )
-    _write_out(canonical_json(ds.to_dict()), args.out)
+    with timed("forward"):
+        ds = forward_dataset(
+            patch,
+            energies,
+            patch2=patch2,
+            scale_t=args.scale_t,
+            probes=probes,
+            t_pair=t_pair,
+        )
+    with timed("encode"):
+        text = canonical_json(ds.to_dict())
+    _write_out(text, args.out)
     return 0
 
 
@@ -144,8 +149,14 @@ def _field_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode_report(report) -> str:
+    with timed("report-encode"):
+        return canonical_json(report.to_dict())
+
+
 def cmd_invert(args) -> int:
-    ds = SymbolDataset.load(args.data)
+    with timed("decode"):
+        ds = SymbolDataset.load(args.data)
     if args.prefactor is not None:
         c = parse_complex(args.prefactor)
         if c == 0:
@@ -158,7 +169,7 @@ def cmd_invert(args) -> int:
         t_pair=_t_pair(args),
     )
     report = layer_strip_driver(ds, cfg)
-    _write_out(canonical_json(report.to_dict()), args.out)
+    _write_out(_encode_report(report), args.out)
     if report.status == "refused":
         log.error("inversion refused: %s", "; ".join(report.notes))
         return 1
@@ -249,13 +260,13 @@ def _integrals(args) -> int:
         log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, np.linalg.norm(z))
         mv = i_full_integral(l, sigma, args.s, z, qspec)
         payload["s"] = args.s
-        payload["z"] = flat_list(z)
+        payload["z"] = z.tolist()
     elif which in ("G", "GREEN"):
         z = _z_vector(args.z, n)
         log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
         val = green_kernel(args.s, z, sigma, n)
         _refuse_non_finite(which, sigma, val)
-        payload.update({"s": args.s, "z": flat_list(z), "value": encode_complex(val)})
+        payload.update({"s": args.s, "z": z.tolist(), "value": encode_complex(val)})
         _write_out(canonical_json(payload), args.out)
         return 0
     else:
@@ -359,10 +370,16 @@ def cmd_roundtrip(args) -> int:
     if not out_dir.exists():
         raise ConfigError(f"output directory does not exist: {out_dir}")
     log.info("roundtrip: synthetic truth (seed %d, n=%d) -> forward -> invert", args.seed, args.n)
-    truth, ds = make_synthetic_pair(args.seed, args.n)
-    (out_dir / "dataset.json").write_text(canonical_json(ds.to_dict()))
+    with timed("forward"):
+        truth, ds = make_synthetic_pair(args.seed, args.n)
+    with timed("encode"):
+        text = canonical_json(ds.to_dict())
+    (out_dir / "dataset.json").write_text(text)
+    # invert what the file holds, so the round trip crosses the codec
+    with timed("decode"):
+        ds = SymbolDataset.from_dict(json.loads(text))
     report = layer_strip_driver(ds, InversionConfig())
-    (out_dir / "report.json").write_text(canonical_json(report.to_dict()))
+    (out_dir / "report.json").write_text(_encode_report(report))
 
     errors = {
         "alpha_sq": float(np.max(np.abs(report.alpha_sq - truth.alpha_sq))),
@@ -408,7 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scatjet",
         description="Forward and inverse scattering data on asymptotically hyperbolic boundaries.",
     )
-    ap.add_argument("--verbose", action="store_true", help="debug-level logging")
+    ap.add_argument(
+        "--verbose",
+        action="store_true",
+        help="debug-level logging, with each stage's wall time as one JSON line",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="generate a symbol dataset from boundary patches")
@@ -495,13 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _LogFormat(logging.Formatter):
+    """Stage timings as bare JSON lines; every other record led by its level and logger."""
+
+    def format(self, record):
+        if record.name == STAGE_LOGGER:
+            return record.getMessage()
+        return super().format(record)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LogFormat("%(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO, handlers=[handler])
     try:
         return args.func(args)
     except (ConfigError, IoError) as exc:

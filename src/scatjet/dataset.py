@@ -1,28 +1,31 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/4``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/5``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
-The header holds ``n``, ``grid_shape``, ``scale_t``, the ``energies`` (and
-optionally ``t_pair``) as ``[re, im]`` pairs and, with first-order data, the
-``probes``: the ``P`` unit probe directions shared by every grid point, real
-``(P, n)``.  Each array is one flat list of floats in C order, written by
-:func:`flat_list`, a complex entry as its ``re, im`` pair:
+The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies``
+(and optionally ``t_pair``) as ``[re, im]`` pairs of JSON numbers.  Each
+array is one string written by :func:`pack_array`: the standard, padded
+base64 of its C-order little-endian float64 bytes, a complex entry as its
+``re, im`` pair, so every bit is kept:
 
+* ``probes`` (with first-order data): the ``P`` unit probe directions shared
+  by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
   per energy, grid index and covector of :func:`polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
-  ``probes`` is; ``P`` is the ``probes`` length divided by ``n``.
+  ``probes`` is.
 
 The optional ``exceptional`` block holds the interval, the ``user_excluded``
 energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
-with ``K`` read off the list length.  Decoding only turns each list into an
-array of its declared shape; every check of the values runs in the
+with ``K`` read off the value count.  Decoding only turns each string into
+an array of its declared shape; every check of the values runs in the
 :class:`SymbolDataset` constructor, for datasets built in memory and read
-from files alike.  Files of the earlier layouts ``scatjet.symbols/1``,
-``/2`` and ``/3`` are refused.
+from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
+``/4`` are refused.
 """
 from __future__ import annotations
 
+import base64
 import cmath
 import json
 import math
@@ -33,10 +36,11 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError, raise_first
+from .forward_scattering import check_unit_probes
 from .spectral_sets import ExceptionalSet
 
-SCHEMA = "scatjet.symbols/4"
-_OLD_SCHEMAS = ("scatjet.symbols/1", "scatjet.symbols/2", "scatjet.symbols/3")
+SCHEMA = "scatjet.symbols/5"
+_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in (1, 2, 3, 4))
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -59,7 +63,7 @@ def exceptional_to_dict(es: ExceptionalSet) -> dict:
     """JSON block for an exceptional-set summary (see ``spectral_sets``)."""
     return {
         "interval_lambda_sq": [float(es.interval_lambda_sq[0]), float(es.interval_lambda_sq[1])],
-        "modes_lambda_sq": flat_list(es.modes_lambda_sq),
+        "modes_lambda_sq": pack_array(es.modes_lambda_sq),
         "user_excluded": [encode_complex(z) for z in es.user_excluded],
     }
 
@@ -70,7 +74,7 @@ def exceptional_from_dict(block: Mapping[str, Any], grid_shape: tuple[int, ...])
         lo, hi = block["interval_lambda_sq"]
         return ExceptionalSet(
             interval_lambda_sq=(float(lo), float(hi)),
-            modes_lambda_sq=_unflatten(
+            modes_lambda_sq=unpack_array(
                 block["modes_lambda_sq"], "exceptional: modes_lambda_sq", (*grid_shape, -1), float
             ),
             user_excluded=tuple(decode_complex(z) for z in block["user_excluded"]),
@@ -107,33 +111,40 @@ def _check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies)
             raise ConfigError(f"energies: energy index {e} ({lam}) is not finite")
 
 
-def flat_list(arr: np.ndarray) -> list[float]:
-    """A grid array as JSON: one flat C-order list of floats, a complex entry as ``re, im``."""
-    kind = complex if np.iscomplexobj(arr) else float
-    return np.asarray(arr, dtype=kind).ravel().view(float).tolist()
+def pack_array(arr: np.ndarray) -> str:
+    """A grid array as JSON: base64 of its C-order little-endian float64 bytes.
 
-
-def _unflatten(values: Any, name: str, shape: tuple[int, ...], kind: type) -> np.ndarray:
-    """Inverse of :func:`flat_list`: one flat list to a ``kind`` array of ``shape``, every bit kept.
-
-    A ``-1`` axis takes its length from the list's, rounded up: a list missing
-    some entries then fails the length check as short.
+    A complex entry is written as its ``re, im`` pair.
     """
+    dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
+
+
+def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np.ndarray:
+    """Inverse of :func:`pack_array`: a ``kind`` array of ``shape``, every bit kept.
+
+    A ``-1`` axis takes its length from the value count, rounded up: an
+    array missing some values then fails the count check as short.  Any
+    failure is an :class:`IoError` naming the array ``name``.
+    """
+    if not isinstance(text, str):
+        got = type(text).__name__
+        raise IoError(f"{name}: expected a base64 string of float64 bytes, got {got}")
     try:
-        flat = np.array(values)
-    except ValueError as exc:
-        raise IoError(f"{name}: not a flat list of numbers: {exc}") from None
-    if flat.dtype.kind not in "iuf":
-        raise IoError(f"{name}: not a flat list of numbers (read as dtype {flat.dtype})")
-    flat = flat.astype(float, copy=False)
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise IoError(f"{name}: not a base64 string of float64 bytes: {exc}") from None
+    if len(raw) % 8:
+        raise IoError(f"{name}: {len(raw)} bytes are not a whole number of 8-byte float64 values")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
     width = 2 if kind is complex else 1
     rest = -math.prod(shape) * width
     shape = tuple(-(-flat.size // rest) if m == -1 else m for m in shape)
     size = math.prod(shape) * width
-    if flat.shape != (size,):
+    if flat.size != size:
         raise IoError(
-            f"{name}: expected a flat list of {size} numbers for a {kind.__name__} array "
-            f"of shape {shape}, got shape {flat.shape}"
+            f"{name}: expected {size} float64 values for a {kind.__name__} array "
+            f"of shape {shape}, got {flat.size}"
         )
     return flat.view(kind).reshape(shape)
 
@@ -190,11 +201,7 @@ class SymbolDataset:
                 raise ConfigError(
                     f"probes has shape {probes.shape}, expected (P, {self.n}) with at least one probe"
                 )
-            for j, omega in enumerate(probes):
-                # the first-order fit's own bound; written so that a NaN norm fails too
-                if not abs(np.linalg.norm(omega) - 1.0) <= 1e-9:
-                    why = "a unit vector" if np.all(np.isfinite(omega)) else "finite"
-                    raise ConfigError(f"probes: probe {j} {tuple(omega.tolist())} is not {why}")
+            check_unit_probes(probes, ConfigError, "probes: ")
             singularity = np.array(self.singularity, dtype=complex)
             want = (*self.grid_shape, len(probes))
             if singularity.shape != want:
@@ -230,11 +237,11 @@ class SymbolDataset:
             "grid_shape": list(self.grid_shape),
             "scale_t": float(self.scale_t),
             "energies": [encode_complex(lam) for lam in self.energies],
-            "symbols": flat_list(self.symbols),
+            "symbols": pack_array(self.symbols),
         }
         if self.singularity is not None:
-            out["singularity"] = flat_list(self.singularity)
-            out["probes"] = flat_list(self.probes)
+            out["singularity"] = pack_array(self.singularity)
+            out["probes"] = pack_array(self.probes)
         if self.t_pair is not None:
             out["t_pair"] = [encode_complex(self.t_pair[0]), encode_complex(self.t_pair[1])]
         if self.exceptional is not None:
@@ -243,12 +250,13 @@ class SymbolDataset:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/4`` dataset and check it.
+        """Decode a ``scatjet.symbols/5`` dataset and check it.
 
-        Raises :class:`IoError`: for a list of the wrong length naming the
-        array and its expected shape, otherwise with the message of the
-        constructor's :class:`ConfigError` (for a bad probe, its index; for
-        a non-finite entry of a grid array, its grid index and sample).
+        Raises :class:`IoError`: for an array that is not a base64 string of
+        the right value count, naming the array (and its expected shape),
+        otherwise with the message of the constructor's :class:`ConfigError`
+        (for a bad probe, its index; for a non-finite entry of a grid array,
+        its grid index and sample).
         """
         try:
             schema = data.get("schema")
@@ -265,7 +273,7 @@ class SymbolDataset:
             energies = tuple(decode_complex(z) for z in data["energies"])
             # the expected array lengths below are only meaningful for a valid header
             _check_header(n, grid_shape, scale_t, energies)
-            symbols = _unflatten(
+            symbols = unpack_array(
                 data["symbols"],
                 "symbols",
                 (len(energies), *grid_shape, len(polarization_covectors(n)), 2),
@@ -273,9 +281,9 @@ class SymbolDataset:
             )
             singularity, probes = data.get("singularity"), data.get("probes")
             if probes is not None:
-                probes = _unflatten(probes, "probes", (-1, n), float)
+                probes = unpack_array(probes, "probes", (-1, n), float)
                 if singularity is not None:
-                    singularity = _unflatten(
+                    singularity = unpack_array(
                         singularity, "singularity", (*grid_shape, len(probes)), complex
                     )
             t_pair = None

@@ -59,10 +59,24 @@ class ProbeSet:
         for j, v in enumerate(vecs):
             if len(v) != len(vecs[0]):
                 raise ValueError(f"probe {j} {v} has {len(v)} components, probe 0 has {len(vecs[0])}")
-            # written so that a NaN component fails too
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
-                raise ValueError(f"probe {j} {v} is not a unit vector")
+        check_unit_probes(vecs, ValueError)
         object.__setattr__(self, "vectors", vecs)
+
+
+def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
+    """Raise ``error`` naming the first probe whose norm misses 1 by more than 1e-12.
+
+    ``probes`` is a ``(..., n)`` stack of probe directions, counted in C
+    order; a probe with a non-finite component is named as not finite.
+    """
+    w = np.asarray(probes, dtype=float)
+    w = w.reshape(-1, w.shape[-1])
+    # written so that a NaN norm fails too
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-12))
+    if bad.size:
+        j = int(bad[0])
+        why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
+        raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
 
 
 def default_probe_set(n: int) -> ProbeSet:
@@ -138,9 +152,7 @@ def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
     """
     w = np.asarray(omega, dtype=float)
-    # written so that a NaN component fails too
-    if not np.all(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-9):
-        raise ValueError("omega must be a unit vector")
+    check_unit_probes(w, ValueError, "omega: ")
     sig = np.asarray(sigma, dtype=complex)[..., None, None]
     n = w.shape[-1]
     return (3.0 - 2.0 * sig) * (np.eye(n) + (1.0 - 2.0 * sig) * (w[..., :, None] * w[..., None, :]))

@@ -27,14 +27,17 @@ and metric stages carry the energy axis after the grid axes.
 """
 from __future__ import annotations
 
+import contextlib
+import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary_jets import ComplexEnergy
-from .dataset import SymbolDataset, encode_complex, flat_list, polarization_covectors
+from .dataset import SymbolDataset, encode_complex, pack_array, polarization_covectors
 from .errors import (
     BranchAmbiguity,
     ConfigError,
@@ -50,6 +53,7 @@ from .forward_scattering import prefactor_and_poles, radial_derivative_kernel
 from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
+STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 
 _SV_CUT = 1e-10
 _BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
@@ -348,25 +352,33 @@ def first_order_recovery(
 # -- full driver ------------------------------------------------------------
 
 
-class _stage:
-    """Re-raise any package error with the failing stage's name prefixed.
+@contextlib.contextmanager
+def timed(stage: str):
+    """Log the block's wall time at debug level as one JSON line.
+
+    The line is ``{"seconds": ..., "stage": stage}`` on the logger named
+    ``STAGE_LOGGER``; a block that raises logs nothing.
+    """
+    start = time.perf_counter()
+    yield
+    seconds = time.perf_counter() - start
+    logging.getLogger(STAGE_LOGGER).debug(json.dumps({"seconds": seconds, "stage": stage}))
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Time a driver stage, and re-raise any package error with its name prefixed.
 
     A numpy ``LinAlgError`` (a decomposition that did not converge) becomes
     :class:`InconsistentData` the same way.
     """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, ScatjetError):
-            raise type(exc)(f"[stage {self.name}] {exc}") from exc
-        if isinstance(exc, np.linalg.LinAlgError):
-            raise InconsistentData(f"[stage {self.name}] linear algebra failed: {exc}") from exc
-        return False
+    try:
+        with timed(name):
+            yield
+    except ScatjetError as exc:
+        raise type(exc)(f"[stage {name}] {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise InconsistentData(f"[stage {name}] linear algebra failed: {exc}") from exc
 
 
 @dataclass
@@ -382,7 +394,8 @@ class RecoveryReport:
 
     Grid fields have shape ``grid_shape``, plus ``(n, n)`` for ``h0`` and
     ``H``; ``alpha_sq``, ``v0`` and ``h0`` are real.  :meth:`to_dict` writes
-    each through :func:`~scatjet.dataset.flat_list`.
+    each, and each ``kernel_basis`` ``H``, as the base64 string of
+    :func:`~scatjet.dataset.pack_array`.
     """
 
     n: int
@@ -410,10 +423,10 @@ class RecoveryReport:
         }
         for name in ("sigma1", "sigma2", "alpha_sq", "v0", "h0", "H", "W1"):
             val = getattr(self, name)
-            out[name] = None if val is None else flat_list(val)
+            out[name] = None if val is None else pack_array(val)
         out["design_rank"] = self.design_rank
         out["kernel_basis"] = [
-            {"H": flat_list(h), "W": encode_complex(w)} for h, w in self.kernel_basis
+            {"H": pack_array(h), "W": encode_complex(w)} for h, w in self.kernel_basis
         ]
         return out
 

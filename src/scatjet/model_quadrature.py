@@ -146,8 +146,8 @@ def _closed_form(
     """The unsoftened integral at ``d = 1``: the ``t``-integral is ``B(a, a)``.
 
     ``est_error`` bounds the rounding of the summed log terms.  A bound above
-    the tolerance of ``spec``, or a value that overflows, raises
-    :class:`QuadratureFailure` with a message led by ``name()``.
+    the tolerance of ``spec``, or a value past double range (inf or NaN),
+    raises :class:`QuadratureFailure` with a message led by ``name()``.
     """
     b, terms = _front_terms(E, p, n)
     a = p - b
@@ -156,9 +156,12 @@ def _closed_form(
         value = cmath.exp(sum(terms))
         est = _ROUNDING * (1 + sum(abs(t) for t in terms)) * abs(value)
     except (OverflowError, ValueError):
-        raise QuadratureFailure(f"{name()}: the closed form overflows double range") from None
+        value = est = math.nan
+    if not cmath.isfinite(value):
+        raise QuadratureFailure(f"{name()}: the closed form leaves double range")
     tol = max(spec.rel_tol * abs(value), spec.abs_tol)
-    if est > tol:
+    # written so that a NaN bound fails too
+    if not est <= tol:
         raise QuadratureFailure(
             f"{name()}: closed-form rounding bound {est:.3e} above tolerance {tol:.3e}; "
             "the summed loggamma terms lose the value's digits"
@@ -336,9 +339,13 @@ def i_full_integral(
     if why:
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
     b, terms = _front_terms(E, sig, n)
-    # past double range the front is inf or NaN, which fails the rule's error check
     with np.errstate(all="ignore"):
         front = complex(np.exp(sum(terms) + sig * math.log(s)))
+    # refused before the rule runs: a front past double range fails every panel's check
+    if not cmath.isfinite(front):
+        raise QuadratureFailure(
+            f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front} leaves double range"
+        )
     value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
     return ModelIntegralValue(front * value, est, True, n_evals)
 

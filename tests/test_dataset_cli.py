@@ -4,6 +4,7 @@ Most CLI tests drive ``scatjet.cli.main`` in process; the determinism test and
 the exit-code checks named ``test_cli_process_*`` run the real process entry
 point through ``python -m scatjet``.
 """
+import base64
 import dataclasses
 import json
 import math
@@ -22,6 +23,8 @@ from scatjet.dataset import (
     canonical_json,
     decode_complex,
     encode_complex,
+    pack_array,
+    unpack_array,
 )
 from scatjet.errors import ConfigError, IoError
 from scatjet.spectral_sets import ExceptionalSet
@@ -151,6 +154,77 @@ def test_dataset_encode_decode_is_identity(ds):
     ).tolist()
 
 
+# float64 words the packer must keep: -0.0, the smallest and largest
+# subnormals, +-inf, a quiet NaN, a signalling NaN and a negative NaN payload
+_SPECIAL_WORDS = [
+    0x8000000000000000,
+    0x0000000000000001,
+    0x000FFFFFFFFFFFFF,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF8000000000000,
+    0x7FF0000000000001,
+    0xFFF800000000BEEF,
+]
+_NON_FINITE_WORDS = st.one_of(
+    st.sampled_from(_SPECIAL_WORDS[3:]),
+    st.builds(
+        lambda sign, mantissa: sign | 0x7FF0000000000000 | mantissa,
+        st.sampled_from([0, 1 << 63]),
+        st.integers(0, (1 << 52) - 1),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    words=hnp.arrays(
+        np.uint64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4).map(lambda s: s + (2,)),
+        elements=st.one_of(st.sampled_from(_SPECIAL_WORDS), st.integers(0, (1 << 64) - 1)),
+    )
+)
+def test_packed_array_keeps_every_bit(words):
+    """pack -> canonical JSON -> json.loads -> unpack gives back every bit, real or complex."""
+    floats = words.view(float)
+    for arr, kind in ((floats, float), (floats.view(complex)[..., 0], complex)):
+        text = json.loads(canonical_json({"a": pack_array(arr)}))["a"]
+        assert isinstance(text, str)
+        again = unpack_array(text, "a", arr.shape, kind)
+        assert again.dtype == arr.dtype and again.shape == arr.shape
+        np.testing.assert_array_equal(_bits(again), _bits(arr))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    field=st.sampled_from(["symbols", "singularity"]),
+    position=st.integers(0, 2 * 4 * 4 * 3 * 2 * 2 - 1),
+    word=_NON_FINITE_WORDS,
+)
+def test_packed_non_finite_value_is_refused_at_its_grid_index(field, position, word):
+    """Any inf or NaN bit pattern in a file fails the constructor, naming its grid index."""
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    data = ds.to_dict()
+    shape = _FLOAT_SHAPES[field]
+    position %= math.prod(shape)
+
+    def put(arr):
+        arr.reshape(-1).view(np.uint64)[position] = word
+
+    _edit_packed(data, field, put, shape)
+    if field == "symbols":
+        e, i, j, c, _, _ = np.unravel_index(position, shape)
+        message = (
+            rf"^symbols: sample \(energy index, covector\) is not finite "
+            rf"at grid index \({i}, {j}\), sample \({e}, {c}\)$"
+        )
+    else:
+        i, j, k, _ = np.unravel_index(position, shape)
+        message = rf"^singularity: value is not finite at grid index \({i}, {j}\), sample \({k},\)$"
+    with pytest.raises(IoError, match=message):
+        SymbolDataset.from_dict(data)
+
+
 def test_dataset_unknown_energy_and_missing_extras():
     patch = constant_patch(1, 1.0, 0.2, np.eye(1))
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
@@ -204,6 +278,12 @@ def _with_entry(array, index, value):
             r"^probes: probe 2 \(0\.7071067811865475, 0\.5\) is not a unit vector$",
         ),
         (
+            "probes",
+            (0, 0),
+            1.00000000005,
+            r"^probes: probe 0 \(1\.00000000005, 0\.0\) is not a unit vector$",
+        ),
+        (
             "symbols",
             (1, 2, 3, 0, 1),
             complex(math.nan),
@@ -211,7 +291,7 @@ def _with_entry(array, index, value):
             r"at grid index \(2, 3\), sample \(1, 0\)",
         ),
     ],
-    ids=["inf-singularity", "nan-probe", "non-unit-probe", "nan-symbol"],
+    ids=["inf-singularity", "nan-probe", "non-unit-probe", "near-unit-probe", "nan-symbol"],
 )
 def test_dataset_rejects_bad_arrays_in_memory(field, index, value, message):
     """A dataset built in memory fails at construction, naming the grid index."""
@@ -241,7 +321,7 @@ def test_dataset_io_errors(tmp_path):
         SymbolDataset.load(wrong)
 
 
-# float shapes of the seed-4, n=2 dataset's flat arrays (grid 4x4, 2 energies,
+# float shapes of the seed-4, n=2 dataset's packed arrays (grid 4x4, 2 energies,
 # 3 covectors, 4 probes, modes k = 0..2; complex entries as [re, im])
 _FLOAT_SHAPES = {
     "symbols": (2, 4, 4, 3, 2, 2),
@@ -251,14 +331,30 @@ _FLOAT_SHAPES = {
 }
 
 
+def _unpacked(text, shape=(-1,), dtype="<f8"):
+    """A packed array read the way the README does it, as a writable copy."""
+    return np.frombuffer(base64.b64decode(text), dtype).reshape(shape).copy()
+
+
+def _edit_packed(parent, name, edit, shape=(-1,)):
+    """Unpack ``parent[name]`` to floats of ``shape``, edit them and pack them back.
+
+    ``edit(arr)`` changes ``arr`` in place or returns the array to pack.
+    """
+    arr = _unpacked(parent[name], shape)
+    with np.errstate(all="ignore"):
+        out = edit(arr)
+    parent[name] = pack_array(arr if out is None else out)
+
+
 def _set_entry(name, index, value, block=None):
-    """Set one entry of flat array ``name`` (of ``data[block]`` if given)."""
+    """Set one entry of packed array ``name`` (of ``data[block]`` if given)."""
 
     def mutate(data):
-        parent = data if block is None else data[block]
-        arr = np.array(parent[name], dtype=float).reshape(_FLOAT_SHAPES[name])
-        arr[index] = value
-        parent[name] = arr.ravel().tolist()
+        def put(arr):
+            arr[index] = value
+
+        _edit_packed(data if block is None else data[block], name, put, _FLOAT_SHAPES[name])
 
     return mutate
 
@@ -281,25 +377,54 @@ def _drop(key):
     return mutate
 
 
-def _truncate(name, count):
+def _truncate(name, count, block=None):
+    """Cut the last ``count`` float64 values of packed array ``name``."""
+
     def mutate(data):
-        data[name] = data[name][:-count]
+        _edit_packed(data if block is None else data[block], name, lambda arr: arr[:-count])
 
     return mutate
 
 
 def _reshape(name, edit):
-    """Replace array ``name`` by ``edit`` of its float array, written back flat."""
+    """Replace packed array ``name`` by ``edit`` of its float array."""
 
     def mutate(data):
-        arr = np.array(data[name], dtype=float).reshape(_FLOAT_SHAPES[name])
-        data[name] = edit(arr).ravel().tolist()
+        _edit_packed(data, name, edit, _FLOAT_SHAPES[name])
+
+    return mutate
+
+
+def _as_list(name):
+    """Write packed array ``name`` as the flat list of numbers of ``scatjet.symbols/4``."""
+
+    def mutate(data):
+        data[name] = _unpacked(data[name]).tolist()
+
+    return mutate
+
+
+def _replace_char(name, position, char, block=None):
+    """Put ``char`` at ``position`` of packed string ``name`` (of ``data[block]`` if given)."""
+
+    def mutate(data):
+        parent = data if block is None else data[block]
+        parent[name] = parent[name][:position] + char + parent[name][position + 1 :]
+
+    return mutate
+
+
+def _extra_bytes(name, count):
+    """Append ``count`` zero bytes to the bytes of packed array ``name``."""
+
+    def mutate(data):
+        data[name] = base64.b64encode(base64.b64decode(data[name]) + bytes(count)).decode()
 
     return mutate
 
 
 def _no_samples(data):
-    data["singularity"] = data["probes"] = []
+    data["singularity"] = data["probes"] = pack_array(np.zeros(0))
 
 
 @pytest.mark.parametrize(
@@ -307,46 +432,48 @@ def _no_samples(data):
     [
         (
             _truncate("symbols", 12),
-            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got shape \(372,\)",
+            r"symbols: expected 384 float64 values for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got 372$",
         ),
         (
             _reshape("symbols", lambda a: a[:, :, :, :2]),
-            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got shape \(256,\)",
+            r"symbols: expected 384 float64 values for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got 256$",
         ),
         (
             _reshape("symbols", lambda a: np.concatenate([a, a[:, :, :, :1]], axis=3)),
-            r"symbols: expected a flat list of 384 numbers for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got shape \(512,\)",
+            r"symbols: expected 384 float64 values for a complex array of shape "
+            r"\(2, 4, 4, 3, 2\), got 512$",
         ),
         (
             _truncate("singularity", 2),
-            r"singularity: expected a flat list of 128 numbers for a complex array of shape "
-            r"\(4, 4, 4\), got shape \(126,\)",
+            r"singularity: expected 128 float64 values for a complex array of shape "
+            r"\(4, 4, 4\), got 126$",
         ),
         (
             _truncate("probes", 1),
-            # the probe count is read off the probes length, rounded up
-            r"probes: expected a flat list of 8 numbers for a float array of shape "
-            r"\(4, 2\), got shape \(7,\)",
+            # the probe count is read off the value count, rounded up
+            r"probes: expected 8 float64 values for a float array of shape \(4, 2\), got 7$",
         ),
         (
             _reshape("probes", lambda a: np.concatenate([a, np.zeros((4, 1))], axis=-1)),
-            # twelve numbers read as six two-component probes
-            r"singularity: expected a flat list of 192 numbers for a complex array of shape "
-            r"\(4, 4, 6\), got shape \(128,\)",
+            # twelve values read as six two-component probes
+            r"singularity: expected 192 float64 values for a complex array of shape "
+            r"\(4, 4, 6\), got 128$",
         ),
         (
             _reshape("singularity", lambda a: np.concatenate([a, a[:1]], axis=0)),
-            r"singularity: expected a flat list of 128 numbers for a complex array of shape "
-            r"\(4, 4, 4\), got shape \(160,\)",
+            r"singularity: expected 128 float64 values for a complex array of shape "
+            r"\(4, 4, 4\), got 160$",
         ),
         (
             _no_samples,
             r"probes has shape \(0, 2\), expected \(P, 2\) with at least one probe",
         ),
-        (_set(["symbols", 10], "1.5"), r"symbols: not a flat list of numbers \(read as dtype <U"),
+        (
+            _as_list("symbols"),
+            r"^symbols: expected a base64 string of float64 bytes, got list$",
+        ),
         (
             _set_entry("symbols", (1, 0, 1, 0, 1, 0), math.nan),
             r"symbols: sample \(energy index, covector\) is not finite "
@@ -370,9 +497,9 @@ def _no_samples(data):
             (
                 _set(["schema"], f"scatjet.symbols/{old}"),
                 rf"dataset schema 'scatjet.symbols/{old}' is no longer read; "
-                r"re-run `scatjet forward` to write 'scatjet.symbols/4'",
+                r"re-run `scatjet forward` to write 'scatjet.symbols/5'",
             )
-            for old in (1, 2, 3)
+            for old in (1, 2, 3, 4)
         ),
         (_set(["scale_t"], 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
         (_set(["scale_t"], -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
@@ -385,14 +512,15 @@ def _no_samples(data):
             r"exceptional: malformed block: KeyError: 'interval_lambda_sq'",
         ),
         (
-            _set(["exceptional", "modes_lambda_sq", 3], "x"),
-            r"exceptional: modes_lambda_sq: not a flat list of numbers \(read as dtype <U",
+            _replace_char("modes_lambda_sq", 3, "\u00e9", block="exceptional"),
+            r"^exceptional: modes_lambda_sq: not a base64 string of float64 bytes: "
+            r"string argument should contain only ASCII characters$",
         ),
         (
-            lambda data: data["exceptional"]["modes_lambda_sq"].pop(),
-            # K is read off the list length, rounded up like the probe count P
-            r"exceptional: modes_lambda_sq: expected a flat list of 48 numbers for a float "
-            r"array of shape \(4, 4, 3\), got shape \(47,\)",
+            _truncate("modes_lambda_sq", 1, block="exceptional"),
+            # K is read off the value count, rounded up like the probe count P
+            r"exceptional: modes_lambda_sq: expected 48 float64 values for a float "
+            r"array of shape \(4, 4, 3\), got 47$",
         ),
         (
             _set_entry("modes_lambda_sq", (1, 0, 2), math.nan, block="exceptional"),
@@ -402,6 +530,19 @@ def _no_samples(data):
         (
             _set(["exceptional", "user_excluded"], [[1.0, 0.0], [math.nan, 0.0]]),
             r"exceptional: user_excluded entry 1 is not finite",
+        ),
+        (
+            _set(["singularity"], 1.5),
+            r"^singularity: expected a base64 string of float64 bytes, got float$",
+        ),
+        (
+            # "-" belongs to the URL-safe alphabet, not the standard one
+            _replace_char("symbols", 10, "-"),
+            r"^symbols: not a base64 string of float64 bytes: Only base64 data is allowed$",
+        ),
+        (
+            _extra_bytes("probes", 4),
+            r"^probes: 68 bytes are not a whole number of 8-byte float64 values$",
         ),
     ],
     ids=[
@@ -423,6 +564,7 @@ def _no_samples(data):
         "schema-1",
         "schema-2",
         "schema-3",
+        "schema-4",
         "scale-t-one",
         "scale-t-negative",
         "no-energies",
@@ -434,6 +576,9 @@ def _no_samples(data):
         "exceptional-modes-too-short",
         "exceptional-nan-mode",
         "exceptional-nan-excluded",
+        "array-not-a-string",
+        "non-base64-character",
+        "bytes-not-whole-values",
     ],
 )
 def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
@@ -555,7 +700,7 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/4"
+    assert payload["schema"] == "scatjet.symbols/5"
     # every block is a dataset field that load reads: no derived extras
     assert set(payload) == {
         "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
@@ -568,9 +713,9 @@ def test_cli_forward_invert_flow(tmp_path):
     assert rc == 0
     report = _read_json(report_path)
     assert report["status"] == "ok"
-    a2 = np.reshape(report["alpha_sq"], (4, 4))
+    a2 = _unpacked(report["alpha_sq"], (4, 4))
     np.testing.assert_allclose(a2, 1.1**2, atol=1e-8)
-    H = np.array(report["H"]).view(complex).reshape(4, 4, 2, 2)
+    H = _unpacked(report["H"], (4, 4, 2, 2), "<c16")
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
     np.testing.assert_allclose(H[0, 0], want_H, atol=1e-8)
 
@@ -678,7 +823,7 @@ def test_cli_sets_admissibility(tmp_path):
     assert rc == 0
     block = _read_json(out)
     assert block["interval_lambda_sq"] == [0.0, 0.0]
-    modes = np.reshape(block["modes_lambda_sq"], (*block["grid_shape"], -1))
+    modes = _unpacked(block["modes_lambda_sq"], (*block["grid_shape"], -1))
     assert modes.shape == (4, 4, 3)  # K == 3: k = 0, 1, 2
     np.testing.assert_array_equal(modes[..., 0], -2.0)
     ok_flags = {tuple(c["lam"]): c["ok"] for c in block["admissibility"]}
@@ -730,7 +875,12 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         (
             ["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"],
             1,
-            "T1 at sigma=(1e+308+0j): value (nan+nanj) (error nan) is not finite",
+            "T_1 at sigma=(1e+308+0j), n=2: the closed form leaves double range",
+        ),
+        (
+            ["integrals", "--which", "I", "--sigma", "1e308", "--n", "2"],
+            1,
+            "I_1 at sigma=(1e+308+0j), s=1.0, n=2: the front factor (nan+nanj) leaves double range",
         ),
         (
             ["integrals", "--which", "T1", "--sigma", "2+1e300i", "--n", "2"],
@@ -752,6 +902,7 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     ],
     ids=[
         "integrals-t1",
+        "integrals-i",
         "integrals-t1-rounding",
         "integrals-green",
         "verify-green-constant",
@@ -862,8 +1013,11 @@ def test_cli_invert_overflowing_entry_never_escapes(cli_inputs, entry, exponent)
     """One complex symbol entry scaled by 10**exponent (inf past 1e308): exit 1 or 2."""
     data = _read_json(cli_inputs / "ds.json")
     factor = float(f"1e{exponent}")
-    for k in (2 * entry, 2 * entry + 1):
-        data["symbols"][k] *= factor
+
+    def scale(arr):
+        arr[2 * entry : 2 * entry + 2] *= factor
+
+    _edit_packed(data, "symbols", scale)
     path = cli_inputs / "scaled.json"
     path.write_text(json.dumps(data))
     out = cli_inputs / "out.json"
@@ -949,6 +1103,48 @@ def test_cli_roundtrip_deterministic(tmp_path):
     summary = json.loads(outputs[0]["roundtrip.json"])
     assert summary["ok"] is True
     assert all(v <= 1e-8 for v in summary["max_errors"].values())
+
+
+def _stage_names(stderr):
+    """The stages of the JSON timing lines on stderr, in order; each line must parse."""
+    records = [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
+    for record in records:
+        assert set(record) == {"seconds", "stage"} and record["seconds"] >= 0.0
+    return [record["stage"] for record in records]
+
+
+_DRIVER_STAGES = ["sigma", "metric", "zeroth-order", "first-order"]
+
+
+def test_cli_process_verbose_logs_stage_times(tmp_path):
+    """``--verbose`` logs one JSON line per stage on stderr and changes no output byte."""
+    runs = {}
+    for name, flags in (("quiet", []), ("verbose", ["--verbose"])):
+        d = tmp_path / name
+        d.mkdir()
+        proc = run_scatjet(*flags, "roundtrip", "--seed", "7", "--n", "2", "--out-dir", str(d))
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = proc
+    assert _stage_names(runs["quiet"].stderr) == []
+    assert _stage_names(runs["verbose"].stderr) == [
+        "forward", "encode", "decode", *_DRIVER_STAGES, "report-encode"
+    ]
+    report = (tmp_path / "quiet" / "report.json").read_bytes()
+    assert (tmp_path / "verbose" / "report.json").read_bytes() == report
+
+    out = tmp_path / "report.json"
+    proc = run_scatjet(
+        "--verbose", "invert", "--data", str(tmp_path / "quiet" / "dataset.json"), "--out", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _stage_names(proc.stderr) == ["decode", *_DRIVER_STAGES, "report-encode"]
+    assert out.read_bytes() == report  # roundtrip inverts what its dataset file holds
+
+    patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
+    argv = ["--verbose", "forward", "--patch", str(patch), "--lam", "4", "--lam", "5"]
+    proc = run_scatjet(*argv, "--out", str(tmp_path / "ds.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert _stage_names(proc.stderr) == ["forward", "encode"]
 
 
 def test_cli_roundtrip_missing_dir(tmp_path):

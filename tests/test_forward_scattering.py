@@ -161,8 +161,10 @@ def test_kernel_requires_unit_probe():
         radial_derivative_kernel([1.0, 1.0], 2.0)
     with pytest.raises(ValueError):
         radial_derivative_kernel([math.nan, 0.0], 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^omega: probe 1 \(0\.6, 0\.6\) is not a unit vector$"):
         radial_derivative_kernel([[1.0, 0.0], [0.6, 0.6]], 2.0)
+    with pytest.raises(ValueError, match=r"^omega: probe 0 \(1\.00000000005, 0\.0\)"):
+        radial_derivative_kernel([1.00000000005, 0.0], 2.0)
 
 
 def test_kernel_stacks_probes_and_roots():
@@ -189,8 +191,11 @@ def test_default_probe_set_layout():
 def test_probe_set_rejects_non_unit():
     with pytest.raises(ValueError):
         ProbeSet(vectors=(np.array([1.0, 1.0]),))
-    with pytest.raises(ValueError, match="probe 0 .* not a unit vector"):
+    with pytest.raises(ValueError, match="probe 0 .* not finite"):
         ProbeSet(vectors=((math.nan, 0.0),))
+    # the one bound of every probe check: off by 5e-11 is refused
+    with pytest.raises(ValueError, match=r"^probe 0 \(1\.00000000005, 0\.0\) is not a unit vector$"):
+        ProbeSet(vectors=((1.00000000005, 0.0),))
     with pytest.raises(ValueError, match="empty"):
         ProbeSet(vectors=())
     with pytest.raises(ValueError, match="probe 1 .* has 3 components, probe 0 has 2"):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from scatjet import model_quadrature
 from scatjet.errors import GammaPole, NotConvergent, QuadratureFailure
 from scatjet.model_quadrature import (
     ModelIntegralValue,
@@ -177,6 +178,26 @@ def test_quadrature_failure_on_tiny_budget():
         t_limit_integral(1, 2.5, 2, starved)
     with pytest.raises(QuadratureFailure, match=r"^J_2 at sigma=3.0, n=1, k=1: closed-form"):
         j_integral(2, 1, 3.0, 1, starved)
+
+
+def test_value_past_double_range_is_refused(monkeypatch):
+    """A NaN never comes back converged, and I refuses a NaN front before its rule runs."""
+    with pytest.raises(QuadratureFailure, match=r"^T_1 at sigma=1e\+308, n=2: the closed form leaves"):
+        t_limit_integral(1, 1e308, 2)
+    with pytest.raises(QuadratureFailure, match=r"^J_1 at sigma=1e\+308, n=2, k=1: the closed form"):
+        j_integral(1, 1, 1e308, 2)
+    evals = []
+    real_sums = model_quadrature._half_sums
+    monkeypatch.setattr(
+        model_quadrature, "_half_sums", lambda *a: evals.append(a) or real_sums(*a)
+    )
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^I_1 at sigma=1e\+308, s=1.0, n=2: the front factor \(nan\+nanj\) leaves double",
+    ):
+        i_full_integral(1, 1e308, 1.0, [1.0, 0.0])
+    assert evals == []
+    assert i_full_integral(1, 2.5, 0.5, [3.0]).n_evals > 0 and evals
 
 
 def test_result_invariant():
