@@ -265,7 +265,6 @@ def _integrals(args) -> int:
         z = _z_vector(args.z, n)
         log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
         val = green_kernel(args.s, z, sigma, n)
-        _refuse_non_finite(which, sigma, val)
         payload.update({"s": args.s, "z": z.tolist(), "value": encode_complex(val)})
         _write_out(canonical_json(payload), args.out)
         return 0
@@ -347,7 +346,7 @@ def cmd_verify(args) -> int:
         xi = rng.normal(size=n)
         idx = (0,) * n
         scales = (1.0, 2.0, 4.0, 8.0)
-        base, *scaled = principal_symbol(patch, np.outer(scales, xi), en)[idx]
+        base, *scaled = principal_symbol(patch, np.outer(scales, xi), (en,))[0][idx]
         sig = indicial_root(patch, en)[idx]
         for t, value in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)

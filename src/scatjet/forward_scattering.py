@@ -9,7 +9,7 @@ The principal symbol of the scattering matrix at energy ``lambda`` is
 with ``sigma = sigma(lambda, y)`` the indicial root and
 ``|xi|_{h0}^2 = xi^T h0^-1 xi`` the covector norm, homogeneous of degree
 ``2 sigma - n``.  ``principal_symbol`` evaluates it over the whole grid for a
-stack of covectors at once.
+stack of covectors and a sequence of energies at once.
 
 When two operators share boundary data to zeroth order, the difference of
 their scattering kernels has radial leading singularity with angular
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -123,11 +124,13 @@ def gamma_prefactor(sigma, n: int):
     return value[()]
 
 
-def principal_symbol(patch: BoundaryPatch, xi, energy: ComplexEnergy) -> np.ndarray:
-    """Principal symbol over the whole grid for a stack of covectors.
+def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]) -> np.ndarray:
+    """Principal symbol over the whole grid for a stack of covectors, at each energy.
 
     ``xi`` has shape ``(..., n)``; the result has shape
-    ``patch.grid_shape + xi.shape[:-1]``.
+    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
+    The covector norms do not depend on the energy: their log is computed
+    once and shared by every energy.
     """
     n = patch.n
     xi = np.asarray(xi, dtype=float)
@@ -136,11 +139,14 @@ def principal_symbol(patch: BoundaryPatch, xi, energy: ComplexEnergy) -> np.ndar
     if not np.all(np.any(xi, axis=-1)):
         raise ZeroCovector("covector is zero")
     pad = patch.grid_shape + (1,) * (xi.ndim - 1)
-    sigma = indicial_root(patch, energy)
-    pref = gamma_prefactor(sigma, n).reshape(pad)
     h0 = patch.h_jet[0].reshape(pad + (n, n))
-    norm = np.sqrt((xi[..., None, :] @ np.linalg.solve(h0, xi[..., None]))[..., 0, 0])
-    return pref * np.exp((2.0 * sigma - n).reshape(pad) * np.log(norm))
+    log_norm = np.log(np.sqrt((xi[..., None, :] @ np.linalg.solve(h0, xi[..., None]))[..., 0, 0]))
+    out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
+    for e, energy in enumerate(energies):
+        sigma = indicial_root(patch, energy)
+        pref = gamma_prefactor(sigma, n).reshape(pad)
+        out[e] = pref * np.exp((2.0 * sigma - n).reshape(pad) * log_norm)
+    return out
 
 
 def radial_derivative_kernel(omega, sigma) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import (
     ZeroSymbol,
     raise_first,
 )
-from .forward_scattering import prefactor_and_poles, radial_derivative_kernel
+from .forward_scattering import check_unit_probes, prefactor_and_poles
 from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
@@ -156,9 +156,15 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
     covectors of :func:`~scatjet.dataset.polarization_covectors`, in that
     order.  Polarization fills the inverse metric, which must come out
-    positive definite.  The result has shape ``(..., n, n)``; a failure names
-    the first failing grid index (the first ``n`` axes) and the sample along
-    the axes between the grid and ``C``.
+    positive definite.  The result has shape ``(..., n, n)``.
+
+    One batched Cholesky factorization accepts the whole batch when it
+    succeeds with a finite factor (a NaN matrix factors to NaN without
+    raising).  Only when it refuses do the eigenvalues get computed, to name
+    the first grid index (the first ``n`` axes) with a non-positive or NaN
+    eigenvalue, and the sample along the axes between the grid and ``C``.
+    Near a singular matrix the two tests can disagree by rounding: a batch
+    that Cholesky refuses but whose eigenvalues are all positive is accepted.
     """
     sq = np.asarray(norms, dtype=float) ** 2
     count = len(polarization_covectors(n))
@@ -171,19 +177,24 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     M = np.empty(sq.shape[:-1] + (n, n))
     M[..., d, d] = sq[..., :n]
     M[..., i, j] = M[..., j, i] = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
-    eigs = np.linalg.eigvalsh(M)
-    raise_first(
-        n,
-        [
-            # written so that a NaN eigenvalue fails too
-            (
-                ~(eigs.min(axis=-1) > 0),
-                NotPositiveDefinite,
-                lambda i: f"recovered inverse metric has eigenvalues {eigs[i]}; "
-                "not positive definite",
-            )
-        ],
-    )
+    try:
+        accepted = bool(np.all(np.isfinite(np.linalg.cholesky(M))))
+    except np.linalg.LinAlgError:
+        accepted = False
+    if not accepted:
+        eigs = np.linalg.eigvalsh(M)
+        raise_first(
+            n,
+            [
+                # written so that a NaN eigenvalue fails too
+                (
+                    ~(eigs.min(axis=-1) > 0),
+                    NotPositiveDefinite,
+                    lambda i: f"recovered inverse metric has eigenvalues {eigs[i]}; "
+                    "not positive definite",
+                )
+            ],
+        )
     return np.linalg.inv(M)
 
 
@@ -267,7 +278,9 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 class FirstOrderResult:
     """The first-order fit: every field's leading axes are the grid.
 
-    ``right_vectors`` holds each point's ``Vh`` from the SVD of its design.
+    ``right_vectors`` holds each point's full ``(k, k)`` ``Vh`` from the SVD
+    of its design, ``k`` the number of unknowns, also where there are fewer
+    probes than unknowns: its rows past ``design_rank`` span the kernel.
     """
 
     H: np.ndarray
@@ -314,23 +327,32 @@ def first_order_recovery(
     n = h0.shape[-1]
     if np.shape(probes)[-1:] != (n,):
         raise ValueError(f"probes need a last axis of length n={n}, got shape {np.shape(probes)}")
-    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
-    G = t1 * radial_derivative_kernel(probes, np.asarray(sigma)[..., None]) - (
-        c_trace[..., None, None, None] * h0[..., None, :, :]
-    )
+    w = np.asarray(probes, dtype=float)
+    check_unit_probes(w, ValueError, "omega: ")
+    # design entry (i, j): t1 D_ij(omega) - c h0_ij with the Hessian profile D
+    # of the forward model, for i <= j, a factor 2 off the diagonal
+    c = (t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0)[..., None, None]
+    sig = np.asarray(sigma, dtype=complex)[..., None, None]
+    slope, curve = 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    w_column = np.broadcast_to(np.complex128(t2), G.shape[:-2] + (1,))
-    A = np.ascontiguousarray(np.concatenate([G[..., d, d], 2.0 * G[..., i, j], w_column], axis=-1))
+    diag = t1 * (slope * (1.0 + curve * (w[..., d] * w[..., d]))) - c * h0[..., None, d, d]
+    off = 2.0 * (t1 * (slope * (curve * (w[..., i] * w[..., j]))) - c * h0[..., None, i, j])
+    A = np.empty(diag.shape[:-1] + (n + i.size + 1,), dtype=complex)
+    A[..., :n] = diag
+    A[..., n:-1] = off
+    A[..., -1] = t2
 
-    U, svals, Vh = np.linalg.svd(A, full_matrices=True)
+    # a thin U holds every column the projection reads; with fewer probes
+    # than unknowns (n = 1) only the full Vh holds the kernel directions
+    U, svals, Vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
     keep = svals > _SV_CUT * svals[..., :1]
     # minimum-norm least-squares solution through the truncated SVD; the
     # C-order design, the contiguous rows of U^T, the direction-by-direction
     # sum and norm's one-vector formula make the BLAS calls of a one-point fit,
     # so every point gets the same bits in any grid (np.vecdot: numpy >= 2)
     k = svals.shape[-1]
-    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)[..., :k, :]), b[..., None, :])
+    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)), b[..., None, :])
     coef = np.divide(proj, svals, out=np.zeros_like(proj), where=keep)
     x = np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
     for r in range(k):

@@ -324,7 +324,10 @@ def i_full_integral(
             (u^2 + |V|^2 + s^2)^-sigma (u^2 + |V - z|^2 + 1)^-sigma dV du,
 
     which depends on ``z`` only through ``|z|``; the module docstring's 1-D
-    rule evaluates it to the tolerances of ``spec``.
+    rule evaluates it to the tolerances of ``spec``.  A front factor past
+    double range, or an integrand that underflows at every node of the rule
+    (a zero sum that would pass any error check), raises
+    :class:`QuadratureFailure`.
     """
     zv = np.asarray(z, dtype=float)
     n = zv.size
@@ -347,6 +350,12 @@ def i_full_integral(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front} leaves double range"
         )
     value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
+    # each node's integrand is an exponential, so a zero sum means every one underflowed
+    if value == 0:
+        raise QuadratureFailure(
+            f"I_{l} at sigma={sigma}, s={s}, n={n}: the integrand underflows at every node "
+            "of the rule, so its zero sum is no value"
+        )
     return ModelIntegralValue(front * value, est, True, n_evals)
 
 
@@ -362,7 +371,8 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
 
     ``pi^(-n/2)/2 * Gamma(sigma)/Gamma(sigma - (n-2)/2)
     * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`GammaPole` when
-    either Gamma argument sits at a nonpositive integer.
+    either Gamma argument sits at a nonpositive integer, and
+    :class:`QuadratureFailure` when the value leaves double range.
     """
     if s <= 0:
         raise ValueError("s must be positive")
@@ -374,7 +384,12 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     if zv.shape != (n,):
         raise ValueError(f"z must have length n={n}")
     base = 1.0 + s * s + float(zv @ zv)
-    # past double range the value comes out inf or NaN; the command line refuses it
+    # past double range the value comes out inf or NaN, which is refused
     with np.errstate(all="ignore"):
         const = math.pi ** (-n / 2.0) / 2.0 * _gamma(sig) / _gamma(sig - (n - 2) / 2.0)
-        return complex(const * np.exp(sig * (math.log(s) - math.log(base))))
+        value = complex(const * np.exp(sig * (math.log(s) - math.log(base))))
+    if not cmath.isfinite(value):
+        raise QuadratureFailure(
+            f"G at sigma={sig}: value {value} (error 0.0) is not finite in double precision"
+        )
+    return value

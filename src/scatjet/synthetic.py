@@ -128,7 +128,7 @@ def forward_dataset(
     eye = np.eye(n)
     covectors = np.stack([eye[list(key)].sum(axis=0) for key in polarization_covectors(n)])
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
-    symbols = np.stack([principal_symbol(patch1, xi, en) for en in energies])
+    symbols = principal_symbol(patch1, xi, energies)
 
     singularity = omega = None
     if patch2 is not None:

@@ -79,6 +79,9 @@ def test_patch_rejects_asymmetric_or_indefinite_metric():
         constant_patch(2, 1.0, 0.0, bad_sym)
     with pytest.raises(ConfigError):
         constant_patch(2, 1.0, 0.0, np.diag([1.0, -1.0]))
+    # the symmetry bound is absolute: a 5e-6 gap is no rounding
+    with pytest.raises(ConfigError, match="symmetric"):
+        constant_patch(2, 1.1, 0.4, [[2.0, 1.0 + 5e-6], [1.0, 2.0]])
 
 
 def test_patch_arrays_read_only():

@@ -922,6 +922,20 @@ def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
     assert any(r.getMessage().startswith(message) for r in caplog.records)
 
 
+def test_cli_integrals_i_underflow_exits_1(tmp_path, caplog):
+    """An I whose rule underflows at every node is refused, not written as zero."""
+    out = tmp_path / "out.json"
+    argv = ["integrals", "--which", "I", "--l", "1", "--sigma", "30", "--s", "1e10", "--z", "1.0"]
+    assert main([*argv, "--n", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert any(
+        r.getMessage()
+        == "I_1 at sigma=(30+0j), s=10000000000.0, n=1: the integrand underflows at every node "
+        "of the rule, so its zero sum is no value"
+        for r in caplog.records
+    )
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

@@ -87,7 +87,7 @@ def test_sigma_via_forward_module():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
     en = ComplexEnergy(4.0)
     xi = np.array([0.6, 0.8])
-    v, vt = principal_symbol(patch, [xi, 2 * xi], en)[0, 0]
+    v, vt = principal_symbol(patch, [xi, 2 * xi], (en,))[0][0, 0]
     rec = recover_sigma_from_symbol(v, vt, 2.0, 2)
     assert rec.sigma == pytest.approx(indicial_root(patch, en)[0, 0], abs=1e-12)
     assert rec.norm == pytest.approx(1.0, abs=1e-12)  # h0 = I and |xi| = 1
@@ -206,6 +206,25 @@ def test_metric_rejects_indefinite():
     # a NaN norm gives NaN eigenvalues, which fail the check too
     with pytest.raises(NotPositiveDefinite, match=r"grid index \(1,\)$"):
         metric_boundary_recovery([[1.0, 1.0, 2**0.5], [1.0, math.nan, 2**0.5]], 2)
+
+
+def test_metric_names_the_one_indefinite_point_of_a_batch():
+    """Every other point passes; the refused batch names the one that fails."""
+    norms = np.tile([1.0, 1.0, 2**0.5], (3, 4, 2, 1))
+    got = metric_boundary_recovery(norms, 2)
+    np.testing.assert_allclose(got, np.broadcast_to(np.eye(2), (3, 4, 2, 2, 2)), atol=1e-12)
+    norms[2, 1, 1, 2] = 3.0  # |e_0 + e_1|^2 = 9 gives the off-diagonal entry 3.5
+    with pytest.raises(
+        NotPositiveDefinite,
+        match=r"eigenvalues \[-2\.5  4\.5\]; not positive definite "
+        r"at grid index \(2, 1\), sample \(1,\)$",
+    ):
+        metric_boundary_recovery(norms, 2)
+    # a NaN at one point of a large batch: the factor is NaN, not an exception
+    norms = np.tile([1.0, 1.0, 2**0.5], (6, 5, 1))
+    norms[4, 3, 0] = math.nan
+    with pytest.raises(NotPositiveDefinite, match=r"\[nan nan\]; .* grid index \(4, 3\)$"):
+        metric_boundary_recovery(norms, 2)
 
 
 def test_metric_missing_sample():
@@ -346,6 +365,18 @@ def test_first_order_n1_rank():
     samples = _samples(np.array([[0.0]]), 0.0, np.eye(1), 1.0, 2.1, 1.0, 1.0)
     res = first_order_recovery(*samples, 2.1, 1.0, 1.0, 1.0, np.eye(1))
     assert res.design_rank == 1  # 2 unknowns collapse onto one usable direction
+
+
+def test_first_order_n1_kernel_direction():
+    """With fewer probes than unknowns the full Vh still holds the kernel direction."""
+    sigma, t1, t2 = 2.1, 0.9 + 0.2j, 1.3 - 0.1j
+    samples = _samples(np.array([[0.4]]), 0.0, np.eye(1), 1.0, sigma, t1, t2)
+    res = first_order_recovery(*samples, sigma, t1, t2, 1.0, np.eye(1))
+    assert res.right_vectors.shape == (2, 2)
+    (Hk, Wk), = res.kernel_basis()
+    # at n = 1 a design row is t1 H D + t2 W, with D = (3 - 2 sigma)(2 - 2 sigma)
+    slope = -(t1 / t2) * (3 - 2 * sigma) * (2 - 2 * sigma)
+    assert Wk / Hk[0, 0] == pytest.approx(slope, abs=1e-12)
 
 
 def test_first_order_grid_matches_each_point():

@@ -293,6 +293,15 @@ def test_i_rotation_invariance():
     assert abs(plus.value - minus.value) <= plus.est_error + minus.est_error
 
 
+def test_i_refuses_an_integrand_that_underflows_at_every_node():
+    """A zero sum passes any error check, but it is no value: 30-digit mpmath gives 9.19e-274."""
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^I_1 at sigma=30, s=10000000000\.0, n=1: the integrand underflows at every node",
+    ):
+        i_full_integral(1, 30, 1e10, [1.0])
+
+
 def test_i_validation():
     for s, z in ((-0.1, [1.0]), (math.nan, [1.0]), (math.inf, [1.0]), (0.5, [math.inf])):
         with pytest.raises(ValueError):
@@ -334,6 +343,15 @@ def test_green_kernel_decay_slope():
     mags = [abs(green_kernel(0.7, [z, 0.0], sigma, n)) for z in zs]
     slope = np.polyfit(np.log(zs), np.log(mags), 1)[0]
     assert slope == pytest.approx(-2 * sigma, abs=0.05)
+
+
+def test_green_kernel_refuses_a_value_past_double_range():
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^G at sigma=\(10000000000\+0j\): value \(nan\+nanj\) \(error 0\.0\) "
+        r"is not finite in double precision$",
+    ):
+        green_kernel(1.0, [0.0, 0.0], 1e10, 2)
 
 
 def test_green_kernel_pole():
