@@ -86,6 +86,23 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
     )
 
 
+def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
+    """``inv(M)`` of a stack of symmetric matrices, or ``None`` if one is refused.
+
+    A matrix passes when Cholesky factors it with a finite factor (a NaN
+    matrix factors to NaN without raising) and LU finds no zero pivot, so
+    that ``solve`` and ``inv`` work on it.  Each matrix is judged alone: a
+    stack passes when every matrix in it passes.  Near a singular matrix the
+    verdict can differ by rounding from the sign of the smallest eigenvalue.
+    """
+    try:
+        if np.all(np.isfinite(np.linalg.cholesky(M))):
+            return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
 def _require_finite(name: str, arr: np.ndarray, grid_ndim: int) -> None:
     """Raise :class:`ConfigError` naming ``name`` and its first non-finite grid index."""
     bad = np.argwhere(~np.isfinite(arr))
@@ -132,14 +149,12 @@ class BoundaryPatch:
             for order, arr in enumerate(jet):
                 _require_finite(f"{name}[{order}]", arr, self.n)
         h0 = h_jet[0]
-        # rtol=0: the bound is absolute, so the one triangle the Cholesky test
-        # reads and the whole matrix the forward solve reads differ by at most it
-        if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=0.0, atol=1e-12):
+        # a rounding-sized bound: the one triangle the Cholesky test reads and
+        # the whole matrix the forward solve reads differ by no more
+        if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=1e-12, atol=1e-12):
             raise ConfigError("h^(0) must be symmetric")
-        try:
-            np.linalg.cholesky(h0)
-        except np.linalg.LinAlgError:
-            raise ConfigError("h^(0) must be positive definite at every grid point") from None
+        if positive_definite_inverse(h0) is None:
+            raise ConfigError("h^(0) must be positive definite at every grid point")
         for arr in (alpha, *v_jet, *h_jet):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)

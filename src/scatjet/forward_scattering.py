@@ -157,11 +157,25 @@ def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     is a ``(..., n)`` stack of unit vectors and ``sigma`` broadcasts against
     ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
     """
+    d = np.arange(np.shape(omega)[-1])
+    return hessian_profile_entries(omega, sigma, d[:, None], d[None, :])
+
+
+def hessian_profile_entries(omega, sigma, i, j) -> np.ndarray:
+    """The ``(i, j)`` entries of :func:`radial_derivative_kernel`'s profile.
+
+    ``i`` and ``j`` are index arrays that broadcast to one shape ``S``;
+    the result has shape ``broadcast(omega.shape[:-1], sigma) + S``.  The
+    first-order fit reads only the entries its unknowns need through it.
+    """
     w = np.asarray(omega, dtype=float)
     check_unit_probes(w, ValueError, "omega: ")
-    sig = np.asarray(sigma, dtype=complex)[..., None, None]
-    n = w.shape[-1]
-    return (3.0 - 2.0 * sig) * (np.eye(n) + (1.0 - 2.0 * sig) * (w[..., :, None] * w[..., None, :]))
+    i, j = np.asarray(i), np.asarray(j)
+    sig = np.asarray(sigma, dtype=complex)[(..., *(None,) * max(i.ndim, j.ndim))]
+    # np.take, unlike w[..., i], returns C order, the order in which the
+    # forward sum over (i, j) adds: the bits stay those of the outer product
+    ww = np.take(w, i, axis=-1) * np.take(w, j, axis=-1)
+    return (3.0 - 2.0 * sig) * ((i == j) + (1.0 - 2.0 * sig) * ww)
 
 
 def singularity_coefficient(

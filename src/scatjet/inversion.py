@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy
+from .boundary_jets import ComplexEnergy, positive_definite_inverse
 from .dataset import SymbolDataset, encode_complex, pack_array, polarization_covectors
 from .errors import (
     BranchAmbiguity,
@@ -49,7 +49,7 @@ from .errors import (
     ZeroSymbol,
     raise_first,
 )
-from .forward_scattering import check_unit_probes, prefactor_and_poles
+from .forward_scattering import hessian_profile_entries, prefactor_and_poles
 from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
@@ -158,13 +158,12 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     order.  Polarization fills the inverse metric, which must come out
     positive definite.  The result has shape ``(..., n, n)``.
 
-    One batched Cholesky factorization accepts the whole batch when it
-    succeeds with a finite factor (a NaN matrix factors to NaN without
-    raising).  Only when it refuses do the eigenvalues get computed, to name
-    the first grid index (the first ``n`` axes) with a non-positive or NaN
-    eigenvalue, and the sample along the axes between the grid and ``C``.
-    Near a singular matrix the two tests can disagree by rounding: a batch
-    that Cholesky refuses but whose eigenvalues are all positive is accepted.
+    Each point is judged alone by
+    :func:`~scatjet.boundary_jets.positive_definite_inverse` (Cholesky, then
+    the inverse), so a point passes or fails in any batch as it does alone.
+    Only when the batch is refused are its points judged one by one, and the
+    first refused grid index (the first ``n`` axes) and sample (the axes
+    between the grid and ``C``) are named with the eigenvalues of its matrix.
     """
     sq = np.asarray(norms, dtype=float) ** 2
     count = len(polarization_covectors(n))
@@ -177,25 +176,23 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     M = np.empty(sq.shape[:-1] + (n, n))
     M[..., d, d] = sq[..., :n]
     M[..., i, j] = M[..., j, i] = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
-    try:
-        accepted = bool(np.all(np.isfinite(np.linalg.cholesky(M))))
-    except np.linalg.LinAlgError:
-        accepted = False
-    if not accepted:
-        eigs = np.linalg.eigvalsh(M)
+    inverse = positive_definite_inverse(M)
+    if inverse is None:
+        refused = np.reshape(
+            [positive_definite_inverse(m) is None for m in M.reshape(-1, n, n)], M.shape[:-2]
+        )
         raise_first(
             n,
             [
-                # written so that a NaN eigenvalue fails too
                 (
-                    ~(eigs.min(axis=-1) > 0),
+                    refused,
                     NotPositiveDefinite,
-                    lambda i: f"recovered inverse metric has eigenvalues {eigs[i]}; "
-                    "not positive definite",
+                    lambda i: "recovered inverse metric has eigenvalues "
+                    f"{np.linalg.eigvalsh(M[i])}; not positive definite",
                 )
             ],
         )
-    return np.linalg.inv(M)
+    return inverse
 
 
 def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
@@ -278,9 +275,7 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 class FirstOrderResult:
     """The first-order fit: every field's leading axes are the grid.
 
-    ``right_vectors`` holds each point's full ``(k, k)`` ``Vh`` from the SVD
-    of its design, ``k`` the number of unknowns, also where there are fewer
-    probes than unknowns: its rows past ``design_rank`` span the kernel.
+    ``right_vectors`` holds each point's ``Vh`` from the SVD of its design.
     """
 
     H: np.ndarray
@@ -327,32 +322,27 @@ def first_order_recovery(
     n = h0.shape[-1]
     if np.shape(probes)[-1:] != (n,):
         raise ValueError(f"probes need a last axis of length n={n}, got shape {np.shape(probes)}")
-    w = np.asarray(probes, dtype=float)
-    check_unit_probes(w, ValueError, "omega: ")
-    # design entry (i, j): t1 D_ij(omega) - c h0_ij with the Hessian profile D
-    # of the forward model, for i <= j, a factor 2 off the diagonal
-    c = (t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0)[..., None, None]
-    sig = np.asarray(sigma, dtype=complex)[..., None, None]
-    slope, curve = 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
+    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+    # design columns: the H_ii, then the H_ij (i < j) with a factor 2, then W
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    diag = t1 * (slope * (1.0 + curve * (w[..., d] * w[..., d]))) - c * h0[..., None, d, d]
-    off = 2.0 * (t1 * (slope * (curve * (w[..., i] * w[..., j]))) - c * h0[..., None, i, j])
-    A = np.empty(diag.shape[:-1] + (n + i.size + 1,), dtype=complex)
-    A[..., :n] = diag
-    A[..., n:-1] = off
+    rows, cols = np.concatenate([d, i]), np.concatenate([d, j])
+    G = t1 * hessian_profile_entries(probes, np.asarray(sigma)[..., None], rows, cols) - (
+        c_trace[..., None, None] * h0[..., None, rows, cols]
+    )
+    A = np.empty(G.shape[:-1] + (G.shape[-1] + 1,), dtype=complex)
+    A[..., :n] = G[..., :n]
+    A[..., n:-1] = 2.0 * G[..., n:]
     A[..., -1] = t2
 
-    # a thin U holds every column the projection reads; with fewer probes
-    # than unknowns (n = 1) only the full Vh holds the kernel directions
-    U, svals, Vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    U, svals, Vh = np.linalg.svd(A, full_matrices=True)
     keep = svals > _SV_CUT * svals[..., :1]
     # minimum-norm least-squares solution through the truncated SVD; the
     # C-order design, the contiguous rows of U^T, the direction-by-direction
     # sum and norm's one-vector formula make the BLAS calls of a one-point fit,
     # so every point gets the same bits in any grid (np.vecdot: numpy >= 2)
     k = svals.shape[-1]
-    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)), b[..., None, :])
+    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)[..., :k, :]), b[..., None, :])
     coef = np.divide(proj, svals, out=np.zeros_like(proj), where=keep)
     x = np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
     for r in range(k):

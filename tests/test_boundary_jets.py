@@ -12,6 +12,7 @@ from scatjet.boundary_jets import (
     perturbation_coefficients,
 )
 from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary
+from scatjet.forward_scattering import principal_symbol
 from scatjet.synthetic import constant_patch, random_spd
 
 
@@ -79,9 +80,30 @@ def test_patch_rejects_asymmetric_or_indefinite_metric():
         constant_patch(2, 1.0, 0.0, bad_sym)
     with pytest.raises(ConfigError):
         constant_patch(2, 1.0, 0.0, np.diag([1.0, -1.0]))
-    # the symmetry bound is absolute: a 5e-6 gap is no rounding
+    # the symmetry bound is rounding-sized: a 5e-6 gap is no rounding
     with pytest.raises(ConfigError, match="symmetric"):
         constant_patch(2, 1.1, 0.4, [[2.0, 1.0 + 5e-6], [1.0, 2.0]])
+    # while the rounding of a product of entries near 1e5 is
+    big = 1e5 * random_spd(np.random.default_rng(1), 3)
+    assert np.any(big != big.T)
+    constant_patch(3, 1.1, 0.4, big)
+
+
+def test_patch_refuses_what_the_forward_solve_cannot_use():
+    """A metric within rounding of singular is refused, or its symbol computes."""
+    # passes Cholesky, with a zero pivot in LU (on one build of LAPACK)
+    h = [float.fromhex(x) for x in ("0x1.5f127fa12a17dp-2", "0x1.9215d48f6cc15p-1", "0x1.cc82c3f04720fp+0")]
+    metrics = [np.array([[h[0], h[1]], [h[1], h[2]]])]
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        v = rng.normal(size=2)
+        metrics.append(np.outer(v, v) + rng.uniform(-2.0, 2.0) * 1e-16 * np.eye(2))
+    for h0 in metrics:
+        try:
+            patch = constant_patch(2, 1.1, 0.4, h0)
+        except ConfigError:
+            continue
+        principal_symbol(patch, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (ComplexEnergy(3.2),))
 
 
 def test_patch_arrays_read_only():

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 
@@ -225,6 +226,49 @@ def test_metric_names_the_one_indefinite_point_of_a_batch():
     norms[4, 3, 0] = math.nan
     with pytest.raises(NotPositiveDefinite, match=r"\[nan nan\]; .* grid index \(4, 3\)$"):
         metric_boundary_recovery(norms, 2)
+
+
+def _borderline_norms(rng, count):
+    """Norms of 2x2 inverse metrics within rounding of singular, in both directions."""
+    out = []
+    while len(out) < count:
+        v = rng.normal(size=2)
+        M = np.outer(v, v) + rng.uniform(-2.0, 2.0) * 1e-16 * np.eye(2)
+        sq = np.array([M[0, 0], M[1, 1], M[0, 0] + M[1, 1] + 2.0 * M[0, 1]])
+        if np.all(sq >= 0):
+            out.append(np.sqrt(sq))
+    return np.array(out)
+
+
+def _refused_alone(norms) -> bool:
+    try:
+        metric_boundary_recovery(norms, 2)
+    except NotPositiveDefinite:
+        return True
+    return False
+
+
+def test_metric_verdict_does_not_depend_on_the_batch():
+    """Near a singular matrix a point passes or fails as it does alone."""
+    # the tests disagree on points like these (on one build of LAPACK: A fails
+    # Cholesky with eigenvalues > 0; B passes Cholesky with a 0 one, fails LU)
+    a = [float.fromhex(x) for x in ("0x1.7e5180e78d0dfp+0", "0x1.42521e63e874fp+0", "0x1.dffb141d24ca6p-3")]
+    b = [float.fromhex(x) for x in ("0x1.2bca6f1cf33bep-1", "0x1.575a2cd8b5b32p+0", "0x1.ed3f64672f511p+0")]
+    norms = np.concatenate([[a, b], _borderline_norms(np.random.default_rng(11), 30)]).reshape(4, 8, 3)
+    alone = np.array([_refused_alone(norms[idx]) for idx in np.ndindex(4, 8)]).reshape(4, 8)
+    assert alone.any() and not alone.all()
+    for batch, refused in (
+        (norms, alone),
+        (norms[:, ::-1], alone[:, ::-1]),
+        (np.stack([norms[0, :2], norms[0, 1::-1]]), np.stack([alone[0, :2], alone[0, 1::-1]])),
+    ):
+        first = tuple(int(k) for k in np.argwhere(refused)[0])
+        with pytest.raises(NotPositiveDefinite, match=re.escape(f"at grid index {first}") + "$"):
+            metric_boundary_recovery(batch, 2)
+    kept = norms[~alone]
+    got = metric_boundary_recovery(kept, 2)
+    for k in range(len(kept)):
+        np.testing.assert_array_equal(got[k], metric_boundary_recovery(kept[k], 2))
 
 
 def test_metric_missing_sample():
