@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import json
 import logging
 import math
@@ -31,7 +30,7 @@ import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
 from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict
-from .errors import ConfigError, IoError, QuadratureFailure, ScatjetError
+from .errors import ConfigError, IoError, ScatjetError
 from .forward_scattering import ProbeSet, principal_symbol
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
@@ -157,17 +156,7 @@ def _encode_report(report) -> str:
 def cmd_invert(args) -> int:
     with timed("decode"):
         ds = SymbolDataset.load(args.data)
-    if args.prefactor is not None:
-        c = parse_complex(args.prefactor)
-        if c == 0:
-            raise ConfigError("--prefactor must be nonzero")
-        log.info("applying external prefactor %s to all symbol samples", c)
-        ds = dataclasses.replace(ds, symbols=c * ds.symbols)
-    cfg = InversionConfig(
-        margin=args.margin,
-        alpha_sq_known=args.alpha_sq_known,
-        t_pair=_t_pair(args),
-    )
+    cfg = InversionConfig(margin=args.margin, alpha_sq_known=args.alpha_sq_known)
     report = layer_strip_driver(ds, cfg)
     _write_out(_encode_report(report), args.out)
     if report.status == "refused":
@@ -221,15 +210,6 @@ def _integral_level(which: str, flag_l: int) -> int:
     return flag_l
 
 
-def _refuse_non_finite(which: str, sigma: complex, value: complex, err: float = 0.0) -> None:
-    """An integral value past double precision is a numeric failure, never a NaN in the output."""
-    if not (cmath.isfinite(value) and math.isfinite(err)):
-        raise QuadratureFailure(
-            f"{which} at sigma={sigma}: value {value} (error {err}) "
-            "is not finite in double precision"
-        )
-
-
 def cmd_integrals(args) -> int:
     try:
         return _integrals(args)
@@ -257,7 +237,7 @@ def _integrals(args) -> int:
     elif which in ("I", "I1", "I2"):
         l = _integral_level(which, args.l)
         z = _z_vector(args.z, n)
-        log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, np.linalg.norm(z))
+        log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, math.hypot(*z))
         mv = i_full_integral(l, sigma, args.s, z, qspec)
         payload["s"] = args.s
         payload["z"] = z.tolist()
@@ -270,7 +250,6 @@ def _integrals(args) -> int:
         return 0
     else:
         raise ConfigError(f"unknown integral {args.which!r} (use T1,T2,J,I,G)")
-    _refuse_non_finite(which, sigma, mv.value, mv.est_error)
     payload["l"] = l
     payload.update(
         {
@@ -445,10 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="recover boundary data from a symbol dataset")
     p.add_argument("--data", required=True, help="symbol dataset JSON")
     p.add_argument("--alpha-sq-known", type=float, help="use a known alpha^2 (single-energy mode)")
-    p.add_argument("--t1", help="override model-integral factor t1")
-    p.add_argument("--t2", help="override model-integral factor t2")
     p.add_argument("--margin", type=_at_least(float, 0), default=1e-6, help="admissibility margin")
-    p.add_argument("--prefactor", help="multiply all symbol samples by this complex constant")
     p.add_argument("--csv", help="also write zeroth-order fields as CSV")
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_invert)

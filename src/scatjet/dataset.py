@@ -3,17 +3,17 @@
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
 The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies``
-(and optionally ``t_pair``) as ``[re, im]`` pairs of JSON numbers.  Each
-array is one string written by :func:`pack_array`: the standard, padded
-base64 of its C-order little-endian float64 bytes, a complex entry as its
-``re, im`` pair, so every bit is kept:
+(and, with first-order data, ``t_pair``) as ``[re, im]`` pairs of JSON
+numbers.  Each array is one string written by :func:`pack_array`: the
+standard, padded base64 of its C-order little-endian float64 bytes, a
+complex entry as its ``re, im`` pair, so every bit is kept:
 
 * ``probes`` (with first-order data): the ``P`` unit probe directions shared
   by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
   per energy, grid index and covector of :func:`polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
-  ``probes`` is.
+  ``probes`` and ``t_pair`` are.
 
 The optional ``exceptional`` block holds the interval, the ``user_excluded``
 energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
@@ -160,12 +160,13 @@ class SymbolDataset:
     the read-only real ``(P, n)`` array of the unit probe directions, one set
     for every grid point, and ``singularity`` the read-only complex
     ``(*grid_shape, P)`` array of the first-order singularity coefficient
-    ``F`` at those probes; the two come together.  ``t_pair`` holds the two
-    model-integral factors needed to invert them, and ``exceptional`` the
-    exceptional set the energies are screened against.  Construction checks
-    every field and raises :class:`ConfigError` naming the first bad entry:
-    a probe by its index, an entry of a grid array by its grid index and
-    sample.
+    ``F`` at those probes, and ``t_pair`` the two model-integral factors
+    they were built with, which the inverse reads; the three come together
+    or not at all.  ``exceptional`` is the exceptional set the energies are
+    screened against.  Construction checks every field and raises
+    :class:`ConfigError` naming the first bad entry (a missing one of the
+    three by name, a probe by its index, an entry of a grid array by its
+    grid index and sample).
     """
 
     n: int
@@ -191,11 +192,13 @@ class SymbolDataset:
         )
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
-        if self.singularity is None and self.probes is not None:
-            raise ConfigError("probes given without singularity")
-        if self.singularity is not None and self.probes is None:
-            raise ConfigError("singularity given without probes")
-        if self.singularity is not None:
+        missing = [k for k in ("singularity", "probes", "t_pair") if getattr(self, k) is None]
+        if 0 < len(missing) < 3:
+            raise ConfigError(
+                "singularity, probes and t_pair come together or not at all; "
+                f"missing: {', '.join(missing)}"
+            )
+        if not missing:
             probes = np.array(self.probes, dtype=float)
             if probes.ndim != 2 or probes.shape[0] < 1 or probes.shape[1] != self.n:
                 raise ConfigError(
@@ -212,8 +215,8 @@ class SymbolDataset:
             for arr, name in ((singularity, "singularity"), (probes, "probes")):
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-        if self.t_pair is not None and not all(cmath.isfinite(t) for t in self.t_pair):
-            raise ConfigError(f"t_pair {self.t_pair} is not finite")
+            if len(self.t_pair) != 2 or not all(cmath.isfinite(t) for t in self.t_pair):
+                raise ConfigError(f"t_pair {self.t_pair} is not two finite numbers")
         if self.exceptional is not None:
             es = self.exceptional
             if es.modes_lambda_sq.shape[:-1] != self.grid_shape:

@@ -19,8 +19,8 @@ profile
 
 where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
-are model-integral factors (all remaining scalar prefactors are normalized
-to one here; a CLI hook can scale them).  Probe directions are understood in
+are the model-integral factors a dataset records as ``t_pair`` (all other
+scalar prefactors are normalized to one).  Probe directions are understood in
 the frame where ``alpha^2 h0`` is the identity.  ``singularity_coefficient``
 evaluates ``F`` over the whole grid for a stack of probes at once, from the
 grid arrays of ``boundary_jets.perturbation_coefficients``.

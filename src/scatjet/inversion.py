@@ -164,18 +164,33 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     Only when the batch is refused are its points judged one by one, and the
     first refused grid index (the first ``n`` axes) and sample (the axes
     between the grid and ``C``) are named with the eigenvalues of its matrix.
+    Before that, a squared norm or a polarized entry past double range
+    raises :class:`InconsistentData`, naming the point the same way.
     """
-    sq = np.asarray(norms, dtype=float) ** 2
+    norm = np.asarray(norms, dtype=float)
     count = len(polarization_covectors(n))
-    if sq.shape[-1:] != (count,):
+    if norm.shape[-1:] != (count,):
         raise ValueError(
-            f"norms need a last axis of length {count} for n={n}, got shape {sq.shape}"
+            f"norms need a last axis of length {count} for n={n}, got shape {norm.shape}"
         )
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = norm**2
+        off = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
+    raise_first(
+        n,
+        [
+            (
+                np.isinf(sq).any(axis=-1) | np.isinf(off).any(axis=-1),
+                InconsistentData,
+                lambda k: f"squared covector norm leaves double range (norms {norm[k]})",
+            )
+        ],
+    )
     M = np.empty(sq.shape[:-1] + (n, n))
     M[..., d, d] = sq[..., :n]
-    M[..., i, j] = M[..., j, i] = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
+    M[..., i, j] = M[..., j, i] = off
     inverse = positive_definite_inverse(M)
     if inverse is None:
         refused = np.reshape(
@@ -397,7 +412,6 @@ def _stage(name: str):
 class InversionConfig:
     margin: float = 1e-6
     alpha_sq_known: float | None = None
-    t_pair: tuple[complex, complex] | None = None
 
 
 @dataclass
@@ -448,11 +462,12 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
 
     Stages: admissibility screen (when the dataset carries exceptional-set
     data), root/norm recovery and metric polarization over every grid point
-    and energy, two-energy (or known-``alpha``) zeroth-order algebra, then
-    the first-order fit when singularity samples are present.  ``h0`` is the
-    metric at the first energy; ``h0_cross_energy`` is its largest gap to
-    the metric at any other energy.  Jets of order two and higher are out
-    of scope and flagged in ``notes``.
+    and energy, two-energy (or, for one energy, known-``alpha``) zeroth-order
+    algebra, then the first-order fit when singularity samples are present.
+    A known ``alpha^2`` with two or more energies raises :class:`ConfigError`.
+    ``h0`` is the metric at the first energy; ``h0_cross_energy`` is its
+    largest gap to the metric at any other energy.  Jets of order two and
+    higher are out of scope and flagged in ``notes``.
     """
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
@@ -460,6 +475,11 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     a2 = cfg.alpha_sq_known
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
+    if a2 is not None and len(dataset.energies) > 1:
+        raise ConfigError(
+            f"alpha_sq_known applies to one energy only; the dataset has "
+            f"{len(dataset.energies)} energies, which give alpha^2"
+        )
     n = dataset.n
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
@@ -536,27 +556,17 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         log.info(
             "first-order stage: F(w) = t1 sum H_ij D_ij(w) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)"
         )
-        t_pair = cfg.t_pair if cfg.t_pair is not None else dataset.t_pair
-        if t_pair is None:
-            report.notes.append("no t1/t2 factors available; first-order stage skipped")
-        else:
-            with _stage("first-order"):
-                fo = first_order_recovery(
-                    dataset.singularity,
-                    dataset.probes,
-                    sigma1,
-                    t_pair[0],
-                    t_pair[1],
-                    alpha_field,
-                    h0_field,
-                )
-            report.H = fo.H
-            report.W1 = fo.W1
-            report.residuals["first_order_fit"] = float(np.max(fo.residual))
-            # the fit's structure, as seen at the last grid index
-            last = tuple(m - 1 for m in shape)
-            report.design_rank = int(fo.design_rank[last])
-            report.kernel_basis = fo.kernel_basis(last)
+        with _stage("first-order"):
+            fo = first_order_recovery(
+                dataset.singularity, dataset.probes, sigma1, *dataset.t_pair, alpha_field, h0_field
+            )
+        report.H = fo.H
+        report.W1 = fo.W1
+        report.residuals["first_order_fit"] = float(np.max(fo.residual))
+        # the fit's structure, as seen at the last grid index
+        last = tuple(m - 1 for m in shape)
+        report.design_rank = int(fo.design_rank[last])
+        report.kernel_basis = fo.kernel_basis(last)
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
     report.status = "ok"

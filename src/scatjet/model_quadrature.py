@@ -324,7 +324,8 @@ def i_full_integral(
             (u^2 + |V|^2 + s^2)^-sigma (u^2 + |V - z|^2 + 1)^-sigma dV du,
 
     which depends on ``z`` only through ``|z|``; the module docstring's 1-D
-    rule evaluates it to the tolerances of ``spec``.  A front factor past
+    rule evaluates it to the tolerances of ``spec``.  A front factor, a
+    knee of the rule or a value (overflowed or underflowed to zero) past
     double range, or an integrand that underflows at every node of the rule
     (a zero sum that would pass any error check), raises
     :class:`QuadratureFailure`.
@@ -344,19 +345,33 @@ def i_full_integral(
     b, terms = _front_terms(E, sig, n)
     with np.errstate(all="ignore"):
         front = complex(np.exp(sum(terms) + sig * math.log(s)))
-    # refused before the rule runs: a front past double range fails every panel's check
-    if not cmath.isfinite(front):
+    # refused before the rule runs: an overflowed front fails every panel's check,
+    # and an underflowed one makes a zero value
+    if front == 0 or not cmath.isfinite(front):
         raise QuadratureFailure(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front} leaves double range"
         )
-    value, est, n_evals = _feynman_rule(sig, b, math.hypot(*zv), s, front, spec)
+    d = math.hypot(*zv)
+    # the rule's knees are 1 and s^2 over 1 + s^2 + |z|^2; the lower must be a double > 0
+    if not min(s * s, 1.0) / (1.0 + s * s + d * d) > 0:
+        raise QuadratureFailure(
+            f"I_{l} at sigma={sigma}, s={s}, n={n}: the rule's knee "
+            f"min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range (|z| = {d:g})"
+        )
+    value, est, n_evals = _feynman_rule(sig, b, d, s, front, spec)
     # each node's integrand is an exponential, so a zero sum means every one underflowed
     if value == 0:
         raise QuadratureFailure(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the integrand underflows at every node "
             "of the rule, so its zero sum is no value"
         )
-    return ModelIntegralValue(front * value, est, True, n_evals)
+    result = front * value
+    if result == 0 or not cmath.isfinite(result):
+        raise QuadratureFailure(
+            f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front:.3e} times the "
+            f"rule's sum {value:.3e} leaves double range"
+        )
+    return ModelIntegralValue(result, est, True, n_evals)
 
 
 def _near_nonpositive_int(w: complex, tol: float = 1e-12) -> bool:

@@ -251,8 +251,18 @@ def test_dataset_rejects_singularity_without_every_grid_index():
         dataclasses.replace(ds, probes=ds.probes[:, :1])
     with pytest.raises(ConfigError, match=r"probes has shape \(4, 4, 4, 2\), expected \(P, 2\)"):
         dataclasses.replace(ds, probes=np.broadcast_to(ds.probes, (4, 4, 4, 2)))
-    with pytest.raises(ConfigError, match=r"^singularity given without probes$"):
+    with pytest.raises(
+        ConfigError,
+        match=r"^singularity, probes and t_pair come together or not at all; missing: probes$",
+    ):
         dataclasses.replace(ds, probes=None)
+    with pytest.raises(ConfigError, match=r"or not at all; missing: t_pair$"):
+        dataclasses.replace(ds, t_pair=None)
+    with pytest.raises(ConfigError, match=r"or not at all; missing: singularity, probes$"):
+        dataclasses.replace(ds, singularity=None, probes=None)
+    for t_pair in ((1.0, 1.0, 1.0), (1.0, math.nan)):
+        with pytest.raises(ConfigError, match=r"^t_pair \(.*\) is not two finite numbers$"):
+            dataclasses.replace(ds, t_pair=t_pair)
 
 
 def _with_entry(array, index, value):
@@ -491,8 +501,13 @@ def _no_samples(data):
             _set_entry("probes", (2, 0), 1.0),
             r"probes: probe 2 \(1\.0, 0\.7071067811865475\) is not a unit vector",
         ),
-        (_drop("probes"), r"singularity given without probes"),
-        (_drop("singularity"), r"probes given without singularity"),
+        (_drop("probes"), r"come together or not at all; missing: probes$"),
+        (_drop("singularity"), r"come together or not at all; missing: singularity$"),
+        (_drop("t_pair"), r"come together or not at all; missing: t_pair$"),
+        (
+            lambda data: [data.pop(k) for k in ("singularity", "probes")],
+            r"come together or not at all; missing: singularity, probes$",
+        ),
         *(
             (
                 _set(["schema"], f"scatjet.symbols/{old}"),
@@ -561,6 +576,8 @@ def _no_samples(data):
         "omega-not-unit",
         "singularity-without-probes",
         "missing-singularity",
+        "singularity-without-t-pair",
+        "t-pair-without-singularity",
         "schema-1",
         "schema-2",
         "schema-3",
@@ -751,26 +768,13 @@ def test_cli_forward_requires_energy(tmp_path):
     p1 = _write_patch(tmp_path, "p1.json", constant_patch(1, 1.0, 0.0, np.eye(1)))
     assert main(["forward", "--patch", str(p1)]) == 2
     assert main(["forward", "--patch", str(p1), "--lam", "4.0", "--t1", "1+0i"]) == 2
+    # without --patch2 there are no first-order samples for the factors to go with
+    assert main(["forward", "--patch", str(p1), "--lam", "4.0", "--t1", "1", "--t2", "1"]) == 2
 
 
 def test_cli_missing_input_file(tmp_path):
     assert main(["forward", "--patch", str(tmp_path / "absent.json"), "--lam", "4.0"]) == 2
     assert main(["invert", "--data", str(tmp_path / "absent.json")]) == 2
-
-
-def test_cli_invert_zero_prefactor(tmp_path):
-    _, ds = make_synthetic_pair(seed=4, n=2, with_first_order=False)
-    ds_path = tmp_path / "ds.json"
-    ds.save(ds_path)
-    assert main(["invert", "--data", str(ds_path), "--prefactor", "0+0i"]) == 2
-
-
-def test_cli_invert_t1_needs_t2(tmp_path, caplog):
-    _, ds = make_synthetic_pair(seed=4, n=2)
-    ds_path = tmp_path / "ds.json"
-    ds.save(ds_path)
-    assert main(["invert", "--data", str(ds_path), "--t1", "5"]) == 2
-    assert any("--t1 and --t2 must be given together" in r.getMessage() for r in caplog.records)
 
 
 def test_cli_invert_refused_energy(tmp_path):
@@ -832,16 +836,13 @@ def test_cli_sets_admissibility(tmp_path):
     assert "zeros" not in block
 
 
-@pytest.mark.parametrize("command", ["sets-lam", "sets-exclude", "invert-prefactor"])
+@pytest.mark.parametrize("command", ["sets-lam", "sets-exclude"])
 def test_cli_non_finite_complex_argument_exits_2(tmp_path, caplog, command):
-    """A NaN or infinite energy or factor is refused before anything is written."""
+    """A NaN or infinite energy is refused before anything is written."""
     patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.0, np.eye(2)))
-    ds_path = tmp_path / "ds.json"
-    forward_dataset(constant_patch(2, 1.0, 0.2, np.eye(2)), (ComplexEnergy(4.0),)).save(ds_path)
     argv, text = {
         "sets-lam": (["sets", "--patch", str(patch), "--lam", "nan"], "nan"),
         "sets-exclude": (["sets", "--patch", str(patch), "--exclude", "nan", "--lam", "2"], "nan"),
-        "invert-prefactor": (["invert", "--data", str(ds_path), "--prefactor", "inf"], "inf"),
     }[command]
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2
@@ -857,7 +858,7 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=case != "sigma-no-first-order")
     argv = ["invert", "--data", str(tmp_path / "ds.json"), "--out", str(tmp_path / "out.json")]
     if case == "first-order-svd":
-        argv += ["--t1", "1e308", "--t2", "1e308"]
+        ds = dataclasses.replace(ds, t_pair=(1e308, 1e308))
         expected = "[stage first-order] linear algebra failed: SVD did not converge"
     else:
         ds = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
@@ -952,6 +953,22 @@ def test_cli_process_overflow_warns_nothing_raw(argv, code):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_cli_process_i_knee_past_double_range_exits_1():
+    """|z|^2 past double range: a named numeric failure, exit 1, no raw warning."""
+    argv = ["integrals", "--which", "I", "--sigma", "2.5", "--s", "1e-3", "--n", "1"]
+    proc = run_scatjet(*argv, "--z", "1e160")
+    assert proc.returncode == 1, proc.stderr
+    assert (
+        "ERROR scatjet.cli: I_1 at sigma=(2.5+0j), s=0.001, n=1: the rule's knee "
+        "min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range (|z| = 1e+160)\n"
+    ) in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    # |z|^2 = 1e300 is still in range
+    proc = run_scatjet(*argv, "--z", "1e150")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == [2.0697058887075116e-308, 0.0]
+
+
 def _reject_constant(name):
     raise ValueError(f"bare {name} in JSON output")
 
@@ -971,12 +988,6 @@ _COMMANDS = {
         "sets", "--patch", str(d / "p.json"), f"--exclude={text}", "--lam=2"
     ],
     "forward-lam": lambda d, text: ["forward", "--patch", str(d / "p.json"), f"--lam={text}"],
-    "invert-prefactor": lambda d, text: [
-        "invert", "--data", str(d / "ds.json"), f"--prefactor={text}"
-    ],
-    "invert-t-pair": lambda d, text: [
-        "invert", "--data", str(d / "ds.json"), f"--t1={text}", f"--t2={text}"
-    ],
     "integrals-sigma": lambda d, text: [
         "integrals", "--which", "T1", f"--sigma={text}", "--n", "2"
     ],

@@ -271,6 +271,25 @@ def test_metric_verdict_does_not_depend_on_the_batch():
         np.testing.assert_array_equal(got[k], metric_boundary_recovery(kept[k], 2))
 
 
+def test_metric_refuses_a_squared_norm_past_double_range():
+    """Finite norms whose squares overflow: named as such, not as NaN eigenvalues."""
+    patch = constant_patch(2, 1.0, 3.0, np.eye(2))
+    ds = forward_dataset(patch, (ComplexEnergy(1.00125), ComplexEnergy(1.1)))
+    # sigma - n/2 = 0.05 at the first energy: the norms come out near 1e200
+    big = dataclasses.replace(ds, symbols=ds.symbols * 1e20)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage metric\] squared covector norm leaves double range \(norms \[8\.66\d*e\+199 "
+        r".*\]\) at grid index \(0, 0\), sample \(0,\)$",
+    ):
+        layer_strip_driver(big)
+    # squares in range whose polarization -(|e_0|^2 + |e_1|^2)/2 is not
+    norms = np.tile([1.0, 1.0, 2**0.5], (3, 1))
+    norms[1] = [1.3e154, 1.3e154, 1.0]
+    with pytest.raises(InconsistentData, match=r"leaves double range .* at grid index \(1,\)$"):
+        metric_boundary_recovery(norms, 2)
+
+
 def test_metric_missing_sample():
     """Norms come as a (..., C) array; a missing covector is a shape error."""
     with pytest.raises(ValueError, match=r"last axis of length 3 for n=2, got shape \(2,\)"):
@@ -498,6 +517,16 @@ def test_driver_known_alpha_checks_realness():
         layer_strip_driver(ds, InversionConfig(alpha_sq_known=2.0))
 
 
+def test_driver_refuses_known_alpha_with_two_energies():
+    """With two energies alpha^2 comes from the data; a known value would be ignored."""
+    truth, ds = make_synthetic_pair(seed=7, n=2)
+    with pytest.raises(
+        ConfigError,
+        match=r"^alpha_sq_known applies to one energy only; the dataset has 2 energies",
+    ):
+        layer_strip_driver(ds, InversionConfig(alpha_sq_known=3.0 * truth.alpha**2))
+
+
 def test_driver_refuses_inadmissible_energy():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     # lambda^2 = -2 is a mode value for this patch, so the screen trips
@@ -544,7 +573,7 @@ def test_driver_names_the_stage_of_a_linalg_failure():
     with pytest.raises(
         InconsistentData, match=r"^\[stage first-order\] linear algebra failed: SVD did not"
     ):
-        layer_strip_driver(ds, InversionConfig(t_pair=(1e308, 1e308)))
+        layer_strip_driver(dataclasses.replace(ds, t_pair=(1e308, 1e308)))
 
 
 def test_driver_checks_the_metric_at_every_energy():
@@ -642,7 +671,12 @@ def test_forward_encode_decode_invert_is_identity(truth):
 
     # known-alpha mode on the first energy alone
     one = dataclasses.replace(
-        ds, energies=ds.energies[:1], symbols=ds.symbols[:1], singularity=None, probes=None
+        ds,
+        energies=ds.energies[:1],
+        symbols=ds.symbols[:1],
+        singularity=None,
+        probes=None,
+        t_pair=None,
     )
     report = layer_strip_driver(one, InversionConfig(alpha_sq_known=alpha_sq))
     assert report.status == "ok"

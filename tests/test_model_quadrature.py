@@ -302,6 +302,32 @@ def test_i_refuses_an_integrand_that_underflows_at_every_node():
         i_full_integral(1, 30, 1e10, [1.0])
 
 
+@pytest.mark.parametrize(
+    "l,sigma,s,z,message",
+    [
+        (1, 2.5, 1e-3, 1e160, r"the rule's knee .* leaves double range \(\|z\| = 1e\+160\)$"),
+        # s^2 underflows to zero
+        (1, 1.6, 1e-200, 1.0, r"the rule's knee .* leaves double range \(\|z\| = 1\)$"),
+        # the knee s^2 / |z|^2 = 1e-400 underflows
+        (1, 1.6, 1e-150, 1e50, r"the rule's knee .* leaves double range \(\|z\| = 1e\+50\)$"),
+        # s^sigma = 1e-500
+        (1, 5.0, 1e-100, 1.0, r"the front factor 0j leaves double range$"),
+        (2, 2.6, 1e-50, 1e50, r"the front factor 6\.487e-131\+0\.000e\+00j times the rule's sum "),
+    ],
+    ids=[
+        "z-squared-overflows",
+        "s-squared-underflows",
+        "knee-underflows",
+        "front-underflows",
+        "value-underflows",
+    ],
+)
+def test_i_refuses_what_leaves_double_range(l, sigma, s, z, message):
+    """Each of these ended in a bare ValueError or a silent zero."""
+    with pytest.raises(QuadratureFailure, match=rf"^I_{l} at sigma={sigma}, s={s}, n=1: {message}"):
+        i_full_integral(l, sigma, s, [z])
+
+
 def test_i_validation():
     for s, z in ((-0.1, [1.0]), (math.nan, [1.0]), (math.inf, [1.0]), (0.5, [math.inf])):
         with pytest.raises(ValueError):
