@@ -11,7 +11,6 @@ from .boundary_jets import (
 from .dataset import SymbolDataset
 from .errors import ScatjetError
 from .forward_scattering import (
-    ProbeSet,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
@@ -55,7 +54,6 @@ __all__ = [
     "InversionConfig",
     "ModelIntegralValue",
     "PerturbationData",
-    "ProbeSet",
     "QuadratureSpec",
     "RecoveryReport",
     "ScatjetError",

@@ -220,13 +220,12 @@ class BoundaryPatch:
 class PerturbationData:
     """First-order differences of two patches sharing zeroth-order data.
 
-    ``L = h2^(1) - h1^(1)``, ``H = h0^-1 L h0^-1``, ``T = tr(h0^-1 L)`` and
-    ``W[j] = V2^(j) - V1^(j)``, as grid arrays (``L`` and ``H`` of shape
+    With ``L = h2^(1) - h1^(1)``: ``H = h0^-1 L h0^-1``, ``T = tr(h0^-1 L)``
+    and ``W[j] = V2^(j) - V1^(j)``, as grid arrays (``H`` of shape
     ``grid + (n, n)``) or as the scalars of one point.
     """
 
     n: int
-    L: np.ndarray
     H: np.ndarray
     T: float | np.ndarray
     W: tuple[float | np.ndarray, ...]
@@ -310,7 +309,6 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
     j_max = min(patch1.jet_order, patch2.jet_order)
     return PerturbationData(
         n=n,
-        L=L,
         H=h0_inv @ L @ h0_inv,
         T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
         W=tuple(patch2.v_jet[j] - patch1.v_jet[j] for j in range(j_max + 1)),

@@ -31,7 +31,7 @@ import numpy as np
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
 from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict
 from .errors import ConfigError, IoError, ScatjetError
-from .forward_scattering import ProbeSet, principal_symbol
+from .forward_scattering import check_unit_probes, principal_symbol
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
 from .model_quadrature import (
@@ -87,24 +87,18 @@ def _z_vector(raw: str, n: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _load_probes(path: str, n: int) -> ProbeSet:
-    """``--probes``: a JSON list of unit probe vectors with ``n`` components each."""
+def _load_probes(path: str, n: int) -> np.ndarray:
+    """``--probes``: a JSON list of at least one unit probe vector with ``n`` components each."""
+    want = f"--probes: expected an array of shape (P, {n}) with P >= 1"
     try:
-        probes = ProbeSet(vectors=tuple(tuple(float(c) for c in v) for v in _load_json(path)))
+        probes = np.array(_load_json(path), dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--probes: {exc}") from None
-    if len(probes.vectors[0]) != n:
-        raise ConfigError(f"--probes: probe 0 {probes.vectors[0]} does not have n={n} components")
+        raise ConfigError(f"{want}, got JSON that is not an array of numbers ({exc})") from None
+    # a JSON list with no probes has shape (0,)
+    if probes.shape[1:] != (n,):
+        raise ConfigError(f"{want}, got shape {probes.shape}")
+    check_unit_probes(probes, ConfigError, "--probes: ")
     return probes
-
-
-def _t_pair(args) -> tuple[complex, complex] | None:
-    """``--t1`` and ``--t2``: both or neither."""
-    if args.t1 is None and args.t2 is None:
-        return None
-    if args.t1 is None or args.t2 is None:
-        raise ConfigError("--t1 and --t2 must be given together")
-    return parse_complex(args.t1), parse_complex(args.t2)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -116,21 +110,13 @@ def cmd_forward(args) -> int:
     if not args.lam:
         raise ConfigError("forward requires at least one --lam")
     energies = tuple(ComplexEnergy(parse_complex(s)) for s in args.lam)
-    t_pair = _t_pair(args)
     probes = _load_probes(args.probes, patch.n) if args.probes else None
     log.info(
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"
     )
     with timed("forward"):
-        ds = forward_dataset(
-            patch,
-            energies,
-            patch2=patch2,
-            scale_t=args.scale_t,
-            probes=probes,
-            t_pair=t_pair,
-        )
+        ds = forward_dataset(patch, energies, patch2=patch2, scale_t=args.scale_t, probes=probes)
     with timed("encode"):
         text = canonical_json(ds.to_dict())
     _write_out(text, args.out)
@@ -415,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch2", help="second patch (enables first-order samples)")
     p.add_argument("--lam", action="append", default=[], help="energy, e.g. 3.5 or 2+1i (repeatable)")
     p.add_argument("--scale-t", type=float, default=2.0, help="homogeneity probe scale (default 2)")
-    p.add_argument("--t1", help="model-integral factor t1 (complex)")
-    p.add_argument("--t2", help="model-integral factor t2 (complex)")
-    p.add_argument("--probes", help="JSON file with probe vectors (overrides default set)")
+    p.add_argument("--probes", help="JSON file: a (P, n) list of unit probes (overrides the defaults)")
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_forward)
 
@@ -501,7 +485,15 @@ class _LogFormat(logging.Formatter):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for token in argv:
+        # argparse drops the value of ``--name=--`` and hands the option an
+        # empty list, unchecked by its ``type`` and ``choices``
+        option, _, value = token.partition("=")
+        if option.startswith("--") and value == "--":
+            parser.error(f"argument {option}: expected one argument, got '--'")
+    args = parser.parse_args(argv)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_LogFormat("%(levelname)s %(name)s: %(message)s"))
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO, handlers=[handler])

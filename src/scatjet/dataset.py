@@ -11,7 +11,8 @@ complex entry as its ``re, im`` pair, so every bit is kept:
 * ``probes`` (with first-order data): the ``P`` unit probe directions shared
   by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
-  per energy, grid index and covector of :func:`polarization_covectors`;
+  per energy, grid index and covector of
+  :func:`~scatjet.forward_scattering.polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
   ``probes`` and ``t_pair`` are.
 
@@ -36,7 +37,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError, raise_first
-from .forward_scattering import check_unit_probes
+from .forward_scattering import check_unit_probes, polarization_covectors
 from .spectral_sets import ExceptionalSet
 
 SCHEMA = "scatjet.symbols/5"
@@ -81,11 +82,6 @@ def exceptional_from_dict(block: Mapping[str, Any], grid_shape: tuple[int, ...])
         )
     except _MALFORMED as exc:
         raise IoError(f"exceptional: malformed block: {type(exc).__name__}: {exc}") from None
-
-
-def polarization_covectors(n: int) -> list[tuple[int, ...]]:
-    """Covector labels every grid point must carry: ``e_i`` and ``e_i + e_j`` (``i < j``)."""
-    return [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) -> None:
@@ -156,11 +152,12 @@ class SymbolDataset:
     ``symbols`` is a read-only complex array of shape
     ``(E, *grid_shape, C, 2)``: ``symbols[e, *idx, c]`` holds the pair
     ``(S(xi), S(t xi))`` for energy index ``e``, grid index ``idx`` and the
-    covector ``polarization_covectors(n)[c]``.  ``probes`` (if present) is
-    the read-only real ``(P, n)`` array of the unit probe directions, one set
-    for every grid point, and ``singularity`` the read-only complex
-    ``(*grid_shape, P)`` array of the first-order singularity coefficient
-    ``F`` at those probes, and ``t_pair`` the two model-integral factors
+    covector ``forward_scattering.polarization_covectors(n)[c]``.
+    ``probes`` (if present) is the read-only real ``(P, n)`` array of the
+    unit probe directions, one set for every grid point, and
+    ``singularity`` the read-only complex ``(*grid_shape, P)`` array of the
+    first-order singularity coefficient ``F`` at those probes, and
+    ``t_pair`` the two model-integral factors
     they were built with, which the inverse reads; the three come together
     or not at all.  ``exceptional`` is the exceptional set the energies are
     screened against.  Construction checks every field and raises

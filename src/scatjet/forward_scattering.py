@@ -28,40 +28,23 @@ grid arrays of ``boundary_jets.perturbation_coefficients``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, PerturbationData, indicial_root
-from .errors import GammaPole, ZeroCovector, raise_first
+from .errors import GammaPole, ScatjetError, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
 __all__ = [
-    "ProbeSet",
     "gamma_prefactor",
     "principal_symbol",
     "radial_derivative_kernel",
     "singularity_coefficient",
     "default_probe_set",
+    "polarization_covectors",
+    "symmetric_pairs",
 ]
-
-
-@dataclass(frozen=True)
-class ProbeSet:
-    """Unit probe directions for first-order recovery: at least one, all of one length."""
-
-    vectors: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        vecs = tuple(tuple(float(c) for c in v) for v in self.vectors)
-        if not vecs:
-            raise ValueError("probe set is empty")
-        for j, v in enumerate(vecs):
-            if len(v) != len(vecs[0]):
-                raise ValueError(f"probe {j} {v} has {len(v)} components, probe 0 has {len(vecs[0])}")
-        check_unit_probes(vecs, ValueError)
-        object.__setattr__(self, "vectors", vecs)
 
 
 def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
@@ -80,15 +63,38 @@ def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
         raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
 
 
-def default_probe_set(n: int) -> ProbeSet:
-    """``{e_i}`` together with ``(e_i +/- e_j)/sqrt(2)`` for ``i < j``."""
+def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)``: the index pairs ``i <= j`` of a symmetric ``n x n`` tensor.
+
+    First the ``(i, i)``, then the ``(i, j)`` with ``i < j``, row by row.  The
+    polarization covectors, the default probes and the unknowns of the
+    first-order fit all follow this order.
+    """
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    return np.concatenate([d, i]), np.concatenate([d, j])
+
+
+def polarization_covectors(n: int) -> np.ndarray:
+    """The ``(C, n)`` covectors sampled at every grid point: ``e_i + e_j`` per pair ``i <= j``.
+
+    A diagonal pair gives ``e_i``; the order is that of :func:`symmetric_pairs`.
+    """
+    rows, cols = symmetric_pairs(n)
     eye = np.eye(n)
-    vecs = [eye[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            vecs.append((eye[i] + eye[j]) / np.sqrt(2.0))
-            vecs.append((eye[i] - eye[j]) / np.sqrt(2.0))
-    return ProbeSet(vectors=tuple(tuple(v) for v in vecs))
+    return eye[rows] + (rows < cols)[:, None] * eye[cols]
+
+
+def default_probe_set(n: int) -> np.ndarray:
+    """The ``(P, n)`` default probes, ``P = n^2``.
+
+    The ``e_i``, then ``(e_i + e_j)/sqrt(2)`` and ``(e_i - e_j)/sqrt(2)`` for
+    each pair ``i < j``, in the order of :func:`symmetric_pairs`.
+    """
+    rows, cols = (k[n:] for k in symmetric_pairs(n))
+    eye = np.eye(n)
+    pairs = np.stack([eye[rows] + eye[cols], eye[rows] - eye[cols]], axis=1) / np.sqrt(2.0)
+    return np.concatenate([eye, pairs.reshape(-1, n)])
 
 
 def prefactor_and_poles(sigma: np.ndarray, n: int):
@@ -130,7 +136,9 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     ``xi`` has shape ``(..., n)``; the result has shape
     ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
     The covector norms do not depend on the energy: their log is computed
-    once and shared by every energy.
+    once and shared by every energy.  A value past double range raises
+    :class:`~scatjet.errors.ScatjetError`, naming the energy index, the grid
+    index and the covector.
     """
     n = patch.n
     xi = np.asarray(xi, dtype=float)
@@ -145,7 +153,20 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     for e, energy in enumerate(energies):
         sigma = indicial_root(patch, energy)
         pref = gamma_prefactor(sigma, n).reshape(pad)
-        out[e] = pref * np.exp((2.0 * sigma - n).reshape(pad) * log_norm)
+        with np.errstate(all="ignore"):
+            out[e] = pref * np.exp((2.0 * sigma - n).reshape(pad) * log_norm)
+    # (*grid, E, ...): a failure names the grid index, then the energy index and covector
+    raise_first(
+        n,
+        [
+            (
+                ~np.isfinite(np.moveaxis(out, 0, n)),
+                ScatjetError,
+                lambda i: f"principal symbol at energy index {i[n]}, covector "
+                f"{tuple(xi[i[n + 1 :]].tolist())} leaves double range",
+            )
+        ],
+    )
     return out
 
 

@@ -30,60 +30,61 @@ MIN_POINTS = 16
 
 @dataclass(frozen=True)
 class HalfSpaceGrid:
-    """Uniform grid in ``(tau, z)`` with an exclusion ball at ``(s, z) = (1, 0)``."""
+    """Uniform grid in ``(tau, z)`` with an exclusion ball at ``(s, z) = (1, 0)``.
+
+    ``points`` per axis: ``tau`` spans ``tau_span`` and each of the ``n``
+    ``z`` axes spans ``[-z_extent, z_extent]``.  The ball's radius
+    ``r_excl`` is three times the largest spacing unless given.
+    """
 
     n: int
-    tau: np.ndarray
-    z_axes: tuple[np.ndarray, ...]
-    r_excl: float
+    tau_span: tuple[float, float]
+    z_extent: float
+    points: int
+    r_excl: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.n <= 3:
             raise ValueError("n must be 1..3")
-        tau = np.asarray(self.tau, dtype=float)
-        z_axes = tuple(np.asarray(z, dtype=float) for z in self.z_axes)
-        if len(z_axes) != self.n:
-            raise ValueError("need one z axis per boundary dimension")
-        for ax in (tau, *z_axes):
-            if ax.ndim != 1 or ax.size < MIN_POINTS:
-                raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {ax.size}")
-            d = np.diff(ax)
-            if d[0] <= 0:
-                raise ValueError("axes must be strictly increasing")
-            if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-                raise ValueError("axes must be uniformly spaced")
-        if self.r_excl <= 2.0 * max(self.spacings(tau, z_axes)):
+        if self.points < MIN_POINTS:
+            raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {self.points}")
+        # written so that a NaN span fails too
+        if not (self.dtau > 0 and self.dz > 0):
+            raise ValueError("axes must be strictly increasing")
+        if self.r_excl is None:
+            object.__setattr__(self, "r_excl", 3.0 * max(self.dtau, self.dz))
+        if self.r_excl <= 2.0 * max(self.dtau, self.dz):
             raise ValueError("exclusion radius must exceed twice the largest spacing")
-        tau.setflags(write=False)
-        for ax in z_axes:
-            ax.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "z_axes", z_axes)
 
-    @staticmethod
-    def spacings(tau, z_axes) -> list[float]:
-        return [float(tau[1] - tau[0])] + [float(z[1] - z[0]) for z in z_axes]
+    @property
+    def tau(self) -> np.ndarray:
+        return np.linspace(self.tau_span[0], self.tau_span[1], self.points)
+
+    @property
+    def z(self) -> np.ndarray:
+        """The one ``z`` axis, shared by all ``n`` of them."""
+        return np.linspace(-self.z_extent, self.z_extent, self.points)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.tau.size,) + tuple(z.size for z in self.z_axes)
+        return (self.points,) * (self.n + 1)
 
     @property
     def dtau(self) -> float:
         return float(self.tau[1] - self.tau[0])
 
-    def dz(self, axis: int) -> float:
-        return float(self.z_axes[axis][1] - self.z_axes[axis][0])
+    @property
+    def dz(self) -> float:
+        return float(self.z[1] - self.z[0])
 
     def axes(self, ghost: bool = False) -> list[np.ndarray]:
         """Coordinate axes, optionally extended by one ghost point per side."""
         out = []
-        for ax in (self.tau, *self.z_axes):
+        for ax in (self.tau, *(self.z,) * self.n):
             if ghost:
                 d = ax[1] - ax[0]
-                out.append(np.concatenate(([ax[0] - d], ax, [ax[-1] + d])))
-            else:
-                out.append(np.asarray(ax))
+                ax = np.concatenate(([ax[0] - d], ax, [ax[-1] + d]))
+            out.append(ax)
         return out
 
     def mesh(self, ghost: bool = False) -> list[np.ndarray]:
@@ -97,21 +98,6 @@ class HalfSpaceGrid:
         for g in grids[1:]:
             d2 = d2 + g**2
         return d2 > self.r_excl**2
-
-    @classmethod
-    def make(
-        cls,
-        n: int,
-        tau_span: tuple[float, float],
-        z_extent: float,
-        points: int,
-        r_excl: float | None = None,
-    ) -> "HalfSpaceGrid":
-        tau = np.linspace(tau_span[0], tau_span[1], points)
-        z_axes = tuple(np.linspace(-z_extent, z_extent, points) for _ in range(n))
-        if r_excl is None:
-            r_excl = 3.0 * max(cls.spacings(tau, z_axes))
-        return cls(n=n, tau=tau, z_axes=z_axes, r_excl=r_excl)
 
 
 def _second_diff(f: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -141,11 +127,9 @@ def hyperbolic_laplacian_apply(f: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray
     expected = tuple(m + 2 for m in grid.shape)
     if f.shape != expected:
         raise ValueError(f"f must include one ghost layer: expected shape {expected}, got {f.shape}")
-    if min(grid.shape) < MIN_POINTS:
-        raise GridTooCoarse(f"grid below {MIN_POINTS} points per axis")
     d2_tau = _second_diff(f, 0, grid.dtau)
     d1_tau = _first_diff(f, 0, grid.dtau)
-    lap_z = sum(_second_diff(f, 1 + a, grid.dz(a)) for a in range(grid.n))
+    lap_z = sum(_second_diff(f, 1 + a, grid.dz) for a in range(grid.n))
     s = np.exp(grid.tau)
     s2 = (s * s).reshape((-1,) + (1,) * grid.n)
     return -d2_tau + grid.n * d1_tau - s2 * lap_z
@@ -154,9 +138,7 @@ def hyperbolic_laplacian_apply(f: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray
 @dataclass(frozen=True)
 class GreenResidualReport:
     max_residual: float
-    max_kernel: float
     spacing: float
-    n_points: int
 
 
 def _kernel_on(grid: HalfSpaceGrid, sigma: complex) -> np.ndarray:
@@ -194,9 +176,7 @@ def green_residual_check(
     mask = grid.exclusion_mask()
     return GreenResidualReport(
         max_residual=float(np.max(np.abs(resid[mask]))),
-        max_kernel=float(np.max(np.abs(core[mask]))),
-        spacing=max(HalfSpaceGrid.spacings(grid.tau, grid.z_axes)),
-        n_points=int(mask.sum()),
+        spacing=max(grid.dtau, grid.dz),
     )
 
 
@@ -217,10 +197,8 @@ def green_residual_convergence(
     grid already.  A ``sigma`` whose kernel is constant (zero residuals) or
     overflows (non-finite residuals) has no ratio: :class:`ConfigError`.
     """
-    coarse = HalfSpaceGrid.make(n, tau_span, z_extent, base_points)
-    fine = HalfSpaceGrid.make(
-        n, tau_span, z_extent, 2 * base_points - 1, r_excl=coarse.r_excl
-    )
+    coarse = HalfSpaceGrid(n, tau_span, z_extent, base_points)
+    fine = HalfSpaceGrid(n, tau_span, z_extent, 2 * base_points - 1, r_excl=coarse.r_excl)
     rc = green_residual_check(sigma, n, coarse)
     rf = green_residual_check(sigma, n, fine)
     # written so that a NaN residual fails too

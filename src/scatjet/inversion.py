@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary_jets import ComplexEnergy, positive_definite_inverse
-from .dataset import SymbolDataset, encode_complex, pack_array, polarization_covectors
+from .dataset import SymbolDataset, encode_complex, pack_array
 from .errors import (
     BranchAmbiguity,
     ConfigError,
@@ -49,7 +49,7 @@ from .errors import (
     ZeroSymbol,
     raise_first,
 )
-from .forward_scattering import hessian_profile_entries, prefactor_and_poles
+from .forward_scattering import hessian_profile_entries, prefactor_and_poles, symmetric_pairs
 from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
@@ -154,8 +154,8 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     """Boundary metric from covector norms at ``{e_i}`` and ``{e_i + e_j}``.
 
     ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
-    covectors of :func:`~scatjet.dataset.polarization_covectors`, in that
-    order.  Polarization fills the inverse metric, which must come out
+    covectors of :func:`~scatjet.forward_scattering.polarization_covectors`,
+    in that order.  Polarization fills the inverse metric, which must come out
     positive definite.  The result has shape ``(..., n, n)``.
 
     Each point is judged alone by
@@ -168,13 +168,12 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     raises :class:`InconsistentData`, naming the point the same way.
     """
     norm = np.asarray(norms, dtype=float)
-    count = len(polarization_covectors(n))
-    if norm.shape[-1:] != (count,):
+    rows, cols = symmetric_pairs(n)
+    if norm.shape[-1:] != rows.shape:
         raise ValueError(
-            f"norms need a last axis of length {count} for n={n}, got shape {norm.shape}"
+            f"norms need a last axis of length {rows.size} for n={n}, got shape {norm.shape}"
         )
-    d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
+    i, j = rows[n:], cols[n:]
     with np.errstate(over="ignore", invalid="ignore"):
         sq = norm**2
         off = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
@@ -189,8 +188,7 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
         ],
     )
     M = np.empty(sq.shape[:-1] + (n, n))
-    M[..., d, d] = sq[..., :n]
-    M[..., i, j] = M[..., j, i] = off
+    M[..., rows, cols] = M[..., cols, rows] = np.concatenate([sq[..., :n], off], axis=-1)
     inverse = positive_definite_inverse(M)
     if inverse is None:
         refused = np.reshape(
@@ -277,12 +275,14 @@ def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
 
 
 def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(H, W)`` from unknowns ``(H_ii..., H_ij (i<j)..., W)`` along the last axis."""
-    H = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
-    H[..., d, d] = x[..., :n]
-    H[..., i, j] = H[..., j, i] = x[..., n:-1]
+    """``(H, W)`` from the unknowns along the last axis.
+
+    The ``H`` entries come at the pairs of
+    :func:`~scatjet.forward_scattering.symmetric_pairs`, in that order, and ``W`` last.
+    """
+    H = np.empty(x.shape[:-1] + (n, n), dtype=complex)
+    rows, cols = symmetric_pairs(n)
+    H[..., rows, cols] = H[..., cols, rows] = x[..., :-1]
     return H, x[..., -1]
 
 
@@ -297,7 +297,6 @@ class FirstOrderResult:
     W1: np.ndarray
     residual: np.ndarray
     design_rank: np.ndarray
-    singular_values: np.ndarray
     right_vectors: np.ndarray
 
     def kernel_basis(self, idx: tuple[int, ...] = ()) -> tuple[tuple[np.ndarray, complex], ...]:
@@ -327,6 +326,8 @@ def first_order_recovery(
     ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``
     in the unknowns ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order.
     Every point's design gets one SVD; rank deficiency is reported, not raised.
+    A design entry past double range raises :class:`InconsistentData`,
+    naming the grid index.
     """
     if abs(t1) < 1e-12 or abs(t2) < 1e-12:
         raise ZeroIntegralFactor(f"model-integral factors t1={t1}, t2={t2} too small")
@@ -337,18 +338,28 @@ def first_order_recovery(
     n = h0.shape[-1]
     if np.shape(probes)[-1:] != (n,):
         raise ValueError(f"probes need a last axis of length n={n}, got shape {np.shape(probes)}")
-    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
     # design columns: the H_ii, then the H_ij (i < j) with a factor 2, then W
-    d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
-    rows, cols = np.concatenate([d, i]), np.concatenate([d, j])
-    G = t1 * hessian_profile_entries(probes, np.asarray(sigma)[..., None], rows, cols) - (
-        c_trace[..., None, None] * h0[..., None, rows, cols]
+    rows, cols = symmetric_pairs(n)
+    with np.errstate(all="ignore"):
+        c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+        G = t1 * hessian_profile_entries(probes, np.asarray(sigma)[..., None], rows, cols) - (
+            c_trace[..., None, None] * h0[..., None, rows, cols]
+        )
+        A = np.empty(G.shape[:-1] + (G.shape[-1] + 1,), dtype=complex)
+        A[..., :n] = G[..., :n]
+        A[..., n:-1] = 2.0 * G[..., n:]
+        A[..., -1] = t2
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    raise_first(
+        finite.ndim,
+        [
+            (
+                ~finite,
+                InconsistentData,
+                lambda i: f"first-order design leaves double range (t1={t1}, t2={t2})",
+            )
+        ],
     )
-    A = np.empty(G.shape[:-1] + (G.shape[-1] + 1,), dtype=complex)
-    A[..., :n] = G[..., :n]
-    A[..., n:-1] = 2.0 * G[..., n:]
-    A[..., -1] = t2
 
     U, svals, Vh = np.linalg.svd(A, full_matrices=True)
     keep = svals > _SV_CUT * svals[..., :1]
@@ -371,7 +382,6 @@ def first_order_recovery(
         W1=W,
         residual=residual,
         design_rank=keep.sum(axis=-1),
-        singular_values=svals,
         right_vectors=Vh,
     )
 

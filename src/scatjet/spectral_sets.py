@@ -50,9 +50,6 @@ class Admissibility:
     reason: str | None
     distances: dict[str, float]
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 def omega_interval(patch: BoundaryPatch) -> tuple[float, float]:
     """Endpoints of the real exceptional interval in the ``lambda^2`` plane."""

@@ -18,11 +18,11 @@ from .boundary_jets import (
     indicial_root,
     perturbation_coefficients,
 )
-from .dataset import SymbolDataset, polarization_covectors
+from .dataset import SymbolDataset
 from .errors import ScatjetError
 from .forward_scattering import (
-    ProbeSet,
     default_probe_set,
+    polarization_covectors,
     principal_symbol,
     singularity_coefficient,
 )
@@ -96,7 +96,7 @@ def draw_admissible_energies(
     picked: list[ComplexEnergy] = []
     for _ in range(_ENERGY_DRAWS):
         lam = ComplexEnergy(complex(rng.uniform(3.0, 6.0)))
-        if not is_admissible(lam, es, 1e-3):
+        if not is_admissible(lam, es, 1e-3).ok:
             continue
         if picked and abs(picked[0].lam_sq - lam.lam_sq) < 0.5:
             continue
@@ -111,22 +111,22 @@ def forward_dataset(
     energies: tuple[ComplexEnergy, ...],
     patch2: BoundaryPatch | None = None,
     scale_t: float = 2.0,
-    probes: ProbeSet | None = None,
+    probes: np.ndarray | None = None,
     t_pair: tuple[complex, complex] | None = None,
 ) -> SymbolDataset:
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
-    Symbols are sampled at ``xi in {e_i} u {e_i + e_j}`` and at ``scale_t``
-    times each, at every grid point and energy.  When a second patch is
-    supplied, the first-order angular samples ``F(omega)`` over the probe set
-    (the default set unless given), at every grid point, are attached
-    together with the probes and the model-integral factor pair used to
-    build them (``(1, 1)`` unless given).
+    Symbols are sampled at the covectors of :func:`polarization_covectors`
+    and at ``scale_t`` times each, at every grid point and energy.  When a
+    second patch is supplied, the first-order angular samples ``F(omega)``
+    at the ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set`
+    unless given), at every grid point, are attached together with the
+    probes and the model-integral factor pair used to build them (``(1, 1)``
+    unless given).
     """
     n = patch1.n
     shape = patch1.grid_shape
-    eye = np.eye(n)
-    covectors = np.stack([eye[list(key)].sum(axis=0) for key in polarization_covectors(n)])
+    covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     symbols = principal_symbol(patch1, xi, energies)
 
@@ -134,7 +134,7 @@ def forward_dataset(
     if patch2 is not None:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
-        omega = np.array((probes if probes is not None else default_probe_set(n)).vectors)
+        omega = default_probe_set(n) if probes is None else probes
         sigma = indicial_root(patch1, energies[0])
         pd = perturbation_coefficients(patch1, patch2)
         singularity = singularity_coefficient(pd, patch1.alpha, sigma, t_pair[0], t_pair[1], omega)

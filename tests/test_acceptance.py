@@ -125,7 +125,7 @@ def test_acceptance_green_residual():
         _, _, ratio = green_residual_convergence(sigma, n)
         ratios[(n, sigma)] = ratio
         assert 3.5 <= ratio <= 4.5
-    grid = HalfSpaceGrid.make(1, (-0.75, 0.75), 1.0, 65)
+    grid = HalfSpaceGrid(1, (-0.75, 0.75), 1.0, 65)
     bad = green_residual_check(1.5, 1, grid, wrong_sign=True).max_residual
     assert bad > 0.1
     pretty = ", ".join(f"(n={n},sigma={s})->{r:.2f}" for (n, s), r in ratios.items())
@@ -254,7 +254,7 @@ def test_acceptance_first_order_round_trip():
     assert gap_q <= 1e-6
 
     # no perturbation at all must come back as exactly (0, 0)
-    probes = np.array(default_probe_set(2).vectors)
+    probes = default_probe_set(2)
     res0 = first_order_recovery(np.zeros(len(probes)), probes, 2.3, 1.0, 1.0, 1.0, np.eye(2))
     assert np.max(np.abs(res0.H)) <= 1e-12 and abs(res0.W1) <= 1e-12
     return f"unit-factor error {worst:.2e}; computed-factor error {gap_q:.2e}"

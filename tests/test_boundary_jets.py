@@ -236,7 +236,7 @@ def test_perturbation_identical_patches():
     p1, p2 = _patch_pair(2, np.eye(2))
     pd = perturbation_coefficients(p1, p2)
     assert pd.H.shape == (4, 4, 2, 2) and pd.T.shape == (4, 4)
-    assert not pd.L.any() and not pd.H.any()
+    assert not pd.H.any()
     assert not pd.T.any()
     assert not np.asarray(pd.W).any()
 
@@ -254,12 +254,11 @@ def test_perturbation_worked_case():
     L = np.array([[4.0, 2.0], [2.0, 1.0]])
     p1, p2 = _patch_pair(2, h0, h1_delta=L, v1_delta=0.7)
     pd = perturbation_coefficients(p1, p2)
-    np.testing.assert_allclose(pd.L[0, 0], L, atol=1e-14)
     np.testing.assert_allclose(pd.H[0, 0], [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
     assert pd.T[0, 0] == pytest.approx(2.0)
     assert pd.W[1][0, 0] == pytest.approx(0.7)
-    # reconstruction invariant
-    np.testing.assert_allclose(h0 @ pd.H @ h0, pd.L, atol=1e-12)
+    # reconstruction invariant: h0 H h0 is the jet difference
+    np.testing.assert_allclose(h0 @ pd.H @ h0, np.broadcast_to(L, pd.H.shape), atol=1e-12)
 
 
 def test_perturbation_antisymmetric_under_swap():
@@ -270,7 +269,6 @@ def test_perturbation_antisymmetric_under_swap():
     p1, p2 = _patch_pair(3, h0, h1_delta=L, v1_delta=-0.4)
     fwd = perturbation_coefficients(p1, p2)
     rev = perturbation_coefficients(p2, p1)
-    np.testing.assert_allclose(fwd.L, -rev.L, atol=1e-13)
     np.testing.assert_allclose(fwd.H, -rev.H, atol=1e-13)
     np.testing.assert_allclose(fwd.T, -rev.T, rtol=1e-12)
     np.testing.assert_allclose(fwd.W, -np.asarray(rev.W), atol=1e-13)

@@ -4,6 +4,7 @@ Most CLI tests drive ``scatjet.cli.main`` in process; the determinism test and
 the exit-code checks named ``test_cli_process_*`` run the real process entry
 point through ``python -m scatjet``.
 """
+import argparse
 import base64
 import dataclasses
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scatjet.boundary_jets import ComplexEnergy
-from scatjet.cli import main, parse_complex
+from scatjet.cli import build_parser, main, parse_complex
 from scatjet.dataset import (
     SymbolDataset,
     canonical_json,
@@ -710,8 +711,6 @@ def test_cli_forward_invert_flow(tmp_path):
             "--patch2", str(p2),
             "--lam", "4.0",
             "--lam", "5.0",
-            "--t1", "1+0i",
-            "--t2", "1+0i",
             "--out", str(ds_path),
         ]
     )
@@ -741,14 +740,17 @@ def test_cli_forward_invert_flow(tmp_path):
     assert len(lines) == 1 + 4 * 4  # default 4-per-axis grid
 
 
+_PROBES_SHAPE = r"^--probes: expected an array of shape \(P, 2\) with P >= 1"
+
+
 @pytest.mark.parametrize(
     "probes,message",
     [
-        ([[1.0, 1.0]], r"probe 0 \(1.0, 1.0\) is not a unit vector"),
-        ([[1.0, 0.0, 0.0]], r"probe 0 \(1.0, 0.0, 0.0\) does not have n=2 components"),
-        ([], r"probe set is empty"),
-        ([[1.0]], r"probe 0 \(1.0,\) does not have n=2 components"),
-        ([[1.0, 0.0], [0.0, 1.0, 0.0]], r"probe 1 \(0.0, 1.0, 0.0\) has 3 components"),
+        ([[1.0, 1.0]], r"^--probes: probe 0 \(1.0, 1.0\) is not a unit vector$"),
+        ([[1.0, 0.0, 0.0]], _PROBES_SHAPE + r", got shape \(1, 3\)$"),
+        ([], _PROBES_SHAPE + r", got shape \(0,\)$"),
+        ([[1.0]], _PROBES_SHAPE + r", got shape \(1, 1\)$"),
+        ([[1.0, 0.0], [0.0, 1.0, 0.0]], _PROBES_SHAPE + r", got JSON that is not an array of numbers"),
     ],
     ids=["not-unit", "three-components", "empty", "one-component", "ragged"],
 )
@@ -767,9 +769,6 @@ def test_cli_forward_rejects_bad_probes(tmp_path, caplog, probes, message):
 def test_cli_forward_requires_energy(tmp_path):
     p1 = _write_patch(tmp_path, "p1.json", constant_patch(1, 1.0, 0.0, np.eye(1)))
     assert main(["forward", "--patch", str(p1)]) == 2
-    assert main(["forward", "--patch", str(p1), "--lam", "4.0", "--t1", "1+0i"]) == 2
-    # without --patch2 there are no first-order samples for the factors to go with
-    assert main(["forward", "--patch", str(p1), "--lam", "4.0", "--t1", "1", "--t2", "1"]) == 2
 
 
 def test_cli_missing_input_file(tmp_path):
@@ -859,13 +858,15 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     argv = ["invert", "--data", str(tmp_path / "ds.json"), "--out", str(tmp_path / "out.json")]
     if case == "first-order-svd":
         ds = dataclasses.replace(ds, t_pair=(1e308, 1e308))
-        expected = "[stage first-order] linear algebra failed: SVD did not converge"
+        expected = (
+            "[stage first-order] first-order design leaves double range "
+            "(t1=(1e+308+0j), t2=(1e+308+0j)) at grid index (0, 0)"
+        )
     else:
         ds = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
         expected = "[stage sigma] recovered covector norm nan is not finite"
     ds.save(tmp_path / "ds.json")
-    with np.errstate(all="ignore"):
-        assert main(argv) == 1
+    assert main(argv) == 1
     assert not (tmp_path / "out.json").exists()
     assert any(r.getMessage().startswith(expected) for r in caplog.records)
 
@@ -917,8 +918,7 @@ def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
         patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
         argv = [*argv, "--patch", str(patch)]
     out = tmp_path / "out.json"
-    with np.errstate(all="ignore"):
-        assert main([*argv, "--out", str(out)]) == code
+    assert main([*argv, "--out", str(out)]) == code
     assert not out.exists()
     assert any(r.getMessage().startswith(message) for r in caplog.records)
 
@@ -951,6 +951,20 @@ def test_cli_process_overflow_warns_nothing_raw(argv, code):
     assert proc.returncode == code, proc.stderr
     assert "ERROR scatjet.cli: " in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_process_symbol_past_double_range_exits_1(tmp_path):
+    """A finite energy whose symbol leaves double range: a numeric failure, no raw warning."""
+    patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
+    out = tmp_path / "ds.json"
+    proc = run_scatjet("forward", "--patch", str(patch), "--lam=-2.5e3-1e2j", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert (
+        "ERROR scatjet.cli: principal symbol at energy index 0, covector (1.0, 0.0) leaves "
+        "double range at grid index (0, 0), sample (0, 0, 0)\n"
+    ) in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_process_i_knee_past_double_range_exits_1():
@@ -1007,8 +1021,7 @@ def cli_inputs(tmp_path_factory):
 def _run_main(argv):
     """``main``'s exit code, argparse's ``SystemExit`` included; any other exception escapes."""
     try:
-        with np.errstate(all="ignore"):
-            return main(argv)
+        return main(argv)
     except SystemExit as exc:
         return exc.code
 
@@ -1085,6 +1098,42 @@ def test_cli_out_of_range_argument_exits_2(capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# the options of each subcommand that take a value (flags have nargs 0)
+_VALUE_OPTIONS = {
+    command: [a for a in parser._actions if a.option_strings and a.nargs != 0]
+    for command, parser in _SUBCOMMANDS.items()
+}
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(c, a.option_strings[0]) for c, actions in _VALUE_OPTIONS.items() for a in actions],
+)
+def test_cli_option_given_two_dashes_exits_2(tmp_path, monkeypatch, capsys, command, option):
+    """``--name=--`` is refused by name, exit 2, for every option that takes a value.
+
+    argparse would hand the option an empty list, past its ``type`` and ``choices``.
+    """
+    monkeypatch.chdir(tmp_path)  # a run that went on would write here
+    # the other required options get a value, so that only ``option`` is wrong
+    required = [
+        token
+        for a in _VALUE_OPTIONS[command]
+        if a.required and option not in a.option_strings
+        for token in (a.option_strings[0], "1")
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, f"{option}=--"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected one argument, got '--'" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- CLI: verify -------------------------------------------------------------

@@ -12,7 +12,6 @@ from scatjet.boundary_jets import (
 )
 from scatjet.errors import GammaPole, ZeroCovector
 from scatjet.forward_scattering import (
-    ProbeSet,
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
@@ -27,7 +26,7 @@ from varying_patch import varying_patch_pair
 
 def _pd(n, H, T=0.0, W1=0.0):
     """Hand-assembled perturbation data (fields used as given by the forward map)."""
-    return PerturbationData(n=n, L=np.zeros((n, n)), H=np.asarray(H, dtype=float), T=T, W=(0.0, W1))
+    return PerturbationData(n=n, H=np.asarray(H, dtype=float), T=T, W=(0.0, W1))
 
 
 # -- Gamma prefactor and symbol ---------------------------------------------
@@ -182,7 +181,7 @@ def test_kernel_requires_unit_probe():
 
 def test_kernel_stacks_probes_and_roots():
     """A (P, n) probe stack against a grid of roots equals the one-at-a-time kernels."""
-    probes = np.array(default_probe_set(3).vectors)
+    probes = default_probe_set(3)
     sigma = np.array([[2.0, 2.5 + 0.3j], [1.7, 3.1]])
     got = radial_derivative_kernel(probes, sigma[..., None])
     assert got.shape == (2, 2, len(probes), 3, 3)
@@ -195,24 +194,23 @@ def test_kernel_stacks_probes_and_roots():
 
 
 def test_default_probe_set_layout():
-    ps = default_probe_set(2)
-    assert len(ps.vectors) == 4  # e1, e2, (e1 +/- e2)/sqrt(2)
-    for v in ps.vectors:
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probe_set_rejects_non_unit():
-    with pytest.raises(ValueError):
-        ProbeSet(vectors=(np.array([1.0, 1.0]),))
-    with pytest.raises(ValueError, match="probe 0 .* not finite"):
-        ProbeSet(vectors=((math.nan, 0.0),))
-    # the one bound of every probe check: off by 5e-11 is refused
-    with pytest.raises(ValueError, match=r"^probe 0 \(1\.00000000005, 0\.0\) is not a unit vector$"):
-        ProbeSet(vectors=((1.00000000005, 0.0),))
-    with pytest.raises(ValueError, match="empty"):
-        ProbeSet(vectors=())
-    with pytest.raises(ValueError, match="probe 1 .* has 3 components, probe 0 has 2"):
-        ProbeSet(vectors=((1.0, 0.0), (0.0, 0.0, 1.0)))
+    """The e_i, then (e_i + e_j)/sqrt(2) and (e_i - e_j)/sqrt(2) per pair i < j, row by row."""
+    r = 1.0 / math.sqrt(2.0)
+    want = {
+        1: [[1.0]],
+        2: [[1.0, 0.0], [0.0, 1.0], [r, r], [r, -r]],
+        3: [
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+            [r, r, 0.0], [r, -r, 0.0],
+            [r, 0.0, r], [r, 0.0, -r],
+            [0.0, r, r], [0.0, r, -r],
+        ],
+    }
+    for n, rows in want.items():
+        probes = default_probe_set(n)
+        assert probes.dtype == np.float64
+        # the bits, signed zeros included
+        np.testing.assert_array_equal(probes.view(np.uint64), np.array(rows).view(np.uint64))
 
 
 # -- singularity coefficient ------------------------------------------------
@@ -256,7 +254,7 @@ def test_singularity_quadratic_form_decomposition():
     pd = _pd(2, H, T=1.1, W1=0.6)
     sigma, t1, t2 = 2.4, 0.9 + 0.2j, 1.3
     A = t1 * (3 - 2 * sigma) * (1 - 2 * sigma)
-    probes = np.array(default_probe_set(2).vectors)
+    probes = default_probe_set(2)
     F = singularity_coefficient(pd, 1.2, sigma, t1, t2, probes)
     consts = F - A * np.einsum("pi,ij,pj->p", probes, H, probes)
     assert np.max(np.abs(consts - consts[0])) <= 1e-10
@@ -264,7 +262,7 @@ def test_singularity_quadratic_form_decomposition():
 
 def test_singularity_all_ones_varies_with_probe():
     pd = _pd(2, np.ones((2, 2)))
-    vals = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, default_probe_set(2).vectors)
+    vals = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, default_probe_set(2))
     assert vals.shape == (4,)
     assert np.ptp(vals.real) > 0.5
 
@@ -287,7 +285,7 @@ def test_singularity_over_a_varying_grid_matches_each_point():
     """The grid call equals the one-point formula at every point of a varying patch."""
     patch1, patch2, energies, _ = varying_patch_pair(seed=29)
     sigma = indicial_root(patch1, energies[0])
-    probes = np.array(default_probe_set(2).vectors)
+    probes = default_probe_set(2)
     t1, t2 = 0.9 + 0.2j, 1.3 - 0.1j
     pd = perturbation_coefficients(patch1, patch2)
     F = singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, probes)

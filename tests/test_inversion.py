@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root
-from scatjet.dataset import SymbolDataset, canonical_json, polarization_covectors
+from scatjet.dataset import SymbolDataset, canonical_json
 from scatjet.errors import (
     BranchAmbiguity,
     ConfigError,
@@ -24,9 +24,9 @@ from scatjet.errors import (
     ZeroSymbol,
 )
 from scatjet.forward_scattering import (
-    ProbeSet,
     default_probe_set,
     gamma_prefactor,
+    polarization_covectors,
     principal_symbol,
     singularity_coefficient,
 )
@@ -193,11 +193,7 @@ def test_metric_random_round_trip(n):
         from scatjet.synthetic import random_spd
 
         h0 = random_spd(rng, n)
-        eye = np.eye(n)
-        norms = [
-            math.sqrt(xi @ np.linalg.solve(h0, xi))
-            for xi in (eye[list(cov)].sum(axis=0) for cov in polarization_covectors(n))
-        ]
+        norms = [math.sqrt(xi @ np.linalg.solve(h0, xi)) for xi in polarization_covectors(n)]
         np.testing.assert_allclose(metric_boundary_recovery(norms, n), h0, atol=1e-10)
 
 
@@ -339,10 +335,8 @@ def test_two_energy_rejects_negative_alpha_sq():
 def _samples(H, W1, h0, alpha, sigma, t1, t2, probes=None):
     """``(values, probes)``: the forward model's samples at one point."""
     n = H.shape[0]
-    pd = PerturbationData(
-        n=n, L=h0 @ H @ h0, H=H, T=float(np.trace(h0 @ H)), W=(0.0, W1)
-    )
-    probes = np.array((probes if probes is not None else default_probe_set(n)).vectors)
+    pd = PerturbationData(n=n, H=H, T=float(np.trace(h0 @ H)), W=(0.0, W1))
+    probes = default_probe_set(n) if probes is None else probes
     return singularity_coefficient(pd, alpha, sigma, t1, t2, probes), probes
 
 
@@ -407,9 +401,7 @@ def test_first_order_probe_rotation_invariance():
     theta = 0.37
     c, s = math.cos(theta), math.sin(theta)
     base = default_probe_set(2)
-    rotated = ProbeSet(
-        tuple((c * w[0] - s * w[1], s * w[0] + c * w[1]) for w in base.vectors)
-    )
+    rotated = base @ np.array([[c, s], [-s, c]])  # each probe w becomes R(theta) w
     results = []
     for probes in (base, rotated):
         samples = _samples(H, 0.0, h0, 1.0, 2.4, 1.0, 1.0, probes=probes)
@@ -456,7 +448,7 @@ def test_first_order_grid_matches_each_point():
         one = first_order_recovery(
             ds.singularity[idx], ds.probes, sigma[idx], *args, alpha_sq[idx], h0[idx]
         )
-        for name in ("H", "W1", "residual", "singular_values"):
+        for name in ("H", "W1", "residual"):
             np.testing.assert_allclose(
                 getattr(grid, name)[idx], getattr(one, name), rtol=1e-12, atol=1e-14
             )
@@ -567,13 +559,17 @@ def test_driver_refuses_non_finite_norm(with_first_order):
         layer_strip_driver(big)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_driver_names_the_stage_of_a_linalg_failure():
+def test_driver_names_the_stage_of_a_linalg_failure(monkeypatch):
     _, ds = make_synthetic_pair(seed=3, n=2)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(
         InconsistentData, match=r"^\[stage first-order\] linear algebra failed: SVD did not"
     ):
-        layer_strip_driver(dataclasses.replace(ds, t_pair=(1e308, 1e308)))
+        layer_strip_driver(ds)
 
 
 def test_driver_checks_the_metric_at_every_energy():
