@@ -170,6 +170,16 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     return out
 
 
+def hessian_profile_factors(sigma):
+    """``(3 - 2 sigma, 1 - 2 sigma)``, elementwise: the two factors of the Hessian profile.
+
+    :func:`radial_derivative_kernel` is ``p (delta_ij + q w_i w_j)`` for
+    ``(p, q)`` these factors; the first-order fit reads them too.
+    """
+    sig = np.asarray(sigma, dtype=complex)
+    return 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
+
+
 def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     """Unit-sphere Hessian profile ``(3-2s)(delta_ij + (1-2s) w_i w_j)``.
 
@@ -178,25 +188,11 @@ def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     is a ``(..., n)`` stack of unit vectors and ``sigma`` broadcasts against
     ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
     """
-    d = np.arange(np.shape(omega)[-1])
-    return hessian_profile_entries(omega, sigma, d[:, None], d[None, :])
-
-
-def hessian_profile_entries(omega, sigma, i, j) -> np.ndarray:
-    """The ``(i, j)`` entries of :func:`radial_derivative_kernel`'s profile.
-
-    ``i`` and ``j`` are index arrays that broadcast to one shape ``S``;
-    the result has shape ``broadcast(omega.shape[:-1], sigma) + S``.  The
-    first-order fit reads only the entries its unknowns need through it.
-    """
     w = np.asarray(omega, dtype=float)
     check_unit_probes(w, ValueError, "omega: ")
-    i, j = np.asarray(i), np.asarray(j)
-    sig = np.asarray(sigma, dtype=complex)[(..., *(None,) * max(i.ndim, j.ndim))]
-    # np.take, unlike w[..., i], returns C order, the order in which the
-    # forward sum over (i, j) adds: the bits stay those of the outer product
-    ww = np.take(w, i, axis=-1) * np.take(w, j, axis=-1)
-    return (3.0 - 2.0 * sig) * ((i == j) + (1.0 - 2.0 * sig) * ww)
+    p, q = hessian_profile_factors(np.asarray(sigma)[..., None, None])
+    delta = np.eye(w.shape[-1], dtype=bool)
+    return p * (delta + q * (w[..., :, None] * w[..., None, :]))
 
 
 def singularity_coefficient(

@@ -14,12 +14,16 @@ Stage by stage:
    gives ``V0``.  Both routes share one formula for ``V0`` and one check
    that ``alpha^2`` and ``V0`` come out real, ``alpha^2`` positive.
 4. ``first_order_recovery`` fits the first-order angular samples
-   ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``,
-   at every grid point through one batched SVD.
+   ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``.
+   Its design is a real probe matrix, the same at every grid point, times a
+   lower-triangular map per point, so one SVD of the probe matrix and a
+   forward substitution per point give the fit, with no per-point SVD.
    The fit has a structural one-dimensional kernel: ``omega^T H omega`` is
    constant over unit probes when ``H`` is a multiple of the identity, so
    that direction trades off against the constant ``W`` term.  The design
    rank and the kernel directions are reported, never silently resolved.
+   Where ``t1 (3 - 2 sigma)(1 - 2 sigma)`` vanishes the probes cannot see
+   the traceless part of ``H``, and the fit refuses.
 
 Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
 chains the stages over a full symbol dataset, one call per stage: the sigma
@@ -49,7 +53,12 @@ from .errors import (
     ZeroSymbol,
     raise_first,
 )
-from .forward_scattering import hessian_profile_entries, prefactor_and_poles, symmetric_pairs
+from .forward_scattering import (
+    check_unit_probes,
+    hessian_profile_factors,
+    prefactor_and_poles,
+    symmetric_pairs,
+)
 from .spectral_sets import is_admissible
 
 log = logging.getLogger(__name__)
@@ -288,23 +297,52 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FirstOrderResult:
-    """The first-order fit: every field's leading axes are the grid.
+    """The first-order fit; the leading axes of every array field are the grid.
 
-    ``right_vectors`` holds each point's ``Vh`` from the SVD of its design.
+    ``design_rank`` is the rank of the probe matrix, which is the fit's rank
+    at every point.  ``kernel`` holds each point's orthonormal basis of the
+    fit's kernel, one ``(H, W)`` unknown vector per row.
     """
 
     H: np.ndarray
     W1: np.ndarray
     residual: np.ndarray
-    design_rank: np.ndarray
-    right_vectors: np.ndarray
+    design_rank: int
+    kernel: np.ndarray
 
     def kernel_basis(self, idx: tuple[int, ...] = ()) -> tuple[tuple[np.ndarray, complex], ...]:
         """The ``(H, W)`` kernel directions of the fit at grid index ``idx``."""
-        n = self.H.shape[-1]
-        rank = int(self.design_rank[idx])
-        Hs, Ws = _unpack(self.right_vectors[idx][rank:].conj(), n)
+        Hs, Ws = _unpack(self.kernel[idx], self.H.shape[-1])
         return tuple((H, complex(W)) for H, W in zip(Hs, Ws))
+
+
+def _design_factors(probes, sigma, t1: complex, t2: complex, alpha_sq, h0):
+    """``(M, a, e)``: the first-order design is ``M T`` with ``T = [[a I, 0], [e^T, t2]]``.
+
+    ``M = [mult w_i w_j | 1]`` is the real ``(P, k)`` probe matrix, with
+    ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``, in the order of
+    :func:`~scatjet.forward_scattering.symmetric_pairs`.  Per point,
+    ``a = t1 (3-2 sigma)(1-2 sigma)`` and
+    ``e = t1 (3-2 sigma) delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``.
+    """
+    n = h0.shape[-1]
+    rows, cols = symmetric_pairs(n)
+    mult = np.where(rows == cols, 1.0, 2.0)
+    M = np.concatenate(
+        [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
+    )
+    p, q = hessian_profile_factors(sigma)
+    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+    a = t1 * p * q
+    e = (t1 * p)[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
+    return M, a, e
+
+
+def _solve_triangular(a, e, t2: complex, z) -> np.ndarray:
+    """``T^-1 z`` along the last axis of ``z``, by forward substitution."""
+    y = z[..., :-1] / a[..., None]
+    last = (z[..., -1] - np.sum(e * y, axis=-1)) / t2
+    return np.concatenate([y, last[..., None]], axis=-1)
 
 
 def first_order_recovery(
@@ -318,16 +356,25 @@ def first_order_recovery(
 ) -> FirstOrderResult:
     """Minimum-norm fit of ``(H, W)`` to angular singularity samples, pointwise.
 
-    ``values`` has shape ``(..., P)`` and ``probes`` ``(..., P, n)``: ``P``
-    samples ``F(omega)`` per point, at probes that broadcast against the
-    grid (a dataset's one ``(P, n)`` set); ``sigma`` and ``alpha_sq`` are
-    scalars or arrays over ``...`` and ``h0`` has shape ``(..., n, n)``.
+    ``values`` has shape ``(..., P)`` and ``probes`` ``(P, n)``: ``P``
+    samples ``F(omega)`` per point, at one set of unit probes shared by every
+    point; ``sigma`` and ``alpha_sq`` are scalars or arrays over ``...`` and
+    ``h0`` has shape ``(..., n, n)``.
     Design rows follow the forward model
     ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``
     in the unknowns ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order.
-    Every point's design gets one SVD; rank deficiency is reported, not raised.
-    A design entry past double range raises :class:`InconsistentData`,
-    naming the grid index.
+
+    The design factors as ``A = M T`` (:func:`_design_factors`): a real
+    probe matrix ``M``, the same at every point, times a lower-triangular
+    ``T`` per point.  One SVD of ``M`` gives ``M^+``, its rank and its kernel
+    ``K``; per point ``z = M^+ b``, ``y = T^-1 z``, and the minimum-norm fit
+    is ``y`` less its projection onto the fit's kernel ``T^-1 K``.  The
+    residual is ``|b - M z|``.  Rank deficiency is reported, not raised.
+
+    A design entry past double range raises :class:`InconsistentData`, as
+    does ``|a|`` at most ``1e-10 max(|t1 (3-2 sigma)|, |t2|)``: near
+    ``sigma = 3/2`` or ``1/2`` the probes no longer see the traceless part
+    of ``H``.  Both name the grid index.
     """
     if abs(t1) < 1e-12 or abs(t2) < 1e-12:
         raise ZeroIntegralFactor(f"model-integral factors t1={t1}, t2={t2} too small")
@@ -336,54 +383,54 @@ def first_order_recovery(
         raise ValueError("no singularity samples given")
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[-1]
-    if np.shape(probes)[-1:] != (n,):
-        raise ValueError(f"probes need a last axis of length n={n}, got shape {np.shape(probes)}")
-    # design columns: the H_ii, then the H_ij (i < j) with a factor 2, then W
-    rows, cols = symmetric_pairs(n)
-    with np.errstate(all="ignore"):
-        c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
-        G = t1 * hessian_profile_entries(probes, np.asarray(sigma)[..., None], rows, cols) - (
-            c_trace[..., None, None] * h0[..., None, rows, cols]
+    w = np.asarray(probes, dtype=float)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ValueError(
+            f"probes need shape (P, n) with a last axis of length n={n}, got shape {w.shape}"
         )
-        A = np.empty(G.shape[:-1] + (G.shape[-1] + 1,), dtype=complex)
-        A[..., :n] = G[..., :n]
-        A[..., n:-1] = 2.0 * G[..., n:]
-        A[..., -1] = t2
-    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    check_unit_probes(w, ValueError, "omega: ")
+    sigma = np.asarray(sigma, dtype=complex)
+    grid = np.broadcast_shapes(b.shape[:-1], sigma.shape, np.shape(alpha_sq), h0.shape[:-2])
+    with np.errstate(all="ignore"):
+        M, a, e = _design_factors(w, sigma, t1, t2, alpha_sq, h0)
+        a, e = np.broadcast_to(a, grid), np.broadcast_to(e, grid + e.shape[-1:])
+        bound = _SV_CUT * np.maximum(np.abs(t1 * hessian_profile_factors(sigma)[0]), abs(t2))
     raise_first(
-        finite.ndim,
+        len(grid),
         [
             (
-                ~finite,
+                ~(np.isfinite(a) & np.all(np.isfinite(e), axis=-1)),
                 InconsistentData,
                 lambda i: f"first-order design leaves double range (t1={t1}, t2={t2})",
-            )
+            ),
+            (
+                np.abs(a) <= bound,
+                InconsistentData,
+                lambda i: f"|t1 (3-2 sigma)(1-2 sigma)| = {abs(a[i]):.3e} at sigma = "
+                f"{np.broadcast_to(sigma, grid)[i]} is at most {_SV_CUT:g} "
+                "max(|t1 (3-2 sigma)|, |t2|): the probes do not see the traceless part of H",
+            ),
         ],
     )
 
-    U, svals, Vh = np.linalg.svd(A, full_matrices=True)
-    keep = svals > _SV_CUT * svals[..., :1]
-    # minimum-norm least-squares solution through the truncated SVD; the
-    # C-order design, the contiguous rows of U^T, the direction-by-direction
-    # sum and norm's one-vector formula make the BLAS calls of a one-point fit,
-    # so every point gets the same bits in any grid (np.vecdot: numpy >= 2)
-    k = svals.shape[-1]
-    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)[..., :k, :]), b[..., None, :])
-    coef = np.divide(proj, svals, out=np.zeros_like(proj), where=keep)
-    x = np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
-    for r in range(k):
-        x = np.where(keep[..., r, None], x + coef[..., r, None] * Vh[..., r, :].conj(), x)
-    miss = (A @ x[..., None])[..., 0] - b
+    U, svals, Vh = np.linalg.svd(M)
+    rank = int(np.sum(svals > _SV_CUT * svals[0]))
+    pinv = (Vh[:rank].T / svals[:rank]) @ U[:, :rank].T
+    # np.vecdot makes one dot product per point, and every other step is
+    # elementwise or one point's LAPACK call, so every point gets the same bits
+    # in any grid (np.vecdot: numpy >= 2)
+    z = np.vecdot(pinv, b[..., None, :])
+    y = _solve_triangular(a, e, t2, z)
+    Q, _ = np.linalg.qr(
+        np.swapaxes(_solve_triangular(a[..., None], e[..., None, :], t2, Vh[rank:]), -1, -2)
+    )
+    kernel = np.swapaxes(Q, -1, -2)
+    x = y - np.sum(kernel * np.vecdot(kernel, y[..., None, :])[..., None], axis=-2)
+    miss = b - np.vecdot(M, z[..., None, :])
     residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
 
     H, W = _unpack(x, n)
-    return FirstOrderResult(
-        H=H,
-        W1=W,
-        residual=residual,
-        design_rank=keep.sum(axis=-1),
-        right_vectors=Vh,
-    )
+    return FirstOrderResult(H=H, W1=W, residual=residual, design_rank=rank, kernel=kernel)
 
 
 # -- full driver ------------------------------------------------------------
@@ -573,10 +620,9 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         report.H = fo.H
         report.W1 = fo.W1
         report.residuals["first_order_fit"] = float(np.max(fo.residual))
-        # the fit's structure, as seen at the last grid index
-        last = tuple(m - 1 for m in shape)
-        report.design_rank = int(fo.design_rank[last])
-        report.kernel_basis = fo.kernel_basis(last)
+        report.design_rank = fo.design_rank
+        # the kernel directions, as seen at the last grid index
+        report.kernel_basis = fo.kernel_basis(tuple(m - 1 for m in shape))
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
     report.status = "ok"

@@ -19,7 +19,7 @@ from .boundary_jets import (
     perturbation_coefficients,
 )
 from .dataset import SymbolDataset
-from .errors import ScatjetError
+from .errors import ConfigError, ScatjetError
 from .forward_scattering import (
     default_probe_set,
     polarization_covectors,
@@ -122,8 +122,12 @@ def forward_dataset(
     at the ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set`
     unless given), at every grid point, are attached together with the
     probes and the model-integral factor pair used to build them (``(1, 1)``
-    unless given).
+    unless given).  Probes without a second patch raise :class:`ConfigError`.
     """
+    if probes is not None and patch2 is None:
+        raise ConfigError(
+            "probes given without patch2: the first-order samples need a second patch"
+        )
     n = patch1.n
     shape = patch1.grid_shape
     covectors = polarization_covectors(n)

@@ -16,11 +16,21 @@ across four radii with the known leading tail power
 For ``n >= 2`` the v-integral is reduced to cylindrical coordinates
 ``(v1, rho)`` with weight ``omega_{n-2} rho^(n-2)``, so the reference stays
 at most three-dimensional for every supported ``n``.
+
+The first-order fit's reference builds each point's full design from the
+forward model's Hessian profile and solves it by one SVD per point;
+:func:`scatjet.inversion.first_order_recovery` factors the design instead,
+so the two share only the profile and the order of the unknowns.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import gamma as _gamma
+
+from scatjet.forward_scattering import radial_derivative_kernel, symmetric_pairs
+from scatjet.inversion import _unpack
 
 R0 = 50.0
 N_RADII = 4
@@ -180,3 +190,70 @@ def hessian_profile_sym(sigma_val: complex, omega: np.ndarray) -> np.ndarray:
             out[i, j] = complex(sp.simplify(dij.subs(subs)))
     return out
 
+
+
+# -- first-order fit by one SVD per point -------------------------------------
+
+
+def first_order_design(probes, sigma, t1, t2, alpha_sq, h0) -> np.ndarray:
+    """The ``(..., P, k)`` first-order design, entry by entry from the forward model.
+
+    Row ``p`` holds ``t1 D_ij(omega_p) - t2 alpha^2 (1-n)/4 h0_ij`` at each
+    pair ``i <= j`` of :func:`~scatjet.forward_scattering.symmetric_pairs`
+    (doubled for ``i < j``), then ``t2`` for ``W``, with ``D`` from
+    :func:`~scatjet.forward_scattering.radial_derivative_kernel`.
+    """
+    h0 = np.asarray(h0, dtype=float)
+    n = h0.shape[-1]
+    rows, cols = symmetric_pairs(n)
+    with np.errstate(all="ignore"):
+        c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+        D = radial_derivative_kernel(probes, np.asarray(sigma)[..., None])
+        G = t1 * D[..., rows, cols] - (c_trace[..., None, None] * h0[..., None, rows, cols])
+        A = np.empty(G.shape[:-1] + (G.shape[-1] + 1,), dtype=complex)
+        A[..., :n] = G[..., :n]
+        A[..., n:-1] = 2.0 * G[..., n:]
+        A[..., -1] = t2
+    return A
+
+
+@dataclass(frozen=True)
+class SvdFirstOrderFit:
+    """The truncated-SVD fit: ``right_vectors`` holds each point's ``Vh``."""
+
+    H: np.ndarray
+    W1: np.ndarray
+    residual: np.ndarray
+    design_rank: np.ndarray
+    right_vectors: np.ndarray
+
+    def kernel(self, idx: tuple[int, ...] = ()) -> np.ndarray:
+        """The orthonormal kernel rows at grid index ``idx``, as unknown vectors."""
+        return self.right_vectors[idx][int(self.design_rank[idx]) :].conj()
+
+
+def first_order_svd_fit(values, probes, sigma, t1, t2, alpha_sq, h0) -> SvdFirstOrderFit:
+    """Minimum-norm first-order fit through one SVD of each point's full design.
+
+    The unknowns are ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``; singular
+    values at most 1e-10 of the largest are cut.
+    """
+    b = np.asarray(values, dtype=complex)
+    n = np.shape(h0)[-1]
+    A = first_order_design(probes, sigma, t1, t2, alpha_sq, h0)
+
+    U, svals, Vh = np.linalg.svd(A, full_matrices=True)
+    keep = svals > 1e-10 * svals[..., :1]
+    k = svals.shape[-1]
+    proj = np.vecdot(np.ascontiguousarray(np.swapaxes(U, -1, -2)[..., :k, :]), b[..., None, :])
+    coef = np.divide(proj, svals, out=np.zeros_like(proj), where=keep)
+    x = np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
+    for r in range(k):
+        x = np.where(keep[..., r, None], x + coef[..., r, None] * Vh[..., r, :].conj(), x)
+    miss = (A @ x[..., None])[..., 0] - b
+    residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
+
+    H, W = _unpack(x, n)
+    return SvdFirstOrderFit(
+        H=H, W1=W, residual=residual, design_rank=keep.sum(axis=-1), right_vectors=Vh
+    )

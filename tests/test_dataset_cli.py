@@ -28,6 +28,7 @@ from scatjet.dataset import (
     unpack_array,
 )
 from scatjet.errors import ConfigError, IoError
+from scatjet.forward_scattering import default_probe_set
 from scatjet.spectral_sets import ExceptionalSet
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
 
@@ -764,6 +765,21 @@ def test_cli_forward_rejects_bad_probes(tmp_path, caplog, probes, message):
     assert main([*argv, "--probes", str(probe_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert any(re.search(message, r.getMessage()) for r in caplog.records)
+
+
+def test_cli_forward_probes_need_a_second_patch(tmp_path, caplog):
+    """--probes without --patch2 is refused, not dropped from the dataset."""
+    p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, np.eye(2)))
+    probe_path = tmp_path / "probes.json"
+    probe_path.write_text(json.dumps(default_probe_set(2).tolist()))
+    out = tmp_path / "ds.json"
+    argv = ["forward", "--patch", str(p1), "--lam", "4.0", "--lam", "5.0"]
+    assert main([*argv, "--probes", str(probe_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any(
+        r.getMessage() == "probes given without patch2: the first-order samples need a second patch"
+        for r in caplog.records
+    )
 
 
 def test_cli_forward_requires_energy(tmp_path):

@@ -32,6 +32,7 @@ from scatjet.forward_scattering import (
 )
 from scatjet.inversion import (
     InversionConfig,
+    _design_factors,
     first_order_recovery,
     layer_strip_driver,
     metric_boundary_recovery,
@@ -46,6 +47,7 @@ from scatjet.synthetic import (
     traceless_symmetric,
 )
 
+from oracles import first_order_design, first_order_svd_fit
 from varying_patch import varying_patch_pair
 
 
@@ -423,11 +425,11 @@ def test_first_order_n1_rank():
 
 
 def test_first_order_n1_kernel_direction():
-    """With fewer probes than unknowns the full Vh still holds the kernel direction."""
+    """With fewer probes than unknowns the kernel holds the one unresolved direction."""
     sigma, t1, t2 = 2.1, 0.9 + 0.2j, 1.3 - 0.1j
     samples = _samples(np.array([[0.4]]), 0.0, np.eye(1), 1.0, sigma, t1, t2)
     res = first_order_recovery(*samples, sigma, t1, t2, 1.0, np.eye(1))
-    assert res.right_vectors.shape == (2, 2)
+    assert res.kernel.shape == (1, 2)
     (Hk, Wk), = res.kernel_basis()
     # at n = 1 a design row is t1 H D + t2 W, with D = (3 - 2 sigma)(2 - 2 sigma)
     slope = -(t1 / t2) * (3 - 2 * sigma) * (2 - 2 * sigma)
@@ -443,7 +445,7 @@ def test_first_order_grid_matches_each_point():
     h0 = patch1.h_jet[0]
     args = (0.9 + 0.2j, 1.3 - 0.1j)
     grid = first_order_recovery(ds.singularity, ds.probes, sigma, *args, alpha_sq, h0)
-    assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank.shape == (5, 6)
+    assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank == 3
     for idx in np.ndindex(5, 6):
         one = first_order_recovery(
             ds.singularity[idx], ds.probes, sigma[idx], *args, alpha_sq[idx], h0[idx]
@@ -452,12 +454,124 @@ def test_first_order_grid_matches_each_point():
             np.testing.assert_allclose(
                 getattr(grid, name)[idx], getattr(one, name), rtol=1e-12, atol=1e-14
             )
-        assert grid.design_rank[idx] == one.design_rank == 3
+        assert one.design_rank == 3
         for (Hg, Wg), (H1, W1) in zip(grid.kernel_basis(idx), one.kernel_basis(), strict=True):
             np.testing.assert_array_equal(Hg, H1)
             assert Wg == W1
     with pytest.raises(ValueError, match="last axis of length n=2"):
         first_order_recovery(ds.singularity, ds.probes[:, :1], sigma, *args, alpha_sq, h0)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 0.5])
+def test_first_order_refuses_a_vanishing_profile_factor(sigma):
+    """Where (3-2 sigma)(1-2 sigma) vanishes the probes do not see the traceless
+    part of H: the fit refuses, naming the point, instead of returning a wrong H."""
+    H, h0, alpha = np.diag([1.0, -1.0]), np.diag([4.0, 1.0]), 1.2
+    values, probes = _samples(H, 0.0, h0, alpha, sigma, 1.0, 1.0)
+    grid_sigma = np.full((2, 3), 2.4)
+    grid_sigma[1, 2] = sigma
+    with pytest.raises(
+        InconsistentData,
+        match=rf"= 0\.000e\+00 at sigma = \({sigma}\+0j\) is at most 1e-10 .* "
+        r"traceless part of H at grid index \(1, 2\)$",
+    ):
+        first_order_recovery(
+            np.broadcast_to(values, (2, 3, len(probes))), probes, grid_sigma, 1.0, 1.0, alpha**2, h0
+        )
+    # just off the vanishing factor the fit still recovers H
+    near = sigma + 1e-9
+    samples = _samples(H, 0.0, h0, alpha, near, 1.0, 1.0)
+    res = first_order_recovery(*samples, near, 1.0, 1.0, alpha**2, h0)
+    np.testing.assert_allclose(res.H, H, atol=1e-6)
+    assert res.residual <= 1e-12
+
+
+def _assert_matches_svd_oracle(values, probes, sigma, t1, t2, alpha_sq, h0):
+    """The factored fit equals the per-point SVD fit of ``tests/oracles.py``.
+
+    ``H`` and ``W1`` agree within 1e-12 of their largest entry, the residual
+    within 1e-12 of the largest sample; the rank is equal at every point and
+    the kernel bases span one subspace (their projectors agree within 1e-12).
+    """
+    args = (values, probes, sigma, t1, t2, alpha_sq, h0)
+    new, old = first_order_recovery(*args), first_order_svd_fit(*args)
+    scale = max(np.max(np.abs(old.H)), np.max(np.abs(old.W1)))
+    np.testing.assert_allclose(new.H, old.H, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(new.W1, old.W1, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        new.residual, old.residual, rtol=0, atol=1e-12 * np.max(np.abs(values))
+    )
+    assert np.all(old.design_rank == new.design_rank)
+    for idx in np.ndindex(*new.residual.shape):
+        K_new, K_old = new.kernel[idx], old.kernel(idx)
+        np.testing.assert_allclose(K_new.T @ K_new.conj(), K_old.T @ K_old.conj(), atol=1e-12)
+
+
+def test_first_order_matches_svd_oracle_on_seeded_data():
+    for seed in [*range(600, 625), 701, 702, 703]:
+        for n in (1, 2, 3):
+            _, ds = make_synthetic_pair(seed, n)
+            report = layer_strip_driver(ds)
+            _assert_matches_svd_oracle(
+                ds.singularity, ds.probes, report.sigma1, *ds.t_pair, report.alpha_sq, report.h0
+            )
+    for seed in (29, 31, 37):
+        for t_pair in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
+            patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
+            ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=t_pair)
+            sigma = indicial_root(patch1, energies[0])
+            _assert_matches_svd_oracle(
+                ds.singularity, ds.probes, sigma, *t_pair, patch1.alpha**2, patch1.h_jet[0]
+            )
+
+
+def _random_first_order_case(rng, n, P, repeat):
+    """Random complex samples, sigma, t1 and t2 at three points, with ``P`` random
+    unit probes; with ``repeat`` every probe is +-the first, so the probe matrix has rank 1."""
+    probes = rng.normal(size=(P, n))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    if repeat:
+        probes = probes[:1] * rng.choice([-1.0, 1.0], size=(P, 1))
+    q = rng.normal(size=(3, n, n))
+    return (
+        rng.normal(size=(3, P)) + 1j * rng.normal(size=(3, P)),
+        probes,
+        rng.uniform(1.6, 4.0, size=3) + 1j * rng.uniform(-1.0, 1.0, size=3),
+        complex(*rng.normal(size=2)),
+        complex(*rng.normal(size=2)),
+        rng.uniform(0.3, 3.0, size=3),
+        q @ np.swapaxes(q, -1, -2) + np.eye(n),
+    )
+
+
+def test_first_order_matches_svd_oracle_on_random_cases():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for case in range(120):
+        n = case % 3 + 1
+        k = n * (n + 1) // 2 + 1
+        P = int(rng.integers(1, n * n + 3))
+        repeat = P > 1 and case % 4 == 0
+        args = _random_first_order_case(rng, n, P, repeat)
+        _assert_matches_svd_oracle(*args)
+        seen.add(("P<k" if P < k else "P>k" if P > k else "P=k", repeat))
+    assert {("P<k", False), ("P>k", False), ("P<k", True), ("P>k", True)} <= seen
+
+
+def test_first_order_design_factors_as_probe_matrix_times_triangular_map():
+    """``M T`` is the design the forward model's Hessian profile gives, to rounding."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        for probes in (default_probe_set(n), _random_first_order_case(rng, n, 5, False)[1]):
+            _, _, sigma, t1, t2, alpha_sq, h0 = _random_first_order_case(rng, n, 1, False)
+            M, a, e = _design_factors(probes, sigma, t1, t2, alpha_sq, h0)
+            k = M.shape[1]
+            T = np.zeros((3, k, k), dtype=complex)
+            T[:, :-1, :-1] = a[:, None, None] * np.eye(k - 1)
+            T[:, -1, :-1] = e
+            T[:, -1, -1] = t2
+            A = first_order_design(probes, sigma, t1, t2, alpha_sq, h0)
+            np.testing.assert_allclose(M @ T, A, rtol=0, atol=1e-14 * np.max(np.abs(A)))
 
 
 # -- full driver ------------------------------------------------------------
