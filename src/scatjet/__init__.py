@@ -14,7 +14,6 @@ from .forward_scattering import (
     default_probe_set,
     gamma_prefactor,
     principal_symbol,
-    radial_derivative_kernel,
     singularity_coefficient,
 )
 from .hyperbolic_model import (
@@ -77,7 +76,6 @@ __all__ = [
     "metric_boundary_recovery",
     "perturbation_coefficients",
     "principal_symbol",
-    "radial_derivative_kernel",
     "recover_sigma_from_symbol",
     "singularity_coefficient",
     "t_limit_integral",

@@ -116,7 +116,9 @@ class BoundaryPatch:
     """Grid samples of ``(alpha, V-jet, h-jet)`` on a periodic boundary patch.
 
     The patch covers ``[0, 2*pi)^n`` with ``axes[i]`` uniformly spaced points
-    along coordinate ``y_{i+1}``.
+    along coordinate ``y_{i+1}``.  ``h0_inv`` is the read-only inverse of
+    ``h^(0)`` at every point, the one that the positive-definiteness check
+    computes; the covector norms and the first-order data read it.
     """
 
     n: int
@@ -124,6 +126,7 @@ class BoundaryPatch:
     alpha: np.ndarray
     v_jet: tuple[np.ndarray, ...]
     h_jet: tuple[np.ndarray, ...]
+    h0_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= 3:
@@ -150,16 +153,18 @@ class BoundaryPatch:
                 _require_finite(f"{name}[{order}]", arr, self.n)
         h0 = h_jet[0]
         # a rounding-sized bound: the one triangle the Cholesky test reads and
-        # the whole matrix the forward solve reads differ by no more
+        # the whole matrix the inverse reads differ by no more
         if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=1e-12, atol=1e-12):
             raise ConfigError("h^(0) must be symmetric")
-        if positive_definite_inverse(h0) is None:
+        h0_inv = positive_definite_inverse(h0)
+        if h0_inv is None:
             raise ConfigError("h^(0) must be positive definite at every grid point")
-        for arr in (alpha, *v_jet, *h_jet):
+        for arr in (alpha, *v_jet, *h_jet, h0_inv):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "v_jet", v_jet)
         object.__setattr__(self, "h_jet", h_jet)
+        object.__setattr__(self, "h0_inv", h0_inv)
 
     # -- geometry ---------------------------------------------------------
 
@@ -172,14 +177,6 @@ class BoundaryPatch:
         """Highest common Taylor order carried by both jets."""
         return min(len(self.v_jet), len(self.h_jet)) - 1
 
-    def coords(self) -> list[np.ndarray]:
-        """Per-axis coordinate arrays ``y_i = 2*pi*k/m_i``."""
-        return [2.0 * np.pi * np.arange(m) / m for m in self.axes]
-
-    def mesh(self) -> dict[str, np.ndarray]:
-        grids = np.meshgrid(*self.coords(), indexing="ij")
-        return {f"y{i + 1}": g for i, g in enumerate(grids)}
-
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -188,7 +185,9 @@ class BoundaryPatch:
 
         Schema: ``{"n": int, "axes": [counts...], "alpha": expr-or-array,
         "v_jet": [entries...], "h_jet": [matrix entries...]}`` where scalar
-        entries are numbers, expression strings, or raw arrays.
+        entries are numbers, expression strings, or raw arrays.  An
+        expression reads the coordinates ``y1, ..., yn``, with
+        ``y_i = 2*pi*k/m_i`` at the ``k``-th of the ``m_i`` points of axis ``i``.
         """
         try:
             n = int(spec["n"])
@@ -305,7 +304,7 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
 
     raise_first(n, [(np.logical_or.reduce(list(bad.values())), MismatchedBoundary, disagree)])
     L = patch2.h_jet[1] - patch1.h_jet[1]
-    h0_inv = np.linalg.inv(h0)
+    h0_inv = patch1.h0_inv
     j_max = min(patch1.jet_order, patch2.jet_order)
     return PerturbationData(
         n=n,

@@ -81,23 +81,32 @@ class IoError(ScatjetError):
 
 
 def raise_first(n: int, checks) -> None:
-    """Raise for the first failing entry, in C order, of elementwise checks.
+    """Raise for the first failing point, in C order, of elementwise checks.
 
     ``checks`` lists ``(failed, error_class, message)`` in the order one
     point is checked: ``failed`` is a boolean scalar or array and
-    ``message(i)`` describes the failure at index ``i``.  At the first index
-    where any check fails, the first check that fails there raises.  For
-    array input the message ends with the grid index (the first ``n`` axes)
-    and, when the arrays carry more axes, the sample index along them.
+    ``message(i)`` describes the failure at index ``i`` of its array.  The
+    points are the indices over the leading axes that every check has; a
+    check with more axes judges the samples of a point along them.  At the
+    first point where any check fails, the first check that fails there
+    raises, at its first failing index in that point.  For array input the
+    message ends with the grid index (the first ``n`` axes) and, when the
+    index has more axes, the sample index along them.
     """
-    masks = np.broadcast_arrays(*(np.asarray(failed, dtype=bool) for failed, _, _ in checks))
-    hits = np.flatnonzero(np.logical_or.reduce(masks))
+    masks = [np.asarray(failed, dtype=bool) for failed, _, _ in checks]
+    depth = min(m.ndim for m in masks)
+    shape = np.broadcast_shapes(*(m.shape[:depth] for m in masks))
+    at_point = [np.broadcast_to(m.any(axis=tuple(range(depth, m.ndim))), shape) for m in masks]
+    hits = np.flatnonzero(np.logical_or.reduce(at_point))
     if not hits.size:
         return
-    i = tuple(int(k) for k in np.unravel_index(hits[0], masks[0].shape))
-    where = ""
-    if i:
-        where = f" at grid index {i[:n]}" + (f", sample {i[n:]}" if len(i) > n else "")
-    for mask, (_, error_class, message) in zip(masks, checks):
-        if mask[i]:
+    point = tuple(int(k) for k in np.unravel_index(hits[0], shape))
+    for mask, failed, (_, error_class, message) in zip(masks, at_point, checks):
+        if failed[point]:
+            inside = np.broadcast_to(mask, shape + mask.shape[depth:])[point]
+            first = np.unravel_index(np.flatnonzero(inside)[0], inside.shape)
+            i = point + tuple(int(k) for k in first)
+            where = ""
+            if i:
+                where = f" at grid index {i[:n]}" + (f", sample {i[n:]}" if len(i) > n else "")
             raise error_class(message(i) + where)

@@ -21,9 +21,14 @@ where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
 are the model-integral factors a dataset records as ``t_pair`` (all other
 scalar prefactors are normalized to one).  Probe directions are understood in
-the frame where ``alpha^2 h0`` is the identity.  ``singularity_coefficient``
-evaluates ``F`` over the whole grid for a stack of probes at once, from the
-grid arrays of ``boundary_jets.perturbation_coefficients``.
+the frame where ``alpha^2 h0`` is the identity.  In the unknowns
+``u = (H_11, ..., H_nn, H_ij (i<j) ..., W1)`` the profile factors as
+``F = M (T u)``: ``M`` is a real matrix fixed by the probes and ``T`` is
+lower-triangular per point (:func:`first_order_factors`).  The first-order
+fit of :mod:`scatjet.inversion` inverts the same factorization.
+``singularity_coefficient`` evaluates ``F`` over the whole grid for one
+``(P, n)`` array of probes at once, from the grid arrays of
+``boundary_jets.perturbation_coefficients``.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from scipy.special import gamma as _gamma
 __all__ = [
     "gamma_prefactor",
     "principal_symbol",
-    "radial_derivative_kernel",
+    "first_order_factors",
     "singularity_coefficient",
     "default_probe_set",
     "polarization_covectors",
@@ -61,6 +66,17 @@ def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
         j = int(bad[0])
         why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
         raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
+
+
+def probe_array(probes, n: int) -> np.ndarray:
+    """``probes`` as one float ``(P, n)`` array of unit vectors; :class:`ValueError` otherwise."""
+    w = np.asarray(probes, dtype=float)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise ValueError(
+            f"probes need shape (P, n) with a last axis of length n={n}, got shape {w.shape}"
+        )
+    check_unit_probes(w, ValueError, "omega: ")
+    return w
 
 
 def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +151,9 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
 
     ``xi`` has shape ``(..., n)``; the result has shape
     ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
-    The covector norms do not depend on the energy: their log is computed
-    once and shared by every energy.  A value past double range raises
+    The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
+    not depend on the energy: their log is computed once and shared by every
+    energy.  A value past double range raises
     :class:`~scatjet.errors.ScatjetError`, naming the energy index, the grid
     index and the covector.
     """
@@ -146,9 +163,10 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
         raise ValueError(f"covectors need a last axis of length n={n}, got shape {xi.shape}")
     if not np.all(np.any(xi, axis=-1)):
         raise ZeroCovector("covector is zero")
+    x = xi.reshape(-1, n)
+    sq = np.einsum("...ij,ki,kj->...k", patch.h0_inv, x, x)
+    log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
     pad = patch.grid_shape + (1,) * (xi.ndim - 1)
-    h0 = patch.h_jet[0].reshape(pad + (n, n))
-    log_norm = np.log(np.sqrt((xi[..., None, :] @ np.linalg.solve(h0, xi[..., None]))[..., 0, 0]))
     out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
     for e, energy in enumerate(energies):
         sigma = indicial_root(patch, energy)
@@ -173,26 +191,31 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
 def hessian_profile_factors(sigma):
     """``(3 - 2 sigma, 1 - 2 sigma)``, elementwise: the two factors of the Hessian profile.
 
-    :func:`radial_derivative_kernel` is ``p (delta_ij + q w_i w_j)`` for
-    ``(p, q)`` these factors; the first-order fit reads them too.
+    The profile is ``D_ij(omega) = p (delta_ij + q w_i w_j)`` for ``(p, q)``
+    these factors.
     """
     sig = np.asarray(sigma, dtype=complex)
     return 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
 
 
-def radial_derivative_kernel(omega, sigma) -> np.ndarray:
-    """Unit-sphere Hessian profile ``(3-2s)(delta_ij + (1-2s) w_i w_j)``.
+def first_order_factors(probes: np.ndarray, sigma, t1: complex):
+    """``(M, a, b)``: the probe matrix and the profile factors of ``F = M (T u)``.
 
-    Equals ``|Y|^(2s-1) d_i d_j |Y|^(3-2s)`` evaluated at ``Y = omega``;
-    scale invariant in ``|Y|``, with trace ``(3-2s)(n + 1 - 2s)``.  ``omega``
-    is a ``(..., n)`` stack of unit vectors and ``sigma`` broadcasts against
-    ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
+    ``M = [mult w_i w_j | 1]`` is the real ``(P, k)`` matrix of the ``(P, n)``
+    ``probes``, with ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``, in
+    the order of :func:`symmetric_pairs`.  Elementwise in ``sigma``,
+    ``a = t1 (3 - 2 sigma)(1 - 2 sigma)`` and ``b = t1 (3 - 2 sigma)``: per
+    point ``T u`` holds ``a H_ij`` at each pair, then
+    ``b tr H + t2 (W1 - alpha^2 (1-n) T/4)``.
     """
-    w = np.asarray(omega, dtype=float)
-    check_unit_probes(w, ValueError, "omega: ")
-    p, q = hessian_profile_factors(np.asarray(sigma)[..., None, None])
-    delta = np.eye(w.shape[-1], dtype=bool)
-    return p * (delta + q * (w[..., :, None] * w[..., None, :]))
+    rows, cols = symmetric_pairs(probes.shape[-1])
+    mult = np.where(rows == cols, 1.0, 2.0)
+    M = np.concatenate(
+        [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
+    )
+    p, q = hessian_profile_factors(sigma)
+    b = t1 * p
+    return M, b * q, b
 
 
 def singularity_coefficient(
@@ -201,22 +224,29 @@ def singularity_coefficient(
     sigma,
     t1: complex,
     t2: complex,
-    omega,
+    probes,
 ) -> np.ndarray:
     """Angular singularity coefficient ``F(omega)`` of the kernel difference.
 
     ``pd``, ``alpha`` and ``sigma`` are grid arrays or one point's scalars,
-    broadcast against each other; ``omega`` is a ``(..., n)`` stack of unit
-    probes shared by every point.  The result has shape
-    ``grid_shape + omega.shape[:-1]``.
+    broadcast against each other; ``probes`` is one ``(P, n)`` array of unit
+    probes shared by every point, and any other shape raises
+    :class:`ValueError`.  ``F = M (T u)`` with the factors of
+    :func:`first_order_factors`; the trace term reads ``pd.T``.  The result
+    has shape ``grid_shape + (P,)``, and each point's values have the same
+    bits alone as in any grid.
     """
     n = pd.n
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape[-1:] != (n,):
-        raise ValueError(f"probes need a last axis of length n={n}, got shape {omega.shape}")
-    stack = (None,) * (omega.ndim - 1)
-    D = radial_derivative_kernel(omega, np.asarray(sigma)[(..., *stack)])
-    H = np.asarray(pd.H)[(..., *stack, slice(None), slice(None))]
-    const = pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
-    return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[(..., *stack)]
-
+    w = probe_array(probes, n)
+    M, a, b = first_order_factors(w, sigma, t1)
+    rows, cols = symmetric_pairs(n)
+    H = np.asarray(pd.H)
+    last = b * np.trace(H, axis1=-2, axis2=-1) + t2 * (
+        pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    )
+    grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
+    Tu = np.empty(grid + (len(rows) + 1,), dtype=complex)
+    Tu[..., :-1] = a[..., None] * H[..., rows, cols]
+    Tu[..., -1] = last
+    # one dot product per point and probe, so every point gets the same bits in any grid
+    return np.vecdot(M, Tu[..., None, :])

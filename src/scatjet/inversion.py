@@ -2,10 +2,13 @@
 
 Stage by stage:
 
-1. ``recover_sigma_from_symbol`` reads the indicial root off the symbol's
-   homogeneity: ``sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t)``, then peels
-   the Gamma prefactor to expose the covector norm ``|xi|_{h0}``, which must
-   come out finite and real: a phase left on the samples is refused.
+1. ``recover_sigma_from_symbol`` reads a root off each sample's
+   homogeneity: ``n/2 + log(S(t xi)/S(xi)) / (2 log t)``.  The roots of one
+   point's covector samples must agree to 1e-6 (their spread is the
+   ``sigma_consistency`` residual), and their mean is the point's
+   ``sigma``.  The Gamma prefactor is peeled once per point, at that mean,
+   to expose each covector norm ``|xi|_{h0}``, which must come out finite
+   and real: a phase left on the samples is refused.
 2. ``metric_boundary_recovery`` polarizes squared norms at ``{e_i}`` and
    ``{e_i + e_j}`` into the inverse metric and inverts it.
 3. ``two_energy_recovery`` solves the pair of indicial identities
@@ -15,9 +18,12 @@ Stage by stage:
    that ``alpha^2`` and ``V0`` come out real, ``alpha^2`` positive.
 4. ``first_order_recovery`` fits the first-order angular samples
    ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``.
-   Its design is a real probe matrix, the same at every grid point, times a
-   lower-triangular map per point, so one SVD of the probe matrix and a
-   forward substitution per point give the fit, with no per-point SVD.
+   Its design is the forward map's factorization
+   (:func:`~scatjet.forward_scattering.first_order_factors`): a real probe
+   matrix, the same at every grid point, times a lower-triangular map per
+   point, so one SVD of the probe matrix and a forward substitution per
+   point give the fit, with no per-point SVD.  A fit past double range is
+   refused.
    The fit has a structural one-dimensional kernel: ``omega^T H omega`` is
    constant over unit probes when ``H`` is a multiple of the identity, so
    that direction trades off against the constant ``W`` term.  The design
@@ -54,9 +60,10 @@ from .errors import (
     raise_first,
 )
 from .forward_scattering import (
-    check_unit_probes,
+    first_order_factors,
     hessian_profile_factors,
     prefactor_and_poles,
+    probe_array,
     symmetric_pairs,
 )
 from .spectral_sets import is_admissible
@@ -90,8 +97,12 @@ def _divide(a, b):
 
 @dataclass(frozen=True)
 class SigmaRecovery:
+    """The sigma stage per point: the root ``sigma`` and the ``spread`` of the
+    roots of its samples, and the covector ``norm`` of each sample."""
+
     sigma: complex | np.ndarray
     norm: float | np.ndarray
+    spread: float | np.ndarray
 
 
 def recover_sigma_from_symbol(
@@ -100,28 +111,49 @@ def recover_sigma_from_symbol(
     t: float,
     n: int,
 ) -> SigmaRecovery:
-    """Indicial root and covector norm from homogeneity pairs, elementwise.
+    """Indicial root and covector norms from homogeneity pairs, per point.
 
-    The real part of sigma comes from moduli and is branch-free; the
-    principal log fixes the imaginary part (documented ambiguity of
-    ``pi / log t``).  Raises :class:`BranchAmbiguity` if the recovered root
-    falls below the principal half-plane ``Re sigma >= n/2``, and
-    :class:`InconsistentData` if a recovered norm is not finite or its log
-    keeps an imaginary part above 1e-8 once the Gamma prefactor is peeled:
-    the trace of a phase on the samples, or of a root off the principal log
-    branch.  The samples may be scalars or arrays whose first ``n`` axes are
-    the grid; a failure names the first failing grid index and the sample
-    along the other axes.
+    The last axis of the samples holds the covector samples of one point,
+    which share its root; a scalar is one sample.  Each sample gives a root
+    ``n/2 + log(S(t xi)/S(xi)) / (2 log t)``: its real part comes from
+    moduli and is branch-free, and the principal log fixes the imaginary
+    part (documented ambiguity of ``pi / log t``).  The point's ``sigma`` is
+    the mean of these roots, taken as the first root plus the mean of the
+    others' deviations from it, and ``spread`` is their largest distance to
+    it.  The Gamma prefactor is peeled once per point, at that mean, to
+    expose the covector norm ``|xi|_{h0}`` of each sample.
+
+    Each point is checked in this order, and the first failure raises: a
+    sample not finite (:class:`InconsistentData`) or zero
+    (:class:`ZeroSymbol`); a sample's root below the principal half-plane
+    ``Re sigma >= n/2`` (:class:`BranchAmbiguity`); a spread above 1e-6
+    (:class:`InconsistentData`); a Gamma pole at ``sigma``
+    (:class:`~scatjet.errors.GammaPole`); a zero prefactor-normalized
+    sample (:class:`ZeroSymbol`); a norm that is not finite, or whose log
+    keeps an imaginary part above 1e-8 (:class:`InconsistentData`): the
+    trace of a phase on the samples, or of a root off the principal log
+    branch.  The first ``n`` axes of an array are the grid: a failure names
+    the first failing grid index and the sample along the other axes (for
+    the spread and the pole, the point's axes alone).
     """
     if t <= 0 or t == 1.0:
         raise ValueError("scale factor t must be positive and != 1")
-    v = np.asarray(value_xi, dtype=complex)
-    vt = np.asarray(value_txi, dtype=complex)
+    v, vt = np.broadcast_arrays(
+        np.asarray(value_xi, dtype=complex), np.asarray(value_txi, dtype=complex)
+    )
+    shape = v.shape
     with np.errstate(all="ignore"):
-        sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+        each = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+        samples = each.reshape(shape or (1,))
+        # the first sample plus the mean deviation: exact where the samples
+        # agree, where a sum over C can round off by an ulp, which the peel
+        # amplifies near a Gamma pole
+        sigma = samples[..., 0] + (samples - samples[..., :1]).mean(axis=-1)
+        spread = np.max(np.abs(samples - sigma[..., None]), axis=-1)
         pref, pole_check = prefactor_and_poles(sigma, n)
-        power = _divide(v, pref)
-        w = _divide(np.log(power), 2.0 * sigma - n)
+        power = _divide(v.reshape(samples.shape), pref[..., None])
+        w = _divide(np.log(power), (2.0 * sigma - n)[..., None])
+        power, w = power.reshape(shape), w.reshape(shape)
         norm = np.exp(w.real)
         phase = np.abs(w.imag)
     finite = np.isfinite(v) & np.isfinite(vt)
@@ -135,10 +167,16 @@ def recover_sigma_from_symbol(
                 lambda i: "symbol sample is zero; cannot take ratios",
             ),
             (
-                sigma.real < n / 2.0 - _BRANCH_TOL,
+                each.real < n / 2.0 - _BRANCH_TOL,
                 BranchAmbiguity,
-                lambda i: f"recovered Re sigma = {sigma.real[i]:.6g} below n/2 = {n / 2}; "
+                lambda i: f"recovered Re sigma = {each.real[i]:.6g} below n/2 = {n / 2}; "
                 "no log branch restores the principal half-plane",
+            ),
+            # written so that a NaN spread fails too
+            (
+                ~(spread <= _SIGMA_SPREAD_TOL),
+                InconsistentData,
+                lambda i: f"sigma estimates disagree across covectors (spread {spread[i]:.3e})",
             ),
             pole_check,
             (power == 0, ZeroSymbol, lambda i: "prefactor-normalized sample is zero"),
@@ -156,7 +194,7 @@ def recover_sigma_from_symbol(
             ),
         ],
     )
-    return SigmaRecovery(sigma=sigma[()], norm=norm[()])
+    return SigmaRecovery(sigma=sigma[()], norm=norm[()], spread=spread[()])
 
 
 def metric_boundary_recovery(norms, n: int) -> np.ndarray:
@@ -319,22 +357,17 @@ class FirstOrderResult:
 def _design_factors(probes, sigma, t1: complex, t2: complex, alpha_sq, h0):
     """``(M, a, e)``: the first-order design is ``M T`` with ``T = [[a I, 0], [e^T, t2]]``.
 
-    ``M = [mult w_i w_j | 1]`` is the real ``(P, k)`` probe matrix, with
-    ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``, in the order of
-    :func:`~scatjet.forward_scattering.symmetric_pairs`.  Per point,
-    ``a = t1 (3-2 sigma)(1-2 sigma)`` and
-    ``e = t1 (3-2 sigma) delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``.
+    ``M`` and ``a`` come from
+    :func:`~scatjet.forward_scattering.first_order_factors`.  Per point,
+    ``e = t1 (3-2 sigma) delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``, with
+    ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``.
     """
     n = h0.shape[-1]
     rows, cols = symmetric_pairs(n)
-    mult = np.where(rows == cols, 1.0, 2.0)
-    M = np.concatenate(
-        [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
-    )
-    p, q = hessian_profile_factors(sigma)
+    M, a, b = first_order_factors(probes, sigma, t1)
     c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
-    a = t1 * p * q
-    e = (t1 * p)[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
+    mult = np.where(rows == cols, 1.0, 2.0)
+    e = b[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
     return M, a, e
 
 
@@ -383,12 +416,7 @@ def first_order_recovery(
         raise ValueError("no singularity samples given")
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[-1]
-    w = np.asarray(probes, dtype=float)
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(
-            f"probes need shape (P, n) with a last axis of length n={n}, got shape {w.shape}"
-        )
-    check_unit_probes(w, ValueError, "omega: ")
+    w = probe_array(probes, n)
     sigma = np.asarray(sigma, dtype=complex)
     grid = np.broadcast_shapes(b.shape[:-1], sigma.shape, np.shape(alpha_sq), h0.shape[:-2])
     with np.errstate(all="ignore"):
@@ -419,15 +447,27 @@ def first_order_recovery(
     # np.vecdot makes one dot product per point, and every other step is
     # elementwise or one point's LAPACK call, so every point gets the same bits
     # in any grid (np.vecdot: numpy >= 2)
-    z = np.vecdot(pinv, b[..., None, :])
-    y = _solve_triangular(a, e, t2, z)
-    Q, _ = np.linalg.qr(
-        np.swapaxes(_solve_triangular(a[..., None], e[..., None, :], t2, Vh[rank:]), -1, -2)
+    with np.errstate(all="ignore"):
+        z = np.vecdot(pinv, b[..., None, :])
+        y = _solve_triangular(a, e, t2, z)
+        Q, _ = np.linalg.qr(
+            np.swapaxes(_solve_triangular(a[..., None], e[..., None, :], t2, Vh[rank:]), -1, -2)
+        )
+        kernel = np.swapaxes(Q, -1, -2)
+        x = y - np.sum(kernel * np.vecdot(kernel, y[..., None, :])[..., None], axis=-2)
+        miss = b - np.vecdot(M, z[..., None, :])
+        residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
+    raise_first(
+        len(grid),
+        [
+            (
+                ~(np.all(np.isfinite(x), axis=-1) & np.isfinite(residual)),
+                InconsistentData,
+                lambda i: "fitted H, W1 or fit residual leaves double range "
+                f"(residual {residual[i]:.3e})",
+            )
+        ],
     )
-    kernel = np.swapaxes(Q, -1, -2)
-    x = y - np.sum(kernel * np.vecdot(kernel, y[..., None, :])[..., None], axis=-2)
-    miss = b - np.vecdot(M, z[..., None, :])
-    residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
 
     H, W = _unpack(x, n)
     return FirstOrderResult(H=H, W1=W, residual=residual, design_rank=rank, kernel=kernel)
@@ -554,26 +594,14 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     single_energy = len(energies) == 1
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
     with _stage("sigma"):
-        # (*grid, E, C, 2): a failure names the grid index and the sample (energy, covector)
+        # (*grid, E, C, 2): a failure names the grid index and the sample (energy,
+        # covector), or the energy alone for the spread and the pole
         symbols = np.moveaxis(dataset.symbols, 0, n)
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], dataset.scale_t, n)
-        sigmas = rec.sigma.mean(axis=-1)
-        spread = np.max(np.abs(rec.sigma - sigmas[..., None]), axis=-1)
-        # written so that a NaN spread fails too
-        raise_first(
-            n,
-            [
-                (
-                    ~(spread <= _SIGMA_SPREAD_TOL),
-                    InconsistentData,
-                    lambda i: f"sigma estimates disagree across covectors (spread {spread[i]:.3e})",
-                )
-            ],
-        )
-    report.residuals["sigma_consistency"] = float(spread.max())
-    sigma1 = report.sigma1 = sigmas[..., 0]
+    report.residuals["sigma_consistency"] = float(rec.spread.max())
+    sigma1 = report.sigma1 = rec.sigma[..., 0]
     if not single_energy:
-        report.sigma2 = sigmas[..., 1]
+        report.sigma2 = rec.sigma[..., 1]
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
     with _stage("metric"):

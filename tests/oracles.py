@@ -17,20 +17,33 @@ For ``n >= 2`` the v-integral is reduced to cylindrical coordinates
 ``(v1, rho)`` with weight ``omega_{n-2} rho^(n-2)``, so the reference stays
 at most three-dimensional for every supported ``n``.
 
-The first-order fit's reference builds each point's full design from the
-forward model's Hessian profile and solves it by one SVD per point;
-:func:`scatjet.inversion.first_order_recovery` factors the design instead,
-so the two share only the profile and the order of the unknowns.
+The first-order references build the angular samples and each point's full
+design entry by entry from the Hessian kernel ``radial_derivative_kernel``,
+and solve the design by one SVD per point;
+:func:`scatjet.forward_scattering.singularity_coefficient` and
+:func:`scatjet.inversion.first_order_recovery` factor both instead, so they
+share only the profile factors and the order of the unknowns.
+
+The covector-norm references take ``|xi|_{h0}`` by one linear solve per
+point and covector, and peel the Gamma prefactor of every symbol sample at
+that sample's own root; the library reads a kept inverse of ``h0`` and peels
+once per point, at the mean root of its samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from scatjet.forward_scattering import radial_derivative_kernel, symmetric_pairs
-from scatjet.inversion import _unpack
+from scatjet.forward_scattering import (
+    check_unit_probes,
+    hessian_profile_factors,
+    prefactor_and_poles,
+    symmetric_pairs,
+)
+from scatjet.inversion import _divide, _unpack
 
 R0 = 50.0
 N_RADII = 4
@@ -191,8 +204,67 @@ def hessian_profile_sym(sigma_val: complex, omega: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- covector norms by one solve per covector ---------------------------------
 
-# -- first-order fit by one SVD per point -------------------------------------
+
+def solve_log_norm(h0, xi) -> np.ndarray:
+    """``log |xi|_{h0}`` with ``|xi|^2 = xi^T solve(h0, xi)``, one solve per point and covector.
+
+    ``h0`` has shape ``grid + (n, n)`` and ``xi`` ``(..., n)``; the result has
+    shape ``grid + xi.shape[:-1]``.
+    """
+    h0 = np.asarray(h0, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    h = h0.reshape(h0.shape[:-2] + (1,) * (xi.ndim - 1) + h0.shape[-2:])
+    return np.log(np.sqrt((xi[..., None, :] @ np.linalg.solve(h, xi[..., None]))[..., 0, 0]))
+
+
+def per_sample_sigma_and_norm(value_xi, value_txi, t: float, n: int):
+    """``(sigma, norm)`` of each symbol sample alone, elementwise, with no checks.
+
+    Every sample's root is ``n/2 + log(S(t xi)/S(xi)) / (2 log t)``, and its
+    norm comes from peeling the Gamma prefactor at that root.
+    """
+    v = np.asarray(value_xi, dtype=complex)
+    vt = np.asarray(value_txi, dtype=complex)
+    # _divide's unused branch divides by a zero imaginary part
+    with np.errstate(all="ignore"):
+        sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+        pref, _ = prefactor_and_poles(sigma, n)
+        w = _divide(np.log(_divide(v, pref)), 2.0 * sigma - n)
+    return sigma, np.exp(w.real)
+
+
+# -- angular samples and the first-order fit from the Hessian kernel ----------
+
+
+def radial_derivative_kernel(omega, sigma) -> np.ndarray:
+    """Unit-sphere Hessian profile ``(3-2s)(delta_ij + (1-2s) w_i w_j)``.
+
+    Equals ``|Y|^(2s-1) d_i d_j |Y|^(3-2s)`` evaluated at ``Y = omega``;
+    scale invariant in ``|Y|``, with trace ``(3-2s)(n + 1 - 2s)``.  ``omega``
+    is a ``(..., n)`` stack of unit vectors and ``sigma`` broadcasts against
+    ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
+    """
+    w = np.asarray(omega, dtype=float)
+    check_unit_probes(w, ValueError, "omega: ")
+    p, q = hessian_profile_factors(np.asarray(sigma)[..., None, None])
+    delta = np.eye(w.shape[-1], dtype=bool)
+    return p * (delta + q * (w[..., :, None] * w[..., None, :]))
+
+
+def kernel_singularity_coefficient(pd, alpha, sigma, t1, t2, probes) -> np.ndarray:
+    """``F = t1 sum_ij H_ij D_ij(omega) + t2 (W1 - alpha^2 (1-n) T / 4)`` from the kernel.
+
+    ``pd``, ``alpha`` and ``sigma`` broadcast against each other over the
+    grid; ``probes`` is a ``(P, n)`` array, and the result has shape
+    ``grid + (P,)``.
+    """
+    n = pd.n
+    D = radial_derivative_kernel(probes, np.asarray(sigma)[..., None])
+    H = np.asarray(pd.H)[..., None, :, :]
+    const = pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[..., None]
 
 
 def first_order_design(probes, sigma, t1, t2, alpha_sq, h0) -> np.ndarray:
@@ -201,7 +273,7 @@ def first_order_design(probes, sigma, t1, t2, alpha_sq, h0) -> np.ndarray:
     Row ``p`` holds ``t1 D_ij(omega_p) - t2 alpha^2 (1-n)/4 h0_ij`` at each
     pair ``i <= j`` of :func:`~scatjet.forward_scattering.symmetric_pairs`
     (doubled for ``i < j``), then ``t2`` for ``W``, with ``D`` from
-    :func:`~scatjet.forward_scattering.radial_derivative_kernel`.
+    :func:`radial_derivative_kernel`.
     """
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[-1]

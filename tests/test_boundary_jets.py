@@ -113,13 +113,22 @@ def test_patch_arrays_read_only():
 
 
 def test_patch_grid_helpers():
-    patch = constant_patch(2, 1.0, 0.0, np.eye(2), axes=(4, 6))
+    """A field expression reads y_i = 2 pi k / m_i at the k-th of the m_i points of axis i."""
+    patch = BoundaryPatch.from_dict(
+        {
+            "n": 2,
+            "axes": [4, 6],
+            "alpha": "1 + y1 + 10*y2",
+            "v_jet": ["0"],
+            "h_jet": [[["1", "0"], ["0", "1"]]],
+        }
+    )
     assert patch.grid_shape == (4, 6)
-    cs = patch.coords()
-    assert len(cs) == 2 and cs[0].size == 4 and cs[1].size == 6
-    assert cs[1][1] == pytest.approx(2 * np.pi / 6)
-    mesh = patch.mesh()
-    assert set(mesh) == {"y1", "y2"} and mesh["y1"].shape == (4, 6)
+    k1, k2 = np.meshgrid(np.arange(4), np.arange(6), indexing="ij")
+    np.testing.assert_allclose(
+        patch.alpha, 1 + 2 * np.pi * k1 / 4 + 10 * (2 * np.pi * k2 / 6), rtol=1e-15
+    )
+    assert patch.alpha[0, 1] == pytest.approx(1 + 10 * 2 * np.pi / 6)
 
 
 def test_patch_from_dict_expressions_round_trip():
@@ -132,7 +141,7 @@ def test_patch_from_dict_expressions_round_trip():
     }
     patch = BoundaryPatch.from_dict(raw)
     assert patch.jet_order == 1
-    y = patch.coords()[0]
+    y = 2 * np.pi * np.arange(8) / 8
     np.testing.assert_allclose(patch.alpha, 1 + 0.5 * np.cos(y))
     back = BoundaryPatch.from_dict(patch.to_dict())
     np.testing.assert_allclose(back.alpha, patch.alpha)

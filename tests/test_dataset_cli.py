@@ -867,7 +867,9 @@ def test_cli_non_finite_complex_argument_exits_2(tmp_path, caplog, command):
     )
 
 
-@pytest.mark.parametrize("case", ["sigma-no-first-order", "sigma-first-order", "first-order-svd"])
+@pytest.mark.parametrize(
+    "case", ["sigma-no-first-order", "sigma-first-order", "first-order-svd", "first-order-fit"]
+)
 def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     """Finite input that overflows inside a stage ends in that stage's error, exit 1."""
     _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=case != "sigma-no-first-order")
@@ -877,6 +879,12 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         expected = (
             "[stage first-order] first-order design leaves double range "
             "(t1=(1e+308+0j), t2=(1e+308+0j)) at grid index (0, 0)"
+        )
+    elif case == "first-order-fit":
+        ds = dataclasses.replace(ds, singularity=np.full_like(ds.singularity, 1e308))
+        expected = (
+            "[stage first-order] fitted H, W1 or fit residual leaves double range "
+            "(residual inf) at grid index (0, 0)"
         )
     else:
         ds = dataclasses.replace(ds, symbols=ds.symbols * 1e308)

@@ -14,13 +14,18 @@ from scatjet.errors import GammaPole, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
     gamma_prefactor,
+    polarization_covectors,
     principal_symbol,
-    radial_derivative_kernel,
     singularity_coefficient,
 )
-from scatjet.synthetic import constant_patch
+from scatjet.synthetic import constant_patch, make_synthetic_pair
 
-from oracles import hessian_profile_sym
+from oracles import (
+    hessian_profile_sym,
+    kernel_singularity_coefficient,
+    radial_derivative_kernel,
+    solve_log_norm,
+)
 from varying_patch import varying_patch_pair
 
 
@@ -218,8 +223,8 @@ def test_default_probe_set_layout():
 
 def test_singularity_zero_data():
     pd = _pd(2, np.zeros((2, 2)))
-    F = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, [1.0, 0.0])
-    assert F == 0.0
+    F = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, [[1.0, 0.0]])
+    assert F.shape == (1,) and F[0] == 0.0
 
 
 def test_singularity_linearity():
@@ -228,7 +233,7 @@ def test_singularity_linearity():
     H1 = H1 + H1.T
     H2 = rng.standard_normal((2, 2))
     H2 = H2 + H2.T
-    omega = [0.0, 1.0]
+    omega = [[0.0, 1.0]]
     args = (1.2, 2.3, 0.7 + 0.1j, 1.1, omega)
     a, b = 2.0, -0.5
     f1 = singularity_coefficient(_pd(2, H1, W1=0.4), *args)
@@ -242,7 +247,7 @@ def test_singularity_worked_identity_case():
     # sum H_ij D_ij = trace D = (3-4)(2+1-4) = 1, so F = 1 + alpha^2/2
     for alpha in (1.0, 1.3):
         pd = _pd(2, np.eye(2), T=2.0)
-        F = singularity_coefficient(pd, alpha, 2.0, 1.0, 1.0, [1.0, 0.0])
+        (F,) = singularity_coefficient(pd, alpha, 2.0, 1.0, 1.0, [[1.0, 0.0]])
         assert F == pytest.approx(1.0 + alpha**2 / 2.0, rel=1e-12)
 
 
@@ -300,6 +305,70 @@ def test_singularity_over_a_varying_grid_matches_each_point():
             quad = (3 - 2 * s) * (np.trace(H) + (1 - 2 * s) * (w @ H @ w))
             want = t1 * quad - t2 * patch1.alpha[idx] ** 2 * (1 - 2) * T / 4
             assert F[idx][k] == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError, match="last axis of length n=2"):
-        singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, [[1.0]])
+    # one (P, n) array of probes, nothing else
+    for bad in ([[1.0]], [1.0, 0.0], [[[1.0, 0.0]]]):
+        with pytest.raises(ValueError, match=r"need shape \(P, n\) with a last axis of length n=2"):
+            singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, bad)
+
+
+def test_singularity_of_a_point_alone_has_the_bits_of_its_grid():
+    """A point's F alone equals its F in the grid bit for bit, so repeats are byte-identical."""
+    for seed in (29, 31, 37):
+        patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
+        pd = perturbation_coefficients(patch1, patch2)
+        sigma = indicial_root(patch1, energies[0])
+        args = (0.9 + 0.2j, 1.3 - 0.1j, default_probe_set(2))
+        grid = singularity_coefficient(pd, patch1.alpha, sigma, *args)
+        for idx in np.ndindex(*patch1.grid_shape):
+            one = PerturbationData(n=2, H=pd.H[idx], T=pd.T[idx], W=tuple(w[idx] for w in pd.W))
+            alone = singularity_coefficient(one, patch1.alpha[idx], sigma[idx], *args)
+            assert alone.tobytes() == grid[idx].tobytes()
+
+
+def _rounding_cases():
+    """``(patch, energies, pd)`` at ``make_synthetic_pair`` seeds 600-624 for n = 1..3
+    (the patch and ``pd`` rebuilt from the truth) and at the varying seeds 29, 31, 37."""
+    for seed in range(600, 625):
+        for n in (1, 2, 3):
+            truth, ds = make_synthetic_pair(seed, n, with_first_order=False)
+            patch = constant_patch(n, truth.alpha, truth.v0, truth.h0)
+            H = np.broadcast_to(truth.H, patch.grid_shape + (n, n))
+            pd = PerturbationData(n=n, H=H, T=np.trace(truth.h0 @ truth.H), W=(0.0, truth.W1))
+            yield patch, tuple(ComplexEnergy(lam) for lam in ds.energies), pd
+    for seed in (29, 31, 37):
+        patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
+        yield patch1, energies, perturbation_coefficients(patch1, patch2)
+
+
+def test_symbol_norms_match_the_solve_oracle():
+    """Norms from the patch's kept inverse of h0 move each symbol by rounding only."""
+    worst = 0.0
+    for patch, energies, _ in _rounding_cases():
+        n = patch.n
+        covectors = polarization_covectors(n)
+        xi = np.stack([covectors, 2.0 * covectors], axis=1)
+        got = principal_symbol(patch, xi, energies)
+        log_norm = solve_log_norm(patch.h_jet[0], xi)
+        pad = patch.grid_shape + (1, 1)
+        for e, en in enumerate(energies):
+            exponent = (2.0 * indicial_root(patch, en) - n).reshape(pad)
+            want = gamma_prefactor(indicial_root(patch, en), n).reshape(pad) * np.exp(
+                exponent * log_norm
+            )
+            # the relative move of |xi|_{h0} that the symbols imply
+            worst = max(worst, np.max(np.abs(np.log(got[e] / want) / exponent)))
+    assert worst <= 1e-14
+
+
+def test_singularity_matches_the_kernel_oracle():
+    """F as the probe matrix times T u equals F from the Hessian kernel, to rounding."""
+    for patch, energies, pd in _rounding_cases():
+        sigma = indicial_root(patch, energies[0])
+        probes = default_probe_set(patch.n)
+        for t1, t2 in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
+            got = singularity_coefficient(pd, patch.alpha, sigma, t1, t2, probes)
+            want = kernel_singularity_coefficient(pd, patch.alpha, sigma, t1, t2, probes)
+            assert got.shape == want.shape == patch.grid_shape + (len(probes),)
+            # at n = 1 a traceless H and W1 = 0 make F vanish: both read 0 exactly
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

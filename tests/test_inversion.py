@@ -47,7 +47,7 @@ from scatjet.synthetic import (
     traceless_symmetric,
 )
 
-from oracles import first_order_design, first_order_svd_fit
+from oracles import first_order_design, first_order_svd_fit, per_sample_sigma_and_norm
 from varying_patch import varying_patch_pair
 
 
@@ -110,10 +110,12 @@ def test_sigma_rejects_non_finite_sample():
         with pytest.raises(InconsistentData, match="not finite"):
             recover_sigma_from_symbol(math.nan, 1.0 + 0j, 2.0, 2)
         v, vt = _symbol_pair(2.3, 1.7, 2.0, 2)
-        values = np.full((4, 4), v)
-        values[1, 0] = complex(math.inf, 0.0)
-        with pytest.raises(InconsistentData, match=r"not finite at grid index \(1, 0\)$"):
-            recover_sigma_from_symbol(values, np.full((4, 4), vt), 2.0, 2)
+        values = np.full((4, 4, 1), v)
+        values[1, 0, 0] = complex(math.inf, 0.0)
+        with pytest.raises(
+            InconsistentData, match=r"not finite at grid index \(1, 0\), sample \(0,\)$"
+        ):
+            recover_sigma_from_symbol(values, np.full((4, 4, 1), vt), 2.0, 2)
 
 
 def test_stages_name_the_first_failing_grid_index():
@@ -125,11 +127,11 @@ def test_stages_name_the_first_failing_grid_index():
     with pytest.raises(ZeroSymbol, match=r"grid index \(1, 3\), sample \(1,\)$"):
         recover_sigma_from_symbol(values, np.full((3, 4, 2), vt), 2.0, 2)
     # the first failing index wins, even when a later index fails an earlier check
-    values = np.full((2, 2), v)
-    txi = np.full((2, 2), vt)
-    txi[0, 1] = 0.5 * v
-    values[1, 0] = 0.0
-    with pytest.raises(BranchAmbiguity, match=r"grid index \(0, 1\)$"):
+    values = np.full((2, 2, 1), v)
+    txi = np.full((2, 2, 1), vt)
+    txi[0, 1, 0] = 0.5 * v
+    values[1, 0, 0] = 0.0
+    with pytest.raises(BranchAmbiguity, match=r"grid index \(0, 1\), sample \(0,\)$"):
         recover_sigma_from_symbol(values, txi, 2.0, 2)
 
     norms = np.tile([1.0, 1.0, 2**0.5], (2, 3, 1))
@@ -143,6 +145,56 @@ def test_stages_name_the_first_failing_grid_index():
     s2[3, 1] = s1[3, 1]
     with pytest.raises(InconsistentData, match=r"singular at grid index \(3, 1\)$"):
         two_energy_recovery(s1, s2, 3j, 5j, 2)
+
+
+def test_sigma_checks_each_point_in_order():
+    """The samples of a point share one root: their spread is judged after the
+    sample checks and before the peel's, point by point in C order."""
+    v, vt = _symbol_pair(2.3, 1.7, 2.0, 2)
+    values = np.full((2, 2, 3), v)
+    txi = np.full((2, 2, 3), vt)
+    rec = recover_sigma_from_symbol(values, txi, 2.0, 2)
+    assert rec.sigma.shape == rec.spread.shape == (2, 2) and rec.norm.shape == (2, 2, 3)
+    # at (0, 1) a phase on sample 0 and a root off the others' on sample 1
+    values[0, 1, 0] *= np.exp(0.3j)
+    txi[0, 1, 0] *= np.exp(0.3j)
+    txi[0, 1, 1] *= 1.5
+    with pytest.raises(
+        InconsistentData,
+        match=r"^sigma estimates disagree across covectors \(spread 1\.950e-01\) "
+        r"at grid index \(0, 1\)$",
+    ):
+        recover_sigma_from_symbol(values, txi, 2.0, 2)
+    # a zero sample comes before the spread, at any sample of the point
+    values[0, 1, 2] = 0.0
+    with pytest.raises(ZeroSymbol, match=r"grid index \(0, 1\), sample \(2,\)$"):
+        recover_sigma_from_symbol(values, txi, 2.0, 2)
+    # an earlier point wins, whichever of its checks fails
+    values[0, 0, 2] *= np.exp(0.3j)
+    txi[0, 0, 2] *= np.exp(0.3j)
+    with pytest.raises(
+        InconsistentData, match=r"imaginary part .* at grid index \(0, 0\), sample \(2,\)$"
+    ):
+        recover_sigma_from_symbol(values, txi, 2.0, 2)
+
+
+def test_sigma_stage_norms_match_the_per_sample_peel():
+    """Peeling once per point, at the mean root, moves each norm by rounding only."""
+    cases = []
+    for seed in range(600, 625):
+        for n in (1, 2, 3):
+            cases.append((n, make_synthetic_pair(seed, n, with_first_order=False)[1]))
+    for seed in (29, 31, 37):
+        patch1, _, energies, _ = varying_patch_pair(seed=seed)
+        cases.append((2, forward_dataset(patch1, energies)))
+    worst = 0.0
+    for n, ds in cases:
+        symbols = np.moveaxis(ds.symbols, 0, n)
+        rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
+        sigma, norm = per_sample_sigma_and_norm(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
+        np.testing.assert_allclose(rec.sigma, sigma.mean(axis=-1), rtol=1e-15, atol=0)
+        worst = max(worst, np.max(np.abs(rec.norm / norm - 1.0)))
+    assert worst <= 1e-14
 
 
 def test_sigma_branch_ambiguity():
@@ -671,6 +723,20 @@ def test_driver_refuses_non_finite_norm(with_first_order):
         r"at grid index \(0, 0\), sample \(0, 0\)$",
     ):
         layer_strip_driver(big)
+
+
+def test_driver_refuses_a_fit_past_double_range():
+    """Finite singularity samples whose fit overflows: refused at the point, no raw warning."""
+    _, ds = make_synthetic_pair(seed=3, n=2)
+    huge = dataclasses.replace(ds, singularity=np.full_like(ds.singularity, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            InconsistentData,
+            match=r"^\[stage first-order\] fitted H, W1 or fit residual leaves double range "
+            r"\(residual inf\) at grid index \(0, 0\)$",
+        ):
+            layer_strip_driver(huge)
 
 
 def test_driver_names_the_stage_of_a_linalg_failure(monkeypatch):
