@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -205,29 +205,20 @@ class BoundaryPatch:
         h_jet = tuple(_as_matrix_field(h, coords, shape, n) for h in spec["h_jet"])
         return cls(n=n, axes=axes, alpha=alpha, v_jet=v_jet, h_jet=h_jet)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "axes": list(self.axes),
-            "alpha": self.alpha.tolist(),
-            "v_jet": [v.tolist() for v in self.v_jet],
-            "h_jet": [h.tolist() for h in self.h_jet],
-        }
-
 
 @dataclass(frozen=True)
 class PerturbationData:
     """First-order differences of two patches sharing zeroth-order data.
 
     With ``L = h2^(1) - h1^(1)``: ``H = h0^-1 L h0^-1``, ``T = tr(h0^-1 L)``
-    and ``W[j] = V2^(j) - V1^(j)``, as grid arrays (``H`` of shape
+    and ``W1 = V2^(1) - V1^(1)``, as grid arrays (``H`` of shape
     ``grid + (n, n)``) or as the scalars of one point.
     """
 
     n: int
     H: np.ndarray
     T: float | np.ndarray
-    W: tuple[float | np.ndarray, ...]
+    W1: float | np.ndarray
 
 
 def _discriminant(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
@@ -255,11 +246,10 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     if energy.lam.imag == 0.0:
         on_cut = (disc.imag == 0.0) & (disc.real < 0.0)
         if np.any(on_cut):
-            pts = [tuple(int(i) for i in idx) for idx in np.argwhere(on_cut)]
+            first = tuple(int(i) for i in np.argwhere(on_cut)[0])
             raise BranchCut(
-                f"indicial discriminant is negative real at {len(pts)} grid point(s), "
-                f"first at y-index {pts[0]}; real energy lies in the exceptional interval",
-                points=pts,
+                f"indicial discriminant is negative real at {np.count_nonzero(on_cut)} grid "
+                f"point(s), first at y-index {first}; real energy lies in the exceptional interval"
             )
     return patch.n / 2.0 + np.sqrt(disc)
 
@@ -305,10 +295,9 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
     raise_first(n, [(np.logical_or.reduce(list(bad.values())), MismatchedBoundary, disagree)])
     L = patch2.h_jet[1] - patch1.h_jet[1]
     h0_inv = patch1.h0_inv
-    j_max = min(patch1.jet_order, patch2.jet_order)
     return PerturbationData(
         n=n,
         H=h0_inv @ L @ h0_inv,
         T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
-        W=tuple(patch2.v_jet[j] - patch1.v_jet[j] for j in range(j_max + 1)),
+        W1=patch2.v_jet[1] - patch1.v_jet[1],
     )

@@ -31,7 +31,7 @@ import numpy as np
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
 from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict
 from .errors import ConfigError, IoError, ScatjetError
-from .forward_scattering import check_unit_probes, principal_symbol
+from .forward_scattering import principal_symbol, probe_array
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
 from .model_quadrature import (
@@ -87,20 +87,6 @@ def _z_vector(raw: str, n: int) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _load_probes(path: str, n: int) -> np.ndarray:
-    """``--probes``: a JSON list of at least one unit probe vector with ``n`` components each."""
-    want = f"--probes: expected an array of shape (P, {n}) with P >= 1"
-    try:
-        probes = np.array(_load_json(path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{want}, got JSON that is not an array of numbers ({exc})") from None
-    # a JSON list with no probes has shape (0,)
-    if probes.shape[1:] != (n,):
-        raise ConfigError(f"{want}, got shape {probes.shape}")
-    check_unit_probes(probes, ConfigError, "--probes: ")
-    return probes
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -110,7 +96,9 @@ def cmd_forward(args) -> int:
     if not args.lam:
         raise ConfigError("forward requires at least one --lam")
     energies = tuple(ComplexEnergy(parse_complex(s)) for s in args.lam)
-    probes = _load_probes(args.probes, patch.n) if args.probes else None
+    probes = None
+    if args.probes:
+        probes = probe_array(_load_json(args.probes), patch.n, ConfigError, "--probes: ")
     log.info(
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"

@@ -37,7 +37,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError, raise_first
-from .forward_scattering import check_unit_probes, polarization_covectors
+from .forward_scattering import polarization_covectors, probe_array
 from .spectral_sets import ExceptionalSet
 
 SCHEMA = "scatjet.symbols/5"
@@ -84,8 +84,11 @@ def exceptional_from_dict(block: Mapping[str, Any], grid_shape: tuple[int, ...])
         raise IoError(f"exceptional: malformed block: {type(exc).__name__}: {exc}") from None
 
 
-def _check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) -> None:
-    """The checks that the shapes of the grid arrays rest on."""
+def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) -> None:
+    """The checks that the shapes of the grid arrays rest on, and the rule for ``scale_t``.
+
+    :class:`ConfigError` names the first bad entry.
+    """
     if n < 1:
         raise ConfigError(f"dataset dimension n={n} must be at least 1")
     if len(grid_shape) != n:
@@ -177,7 +180,7 @@ class SymbolDataset:
     exceptional: ExceptionalSet | None = None
 
     def __post_init__(self):
-        _check_header(self.n, self.grid_shape, self.scale_t, self.energies)
+        check_header(self.n, self.grid_shape, self.scale_t, self.energies)
         g = len(self.grid_shape)
         symbols = np.array(self.symbols, dtype=complex)
         want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
@@ -196,12 +199,7 @@ class SymbolDataset:
                 f"missing: {', '.join(missing)}"
             )
         if not missing:
-            probes = np.array(self.probes, dtype=float)
-            if probes.ndim != 2 or probes.shape[0] < 1 or probes.shape[1] != self.n:
-                raise ConfigError(
-                    f"probes has shape {probes.shape}, expected (P, {self.n}) with at least one probe"
-                )
-            check_unit_probes(probes, ConfigError, "probes: ")
+            probes = probe_array(self.probes, self.n, ConfigError, "probes: ")
             singularity = np.array(self.singularity, dtype=complex)
             want = (*self.grid_shape, len(probes))
             if singularity.shape != want:
@@ -272,7 +270,7 @@ class SymbolDataset:
             scale_t = float(data["scale_t"])
             energies = tuple(decode_complex(z) for z in data["energies"])
             # the expected array lengths below are only meaningful for a valid header
-            _check_header(n, grid_shape, scale_t, energies)
+            check_header(n, grid_shape, scale_t, energies)
             symbols = unpack_array(
                 data["symbols"],
                 "symbols",
@@ -308,9 +306,6 @@ class SymbolDataset:
             raise IoError(str(exc)) from None
         except _MALFORMED as exc:
             raise IoError(f"malformed dataset: {type(exc).__name__}: {exc}") from None
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "SymbolDataset":

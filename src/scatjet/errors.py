@@ -14,14 +14,7 @@ class ScatjetError(Exception):
 
 
 class BranchCut(ScatjetError):
-    """Square-root argument fell on the negative real axis at some grid point.
-
-    Carries ``points``: the offending grid multi-indices.
-    """
-
-    def __init__(self, message: str, points=None):
-        super().__init__(message)
-        self.points = list(points) if points is not None else []
+    """Square-root argument fell on the negative real axis at some grid point."""
 
 
 class MismatchedBoundary(ScatjetError):

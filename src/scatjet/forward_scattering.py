@@ -41,18 +41,8 @@ from .boundary_jets import BoundaryPatch, ComplexEnergy, PerturbationData, indic
 from .errors import GammaPole, ScatjetError, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
-__all__ = [
-    "gamma_prefactor",
-    "principal_symbol",
-    "first_order_factors",
-    "singularity_coefficient",
-    "default_probe_set",
-    "polarization_covectors",
-    "symmetric_pairs",
-]
 
-
-def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
+def check_unit_probes(probes, error: type[Exception], prefix: str) -> None:
     """Raise ``error`` naming the first probe whose norm misses 1 by more than 1e-12.
 
     ``probes`` is a ``(..., n)`` stack of probe directions, counted in C
@@ -68,14 +58,21 @@ def check_unit_probes(probes, error: type[Exception], prefix: str = "") -> None:
         raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
 
 
-def probe_array(probes, n: int) -> np.ndarray:
-    """``probes`` as one float ``(P, n)`` array of unit vectors; :class:`ValueError` otherwise."""
-    w = np.asarray(probes, dtype=float)
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(
-            f"probes need shape (P, n) with a last axis of length n={n}, got shape {w.shape}"
-        )
-    check_unit_probes(w, ValueError, "omega: ")
+def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
+    """``probes`` as a new float ``(P, n)`` array of ``P >= 1`` unit vectors.
+
+    Anything else raises ``error`` with a message led by ``prefix``: values
+    that are not an array of numbers, another shape (a list with no probes
+    has shape ``(0,)``), or a probe that :func:`check_unit_probes` refuses.
+    """
+    want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
+    try:
+        w = np.array(probes, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
+    if w.ndim != 2 or not len(w) or w.shape[1] != n:
+        raise error(f"{want}, got shape {w.shape}")
+    check_unit_probes(w, error, prefix)
     return w
 
 
@@ -153,7 +150,7 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
     The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
     not depend on the energy: their log is computed once and shared by every
-    energy.  A value past double range raises
+    energy.  A value past double range, or one that underflows to zero, raises
     :class:`~scatjet.errors.ScatjetError`, naming the energy index, the grid
     index and the covector.
     """
@@ -165,7 +162,9 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
         raise ZeroCovector("covector is zero")
     x = xi.reshape(-1, n)
     sq = np.einsum("...ij,ki,kj->...k", patch.h0_inv, x, x)
-    log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
+    with np.errstate(divide="ignore"):
+        # a norm that underflows to zero has log -inf; its samples are refused below
+        log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
     pad = patch.grid_shape + (1,) * (xi.ndim - 1)
     out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
     for e, energy in enumerate(energies):
@@ -174,14 +173,16 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
         with np.errstate(all="ignore"):
             out[e] = pref * np.exp((2.0 * sigma - n).reshape(pad) * log_norm)
     # (*grid, E, ...): a failure names the grid index, then the energy index and covector
+    moved = np.moveaxis(out, 0, n)
     raise_first(
         n,
         [
             (
-                ~np.isfinite(np.moveaxis(out, 0, n)),
+                ~np.isfinite(moved) | (moved == 0),
                 ScatjetError,
                 lambda i: f"principal symbol at energy index {i[n]}, covector "
-                f"{tuple(xi[i[n + 1 :]].tolist())} leaves double range",
+                f"{tuple(xi[i[n + 1 :]].tolist())} "
+                + ("underflows to zero" if moved[i] == 0 else "leaves double range"),
             )
         ],
     )
@@ -230,19 +231,19 @@ def singularity_coefficient(
 
     ``pd``, ``alpha`` and ``sigma`` are grid arrays or one point's scalars,
     broadcast against each other; ``probes`` is one ``(P, n)`` array of unit
-    probes shared by every point, and any other shape raises
+    probes shared by every point; :func:`probe_array` judges them and raises
     :class:`ValueError`.  ``F = M (T u)`` with the factors of
     :func:`first_order_factors`; the trace term reads ``pd.T``.  The result
     has shape ``grid_shape + (P,)``, and each point's values have the same
     bits alone as in any grid.
     """
     n = pd.n
-    w = probe_array(probes, n)
+    w = probe_array(probes, n, ValueError, "omega: ")
     M, a, b = first_order_factors(w, sigma, t1)
     rows, cols = symmetric_pairs(n)
     H = np.asarray(pd.H)
     last = b * np.trace(H, axis1=-2, axis2=-1) + t2 * (
-        pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
+        pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
     )
     grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
     Tu = np.empty(grid + (len(rows) + 1,), dtype=complex)

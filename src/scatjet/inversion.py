@@ -83,16 +83,19 @@ def _divide(a, b):
 
     numpy's complex division multiplies by a rounded reciprocal instead;
     the extra rounding, amplified by the two-energy solve, moved ``V0`` by
-    up to 1e-12 against the scalar division.
+    up to 1e-12 against the scalar division.  Both branches are computed
+    everywhere, so the unused one may divide by zero: that raises no numpy
+    warning, and a zero divisor gives inf or NaN for the caller to refuse.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     real_big = np.abs(b.real) >= np.abs(b.imag)
-    ratio = np.where(real_big, b.imag / b.real, b.real / b.imag)
-    denom = np.where(real_big, b.real + b.imag * ratio, b.real * ratio + b.imag)
-    re = np.where(real_big, a.real + a.imag * ratio, a.real * ratio + a.imag)
-    im = np.where(real_big, a.imag - a.real * ratio, a.imag * ratio - a.real)
-    return re / denom + 1j * (im / denom)
+    with np.errstate(all="ignore"):
+        ratio = np.where(real_big, b.imag / b.real, b.real / b.imag)
+        denom = np.where(real_big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        re = np.where(real_big, a.real + a.imag * ratio, a.real * ratio + a.imag)
+        im = np.where(real_big, a.imag - a.real * ratio, a.imag * ratio - a.real)
+        return re / denom + 1j * (im / denom)
 
 
 @dataclass(frozen=True)
@@ -308,8 +311,7 @@ def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
     s2 = np.asarray(sigma2, dtype=complex)
     p1 = s1 * (n - s1)
     denom = p1 - s2 * (n - s2)
-    with np.errstate(all="ignore"):
-        alpha_sq = _divide(l2sq - l1sq, denom)
+    alpha_sq = _divide(l2sq - l1sq, denom)
     singular = (
         np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
         InconsistentData,
@@ -416,7 +418,7 @@ def first_order_recovery(
         raise ValueError("no singularity samples given")
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[-1]
-    w = probe_array(probes, n)
+    w = probe_array(probes, n, ValueError, "omega: ")
     sigma = np.asarray(sigma, dtype=complex)
     grid = np.broadcast_shapes(b.shape[:-1], sigma.shape, np.shape(alpha_sq), h0.shape[:-2])
     with np.errstate(all="ignore"):

@@ -61,16 +61,6 @@ from scipy.special import loggamma
 
 from .errors import GammaPole, NotConvergent, QuadratureFailure
 
-__all__ = [
-    "QuadratureSpec",
-    "ModelIntegralValue",
-    "j_converges",
-    "j_integral",
-    "t_limit_integral",
-    "i_full_integral",
-    "green_kernel",
-]
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:

@@ -20,15 +20,6 @@ import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy
 
-__all__ = [
-    "ExceptionalSet",
-    "Admissibility",
-    "omega_interval",
-    "omega_prime_modes",
-    "exceptional_set",
-    "is_admissible",
-]
-
 
 @dataclass(frozen=True)
 class ExceptionalSet:

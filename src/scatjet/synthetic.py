@@ -18,7 +18,7 @@ from .boundary_jets import (
     indicial_root,
     perturbation_coefficients,
 )
-from .dataset import SymbolDataset
+from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
 from .forward_scattering import (
     default_probe_set,
@@ -122,7 +122,9 @@ def forward_dataset(
     at the ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set`
     unless given), at every grid point, are attached together with the
     probes and the model-integral factor pair used to build them (``(1, 1)``
-    unless given).  Probes without a second patch raise :class:`ConfigError`.
+    unless given).  Probes without a second patch, or a header that
+    :func:`~scatjet.dataset.check_header` refuses, raise :class:`ConfigError`
+    before any sampling.
     """
     if probes is not None and patch2 is None:
         raise ConfigError(
@@ -130,6 +132,9 @@ def forward_dataset(
         )
     n = patch1.n
     shape = patch1.grid_shape
+    lams = tuple(en.lam for en in energies)
+    # the header is judged before sampling: a scale_t it refuses makes zero or NaN covectors
+    check_header(n, shape, scale_t, lams)
     covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     symbols = principal_symbol(patch1, xi, energies)
@@ -147,7 +152,7 @@ def forward_dataset(
         n=n,
         grid_shape=shape,
         scale_t=float(scale_t),
-        energies=tuple(en.lam for en in energies),
+        energies=lams,
         symbols=symbols,
         singularity=singularity,
         probes=omega,
@@ -160,12 +165,11 @@ def make_synthetic_pair(
     seed: int,
     n: int,
     axes: tuple[int, ...] | None = None,
-    with_first_order: bool = True,
 ) -> tuple[SyntheticTruth, SymbolDataset]:
     """Random constant-coefficient truth plus its forward dataset.
 
-    The dataset has ``scale_t = 2`` and, with first-order data, the default
-    probes and ``t_pair = (1, 1)``.  The first-order perturbation uses a
+    The dataset has ``scale_t = 2`` and first-order data at the default
+    probes, with ``t_pair = (1, 1)``.  The first-order perturbation uses a
     traceless ``H`` (so the fitted system's structural kernel direction is
     orthogonal to the truth) and ``W1 = 0``, matching the regime in which
     minimum-norm recovery is exact.
@@ -185,5 +189,5 @@ def make_synthetic_pair(
     patch2 = constant_patch(n, alpha, v0, h0, v1=v1_base + W1, h1=h1_base + L, axes=axes)
     lam1, lam2 = draw_admissible_energies(rng, patch1)
 
-    ds = forward_dataset(patch1, (lam1, lam2), patch2=patch2 if with_first_order else None)
+    ds = forward_dataset(patch1, (lam1, lam2), patch2=patch2)
     return SyntheticTruth(n=n, alpha=alpha, v0=v0, h0=h0, H=H, W1=W1), ds

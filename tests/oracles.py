@@ -227,11 +227,9 @@ def per_sample_sigma_and_norm(value_xi, value_txi, t: float, n: int):
     """
     v = np.asarray(value_xi, dtype=complex)
     vt = np.asarray(value_txi, dtype=complex)
-    # _divide's unused branch divides by a zero imaginary part
-    with np.errstate(all="ignore"):
-        sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
-        pref, _ = prefactor_and_poles(sigma, n)
-        w = _divide(np.log(_divide(v, pref)), 2.0 * sigma - n)
+    sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+    pref, _ = prefactor_and_poles(sigma, n)
+    w = _divide(np.log(_divide(v, pref)), 2.0 * sigma - n)
     return sigma, np.exp(w.real)
 
 
@@ -263,7 +261,7 @@ def kernel_singularity_coefficient(pd, alpha, sigma, t1, t2, probes) -> np.ndarr
     n = pd.n
     D = radial_derivative_kernel(probes, np.asarray(sigma)[..., None])
     H = np.asarray(pd.H)[..., None, :, :]
-    const = pd.W[1] - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    const = pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
     return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[..., None]
 
 

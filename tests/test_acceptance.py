@@ -196,7 +196,7 @@ def test_acceptance_zeroth_order_round_trip():
     worst = 0.0
     for seed in range(25):
         n = seed % 3 + 1
-        truth, ds = make_synthetic_pair(seed=600 + seed, n=n, with_first_order=False)
+        truth, ds = make_synthetic_pair(seed=600 + seed, n=n)
         report = layer_strip_driver(ds)
         assert report.status == "ok"
         worst = max(

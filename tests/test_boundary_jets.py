@@ -143,7 +143,15 @@ def test_patch_from_dict_expressions_round_trip():
     assert patch.jet_order == 1
     y = 2 * np.pi * np.arange(8) / 8
     np.testing.assert_allclose(patch.alpha, 1 + 0.5 * np.cos(y))
-    back = BoundaryPatch.from_dict(patch.to_dict())
+    # the same fields as explicit per-grid-point arrays give the same patch
+    back = BoundaryPatch.from_dict(
+        dict(
+            raw,
+            alpha=patch.alpha.tolist(),
+            v_jet=[v.tolist() for v in patch.v_jet],
+            h_jet=[h.tolist() for h in patch.h_jet],
+        )
+    )
     np.testing.assert_allclose(back.alpha, patch.alpha)
     np.testing.assert_allclose(back.h_jet, patch.h_jet)
 
@@ -210,9 +218,9 @@ def test_indicial_branch_and_sum_product():
 def test_branch_cut_only_for_real_energy_in_interval():
     patch = constant_patch(2, 1.0, 5.0, np.eye(2))
     # V0 - lam^2 - 1 > 1  <=>  discriminant negative: lam = 0 real -> error
-    with pytest.raises(BranchCut) as info:
+    # the message counts the offending grid points and names the first
+    with pytest.raises(BranchCut, match=r"at 16 grid point\(s\), first at y-index \(0, 0\);"):
         indicial_root(patch, ComplexEnergy(0.0))
-    assert info.value.points  # offending grid points are reported
     # the same magnitude off the real axis evaluates fine
     sig = indicial_root(patch, ComplexEnergy(1e-3 + 0j * 0 + 2j))
     assert np.all(sig.real >= 1.0)
@@ -247,7 +255,7 @@ def test_perturbation_identical_patches():
     assert pd.H.shape == (4, 4, 2, 2) and pd.T.shape == (4, 4)
     assert not pd.H.any()
     assert not pd.T.any()
-    assert not np.asarray(pd.W).any()
+    assert not pd.W1.any()
 
 
 def test_perturbation_identity_metric():
@@ -265,7 +273,7 @@ def test_perturbation_worked_case():
     pd = perturbation_coefficients(p1, p2)
     np.testing.assert_allclose(pd.H[0, 0], [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
     assert pd.T[0, 0] == pytest.approx(2.0)
-    assert pd.W[1][0, 0] == pytest.approx(0.7)
+    assert pd.W1[0, 0] == pytest.approx(0.7)
     # reconstruction invariant: h0 H h0 is the jet difference
     np.testing.assert_allclose(h0 @ pd.H @ h0, np.broadcast_to(L, pd.H.shape), atol=1e-12)
 
@@ -280,7 +288,7 @@ def test_perturbation_antisymmetric_under_swap():
     rev = perturbation_coefficients(p2, p1)
     np.testing.assert_allclose(fwd.H, -rev.H, atol=1e-13)
     np.testing.assert_allclose(fwd.T, -rev.T, rtol=1e-12)
-    np.testing.assert_allclose(fwd.W, -np.asarray(rev.W), atol=1e-13)
+    np.testing.assert_allclose(fwd.W1, -rev.W1, atol=1e-13)
 
 
 def test_perturbation_mismatched_zeroth_order():

@@ -72,7 +72,7 @@ def test_parse_complex_refuses_non_finite(text):
 def test_dataset_save_load_identical(tmp_path):
     _, ds = make_synthetic_pair(seed=4, n=2)
     path = tmp_path / "ds.json"
-    ds.save(path)
+    path.write_text(canonical_json(ds.to_dict()))
     again = SymbolDataset.load(path)
     assert canonical_json(again.to_dict()) == canonical_json(ds.to_dict())
     assert again.energies == ds.energies
@@ -236,7 +236,7 @@ def test_dataset_unknown_energy_and_missing_extras():
 
 
 def test_dataset_rejects_symbols_of_wrong_shape():
-    _, ds = make_synthetic_pair(seed=4, n=2, with_first_order=False)
+    _, ds = make_synthetic_pair(seed=4, n=2)
     with pytest.raises(ConfigError, match=r"shape \(2, 4, 3, 3, 2\), expected \(2, 4, 4, 3, 2\)"):
         dataclasses.replace(ds, symbols=ds.symbols[:, :, 1:])
 
@@ -247,11 +247,12 @@ def test_dataset_rejects_singularity_without_every_grid_index():
         dataclasses.replace(ds, singularity=ds.singularity[:, 1:])
     with pytest.raises(ConfigError, match=r"singularity has shape \(4, 4, 3\), expected \(4, 4, 4\)"):
         dataclasses.replace(ds, singularity=ds.singularity[..., 1:])
-    with pytest.raises(ConfigError, match=r"probes has shape \(0, 2\), expected \(P, 2\) with at least"):
+    want = r"^probes: expected an array of shape \(P, 2\) with P >= 1, got shape "
+    with pytest.raises(ConfigError, match=want + r"\(0, 2\)$"):
         dataclasses.replace(ds, singularity=ds.singularity[..., :0], probes=ds.probes[:0])
-    with pytest.raises(ConfigError, match=r"probes has shape \(4, 1\), expected \(P, 2\)"):
+    with pytest.raises(ConfigError, match=want + r"\(4, 1\)$"):
         dataclasses.replace(ds, probes=ds.probes[:, :1])
-    with pytest.raises(ConfigError, match=r"probes has shape \(4, 4, 4, 2\), expected \(P, 2\)"):
+    with pytest.raises(ConfigError, match=want + r"\(4, 4, 4, 2\)$"):
         dataclasses.replace(ds, probes=np.broadcast_to(ds.probes, (4, 4, 4, 2)))
     with pytest.raises(
         ConfigError,
@@ -313,7 +314,7 @@ def test_dataset_rejects_bad_arrays_in_memory(field, index, value, message):
 
 
 def test_dataset_from_dict_ignores_unknown_keys():
-    _, ds = make_synthetic_pair(seed=4, n=2, with_first_order=False)
+    _, ds = make_synthetic_pair(seed=4, n=2)
     data = ds.to_dict()
     data["future_extension"] = {"anything": 1}
     again = SymbolDataset.from_dict(data)
@@ -480,7 +481,7 @@ def _no_samples(data):
         ),
         (
             _no_samples,
-            r"probes has shape \(0, 2\), expected \(P, 2\) with at least one probe",
+            r"probes: expected an array of shape \(P, 2\) with P >= 1, got shape \(0, 2\)$",
         ),
         (
             _as_list("symbols"),
@@ -690,8 +691,16 @@ def test_cli_integrals_bad_arguments_exit_2(extra):
 
 
 def _write_patch(tmp_path, name, patch):
+    """``patch`` as a patch file whose fields are explicit per-grid-point arrays."""
+    spec = {
+        "n": patch.n,
+        "axes": list(patch.axes),
+        "alpha": patch.alpha.tolist(),
+        "v_jet": [v.tolist() for v in patch.v_jet],
+        "h_jet": [h.tolist() for h in patch.h_jet],
+    }
     p = tmp_path / name
-    p.write_text(json.dumps(patch.to_dict()))
+    p.write_text(json.dumps(spec))
     return p
 
 
@@ -742,6 +751,7 @@ def test_cli_forward_invert_flow(tmp_path):
 
 
 _PROBES_SHAPE = r"^--probes: expected an array of shape \(P, 2\) with P >= 1"
+_NOT_NUMBERS = _PROBES_SHAPE + r", got values that are not an array of numbers"
 
 
 @pytest.mark.parametrize(
@@ -751,9 +761,10 @@ _PROBES_SHAPE = r"^--probes: expected an array of shape \(P, 2\) with P >= 1"
         ([[1.0, 0.0, 0.0]], _PROBES_SHAPE + r", got shape \(1, 3\)$"),
         ([], _PROBES_SHAPE + r", got shape \(0,\)$"),
         ([[1.0]], _PROBES_SHAPE + r", got shape \(1, 1\)$"),
-        ([[1.0, 0.0], [0.0, 1.0, 0.0]], _PROBES_SHAPE + r", got JSON that is not an array of numbers"),
+        ([[1.0, 0.0], [0.0, 1.0, 0.0]], _NOT_NUMBERS),
+        ([[10**400, 0]], _NOT_NUMBERS),
     ],
-    ids=["not-unit", "three-components", "empty", "one-component", "ragged"],
+    ids=["not-unit", "three-components", "empty", "one-component", "ragged", "int-past-double"],
 )
 def test_cli_forward_rejects_bad_probes(tmp_path, caplog, probes, message):
     p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.1))
@@ -798,7 +809,7 @@ def test_cli_invert_refused_energy(tmp_path):
         patch, (ComplexEnergy(1j * math.sqrt(2.0)), ComplexEnergy(4.0))
     )
     ds_path = tmp_path / "ds.json"
-    ds.save(ds_path)
+    ds_path.write_text(canonical_json(ds.to_dict()))
     out = tmp_path / "report.json"
     csv = tmp_path / "fields.csv"
     argv = ["invert", "--data", str(ds_path), "--out", str(out), "--margin", "1e-3"]
@@ -813,7 +824,7 @@ def test_cli_invert_rejects_bad_known_alpha(tmp_path, caplog, value):
     """A known alpha^2 must be finite and positive, as the two-energy stage requires."""
     patch = constant_patch(2, 1.0, 0.2, np.eye(2))
     ds_path = tmp_path / "ds.json"
-    forward_dataset(patch, (ComplexEnergy(4.0),)).save(ds_path)
+    ds_path.write_text(canonical_json(forward_dataset(patch, (ComplexEnergy(4.0),)).to_dict()))
     out = tmp_path / "report.json"
     assert main(["invert", "--data", str(ds_path), "--alpha-sq-known", value, "--out", str(out)]) == 2
     assert not out.exists()
@@ -872,7 +883,9 @@ def test_cli_non_finite_complex_argument_exits_2(tmp_path, caplog, command):
 )
 def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     """Finite input that overflows inside a stage ends in that stage's error, exit 1."""
-    _, ds = make_synthetic_pair(seed=3, n=2, with_first_order=case != "sigma-no-first-order")
+    _, ds = make_synthetic_pair(seed=3, n=2)
+    if case == "sigma-no-first-order":
+        ds = dataclasses.replace(ds, singularity=None, probes=None, t_pair=None)
     argv = ["invert", "--data", str(tmp_path / "ds.json"), "--out", str(tmp_path / "out.json")]
     if case == "first-order-svd":
         ds = dataclasses.replace(ds, t_pair=(1e308, 1e308))
@@ -889,7 +902,7 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     else:
         ds = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
         expected = "[stage sigma] recovered covector norm nan is not finite"
-    ds.save(tmp_path / "ds.json")
+    (tmp_path / "ds.json").write_text(canonical_json(ds.to_dict()))
     assert main(argv) == 1
     assert not (tmp_path / "out.json").exists()
     assert any(r.getMessage().startswith(expected) for r in caplog.records)
@@ -925,6 +938,15 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         ),
         (["sets", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
         (["forward", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
+        (["forward", "--lam", "4", "--scale-t", "nan"], 2, "scale_t=nan must be finite, positive"),
+        (["forward", "--lam", "4", "--scale-t", "inf"], 2, "scale_t=inf must be finite, positive"),
+        (["forward", "--lam", "4", "--scale-t", "0"], 2, "scale_t=0.0 must be finite, positive"),
+        (
+            ["forward", "--lam", "4", "--scale-t", "1e-320"],
+            1,
+            "principal symbol at energy index 0, covector (1e-320, 0.0) underflows to zero "
+            "at grid index (0, 0), sample (0, 0, 1)",
+        ),
     ],
     ids=[
         "integrals-t1",
@@ -934,10 +956,17 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         "verify-green-constant",
         "sets-lam",
         "forward-lam",
+        "forward-scale-t-nan",
+        "forward-scale-t-inf",
+        "forward-scale-t-zero",
+        "forward-symbol-underflow",
     ],
 )
 def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
-    """Finite arguments whose results leave double range: a named error, no NaN written."""
+    """Arguments whose results leave double range: a named error, no NaN or zero written.
+
+    A scale_t that no dataset header allows is refused before any sampling.
+    """
     if argv[0] in ("sets", "forward"):
         patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
         argv = [*argv, "--patch", str(patch)]
@@ -1038,7 +1067,7 @@ def cli_inputs(tmp_path_factory):
     """A patch ``p.json`` and a dataset ``ds.json`` with first-order data."""
     d = tmp_path_factory.mktemp("cli")
     _write_patch(d, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
-    make_synthetic_pair(seed=3, n=2)[1].save(d / "ds.json")
+    (d / "ds.json").write_text(canonical_json(make_synthetic_pair(seed=3, n=2)[1].to_dict()))
     return d
 
 
