@@ -105,9 +105,9 @@ def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
 
 def _require_finite(name: str, arr: np.ndarray, grid_ndim: int) -> None:
     """Raise :class:`ConfigError` naming ``name`` and its first non-finite grid index."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0][:grid_ndim])
+    finite = np.isfinite(arr)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0][:grid_ndim])
         raise ConfigError(f"{name} is not finite at grid index {idx}")
 
 
@@ -178,6 +178,40 @@ class BoundaryPatch:
         return min(len(self.v_jet), len(self.h_jet)) - 1
 
     # -- construction -----------------------------------------------------
+
+    def with_first_order(self, v1, h1) -> "BoundaryPatch":
+        """This patch's zeroth-order data with the first-order jets ``v1`` and ``h1``.
+
+        The result shares this patch's ``alpha``, ``V^(0)``, ``h^(0)`` and its
+        already judged ``h0_inv``, and carries jets to order one.  Only the
+        new jets are checked: ``v1`` must have the grid shape and ``h1`` the
+        shape ``grid + (n, n)``, both finite, or :class:`ConfigError` is
+        raised.
+        """
+        shape = self.grid_shape
+        v1 = np.asarray(v1, dtype=float)
+        h1 = np.asarray(h1, dtype=float)
+        if v1.shape != shape or h1.shape != shape + (self.n, self.n):
+            raise ConfigError(
+                f"first-order jets have shapes {v1.shape} and {h1.shape}, expected "
+                f"{shape} and {shape + (self.n, self.n)}"
+            )
+        _require_finite("v_jet[1]", v1, self.n)
+        _require_finite("h_jet[1]", h1, self.n)
+        v1.setflags(write=False)
+        h1.setflags(write=False)
+        # built without __init__: the zeroth-order data were judged with this patch
+        out = object.__new__(BoundaryPatch)
+        for name, value in (
+            ("n", self.n),
+            ("axes", self.axes),
+            ("alpha", self.alpha),
+            ("v_jet", (self.v_jet[0], v1)),
+            ("h_jet", (self.h_jet[0], h1)),
+            ("h0_inv", self.h0_inv),
+        ):
+            object.__setattr__(out, name, value)
+        return out
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "BoundaryPatch":

@@ -89,6 +89,10 @@ def raise_first(n: int, checks) -> None:
     masks = [np.asarray(failed, dtype=bool) for failed, _, _ in checks]
     depth = min(m.ndim for m in masks)
     shape = np.broadcast_shapes(*(m.shape[:depth] for m in masks))
+    # when nothing fails this costs one reduction per check; it comes after the
+    # shapes are judged, so that a mis-shaped check list still raises
+    if not any(m.any() for m in masks):
+        return
     at_point = [np.broadcast_to(m.any(axis=tuple(range(depth, m.ndim))), shape) for m in masks]
     hits = np.flatnonzero(np.logical_or.reduce(at_point))
     if not hits.size:

@@ -32,6 +32,7 @@ fit of :mod:`scatjet.inversion` inverts the same factorization.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -76,30 +77,43 @@ def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarr
     return w
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+# The tables below depend on n alone.  Each is built once per n and shared,
+# read-only, by every caller.
+
+
+@functools.cache
 def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)``: the index pairs ``i <= j`` of a symmetric ``n x n`` tensor.
 
     First the ``(i, i)``, then the ``(i, j)`` with ``i < j``, row by row.  The
     polarization covectors, the default probes and the unknowns of the
-    first-order fit all follow this order.
+    first-order fit all follow this order.  Both arrays are read-only.
     """
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    return np.concatenate([d, i]), np.concatenate([d, j])
+    return _read_only(np.concatenate([d, i])), _read_only(np.concatenate([d, j]))
 
 
+@functools.cache
 def polarization_covectors(n: int) -> np.ndarray:
     """The ``(C, n)`` covectors sampled at every grid point: ``e_i + e_j`` per pair ``i <= j``.
 
     A diagonal pair gives ``e_i``; the order is that of :func:`symmetric_pairs`.
+    The array is read-only.
     """
     rows, cols = symmetric_pairs(n)
     eye = np.eye(n)
-    return eye[rows] + (rows < cols)[:, None] * eye[cols]
+    return _read_only(eye[rows] + (rows < cols)[:, None] * eye[cols])
 
 
+@functools.cache
 def default_probe_set(n: int) -> np.ndarray:
-    """The ``(P, n)`` default probes, ``P = n^2``.
+    """The read-only ``(P, n)`` default probes, ``P = n^2``.
 
     The ``e_i``, then ``(e_i + e_j)/sqrt(2)`` and ``(e_i - e_j)/sqrt(2)`` for
     each pair ``i < j``, in the order of :func:`symmetric_pairs`.
@@ -107,7 +121,7 @@ def default_probe_set(n: int) -> np.ndarray:
     rows, cols = (k[n:] for k in symmetric_pairs(n))
     eye = np.eye(n)
     pairs = np.stack([eye[rows] + eye[cols], eye[rows] - eye[cols]], axis=1) / np.sqrt(2.0)
-    return np.concatenate([eye, pairs.reshape(-1, n)])
+    return _read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
 
 
 def prefactor_and_poles(sigma: np.ndarray, n: int):

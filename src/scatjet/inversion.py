@@ -76,6 +76,8 @@ _BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
 _SIGMA_SPREAD_TOL = 1e-6  # largest spread of sigma across one point's covectors
 _REALNESS_TOL = 1e-8  # largest relative imaginary part of alpha^2 and V0
 _PHASE_TOL = 1e-8  # largest imaginary part of log |xi|_{h0} from the peeled symbol
+_CROSS_ENERGY_TOL = 1e-8  # largest metric gap between energies, per max |h0| entry
+_FIT_TOL = 1e-8  # largest first-order fit residual, per max |F| of the point
 
 
 def _divide(a, b):
@@ -565,8 +567,13 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     algebra, then the first-order fit when singularity samples are present.
     A known ``alpha^2`` with two or more energies raises :class:`ConfigError`.
     ``h0`` is the metric at the first energy; ``h0_cross_energy`` is its
-    largest gap to the metric at any other energy.  Jets of order two and
-    higher are out of scope and flagged in ``notes``.
+    largest gap to the metric at any other energy.  That gap and the
+    first-order fit residual are judged here, each so that NaN fails:
+    a metric gap above 1e-8 times the point's largest ``|h0|`` entry raises
+    :class:`InconsistentData` in the metric stage, naming the grid index and
+    the energy index, and a fit residual above 1e-8 times the point's largest
+    ``|F|`` raises it in the first-order stage, naming the grid index.  Jets
+    of order two and higher are out of scope and flagged in ``notes``.
     """
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
@@ -608,9 +615,27 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
     with _stage("metric"):
         h0_fields = metric_boundary_recovery(rec.norm, n)
-    h0_field = report.h0 = h0_fields[..., 0, :, :]
+        h0_field = h0_fields[..., 0, :, :]
+        if not single_energy:
+            # (*grid, E): each energy's largest gap to the metric at energy 0
+            with np.errstate(all="ignore"):
+                gaps = np.max(np.abs(h0_fields - h0_field[..., None, :, :]), axis=(-2, -1))
+                scale = np.max(np.abs(h0_field), axis=(-2, -1))
+            raise_first(
+                n,
+                [
+                    # written so that a NaN gap fails too
+                    (
+                        ~(gaps <= _CROSS_ENERGY_TOL * scale[..., None]),
+                        InconsistentData,
+                        lambda i: f"metric at energy index {i[n]} differs from energy 0's by "
+                        f"{gaps[i]:.3e}, more than {_CROSS_ENERGY_TOL:g} times the largest "
+                        f"|h0| entry {scale[i[:n]]:.3e}",
+                    )
+                ],
+            )
+    report.h0 = h0_field
     if not single_energy:
-        gaps = np.abs(h0_fields[..., 1:, :, :] - h0_field[..., None, :, :])
         report.residuals["h0_cross_energy"] = float(np.max(gaps))
 
     if single_energy and a2 is None:
@@ -646,6 +671,20 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         with _stage("first-order"):
             fo = first_order_recovery(
                 dataset.singularity, dataset.probes, sigma1, *dataset.t_pair, alpha_field, h0_field
+            )
+            scale = np.max(np.abs(dataset.singularity), axis=-1)
+            raise_first(
+                n,
+                [
+                    # written so that a NaN residual fails and an all-zero F passes
+                    (
+                        ~(fo.residual <= _FIT_TOL * scale),
+                        InconsistentData,
+                        lambda i: f"first-order fit residual {fo.residual[i]:.3e} is more than "
+                        f"{_FIT_TOL:g} times the largest |F| {scale[i]:.3e}: the samples do "
+                        "not fit the first-order model",
+                    )
+                ],
             )
         report.H = fo.H
         report.W1 = fo.W1

@@ -186,7 +186,11 @@ def make_synthetic_pair(
     h1_base = (h1_base + h1_base.T) / 2.0
 
     patch1 = constant_patch(n, alpha, v0, h0, v1=v1_base, h1=h1_base, axes=axes)
-    patch2 = constant_patch(n, alpha, v0, h0, v1=v1_base + W1, h1=h1_base + L, axes=axes)
+    # patch2 shares patch1's zeroth-order data, so h^(0) is judged and inverted once
+    shape = patch1.grid_shape
+    patch2 = patch1.with_first_order(
+        np.full(shape, v1_base + W1), np.tile(h1_base + L, shape + (1, 1))
+    )
     lam1, lam2 = draw_admissible_energies(rng, patch1)
 
     ds = forward_dataset(patch1, (lam1, lam2), patch2=patch2)

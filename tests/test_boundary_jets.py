@@ -319,6 +319,38 @@ def test_perturbation_mismatch_names_first_grid_index():
         perturbation_coefficients(p1, p2)
 
 
+def test_with_first_order_shares_the_judged_zeroth_order_data():
+    """A derived patch reuses h0_inv and gives the bits of a fully built one."""
+    rng = np.random.default_rng(5)
+    h0 = random_spd(rng, 3)
+    L = rng.standard_normal((3, 3))
+    L = L + L.T
+    p1, built = _patch_pair(3, h0, v1_delta=-0.4, h1_delta=L)
+    derived = p1.with_first_order(built.v_jet[1], built.h_jet[1])
+    assert derived.h0_inv is p1.h0_inv
+    assert derived.alpha is p1.alpha and derived.h_jet[0] is p1.h_jet[0]
+    assert not derived.h_jet[1].flags.writeable and not derived.v_jet[1].flags.writeable
+    want = perturbation_coefficients(p1, built)
+    got = perturbation_coefficients(p1, derived)
+    for name in ("H", "T", "W1"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_with_first_order_checks_the_new_jets():
+    p1, _ = _patch_pair(2, np.eye(2))
+    v1, h1 = np.zeros((4, 4)), np.zeros((4, 4, 2, 2))
+    with pytest.raises(ConfigError, match=r"^first-order jets have shapes \(4, 3\) and"):
+        p1.with_first_order(v1[:, :3], h1)
+    with pytest.raises(ConfigError, match=r"expected \(4, 4\) and \(4, 4, 2, 2\)$"):
+        p1.with_first_order(v1, h1[..., :1])
+    h1[2, 1, 0, 1] = np.nan
+    with pytest.raises(ConfigError, match=r"^h_jet\[1\] is not finite at grid index \(2, 1\)$"):
+        p1.with_first_order(v1, h1)
+    v1[3, 0] = np.inf
+    with pytest.raises(ConfigError, match=r"^v_jet\[1\] is not finite at grid index \(3, 0\)$"):
+        p1.with_first_order(v1, h1)
+
+
 def test_perturbation_needs_first_order_jets():
     p1 = constant_patch(2, 1.0, 0.25, np.eye(2))  # zeroth-order only
     p2 = constant_patch(2, 1.0, 0.25, np.eye(2))

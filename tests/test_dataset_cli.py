@@ -819,6 +819,23 @@ def test_cli_invert_refused_energy(tmp_path):
     assert not csv.exists()  # a refused report has no fields to write
 
 
+def test_cli_invert_fails_on_metrics_that_differ_across_energies(tmp_path, caplog):
+    """Energy-0 symbols of one metric and energy-1 symbols of another: exit 1, no CSV."""
+    energies = (ComplexEnergy(3.2), ComplexEnergy(4.5))
+    a = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0])), energies)
+    b = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([1.0, 3.0])), energies)
+    ds = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:1], b.symbols[1:]]))
+    ds_path = tmp_path / "ds.json"
+    ds_path.write_text(canonical_json(ds.to_dict()))
+    out = tmp_path / "report.json"
+    csv = tmp_path / "fields.csv"
+    rc = main(["invert", "--data", str(ds_path), "--out", str(out), "--csv", str(csv)])
+    assert rc == 1
+    assert not out.exists() and not csv.exists()
+    want = "[stage metric] metric at energy index 1 differs from energy 0's"
+    assert any(r.getMessage().startswith(want) for r in caplog.records)
+
+
 @pytest.mark.parametrize("value", ["nan", "-2"])
 def test_cli_invert_rejects_bad_known_alpha(tmp_path, caplog, value):
     """A known alpha^2 must be finite and positive, as the two-energy stage requires."""

@@ -17,6 +17,7 @@ from scatjet.forward_scattering import (
     polarization_covectors,
     principal_symbol,
     singularity_coefficient,
+    symmetric_pairs,
 )
 from scatjet.synthetic import constant_patch, make_synthetic_pair
 
@@ -216,6 +217,17 @@ def test_default_probe_set_layout():
         assert probes.dtype == np.float64
         # the bits, signed zeros included
         np.testing.assert_array_equal(probes.view(np.uint64), np.array(rows).view(np.uint64))
+
+
+def test_n_only_tables_are_shared_and_read_only():
+    """Each table is built once per n; no caller can change the shared copy."""
+    for n in (1, 2, 3):
+        tables = (*symmetric_pairs(n), polarization_covectors(n), default_probe_set(n))
+        again = (*symmetric_pairs(n), polarization_covectors(n), default_probe_set(n))
+        for table, same in zip(tables, again):
+            assert same is table and not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 # -- singularity coefficient ------------------------------------------------

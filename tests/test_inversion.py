@@ -776,6 +776,35 @@ def test_driver_checks_the_metric_at_every_energy():
         layer_strip_driver(dataclasses.replace(ds, symbols=symbols))
 
 
+def test_driver_refuses_metrics_that_differ_across_energies():
+    """Energy-0 symbols of h0 = diag(2, 1), energy-1 symbols of h0 = diag(1, 3)."""
+    energies = (ComplexEnergy(3.2), ComplexEnergy(4.5))
+    a = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0])), energies)
+    b = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([1.0, 3.0])), energies)
+    mixed = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:1], b.symbols[1:]]))
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage metric\] metric at energy index 1 differs from energy 0's by "
+        r"2\.000e\+00, more than 1e-08 times the largest \|h0\| entry 2\.000e\+00 "
+        r"at grid index \(0, 0\), sample \(1,\)$",
+    ):
+        layer_strip_driver(mixed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_driver_refuses_samples_the_first_order_model_cannot_fit(n):
+    """Unit normal noise on the singularity samples leaves a fit residual near 1."""
+    _, ds = make_synthetic_pair(seed=7, n=n)
+    noise = np.random.default_rng(1).normal(size=ds.singularity.shape)
+    noisy = dataclasses.replace(ds, singularity=ds.singularity + noise)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage first-order\] first-order fit residual .* is more than 1e-08 times "
+        rf"the largest \|F\| .* at grid index \({', '.join(['0'] * n)}\)$",
+    ):
+        layer_strip_driver(noisy)
+
+
 def test_driver_detects_inconsistent_homogeneity():
     truth, ds = make_synthetic_pair(seed=3, n=2)
     v, vt = ds.symbols[0, 0, 0, 0]
