@@ -10,6 +10,11 @@ of the boundary at infinity, of
 * the Taylor coefficients ``h^(j)(y)`` of the boundary metric, with
   ``h^(0)`` symmetric positive definite.
 
+Positive definiteness is judged by :func:`positive_definite_inverse`: one
+Cholesky factorization per matrix, whose factor also gives the inverse
+(``h0_inv`` of a patch); a matrix is refused when Cholesky fails or that
+inverse has an entry that is not finite.
+
 The indicial root of the associated model operator at energy ``lambda`` is
 
     sigma(lambda, y) = n/2 + sqrt((n/2)^2 - (V0(y) - lambda^2 - n^2/4) / alpha(y)^2)
@@ -57,16 +62,13 @@ class ComplexEnergy:
 def _as_field(value: Any, coords: Mapping[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """Coerce an expression string, scalar, or array to a grid-shaped float array."""
     if isinstance(value, str):
-        out = evaluate_field(value, coords)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out
+        return np.broadcast_to(evaluate_field(value, coords), shape)
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return np.full(shape, float(arr))
     if arr.shape != shape:
         raise ConfigError(f"field array has shape {arr.shape}, expected {shape}")
-    return arr.copy()
+    return arr
 
 
 def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.ndarray:
@@ -80,7 +82,7 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
         return out
     num = np.asarray(value, dtype=float)
     if num.shape == shape + (n, n):
-        return num.copy()
+        return num
     raise ConfigError(
         f"matrix field must be an {n}x{n} nest of entries or an array of shape {shape + (n, n)}"
     )
@@ -89,18 +91,42 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
 def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
     """``inv(M)`` of a stack of symmetric matrices, or ``None`` if one is refused.
 
-    A matrix passes when Cholesky factors it with a finite factor (a NaN
-    matrix factors to NaN without raising) and LU finds no zero pivot, so
-    that ``solve`` and ``inv`` work on it.  Each matrix is judged alone: a
-    stack passes when every matrix in it passes.  Near a singular matrix the
-    verdict can differ by rounding from the sign of the smallest eigenvalue.
+    The inverse is read off the Cholesky factor ``L`` as ``X^T X`` with
+    ``X = L^-1``, so each matrix is factored once and its inverse is exactly
+    symmetric.  A matrix is refused when Cholesky raises or an entry of its
+    inverse is not finite (a NaN matrix, or a pivot so small that the inverse
+    leaves double range).  Every entry is computed elementwise over the
+    stack, its terms summed in a fixed order, and the Python loops run over
+    ``n`` only, so a matrix gets the same bits alone as in any stack; a stack
+    passes when every matrix in it passes.
+    Near a singular matrix the verdict can differ by rounding from the sign
+    of the smallest eigenvalue.
     """
     try:
-        if np.all(np.isfinite(np.linalg.cholesky(M))):
-            return np.linalg.inv(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        pass
-    return None
+        return None
+    n = L.shape[-1]
+    X = np.zeros_like(L)
+    inverse = np.empty_like(L)
+    with np.errstate(all="ignore"):  # a NaN or a pivot too small to invert ends non-finite
+        for k in range(n):
+            # forward substitution: row k of X from rows i..k-1 of X and row k of L
+            for i in range(k):
+                acc = L[..., k, i] * X[..., i, i]
+                for m in range(i + 1, k):
+                    acc += L[..., k, m] * X[..., m, i]
+                X[..., k, i] = -acc / L[..., k, k]
+            X[..., k, k] = 1.0 / L[..., k, k]
+        for j in range(n):
+            for i in range(j + 1):
+                acc = X[..., j, i] * X[..., j, j]
+                for k in range(j + 1, n):
+                    acc += X[..., k, i] * X[..., k, j]
+                inverse[..., i, j] = inverse[..., j, i] = acc
+    if not np.isfinite(inverse).all():
+        return None
+    return inverse
 
 
 def _require_finite(name: str, arr: np.ndarray, grid_ndim: int) -> None:
@@ -116,9 +142,12 @@ class BoundaryPatch:
     """Grid samples of ``(alpha, V-jet, h-jet)`` on a periodic boundary patch.
 
     The patch covers ``[0, 2*pi)^n`` with ``axes[i]`` uniformly spaced points
-    along coordinate ``y_{i+1}``.  ``h0_inv`` is the read-only inverse of
-    ``h^(0)`` at every point, the one that the positive-definiteness check
-    computes; the covector norms and the first-order data read it.
+    along coordinate ``y_{i+1}``.  It keeps read-only float copies of the
+    arrays it is given, so the caller's own arrays stay as they were.
+    ``h0_inv`` is the read-only inverse of ``h^(0)`` at every point, read off
+    the Cholesky factor that judges ``h^(0)`` positive definite (see
+    :func:`positive_definite_inverse`); the covector norms and the
+    first-order data read it.
     """
 
     n: int
@@ -136,24 +165,24 @@ class BoundaryPatch:
             raise ConfigError("need one per-axis count per dimension, each >= 4")
         object.__setattr__(self, "axes", axes)
         shape = axes
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)
         if alpha.shape != shape:
             raise ConfigError(f"alpha has shape {alpha.shape}, expected {shape}")
         _require_finite("alpha", alpha, self.n)
         if not np.all(alpha > 0):
             raise ConfigError("alpha must be strictly positive")
-        v_jet = tuple(np.asarray(v, dtype=float) for v in self.v_jet)
+        v_jet = tuple(np.array(v, dtype=float) for v in self.v_jet)
         if not v_jet or any(v.shape != shape for v in v_jet):
             raise ConfigError("v_jet must contain order-0.. coefficients at the grid shape")
-        h_jet = tuple(np.asarray(h, dtype=float) for h in self.h_jet)
+        h_jet = tuple(np.array(h, dtype=float) for h in self.h_jet)
         if not h_jet or any(h.shape != shape + (self.n, self.n) for h in h_jet):
             raise ConfigError("h_jet entries must have shape grid + (n, n)")
         for name, jet in (("v_jet", v_jet), ("h_jet", h_jet)):
             for order, arr in enumerate(jet):
                 _require_finite(f"{name}[{order}]", arr, self.n)
         h0 = h_jet[0]
-        # a rounding-sized bound: the one triangle the Cholesky test reads and
-        # the whole matrix the inverse reads differ by no more
+        # a rounding-sized bound: Cholesky, and so the inverse, reads one
+        # triangle, and the other may differ from it by no more
         if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=1e-12, atol=1e-12):
             raise ConfigError("h^(0) must be symmetric")
         h0_inv = positive_definite_inverse(h0)
@@ -183,14 +212,14 @@ class BoundaryPatch:
         """This patch's zeroth-order data with the first-order jets ``v1`` and ``h1``.
 
         The result shares this patch's ``alpha``, ``V^(0)``, ``h^(0)`` and its
-        already judged ``h0_inv``, and carries jets to order one.  Only the
-        new jets are checked: ``v1`` must have the grid shape and ``h1`` the
-        shape ``grid + (n, n)``, both finite, or :class:`ConfigError` is
-        raised.
+        already judged ``h0_inv``, and carries read-only copies of ``v1`` and
+        ``h1`` as its jets of order one.  Only the new jets are checked:
+        ``v1`` must have the grid shape and ``h1`` the shape
+        ``grid + (n, n)``, both finite, or :class:`ConfigError` is raised.
         """
         shape = self.grid_shape
-        v1 = np.asarray(v1, dtype=float)
-        h1 = np.asarray(h1, dtype=float)
+        v1 = np.array(v1, dtype=float)
+        h1 = np.array(h1, dtype=float)
         if v1.shape != shape or h1.shape != shape + (self.n, self.n):
             raise ConfigError(
                 f"first-order jets have shapes {v1.shape} and {h1.shape}, expected "

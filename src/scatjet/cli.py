@@ -29,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
-from .dataset import SymbolDataset, canonical_json, encode_complex, exceptional_to_dict
+from .dataset import (
+    SymbolDataset,
+    canonical_json,
+    encode_complex,
+    exceptional_to_dict,
+    read_text,
+    write_text,
+)
 from .errors import ConfigError, IoError, ScatjetError
 from .forward_scattering import principal_symbol, probe_array
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
@@ -66,7 +73,7 @@ def _load_json(path: str) -> dict:
     if not p.exists():
         raise ConfigError(f"input file does not exist: {p}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(read_text(p))
     except json.JSONDecodeError as exc:
         raise IoError(f"{p} is not valid JSON: {exc}") from None
 
@@ -75,7 +82,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        write_text(out, text)
 
 
 def _z_vector(raw: str, n: int) -> np.ndarray:
@@ -137,7 +144,7 @@ def cmd_invert(args) -> int:
         log.error("inversion refused: %s", "; ".join(report.notes))
         return 1
     if args.csv:
-        Path(args.csv).write_text(_field_csv(report))
+        write_text(args.csv, _field_csv(report))
     return 0
 
 
@@ -326,12 +333,12 @@ def cmd_roundtrip(args) -> int:
         truth, ds = make_synthetic_pair(args.seed, args.n)
     with timed("encode"):
         text = canonical_json(ds.to_dict())
-    (out_dir / "dataset.json").write_text(text)
+    write_text(out_dir / "dataset.json", text)
     # invert what the file holds, so the round trip crosses the codec
     with timed("decode"):
         ds = SymbolDataset.from_dict(json.loads(text))
     report = layer_strip_driver(ds, InversionConfig())
-    (out_dir / "report.json").write_text(_encode_report(report))
+    write_text(out_dir / "report.json", _encode_report(report))
 
     errors = {
         "alpha_sq": float(np.max(np.abs(report.alpha_sq - truth.alpha_sq))),
@@ -351,7 +358,7 @@ def cmd_roundtrip(args) -> int:
         "ok": ok,
     }
     text = canonical_json(summary)
-    (out_dir / "roundtrip.json").write_text(text)
+    write_text(out_dir / "roundtrip.json", text)
     sys.stdout.write(text)
     return 0 if ok else 1
 

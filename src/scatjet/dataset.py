@@ -18,8 +18,12 @@ complex entry as its ``re, im`` pair, so every bit is kept:
 
 The optional ``exceptional`` block holds the interval, the ``user_excluded``
 energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
-with ``K`` read off the value count.  Decoding only turns each string into
-an array of its declared shape; every check of the values runs in the
+with ``K`` read off the value count.
+
+:func:`pack_array` returns its text as a :class:`PackedArray`, a ``str``
+that :func:`canonical_json` copies as it stands: base64 needs no JSON
+escape, so the encoder never scans it.  Decoding only turns each string
+into an array of its declared shape; every check of the values runs in the
 :class:`SymbolDataset` constructor, for datasets built in memory and read
 from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
 ``/4`` are refused.
@@ -31,6 +35,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -55,9 +60,77 @@ def decode_complex(obj: Any) -> complex:
     return complex(re, im)
 
 
+class PackedArray(str):
+    """The base64 text of :func:`pack_array`, which never needs a JSON escape.
+
+    It is an ordinary ``str`` to every reader.  :func:`canonical_json` trusts
+    it to hold base64 alone and copies it between quotes as it stands.
+    """
+
+    __slots__ = ()
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_MARK = "\x00"  # never in the encoder's own text: it escapes every control character
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic serialization: sorted keys, fixed separators, newline.
+
+    The text equals ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    plus a newline.  It is written in one pass of the C encoder that
+    ``_ENCODER.encode`` builds, with the same settings, but with a string
+    writer that puts a mark in place of each :class:`PackedArray`; the packed
+    texts are then copied in between quotes as they stand, never scanned for
+    escapes.  Every other string goes through json's own
+    ``encode_basestring_ascii``.
+    """
+    packed: list[str] = []
+
+    def string(text: str) -> str:
+        if isinstance(text, PackedArray):
+            packed.append(text)
+            return _MARK
+        return encode_basestring_ascii(text)
+
+    e = _ENCODER
+    # the call that JSONEncoder.iterencode makes, with the string writer swapped
+    encode = c_make_encoder(
+        {},
+        e.default,
+        string,
+        e.indent,
+        e.key_separator,
+        e.item_separator,
+        e.sort_keys,
+        e.skipkeys,
+        e.allow_nan,
+    )
+    first, *rest = "".join(encode(obj, 0)).split(_MARK)
+    out = [first]
+    for text, after in zip(packed, rest):
+        out += ['"', text, '"', after]
+    out.append("\n")
+    return "".join(out)
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the file ``path``; :class:`IoError` naming it if it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = exc
+    raise IoError(f"cannot read {path}: {reason}")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file ``path``; :class:`IoError` naming it if that fails."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def exceptional_to_dict(es: ExceptionalSet) -> dict:
@@ -110,13 +183,14 @@ def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) 
             raise ConfigError(f"energies: energy index {e} ({lam}) is not finite")
 
 
-def pack_array(arr: np.ndarray) -> str:
+def pack_array(arr: np.ndarray) -> PackedArray:
     """A grid array as JSON: base64 of its C-order little-endian float64 bytes.
 
     A complex entry is written as its ``re, im`` pair.
     """
     dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
+    raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    return PackedArray(base64.b64encode(raw).decode("ascii"))
 
 
 def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np.ndarray:
@@ -313,7 +387,7 @@ class SymbolDataset:
         if not p.exists():
             raise IoError(f"dataset file not found: {p}")
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(read_text(p))
         except json.JSONDecodeError as exc:
             raise IoError(f"dataset file {p} is not valid JSON: {exc}") from None
         return cls.from_dict(data)

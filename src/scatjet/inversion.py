@@ -211,8 +211,9 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     positive definite.  The result has shape ``(..., n, n)``.
 
     Each point is judged alone by
-    :func:`~scatjet.boundary_jets.positive_definite_inverse` (Cholesky, then
-    the inverse), so a point passes or fails in any batch as it does alone.
+    :func:`~scatjet.boundary_jets.positive_definite_inverse`, which reads the
+    inverse off the Cholesky factor that judges the matrix, so a point passes
+    or fails in any batch as it does alone.
     Only when the batch is refused are its points judged one by one, and the
     first refused grid index (the first ``n`` axes) and sample (the axes
     between the grid and ``C``) are named with the eigenvalues of its matrix.

@@ -10,6 +10,7 @@ from scatjet.boundary_jets import (
     indicial_identity_residual,
     indicial_root,
     perturbation_coefficients,
+    positive_definite_inverse,
 )
 from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary
 from scatjet.forward_scattering import principal_symbol
@@ -110,6 +111,56 @@ def test_patch_arrays_read_only():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     with pytest.raises(ValueError):
         patch.alpha[0, 0] = 2.0
+
+
+def test_patch_leaves_the_callers_arrays_alone():
+    """The patch keeps copies: the caller's arrays stay writable, and editing them changes nothing."""
+    rng = np.random.default_rng(8)
+    alpha = rng.uniform(0.5, 2.0, size=(4, 5))
+    v0, v1 = rng.normal(size=(2, 4, 5))
+    h0 = np.tile(random_spd(rng, 2), (4, 5, 1, 1))
+    h1 = np.tile(np.eye(2), (4, 5, 1, 1))
+    patch = BoundaryPatch(n=2, axes=(4, 5), alpha=alpha, v_jet=(v0,), h_jet=(h0,))
+    both = patch.with_first_order(v1, h1)
+    kept = [a.copy() for a in (alpha, v0, h0, v1, h1)]
+    for arr in (alpha, v0, h0, v1, h1):
+        assert arr.flags.writeable
+        arr += 1.0
+    for got, want in zip((both.alpha, both.v_jet[0], both.h_jet[0], both.v_jet[1], both.h_jet[1]), kept):
+        np.testing.assert_array_equal(got, want)
+    for arr in (both.alpha, *both.v_jet, *both.h_jet, both.h0_inv):
+        assert not arr.flags.writeable
+
+
+# -- positive_definite_inverse ---------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_positive_definite_inverse_agrees_with_inv(n):
+    """Within rounding of ``np.linalg.inv`` on well-conditioned SPD stacks, exactly symmetric."""
+    rng = np.random.default_rng(40 + n)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 7, n, n)))
+    M = q * rng.uniform(0.5, 2.0, size=(3, 7, 1, n)) @ np.swapaxes(q, -1, -2)
+    M = (M + np.swapaxes(M, -1, -2)) / 2.0
+    got = positive_definite_inverse(M)
+    want = np.linalg.inv(M)
+    assert got.shape == M.shape
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
+    # elementwise over the stack: each matrix alone has the bits it has in the stack
+    for idx in np.ndindex(3, 7):
+        np.testing.assert_array_equal(positive_definite_inverse(M[idx]), got[idx])
+
+
+def test_positive_definite_inverse_refuses():
+    """A NaN, an indefinite and a singular semidefinite matrix, alone or in a stack, are refused."""
+    v = np.array([1.0, 2.0, -0.5])
+    for bad in (np.full((3, 3), np.nan), np.diag([1.0, -1e-3, 2.0]), np.outer(v, v), np.zeros((3, 3))):
+        assert positive_definite_inverse(bad) is None
+        assert positive_definite_inverse(np.stack([np.eye(3), bad])) is None
+    # a pivot so small that the inverse leaves double range
+    assert positive_definite_inverse(np.diag([1.0, 1e-320])) is None
 
 
 def test_patch_grid_helpers():

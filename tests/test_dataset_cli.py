@@ -29,6 +29,7 @@ from scatjet.dataset import (
 )
 from scatjet.errors import ConfigError, IoError
 from scatjet.forward_scattering import default_probe_set
+from scatjet.inversion import layer_strip_driver
 from scatjet.spectral_sets import ExceptionalSet
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
 
@@ -49,6 +50,63 @@ def test_canonical_json_is_order_independent():
     b = canonical_json({"a": [2, 3], "b": 1})
     assert a == b
     assert a.endswith("\n") and ": " not in a
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _packed_arrays():
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=40)
+    return st.one_of(
+        hnp.arrays(float, shapes, elements=st.floats()),
+        hnp.arrays(complex, shapes, elements=st.complex_numbers()),
+    ).map(pack_array)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(alphabet=st.one_of(st.characters(), st.sampled_from('"\\\x00\n\t\x7f é'))),
+    _packed_arrays(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_equals_json_dumps(obj):
+    """Packed arrays at any depth among every other kind of JSON value: the same text."""
+    assert canonical_json(obj) == _reference_json(obj)
+
+
+def test_canonical_json_writes_packed_arrays_as_they_stand():
+    """A packed array is a ``str`` to every reader, as a value and as a key."""
+    packed = pack_array(np.arange(6.0).reshape(2, 3) - 2.5j)
+    assert isinstance(packed, str) and json.loads(json.dumps(packed)) == packed
+    obj = {"a": [packed, {"b": packed}], packed: 1.5, "c": "\x00\"", "d": (None, math.nan)}
+    assert canonical_json(obj) == _reference_json(obj)
+    assert canonical_json(packed) == _reference_json(packed)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 600])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_dataset_and_report_equal_json_dumps(seed, n):
+    _, ds = make_synthetic_pair(seed, n)
+    report = layer_strip_driver(ds)
+    for obj in (ds.to_dict(), report.to_dict()):
+        assert canonical_json(obj) == _reference_json(obj)
 
 
 def test_parse_complex_forms():
@@ -1298,3 +1356,60 @@ def test_cli_roundtrip_missing_dir(tmp_path):
 def test_cli_process_roundtrip_missing_dir(tmp_path):
     proc = run_scatjet("roundtrip", "--seed", "7", "--out-dir", str(tmp_path / "void"))
     assert proc.returncode == 2, proc.stderr
+
+
+def _io_failure_cases(tmp_path):
+    """``(argv, message)``: a CLI call whose named input or output path cannot be used."""
+    data = tmp_path / "ds.json"
+    data.write_text(canonical_json(make_synthetic_pair(seed=3, n=2)[1].to_dict()))
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{}")
+    missing = tmp_path / "void"
+    report = ["--out", str(tmp_path / "r.json")]
+    return {
+        "invert-data-dir": (["invert", "--data", str(a_dir)], f"cannot read {a_dir}: Is a directory"),
+        "invert-data-not-text": (
+            ["invert", "--data", str(binary)],
+            f"cannot read {binary}: 'utf-8' codec can't decode byte 0xff",
+        ),
+        "forward-patch-dir": (
+            ["forward", "--patch", str(a_dir), "--lam", "4"],
+            f"cannot read {a_dir}: Is a directory",
+        ),
+        "invert-out-missing-dir": (
+            ["invert", "--data", str(data), "--out", str(missing / "r.json")],
+            f"cannot write {missing / 'r.json'}: No such file or directory",
+        ),
+        "invert-csv-missing-dir": (
+            ["invert", "--data", str(data), *report, "--csv", str(missing / "r.csv")],
+            f"cannot write {missing / 'r.csv'}: No such file or directory",
+        ),
+        "roundtrip-out-dir-file": (
+            ["roundtrip", "--seed", "7", "--out-dir", str(a_file)],
+            f"cannot write {a_file / 'dataset.json'}: Not a directory",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "invert-data-dir",
+        "invert-data-not-text",
+        "forward-patch-dir",
+        "invert-out-missing-dir",
+        "invert-csv-missing-dir",
+        "roundtrip-out-dir-file",
+    ],
+)
+def test_cli_process_io_failure_exits_2(tmp_path, case):
+    """A path that cannot be read or written ends in a named error and exit 2, no traceback."""
+    argv, message = _io_failure_cases(tmp_path)[case]
+    proc = run_scatjet(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"ERROR scatjet.cli: {message}" in proc.stderr
