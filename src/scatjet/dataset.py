@@ -1,4 +1,4 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/5``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/6``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
@@ -16,9 +16,9 @@ complex entry as its ``re, im`` pair, so every bit is kept:
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
   ``probes`` and ``t_pair`` are.
 
-The optional ``exceptional`` block holds the interval, the ``user_excluded``
-energies as ``[re, im]`` pairs and ``modes_lambda_sq``, real ``(*grid, K)``
-with ``K`` read off the value count.
+A dataset holds the scattering data and nothing derived from the unknowns:
+the inverse screens its energies against the exceptional set of the fields
+it recovers.
 
 :func:`pack_array` returns its text as a :class:`PackedArray`, a ``str``
 that :func:`canonical_json` copies as it stands: base64 needs no JSON
@@ -26,7 +26,7 @@ escape, so the encoder never scans it.  Decoding only turns each string
 into an array of its declared shape; every check of the values runs in the
 :class:`SymbolDataset` constructor, for datasets built in memory and read
 from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
-``/4`` are refused.
+``/5`` are refused.
 """
 from __future__ import annotations
 
@@ -43,10 +43,9 @@ import numpy as np
 
 from .errors import ConfigError, IoError, raise_first
 from .forward_scattering import polarization_covectors, probe_array
-from .spectral_sets import ExceptionalSet
 
-SCHEMA = "scatjet.symbols/5"
-_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in (1, 2, 3, 4))
+SCHEMA = "scatjet.symbols/6"
+_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in (1, 2, 3, 4, 5))
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -133,30 +132,6 @@ def write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def exceptional_to_dict(es: ExceptionalSet) -> dict:
-    """JSON block for an exceptional-set summary (see ``spectral_sets``)."""
-    return {
-        "interval_lambda_sq": [float(es.interval_lambda_sq[0]), float(es.interval_lambda_sq[1])],
-        "modes_lambda_sq": pack_array(es.modes_lambda_sq),
-        "user_excluded": [encode_complex(z) for z in es.user_excluded],
-    }
-
-
-def exceptional_from_dict(block: Mapping[str, Any], grid_shape: tuple[int, ...]) -> ExceptionalSet:
-    """Inverse of :func:`exceptional_to_dict`; :class:`IoError` if ``block`` is malformed."""
-    try:
-        lo, hi = block["interval_lambda_sq"]
-        return ExceptionalSet(
-            interval_lambda_sq=(float(lo), float(hi)),
-            modes_lambda_sq=unpack_array(
-                block["modes_lambda_sq"], "exceptional: modes_lambda_sq", (*grid_shape, -1), float
-            ),
-            user_excluded=tuple(decode_complex(z) for z in block["user_excluded"]),
-        )
-    except _MALFORMED as exc:
-        raise IoError(f"exceptional: malformed block: {type(exc).__name__}: {exc}") from None
-
-
 def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) -> None:
     """The checks that the shapes of the grid arrays rest on, and the rule for ``scale_t``.
 
@@ -236,8 +211,7 @@ class SymbolDataset:
     first-order singularity coefficient ``F`` at those probes, and
     ``t_pair`` the two model-integral factors
     they were built with, which the inverse reads; the three come together
-    or not at all.  ``exceptional`` is the exceptional set the energies are
-    screened against.  Construction checks every field and raises
+    or not at all.  Construction checks every field and raises
     :class:`ConfigError` naming the first bad entry (a missing one of the
     three by name, a probe by its index, an entry of a grid array by its
     grid index and sample).
@@ -251,7 +225,6 @@ class SymbolDataset:
     singularity: np.ndarray | None = None
     probes: np.ndarray | None = None
     t_pair: tuple[complex, complex] | None = None
-    exceptional: ExceptionalSet | None = None
 
     def __post_init__(self):
         check_header(self.n, self.grid_shape, self.scale_t, self.energies)
@@ -286,19 +259,6 @@ class SymbolDataset:
                 object.__setattr__(self, name, arr)
             if len(self.t_pair) != 2 or not all(cmath.isfinite(t) for t in self.t_pair):
                 raise ConfigError(f"t_pair {self.t_pair} is not two finite numbers")
-        if self.exceptional is not None:
-            es = self.exceptional
-            if es.modes_lambda_sq.shape[:-1] != self.grid_shape:
-                raise ConfigError(
-                    f"exceptional: modes_lambda_sq has shape {es.modes_lambda_sq.shape}, "
-                    f"expected {self.grid_shape} plus a mode count"
-                )
-            message = "exceptional: modes_lambda_sq: mode (k,) is not finite"
-            raise_first(g, [(~np.isfinite(es.modes_lambda_sq), ConfigError, lambda i: message)])
-            for name in ("interval_lambda_sq", "user_excluded"):
-                bad = np.flatnonzero(~np.isfinite(np.asarray(getattr(es, name), dtype=complex)))
-                if bad.size:
-                    raise ConfigError(f"exceptional: {name} entry {bad[0]} is not finite")
 
     # -- serialization ------------------------------------------------------
 
@@ -316,13 +276,11 @@ class SymbolDataset:
             out["probes"] = pack_array(self.probes)
         if self.t_pair is not None:
             out["t_pair"] = [encode_complex(self.t_pair[0]), encode_complex(self.t_pair[1])]
-        if self.exceptional is not None:
-            out["exceptional"] = exceptional_to_dict(self.exceptional)
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/5`` dataset and check it.
+        """Decode a ``scatjet.symbols/6`` dataset and check it.
 
         Raises :class:`IoError`: for an array that is not a base64 string of
         the right value count, naming the array (and its expected shape),
@@ -362,9 +320,6 @@ class SymbolDataset:
             if "t_pair" in data:
                 t1, t2 = data["t_pair"]
                 t_pair = (decode_complex(t1), decode_complex(t2))
-            exceptional = None
-            if "exceptional" in data:
-                exceptional = exceptional_from_dict(data["exceptional"], grid_shape)
             return cls(
                 n=n,
                 grid_shape=grid_shape,
@@ -374,7 +329,6 @@ class SymbolDataset:
                 singularity=singularity,
                 probes=probes,
                 t_pair=t_pair,
-                exceptional=exceptional,
             )
         except ConfigError as exc:
             raise IoError(str(exc)) from None

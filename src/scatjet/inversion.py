@@ -33,7 +33,10 @@ Stage by stage:
 
 Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
 chains the stages over a full symbol dataset, one call per stage: the sigma
-and metric stages carry the energy axis after the grid axes.
+and metric stages carry the energy axis after the grid axes.  The dataset
+holds the scattering data alone, so the energies are screened after stage 3,
+against the exceptional set of the recovered ``alpha^2`` and ``V0``
+(:func:`~scatjet.spectral_sets.exceptional_set`).
 """
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ from .forward_scattering import (
     probe_array,
     symmetric_pairs,
 )
-from .spectral_sets import is_admissible
+from .spectral_sets import exceptional_set, is_admissible
 
 log = logging.getLogger(__name__)
 STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
@@ -148,7 +151,10 @@ def recover_sigma_from_symbol(
     )
     shape = v.shape
     with np.errstate(all="ignore"):
-        each = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
+        q = np.log(_divide(vt, v))
+        d = 2.0 * math.log(t)
+        # a real divisor: parts divided alone, each a true division like ``_divide``'s
+        each = n / 2.0 + (q.real / d + 1j * (q.imag / d))
         samples = each.reshape(shape or (1,))
         # the first sample plus the mean deviation: exact where the samples
         # agree, where a sum over C can round off by an ulp, which the peel
@@ -562,10 +568,15 @@ class RecoveryReport:
 def layer_strip_driver(dataset, config: InversionConfig | None = None) -> RecoveryReport:
     """Run the staged recovery over a full symbol dataset.
 
-    Stages: admissibility screen (when the dataset carries exceptional-set
-    data), root/norm recovery and metric polarization over every grid point
+    Stages: root/norm recovery and metric polarization over every grid point
     and energy, two-energy (or, for one energy, known-``alpha``) zeroth-order
-    algebra, then the first-order fit when singularity samples are present.
+    algebra, the admissibility screen, then the first-order fit when
+    singularity samples are present.  The screen builds the exceptional set
+    (modes ``k <= 2``) from the recovered ``alpha^2`` and ``V0`` and judges
+    every energy at ``margin``; an energy that fails it gives a ``refused``
+    report with the reason in ``notes`` and no fields or residuals.  With one
+    energy and ``alpha^2`` unknown the driver stops at ``h0``, and ``notes``
+    says the screen did not run.
     A known ``alpha^2`` with two or more energies raises :class:`ConfigError`.
     ``h0`` is the metric at the first energy; ``h0_cross_energy`` is its
     largest gap to the metric at any other energy.  That gap and the
@@ -591,16 +602,8 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
 
-    # ComplexEnergy refuses a lambda whose square overflows, screened or not
+    # ComplexEnergy refuses a lambda whose square overflows
     energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
-    if dataset.exceptional is not None:
-        for en in energies:
-            adm = is_admissible(en, dataset.exceptional, cfg.margin)
-            if not adm.ok:
-                report.status = "refused"
-                report.notes.append(f"energy {en.lam}: {adm.reason}")
-                return report
-
     single_energy = len(energies) == 1
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
     with _stage("sigma"):
@@ -641,9 +644,10 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
 
     if single_energy and a2 is None:
         report.status = "partial: sigma and h0 only (one energy, alpha unknown)"
-        report.notes.append(
-            "a second energy or a known alpha^2 is required for the zeroth-order algebra"
-        )
+        report.notes += [
+            "a second energy or a known alpha^2 is required for the zeroth-order algebra",
+            "admissibility screen not run: alpha^2 is unknown",
+        ]
         return report
 
     with _stage("zeroth-order"):
@@ -660,6 +664,14 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             )
             alpha_field, v0_field, realness = two_energy_recovery(
                 sigma1, report.sigma2, energies[0].lam, energies[1].lam, n
+            )
+    # the energies are judged on the recovered fields; a refusal keeps none of them
+    es = exceptional_set(alpha_field, v0_field, n)
+    for en in energies:
+        adm = is_admissible(en, es, cfg.margin)
+        if not adm.ok:
+            return RecoveryReport(
+                n, shape, status="refused", notes=[f"energy {en.lam}: {adm.reason}"]
             )
     report.alpha_sq = alpha_field
     report.v0 = v0_field

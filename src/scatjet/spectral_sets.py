@@ -4,12 +4,15 @@ Three families of energies are tracked in the ``lambda^2`` plane (plus a
 user-supplied exclusion list in the ``lambda`` plane standing in for
 resolvent poles, which this toolkit does not compute):
 
-* the real interval ``[min V0 - alpha_max^2 n^2/4 + n^2/4,
-  max V0 - alpha_min^2 n^2/4 + n^2/4]`` swept by the branch data,
+* the real interval ``[min V0 - max alpha^2 n^2/4 + n^2/4,
+  max V0 - min alpha^2 n^2/4 + n^2/4]`` swept by the branch data,
 * the discrete mode family ``lambda^2 = V0(y) - n^2/4 + alpha(y)^2 (k^2 - n^2)/4``
   at which the conjugate indicial root hits ``(n - k)/2``, held as one real
   array of shape ``(*grid, k_max + 1)``,
 * explicit user-excluded energies.
+
+:func:`exceptional_set` builds the set from the grid fields ``alpha^2`` and
+``V0``: a patch's on the forward side, the recovered ones in the inverse.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary_jets import BoundaryPatch, ComplexEnergy
+from .boundary_jets import ComplexEnergy
 
 
 @dataclass(frozen=True)
@@ -42,35 +45,22 @@ class Admissibility:
     distances: dict[str, float]
 
 
-def omega_interval(patch: BoundaryPatch) -> tuple[float, float]:
-    """Endpoints of the real exceptional interval in the ``lambda^2`` plane."""
-    n = patch.n
-    quarter = n * n / 4.0
-    a_min = float(np.min(patch.alpha))
-    a_max = float(np.max(patch.alpha))
-    v_min = float(np.min(patch.v_jet[0]))
-    v_max = float(np.max(patch.v_jet[0]))
-    return (v_min - a_max**2 * quarter + quarter, v_max - a_min**2 * quarter + quarter)
-
-
-def omega_prime_modes(patch: BoundaryPatch, k_max: int) -> np.ndarray:
-    """Mode values ``lambda^2`` of shape ``(*grid, k_max + 1)`` for ``0 <= k <= k_max``."""
+def exceptional_set(
+    alpha_sq, v0, n: int, k_max: int = 2, user_excluded: Sequence[complex] = ()
+) -> ExceptionalSet:
+    """The exceptional set of the grid fields ``alpha^2`` and ``V0``, modes ``k <= k_max``."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    n = patch.n
+    a2 = np.asarray(alpha_sq, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    quarter = n * n / 4.0
     k = np.arange(k_max + 1)
-    # libm's pow, as a Python float's ``**``: written mode values keep their bits,
-    # which ``alpha * alpha`` changes in the last place for about 0.1% of inputs
-    a2 = np.float_power(patch.alpha, 2)[..., None]
-    return patch.v_jet[0][..., None] - n * n / 4.0 + a2 * (k * k - n * n) / 4.0
-
-
-def exceptional_set(
-    patch: BoundaryPatch, k_max: int = 2, user_excluded: Sequence[complex] = ()
-) -> ExceptionalSet:
     return ExceptionalSet(
-        interval_lambda_sq=omega_interval(patch),
-        modes_lambda_sq=omega_prime_modes(patch, k_max),
+        interval_lambda_sq=(
+            float(np.min(v0)) - float(np.max(a2)) * quarter + quarter,
+            float(np.max(v0)) - float(np.min(a2)) * quarter + quarter,
+        ),
+        modes_lambda_sq=v0[..., None] - quarter + a2[..., None] * (k * k - n * n) / 4.0,
         user_excluded=tuple(complex(z) for z in user_excluded),
     )
 

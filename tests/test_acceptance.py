@@ -288,7 +288,7 @@ def test_acceptance_exceptional_set():
         v_jet=(v0,),
         h_jet=(np.tile(np.eye(2), shape + (1, 1)),),
     )
-    es = exceptional_set(patch, k_max=2)
+    es = exceptional_set(alpha**2, v0, 2, k_max=2)
     assert es.modes_lambda_sq.shape == shape + (3,)  # the enumeration is non-trivial
     worst = _mode_feedback_gap(patch, es.modes_lambda_sq, range(3))
     assert worst <= 1e-8
@@ -303,7 +303,8 @@ def test_acceptance_exceptional_set():
             "h_jet": [[[1.0, 0.0], [0.0, 1.0]]],
         }
     )
-    g_modes = exceptional_set(generic, k_max=2).modes_lambda_sq
+    g_alpha_sq = np.float_power(generic.alpha, 2)
+    g_modes = exceptional_set(g_alpha_sq, generic.v_jet[0], 2, k_max=2).modes_lambda_sq
     worst_g = _mode_feedback_gap(generic, g_modes, range(1, 3))
     assert worst_g <= 1e-8
 
@@ -311,7 +312,7 @@ def test_acceptance_exceptional_set():
     assert ok.ok
     inside = is_admissible(ComplexEnergy(1j), es, margin=0.1)  # lambda^2 = -1
     assert not inside.ok and "interval" in inside.reason
-    es_user = exceptional_set(patch, k_max=2, user_excluded=(5j,))
+    es_user = exceptional_set(alpha**2, v0, 2, k_max=2, user_excluded=(5j,))
     vetoed = is_admissible(ComplexEnergy(5j), es_user, margin=0.1)
     assert not vetoed.ok and "excluded" in vetoed.reason
     return (

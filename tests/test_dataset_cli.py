@@ -30,7 +30,6 @@ from scatjet.dataset import (
 from scatjet.errors import ConfigError, IoError
 from scatjet.forward_scattering import default_probe_set
 from scatjet.inversion import layer_strip_driver
-from scatjet.spectral_sets import ExceptionalSet
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
 
 from cli_process import run_scatjet
@@ -140,12 +139,6 @@ def test_dataset_save_load_identical(tmp_path):
     np.testing.assert_array_equal(again.probes, ds.probes)
     assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 2)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
-    es, es_again = ds.exceptional, again.exceptional
-    assert es_again.interval_lambda_sq == es.interval_lambda_sq
-    assert es_again.user_excluded == es.user_excluded
-    np.testing.assert_array_equal(es_again.modes_lambda_sq, es.modes_lambda_sq)
-    assert es_again.modes_lambda_sq.shape == (4, 4, 3)
-    assert not es_again.modes_lambda_sq.flags.writeable
 
 
 def _bits(arr):
@@ -158,7 +151,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _datasets(draw):
-    """Datasets with singularity data and an exceptional set.
+    """Datasets with singularity data.
 
     Any finite numbers, -0.0 among them, one set of unit probes and small grids.
     """
@@ -166,7 +159,6 @@ def _datasets(draw):
     grid = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     n_energies = draw(st.integers(1, 2))
     count = draw(st.integers(1, 4))
-    n_modes = draw(st.integers(0, 3))
 
     def real_array(shape):
         return draw(hnp.arrays(float, shape, elements=st.one_of(st.just(-0.0), _FINITE)))
@@ -186,11 +178,6 @@ def _datasets(draw):
         singularity=complex_array(grid + (count,)),
         probes=raw / norm,
         t_pair=tuple(complex_array((2,))),
-        exceptional=ExceptionalSet(
-            interval_lambda_sq=tuple(real_array((2,)).tolist()),
-            modes_lambda_sq=real_array(grid + (n_modes,)),
-            user_excluded=tuple(complex_array((draw(st.integers(0, 3)),))),
-        ),
     )
 
 
@@ -202,15 +189,9 @@ def test_dataset_encode_decode_is_identity(ds):
     assert canonical_json(again.to_dict()) == text
     for name in ("symbols", "singularity", "probes"):
         np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
-    es, es_again = ds.exceptional, again.exceptional
-    np.testing.assert_array_equal(_bits(es_again.modes_lambda_sq), _bits(es.modes_lambda_sq))
-    assert es_again.modes_lambda_sq.shape == es.modes_lambda_sq.shape
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
     assert _bits(np.array(again.energies + again.t_pair)).tolist() == _bits(
         np.array(ds.energies + ds.t_pair)
-    ).tolist()
-    assert _bits(np.array(es_again.interval_lambda_sq + es_again.user_excluded)).tolist() == _bits(
-        np.array(es.interval_lambda_sq + es.user_excluded)
     ).tolist()
 
 
@@ -393,12 +374,11 @@ def test_dataset_io_errors(tmp_path):
 
 
 # float shapes of the seed-4, n=2 dataset's packed arrays (grid 4x4, 2 energies,
-# 3 covectors, 4 probes, modes k = 0..2; complex entries as [re, im])
+# 3 covectors, 4 probes; complex entries as [re, im])
 _FLOAT_SHAPES = {
     "symbols": (2, 4, 4, 3, 2, 2),
     "singularity": (4, 4, 4, 2),
     "probes": (4, 2),
-    "modes_lambda_sq": (4, 4, 3),
 }
 
 
@@ -418,25 +398,21 @@ def _edit_packed(parent, name, edit, shape=(-1,)):
     parent[name] = pack_array(arr if out is None else out)
 
 
-def _set_entry(name, index, value, block=None):
-    """Set one entry of packed array ``name`` (of ``data[block]`` if given)."""
+def _set_entry(name, index, value):
+    """Set one entry of packed array ``name``."""
 
     def mutate(data):
         def put(arr):
             arr[index] = value
 
-        _edit_packed(data if block is None else data[block], name, put, _FLOAT_SHAPES[name])
+        _edit_packed(data, name, put, _FLOAT_SHAPES[name])
 
     return mutate
 
 
-def _set(path, value):
+def _set(key, value):
     def mutate(data):
-        *parents, last = path
-        block = data
-        for part in parents:
-            block = block[part]
-        block[last] = value
+        data[key] = value
 
     return mutate
 
@@ -448,11 +424,11 @@ def _drop(key):
     return mutate
 
 
-def _truncate(name, count, block=None):
+def _truncate(name, count):
     """Cut the last ``count`` float64 values of packed array ``name``."""
 
     def mutate(data):
-        _edit_packed(data if block is None else data[block], name, lambda arr: arr[:-count])
+        _edit_packed(data, name, lambda arr: arr[:-count])
 
     return mutate
 
@@ -475,12 +451,11 @@ def _as_list(name):
     return mutate
 
 
-def _replace_char(name, position, char, block=None):
-    """Put ``char`` at ``position`` of packed string ``name`` (of ``data[block]`` if given)."""
+def _replace_char(name, position, char):
+    """Put ``char`` at ``position`` of packed string ``name``."""
 
     def mutate(data):
-        parent = data if block is None else data[block]
-        parent[name] = parent[name][:position] + char + parent[name][position + 1 :]
+        data[name] = data[name][:position] + char + data[name][position + 1 :]
 
     return mutate
 
@@ -571,44 +546,19 @@ def _no_samples(data):
         ),
         *(
             (
-                _set(["schema"], f"scatjet.symbols/{old}"),
+                _set("schema", f"scatjet.symbols/{old}"),
                 rf"dataset schema 'scatjet.symbols/{old}' is no longer read; "
-                r"re-run `scatjet forward` to write 'scatjet.symbols/5'",
+                r"re-run `scatjet forward` to write 'scatjet.symbols/6'",
             )
-            for old in (1, 2, 3, 4)
+            for old in (1, 2, 3, 4, 5)
         ),
-        (_set(["scale_t"], 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
-        (_set(["scale_t"], -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
-        (_set(["energies"], []), r"dataset has no energies"),
-        (_set(["grid_shape"], [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
-        (_set(["grid_shape"], [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
-        (_set(["exceptional"], 5), r"exceptional: malformed block: TypeError"),
+        (_set("scale_t", 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
+        (_set("scale_t", -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
+        (_set("energies", []), r"dataset has no energies"),
+        (_set("grid_shape", [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
+        (_set("grid_shape", [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
         (
-            lambda data: data["exceptional"].pop("interval_lambda_sq"),
-            r"exceptional: malformed block: KeyError: 'interval_lambda_sq'",
-        ),
-        (
-            _replace_char("modes_lambda_sq", 3, "\u00e9", block="exceptional"),
-            r"^exceptional: modes_lambda_sq: not a base64 string of float64 bytes: "
-            r"string argument should contain only ASCII characters$",
-        ),
-        (
-            _truncate("modes_lambda_sq", 1, block="exceptional"),
-            # K is read off the value count, rounded up like the probe count P
-            r"exceptional: modes_lambda_sq: expected 48 float64 values for a float "
-            r"array of shape \(4, 4, 3\), got 47$",
-        ),
-        (
-            _set_entry("modes_lambda_sq", (1, 0, 2), math.nan, block="exceptional"),
-            r"exceptional: modes_lambda_sq: mode \(k,\) is not finite "
-            r"at grid index \(1, 0\), sample \(2,\)",
-        ),
-        (
-            _set(["exceptional", "user_excluded"], [[1.0, 0.0], [math.nan, 0.0]]),
-            r"exceptional: user_excluded entry 1 is not finite",
-        ),
-        (
-            _set(["singularity"], 1.5),
+            _set("singularity", 1.5),
             r"^singularity: expected a base64 string of float64 bytes, got float$",
         ),
         (
@@ -643,17 +593,12 @@ def _no_samples(data):
         "schema-2",
         "schema-3",
         "schema-4",
+        "schema-5",
         "scale-t-one",
         "scale-t-negative",
         "no-energies",
         "grid-axis-zero",
         "grid-rank-not-n",
-        "exceptional-not-a-block",
-        "exceptional-no-interval",
-        "exceptional-mode-not-a-number",
-        "exceptional-modes-too-short",
-        "exceptional-nan-mode",
-        "exceptional-nan-excluded",
         "array-not-a-string",
         "non-base64-character",
         "bytes-not-whole-values",
@@ -672,9 +617,9 @@ def test_dataset_incomplete_or_non_finite(tmp_path, mutate, message):
 
 
 def test_cli_process_invert_bad_dataset_exits_2(tmp_path):
-    """A bad header or exceptional block ends in exit 2 with no traceback."""
+    """A bad header or a malformed array ends in exit 2 with no traceback."""
     _, ds = make_synthetic_pair(seed=4, n=2)
-    for field, value in (("scale_t", 1.0), ("exceptional", 5)):
+    for field, value in (("scale_t", 1.0), ("singularity", 1.5)):
         data = ds.to_dict()
         data[field] = value
         path = tmp_path / f"{field}.json"
@@ -784,11 +729,11 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/5"
+    assert payload["schema"] == "scatjet.symbols/6"
     # every block is a dataset field that load reads: no derived extras
     assert set(payload) == {
         "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
-        "symbols", "singularity", "probes", "exceptional",
+        "symbols", "singularity", "probes",
     }
 
     report_path = tmp_path / "report.json"

@@ -40,6 +40,7 @@ from scatjet.inversion import (
     recover_sigma_from_symbol,
     two_energy_recovery,
 )
+from scatjet.spectral_sets import exceptional_set, is_admissible
 from scatjet.synthetic import (
     constant_patch,
     draw_admissible_energies,
@@ -656,6 +657,8 @@ def test_driver_single_energy_partial():
     report = layer_strip_driver(ds)
     assert report.status.startswith("partial")
     assert report.h0 is not None and report.alpha_sq is None
+    # the screen needs alpha^2, so with one energy and no known alpha^2 it cannot run
+    assert "admissibility screen not run: alpha^2 is unknown" in report.notes
 
 
 def test_driver_single_energy_with_known_alpha():
@@ -699,6 +702,45 @@ def test_driver_refuses_inadmissible_energy():
     report = layer_strip_driver(ds)
     assert report.status == "refused"
     assert report.notes and report.sigma1 is None
+
+
+def test_driver_screens_one_energy_on_a_known_alpha():
+    """With alpha^2 known, the screen runs on one energy: lambda^2 = -2 is a mode value."""
+    patch = constant_patch(2, 1.0, 0.0, np.eye(2))
+    ds = forward_dataset(patch, (ComplexEnergy(1j * math.sqrt(2.0)),))
+    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.0))
+    assert report.status == "refused"
+    assert report.sigma1 is None and report.alpha_sq is None and not report.residuals
+    (note,) = report.notes
+    assert note.startswith("energy ") and "of omega-prime-mode" in note
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_screen_on_recovered_fields_matches_the_truths_set(n):
+    """The set the driver builds from its recovered alpha^2 and V0 is the truth's set.
+
+    Modes and interval agree to 1e-12, and every energy of the dataset gets
+    the verdict the truth's set gives it, at both margins.
+    """
+    for seed in range(600, 605):
+        truth, ds = make_synthetic_pair(seed, n)
+        report = layer_strip_driver(ds)
+        assert report.status == "ok"
+        recovered = exceptional_set(report.alpha_sq, report.v0, n)
+        a2 = np.full(ds.grid_shape, np.float_power(truth.alpha, 2))
+        true = exceptional_set(a2, np.full(ds.grid_shape, truth.v0), n)
+        np.testing.assert_allclose(
+            recovered.interval_lambda_sq, true.interval_lambda_sq, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            recovered.modes_lambda_sq, true.modes_lambda_sq, rtol=0, atol=1e-12
+        )
+        for lam in ds.energies:
+            for margin in (1e-6, 1e-3):
+                en = ComplexEnergy(lam)
+                assert (
+                    is_admissible(en, recovered, margin).ok == is_admissible(en, true, margin).ok
+                )
 
 
 def _with_symbol(ds, index, value):
@@ -838,10 +880,9 @@ def test_driver_round_trip_on_varying_patch():
 
 def test_driver_refuses_an_energy_whose_square_overflows():
     _, ds = make_synthetic_pair(seed=3, n=2)
-    for exceptional in (ds.exceptional, None):
-        huge = dataclasses.replace(ds, energies=(1e200, ds.energies[1]), exceptional=exceptional)
-        with pytest.raises(ConfigError, match=r"^energy \(1e\+200\+0j\): lambda\^2 = \(inf\+0j\)"):
-            layer_strip_driver(huge)
+    huge = dataclasses.replace(ds, energies=(1e200, ds.energies[1]))
+    with pytest.raises(ConfigError, match=r"^energy \(1e\+200\+0j\): lambda\^2 = \(inf\+0j\)"):
+        layer_strip_driver(huge)
 
 
 def test_driver_rejects_non_dataset():

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root
-from scatjet.spectral_sets import (
-    exceptional_set,
-    is_admissible,
-    omega_interval,
-    omega_prime_modes,
-)
+from scatjet.spectral_sets import exceptional_set, is_admissible
 from scatjet.synthetic import constant_patch
 
 
@@ -26,16 +21,21 @@ def _variable_patch():
     )
 
 
+def _set_of(patch, **kwargs):
+    """The exceptional set of a patch's fields, ``alpha^2`` by libm's pow as the callers take it."""
+    return exceptional_set(np.float_power(patch.alpha, 2), patch.v_jet[0], patch.n, **kwargs)
+
+
 # -- interval ---------------------------------------------------------------
 
 
 def test_interval_collapses_for_constant_fields():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    assert omega_interval(patch) == (0.0, 0.0)
+    assert _set_of(patch).interval_lambda_sq == (0.0, 0.0)
 
 
 def test_interval_variable_fields():
-    lo, hi = omega_interval(_variable_patch())
+    lo, hi = _set_of(_variable_patch()).interval_lambda_sq
     assert lo == pytest.approx(-3.0)
     assert hi == pytest.approx(1.0)
 
@@ -43,8 +43,8 @@ def test_interval_variable_fields():
 def test_interval_monotone_in_potential():
     a = constant_patch(2, 1.0, 0.0, np.eye(2))
     b = constant_patch(2, 1.0, 0.5, np.eye(2))
-    assert omega_interval(b)[1] > omega_interval(a)[1]
-    assert omega_interval(b)[0] > omega_interval(a)[0]
+    assert _set_of(b).interval_lambda_sq[1] > _set_of(a).interval_lambda_sq[1]
+    assert _set_of(b).interval_lambda_sq[0] > _set_of(a).interval_lambda_sq[0]
 
 
 # -- discrete modes ---------------------------------------------------------
@@ -52,7 +52,7 @@ def test_interval_monotone_in_potential():
 
 def test_modes_worked_values():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    modes = omega_prime_modes(patch, k_max=2)
+    modes = _set_of(patch, k_max=2).modes_lambda_sq
     assert modes.shape == (4, 4, 3)
     assert modes[0, 0, 0] == pytest.approx(-2.0)
     assert modes[0, 0, 2] == pytest.approx(-1.0)
@@ -61,7 +61,7 @@ def test_modes_worked_values():
 def test_modes_hit_half_integer_roots():
     """Each emitted lambda^2 puts the lower indicial root at (n-k)/2."""
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    modes = omega_prime_modes(patch, k_max=3)
+    modes = _set_of(patch, k_max=3).modes_lambda_sq
     for *idx, k in np.ndindex(*modes.shape):
         lam_sq = complex(modes[(*idx, k)])
         en = ComplexEnergy(complex(np.sqrt(lam_sq)), lam_sq=lam_sq)
@@ -84,7 +84,7 @@ def test_modes_match_the_per_point_formula():
         v_jet=(rng.uniform(-1.0, 1.0, size=shape),),
         h_jet=(np.tile(np.eye(2), shape + (1, 1)),),
     )
-    modes = omega_prime_modes(patch, k_max=3)
+    modes = _set_of(patch, k_max=3).modes_lambda_sq
     assert modes.shape == shape + (4,)
     n = patch.n
     for idx in np.ndindex(*shape):
@@ -96,10 +96,10 @@ def test_modes_match_the_per_point_formula():
 
 def test_modes_constant_patch_dedup_and_validation():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    modes = omega_prime_modes(patch, k_max=0)
+    modes = _set_of(patch, k_max=0).modes_lambda_sq
     assert len(set(modes.ravel().tolist())) == 1
     with pytest.raises(ValueError):
-        omega_prime_modes(patch, k_max=-1)
+        _set_of(patch, k_max=-1)
 
 
 # -- admissibility ----------------------------------------------------------
@@ -107,14 +107,14 @@ def test_modes_constant_patch_dedup_and_validation():
 
 def test_admissible_far_energy():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    es = exceptional_set(patch)
+    es = _set_of(patch)
     adm = is_admissible(ComplexEnergy(5.0j), es, margin=0.1)
     assert adm.ok and bool(adm)
     assert set(adm.distances) >= {"omega-interval", "omega-prime-mode"}
 
 
 def test_inadmissible_in_interval():
-    es = exceptional_set(_variable_patch())
+    es = _set_of(_variable_patch())
     # lambda^2 = -1 lies inside [-3, 1]
     adm = is_admissible(ComplexEnergy(1.0j), es, margin=0.1)
     assert not adm.ok
@@ -123,7 +123,7 @@ def test_inadmissible_in_interval():
 
 def test_inadmissible_near_mode():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    es = exceptional_set(patch, k_max=2)
+    es = _set_of(patch, k_max=2)
     adm = is_admissible(ComplexEnergy(complex(np.sqrt(complex(-2.001)))), es, margin=0.1)
     assert not adm.ok
     assert "omega-prime-mode" in adm.reason
@@ -131,20 +131,20 @@ def test_inadmissible_near_mode():
 
 def test_inadmissible_user_excluded():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    es = exceptional_set(patch, user_excluded=(3.0 + 0.0j,))
+    es = _set_of(patch, user_excluded=(3.0 + 0.0j,))
     adm = is_admissible(ComplexEnergy(3.0 + 0.05j), es, margin=0.1)
     assert not adm.ok
     assert "user-excluded" in adm.reason
     assert is_admissible(ComplexEnergy(3.0 + 0.05j), es, margin=0.01).ok
     # a NaN excluded energy gives a NaN distance, which counts as a violation
-    es = exceptional_set(patch, user_excluded=(complex(np.nan, 0.0),))
+    es = _set_of(patch, user_excluded=(complex(np.nan, 0.0),))
     adm = is_admissible(ComplexEnergy(5.0j), es, margin=0.1)
     assert not adm.ok and "user-excluded" in adm.reason
 
 
 def test_admissibility_margin_validation_and_monotonicity():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
-    es = exceptional_set(patch)
+    es = _set_of(patch)
     with pytest.raises(ValueError):
         is_admissible(ComplexEnergy(5.0j), es, margin=-1.0)
     lam = ComplexEnergy(complex(np.sqrt(complex(-2.3))))
