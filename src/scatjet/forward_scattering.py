@@ -9,7 +9,10 @@ The principal symbol of the scattering matrix at energy ``lambda`` is
 with ``sigma = sigma(lambda, y)`` the indicial root and
 ``|xi|_{h0}^2 = xi^T h0^-1 xi`` the covector norm, homogeneous of degree
 ``2 sigma - n``.  ``principal_symbol`` evaluates it over the whole grid for a
-stack of covectors and a sequence of energies at once.
+stack of covectors and a sequence of energies at once.  Where ``sigma`` is
+real, as at a real energy above the cut, the prefactor takes scipy's real
+``gamma`` and the power numpy's real ``exp`` (:func:`real_or_complex` picks
+the kernel per element), so the symbols of real energies are exactly real.
 
 When two operators share boundary data to zeroth order, the difference of
 their scattering kernels has radial leading singularity with angular
@@ -124,22 +127,58 @@ def default_probe_set(n: int) -> np.ndarray:
     return _read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
 
 
+def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
+    """Elementwise ``real_kernel`` on the real axis, ``complex_kernel`` elsewhere.
+
+    The elements of the broadcast complex ``operands`` go to ``real_kernel``
+    where the caller's mask ``real`` holds (a zero imaginary part, say) and
+    every operand is finite.  ``real_kernel`` runs over all elements at once
+    and is kept only there; ``complex_kernel`` runs on the other elements
+    alone.  So each element gets the same bits in any array as alone, and the
+    costly complex kernels run only where an operand is off the real axis or
+    not finite.  Both kernels return new arrays, and so does this function.
+    """
+    operands = np.broadcast_arrays(*operands)
+    with np.errstate(all="ignore"):
+        out = np.asarray(real_kernel(*operands), dtype=complex)
+        for x in operands:
+            real = real & np.isfinite(x)
+        rest = ~real
+        out[rest] = complex_kernel(*(x[rest] for x in operands))
+    return out
+
+
+def _real_prefactor(sigma, n: int):
+    s = sigma.real
+    return np.power(2.0, n - 2.0 * s) * _gamma(n / 2.0 - s) / _gamma(s - n / 2.0)
+
+
+def _complex_prefactor(sigma, n: int):
+    z = n - 2.0 * sigma
+    # 2^z as a real power times a phase: numpy's complex power goes through
+    # exp(z log 2) and loses up to four ulps, the real power about one
+    power = np.power(2.0, z.real) * np.exp(1j * (z.imag * math.log(2.0)))
+    return power * _gamma(n / 2.0 - sigma) / _gamma(sigma - n / 2.0)
+
+
 def prefactor_and_poles(sigma: np.ndarray, n: int):
     """Unchecked ``gamma_prefactor`` values, and the pole check it raises.
 
-    The check is a ``(failed, error_class, message)`` entry for
+    A real ``sigma`` takes scipy's real ``gamma``: it is more accurate than the
+    complex one and leaves no imaginary part.  The check is a
+    ``(failed, error_class, message)`` entry for
     :func:`~scatjet.errors.raise_first`; off the poles the values are final.
     """
     half_off = sigma - n / 2.0
     at_pole = (np.abs(half_off.imag) < 1e-12) & (
         np.abs(half_off.real - np.round(half_off.real)) < 1e-12
     )
-    z = n - 2.0 * sigma
-    with np.errstate(all="ignore"):
-        # 2^z as a real power times a phase: numpy's complex power goes through
-        # exp(z log 2) and loses up to four ulps, the real power about one
-        power = np.power(2.0, z.real) * np.exp(1j * (z.imag * math.log(2.0)))
-        value = power * _gamma(n / 2.0 - sigma) / _gamma(sigma - n / 2.0)
+    value = real_or_complex(
+        sigma.imag == 0,
+        lambda s: _real_prefactor(s, n),
+        lambda s: _complex_prefactor(s, n),
+        sigma,
+    )
     return value, (
         at_pole,
         GammaPole,
@@ -185,7 +224,8 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
         sigma = indicial_root(patch, energy)
         pref = gamma_prefactor(sigma, n).reshape(pad)
         with np.errstate(all="ignore"):
-            out[e] = pref * np.exp((2.0 * sigma - n).reshape(pad) * log_norm)
+            arg = (2.0 * sigma - n).reshape(pad) * log_norm
+            out[e] = pref * real_or_complex(arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg)
     # (*grid, E, ...): a failure names the grid index, then the energy index and covector
     moved = np.moveaxis(out, 0, n)
     raise_first(

@@ -8,7 +8,10 @@ Stage by stage:
    ``sigma_consistency`` residual), and their mean is the point's
    ``sigma``.  The Gamma prefactor is peeled once per point, at that mean,
    to expose each covector norm ``|xi|_{h0}``, which must come out finite
-   and real: a phase left on the samples is refused.
+   and real: a phase left on the samples is refused.  The stage runs real
+   division, ``log`` and Gamma prefactor on every element whose operands are
+   real and finite, and the complex ones elsewhere, so the exactly real
+   symbols of real energies give exactly real roots.
 2. ``metric_boundary_recovery`` polarizes squared norms at ``{e_i}`` and
    ``{e_i + e_j}`` into the inverse metric and inverts it.
 3. ``two_energy_recovery`` solves the pair of indicial identities
@@ -67,6 +70,7 @@ from .forward_scattering import (
     hessian_profile_factors,
     prefactor_and_poles,
     probe_array,
+    real_or_complex,
     symmetric_pairs,
 )
 from .spectral_sets import exceptional_set, is_admissible
@@ -83,24 +87,41 @@ _CROSS_ENERGY_TOL = 1e-8  # largest metric gap between energies, per max |h0| en
 _FIT_TOL = 1e-8  # largest first-order fit residual, per max |F| of the point
 
 
-def _divide(a, b):
-    """Complex ``a / b`` by Smith's method, ending in a true division.
+def _smith_divide(a, b):
+    real_big = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(real_big, b.imag / b.real, b.real / b.imag)
+    denom = np.where(real_big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    re = np.where(real_big, a.real + a.imag * ratio, a.real * ratio + a.imag)
+    im = np.where(real_big, a.imag - a.real * ratio, a.imag * ratio - a.real)
+    return re / denom + 1j * (im / denom)
 
-    numpy's complex division multiplies by a rounded reciprocal instead;
-    the extra rounding, amplified by the two-energy solve, moved ``V0`` by
-    up to 1e-12 against the scalar division.  Both branches are computed
-    everywhere, so the unused one may divide by zero: that raises no numpy
-    warning, and a zero divisor gives inf or NaN for the caller to refuse.
+
+def _divide(a, b):
+    """Complex ``a / b``, elementwise, ending in a true division.
+
+    Where ``b`` is real, finite and nonzero and ``a`` is finite, the parts of
+    ``a`` are divided by ``b``: the bits of Smith's method, but for the sign
+    of a zero.  Elsewhere Smith's method divides.  numpy's complex division
+    multiplies by a rounded reciprocal instead; the extra rounding, amplified
+    by the two-energy solve, moved ``V0`` by up to 1e-12 against the scalar
+    division.  No division raises a numpy warning, and a zero divisor gives
+    inf or NaN for the caller to refuse.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    real_big = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(all="ignore"):
-        ratio = np.where(real_big, b.imag / b.real, b.real / b.imag)
-        denom = np.where(real_big, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        re = np.where(real_big, a.real + a.imag * ratio, a.real * ratio + a.imag)
-        im = np.where(real_big, a.imag - a.real * ratio, a.imag * ratio - a.real)
-        return re / denom + 1j * (im / denom)
+    return real_or_complex(
+        (b.imag == 0) & (b.real != 0),
+        lambda a, b: a.real / b.real + 1j * (a.imag / b.real),
+        _smith_divide,
+        a,
+        b,
+    )
+
+
+def _log(x):
+    """The principal log, elementwise: numpy's real ``log`` where ``x`` is real,
+    finite and positive, its complex ``log`` elsewhere."""
+    return real_or_complex((x.imag == 0) & (x.real > 0), lambda x: np.log(x.real), np.log, x)
 
 
 @dataclass(frozen=True)
@@ -151,7 +172,7 @@ def recover_sigma_from_symbol(
     )
     shape = v.shape
     with np.errstate(all="ignore"):
-        q = np.log(_divide(vt, v))
+        q = _log(_divide(vt, v))
         d = 2.0 * math.log(t)
         # a real divisor: parts divided alone, each a true division like ``_divide``'s
         each = n / 2.0 + (q.real / d + 1j * (q.imag / d))
@@ -163,7 +184,7 @@ def recover_sigma_from_symbol(
         spread = np.max(np.abs(samples - sigma[..., None]), axis=-1)
         pref, pole_check = prefactor_and_poles(sigma, n)
         power = _divide(v.reshape(samples.shape), pref[..., None])
-        w = _divide(np.log(power), (2.0 * sigma - n)[..., None])
+        w = _divide(_log(power), (2.0 * sigma - n)[..., None])
         power, w = power.reshape(shape), w.reshape(shape)
         norm = np.exp(w.real)
         phase = np.abs(w.imag)

@@ -3,8 +3,11 @@
 Everything here is driven by a seeded :class:`numpy.random.Generator`; the
 same seed always produces the same truth, the same admissible energies and
 the same serialized dataset.  Energies are drawn real in ``[3, 6]`` so that
-``lambda^2`` sits far above the exceptional interval and every mode value,
-giving real indicial roots and well-conditioned recovery.
+``lambda^2`` sits far above the exceptional interval and the mode values
+``k <= 2`` that :func:`~scatjet.spectral_sets.exceptional_set` holds by
+default, giving real indicial roots and well-conditioned recovery.  The mode
+values grow with ``k``, so a mode ``k > 2``, which no screen sees, can lie
+above ``lambda^2``.
 """
 from __future__ import annotations
 

@@ -40,10 +40,9 @@ from scipy.special import gamma as _gamma
 from scatjet.forward_scattering import (
     check_unit_probes,
     hessian_profile_factors,
-    prefactor_and_poles,
     symmetric_pairs,
 )
-from scatjet.inversion import _divide, _unpack
+from scatjet.inversion import _unpack
 
 R0 = 50.0
 N_RADII = 4
@@ -223,13 +222,15 @@ def per_sample_sigma_and_norm(value_xi, value_txi, t: float, n: int):
     """``(sigma, norm)`` of each symbol sample alone, elementwise, with no checks.
 
     Every sample's root is ``n/2 + log(S(t xi)/S(xi)) / (2 log t)``, and its
-    norm comes from peeling the Gamma prefactor at that root.
+    norm comes from peeling the Gamma prefactor at that root.  Only numpy's
+    complex division, ``log`` and power and scipy's complex ``gamma`` compute
+    them, none of the library's real-axis kernels.
     """
     v = np.asarray(value_xi, dtype=complex)
     vt = np.asarray(value_txi, dtype=complex)
-    sigma = n / 2.0 + _divide(np.log(_divide(vt, v)), 2.0 * math.log(t))
-    pref, _ = prefactor_and_poles(sigma, n)
-    w = _divide(np.log(_divide(v, pref)), 2.0 * sigma - n)
+    sigma = n / 2.0 + np.log(vt / v) / (2.0 * math.log(t))
+    pref = 2.0 ** (n - 2.0 * sigma) * _gamma(n / 2.0 - sigma) / _gamma(sigma - n / 2.0)
+    w = np.log(v / pref) / (2.0 * sigma - n)
     return sigma, np.exp(w.real)
 
 

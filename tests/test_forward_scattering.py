@@ -51,6 +51,27 @@ def test_prefactor_pole_detection():
     gamma_prefactor(2.0 + 1e-6, 2)  # just off the pole is fine
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prefactor_against_mpmath(n):
+    """Within 1.5e-15 (relative) of 40-digit mpmath at real sigma, 2e-14 at complex sigma."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    half_off = rng.uniform(0.8, 3.0, 400)
+    for sigma, bar in (
+        (n / 2.0 + half_off, 1.5e-15),
+        (n / 2.0 + half_off + 1j * rng.uniform(-1.0, 1.0, 400), 2e-14),
+    ):
+        got = gamma_prefactor(sigma, n)
+        with mp.workdps(40):
+            half_n = mp.mpf(n) / 2
+            want = []
+            for s in sigma:
+                s = mp.mpc(s.real, s.imag)
+                value = mp.power(2, n - 2 * s) * mp.gamma(half_n - s) / mp.gamma(s - half_n)
+                want.append(complex(value))
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= bar
+
+
 def test_symbol_closed_value_n1():
     patch = constant_patch(1, 1.0, 0.0, np.eye(1))
     # alpha = 1, V0 = 0, lambda = i/2: sigma = 1/2 + sqrt(1/2 + lambda^2) = 1

@@ -27,6 +27,7 @@ from scatjet.forward_scattering import (
     default_probe_set,
     gamma_prefactor,
     polarization_covectors,
+    prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,
 )
@@ -34,6 +35,7 @@ from scatjet.inversion import (
     InversionConfig,
     _design_factors,
     _divide,
+    _log,
     first_order_recovery,
     layer_strip_driver,
     metric_boundary_recovery,
@@ -99,9 +101,80 @@ def test_sigma_via_forward_module():
 
 
 def test_divide_by_a_real_divisor_warns_nothing():
-    """Smith's division computes both branches; the unused one divides by a zero
-    imaginary part, which must raise no numpy warning."""
+    """A real divisor takes the real kernel, which also runs, discarded, on every
+    other element; neither that nor Smith's method on the rest may raise a numpy
+    warning, not even for a zero divisor."""
     assert _divide(1, 2.0) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _divide([1.0, 1.0 + 1.0j, 1.0], [2.0, 1.0j, 0.0])
+    assert got[:2].tolist() == [0.5, 1.0 - 1.0j]
+    assert not np.isfinite(got[2])
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SPECIAL)
+_ENTRIES = st.one_of(_PARTS.map(complex), st.builds(complex, _PARTS, _PARTS))
+
+
+def _mixed(size):
+    """1-D complex arrays of ``size`` entries mixing real, complex, zero, +-inf and NaN."""
+    return hnp.arrays(complex, size, elements=_ENTRIES)
+
+
+def _real_finite(x):
+    return (x.imag == 0) & np.isfinite(x.real)
+
+
+def _bits(x):
+    """The bytes of ``x`` with every NaN part made one NaN: numpy's vector and
+    scalar loops may give a NaN either sign."""
+    parts = np.array(x, dtype=complex).reshape(-1).view(float)
+    parts[np.isnan(parts)] = math.nan
+    return parts.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.tuples(_mixed(k), _mixed(k))), st.integers(1, 3))
+def test_real_axis_kernels_judge_each_element_alone(ab, n):
+    """The Gamma prefactor, the division and the log pick their kernel per element.
+
+    Each element gets the same bits in the array as alone; real finite
+    operands give an imaginary part of exactly zero; and a finite numerator
+    over a real, finite, nonzero divisor is its parts divided by the divisor.
+    """
+    a, b = ab
+
+    def prefactor(sigma):
+        # as the sigma stage calls it: a non-finite sigma warns in the pole check
+        with np.errstate(all="ignore"):
+            return prefactor_and_poles(np.asarray(sigma), n)[0]
+
+    for f, args in ((prefactor, (a,)), (_log, (a,)), (_divide, (a, b))):
+        whole = f(*args)
+        for i in range(len(a)):
+            assert _bits(whole[i]) == _bits(f(*(x[i] for x in args)))
+
+    assert np.all(prefactor(a)[_real_finite(a)].imag == 0)
+    assert np.all(_log(a)[_real_finite(a) & (a.real > 0)].imag == 0)
+    by_real = _real_finite(b) & (b.real != 0)
+    got = _divide(a, b)
+    assert np.all(got[by_real & _real_finite(a)].imag == 0)
+    keep = by_real & np.isfinite(a)
+    a, d = a[keep], b.real[keep]
+    with np.errstate(all="ignore"):
+        want = a.real / d + 1j * (a.imag / d)
+    assert _bits(got[keep]) == _bits(want)
+
+
+def test_real_energies_give_exactly_real_symbols_and_roots():
+    for seed in range(600, 625):
+        for n in (1, 2, 3):
+            ds = make_synthetic_pair(seed, n)[1]
+            assert not np.any(ds.symbols.imag)
+            report = layer_strip_driver(ds)
+            assert report.status == "ok"
+            assert not np.any(report.sigma1.imag) and not np.any(report.sigma2.imag)
 
 
 def test_sigma_zero_and_scale_validation():
