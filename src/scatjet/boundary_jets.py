@@ -15,14 +15,12 @@ Cholesky factorization per matrix, whose factor also gives the inverse
 (``h0_inv`` of a patch); a matrix is refused when Cholesky fails or that
 inverse has an entry that is not finite.
 
-The indicial root of the associated model operator at energy ``lambda`` is
-
-    sigma(lambda, y) = n/2 + sqrt((n/2)^2 - (V0(y) - lambda^2 - n^2/4) / alpha(y)^2)
-
-with the principal square root, so Re sigma >= n/2.  A *real* energy whose
-discriminant goes negative sits in the exceptional real interval where the
-two roots trade places; that is reported as an error rather than silently
-resolved.  Non-real energies evaluate everywhere.
+The indicial roots of the model operator at energy ``lambda`` solve
+``alpha^2 sigma (n - sigma) = V0 - lambda^2 - n^2/4`` (:func:`indicial_q`).
+The principal root is ``sigma = n/2 + sqrt(q)``, ``q = (sigma - n/2)^2``, so
+Re sigma >= n/2.  A *real* energy whose ``q`` goes negative at a point sits
+on the branch cut where the two roots trade places; that is reported as an
+error rather than silently resolved.  Non-real energies evaluate everywhere.
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import BranchCut, ConfigError, MismatchedBoundary, raise_first
+from .errors import BranchCut, ConfigError, MismatchedBoundary, as_int, raise_first
 from .expressions import evaluate_field
 
 _BOUNDARY_MATCH_TOL = 1e-10
@@ -253,8 +251,8 @@ class BoundaryPatch:
         ``y_i = 2*pi*k/m_i`` at the ``k``-th of the ``m_i`` points of axis ``i``.
         """
         try:
-            n = int(spec["n"])
-            axes = tuple(int(m) for m in spec["axes"])
+            n = as_int(spec["n"], "n")
+            axes = tuple(as_int(m, "axes entry") for m in spec["axes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad patch spec: {exc}") from None
         shape = axes
@@ -284,53 +282,58 @@ class PerturbationData:
     W1: float | np.ndarray
 
 
-def _discriminant(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
-    n = patch.n
-    shifted = patch.v_jet[0] - energy.lam_sq - n * n / 4.0
-    a2 = patch.alpha**2
+# -- the indicial identity, written here and nowhere else, solved for one unknown
+# by each function.  With q = (sigma - n/2)^2 it reads lambda^2 - mode_k =
+# alpha^2 (q - k^2/4) for every k >= 0, the roots at mode_k being n/2 -+ k/2.
+
+
+def indicial_q(alpha_sq, v0, lam_sq: complex, n: int) -> np.ndarray:
+    """``q = (sigma - n/2)^2 = n^2/4 - (V0 - lambda^2 - n^2/4) / alpha^2``, complex."""
+    quarter = n * n / 4.0
+    shifted = np.asarray(v0 - lam_sq - quarter, dtype=complex)
     # divide each part by the real alpha^2: numpy's complex-by-complex division
-    # multiplies by a rounded reciprocal, which is off by an ulp where the
-    # discriminant of a double root must vanish exactly
-    return (n / 2.0) ** 2 - (shifted.real / a2 + 1j * (shifted.imag / a2))
+    # multiplies by a rounded reciprocal, which is off by an ulp where q must vanish exactly
+    return quarter - (shifted.real / alpha_sq + 1j * (shifted.imag / alpha_sq))
+
+
+def indicial_lambda_sq(alpha_sq, v0, q, n: int):
+    """``lambda^2 = V0 - n^2/4 + alpha^2 (q - n^2/4)``, the inverse of :func:`indicial_q`."""
+    quarter = n * n / 4.0
+    return v0 - quarter + alpha_sq * (q - quarter)
+
+
+def indicial_v0(alpha_sq, lam_sq: complex, sigma, n: int):
+    """``V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)``, the potential with root ``sigma``."""
+    return lam_sq + n * n / 4.0 + alpha_sq * sigma * (n - sigma)
+
+
+def branch_cut(q: np.ndarray, energy: ComplexEnergy) -> np.ndarray:
+    """Where a real energy's ``q`` is negative real: the two roots have traded places there."""
+    if energy.lam.imag != 0.0:
+        return np.zeros(np.shape(q), dtype=bool)
+    return (q.imag == 0.0) & (q.real < 0.0)
 
 
 def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
-    """Principal indicial root ``sigma`` over the patch grid; :class:`BranchCut` on the cut.
+    """Principal indicial root ``n/2 + sqrt(q)`` over the patch grid; :class:`BranchCut` on the cut.
 
-    The cut only matters for real energies: a real ``lambda`` whose
-    ``lambda^2`` drives the discriminant negative sits in the exceptional
-    real interval where the two roots have been exchanged by analytic
-    continuation, so no branch choice is defensible and we refuse.  Off the
-    real axis the principal square root is taken everywhere (its value on
-    the negative real axis is ``+i sqrt|.|``, the limit from above), which
-    keeps ``Re sigma >= n/2``.
+    The cut (:func:`branch_cut`) only matters for real energies: a real
+    ``lambda`` with ``lambda^2`` below mode 0 at a point makes ``q`` negative
+    there, the two roots have been exchanged by analytic continuation, so no
+    branch choice is defensible and we refuse.  Off the real axis the
+    principal square root is taken everywhere (its value on the negative
+    real axis is ``+i sqrt|q|``, the limit from above), which keeps
+    ``Re sigma >= n/2``.
     """
-    disc = np.asarray(_discriminant(patch, energy), dtype=complex)
-    if energy.lam.imag == 0.0:
-        on_cut = (disc.imag == 0.0) & (disc.real < 0.0)
-        if np.any(on_cut):
-            first = tuple(int(i) for i in np.argwhere(on_cut)[0])
-            raise BranchCut(
-                f"indicial discriminant is negative real at {np.count_nonzero(on_cut)} grid "
-                f"point(s), first at y-index {first}; real energy lies in the exceptional interval"
-            )
-    return patch.n / 2.0 + np.sqrt(disc)
-
-
-def indicial_identity_residual(
-    alpha: float | np.ndarray,
-    v0: float | np.ndarray,
-    energy: ComplexEnergy,
-    sigma: complex | np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Residual of ``alpha^2 sigma (n - sigma) = V0 - lambda^2 - n^2/4``.
-
-    Zero (to rounding) whenever sigma came from :func:`indicial_root`.
-    """
-    lhs = np.asarray(alpha, dtype=complex) ** 2 * np.asarray(sigma) * (n - np.asarray(sigma))
-    rhs = np.asarray(v0, dtype=complex) - energy.lam_sq - n * n / 4.0
-    return np.abs(lhs - rhs)
+    q = indicial_q(patch.alpha**2, patch.v_jet[0], energy.lam_sq, patch.n)
+    on_cut = branch_cut(q, energy)
+    if np.any(on_cut):
+        first = tuple(int(i) for i in np.argwhere(on_cut)[0])
+        raise BranchCut(
+            f"indicial discriminant is negative real at {np.count_nonzero(on_cut)} grid "
+            f"point(s), first at y-index {first}; real energy lies below mode 0 there"
+        )
+    return patch.n / 2.0 + np.sqrt(q)
 
 
 def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> PerturbationData:

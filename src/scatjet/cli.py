@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_identity_residual, indicial_root
+from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0
 from .dataset import (
     SymbolDataset,
     canonical_json,
@@ -157,13 +157,11 @@ def cmd_sets(args) -> int:
     """
     patch = BoundaryPatch.from_dict(_load_json(args.patch))
     excluded = tuple(parse_complex(s) for s in args.exclude)
-    # libm's pow, as a Python float's ``**``: written mode values keep their bits,
-    # which ``alpha * alpha`` changes in the last place for about 0.1% of inputs
-    alpha_sq = np.float_power(patch.alpha, 2)
-    es = exceptional_set(alpha_sq, patch.v_jet[0], patch.n, args.k_max, excluded)
+    # alpha^2 as the forward map takes it, so the screen's cut is indicial_root's
+    es = exceptional_set(patch.alpha**2, patch.v_jet[0], patch.n, args.k_max, excluded)
     log.info(
-        "sets: interval [min V0 - a_max^2 n^2/4 + n^2/4, max V0 - a_min^2 n^2/4 + n^2/4] "
-        "in the lam^2 plane; modes lam^2 = V0 - n^2/4 + alpha^2 (k^2 - n^2)/4"
+        "sets: modes lam^2 = V0 - n^2/4 + alpha^2 (k^2 - n^2)/4, interval [min, max] of "
+        "mode 0; the screen judges every k at every point"
     )
     block = {
         "grid_shape": list(patch.grid_shape),
@@ -172,19 +170,14 @@ def cmd_sets(args) -> int:
         "user_excluded": [encode_complex(z) for z in es.user_excluded],
     }
     if args.lam:
-        checks = []
+        block["admissibility"] = []
         for s in args.lam:
             lam = parse_complex(s)
             adm = is_admissible(ComplexEnergy(lam), es, args.margin)
-            checks.append(
-                {
-                    "lam": encode_complex(lam),
-                    "ok": bool(adm.ok),
-                    "reason": adm.reason or "",
-                    "distances": {k: float(v) for k, v in adm.distances.items()},
-                }
+            reason, distances = adm.reason or "", adm.distances
+            block["admissibility"].append(
+                {"lam": encode_complex(lam), "ok": adm.ok, "reason": reason, "distances": distances}
             )
-        block["admissibility"] = checks
     _write_out(canonical_json(block), args.out)
     return 0
 
@@ -290,17 +283,11 @@ def cmd_verify(args) -> int:
         en = ComplexEnergy(lam)
         patch = constant_patch(n, alpha, v0, np.eye(n))
         sigma = indicial_root(patch, en)
-        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, n)
-        scale = max(1.0, abs(v0 - lam * lam - n * n / 4.0))
-        worst = max(worst, float(np.max(res)) / scale)
+        res = np.abs(indicial_v0(alpha * alpha, en.lam_sq, sigma, n) - v0)
+        worst = max(worst, float(np.max(res)) / max(1.0, abs(v0), abs(en.lam_sq)))
         branch_ok = branch_ok and bool(np.all(sigma.real >= n / 2.0 - 1e-12))
-    checks.append(
-        {
-            "name": "indicial-identity",
-            "metric": worst,
-            "pass": bool(worst <= 1e-12 and branch_ok),
-        }
-    )
+    identity_ok = bool(worst <= 1e-12 and branch_ok)
+    checks.append({"name": "indicial-identity", "metric": worst, "pass": identity_ok})
 
     log.info("verify: homogeneity S(t xi) = t^(2s-n) S(xi)")
     worst_h = 0.0
@@ -453,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "green"),
         help="'green' runs only the Green-kernel residual study",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--sigma", default="1.5", help="indicial root for 'verify green'")
     p.add_argument(
         "--n", type=int, default=1, choices=(1, 2, 3), help="boundary dimension for 'verify green'"
@@ -468,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("roundtrip", help="synthetic forward + inverse round trip")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0), required=True)
     p.add_argument("--n", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-8)
     p.add_argument("--out-dir", default=".", help="directory for dataset/report/summary JSON")
     p.set_defaults(func=cmd_roundtrip)
 

@@ -41,7 +41,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, IoError, raise_first
+from .errors import ConfigError, IoError, as_int, raise_first
 from .forward_scattering import polarization_covectors, probe_array
 
 SCHEMA = "scatjet.symbols/6"
@@ -297,8 +297,8 @@ class SymbolDataset:
                 )
             if schema != SCHEMA:
                 raise IoError(f"unrecognized dataset schema {schema!r}")
-            n = int(data["n"])
-            grid_shape = tuple(int(m) for m in data["grid_shape"])
+            n = as_int(data["n"], "n")
+            grid_shape = tuple(as_int(m, "grid_shape entry") for m in data["grid_shape"])
             scale_t = float(data["scale_t"])
             energies = tuple(decode_complex(z) for z in data["energies"])
             # the expected array lengths below are only meaningful for a valid header

@@ -73,6 +73,13 @@ class IoError(ScatjetError):
     """File/JSON input could not be read or parsed."""
 
 
+def as_int(value, name: str) -> int:
+    """``value`` if it is an integer; :class:`ConfigError` for a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def raise_first(n: int, checks) -> None:
     """Raise for the first failing point, in C order, of elementwise checks.
 

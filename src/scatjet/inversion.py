@@ -38,8 +38,8 @@ Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
 chains the stages over a full symbol dataset, one call per stage: the sigma
 and metric stages carry the energy axis after the grid axes.  The dataset
 holds the scattering data alone, so the energies are screened after stage 3,
-against the exceptional set of the recovered ``alpha^2`` and ``V0``
-(:func:`~scatjet.spectral_sets.exceptional_set`).
+on the recovered ``alpha^2`` and ``V0``, at every grid point and mode order
+(:func:`~scatjet.spectral_sets.is_admissible`).
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy, positive_definite_inverse
+from .boundary_jets import ComplexEnergy, indicial_v0, positive_definite_inverse
 from .dataset import SymbolDataset, encode_complex, pack_array
 from .errors import (
     BranchAmbiguity,
@@ -291,13 +291,13 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
 def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
     """``(alpha_sq, v0, realness_residual)`` from ``alpha^2`` and the first root.
 
-    ``V0 = lambda_1^2 + n^2/4 + alpha^2 sigma_1 (n - sigma_1)``, with the
-    complex ``alpha_sq`` and the roots as scalars or grid arrays.  Both
+    ``V0`` is :func:`~scatjet.boundary_jets.indicial_v0` at the first energy,
+    with the complex ``alpha_sq`` and the roots as scalars or grid arrays.  Both
     outputs must be real to ``_REALNESS_TOL`` (relative) and ``alpha_sq``
     positive; ``checks`` come before these at each point.
     """
     with np.errstate(all="ignore"):
-        v0 = complex(lam1) ** 2 + n * n / 4.0 + alpha_sq * sigma1 * (n - sigma1)
+        v0 = indicial_v0(alpha_sq, complex(lam1) ** 2, sigma1, n)
         resid = np.maximum(
             np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
             np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
@@ -325,10 +325,9 @@ def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
 def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
     """Curvature scale and boundary potential from roots at two energies.
 
-    Solves ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4``:
-
-        alpha^2 = (lambda_2^2 - lambda_1^2) / (sigma_1(n-sigma_1) - sigma_2(n-sigma_2))
-        V0      = lambda_1^2 + n^2/4 + alpha^2 sigma_1 (n - sigma_1)
+    Solves the indicial identity at both energies: their difference gives
+    ``alpha^2 = (lambda_2^2 - lambda_1^2) / (sigma_1(n-sigma_1) - sigma_2(n-sigma_2))``
+    and :func:`~scatjet.boundary_jets.indicial_v0` at the first gives ``V0``.
 
     Returns ``(alpha_sq, v0, realness_residual)``, scalars or grid arrays
     like the roots; both outputs must be real to 1e-8 (relative) and
@@ -592,10 +591,11 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     Stages: root/norm recovery and metric polarization over every grid point
     and energy, two-energy (or, for one energy, known-``alpha``) zeroth-order
     algebra, the admissibility screen, then the first-order fit when
-    singularity samples are present.  The screen builds the exceptional set
-    (modes ``k <= 2``) from the recovered ``alpha^2`` and ``V0`` and judges
-    every energy at ``margin``; an energy that fails it gives a ``refused``
-    report with the reason in ``notes`` and no fields or residuals.  With one
+    singularity samples are present.  The screen (:func:`~scatjet.spectral_sets.is_admissible`)
+    judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
+    at every grid point and mode order; an energy that fails it gives a
+    ``refused`` report with the reason, naming the energy, the grid index and
+    the mode ``k`` or the branch cut, in ``notes`` and no fields.  With one
     energy and ``alpha^2`` unknown the driver stops at ``h0``, and ``notes``
     says the screen did not run.
     A known ``alpha^2`` with two or more energies raises :class:`ConfigError`.
@@ -691,9 +691,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     for en in energies:
         adm = is_admissible(en, es, cfg.margin)
         if not adm.ok:
-            return RecoveryReport(
-                n, shape, status="refused", notes=[f"energy {en.lam}: {adm.reason}"]
-            )
+            return RecoveryReport(n, shape, status="refused", notes=[adm.reason])
     report.alpha_sq = alpha_field
     report.v0 = v0_field
     report.residuals["zeroth_order_realness"] = float(np.max(realness))

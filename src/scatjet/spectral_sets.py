@@ -1,18 +1,15 @@
-"""Exceptional energy sets and admissibility checks.
+"""Exceptional energy sets and the admissibility screen.
 
-Three families of energies are tracked in the ``lambda^2`` plane (plus a
-user-supplied exclusion list in the ``lambda`` plane standing in for
-resolvent poles, which this toolkit does not compute):
-
-* the real interval ``[min V0 - max alpha^2 n^2/4 + n^2/4,
-  max V0 - min alpha^2 n^2/4 + n^2/4]`` swept by the branch data,
-* the discrete mode family ``lambda^2 = V0(y) - n^2/4 + alpha(y)^2 (k^2 - n^2)/4``
-  at which the conjugate indicial root hits ``(n - k)/2``, held as one real
-  array of shape ``(*grid, k_max + 1)``,
-* explicit user-excluded energies.
-
-:func:`exceptional_set` builds the set from the grid fields ``alpha^2`` and
-``V0``: a patch's on the forward side, the recovered ones in the inverse.
+By the indicial identity of :mod:`~scatjet.boundary_jets`,
+``lambda^2 - mode_k = alpha^2 (q - k^2/4)`` with ``q = (sigma - n/2)^2`` at
+every grid point and ``k >= 0``.  The roots at ``mode_k`` are ``n/2 -+ k/2``:
+the even ``k`` are the forward map's Gamma poles, ``k = 0`` its branch point.
+For ``sets`` an :class:`ExceptionalSet` lists the modes ``k <= k_max`` as one
+``(*grid, k_max + 1)`` array, the interval ``[min mode_0, max mode_0]`` (a
+real ``lambda^2`` below its top is on the branch cut somewhere) and
+user-excluded energies, standing in for the resolvent poles this toolkit
+does not compute.  :func:`is_admissible` is the one screen, used by the
+driver, the synthetic energy draw and ``sets --lam``.
 """
 from __future__ import annotations
 
@@ -21,21 +18,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy
+from .boundary_jets import ComplexEnergy, branch_cut, indicial_lambda_sq, indicial_q
 
 
 @dataclass(frozen=True)
 class ExceptionalSet:
-    """At ``modes_lambda_sq[*idx, k]`` (read-only) the lower root at ``idx`` is ``(n - k)/2``."""
+    """The exceptional energies of the grid fields ``alpha_sq`` and ``v0``."""
 
-    interval_lambda_sq: tuple[float, float]
-    modes_lambda_sq: np.ndarray
-    user_excluded: tuple[complex, ...] = ()
+    alpha_sq: np.ndarray
+    v0: np.ndarray
+    n: int
+    k_max: int
+    user_excluded: tuple[complex, ...]
 
-    def __post_init__(self):
-        modes = np.array(self.modes_lambda_sq, dtype=float)
-        modes.setflags(write=False)
-        object.__setattr__(self, "modes_lambda_sq", modes)
+    @property
+    def modes_lambda_sq(self) -> np.ndarray:
+        """``[*idx, k]``: the ``lambda^2`` at which the lower root at ``idx`` is ``(n - k)/2``."""
+        k = np.arange(self.k_max + 1)
+        return indicial_lambda_sq(self.alpha_sq[..., None], self.v0[..., None], k * k / 4.0, self.n)
+
+    @property
+    def interval_lambda_sq(self) -> tuple[float, float]:
+        mode0 = indicial_lambda_sq(self.alpha_sq, self.v0, 0.0, self.n)
+        return float(np.min(mode0)), float(np.max(mode0))
 
 
 @dataclass(frozen=True)
@@ -48,58 +53,61 @@ class Admissibility:
 def exceptional_set(
     alpha_sq, v0, n: int, k_max: int = 2, user_excluded: Sequence[complex] = ()
 ) -> ExceptionalSet:
-    """The exceptional set of the grid fields ``alpha^2`` and ``V0``, modes ``k <= k_max``."""
+    """The exceptional set of the grid fields ``alpha^2`` and ``V0``, listing ``k <= k_max``."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    a2 = np.asarray(alpha_sq, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    quarter = n * n / 4.0
-    k = np.arange(k_max + 1)
-    return ExceptionalSet(
-        interval_lambda_sq=(
-            float(np.min(v0)) - float(np.max(a2)) * quarter + quarter,
-            float(np.max(v0)) - float(np.min(a2)) * quarter + quarter,
-        ),
-        modes_lambda_sq=v0[..., None] - quarter + a2[..., None] * (k * k - n * n) / 4.0,
-        user_excluded=tuple(complex(z) for z in user_excluded),
-    )
-
-
-def _dist_to_segment(w: complex, a: float, b: float) -> float:
-    """Distance from a point of the complex plane to the real segment [a, b]."""
-    re_gap = max(a - w.real, 0.0, w.real - b)
-    return float(np.hypot(re_gap, w.imag))
+    fields = (np.asarray(f, dtype=float) for f in (alpha_sq, v0))
+    return ExceptionalSet(*fields, n, k_max, tuple(complex(z) for z in user_excluded))
 
 
 def is_admissible(
     energy: ComplexEnergy, es: ExceptionalSet, margin: float = 1e-6
 ) -> Admissibility:
-    """Check ``lambda`` against all exceptional families with a safety margin.
+    """Screen ``lambda`` at every grid point of ``es`` and every mode order.
 
-    Interval and mode distances are measured in the ``lambda^2`` plane; the
-    user exclusion list lives in the ``lambda`` plane.  The nearest violating
-    family (if any) is named in ``reason``; a NaN distance, such as one to a
-    NaN excluded energy, is a violation.
+    Refused, in this order: a real ``lambda`` with ``q < 0`` at a point, the
+    rule of :func:`~scatjet.boundary_jets.indicial_root`'s
+    :class:`~scatjet.errors.BranchCut`, naming the first such point in C
+    order; a point where ``alpha^2 min_k |q - k^2/4|``, the distance from
+    ``lambda^2`` to the nearest mode, is at most ``margin``, naming the
+    nearest point and its ``k``; a ``lambda`` within ``margin`` of a
+    user-excluded energy.  A point whose ``q`` leaves double range is refused
+    after the cut.  ``distances`` holds the smallest mode distance, when every
+    point has one, and the user-excluded distance; a NaN distance is a violation.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ValueError("margin must be >= 0")
-    w = complex(energy.lam_sq)
-    a, b = es.interval_lambda_sq
-    distances = {"omega-interval": _dist_to_segment(w, a, b)}
-    if es.modes_lambda_sq.size:
-        distances["omega-prime-mode"] = float(np.min(np.abs(w - es.modes_lambda_sq)))
+    with np.errstate(all="ignore"):  # a q past double range is refused below
+        q = indicial_q(es.alpha_sq, es.v0, energy.lam_sq, es.n)
+        # the nearest k^2/4 to Re q, and so to q, is at floor(2 sqrt(Re q)) or the next k
+        x, below = q.real, np.floor(2.0 * np.sqrt(np.maximum(q.real, 0.0)))
+        gap_below = np.abs(x - (below / 2.0) ** 2)
+        gap_above = np.abs(x - ((below + 1.0) / 2.0) ** 2)
+        dist = es.alpha_sq * np.hypot(np.minimum(gap_below, gap_above), q.imag)
+    cut, finite = branch_cut(q, energy), np.isfinite(dist)
+    distances = {"omega-prime-mode": float(np.min(dist))} if finite.all() else {}
     if es.user_excluded:
-        distances["user-excluded (D)"] = min(
-            abs(complex(energy.lam) - z) for z in es.user_excluded
+        distances["user-excluded (D)"] = min(abs(energy.lam - z) for z in es.user_excluded)
+    if cut.any():
+        first = tuple(int(j) for j in np.argwhere(cut)[0])
+        reason = (
+            f"lambda^2 = {energy.lam_sq.real:.6g} is on the branch cut at grid index {first}: "
+            f"(sigma - n/2)^2 = {q[first].real:.3e} < 0"
+        )
+    elif not finite.all():
+        first = tuple(int(j) for j in np.argwhere(~finite)[0])
+        reason = f"(sigma - n/2)^2 = {q[first]:.3e} is past double range at grid index {first}"
+    elif not (dist > margin).all():
+        i = np.unravel_index(np.argmin(dist), dist.shape)
+        k = below[i] + (gap_above[i] < gap_below[i])
+        reason = (
+            f"lambda^2 within margin {margin:g} of omega-prime-mode k = {k:.0f} at grid "
+            f"index {tuple(int(j) for j in i)} (distance {dist[i]:.3e})"
         )
     # written so that a NaN distance counts as a violation
-    violations = {name: d for name, d in distances.items() if not d > margin}
-    if violations:
-        worst = min(violations, key=violations.get)
-        return Admissibility(
-            ok=False,
-            reason=f"lambda within margin {margin:g} of {worst} (distance {violations[worst]:.3e})",
-            distances=distances,
-        )
-    return Admissibility(ok=True, reason=None, distances=distances)
-
+    elif not distances.get("user-excluded (D)", np.inf) > margin:
+        d = distances["user-excluded (D)"]
+        reason = f"lambda within margin {margin:g} of user-excluded (D) (distance {d:.3e})"
+    else:
+        return Admissibility(ok=True, reason=None, distances=distances)
+    return Admissibility(ok=False, reason=f"energy {energy.lam}: {reason}", distances=distances)

@@ -2,12 +2,10 @@
 
 Everything here is driven by a seeded :class:`numpy.random.Generator`; the
 same seed always produces the same truth, the same admissible energies and
-the same serialized dataset.  Energies are drawn real in ``[3, 6]`` so that
-``lambda^2`` sits far above the exceptional interval and the mode values
-``k <= 2`` that :func:`~scatjet.spectral_sets.exceptional_set` holds by
-default, giving real indicial roots and well-conditioned recovery.  The mode
-values grow with ``k``, so a mode ``k > 2``, which no screen sees, can lie
-above ``lambda^2``.
+the same serialized dataset.  Energies are drawn real in ``[3, 6]``, so that
+``lambda^2`` sits far above mode 0 and the branch cut, giving real indicial
+roots, and are kept when :func:`~scatjet.spectral_sets.is_admissible` finds
+them more than 1e-3 from the mode of every order at every point.
 """
 from __future__ import annotations
 
@@ -95,9 +93,7 @@ def draw_admissible_energies(
     rng: np.random.Generator, patch: BoundaryPatch
 ) -> tuple[ComplexEnergy, ComplexEnergy]:
     """Two real energies in [3, 6], admissible to 1e-3 and with squares 0.5 apart."""
-    # libm's pow, as a Python float's ``**``: ``alpha * alpha`` differs in the
-    # last place for about 0.1% of inputs
-    es = exceptional_set(np.float_power(patch.alpha, 2), patch.v_jet[0], patch.n)
+    es = exceptional_set(patch.alpha**2, patch.v_jet[0], patch.n)
     picked: list[ComplexEnergy] = []
     for _ in range(_ENERGY_DRAWS):
         lam = ComplexEnergy(complex(rng.uniform(3.0, 6.0)))

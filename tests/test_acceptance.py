@@ -12,12 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from scatjet.boundary_jets import (
-    BoundaryPatch,
-    ComplexEnergy,
-    indicial_identity_residual,
-    indicial_root,
-)
+from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0
+from scatjet.errors import BranchCut
 from scatjet.forward_scattering import default_probe_set, principal_symbol
 from scatjet.hyperbolic_model import (
     HalfSpaceGrid,
@@ -80,7 +76,7 @@ def test_acceptance_indicial_identity():
         en = ComplexEnergy(lam)
         sigma = indicial_root(patch, en)
         assert np.all(sigma.real >= n / 2.0 - 1e-12)
-        res = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, n)
+        res = np.abs(indicial_v0(patch.alpha**2, en.lam_sq, sigma, n) - patch.v_jet[0])
         scale = max(1.0, abs(patch.v_jet[0].max() - lam * lam - n * n / 4.0))
         worst = max(worst, float(np.max(res)) / scale)
     assert worst <= 1e-12
@@ -310,8 +306,18 @@ def test_acceptance_exceptional_set():
 
     ok = is_admissible(ComplexEnergy(5j), es, margin=0.1)
     assert ok.ok
-    inside = is_admissible(ComplexEnergy(1j), es, margin=0.1)  # lambda^2 = -1
-    assert not inside.ok and "interval" in inside.reason
+    # lambda^2 = -1 is mode 2 (V0 - n^2/4) where V0 = 0, first at grid index (0, 0)
+    on_mode = is_admissible(ComplexEnergy(1j), es, margin=0.1)
+    assert not on_mode.ok
+    assert "omega-prime-mode k = 2 at grid index (0, 0) (distance 0.000e+00)" in on_mode.reason
+    # with V0 raised by 10 mode 0 spans [5.9375, 8.75]: a real lambda^2 = 7 is on the
+    # branch cut of the forward map, and the screen refuses it as the cut
+    raised = BoundaryPatch(n=2, axes=shape, alpha=alpha, v_jet=(v0 + 10.0,), h_jet=patch.h_jet)
+    assert exceptional_set(alpha**2, v0 + 10.0, 2).interval_lambda_sq == (5.9375, 8.75)
+    cut = is_admissible(ComplexEnergy(math.sqrt(7.0)), exceptional_set(alpha**2, v0 + 10.0, 2), 0.0)
+    assert not cut.ok and "branch cut" in cut.reason
+    with pytest.raises(BranchCut):
+        indicial_root(raised, ComplexEnergy(math.sqrt(7.0)))
     es_user = exceptional_set(alpha**2, v0, 2, k_max=2, user_excluded=(5j,))
     vetoed = is_admissible(ComplexEnergy(5j), es_user, margin=0.1)
     assert not vetoed.ok and "excluded" in vetoed.reason

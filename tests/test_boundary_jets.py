@@ -1,5 +1,6 @@
 """Boundary patch construction, indicial roots, and jet differences."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from scatjet.boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
-    indicial_identity_residual,
     indicial_root,
+    indicial_v0,
     perturbation_coefficients,
     positive_definite_inverse,
 )
@@ -214,6 +215,16 @@ def test_patch_from_dict_rejects_malformed():
         BoundaryPatch.from_dict(
             {"n": 1, "axes": [8], "alpha": "1", "v_jet": ["0"], "h_jet": [[["1", "2"]]]}
         )
+    # integer header fields are taken as they stand, never truncated
+    good = {"n": 2, "axes": [4, 4], "alpha": "1", "v_jet": ["0"], "h_jet": [[["1", "0"], ["0", "1"]]]}
+    for key, value, message in [
+        ("n", 2.7, "n must be an integer, got 2.7"),
+        ("n", True, "n must be an integer, got True"),
+        ("axes", [4.9, 4], "axes entry must be an integer, got 4.9"),
+        ("axes", [4, False], "axes entry must be an integer, got False"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BoundaryPatch.from_dict({**good, key: value})
 
 
 # -- indicial roots ---------------------------------------------------------
@@ -245,7 +256,7 @@ def test_indicial_variable_alpha_identity():
     patch = BoundaryPatch.from_dict(raw)
     en = ComplexEnergy(2j)
     sigma = indicial_root(patch, en)
-    resid = indicial_identity_residual(patch.alpha, patch.v_jet[0], en, sigma, 3)
+    resid = np.abs(indicial_v0(patch.alpha**2, en.lam_sq, sigma, 3) - patch.v_jet[0])
     assert np.max(resid) <= 1e-12
     assert np.min(sigma.real) >= 1.5
 

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scatjet.boundary_jets import ComplexEnergy
+from scatjet.boundary_jets import ComplexEnergy, indicial_root
 from scatjet.cli import build_parser, main, parse_complex
 from scatjet.dataset import (
     SymbolDataset,
@@ -27,7 +27,7 @@ from scatjet.dataset import (
     pack_array,
     unpack_array,
 )
-from scatjet.errors import ConfigError, IoError
+from scatjet.errors import BranchCut, ConfigError, IoError
 from scatjet.forward_scattering import default_probe_set
 from scatjet.inversion import layer_strip_driver
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
@@ -557,6 +557,9 @@ def _no_samples(data):
         (_set("energies", []), r"dataset has no energies"),
         (_set("grid_shape", [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
         (_set("grid_shape", [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
+        (_set("n", 2.9), r"^n must be an integer, got 2\.9$"),
+        (_set("n", True), r"^n must be an integer, got True$"),
+        (_set("grid_shape", [4.5, 4.2]), r"^grid_shape entry must be an integer, got 4\.5$"),
         (
             _set("singularity", 1.5),
             r"^singularity: expected a base64 string of float64 bytes, got float$",
@@ -599,6 +602,9 @@ def _no_samples(data):
         "no-energies",
         "grid-axis-zero",
         "grid-rank-not-n",
+        "n-not-integer",
+        "n-bool",
+        "grid-shape-not-integer",
         "array-not-a-string",
         "non-base64-character",
         "bytes-not-whole-values",
@@ -683,8 +689,10 @@ def test_cli_integrals_error_codes(tmp_path):
         ["--which", "I1", "--n", "1", "--s", "-1"],
         ["--which", "T1", "--n", "4"],
         ["--which", "T1", "--n", "1", "--rel-tol", "0"],
+        ["--which", "T1", "--n", "1", "--rel-tol", "nan"],
+        ["--which", "T1", "--n", "1", "--rel-tol", "inf", "--abs-tol", "nan"],
     ],
-    ids=["z-not-a-number", "negative-s", "n-too-large", "zero-rel-tol"],
+    ids=["z-not-a-number", "negative-s", "n-too-large", "zero-rel-tol", "nan-rel-tol", "inf-nan-tols"],
 )
 def test_cli_integrals_bad_arguments_exit_2(extra):
     assert main(["integrals", "--sigma", "2+0i", *extra]) == 2
@@ -872,7 +880,7 @@ def test_cli_sets_admissibility(tmp_path):
     )
     assert rc == 0
     block = _read_json(out)
-    assert block["interval_lambda_sq"] == [0.0, 0.0]
+    assert block["interval_lambda_sq"] == [-2.0, -2.0]  # mode 0 = V0 - n^2/4 - alpha^2 n^2/4
     modes = _unpacked(block["modes_lambda_sq"], (*block["grid_shape"], -1))
     assert modes.shape == (4, 4, 3)  # K == 3: k = 0, 1, 2
     np.testing.assert_array_equal(modes[..., 0], -2.0)
@@ -880,6 +888,21 @@ def test_cli_sets_admissibility(tmp_path):
     assert ok_flags[(0.0, 5.0)] is True  # lambda^2 = -25, far from everything
     assert ok_flags[(0.0, 1.4142135624)] is False  # lambda^2 = -2 is a mode value
     assert "zeros" not in block
+
+
+@pytest.mark.parametrize("lam_sq", [7.0, 7.9])
+def test_cli_sets_refuses_a_real_energy_on_the_branch_cut(tmp_path, lam_sq):
+    """Below mode 0 (8 here) indicial_root raises BranchCut, so the screen refuses too."""
+    patch = constant_patch(2, 1.0, 10.0, np.eye(2))
+    p1 = _write_patch(tmp_path, "p.json", patch)
+    out = tmp_path / "sets.json"
+    lam = math.sqrt(lam_sq)
+    assert main(["sets", "--patch", str(p1), "--lam", repr(lam), "--out", str(out)]) == 0
+    (check,) = _read_json(out)["admissibility"]
+    assert check["ok"] is False
+    assert "is on the branch cut at grid index (0, 0)" in check["reason"]
+    with pytest.raises(BranchCut):
+        indicial_root(patch, ComplexEnergy(lam))
 
 
 @pytest.mark.parametrize("command", ["sets-lam", "sets-exclude"])
@@ -1152,6 +1175,10 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         (["verify", "green", "--grid-size", "1"], "argument --grid-size: must be at least 16, got 1"),
         (["verify", "green", "--grid-size", "15"], "argument --grid-size: must be at least 16, got 15"),
         (["sets", "--patch", "p.json", "--margin", "wide"], "invalid float value: 'wide'"),
+        (["verify", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["roundtrip", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        (["roundtrip", "--seed", "7", "--tol", "nan"], "argument --tol: must be at least 0, got nan"),
+        (["roundtrip", "--seed", "7", "--tol", "-0.5"], "argument --tol: must be at least 0, got -0.5"),
     ],
     ids=[
         "invert-margin",
@@ -1162,6 +1189,10 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         "verify-grid-size-1",
         "verify-grid-size-15",
         "margin-not-a-number",
+        "verify-seed-negative",
+        "roundtrip-seed-negative",
+        "roundtrip-tol-nan",
+        "roundtrip-tol-negative",
     ],
 )
 def test_cli_out_of_range_argument_exits_2(capsys, argv, message):

@@ -788,6 +788,33 @@ def test_driver_screens_one_energy_on_a_known_alpha():
     assert note.startswith("energy ") and "of omega-prime-mode" in note
 
 
+# alpha = 1, V0 = 10 at n = 2: mode_k = 8 + k^2/4, so the cut is lambda^2 < 8 and the
+# Gamma poles (even k) sit at 8, 9, 12, 17, ...
+_MODE_PATCH = (2, 1.0, 10.0, np.eye(2))
+
+
+def test_driver_admits_a_regular_energy_between_modes():
+    """lambda^2 = 10 lies 0.25 from mode 3; the bounding-interval screen refused it."""
+    patch = constant_patch(*_MODE_PATCH)
+    ds = forward_dataset(patch, (ComplexEnergy(math.sqrt(10.0)), ComplexEnergy(math.sqrt(11.0))))
+    report = layer_strip_driver(ds)
+    assert report.status == "ok", report.notes
+    np.testing.assert_allclose(report.v0, 10.0, atol=1e-8)
+
+
+def test_driver_refuses_an_energy_next_to_a_high_order_pole():
+    """lambda^2 = 12 + 1e-7 is 1e-7 from the Gamma pole of mode 4, which k <= 2 never saw."""
+    patch = constant_patch(*_MODE_PATCH)
+    ds = forward_dataset(
+        patch, (ComplexEnergy(math.sqrt(12.0 + 1e-7)), ComplexEnergy(math.sqrt(11.0)))
+    )
+    report = layer_strip_driver(ds)
+    assert report.status == "refused"
+    (note,) = report.notes
+    assert note.startswith(f"energy {complex(math.sqrt(12.0 + 1e-7))}: ")
+    assert "within margin 1e-06 of omega-prime-mode k = 4 at grid index (0, 0)" in note
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_screen_on_recovered_fields_matches_the_truths_set(n):
     """The set the driver builds from its recovered alpha^2 and V0 is the truth's set.

@@ -42,6 +42,22 @@ def test_spec_defaults_and_validation():
             QuadratureSpec(**bad)
 
 
+@pytest.mark.parametrize(
+    "tols",
+    [
+        dict(rel_tol=math.nan),
+        dict(abs_tol=math.nan),
+        dict(rel_tol=math.inf),
+        dict(abs_tol=math.inf),
+        dict(rel_tol=math.inf, abs_tol=math.nan),
+    ],
+)
+def test_spec_refuses_non_finite_tolerances(tols):
+    """A NaN tolerance fails every comparison, so an unchecked one passes any error estimate."""
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        QuadratureSpec(**tols)
+
+
 # -- convergence predicate --------------------------------------------------
 
 
