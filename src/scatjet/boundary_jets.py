@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import BranchCut, ConfigError, MismatchedBoundary, as_int, raise_first
+from .errors import BranchCut, ConfigError, MismatchedBoundary, ScatjetError, as_int, raise_first
 from .expressions import evaluate_field
 
 _BOUNDARY_MATCH_TOL = 1e-10
@@ -127,12 +127,25 @@ def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
     return inverse
 
 
-def _require_finite(name: str, arr: np.ndarray, grid_ndim: int) -> None:
-    """Raise :class:`ConfigError` naming ``name`` and its first non-finite grid index."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0][:grid_ndim])
-        raise ConfigError(f"{name} is not finite at grid index {idx}")
+def positive_definite_inverse_or_raise(M: np.ndarray, n: int, error: type[Exception], message):
+    """:func:`positive_definite_inverse` of the ``(*grid, ..., n, n)`` stack ``M``, or raise.
+
+    A passing stack costs one factorization.  Only a refused one is judged
+    matrix by matrix, and :func:`~scatjet.errors.raise_first` raises
+    ``error`` with ``message(i)`` at its first refused matrix, naming the
+    grid index (the first ``n`` axes) and the sample along the axes before
+    the matrix.
+    """
+    inverse = positive_definite_inverse(M)
+    if inverse is None:
+        refused = [positive_definite_inverse(m) is None for m in M.reshape((-1,) + M.shape[-2:])]
+        raise_first(n, [(np.reshape(refused, M.shape[:-2]), error, message)])
+    return inverse
+
+
+def _not_finite(name: str, arr: np.ndarray):
+    """A :func:`~scatjet.errors.raise_first` check naming ``name`` where ``arr`` is not finite."""
+    return ~np.isfinite(arr), ConfigError, lambda i: f"{name} is not finite"
 
 
 @dataclass(frozen=True)
@@ -166,26 +179,30 @@ class BoundaryPatch:
         alpha = np.array(self.alpha, dtype=float)
         if alpha.shape != shape:
             raise ConfigError(f"alpha has shape {alpha.shape}, expected {shape}")
-        _require_finite("alpha", alpha, self.n)
-        if not np.all(alpha > 0):
-            raise ConfigError("alpha must be strictly positive")
+        positive = (~(alpha > 0), ConfigError, lambda i: "alpha must be strictly positive")
+        raise_first(self.n, [_not_finite("alpha", alpha), positive])
         v_jet = tuple(np.array(v, dtype=float) for v in self.v_jet)
         if not v_jet or any(v.shape != shape for v in v_jet):
             raise ConfigError("v_jet must contain order-0.. coefficients at the grid shape")
         h_jet = tuple(np.array(h, dtype=float) for h in self.h_jet)
         if not h_jet or any(h.shape != shape + (self.n, self.n) for h in h_jet):
             raise ConfigError("h_jet entries must have shape grid + (n, n)")
-        for name, jet in (("v_jet", v_jet), ("h_jet", h_jet)):
-            for order, arr in enumerate(jet):
-                _require_finite(f"{name}[{order}]", arr, self.n)
+        raise_first(
+            self.n,
+            [
+                _not_finite(f"{name}[{order}]", arr)
+                for name, jet in (("v_jet", v_jet), ("h_jet", h_jet))
+                for order, arr in enumerate(jet)
+            ],
+        )
         h0 = h_jet[0]
         # a rounding-sized bound: Cholesky, and so the inverse, reads one
         # triangle, and the other may differ from it by no more
         if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=1e-12, atol=1e-12):
             raise ConfigError("h^(0) must be symmetric")
-        h0_inv = positive_definite_inverse(h0)
-        if h0_inv is None:
-            raise ConfigError("h^(0) must be positive definite at every grid point")
+        h0_inv = positive_definite_inverse_or_raise(
+            h0, self.n, ConfigError, lambda i: "h^(0) must be positive definite"
+        )
         for arr in (alpha, *v_jet, *h_jet, h0_inv):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -223,8 +240,7 @@ class BoundaryPatch:
                 f"first-order jets have shapes {v1.shape} and {h1.shape}, expected "
                 f"{shape} and {shape + (self.n, self.n)}"
             )
-        _require_finite("v_jet[1]", v1, self.n)
-        _require_finite("h_jet[1]", h1, self.n)
+        raise_first(self.n, [_not_finite("v_jet[1]", v1), _not_finite("h_jet[1]", h1)])
         v1.setflags(write=False)
         h1.setflags(write=False)
         # built without __init__: the zeroth-order data were judged with this patch
@@ -325,21 +341,35 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     real axis is ``+i sqrt|q|``, the limit from above), which keeps
     ``Re sigma >= n/2``.
     """
-    q = indicial_q(patch.alpha**2, patch.v_jet[0], energy.lam_sq, patch.n)
+    with np.errstate(all="ignore"):  # a q past double range is refused below
+        q = indicial_q(patch.alpha**2, patch.v_jet[0], energy.lam_sq, patch.n)
     on_cut = branch_cut(q, energy)
-    if np.any(on_cut):
-        first = tuple(int(i) for i in np.argwhere(on_cut)[0])
-        raise BranchCut(
-            f"indicial discriminant is negative real at {np.count_nonzero(on_cut)} grid "
-            f"point(s), first at y-index {first}; real energy lies below mode 0 there"
-        )
+    raise_first(
+        patch.n,
+        [
+            (
+                on_cut,
+                BranchCut,
+                lambda i: "indicial discriminant is negative real, the real energy below "
+                f"mode 0, at {np.count_nonzero(on_cut)} grid point(s), the first",
+            ),
+            (
+                ~np.isfinite(q),
+                ScatjetError,
+                lambda i: f"energy {energy.lam}: (sigma - n/2)^2 = {q[i]:.3e} leaves double range",
+            ),
+        ],
+    )
     return patch.n / 2.0 + np.sqrt(q)
 
 
 def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> PerturbationData:
     """First-order difference data of two compatible patches over the whole grid.
 
-    A zeroth-order mismatch names its first grid index in C order.
+    A zeroth-order mismatch names its first grid index in C order.  A value
+    past double range is kept, without a warning:
+    :func:`~scatjet.forward_scattering.singularity_coefficient` refuses the
+    samples it makes.
     """
     if patch1.n != patch2.n or patch1.axes != patch2.axes:
         raise MismatchedBoundary(
@@ -359,11 +389,13 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
         return "zeroth-order boundary data disagree: " + ", ".join(k for k, b in bad.items() if b[i])
 
     raise_first(n, [(np.logical_or.reduce(list(bad.values())), MismatchedBoundary, disagree)])
-    L = patch2.h_jet[1] - patch1.h_jet[1]
     h0_inv = patch1.h0_inv
-    return PerturbationData(
-        n=n,
-        H=h0_inv @ L @ h0_inv,
-        T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
-        W1=patch2.v_jet[1] - patch1.v_jet[1],
-    )
+    # a difference past double range is kept: the samples built from it are refused
+    with np.errstate(all="ignore"):
+        L = patch2.h_jet[1] - patch1.h_jet[1]
+        return PerturbationData(
+            n=n,
+            H=h0_inv @ L @ h0_inv,
+            T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
+            W1=patch2.v_jet[1] - patch1.v_jet[1],
+        )

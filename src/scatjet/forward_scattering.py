@@ -148,6 +148,10 @@ def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
     return out
 
 
+# from here on every double is an integer
+_EVERY_DOUBLE_AN_INTEGER = 2.0**52
+
+
 def _real_prefactor(sigma, n: int):
     s = sigma.real
     return np.power(2.0, n - 2.0 * s) * _gamma(n / 2.0 - s) / _gamma(s - n / 2.0)
@@ -162,17 +166,24 @@ def _complex_prefactor(sigma, n: int):
 
 
 def prefactor_and_poles(sigma: np.ndarray, n: int):
-    """Unchecked ``gamma_prefactor`` values, and the pole check it raises.
+    """``2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)`` elementwise, and its pole check.
 
     A real ``sigma`` takes scipy's real ``gamma``: it is more accurate than the
     complex one and leaves no imaginary part.  The check is a
     ``(failed, error_class, message)`` entry for
     :func:`~scatjet.errors.raise_first`; off the poles the values are final.
+    A pole is an integer ``sigma - n/2`` to 1e-12, judged only where
+    ``|Re(sigma - n/2)| < 2^52``: every double above that is an integer, so
+    the test would name rounding, not a pole.
     """
     half_off = sigma - n / 2.0
-    at_pole = (np.abs(half_off.imag) < 1e-12) & (
-        np.abs(half_off.real - np.round(half_off.real)) < 1e-12
-    )
+    with np.errstate(all="ignore"):  # a sigma that is not finite is no pole
+        re = half_off.real
+        at_pole = (
+            (np.abs(half_off.imag) < 1e-12)
+            & (np.abs(re) < _EVERY_DOUBLE_AN_INTEGER)
+            & (np.abs(re - np.round(re)) < 1e-12)
+        )
     value = real_or_complex(
         sigma.imag == 0,
         lambda s: _real_prefactor(s, n),
@@ -186,16 +197,6 @@ def prefactor_and_poles(sigma: np.ndarray, n: int):
     )
 
 
-def gamma_prefactor(sigma, n: int):
-    """``2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)``, elementwise.
-
-    Takes a scalar or a grid array; a pole names its first grid index.
-    """
-    value, pole_check = prefactor_and_poles(np.asarray(sigma, dtype=complex), n)
-    raise_first(n, [pole_check])
-    return value[()]
-
-
 def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]) -> np.ndarray:
     """Principal symbol over the whole grid for a stack of covectors, at each energy.
 
@@ -203,9 +204,13 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
     The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
     not depend on the energy: their log is computed once and shared by every
-    energy.  A value past double range, or one that underflows to zero, raises
-    :class:`~scatjet.errors.ScatjetError`, naming the energy index, the grid
-    index and the covector.
+    energy, and so is one Gamma prefactor call over the roots of every
+    energy.  Each point and energy is checked in this order, and the first
+    failure raises: a Gamma pole (:class:`~scatjet.errors.GammaPole`), then a
+    value past double range, or one that underflows to zero
+    (:class:`~scatjet.errors.ScatjetError`).  The message names the grid
+    index, then the energy index and covector as the sample.
+    :func:`~scatjet.boundary_jets.indicial_root` refuses an energy first.
     """
     n = patch.n
     xi = np.asarray(xi, dtype=float)
@@ -219,25 +224,30 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
         # a norm that underflows to zero has log -inf; its samples are refused below
         log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
     pad = patch.grid_shape + (1,) * (xi.ndim - 1)
-    out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
+    sigma = np.empty(patch.grid_shape + (len(energies),), dtype=complex)  # (*grid, E)
     for e, energy in enumerate(energies):
-        sigma = indicial_root(patch, energy)
-        pref = gamma_prefactor(sigma, n).reshape(pad)
-        with np.errstate(all="ignore"):
-            arg = (2.0 * sigma - n).reshape(pad) * log_norm
-            out[e] = pref * real_or_complex(arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg)
+        sigma[..., e] = indicial_root(patch, energy)
+    pref, pole_check = prefactor_and_poles(sigma, n)
+    out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for e in range(len(energies)):
+            arg = (2.0 * sigma[..., e] - n).reshape(pad) * log_norm
+            out[e] = pref[..., e].reshape(pad) * real_or_complex(
+                arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg
+            )
     # (*grid, E, ...): a failure names the grid index, then the energy index and covector
     moved = np.moveaxis(out, 0, n)
     raise_first(
         n,
         [
+            pole_check,
             (
                 ~np.isfinite(moved) | (moved == 0),
                 ScatjetError,
                 lambda i: f"principal symbol at energy index {i[n]}, covector "
                 f"{tuple(xi[i[n + 1 :]].tolist())} "
                 + ("underflows to zero" if moved[i] == 0 else "leaves double range"),
-            )
+            ),
         ],
     )
     return out
@@ -289,19 +299,34 @@ def singularity_coefficient(
     :class:`ValueError`.  ``F = M (T u)`` with the factors of
     :func:`first_order_factors`; the trace term reads ``pd.T``.  The result
     has shape ``grid_shape + (P,)``, and each point's values have the same
-    bits alone as in any grid.
+    bits alone as in any grid.  A value that is not finite raises
+    :class:`~scatjet.errors.ScatjetError` naming the first grid index and,
+    as the sample, the probe.
     """
     n = pd.n
     w = probe_array(probes, n, ValueError, "omega: ")
     M, a, b = first_order_factors(w, sigma, t1)
     rows, cols = symmetric_pairs(n)
     H = np.asarray(pd.H)
-    last = b * np.trace(H, axis1=-2, axis2=-1) + t2 * (
-        pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    with np.errstate(all="ignore"):  # a value past double range is refused below
+        last = b * np.trace(H, axis1=-2, axis2=-1) + t2 * (
+            pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
+        )
+        grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
+        Tu = np.empty(grid + (len(rows) + 1,), dtype=complex)
+        Tu[..., :-1] = a[..., None] * H[..., rows, cols]
+        Tu[..., -1] = last
+        # one dot product per point and probe, so every point gets the same bits in any grid
+        F = np.vecdot(M, Tu[..., None, :])
+    raise_first(
+        len(grid),
+        [
+            (
+                ~np.isfinite(F),
+                ScatjetError,
+                lambda i: f"singularity coefficient at probe {tuple(w[i[-1]].tolist())} "
+                "leaves double range",
+            )
+        ],
     )
-    grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
-    Tu = np.empty(grid + (len(rows) + 1,), dtype=complex)
-    Tu[..., :-1] = a[..., None] * H[..., rows, cols]
-    Tu[..., -1] = last
-    # one dot product per point and probe, so every point gets the same bits in any grid
-    return np.vecdot(M, Tu[..., None, :])
+    return F

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy, indicial_v0, positive_definite_inverse
+from .boundary_jets import ComplexEnergy, indicial_v0, positive_definite_inverse_or_raise
 from .dataset import SymbolDataset, encode_complex, pack_array
 from .errors import (
     BranchAmbiguity,
@@ -238,12 +238,11 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     positive definite.  The result has shape ``(..., n, n)``.
 
     Each point is judged alone by
-    :func:`~scatjet.boundary_jets.positive_definite_inverse`, which reads the
-    inverse off the Cholesky factor that judges the matrix, so a point passes
-    or fails in any batch as it does alone.
-    Only when the batch is refused are its points judged one by one, and the
-    first refused grid index (the first ``n`` axes) and sample (the axes
-    between the grid and ``C``) are named with the eigenvalues of its matrix.
+    :func:`~scatjet.boundary_jets.positive_definite_inverse_or_raise`, which
+    reads the inverse off the Cholesky factor that judges the matrix, so a
+    point passes or fails in any batch as it does alone; the first refused
+    grid index (the first ``n`` axes) and sample (the axes between the grid
+    and ``C``) are named with the eigenvalues of its matrix.
     Before that, a squared norm or a polarized entry past double range
     raises :class:`InconsistentData`, naming the point the same way.
     """
@@ -269,23 +268,13 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     )
     M = np.empty(sq.shape[:-1] + (n, n))
     M[..., rows, cols] = M[..., cols, rows] = np.concatenate([sq[..., :n], off], axis=-1)
-    inverse = positive_definite_inverse(M)
-    if inverse is None:
-        refused = np.reshape(
-            [positive_definite_inverse(m) is None for m in M.reshape(-1, n, n)], M.shape[:-2]
-        )
-        raise_first(
-            n,
-            [
-                (
-                    refused,
-                    NotPositiveDefinite,
-                    lambda i: "recovered inverse metric has eigenvalues "
-                    f"{np.linalg.eigvalsh(M[i])}; not positive definite",
-                )
-            ],
-        )
-    return inverse
+    return positive_definite_inverse_or_raise(
+        M,
+        n,
+        NotPositiveDefinite,
+        lambda i: f"recovered inverse metric has eigenvalues {np.linalg.eigvalsh(M[i])}; "
+        "not positive definite",
+    )
 
 
 def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):

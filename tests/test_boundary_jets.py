@@ -54,6 +54,11 @@ def test_patch_rejects_nonpositive_alpha():
     h = np.broadcast_to(np.eye(1), (4, 1, 1)).copy()
     with pytest.raises(ConfigError):
         BoundaryPatch(n=1, axes=(4,), alpha=-np.ones(4), v_jet=v, h_jet=h[None])
+    # the first refused grid point is named
+    alpha = np.ones(4)
+    alpha[2] = 0.0
+    with pytest.raises(ConfigError, match=r"^alpha must be strictly positive at grid index \(2,\)$"):
+        BoundaryPatch(n=1, axes=(4,), alpha=alpha, v_jet=v, h_jet=h[None])
 
 
 def _with_bad_entry(arr, where, bad=np.nan):
@@ -82,6 +87,14 @@ def test_patch_rejects_asymmetric_or_indefinite_metric():
         constant_patch(2, 1.0, 0.0, bad_sym)
     with pytest.raises(ConfigError):
         constant_patch(2, 1.0, 0.0, np.diag([1.0, -1.0]))
+    # the first refused grid point is named
+    h0 = np.tile(np.eye(2), (4, 4, 1, 1))
+    h0[3, 0] = np.diag([1.0, -1.0])
+    h0[1, 2] = np.diag([0.0, 1.0])
+    with pytest.raises(
+        ConfigError, match=r"^h\^\(0\) must be positive definite at grid index \(1, 2\)$"
+    ):
+        BoundaryPatch(n=2, axes=(4, 4), alpha=np.ones((4, 4)), v_jet=(np.zeros((4, 4)),), h_jet=(h0,))
     # the symmetry bound is rounding-sized: a 5e-6 gap is no rounding
     with pytest.raises(ConfigError, match="symmetric"):
         constant_patch(2, 1.1, 0.4, [[2.0, 1.0 + 5e-6], [1.0, 2.0]])
@@ -281,7 +294,8 @@ def test_branch_cut_only_for_real_energy_in_interval():
     patch = constant_patch(2, 1.0, 5.0, np.eye(2))
     # V0 - lam^2 - 1 > 1  <=>  discriminant negative: lam = 0 real -> error
     # the message counts the offending grid points and names the first
-    with pytest.raises(BranchCut, match=r"at 16 grid point\(s\), first at y-index \(0, 0\);"):
+    cut = r"at 16 grid point\(s\), the first at grid index \(0, 0\)$"
+    with pytest.raises(BranchCut, match=cut):
         indicial_root(patch, ComplexEnergy(0.0))
     # the same magnitude off the real axis evaluates fine
     sig = indicial_root(patch, ComplexEnergy(1e-3 + 0j * 0 + 2j))
@@ -406,10 +420,13 @@ def test_with_first_order_checks_the_new_jets():
     with pytest.raises(ConfigError, match=r"expected \(4, 4\) and \(4, 4, 2, 2\)$"):
         p1.with_first_order(v1, h1[..., :1])
     h1[2, 1, 0, 1] = np.nan
-    with pytest.raises(ConfigError, match=r"^h_jet\[1\] is not finite at grid index \(2, 1\)$"):
+    with pytest.raises(
+        ConfigError, match=r"^h_jet\[1\] is not finite at grid index \(2, 1\), sample \(0, 1\)$"
+    ):
         p1.with_first_order(v1, h1)
-    v1[3, 0] = np.inf
-    with pytest.raises(ConfigError, match=r"^v_jet\[1\] is not finite at grid index \(3, 0\)$"):
+    # the first grid point in C order with a non-finite entry is named
+    v1[1, 3] = np.inf
+    with pytest.raises(ConfigError, match=r"^v_jet\[1\] is not finite at grid index \(1, 3\)$"):
         p1.with_first_order(v1, h1)
 
 

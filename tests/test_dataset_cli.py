@@ -951,6 +951,70 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     assert any(r.getMessage().startswith(expected) for r in caplog.records)
 
 
+# forward runs whose numbers leave double range on the patches of
+# ``_with_patches``: a huge energy's q; a symbol past range at a
+# sigma - n/2 beyond 2^52, where every double is an integer, so no Gamma
+# pole may be named; and overflowing first-order samples
+_FORWARD_OVERFLOWS = [
+    (
+        ["forward", "--patch", "{alpha_half}", "--lam", "1e154"],
+        1,
+        "energy (1e+154+0j): (sigma - n/2)^2 = inf+0.000e+00j leaves double range "
+        "at grid index (0, 0)",
+    ),
+    *(
+        (
+            ["forward", "--patch", patch, "--lam", "1e120"],
+            1,
+            "principal symbol at energy index 0, covector (1.0, 0.0) leaves double range "
+            "at grid index (0, 0), sample (0, 0, 0)",
+        )
+        for patch in ("{alpha_half}", "{alpha_one}")
+    ),
+    *(
+        (
+            ["forward", "--patch", "{alpha_one}", "--patch2", patch2, "--lam", "4", "--lam", "5"],
+            1,
+            "singularity coefficient at probe (1.0, 0.0) leaves double range "
+            "at grid index (0, 0), sample (0,)",
+        )
+        for patch2 in ("{huge_first_order}", "{huge_trace}")
+    ),
+]
+_FORWARD_OVERFLOW_IDS = [
+    "forward-q-overflow",
+    "forward-no-pole-past-2^52-alpha-half",
+    "forward-no-pole-past-2^52-alpha-one",
+    "forward-singularity-overflow",
+    "forward-trace-overflow",
+]
+
+
+def _with_patches(tmp_path, argv):
+    """``argv`` with its patch placeholders filled, and a ``--patch`` for ``sets`` or ``forward``.
+
+    A ``sets`` or ``forward`` run that names no patch gets ``alpha_one``.
+    The patches are constant on a 4 x 4 grid with ``V0 = 0.2`` and
+    ``h^(0) = I``: ``alpha_one`` (alpha = 1, zero first-order jets),
+    ``alpha_half`` (alpha = 0.5), and two with ``alpha_one``'s zeroth order:
+    ``huge_first_order`` (``V^(1) = 1e308``, ``h^(1) = diag(1e308, -1e308)``)
+    and ``huge_trace`` (``h^(1) = diag(1e308, 1e308)``, whose trace overflows).
+    """
+    patches = {
+        "alpha_one": constant_patch(2, 1.0, 0.2, np.eye(2), v1=0.0, h1=np.zeros((2, 2))),
+        "alpha_half": constant_patch(2, 0.5, 0.2, np.eye(2)),
+        "huge_first_order": constant_patch(
+            2, 1.0, 0.2, np.eye(2), v1=1e308, h1=np.diag([1e308, -1e308])
+        ),
+        "huge_trace": constant_patch(2, 1.0, 0.2, np.eye(2), v1=0.0, h1=np.diag([1e308, 1e308])),
+    }
+    paths = {k: str(_write_patch(tmp_path, f"{k}.json", p)) for k, p in patches.items()}
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] in ("sets", "forward") and "--patch" not in argv:
+        argv += ["--patch", paths["alpha_one"]]
+    return argv
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [
@@ -990,6 +1054,7 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
             "principal symbol at energy index 0, covector (1e-320, 0.0) underflows to zero "
             "at grid index (0, 0), sample (0, 0, 1)",
         ),
+        *_FORWARD_OVERFLOWS,
     ],
     ids=[
         "integrals-t1",
@@ -1003,6 +1068,7 @@ def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
         "forward-scale-t-inf",
         "forward-scale-t-zero",
         "forward-symbol-underflow",
+        *_FORWARD_OVERFLOW_IDS,
     ],
 )
 def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
@@ -1010,9 +1076,7 @@ def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
 
     A scale_t that no dataset header allows is refused before any sampling.
     """
-    if argv[0] in ("sets", "forward"):
-        patch = _write_patch(tmp_path, "p.json", constant_patch(2, 1.0, 0.2, np.eye(2)))
-        argv = [*argv, "--patch", str(patch)]
+    argv = _with_patches(tmp_path, argv)
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == code
     assert not out.exists()
@@ -1034,19 +1098,22 @@ def test_cli_integrals_i_underflow_exits_1(tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,message",
     [
-        (["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"], 1),
-        (["verify", "green", "--sigma", "1e308"], 2),
+        (["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"], 1, ""),
+        (["verify", "green", "--sigma", "1e308"], 2, ""),
+        *_FORWARD_OVERFLOWS,
     ],
-    ids=["integrals-t1", "verify-green"],
+    ids=["integrals-t1", "verify-green", *_FORWARD_OVERFLOW_IDS],
 )
-def test_cli_process_overflow_warns_nothing_raw(argv, code):
+def test_cli_process_overflow_warns_nothing_raw(tmp_path, argv, code, message):
     """An overflow inside numpy ends in the named error alone: no RuntimeWarning on stderr."""
-    proc = run_scatjet(*argv)
+    out = tmp_path / "out.json"
+    proc = run_scatjet(*_with_patches(tmp_path, argv), "--out", str(out))
     assert proc.returncode == code, proc.stderr
-    assert "ERROR scatjet.cli: " in proc.stderr
+    assert f"ERROR scatjet.cli: {message}" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_process_symbol_past_double_range_exits_1(tmp_path):

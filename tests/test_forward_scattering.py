@@ -13,8 +13,8 @@ from scatjet.boundary_jets import (
 from scatjet.errors import GammaPole, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
-    gamma_prefactor,
     polarization_covectors,
+    prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,
     symmetric_pairs,
@@ -40,15 +40,31 @@ def _pd(n, H, T=0.0, W1=0.0):
 
 def test_prefactor_half_integer_value():
     # 2^(1-2) * Gamma(-1/2)/Gamma(1/2) = (1/2)(-2 sqrt(pi))/sqrt(pi) = -1
-    assert gamma_prefactor(1.0, 1) == pytest.approx(-1.0, abs=1e-12)
+    value, (at_pole, _, _) = prefactor_and_poles(np.asarray(1.0 + 0j), 1)
+    assert complex(value) == pytest.approx(-1.0, abs=1e-12)
+    assert not at_pole
 
 
 def test_prefactor_pole_detection():
-    with pytest.raises(GammaPole):
-        gamma_prefactor(2.0, 2)  # sigma - n/2 = 1, integer
-    with pytest.raises(GammaPole):
-        gamma_prefactor(1.5, 3)  # sigma - n/2 = 0
-    gamma_prefactor(2.0 + 1e-6, 2)  # just off the pole is fine
+    # sigma - n/2 = 1 and 0 are integers; just off the pole, and past 2^52,
+    # where every double is an integer, no pole is named
+    for sigma, n, pole in (
+        (2.0, 2, True),
+        (1.5, 3, True),
+        (2.0 + 1e-6, 2, False),
+        (2.0 + 1e-6j, 2, False),
+        (2.0**53, 2, False),
+    ):
+        _, (at_pole, _, _) = prefactor_and_poles(np.asarray(sigma, dtype=complex), n)
+        assert bool(at_pole) is pole
+    # lambda = i on alpha = 1, V0 = 0, n = 2 makes sigma - n/2 = 1: a pole at every point
+    patch = constant_patch(2, 1.0, 0.0, np.eye(2))
+    named = r"= \(1\+0j\) is an integer: Gamma pole/zero in the prefactor at grid index \(0, 0\)"
+    with pytest.raises(GammaPole, match=named + r", sample \(0,\)$"):
+        principal_symbol(patch, [1.0, 0.0], (ComplexEnergy(1j),))
+    # the first energy is regular: the pole is named as the second energy's sample
+    with pytest.raises(GammaPole, match=named + r", sample \(1,\)$"):
+        principal_symbol(patch, [1.0, 0.0], (ComplexEnergy(3.0), ComplexEnergy(1j)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -61,7 +77,8 @@ def test_prefactor_against_mpmath(n):
         (n / 2.0 + half_off, 1.5e-15),
         (n / 2.0 + half_off + 1j * rng.uniform(-1.0, 1.0, 400), 2e-14),
     ):
-        got = gamma_prefactor(sigma, n)
+        got, (at_pole, _, _) = prefactor_and_poles(sigma.astype(complex), n)
+        assert not at_pole.any()
         with mp.workdps(40):
             half_n = mp.mpf(n) / 2
             want = []
@@ -385,7 +402,7 @@ def test_symbol_norms_match_the_solve_oracle():
         pad = patch.grid_shape + (1, 1)
         for e, en in enumerate(energies):
             exponent = (2.0 * indicial_root(patch, en) - n).reshape(pad)
-            want = gamma_prefactor(indicial_root(patch, en), n).reshape(pad) * np.exp(
+            want = prefactor_and_poles(indicial_root(patch, en), n)[0].reshape(pad) * np.exp(
                 exponent * log_norm
             )
             # the relative move of |xi|_{h0} that the symbols imply

@@ -25,7 +25,6 @@ from scatjet.errors import (
 )
 from scatjet.forward_scattering import (
     default_probe_set,
-    gamma_prefactor,
     polarization_covectors,
     prefactor_and_poles,
     principal_symbol,
@@ -56,7 +55,7 @@ from varying_patch import varying_patch_pair
 
 
 def _symbol_pair(sigma, norm, t, n):
-    pref = gamma_prefactor(sigma, n)
+    pref = complex(prefactor_and_poles(np.asarray(sigma, dtype=complex), n)[0])
     v = pref * norm ** (2 * sigma - n)
     vt = pref * (t * norm) ** (2 * sigma - n)
     return v, vt

@@ -130,7 +130,7 @@ def test_inadmissible_in_interval():
     adm = is_admissible(ComplexEnergy(math.sqrt(7.0)), es, margin=0.1)
     assert not adm.ok
     assert "lambda^2 = 7 is on the branch cut at grid index (2, 0)" in adm.reason
-    with pytest.raises(BranchCut, match=r"first at y-index \(2, 0\)"):
+    with pytest.raises(BranchCut, match=r"the first at grid index \(2, 0\)$"):
         indicial_root(patch, ComplexEnergy(math.sqrt(7.0)))
 
 
