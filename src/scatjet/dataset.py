@@ -1,12 +1,16 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/6``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/7``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
 The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies``
 (and, with first-order data, ``t_pair``) as ``[re, im]`` pairs of JSON
-numbers.  Each array is one string written by :func:`pack_array`: the
-standard, padded base64 of its C-order little-endian float64 bytes, a
-complex entry as its ``re, im`` pair, so every bit is kept:
+numbers; an integer field must be a JSON integer and a float field a JSON
+number, never a string or a boolean.  Each array is one string written by
+:func:`pack_array`: the standard, padded base64 of its C-order
+little-endian float64 bytes.  A complex array whose imaginary parts are all
+``+0.0`` is written as its real parts, any other as ``re, im`` pairs; the
+reader tells the two apart by the value count, which the header fixes.
+Every bit is kept:
 
 * ``probes`` (with first-order data): the ``P`` unit probe directions shared
   by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
@@ -26,7 +30,7 @@ escape, so the encoder never scans it.  Decoding only turns each string
 into an array of its declared shape; every check of the values runs in the
 :class:`SymbolDataset` constructor, for datasets built in memory and read
 from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
-``/5`` are refused.
+``/6`` are refused.
 """
 from __future__ import annotations
 
@@ -41,11 +45,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, IoError, as_int, raise_first
+from .errors import ConfigError, IoError, as_float, as_int, raise_first
 from .forward_scattering import polarization_covectors, probe_array
 
-SCHEMA = "scatjet.symbols/6"
-_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in (1, 2, 3, 4, 5))
+SCHEMA = "scatjet.symbols/7"
+_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
@@ -54,9 +58,14 @@ def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def decode_complex(obj: Any) -> complex:
+def decode_complex(obj: Any, name: str) -> complex:
+    """The complex number of an ``[re, im]`` pair.
+
+    A part that is not a number (a string or a boolean) raises
+    :class:`ConfigError` naming ``name``.
+    """
     re, im = obj
-    return complex(re, im)
+    return complex(as_float(re, name), as_float(im, name))
 
 
 class PackedArray(str):
@@ -161,19 +170,31 @@ def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) 
 def pack_array(arr: np.ndarray) -> PackedArray:
     """A grid array as JSON: base64 of its C-order little-endian float64 bytes.
 
-    A complex entry is written as its ``re, im`` pair.
+    A complex array is written as its real parts when every imaginary part
+    is the float64 word of ``+0.0``, and otherwise as ``re, im`` pairs.  The
+    test is on the bits, so a ``-0.0`` or NaN imaginary part keeps the
+    pairs and :func:`unpack_array` gives back every bit.
     """
-    dtype = "<c16" if np.iscomplexobj(arr) else "<f8"
-    raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    if np.iscomplexobj(arr):
+        arr = np.ascontiguousarray(arr, dtype="<c16")
+        if not arr.reshape(-1).view(np.uint64)[1::2].any():
+            arr = arr.real
+    else:
+        arr = np.asarray(arr, dtype="<f8")
+    raw = arr.tobytes()
     return PackedArray(base64.b64encode(raw).decode("ascii"))
 
 
 def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np.ndarray:
-    """Inverse of :func:`pack_array`: a ``kind`` array of ``shape``, every bit kept.
+    """Inverse of :func:`pack_array`: an array of ``shape``, every bit kept.
 
-    A ``-1`` axis takes its length from the value count, rounded up: an
-    array missing some values then fails the count check as short.  Any
-    failure is an :class:`IoError` naming the array ``name``.
+    For ``kind`` ``complex`` the value count tells the two forms apart:
+    ``prod(shape)`` values are the real parts, returned as a float array
+    that widens to the complex one exactly, and ``2 * prod(shape)`` values
+    are ``re, im`` pairs.  A ``-1`` axis of a float array takes its length
+    from the value count, rounded up: an array missing some values then
+    fails the count check as short.  Any failure is an :class:`IoError`
+    naming the array ``name``.
     """
     if not isinstance(text, str):
         got = type(text).__name__
@@ -185,16 +206,18 @@ def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np
     if len(raw) % 8:
         raise IoError(f"{name}: {len(raw)} bytes are not a whole number of 8-byte float64 values")
     flat = np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
-    width = 2 if kind is complex else 1
-    rest = -math.prod(shape) * width
+    rest = -math.prod(shape)
     shape = tuple(-(-flat.size // rest) if m == -1 else m for m in shape)
-    size = math.prod(shape) * width
-    if flat.size != size:
-        raise IoError(
-            f"{name}: expected {size} float64 values for a {kind.__name__} array "
-            f"of shape {shape}, got {flat.size}"
-        )
-    return flat.view(kind).reshape(shape)
+    size = math.prod(shape)
+    if flat.size == size:
+        return flat.reshape(shape)
+    if kind is complex and flat.size == 2 * size:
+        return flat.view(complex).reshape(shape)
+    expected = f"{size} (real parts) or {2 * size} (re, im pairs)" if kind is complex else size
+    raise IoError(
+        f"{name}: expected {expected} float64 values for a {kind.__name__} array "
+        f"of shape {shape}, got {flat.size}"
+    )
 
 
 @dataclass(frozen=True)
@@ -280,10 +303,11 @@ class SymbolDataset:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/6`` dataset and check it.
+        """Decode a ``scatjet.symbols/7`` dataset and check it.
 
         Raises :class:`IoError`: for an array that is not a base64 string of
         the right value count, naming the array (and its expected shape),
+        for a header field of the wrong JSON type, naming the field,
         otherwise with the message of the constructor's :class:`ConfigError`
         (for a bad probe, its index; for a non-finite entry of a grid array,
         its grid index and sample).
@@ -299,8 +323,8 @@ class SymbolDataset:
                 raise IoError(f"unrecognized dataset schema {schema!r}")
             n = as_int(data["n"], "n")
             grid_shape = tuple(as_int(m, "grid_shape entry") for m in data["grid_shape"])
-            scale_t = float(data["scale_t"])
-            energies = tuple(decode_complex(z) for z in data["energies"])
+            scale_t = as_float(data["scale_t"], "scale_t")
+            energies = tuple(decode_complex(z, "energies entry") for z in data["energies"])
             # the expected array lengths below are only meaningful for a valid header
             check_header(n, grid_shape, scale_t, energies)
             symbols = unpack_array(
@@ -319,7 +343,7 @@ class SymbolDataset:
             t_pair = None
             if "t_pair" in data:
                 t1, t2 = data["t_pair"]
-                t_pair = (decode_complex(t1), decode_complex(t2))
+                t_pair = (decode_complex(t1, "t_pair entry"), decode_complex(t2, "t_pair entry"))
             return cls(
                 n=n,
                 grid_shape=grid_shape,

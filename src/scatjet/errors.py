@@ -80,6 +80,13 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float if it is a number; :class:`ConfigError` for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def raise_first(n: int, checks) -> None:
     """Raise for the first failing point, in C order, of elementwise checks.
 
@@ -91,7 +98,8 @@ def raise_first(n: int, checks) -> None:
     first point where any check fails, the first check that fails there
     raises, at its first failing index in that point.  For array input the
     message ends with the grid index (the first ``n`` axes) and, when the
-    index has more axes, the sample index along them.
+    index has more axes, the sample index along them; with ``n = 0`` (one
+    point's scalars) it names the sample alone.
     """
     masks = [np.asarray(failed, dtype=bool) for failed, _, _ in checks]
     depth = min(m.ndim for m in masks)
@@ -110,7 +118,7 @@ def raise_first(n: int, checks) -> None:
             inside = np.broadcast_to(mask, shape + mask.shape[depth:])[point]
             first = np.unravel_index(np.flatnonzero(inside)[0], inside.shape)
             i = point + tuple(int(k) for k in first)
-            where = ""
-            if i:
-                where = f" at grid index {i[:n]}" + (f", sample {i[n:]}" if len(i) > n else "")
-            raise error_class(message(i) + where)
+            where = [f"grid index {i[:n]}"] if n and i else []
+            if len(i) > n:
+                where.append(f"sample {i[n:]}")
+            raise error_class(message(i) + (f" at {', '.join(where)}" if where else ""))

@@ -538,7 +538,9 @@ class RecoveryReport:
     Grid fields have shape ``grid_shape``, plus ``(n, n)`` for ``h0`` and
     ``H``; ``alpha_sq``, ``v0`` and ``h0`` are real.  :meth:`to_dict` writes
     each, and each ``kernel_basis`` ``H``, as the base64 string of
-    :func:`~scatjet.dataset.pack_array`.
+    :func:`~scatjet.dataset.pack_array`, so a complex field whose imaginary
+    parts are all ``+0.0`` (as for real energies) is written as its real
+    parts and any other as ``re, im`` pairs.
     """
 
     n: int

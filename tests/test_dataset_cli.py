@@ -41,7 +41,7 @@ from oracles import t_oracle
 
 def test_complex_codec_round_trip():
     for z in (0j, 1.5 - 2.25j, complex(-0.0, 3.0)):
-        assert decode_complex(encode_complex(z)) == z
+        assert decode_complex(encode_complex(z), "z") == z
 
 
 def test_canonical_json_is_order_independent():
@@ -139,11 +139,27 @@ def test_dataset_save_load_identical(tmp_path):
     np.testing.assert_array_equal(again.probes, ds.probes)
     assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 2)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
+    # real energies: every complex array is written as its real parts
+    data = json.loads(path.read_text())
+    assert _value_count(data["symbols"]) == ds.symbols.size
+    assert _value_count(data["singularity"]) == ds.singularity.size
+    for name in ("symbols", "singularity"):
+        np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
 
 
 def _bits(arr):
     """The raw float64 words of an array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def _value_count(text):
+    """The number of float64 values in a packed array."""
+    return len(base64.b64decode(text)) // 8
+
+
+def _real_parts(arr):
+    """True when ``pack_array`` writes the complex array ``arr`` as its real parts."""
+    return not np.any(_bits(arr.imag))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -164,7 +180,14 @@ def _datasets(draw):
         return draw(hnp.arrays(float, shape, elements=st.one_of(st.just(-0.0), _FINITE)))
 
     def complex_array(shape):
-        return real_array(shape + (2,)).view(complex)[..., 0]
+        """Any parts; or imaginary words all +0.0, one of them perhaps -0.0."""
+        pairs = real_array(shape + (2,))
+        imag = draw(st.sampled_from(["drawn", "zero", "one -0.0"]))
+        if imag != "drawn":
+            pairs[..., 1] = 0.0
+        if imag == "one -0.0":
+            pairs.reshape(-1, 2)[draw(st.integers(0, math.prod(shape) - 1)), 1] = -0.0
+        return pairs.view(complex)[..., 0]
 
     raw = draw(hnp.arrays(float, (count, n), elements=st.floats(-1.0, 1.0)))
     norm = np.linalg.norm(raw, axis=-1, keepdims=True)
@@ -184,9 +207,13 @@ def _datasets(draw):
 @settings(max_examples=60, deadline=None)
 @given(_datasets())
 def test_dataset_encode_decode_is_identity(ds):
-    text = canonical_json(ds.to_dict())
+    data = ds.to_dict()
+    text = canonical_json(data)
     again = SymbolDataset.from_dict(json.loads(text))
     assert canonical_json(again.to_dict()) == text
+    for name in ("symbols", "singularity"):
+        arr = getattr(ds, name)
+        assert _value_count(data[name]) == arr.size * (1 if _real_parts(arr) else 2)
     for name in ("symbols", "singularity", "probes"):
         np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
@@ -217,23 +244,64 @@ _NON_FINITE_WORDS = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     words=hnp.arrays(
         np.uint64,
         hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4).map(lambda s: s + (2,)),
         elements=st.one_of(st.sampled_from(_SPECIAL_WORDS), st.integers(0, (1 << 64) - 1)),
-    )
+    ),
+    imag=st.sampled_from(["drawn", "all +0.0", 0x8000000000000000, 0x7FF8000000000000, 0xFFF800000000BEEF]),
+    at=st.integers(0, 63),
 )
-def test_packed_array_keeps_every_bit(words):
-    """pack -> canonical JSON -> json.loads -> unpack gives back every bit, real or complex."""
+def test_packed_array_keeps_every_bit(words, imag, at):
+    """pack -> canonical JSON -> json.loads -> unpack gives back every bit, real or complex.
+
+    Read as complex, the words are ``re, im`` pairs.  With every imaginary
+    word +0.0 the array is written as its real parts, and the read returns
+    the float array that widens to it; a single -0.0 or NaN imaginary part
+    (``imag``, at pair ``at``) keeps the pairs.
+    """
+    if imag != "drawn":
+        words = words.copy()
+        words[..., 1] = 0
+        if imag != "all +0.0" and words.size:
+            words.reshape(-1, 2)[at % (words.size // 2), 1] = imag
     floats = words.view(float)
     for arr, kind in ((floats, float), (floats.view(complex)[..., 0], complex)):
         text = json.loads(canonical_json({"a": pack_array(arr)}))["a"]
         assert isinstance(text, str)
+        real_parts = kind is float or not words[..., 1].any()
+        assert _value_count(text) == arr.size * (1 if real_parts else 2)
         again = unpack_array(text, "a", arr.shape, kind)
-        assert again.dtype == arr.dtype and again.shape == arr.shape
-        np.testing.assert_array_equal(_bits(again), _bits(arr))
+        assert again.dtype == (float if real_parts else complex) and again.shape == arr.shape
+        np.testing.assert_array_equal(_bits(np.array(again, dtype=kind)), _bits(arr))
+
+
+@pytest.mark.parametrize("lam", ["4", "4+0.5i"], ids=["real", "complex"])
+def test_forward_file_packs_real_parts_only_for_exactly_real_arrays(tmp_path, lam):
+    """Real energies: ``prod(shape)`` values per complex array; a complex energy keeps the pairs.
+
+    The file that ``forward`` writes decodes to the dataset built in memory, bit for bit.
+    """
+    h0 = np.diag([2.0, 1.0])
+    patch1 = constant_patch(2, 1.1, 0.4, h0, v1=0.1)
+    patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=0.1 * h0)
+    ds = forward_dataset(patch1, (ComplexEnergy(parse_complex(lam)), ComplexEnergy(5.0)), patch2=patch2)
+    p1, p2 = _write_patch(tmp_path, "p1.json", patch1), _write_patch(tmp_path, "p2.json", patch2)
+    out = tmp_path / "ds.json"
+    argv = ["forward", "--patch", str(p1), "--patch2", str(p2), "--lam", lam, "--lam", "5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == canonical_json(ds.to_dict())
+    data = json.loads(text)
+    again = SymbolDataset.from_dict(data)
+    width = 1 if lam == "4" else 2
+    for name in ("symbols", "singularity"):
+        arr = getattr(ds, name)
+        assert _real_parts(arr) == (width == 1)
+        assert _value_count(data[name]) == width * arr.size
+        np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(arr))
 
 
 @settings(max_examples=30, deadline=None)
@@ -373,7 +441,7 @@ def test_dataset_io_errors(tmp_path):
         SymbolDataset.load(wrong)
 
 
-# float shapes of the seed-4, n=2 dataset's packed arrays (grid 4x4, 2 energies,
+# float shapes of the seed-4, n=2 dataset's arrays (grid 4x4, 2 energies,
 # 3 covectors, 4 probes; complex entries as [re, im])
 _FLOAT_SHAPES = {
     "symbols": (2, 4, 4, 3, 2, 2),
@@ -382,20 +450,32 @@ _FLOAT_SHAPES = {
 }
 
 
-def _unpacked(text, shape=(-1,), dtype="<f8"):
-    """A packed array read the way the README does it, as a writable copy."""
-    return np.frombuffer(base64.b64decode(text), dtype).reshape(shape).copy()
+def _unpacked(text, shape=(-1,)):
+    """A packed array read the way the README does it, as a writable copy.
+
+    Twice as many values as the shape holds are the ``re, im`` pairs of a
+    complex array.
+    """
+    values = np.frombuffer(base64.b64decode(text), "<f8")
+    if values.size == 2 * math.prod(shape):
+        values = values.view("<c16")
+    return values.reshape(shape).copy()
 
 
 def _edit_packed(parent, name, edit, shape=(-1,)):
-    """Unpack ``parent[name]`` to floats of ``shape``, edit them and pack them back.
+    """Edit array ``name`` of the valid dataset dict ``parent`` as floats of ``shape``.
 
+    The array is read through ``SymbolDataset.from_dict``, so a complex
+    array is complex whichever way it was written; its entries are edited as
+    ``re, im`` float pairs and packed back by ``pack_array``'s own rule.
     ``edit(arr)`` changes ``arr`` in place or returns the array to pack.
     """
-    arr = _unpacked(parent[name], shape)
+    arr = np.array(getattr(SymbolDataset.from_dict(parent), name))
+    floats = arr[..., None].view(float).reshape(shape)
     with np.errstate(all="ignore"):
-        out = edit(arr)
-    parent[name] = pack_array(arr if out is None else out)
+        out = edit(floats)
+    out = np.ascontiguousarray(floats if out is None else out)
+    parent[name] = pack_array(out.view(complex) if np.iscomplexobj(arr) else out)
 
 
 def _set_entry(name, index, value):
@@ -478,23 +558,23 @@ def _no_samples(data):
     [
         (
             _truncate("symbols", 12),
-            r"symbols: expected 384 float64 values for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got 372$",
+            r"symbols: expected 192 \(real parts\) or 384 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(2, 4, 4, 3, 2\), got 186$",
         ),
         (
             _reshape("symbols", lambda a: a[:, :, :, :2]),
-            r"symbols: expected 384 float64 values for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got 256$",
+            r"symbols: expected 192 \(real parts\) or 384 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(2, 4, 4, 3, 2\), got 128$",
         ),
         (
             _reshape("symbols", lambda a: np.concatenate([a, a[:, :, :, :1]], axis=3)),
-            r"symbols: expected 384 float64 values for a complex array of shape "
-            r"\(2, 4, 4, 3, 2\), got 512$",
+            r"symbols: expected 192 \(real parts\) or 384 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(2, 4, 4, 3, 2\), got 256$",
         ),
         (
             _truncate("singularity", 2),
-            r"singularity: expected 128 float64 values for a complex array of shape "
-            r"\(4, 4, 4\), got 126$",
+            r"singularity: expected 64 \(real parts\) or 128 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(4, 4, 4\), got 63$",
         ),
         (
             _truncate("probes", 1),
@@ -504,13 +584,13 @@ def _no_samples(data):
         (
             _reshape("probes", lambda a: np.concatenate([a, np.zeros((4, 1))], axis=-1)),
             # twelve values read as six two-component probes
-            r"singularity: expected 192 float64 values for a complex array of shape "
-            r"\(4, 4, 6\), got 128$",
+            r"singularity: expected 96 \(real parts\) or 192 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(4, 4, 6\), got 64$",
         ),
         (
             _reshape("singularity", lambda a: np.concatenate([a, a[:1]], axis=0)),
-            r"singularity: expected 128 float64 values for a complex array of shape "
-            r"\(4, 4, 4\), got 160$",
+            r"singularity: expected 64 \(real parts\) or 128 \(re, im pairs\) float64 values "
+            r"for a complex array of shape \(4, 4, 4\), got 80$",
         ),
         (
             _no_samples,
@@ -548,12 +628,17 @@ def _no_samples(data):
             (
                 _set("schema", f"scatjet.symbols/{old}"),
                 rf"dataset schema 'scatjet.symbols/{old}' is no longer read; "
-                r"re-run `scatjet forward` to write 'scatjet.symbols/6'",
+                r"re-run `scatjet forward` to write 'scatjet.symbols/7'",
             )
-            for old in (1, 2, 3, 4, 5)
+            for old in (1, 2, 3, 4, 5, 6)
         ),
         (_set("scale_t", 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
         (_set("scale_t", -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
+        (_set("scale_t", "2"), r"^scale_t must be a number, got '2'$"),
+        (_set("scale_t", True), r"^scale_t must be a number, got True$"),
+        (_set("energies", [[True, 0.0], [5.0, 0.0]]), r"^energies entry must be a number, got True$"),
+        (_set("energies", [[4.0, "0"], [5.0, 0.0]]), r"^energies entry must be a number, got '0'$"),
+        (_set("t_pair", [[True, 0], [1.0, 0.0]]), r"^t_pair entry must be a number, got True$"),
         (_set("energies", []), r"dataset has no energies"),
         (_set("grid_shape", [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
         (_set("grid_shape", [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
@@ -597,8 +682,14 @@ def _no_samples(data):
         "schema-3",
         "schema-4",
         "schema-5",
+        "schema-6",
         "scale-t-one",
         "scale-t-negative",
+        "scale-t-string",
+        "scale-t-bool",
+        "energy-bool",
+        "energy-string",
+        "t-pair-bool",
         "no-energies",
         "grid-axis-zero",
         "grid-rank-not-n",
@@ -648,7 +739,7 @@ def test_cli_integrals_t2_matches_oracle(tmp_path):
     rc = main(["integrals", "--which", "T2", "--sigma", "2+0i", "--n", "1", "--out", str(out)])
     assert rc == 0
     payload = _read_json(out)
-    got = decode_complex(payload["value"])
+    got = decode_complex(payload["value"], "value")
     assert abs(got - t_oracle(2, 2.0, 1)) <= 1e-5
     assert payload["l"] == 2 and payload["converged"] is True
     assert payload["err"] < 1e-5 and payload["evals"] == 0  # closed form
@@ -662,7 +753,7 @@ def test_cli_integrals_bare_j_uses_level_flag(tmp_path):
     assert rc == 0
     payload = _read_json(out)
     assert payload["l"] == 1 and payload["k"] == 1
-    assert decode_complex(payload["value"]).real > 0
+    assert decode_complex(payload["value"], "value").real > 0
 
 
 def test_cli_integrals_green(tmp_path):
@@ -671,7 +762,7 @@ def test_cli_integrals_green(tmp_path):
         ["integrals", "--which", "G", "--sigma", "2.5+0i", "--n", "2", "--s", "1.0", "--z", "0,0", "--out", str(out)]
     )
     assert rc == 0
-    val = decode_complex(_read_json(out)["value"])
+    val = decode_complex(_read_json(out)["value"], "value")
     assert val == pytest.approx(2.0**-2.5 / (2 * math.pi), rel=1e-12)
 
 
@@ -737,7 +828,7 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/6"
+    assert payload["schema"] == "scatjet.symbols/7"
     # every block is a dataset field that load reads: no derived extras
     assert set(payload) == {
         "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
@@ -752,7 +843,7 @@ def test_cli_forward_invert_flow(tmp_path):
     assert report["status"] == "ok"
     a2 = _unpacked(report["alpha_sq"], (4, 4))
     np.testing.assert_allclose(a2, 1.1**2, atol=1e-8)
-    H = _unpacked(report["H"], (4, 4, 2, 2), "<c16")
+    H = _unpacked(report["H"], (4, 4, 2, 2))
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
     np.testing.assert_allclose(H[0, 0], want_H, atol=1e-8)
 

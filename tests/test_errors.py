@@ -39,3 +39,11 @@ def test_raise_first_names_the_first_point_in_c_order():
     point_mask[1, 3] = True
     with pytest.raises(ZeroSymbol, match=r"^point check at grid index \(1, 3\)$"):
         raise_first(2, _checks(point_mask, sample_mask))
+
+
+def test_raise_first_names_the_sample_alone_for_one_point():
+    """With n = 0 the checks judge one point's samples: no grid index is written."""
+    with pytest.raises(ZeroSymbol, match=r"^sample check at sample \(3,\)$"):
+        raise_first(0, [(np.arange(5) == 3, ZeroSymbol, lambda i: "sample check")])
+    with pytest.raises(BranchCut, match=r"^scalar$"):
+        raise_first(0, [(True, BranchCut, lambda i: "scalar")])

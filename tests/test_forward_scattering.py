@@ -10,7 +10,7 @@ from scatjet.boundary_jets import (
     indicial_root,
     perturbation_coefficients,
 )
-from scatjet.errors import GammaPole, ZeroCovector
+from scatjet.errors import GammaPole, ScatjetError, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
     polarization_covectors,
@@ -275,6 +275,16 @@ def test_singularity_zero_data():
     pd = _pd(2, np.zeros((2, 2)))
     F = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, [[1.0, 0.0]])
     assert F.shape == (1,) and F[0] == 0.0
+
+
+def test_singularity_of_one_point_names_the_probe_alone():
+    """Scalar input has no grid: the refusal names the probe as the sample, and no grid index."""
+    pd = _pd(2, np.diag([1e308, 1e308]))
+    with pytest.raises(
+        ScatjetError,
+        match=r"^singularity coefficient at probe \(1\.0, 0\.0\) leaves double range at sample \(0,\)$",
+    ):
+        singularity_coefficient(pd, 1.0, 2.5, 1, 1, default_probe_set(2))
 
 
 def test_singularity_linearity():
