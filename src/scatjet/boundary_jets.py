@@ -336,10 +336,12 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     The cut (:func:`branch_cut`) only matters for real energies: a real
     ``lambda`` with ``lambda^2`` below mode 0 at a point makes ``q`` negative
     there, the two roots have been exchanged by analytic continuation, so no
-    branch choice is defensible and we refuse.  Off the real axis the
-    principal square root is taken everywhere (its value on the negative
-    real axis is ``+i sqrt|q|``, the limit from above), which keeps
-    ``Re sigma >= n/2``.
+    branch choice is defensible and we refuse.  Past that refusal a real
+    energy's ``q`` is real and nonnegative, and the root is a float64 array
+    (numpy's real square root, with the bits of the complex one's real
+    part).  Off the real axis the root is complex: the principal square
+    root is taken everywhere (its value on the negative real axis is
+    ``+i sqrt|q|``, the limit from above), which keeps ``Re sigma >= n/2``.
     """
     with np.errstate(all="ignore"):  # a q past double range is refused below
         q = indicial_q(patch.alpha**2, patch.v_jet[0], energy.lam_sq, patch.n)
@@ -360,6 +362,8 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
             ),
         ],
     )
+    if energy.lam.imag == 0.0 and energy.lam_sq.imag == 0.0:
+        q = q.real  # exactly real, and the cut refused its negative values above
     return patch.n / 2.0 + np.sqrt(q)
 
 

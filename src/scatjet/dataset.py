@@ -20,6 +20,11 @@ Every bit is kept:
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
   ``probes`` and ``t_pair`` are.
 
+In memory ``symbols`` and ``singularity`` are float64 for real data (the
+forward map at real energies, or a file that holds real parts) and
+complex128 otherwise; a float array packs to the same bytes as a complex
+array whose imaginary parts are all ``+0.0``.
+
 A dataset holds the scattering data and nothing derived from the unknowns:
 the inverse screens its energies against the exceptional set of the fields
 it recovers.
@@ -46,7 +51,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigError, IoError, as_float, as_int, raise_first
-from .forward_scattering import polarization_covectors, probe_array
+from .forward_scattering import float_or_complex, polarization_covectors, probe_array
 
 SCHEMA = "scatjet.symbols/7"
 _OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
@@ -173,7 +178,8 @@ def pack_array(arr: np.ndarray) -> PackedArray:
     A complex array is written as its real parts when every imaginary part
     is the float64 word of ``+0.0``, and otherwise as ``re, im`` pairs.  The
     test is on the bits, so a ``-0.0`` or NaN imaginary part keeps the
-    pairs and :func:`unpack_array` gives back every bit.
+    pairs and :func:`unpack_array` gives back every bit.  A float array
+    writes the same text as its widening to complex.
     """
     if np.iscomplexobj(arr):
         arr = np.ascontiguousarray(arr, dtype="<c16")
@@ -224,17 +230,20 @@ def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np
 class SymbolDataset:
     """Symbol samples over a boundary grid, with optional extras.
 
-    ``symbols`` is a read-only complex array of shape
-    ``(E, *grid_shape, C, 2)``: ``symbols[e, *idx, c]`` holds the pair
-    ``(S(xi), S(t xi))`` for energy index ``e``, grid index ``idx`` and the
-    covector ``forward_scattering.polarization_covectors(n)[c]``.
+    ``symbols`` is a read-only array of shape ``(E, *grid_shape, C, 2)``:
+    ``symbols[e, *idx, c]`` holds the pair ``(S(xi), S(t xi))`` for energy
+    index ``e``, grid index ``idx`` and the covector
+    ``forward_scattering.polarization_covectors(n)[c]``.
     ``probes`` (if present) is the read-only real ``(P, n)`` array of the
     unit probe directions, one set for every grid point, and
-    ``singularity`` the read-only complex ``(*grid_shape, P)`` array of the
+    ``singularity`` the read-only ``(*grid_shape, P)`` array of the
     first-order singularity coefficient ``F`` at those probes, and
     ``t_pair`` the two model-integral factors
     they were built with, which the inverse reads; the three come together
-    or not at all.  Construction checks every field and raises
+    or not at all.  ``symbols`` and ``singularity`` keep the dtype the
+    caller gives, as copies: float64 for real data (the forward map at real
+    energies, a file written as real parts) and complex128 for complex ones.
+    Construction checks every field and raises
     :class:`ConfigError` naming the first bad entry (a missing one of the
     three by name, a probe by its index, an entry of a grid array by its
     grid index and sample).
@@ -252,7 +261,7 @@ class SymbolDataset:
     def __post_init__(self):
         check_header(self.n, self.grid_shape, self.scale_t, self.energies)
         g = len(self.grid_shape)
-        symbols = np.array(self.symbols, dtype=complex)
+        symbols = float_or_complex(self.symbols).copy()
         want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
         if symbols.shape != want:
             raise ConfigError(f"symbols has shape {symbols.shape}, expected {want}")
@@ -270,7 +279,7 @@ class SymbolDataset:
             )
         if not missing:
             probes = probe_array(self.probes, self.n, ConfigError, "probes: ")
-            singularity = np.array(self.singularity, dtype=complex)
+            singularity = float_or_complex(self.singularity).copy()
             want = (*self.grid_shape, len(probes))
             if singularity.shape != want:
                 raise ConfigError(f"singularity has shape {singularity.shape}, expected {want}")

@@ -12,7 +12,8 @@ with ``sigma = sigma(lambda, y)`` the indicial root and
 stack of covectors and a sequence of energies at once.  Where ``sigma`` is
 real, as at a real energy above the cut, the prefactor takes scipy's real
 ``gamma`` and the power numpy's real ``exp`` (:func:`real_or_complex` picks
-the kernel per element), so the symbols of real energies are exactly real.
+the kernel per element), so the symbols of real energies are exactly real,
+and they come out float64.
 
 When two operators share boundary data to zeroth order, the difference of
 their scattering kernels has radial leading singularity with angular
@@ -127,22 +128,49 @@ def default_probe_set(n: int) -> np.ndarray:
     return _read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
 
 
+def float_or_complex(x) -> np.ndarray:
+    """``x`` as a complex128 array if it is complex, as a float64 array otherwise.
+
+    The type decides, not the values: a complex array whose imaginary parts
+    are all zero stays complex.  An array of the chosen dtype is returned as
+    it is, not copied.
+    """
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+
+
+def real_part_if_real(z):
+    """The scalar ``z`` as a float when its imaginary part is zero, as it is otherwise.
+
+    A zero-imaginary scalar then keeps float operands in float arithmetic;
+    against a complex operand numpy widens it back, so a complex computation
+    runs the same operations either way.
+    """
+    return z.real if z.imag == 0 else z
+
+
 def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
     """Elementwise ``real_kernel`` on the real axis, ``complex_kernel`` elsewhere.
 
-    The elements of the broadcast complex ``operands`` go to ``real_kernel``
-    where the caller's mask ``real`` holds (a zero imaginary part, say) and
-    every operand is finite.  ``real_kernel`` runs over all elements at once
-    and is kept only there; ``complex_kernel`` runs on the other elements
-    alone.  So each element gets the same bits in any array as alone, and the
+    The elements of the broadcast ``operands`` go to ``real_kernel`` where
+    the caller's mask ``real`` holds (a zero imaginary part, say) and every
+    operand is finite.  When no operand is complex and every element goes
+    there, the result is ``real_kernel``'s float64 array, which the real
+    kernels return for float64 operands.  Otherwise the operands are widened
+    to complex, ``real_kernel`` runs over all elements at once and is kept
+    only where it applies, and ``complex_kernel`` runs on the other elements
+    alone, giving a complex result.  So each element gets the same bits in
+    any array as alone, only the result's dtype is chosen per call, and the
     costly complex kernels run only where an operand is off the real axis or
     not finite.  Both kernels return new arrays, and so does this function.
     """
     operands = np.broadcast_arrays(*operands)
     with np.errstate(all="ignore"):
-        out = np.asarray(real_kernel(*operands), dtype=complex)
         for x in operands:
             real = real & np.isfinite(x)
+        if not any(np.iscomplexobj(x) for x in operands) and np.all(real):
+            return np.asarray(real_kernel(*operands), dtype=float)
+        operands = [x.astype(complex, copy=False) for x in operands]
+        out = np.asarray(real_kernel(*operands), dtype=complex)
         rest = ~real
         out[rest] = complex_kernel(*(x[rest] for x in operands))
     return out
@@ -165,17 +193,19 @@ def _complex_prefactor(sigma, n: int):
     return power * _gamma(n / 2.0 - sigma) / _gamma(sigma - n / 2.0)
 
 
-def prefactor_and_poles(sigma: np.ndarray, n: int):
+def prefactor_and_poles(sigma, n: int):
     """``2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)`` elementwise, and its pole check.
 
     A real ``sigma`` takes scipy's real ``gamma``: it is more accurate than the
-    complex one and leaves no imaginary part.  The check is a
-    ``(failed, error_class, message)`` entry for
+    complex one and leaves no imaginary part, and a float ``sigma`` that is
+    finite everywhere gives a float result (:func:`real_or_complex`).  The
+    check is a ``(failed, error_class, message)`` entry for
     :func:`~scatjet.errors.raise_first`; off the poles the values are final.
     A pole is an integer ``sigma - n/2`` to 1e-12, judged only where
     ``|Re(sigma - n/2)| < 2^52``: every double above that is an integer, so
     the test would name rounding, not a pole.
     """
+    sigma = float_or_complex(sigma)
     half_off = sigma - n / 2.0
     with np.errstate(all="ignore"):  # a sigma that is not finite is no pole
         re = half_off.real
@@ -193,25 +223,13 @@ def prefactor_and_poles(sigma: np.ndarray, n: int):
     return value, (
         at_pole,
         GammaPole,
-        lambda i: f"sigma - n/2 = {half_off[i]} is an integer: Gamma pole/zero in the prefactor",
+        lambda i: f"sigma - n/2 = {complex(half_off[i])} is an integer: "
+        "Gamma pole/zero in the prefactor",
     )
 
 
-def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]) -> np.ndarray:
-    """Principal symbol over the whole grid for a stack of covectors, at each energy.
-
-    ``xi`` has shape ``(..., n)``; the result has shape
-    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
-    The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
-    not depend on the energy: their log is computed once and shared by every
-    energy, and so is one Gamma prefactor call over the roots of every
-    energy.  Each point and energy is checked in this order, and the first
-    failure raises: a Gamma pole (:class:`~scatjet.errors.GammaPole`), then a
-    value past double range, or one that underflows to zero
-    (:class:`~scatjet.errors.ScatjetError`).  The message names the grid
-    index, then the energy index and covector as the sample.
-    :func:`~scatjet.boundary_jets.indicial_root` refuses an energy first.
-    """
+def _roots_and_symbols(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]):
+    """``(sigma, symbols)``: the ``(*grid, E)`` indicial roots and :func:`principal_symbol`."""
     n = patch.n
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (n,):
@@ -223,18 +241,20 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
     with np.errstate(divide="ignore"):
         # a norm that underflows to zero has log -inf; its samples are refused below
         log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
-    pad = patch.grid_shape + (1,) * (xi.ndim - 1)
-    sigma = np.empty(patch.grid_shape + (len(energies),), dtype=complex)  # (*grid, E)
-    for e, energy in enumerate(energies):
-        sigma[..., e] = indicial_root(patch, energy)
+    # (*grid, E): float when every energy is real, complex otherwise
+    sigma = np.stack([indicial_root(patch, energy) for energy in energies], axis=-1)
     pref, pole_check = prefactor_and_poles(sigma, n)
-    out = np.empty((len(energies),) + log_norm.shape, dtype=complex)
+    pad = (len(energies),) + patch.grid_shape + (1,) * (xi.ndim - 1)
+
+    def by_energy(arr):
+        # (*grid, E) as (E, *grid, 1, ...), to broadcast against log_norm
+        return np.moveaxis(arr, -1, 0).reshape(pad)
+
     with np.errstate(all="ignore"):
-        for e in range(len(energies)):
-            arg = (2.0 * sigma[..., e] - n).reshape(pad) * log_norm
-            out[e] = pref[..., e].reshape(pad) * real_or_complex(
-                arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg
-            )
+        arg = by_energy(2.0 * sigma - n) * log_norm
+        out = by_energy(pref) * real_or_complex(
+            arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg
+        )
     # (*grid, E, ...): a failure names the grid index, then the energy index and covector
     moved = np.moveaxis(out, 0, n)
     raise_first(
@@ -250,16 +270,38 @@ def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
             ),
         ],
     )
-    return out
+    return sigma, out
+
+
+def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]) -> np.ndarray:
+    """Principal symbol over the whole grid for a stack of covectors, at each energy.
+
+    ``xi`` has shape ``(..., n)``; the result has shape
+    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
+    It is float64 when every energy is real (so is every root, see
+    :func:`~scatjet.boundary_jets.indicial_root`) and every sample is
+    finite, and complex128 otherwise.
+    The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
+    not depend on the energy: their log is computed once and shared by every
+    energy, and so is one Gamma prefactor call over the roots of every
+    energy.  Each point and energy is checked in this order, and the first
+    failure raises: a Gamma pole (:class:`~scatjet.errors.GammaPole`), then a
+    value past double range, or one that underflows to zero
+    (:class:`~scatjet.errors.ScatjetError`).  The message names the grid
+    index, then the energy index and covector as the sample.
+    :func:`~scatjet.boundary_jets.indicial_root` refuses an energy first.
+    """
+    return _roots_and_symbols(patch, xi, energies)[1]
 
 
 def hessian_profile_factors(sigma):
     """``(3 - 2 sigma, 1 - 2 sigma)``, elementwise: the two factors of the Hessian profile.
 
     The profile is ``D_ij(omega) = p (delta_ij + q w_i w_j)`` for ``(p, q)``
-    these factors.
+    these factors.  They are float for a real ``sigma``, complex for a
+    complex one.
     """
-    sig = np.asarray(sigma, dtype=complex)
+    sig = float_or_complex(sigma)
     return 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
 
 
@@ -271,7 +313,8 @@ def first_order_factors(probes: np.ndarray, sigma, t1: complex):
     the order of :func:`symmetric_pairs`.  Elementwise in ``sigma``,
     ``a = t1 (3 - 2 sigma)(1 - 2 sigma)`` and ``b = t1 (3 - 2 sigma)``: per
     point ``T u`` holds ``a H_ij`` at each pair, then
-    ``b tr H + t2 (W1 - alpha^2 (1-n) T/4)``.
+    ``b tr H + t2 (W1 - alpha^2 (1-n) T/4)``.  A real ``sigma`` and a ``t1``
+    with no imaginary part give float ``a`` and ``b``.
     """
     rows, cols = symmetric_pairs(probes.shape[-1])
     mult = np.where(rows == cols, 1.0, 2.0)
@@ -279,7 +322,9 @@ def first_order_factors(probes: np.ndarray, sigma, t1: complex):
         [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
     )
     p, q = hessian_profile_factors(sigma)
-    b = t1 * p
+    # np.multiply, not *: a one-point call stays a numpy scalar (a Python complex
+    # times a numpy float, a subclass of float, would give a Python complex)
+    b = np.multiply(real_part_if_real(t1), p)
     return M, b * q, b
 
 
@@ -299,9 +344,10 @@ def singularity_coefficient(
     :class:`ValueError`.  ``F = M (T u)`` with the factors of
     :func:`first_order_factors`; the trace term reads ``pd.T``.  The result
     has shape ``grid_shape + (P,)``, and each point's values have the same
-    bits alone as in any grid.  A value that is not finite raises
-    :class:`~scatjet.errors.ScatjetError` naming the first grid index and,
-    as the sample, the probe.
+    bits alone as in any grid: float64 for a real ``sigma`` and ``t1``,
+    ``t2`` with no imaginary part, complex128 otherwise.  A value that is
+    not finite raises :class:`~scatjet.errors.ScatjetError` naming the first
+    grid index and, as the sample, the probe.
     """
     n = pd.n
     w = probe_array(probes, n, ValueError, "omega: ")
@@ -309,11 +355,11 @@ def singularity_coefficient(
     rows, cols = symmetric_pairs(n)
     H = np.asarray(pd.H)
     with np.errstate(all="ignore"):  # a value past double range is refused below
-        last = b * np.trace(H, axis1=-2, axis2=-1) + t2 * (
+        last = b * np.trace(H, axis1=-2, axis2=-1) + real_part_if_real(t2) * (
             pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
         )
         grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
-        Tu = np.empty(grid + (len(rows) + 1,), dtype=complex)
+        Tu = np.empty(grid + (len(rows) + 1,), dtype=np.result_type(a, last))
         Tu[..., :-1] = a[..., None] * H[..., rows, cols]
         Tu[..., -1] = last
         # one dot product per point and probe, so every point gets the same bits in any grid

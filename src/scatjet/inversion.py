@@ -34,7 +34,12 @@ Stage by stage:
    Where ``t1 (3 - 2 sigma)(1 - 2 sigma)`` vanishes the probes cannot see
    the traceless part of ``H``, and the fit refuses.
 
-Every stage takes scalars or whole grid arrays.  ``layer_strip_driver``
+Every stage takes scalars or whole grid arrays, float or complex, and keeps
+real data real: float64 samples and roots, and energies and model-integral
+factors with no imaginary part, run in float64 arithmetic from the sigma
+stage to the first-order fit (its dot products and QR included), and give
+float64 fields; any complex input runs the complex arithmetic.
+``layer_strip_driver``
 chains the stages over a full symbol dataset, one call per stage: the sigma
 and metric stages carry the energy axis after the grid axes.  The dataset
 holds the scattering data alone, so the energies are screened after stage 3,
@@ -67,10 +72,12 @@ from .errors import (
 )
 from .forward_scattering import (
     first_order_factors,
+    float_or_complex,
     hessian_profile_factors,
     prefactor_and_poles,
     probe_array,
     real_or_complex,
+    real_part_if_real,
     symmetric_pairs,
 )
 from .spectral_sets import exceptional_set, is_admissible
@@ -96,22 +103,35 @@ def _smith_divide(a, b):
     return re / denom + 1j * (im / denom)
 
 
+def _over_real(a, d):
+    """``a / d`` for a real ``d``: each part of ``a`` divided alone, a true division.
+
+    Float for a float ``a``.
+    """
+    if np.iscomplexobj(a):
+        return a.real / d + 1j * (a.imag / d)
+    return a / d
+
+
 def _divide(a, b):
-    """Complex ``a / b``, elementwise, ending in a true division.
+    """``a / b``, elementwise, ending in a true division.
 
     Where ``b`` is real, finite and nonzero and ``a`` is finite, the parts of
-    ``a`` are divided by ``b``: the bits of Smith's method, but for the sign
-    of a zero.  Elsewhere Smith's method divides.  numpy's complex division
-    multiplies by a rounded reciprocal instead; the extra rounding, amplified
-    by the two-energy solve, moved ``V0`` by up to 1e-12 against the scalar
-    division.  No division raises a numpy warning, and a zero divisor gives
-    inf or NaN for the caller to refuse.
+    ``a`` are divided by ``b`` (:func:`_over_real`): the bits of Smith's
+    method, but for the sign of a zero.  Elsewhere Smith's method divides.
+    numpy's complex division multiplies by a rounded reciprocal instead; the
+    extra rounding, amplified by the two-energy solve, moved ``V0`` by up to
+    1e-12 against the scalar division.  Float operands that all take the
+    parts division give a float result, any other a complex one
+    (:func:`~scatjet.forward_scattering.real_or_complex`).  No division
+    raises a numpy warning, and a zero divisor gives inf or NaN for the
+    caller to refuse.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = float_or_complex(a)
+    b = float_or_complex(b)
     return real_or_complex(
         (b.imag == 0) & (b.real != 0),
-        lambda a, b: a.real / b.real + 1j * (a.imag / b.real),
+        lambda a, b: _over_real(a, b.real),
         _smith_divide,
         a,
         b,
@@ -120,7 +140,8 @@ def _divide(a, b):
 
 def _log(x):
     """The principal log, elementwise: numpy's real ``log`` where ``x`` is real,
-    finite and positive, its complex ``log`` elsewhere."""
+    finite and positive, its complex ``log`` elsewhere.  Float for a float
+    ``x`` that is finite and positive everywhere."""
     return real_or_complex((x.imag == 0) & (x.real > 0), lambda x: np.log(x.real), np.log, x)
 
 
@@ -165,17 +186,16 @@ def recover_sigma_from_symbol(
     the first failing grid index and the sample along the other axes (for
     the spread and the pole, the point's axes alone).
     """
-    if t <= 0 or t == 1.0:
-        raise ValueError("scale factor t must be positive and != 1")
-    v, vt = np.broadcast_arrays(
-        np.asarray(value_xi, dtype=complex), np.asarray(value_txi, dtype=complex)
-    )
+    # written so that a NaN t fails too
+    if not (math.isfinite(t) and t > 0 and t != 1.0):
+        raise ValueError(f"scale factor t={t} must be finite, positive and != 1")
+    kind = complex if np.iscomplexobj(value_xi) or np.iscomplexobj(value_txi) else float
+    v, vt = np.broadcast_arrays(np.asarray(value_xi, kind), np.asarray(value_txi, kind))
     shape = v.shape
     with np.errstate(all="ignore"):
         q = _log(_divide(vt, v))
         d = 2.0 * math.log(t)
-        # a real divisor: parts divided alone, each a true division like ``_divide``'s
-        each = n / 2.0 + (q.real / d + 1j * (q.imag / d))
+        each = n / 2.0 + _over_real(q, d)
         samples = each.reshape(shape or (1,))
         # the first sample plus the mean deviation: exact where the samples
         # agree, where a sum over C can round off by an ulp, which the peel
@@ -281,12 +301,14 @@ def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
     """``(alpha_sq, v0, realness_residual)`` from ``alpha^2`` and the first root.
 
     ``V0`` is :func:`~scatjet.boundary_jets.indicial_v0` at the first energy,
-    with the complex ``alpha_sq`` and the roots as scalars or grid arrays.  Both
-    outputs must be real to ``_REALNESS_TOL`` (relative) and ``alpha_sq``
-    positive; ``checks`` come before these at each point.
+    with ``alpha_sq`` and the roots as scalars or grid arrays, float or
+    complex; a real ``lambda^2`` enters as a float.  Both outputs must be
+    real to ``_REALNESS_TOL`` (relative) and ``alpha_sq`` positive;
+    ``checks`` come before these at each point.
     """
+    alpha_sq, sigma1 = float_or_complex(alpha_sq), float_or_complex(sigma1)
     with np.errstate(all="ignore"):
-        v0 = indicial_v0(alpha_sq, complex(lam1) ** 2, sigma1, n)
+        v0 = indicial_v0(alpha_sq, real_part_if_real(complex(lam1) ** 2), sigma1, n)
         resid = np.maximum(
             np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
             np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
@@ -320,16 +342,17 @@ def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
 
     Returns ``(alpha_sq, v0, realness_residual)``, scalars or grid arrays
     like the roots; both outputs must be real to 1e-8 (relative) and
-    ``alpha_sq`` positive.
+    ``alpha_sq`` positive.  Real roots and energies run in float arithmetic,
+    any complex one in complex arithmetic.
     """
     l1sq, l2sq = complex(lam1) ** 2, complex(lam2) ** 2
     if abs(l1sq - l2sq) <= 1e-12 * max(1.0, abs(l1sq)):
         raise DegenerateEnergies(f"lambda^2 values coincide: {l1sq} vs {l2sq}")
-    s1 = np.asarray(sigma1, dtype=complex)
-    s2 = np.asarray(sigma2, dtype=complex)
+    s1 = float_or_complex(sigma1)
+    s2 = float_or_complex(sigma2)
     p1 = s1 * (n - s1)
     denom = p1 - s2 * (n - s2)
-    alpha_sq = _divide(l2sq - l1sq, denom)
+    alpha_sq = _divide(real_part_if_real(l2sq - l1sq), denom)
     singular = (
         np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
         InconsistentData,
@@ -347,7 +370,7 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     The ``H`` entries come at the pairs of
     :func:`~scatjet.forward_scattering.symmetric_pairs`, in that order, and ``W`` last.
     """
-    H = np.empty(x.shape[:-1] + (n, n), dtype=complex)
+    H = np.empty(x.shape[:-1] + (n, n), dtype=x.dtype)
     rows, cols = symmetric_pairs(n)
     H[..., rows, cols] = H[..., cols, rows] = x[..., :-1]
     return H, x[..., -1]
@@ -431,18 +454,20 @@ def first_order_recovery(
     """
     if abs(t1) < 1e-12 or abs(t2) < 1e-12:
         raise ZeroIntegralFactor(f"model-integral factors t1={t1}, t2={t2} too small")
-    b = np.asarray(values, dtype=complex)
+    b = float_or_complex(values)
     if b.shape[-1:] in ((), (0,)):
         raise ValueError("no singularity samples given")
     h0 = np.asarray(h0, dtype=float)
     n = h0.shape[-1]
     w = probe_array(probes, n, ValueError, "omega: ")
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = float_or_complex(sigma)
     grid = np.broadcast_shapes(b.shape[:-1], sigma.shape, np.shape(alpha_sq), h0.shape[:-2])
+    # the messages print t1 and t2 as given, the arithmetic takes a real one as a float
+    r1, r2 = real_part_if_real(t1), real_part_if_real(t2)
     with np.errstate(all="ignore"):
-        M, a, e = _design_factors(w, sigma, t1, t2, alpha_sq, h0)
+        M, a, e = _design_factors(w, sigma, r1, r2, alpha_sq, h0)
         a, e = np.broadcast_to(a, grid), np.broadcast_to(e, grid + e.shape[-1:])
-        bound = _SV_CUT * np.maximum(np.abs(t1 * hessian_profile_factors(sigma)[0]), abs(t2))
+        bound = _SV_CUT * np.maximum(np.abs(r1 * hessian_profile_factors(sigma)[0]), abs(r2))
     raise_first(
         len(grid),
         [
@@ -455,7 +480,7 @@ def first_order_recovery(
                 np.abs(a) <= bound,
                 InconsistentData,
                 lambda i: f"|t1 (3-2 sigma)(1-2 sigma)| = {abs(a[i]):.3e} at sigma = "
-                f"{np.broadcast_to(sigma, grid)[i]} is at most {_SV_CUT:g} "
+                f"{complex(np.broadcast_to(sigma, grid)[i])} is at most {_SV_CUT:g} "
                 "max(|t1 (3-2 sigma)|, |t2|): the probes do not see the traceless part of H",
             ),
         ],
@@ -469,9 +494,9 @@ def first_order_recovery(
     # in any grid (np.vecdot: numpy >= 2)
     with np.errstate(all="ignore"):
         z = np.vecdot(pinv, b[..., None, :])
-        y = _solve_triangular(a, e, t2, z)
+        y = _solve_triangular(a, e, r2, z)
         Q, _ = np.linalg.qr(
-            np.swapaxes(_solve_triangular(a[..., None], e[..., None, :], t2, Vh[rank:]), -1, -2)
+            np.swapaxes(_solve_triangular(a[..., None], e[..., None, :], r2, Vh[rank:]), -1, -2)
         )
         kernel = np.swapaxes(Q, -1, -2)
         x = y - np.sum(kernel * np.vecdot(kernel, y[..., None, :])[..., None], axis=-2)
@@ -536,11 +561,13 @@ class RecoveryReport:
     """What the driver recovered; a field no stage reached is ``None``.
 
     Grid fields have shape ``grid_shape``, plus ``(n, n)`` for ``h0`` and
-    ``H``; ``alpha_sq``, ``v0`` and ``h0`` are real.  :meth:`to_dict` writes
-    each, and each ``kernel_basis`` ``H``, as the base64 string of
-    :func:`~scatjet.dataset.pack_array`, so a complex field whose imaginary
-    parts are all ``+0.0`` (as for real energies) is written as its real
-    parts and any other as ``re, im`` pairs.
+    ``H``; ``alpha_sq``, ``v0`` and ``h0`` are always float64, and
+    ``sigma1``, ``sigma2``, ``H``, ``W1`` and each ``kernel_basis`` ``H`` are
+    float64 for real data (real energies, float samples, real ``t_pair``)
+    and complex128 otherwise.  :meth:`to_dict` writes each as the base64
+    string of :func:`~scatjet.dataset.pack_array`, so a float field, or a
+    complex one whose imaginary parts are all ``+0.0``, is written as its
+    real parts and any other as ``re, im`` pairs.
     """
 
     n: int
@@ -666,7 +693,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         if single_energy:
             log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
             alpha_field, v0_field, realness = _zeroth_order(
-                np.full(shape, complex(a2)), sigma1, energies[0].lam, n
+                np.full(shape, float(a2)), sigma1, energies[0].lam, n
             )
             report.notes.append("alpha^2 supplied a priori; single-energy recovery of V0")
         else:

@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_jets import (
-    BoundaryPatch,
-    ComplexEnergy,
-    indicial_root,
-    perturbation_coefficients,
-)
+from .boundary_jets import BoundaryPatch, ComplexEnergy, perturbation_coefficients
 from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
 from .forward_scattering import (
+    _roots_and_symbols,
     default_probe_set,
     polarization_covectors,
-    principal_symbol,
     singularity_coefficient,
 )
 from .spectral_sets import exceptional_set, is_admissible
@@ -140,16 +135,18 @@ def forward_dataset(
     check_header(n, shape, scale_t, lams)
     covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
-    symbols = principal_symbol(patch1, xi, energies)
+    # the roots of every energy, computed once: the singularity samples read the first
+    sigma, symbols = _roots_and_symbols(patch1, xi, energies)
 
     singularity = omega = None
     if patch2 is not None:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
         omega = default_probe_set(n) if probes is None else probes
-        sigma = indicial_root(patch1, energies[0])
         pd = perturbation_coefficients(patch1, patch2)
-        singularity = singularity_coefficient(pd, patch1.alpha, sigma, t_pair[0], t_pair[1], omega)
+        singularity = singularity_coefficient(
+            pd, patch1.alpha, sigma[..., 0], t_pair[0], t_pair[1], omega
+        )
 
     return SymbolDataset(
         n=n,

@@ -213,9 +213,14 @@ def test_dataset_encode_decode_is_identity(ds):
     assert canonical_json(again.to_dict()) == text
     for name in ("symbols", "singularity"):
         arr = getattr(ds, name)
-        assert _value_count(data[name]) == arr.size * (1 if _real_parts(arr) else 2)
+        real_parts = _real_parts(arr)
+        assert _value_count(data[name]) == arr.size * (1 if real_parts else 2)
+        # real parts decode as float64, which widens to the complex array exactly
+        assert getattr(again, name).dtype == (float if real_parts else complex)
     for name in ("symbols", "singularity", "probes"):
-        np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
+        arr = getattr(ds, name)
+        widened = np.array(getattr(again, name), dtype=arr.dtype)
+        np.testing.assert_array_equal(_bits(widened), _bits(arr))
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
     assert _bits(np.array(again.energies + again.t_pair)).tolist() == _bits(
         np.array(ds.energies + ds.t_pair)
@@ -376,7 +381,8 @@ def test_dataset_rejects_singularity_without_every_grid_index():
 
 
 def _with_entry(array, index, value):
-    out = np.array(array)
+    """A copy of ``array`` with one entry set, widened to complex for a complex ``value``."""
+    out = np.array(array, dtype=np.result_type(array, np.asarray(value)))
     out[index] = value
     return out
 
@@ -465,17 +471,19 @@ def _unpacked(text, shape=(-1,)):
 def _edit_packed(parent, name, edit, shape=(-1,)):
     """Edit array ``name`` of the valid dataset dict ``parent`` as floats of ``shape``.
 
-    The array is read through ``SymbolDataset.from_dict``, so a complex
-    array is complex whichever way it was written; its entries are edited as
-    ``re, im`` float pairs and packed back by ``pack_array``'s own rule.
+    The array is read through ``SymbolDataset.from_dict`` and widened to
+    complex for ``symbols`` and ``singularity`` (real data decode as float64),
+    so its entries are edited as ``re, im`` float pairs whichever way it was
+    written, and packed back by ``pack_array``'s own rule.
     ``edit(arr)`` changes ``arr`` in place or returns the array to pack.
     """
-    arr = np.array(getattr(SymbolDataset.from_dict(parent), name))
+    kind = float if name == "probes" else complex
+    arr = np.array(getattr(SymbolDataset.from_dict(parent), name), dtype=kind)
     floats = arr[..., None].view(float).reshape(shape)
     with np.errstate(all="ignore"):
         out = edit(floats)
     out = np.ascontiguousarray(floats if out is None else out)
-    parent[name] = pack_array(out.view(complex) if np.iscomplexobj(arr) else out)
+    parent[name] = pack_array(out.view(complex) if kind is complex else out)
 
 
 def _set_entry(name, index, value):

@@ -166,21 +166,129 @@ def test_real_axis_kernels_judge_each_element_alone(ab, n):
     assert _bits(got[keep]) == _bits(want)
 
 
+_FLOAT_OPERANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+)
+
+
+def _float_operands(size):
+    """1-D float64 arrays of ``size`` entries with zeros, negatives, +-inf and NaN."""
+    return hnp.arrays(float, size, elements=_FLOAT_OPERANDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda k: st.tuples(_float_operands(k), _float_operands(k))),
+    st.integers(1, 3),
+)
+def test_float_operands_give_float_only_where_every_element_is_real(ab, n):
+    """Float operands give a float64 result exactly when every element takes the real kernel.
+
+    The float result has the bits of the real parts of the same call on the
+    operands widened to complex, and its imaginary parts are zero; a
+    division's zero quotient may differ in sign only (``_divide``'s
+    docstring).  Any other result is complex, bit for bit the widened call's.
+    """
+    a, b = ab
+
+    def prefactor(sigma):
+        with np.errstate(all="ignore"):
+            return prefactor_and_poles(sigma, n)[0]
+
+    finite = np.isfinite(a)
+    for f, args, real in (
+        (prefactor, (a,), finite),
+        (_log, (a,), finite & (a > 0)),
+        (_divide, (a, b), finite & np.isfinite(b) & (b != 0)),
+    ):
+        got = f(*args)
+        widened = f(*(x.astype(complex) for x in args))
+        assert widened.dtype == complex
+        if real.all():
+            assert got.dtype == np.float64
+            assert not np.any(widened.imag)
+            if f is _divide:
+                got, widened = got + 0.0, widened.real + 0.0  # -0.0 + 0.0 is +0.0
+            assert _bits(got) == _bits(widened.real)
+        else:
+            assert got.dtype == complex
+            assert _bits(got) == _bits(widened)
+
+
 def test_real_energies_give_exactly_real_symbols_and_roots():
+    """Real energies run the round trip in float64, and agree with its complex widening.
+
+    The forward map and the decoder give float64 ``symbols`` and
+    ``singularity``, and the driver float64 fields.  The driver on the same
+    dataset widened to complex128 gives bit-identical sigma, alpha^2, V0
+    and h0, with zero imaginary parts, and H and W1 within 1e-15 of the
+    point's largest |H| entry: they differ only by complex dot products and
+    QR in place of real ones.
+    """
     for seed in range(600, 625):
         for n in (1, 2, 3):
             ds = make_synthetic_pair(seed, n)[1]
-            assert not np.any(ds.symbols.imag)
+            again = SymbolDataset.from_dict(json.loads(canonical_json(ds.to_dict())))
+            for d in (ds, again):
+                assert d.symbols.dtype == d.singularity.dtype == np.float64
             report = layer_strip_driver(ds)
             assert report.status == "ok"
-            assert not np.any(report.sigma1.imag) and not np.any(report.sigma2.imag)
+            fields = ("sigma1", "sigma2", "alpha_sq", "v0", "h0", "H", "W1")
+            for name in fields:
+                assert getattr(report, name).dtype == np.float64, name
+            assert all(H.dtype == np.float64 for H, _ in report.kernel_basis)
+            widened = layer_strip_driver(
+                dataclasses.replace(
+                    ds,
+                    symbols=ds.symbols.astype(complex),
+                    singularity=ds.singularity.astype(complex),
+                )
+            )
+            assert widened.status == "ok"
+            for name in fields[:5]:
+                got, want = getattr(report, name), getattr(widened, name)
+                assert not np.any(np.imag(want)), name
+                assert np.real(want).tobytes() == got.tobytes(), name
+            assert widened.H.dtype == widened.W1.dtype == complex
+            scale = np.max(np.abs(report.H), axis=(-2, -1))
+            assert np.all(np.abs(widened.H - report.H) <= 1e-15 * scale[..., None, None])
+            assert np.all(np.abs(widened.W1 - report.W1) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [(4 + 0.5j, 5 - 0.25j), (4.0, 5 - 0.25j), (4 + 0.5j, 5.0)],
+    ids=["complex", "real-first", "complex-first"],
+)
+def test_a_complex_energy_keeps_complex128(lams):
+    """A complex energy in the pair keeps the symbols, the samples and the roots complex128.
+
+    Read back from a file, the samples of a real first energy are exactly
+    real, written as their real parts, and decode as float64.
+    """
+    h0 = np.diag([2.0, 1.0])
+    patch1 = constant_patch(2, 1.1, 0.4, h0, v1=0.1)
+    patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=0.1 * h0)
+    ds = forward_dataset(patch1, tuple(ComplexEnergy(lam) for lam in lams), patch2=patch2)
+    assert ds.symbols.dtype == ds.singularity.dtype == complex
+    again = SymbolDataset.from_dict(json.loads(canonical_json(ds.to_dict())))
+    assert again.symbols.dtype == complex
+    assert again.singularity.dtype == (np.float64 if lams[0] == 4.0 else complex)
+    report = layer_strip_driver(ds)
+    assert report.status == "ok"
+    for name in ("sigma1", "sigma2", "H", "W1"):
+        assert getattr(report, name).dtype == complex, name
+    for name in ("alpha_sq", "v0", "h0"):
+        assert getattr(report, name).dtype == np.float64, name
 
 
 def test_sigma_zero_and_scale_validation():
     with pytest.raises(ZeroSymbol):
         recover_sigma_from_symbol(0.0, 1.0, 2.0, 2)
-    for t in (1.0, 0.0, -2.0):
-        with pytest.raises(ValueError):
+    # a NaN or infinite t is refused up front too, not as a spread or a pole
+    for t in (1.0, 0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^scale factor t={t} must be finite, positive and != 1$"):
             recover_sigma_from_symbol(1.0, 1.0, t, 2)
 
 
@@ -843,8 +951,9 @@ def test_screen_on_recovered_fields_matches_the_truths_set(n):
 
 
 def _with_symbol(ds, index, value):
-    """``ds`` with one symbol sample replaced (datasets are read-only)."""
-    symbols = ds.symbols.copy()
+    """``ds`` with one symbol sample replaced (datasets are read-only), widened to
+    complex for a complex ``value``."""
+    symbols = np.array(ds.symbols, dtype=np.result_type(ds.symbols, np.asarray(value)))
     symbols[index] = value
     return dataclasses.replace(ds, symbols=symbols)
 
