@@ -30,7 +30,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import BranchCut, ConfigError, MismatchedBoundary, ScatjetError, as_int, raise_first
+from .errors import (
+    BranchCut,
+    ConfigError,
+    MismatchedBoundary,
+    ScatjetError,
+    as_int,
+    fold_last,
+    raise_first,
+)
 from .expressions import evaluate_field
 
 _BOUNDARY_MATCH_TOL = 1e-10
@@ -197,8 +205,14 @@ class BoundaryPatch:
         )
         h0 = h_jet[0]
         # a rounding-sized bound: Cholesky, and so the inverse, reads one
-        # triangle, and the other may differ from it by no more
-        if not np.allclose(h0, np.swapaxes(h0, -1, -2), rtol=1e-12, atol=1e-12):
+        # triangle, and the other may differ from it by no more.  It is
+        # np.allclose(h0, h0^T, rtol=1e-12, atol=1e-12) on these finite
+        # entries, judged elementwise over the pairs i < j in both directions
+        upper, lower = np.triu_indices(self.n, 1)
+        a, b = h0[..., upper, lower], h0[..., lower, upper]
+        with np.errstate(over="ignore"):
+            gap = np.abs(a - b)
+        if not ((gap <= 1e-12 + 1e-12 * np.abs(b)) & (gap <= 1e-12 + 1e-12 * np.abs(a))).all():
             raise ConfigError("h^(0) must be symmetric")
         h0_inv = positive_definite_inverse_or_raise(
             h0, self.n, ConfigError, lambda i: "h^(0) must be positive definite"
@@ -386,7 +400,7 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
     bad = {
         "alpha": np.abs(patch1.alpha - patch2.alpha) > _BOUNDARY_MATCH_TOL,
         "V^(0)": np.abs(patch1.v_jet[0] - patch2.v_jet[0]) > _BOUNDARY_MATCH_TOL,
-        "h^(0)": np.max(np.abs(h0 - patch2.h_jet[0]), axis=(-2, -1)) > _BOUNDARY_MATCH_TOL,
+        "h^(0)": fold_last(np.maximum, np.abs(h0 - patch2.h_jet[0]), 2) > _BOUNDARY_MATCH_TOL,
     }
 
     def disagree(i):
@@ -397,9 +411,10 @@ def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> P
     # a difference past double range is kept: the samples built from it are refused
     with np.errstate(all="ignore"):
         L = patch2.h_jet[1] - patch1.h_jet[1]
+        h0_inv_L = h0_inv @ L
         return PerturbationData(
             n=n,
-            H=h0_inv @ L @ h0_inv,
-            T=np.trace(h0_inv @ L, axis1=-2, axis2=-1),
+            H=h0_inv_L @ h0_inv,
+            T=np.trace(h0_inv_L, axis1=-2, axis2=-1),
             W1=patch2.v_jet[1] - patch1.v_jet[1],
         )

@@ -50,7 +50,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, IoError, as_float, as_int, raise_first
+from .errors import ConfigError, IoError, as_float, as_int, fold_last, raise_first
 from .forward_scattering import float_or_complex, polarization_covectors, probe_array
 
 SCHEMA = "scatjet.symbols/7"
@@ -265,7 +265,7 @@ class SymbolDataset:
         want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
         if symbols.shape != want:
             raise ConfigError(f"symbols has shape {symbols.shape}, expected {want}")
-        bad = np.moveaxis(~np.all(np.isfinite(symbols), axis=-1), 0, g)
+        bad = np.moveaxis(~fold_last(np.logical_and, np.isfinite(symbols)), 0, g)
         raise_first(
             g, [(bad, ConfigError, lambda i: "symbols: sample (energy index, covector) is not finite")]
         )

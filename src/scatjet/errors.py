@@ -6,6 +6,8 @@ programming errors.  Names describe the failure mode, one class per mode.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -85,6 +87,30 @@ def as_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def fold_last(ufunc, a, k: int = 1):
+    """``ufunc.reduce`` of ``a`` over its last ``k`` axes, as one elementwise call per slice.
+
+    For the order-independent ``logical_and``, ``logical_or`` and ``maximum``
+    the result has reduce's values.  Two sets of bits are left to the order
+    of evaluation, in numpy's own reduce as here: the payload of a NaN
+    (NaN stays NaN) and the sign of a maximum over ``+0.0`` and ``-0.0``.
+    numpy's reduce runs one inner loop per output element, which on a grid
+    with a short trailing axis costs far more than the arithmetic; this pays
+    one elementwise call per slice of those axes instead.  With fewer than
+    two slices it is ``ufunc.reduce`` itself: the identity on an empty axis,
+    or the error of a ufunc that has none.
+    """
+    a = np.asarray(a)
+    lead = a.ndim - k
+    slices = [a[(..., *j)] for j in itertools.product(*map(range, a.shape[lead:]))]
+    if len(slices) < 2:
+        return ufunc.reduce(a, axis=tuple(range(lead, a.ndim)))
+    out = np.asarray(ufunc(slices[0], slices[1]))
+    for s in slices[2:]:
+        ufunc(out, s, out=out)
+    return out[()]
 
 
 def raise_first(n: int, checks) -> None:

@@ -68,6 +68,7 @@ from .errors import (
     ScatjetError,
     ZeroIntegralFactor,
     ZeroSymbol,
+    fold_last,
     raise_first,
 )
 from .forward_scattering import (
@@ -201,7 +202,7 @@ def recover_sigma_from_symbol(
         # agree, where a sum over C can round off by an ulp, which the peel
         # amplifies near a Gamma pole
         sigma = samples[..., 0] + (samples - samples[..., :1]).mean(axis=-1)
-        spread = np.max(np.abs(samples - sigma[..., None]), axis=-1)
+        spread = fold_last(np.maximum, np.abs(samples - sigma[..., None]))
         pref, pole_check = prefactor_and_poles(sigma, n)
         power = _divide(v.reshape(samples.shape), pref[..., None])
         w = _divide(_log(power), (2.0 * sigma - n)[..., None])
@@ -280,7 +281,7 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
         n,
         [
             (
-                np.isinf(sq).any(axis=-1) | np.isinf(off).any(axis=-1),
+                fold_last(np.logical_or, np.isinf(sq)) | fold_last(np.logical_or, np.isinf(off)),
                 InconsistentData,
                 lambda k: f"squared covector norm leaves double range (norms {norm[k]})",
             )
@@ -472,7 +473,7 @@ def first_order_recovery(
         len(grid),
         [
             (
-                ~(np.isfinite(a) & np.all(np.isfinite(e), axis=-1)),
+                ~(np.isfinite(a) & fold_last(np.logical_and, np.isfinite(e))),
                 InconsistentData,
                 lambda i: f"first-order design leaves double range (t1={t1}, t2={t2})",
             ),
@@ -506,7 +507,7 @@ def first_order_recovery(
         len(grid),
         [
             (
-                ~(np.all(np.isfinite(x), axis=-1) & np.isfinite(residual)),
+                ~(fold_last(np.logical_and, np.isfinite(x)) & np.isfinite(residual)),
                 InconsistentData,
                 lambda i: "fitted H, W1 or fit residual leaves double range "
                 f"(residual {residual[i]:.3e})",
@@ -526,12 +527,15 @@ def timed(stage: str):
     """Log the block's wall time at debug level as one JSON line.
 
     The line is ``{"seconds": ..., "stage": stage}`` on the logger named
-    ``STAGE_LOGGER``; a block that raises logs nothing.
+    ``STAGE_LOGGER``, built only when that logger is enabled for debug; a
+    block that raises logs nothing.
     """
     start = time.perf_counter()
     yield
     seconds = time.perf_counter() - start
-    logging.getLogger(STAGE_LOGGER).debug(json.dumps({"seconds": seconds, "stage": stage}))
+    logger = logging.getLogger(STAGE_LOGGER)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(json.dumps({"seconds": seconds, "stage": stage}))
 
 
 @contextlib.contextmanager
@@ -662,8 +666,8 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         if not single_energy:
             # (*grid, E): each energy's largest gap to the metric at energy 0
             with np.errstate(all="ignore"):
-                gaps = np.max(np.abs(h0_fields - h0_field[..., None, :, :]), axis=(-2, -1))
-                scale = np.max(np.abs(h0_field), axis=(-2, -1))
+                gaps = fold_last(np.maximum, np.abs(h0_fields - h0_field[..., None, :, :]), 2)
+                scale = fold_last(np.maximum, np.abs(h0_field), 2)
             raise_first(
                 n,
                 [
@@ -722,7 +726,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             fo = first_order_recovery(
                 dataset.singularity, dataset.probes, sigma1, *dataset.t_pair, alpha_field, h0_field
             )
-            scale = np.max(np.abs(dataset.singularity), axis=-1)
+            scale = fold_last(np.maximum, np.abs(dataset.singularity))
             raise_first(
                 n,
                 [

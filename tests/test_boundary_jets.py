@@ -1,5 +1,6 @@
 """Boundary patch construction, indicial roots, and jet differences."""
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -98,10 +99,53 @@ def test_patch_rejects_asymmetric_or_indefinite_metric():
     # the symmetry bound is rounding-sized: a 5e-6 gap is no rounding
     with pytest.raises(ConfigError, match="symmetric"):
         constant_patch(2, 1.1, 0.4, [[2.0, 1.0 + 5e-6], [1.0, 2.0]])
+    # a gap past double range is refused by name, with no overflow warning
+    with pytest.raises(ConfigError, match="symmetric"):
+        constant_patch(2, 1.1, 0.4, [[1e308, 1e308], [-1e308, 1e308]])
     # while the rounding of a product of entries near 1e5 is
     big = 1e5 * random_spd(np.random.default_rng(1), 3)
     assert np.any(big != big.T)
     constant_patch(3, 1.1, 0.4, big)
+
+
+def _judged_symmetric(h0) -> bool:
+    """Whether a constant 2x2 patch with metric ``h0`` passes the symmetry check."""
+    try:
+        constant_patch(2, 1.1, 0.4, h0)
+    except ConfigError as exc:
+        assert "symmetric" in str(exc)
+        return False
+    return True
+
+
+def _straddle(b: float) -> tuple[float, float]:
+    """Adjacent floats x > b whose gap ``x - b`` is at most, then above, ``1e-12 + 1e-12 |b|``."""
+    bound = 1e-12 + 1e-12 * abs(b)
+    x = b + bound
+    while x - b > bound:
+        x = np.nextafter(x, -math.inf)
+    while np.nextafter(x, math.inf) - b <= bound:
+        x = np.nextafter(x, math.inf)
+    return x, np.nextafter(x, math.inf)
+
+
+@pytest.mark.parametrize("b", [0.0, 2.5e-13, -4e-13, 0.75, 3.0, 1e5])
+def test_patch_symmetry_verdict_is_allclose_at_the_bound(b):
+    """One ulp inside and outside the bound, with the larger entry above or below the diagonal.
+
+    ``x`` and ``b`` differ in size, so the two directions have different
+    bounds and the tighter one, ``1e-12 + 1e-12 |b|``, decides.
+    """
+    x_in, x_out = _straddle(b)
+    assert abs(x_in) != abs(b)
+    d = 4.0 * max(1.0, abs(x_out))
+    for x, inside in ((x_in, True), (x_out, False)):
+        for h0 in (np.array([[d, x], [b, d]]), np.array([[d, b], [x, d]])):
+            assert np.allclose(h0, h0.T, rtol=1e-12, atol=1e-12) is inside
+            assert _judged_symmetric(h0) is inside
+    # at b = 0 the gap one ulp outside is within the other direction's bound
+    if b == 0.0:
+        assert x_out <= 1e-12 + 1e-12 * abs(x_out)
 
 
 def test_patch_refuses_what_the_forward_solve_cannot_use():

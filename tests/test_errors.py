@@ -1,8 +1,17 @@
-"""``raise_first``: the first failing point in C order, then the first failing check."""
+"""``raise_first``: the first failing point in C order, then the first failing check.
+
+``fold_last``: numpy's reduce over short trailing axes, one elementwise call per slice.
+"""
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from scatjet.errors import BranchCut, InconsistentData, ZeroSymbol, raise_first
+from scatjet.errors import BranchCut, InconsistentData, ZeroSymbol, fold_last, raise_first
 
 
 def _checks(point_mask, sample_mask):
@@ -47,3 +56,55 @@ def test_raise_first_names_the_sample_alone_for_one_point():
         raise_first(0, [(np.arange(5) == 3, ZeroSymbol, lambda i: "sample check")])
     with pytest.raises(BranchCut, match=r"^scalar$"):
         raise_first(0, [(True, BranchCut, lambda i: "scalar")])
+
+
+# -- fold_last --------------------------------------------------------------
+
+_FOLDS = (np.logical_and, np.logical_or, np.maximum)
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def _fold_cases(draw):
+    """An array with NaN, +-inf and +-0 among its values, and the k trailing axes to fold."""
+    k = draw(st.sampled_from([1, 2]))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    trailing = tuple(draw(st.integers(0, 9)) for _ in range(k))
+    values = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+    return draw(hnp.arrays(np.float64, lead + trailing, elements=values)), k
+
+
+def _assert_same_fold(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if want.dtype == bool:
+        assert np.array_equal(got, want)
+        return
+    # numpy's own reduce picks a NaN's payload and the sign of a zero maximum
+    # by its order of evaluation, so those two are compared as values
+    loose = np.isnan(want) | (want == 0)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[loose] == 0, want[loose] == 0)
+    assert np.array_equal(got[~loose].view(np.uint64), want[~loose].view(np.uint64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_fold_cases(), ufunc=st.sampled_from(_FOLDS))
+def test_fold_last_equals_reduce_over_the_same_axes(case, ufunc):
+    a, k = case
+    axes = tuple(range(a.ndim - k, a.ndim))
+    try:
+        want = ufunc.reduce(a, axis=axes)
+    except ValueError as exc:
+        # maximum over an empty axis has no identity: fold_last raises as np.max does
+        assert ufunc is np.maximum
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            np.max(a, axis=axes)
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            fold_last(ufunc, a, k)
+        return
+    _assert_same_fold(fold_last(ufunc, a, k), want)
+    if ufunc is np.maximum:
+        # on absolute values, as the stages fold them, every zero is +0.0
+        _assert_same_fold(fold_last(ufunc, np.abs(a), k), ufunc.reduce(np.abs(a), axis=axes))

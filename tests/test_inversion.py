@@ -528,6 +528,32 @@ def test_metric_refuses_a_squared_norm_past_double_range():
         metric_boundary_recovery(norms, 2)
 
 
+def test_metric_at_one_dimension_refuses_a_squared_norm_past_double_range():
+    """At n = 1 there is no polarized entry: the empty axis passes, a huge norm does not."""
+    norms = np.array([[0.5], [2.0], [4.0]])
+    np.testing.assert_array_equal(metric_boundary_recovery(norms, 1), [[[4.0]], [[0.25]], [[0.0625]]])
+    norms[1] = 1e200
+    with pytest.raises(
+        InconsistentData,
+        match=r"^squared covector norm leaves double range \(norms \[1\.e\+200\]\) "
+        r"at grid index \(1,\)$",
+    ):
+        metric_boundary_recovery(norms, 1)
+    # through the driver: sigma - n/2 = 0.05 at the first energy, as at n = 2
+    patch = constant_patch(1, 1.0, 1.5, np.eye(1))
+    ds = forward_dataset(patch, (ComplexEnergy(1.00125), ComplexEnergy(1.1)))
+    report = layer_strip_driver(ds)
+    assert report.status == "ok"
+    np.testing.assert_allclose(report.h0, np.ones((4, 1, 1)), rtol=1e-12)
+    big = dataclasses.replace(ds, symbols=ds.symbols * 1e20)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage metric\] squared covector norm leaves double range \(norms \[8\.66\d*e\+199\]\) "
+        r"at grid index \(0,\), sample \(0,\)$",
+    ):
+        layer_strip_driver(big)
+
+
 def test_metric_missing_sample():
     """Norms come as a (..., C) array; a missing covector is a shape error."""
     with pytest.raises(ValueError, match=r"last axis of length 3 for n=2, got shape \(2,\)"):
