@@ -10,10 +10,13 @@ of the boundary at infinity, of
 * the Taylor coefficients ``h^(j)(y)`` of the boundary metric, with
   ``h^(0)`` symmetric positive definite.
 
-Positive definiteness is judged by :func:`positive_definite_inverse`: one
-Cholesky factorization per matrix, whose factor also gives the inverse
-(``h0_inv`` of a patch); a matrix is refused when Cholesky fails or that
-inverse has an entry that is not finite.
+Positive definiteness is judged by :func:`cholesky_inverse`: one entry-wise
+Cholesky pass over the whole stack of symmetric matrices, written out as
+LAPACK's unblocked lower factorization with no LAPACK call, whose factor
+also gives the inverse (``h0_inv`` of a patch); a matrix is refused when a
+pivot is not positive or the inverse has an entry that is not finite.  Its
+entries come packed at the pairs ``i <= j`` of :func:`symmetric_pairs`, the
+one order of those pairs.
 
 The indicial roots of the model operator at energy ``lambda`` solve
 ``alpha^2 sigma (n - sigma) = V0 - lambda^2 - n^2/4`` (:func:`indicial_q`).
@@ -25,6 +28,8 @@ error rather than silently resolved.  Non-real energies evaluate everywhere.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -94,60 +99,136 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
     )
 
 
-def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
-    """``inv(M)`` of a stack of symmetric matrices, or ``None`` if one is refused.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    The inverse is read off the Cholesky factor ``L`` as ``X^T X`` with
-    ``X = L^-1``, so each matrix is factored once and its inverse is exactly
-    symmetric.  A matrix is refused when Cholesky raises or an entry of its
-    inverse is not finite (a NaN matrix, or a pivot so small that the inverse
-    leaves double range).  Every entry is computed elementwise over the
-    stack, its terms summed in a fixed order, and the Python loops run over
-    ``n`` only, so a matrix gets the same bits alone as in any stack; a stack
-    passes when every matrix in it passes.
-    Near a singular matrix the verdict can differ by rounding from the sign
-    of the smallest eigenvalue.
+
+@functools.cache
+def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)``: the index pairs ``i <= j`` of a symmetric ``n x n`` tensor.
+
+    First the ``(i, i)``, then the ``(i, j)`` with ``i < j``, row by row.  The
+    polarization covectors, the default probes, the unknowns of the
+    first-order fit and the packed entries of :func:`cholesky_inverse` all
+    follow this order.  Both arrays are read-only.
     """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return None
-    n = L.shape[-1]
-    X = np.zeros_like(L)
-    inverse = np.empty_like(L)
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    return _read_only(np.concatenate([d, i])), _read_only(np.concatenate([d, j]))
+
+
+@functools.cache
+def _pair_index(n: int) -> np.ndarray:
+    """The read-only ``(n, n)`` index of each pair ``{i, j}`` in :func:`symmetric_pairs`."""
+    rows, cols = symmetric_pairs(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return _read_only(index)
+
+
+def lower_entries(M: np.ndarray) -> np.ndarray:
+    """The packed ``(..., C)`` entries of a ``(..., n, n)`` stack, read from its lower triangle.
+
+    Entry ``k`` is ``M[..., j, i]`` for the ``k``-th pair ``(i, j)``,
+    ``i <= j``, of :func:`symmetric_pairs`: the triangle LAPACK's lower
+    Cholesky reads.
+    """
+    rows, cols = symmetric_pairs(M.shape[-1])
+    return M[..., cols, rows]
+
+
+def symmetric_matrix(entries: np.ndarray, n: int) -> np.ndarray:
+    """The ``(..., n, n)`` symmetric stack of packed ``(..., C)`` entries, a new array."""
+    return entries[..., _pair_index(n)]
+
+
+def cholesky_inverse(entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(inverse, refused)`` of a stack of symmetric ``n x n`` matrices, entry by entry.
+
+    ``entries`` has shape ``(..., C)``: each matrix's entries at the pairs
+    ``i <= j`` of :func:`symmetric_pairs`, in that order.  The factor ``L``
+    is LAPACK's unblocked lower Cholesky (``potf2``) written out entry-wise:
+    column ``j`` has the pivot ``a_jj - s`` with ``s`` the sum of the
+    ``l_jk^2``, ``k < j``, formed first, left to right, ``l_jj`` its square
+    root, and ``l_ij = (a_ij - sum_k l_ik l_jk) * (1 / l_jj)`` below it.
+    The inverse is ``X^T X`` with ``X = L^-1``, so it is exactly symmetric;
+    it has shape ``(..., n, n)``.
+
+    ``refused`` is the ``(...)`` mask of matrices with a pivot that is not
+    ``> 0`` (NaN included) or an inverse entry that is not finite.  The
+    inverse is checked alone: a pivot that is not ``> 0`` makes
+    ``X_jj = 1 / sqrt(pivot)`` a NaN or an infinity, and the diagonal entry
+    ``inverse_jj``, a sum of squares that holds ``X_jj^2``, with it.  A
+    subnormal pivot whose inverse overflows is refused the same way.
+    Every entry is computed elementwise over the stack, its terms summed in
+    a fixed order, and the Python loops run over ``n`` only, so a matrix
+    gets the same verdict and the same bits alone as in any stack.  Near a
+    singular matrix the verdict can differ by rounding from the sign of the
+    smallest eigenvalue.
+    """
+    a = np.asarray(entries, dtype=float)
+    index = _pair_index(n)
+    L, X = {}, {}
+
+    def reduced(i, j):
+        """``a_ij - (l_i0 l_j0 + ... + l_i,j-1 l_j,j-1)``, the sum formed first, left to right."""
+        if not j:
+            return a[..., index[i, j]]
+        s = L[i, 0] * L[j, 0]
+        for k in range(1, j):
+            s += L[i, k] * L[j, k]
+        return a[..., index[i, j]] - s
+
+    rows, cols = symmetric_pairs(n)
+    packed = np.empty((rows.size,) + a.shape[:-1])
     with np.errstate(all="ignore"):  # a NaN or a pivot too small to invert ends non-finite
+        for j in range(n):
+            L[j, j] = np.sqrt(reduced(j, j))
+            X[j, j] = 1.0 / L[j, j]
+            for i in range(j + 1, n):
+                L[i, j] = reduced(i, j) * X[j, j]
         for k in range(n):
             # forward substitution: row k of X from rows i..k-1 of X and row k of L
             for i in range(k):
-                acc = L[..., k, i] * X[..., i, i]
+                acc = L[k, i] * X[i, i]
                 for m in range(i + 1, k):
-                    acc += L[..., k, m] * X[..., m, i]
-                X[..., k, i] = -acc / L[..., k, k]
-            X[..., k, k] = 1.0 / L[..., k, k]
-        for j in range(n):
-            for i in range(j + 1):
-                acc = X[..., j, i] * X[..., j, j]
-                for k in range(j + 1, n):
-                    acc += X[..., k, i] * X[..., k, j]
-                inverse[..., i, j] = inverse[..., j, i] = acc
-    if not np.isfinite(inverse).all():
-        return None
-    return inverse
+                    acc += L[k, m] * X[m, i]
+                X[k, i] = -acc / L[k, k]
+        for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            acc = packed[p, ...]
+            np.multiply(X[j, i], X[j, j], out=acc)
+            for k in range(j + 1, n):
+                acc += X[k, i] * X[k, j]
+    refused = ~np.isfinite(packed).all(axis=0)
+    # the (n * n, m) gather, then one copy into a C-ordered (..., n, n) stack
+    stack = a.shape[:-1]
+    full = packed.reshape(rows.size, math.prod(stack))[index.ravel()]
+    return full.T.reshape(stack + (n, n)), refused
 
 
-def positive_definite_inverse_or_raise(M: np.ndarray, n: int, error: type[Exception], message):
-    """:func:`positive_definite_inverse` of the ``(*grid, ..., n, n)`` stack ``M``, or raise.
+def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
+    """``inv(M)`` of a ``(..., n, n)`` stack of symmetric matrices, or ``None`` if one is refused.
 
-    A passing stack costs one factorization.  Only a refused one is judged
-    matrix by matrix, and :func:`~scatjet.errors.raise_first` raises
-    ``error`` with ``message(i)`` at its first refused matrix, naming the
-    grid index (the first ``n`` axes) and the sample along the axes before
-    the matrix.
+    :func:`cholesky_inverse` of the stack's lower triangle: a stack passes
+    when every matrix in it passes.
     """
-    inverse = positive_definite_inverse(M)
-    if inverse is None:
-        refused = [positive_definite_inverse(m) is None for m in M.reshape((-1,) + M.shape[-2:])]
-        raise_first(n, [(np.reshape(refused, M.shape[:-2]), error, message)])
+    inverse, refused = cholesky_inverse(lower_entries(M), M.shape[-1])
+    return None if refused.any() else inverse
+
+
+def positive_definite_inverse_or_raise(
+    entries: np.ndarray, n: int, error: type[Exception], message
+):
+    """The inverse of :func:`cholesky_inverse` of the packed ``(*grid, ..., C)`` entries, or raise.
+
+    At the first refused matrix in C order,
+    :func:`~scatjet.errors.raise_first` raises ``error`` with ``message(i)``,
+    naming the grid index (the first ``n`` axes) and the sample along the
+    axes before the packed one.  The matrices are ``n x n``.
+    """
+    inverse, refused = cholesky_inverse(entries, n)
+    raise_first(n, [(refused, error, message)])
     return inverse
 
 
@@ -164,9 +245,10 @@ class BoundaryPatch:
     along coordinate ``y_{i+1}``.  It keeps read-only float copies of the
     arrays it is given, so the caller's own arrays stay as they were.
     ``h0_inv`` is the read-only inverse of ``h^(0)`` at every point, read off
-    the Cholesky factor that judges ``h^(0)`` positive definite (see
-    :func:`positive_definite_inverse`); the covector norms and the
-    first-order data read it.
+    the Cholesky factor that judges ``h^(0)`` positive definite, from its
+    lower triangle, in one entry-wise pass over the grid (see
+    :func:`cholesky_inverse`); the covector norms and the first-order data
+    read it.
     """
 
     n: int
@@ -204,18 +286,20 @@ class BoundaryPatch:
             ],
         )
         h0 = h_jet[0]
-        # a rounding-sized bound: Cholesky, and so the inverse, reads one
-        # triangle, and the other may differ from it by no more.  It is
-        # np.allclose(h0, h0^T, rtol=1e-12, atol=1e-12) on these finite
+        # a rounding-sized bound: the factorization, and so the inverse, reads
+        # the lower triangle, and the upper may differ from it by no more.  It
+        # is np.allclose(h0, h0^T, rtol=1e-12, atol=1e-12) on these finite
         # entries, judged elementwise over the pairs i < j in both directions
-        upper, lower = np.triu_indices(self.n, 1)
-        a, b = h0[..., upper, lower], h0[..., lower, upper]
+        n = self.n
+        lower = lower_entries(h0)
+        rows, cols = symmetric_pairs(n)
+        a, b = h0[..., rows[n:], cols[n:]], lower[..., n:]
         with np.errstate(over="ignore"):
             gap = np.abs(a - b)
         if not ((gap <= 1e-12 + 1e-12 * np.abs(b)) & (gap <= 1e-12 + 1e-12 * np.abs(a))).all():
             raise ConfigError("h^(0) must be symmetric")
         h0_inv = positive_definite_inverse_or_raise(
-            h0, self.n, ConfigError, lambda i: "h^(0) must be positive definite"
+            lower, n, ConfigError, lambda i: "h^(0) must be positive definite"
         )
         for arr in (alpha, *v_jet, *h_jet, h0_inv):
             arr.setflags(write=False)

@@ -42,7 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary_jets import BoundaryPatch, ComplexEnergy, PerturbationData, indicial_root
+from .boundary_jets import (
+    BoundaryPatch,
+    ComplexEnergy,
+    PerturbationData,
+    _read_only,
+    indicial_root,
+    symmetric_pairs,
+)
 from .errors import GammaPole, ScatjetError, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
 
@@ -81,26 +88,9 @@ def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarr
     return w
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 # The tables below depend on n alone.  Each is built once per n and shared,
-# read-only, by every caller.
-
-
-@functools.cache
-def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)``: the index pairs ``i <= j`` of a symmetric ``n x n`` tensor.
-
-    First the ``(i, i)``, then the ``(i, j)`` with ``i < j``, row by row.  The
-    polarization covectors, the default probes and the unknowns of the
-    first-order fit all follow this order.  Both arrays are read-only.
-    """
-    d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
-    return _read_only(np.concatenate([d, i])), _read_only(np.concatenate([d, j]))
+# read-only, by every caller; :func:`~scatjet.boundary_jets.symmetric_pairs`
+# fixes the order of the pairs i <= j they follow.
 
 
 @functools.cache

@@ -12,8 +12,11 @@ Stage by stage:
    division, ``log`` and Gamma prefactor on every element whose operands are
    real and finite, and the complex ones elsewhere, so the exactly real
    symbols of real energies give exactly real roots.
-2. ``metric_boundary_recovery`` polarizes squared norms at ``{e_i}`` and
-   ``{e_i + e_j}`` into the inverse metric and inverts it.
+2. ``metric_boundary_recovery`` refuses a negative norm, polarizes squared
+   norms at ``{e_i}`` and ``{e_i + e_j}`` into the entries of the inverse
+   metric, and factors and inverts every point's matrix in one entry-wise
+   Cholesky pass (:func:`~scatjet.boundary_jets.cholesky_inverse`), which
+   also judges it positive definite.
 3. ``two_energy_recovery`` solves the pair of indicial identities
    ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4`` for
    ``alpha^2`` and ``V0``; with ``alpha^2`` known, the first identity alone
@@ -57,7 +60,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_jets import ComplexEnergy, indicial_v0, positive_definite_inverse_or_raise
+from .boundary_jets import (
+    ComplexEnergy,
+    indicial_v0,
+    positive_definite_inverse_or_raise,
+    symmetric_matrix,
+    symmetric_pairs,
+)
 from .dataset import SymbolDataset, encode_complex, pack_array
 from .errors import (
     BranchAmbiguity,
@@ -79,7 +88,6 @@ from .forward_scattering import (
     probe_array,
     real_or_complex,
     real_part_if_real,
-    symmetric_pairs,
 )
 from .spectral_sets import exceptional_set, is_admissible
 
@@ -255,17 +263,18 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
 
     ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
     covectors of :func:`~scatjet.forward_scattering.polarization_covectors`,
-    in that order.  Polarization fills the inverse metric, which must come out
-    positive definite.  The result has shape ``(..., n, n)``.
+    in that order.  Polarization gives the entries of the inverse metric at
+    the same pairs, which
+    :func:`~scatjet.boundary_jets.positive_definite_inverse_or_raise` factors
+    and inverts entry-wise over the whole stack; the inverse metric must come
+    out positive definite.  The result has shape ``(..., n, n)``.
 
-    Each point is judged alone by
-    :func:`~scatjet.boundary_jets.positive_definite_inverse_or_raise`, which
-    reads the inverse off the Cholesky factor that judges the matrix, so a
-    point passes or fails in any batch as it does alone; the first refused
+    A point passes or fails in any batch as it does alone; the first refused
     grid index (the first ``n`` axes) and sample (the axes between the grid
-    and ``C``) are named with the eigenvalues of its matrix.
-    Before that, a squared norm or a polarized entry past double range
-    raises :class:`InconsistentData`, naming the point the same way.
+    and ``C``) are named with the eigenvalues of its matrix.  Before that,
+    :class:`InconsistentData` is raised for a negative norm, whose sample
+    ends with its covector, then for a squared norm or a polarized entry
+    past double range, named the same way as a refused point.
     """
     norm = np.asarray(norms, dtype=float)
     rows, cols = symmetric_pairs(n)
@@ -276,25 +285,32 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     i, j = rows[n:], cols[n:]
     with np.errstate(over="ignore", invalid="ignore"):
         sq = norm**2
+        # the polarized entries at the pairs of symmetric_pairs: an infinite
+        # squared norm leaves an infinite diagonal entry, or an infinite
+        # off-diagonal one beside finite diagonal entries
         off = (sq[..., n:] - sq[..., i] - sq[..., j]) / 2.0
+        entries = np.concatenate([sq[..., :n], off], axis=-1)
     raise_first(
         n,
         [
             (
-                fold_last(np.logical_or, np.isinf(sq)) | fold_last(np.logical_or, np.isinf(off)),
+                norm < 0.0,
+                InconsistentData,
+                lambda k: f"recovered covector norm {norm[k]} is negative",
+            ),
+            (
+                fold_last(np.logical_or, np.isinf(entries)),
                 InconsistentData,
                 lambda k: f"squared covector norm leaves double range (norms {norm[k]})",
-            )
+            ),
         ],
     )
-    M = np.empty(sq.shape[:-1] + (n, n))
-    M[..., rows, cols] = M[..., cols, rows] = np.concatenate([sq[..., :n], off], axis=-1)
     return positive_definite_inverse_or_raise(
-        M,
+        entries,
         n,
         NotPositiveDefinite,
-        lambda i: f"recovered inverse metric has eigenvalues {np.linalg.eigvalsh(M[i])}; "
-        "not positive definite",
+        lambda k: "recovered inverse metric has eigenvalues "
+        f"{np.linalg.eigvalsh(symmetric_matrix(entries[k], n))}; not positive definite",
     )
 
 
@@ -369,12 +385,9 @@ def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(H, W)`` from the unknowns along the last axis.
 
     The ``H`` entries come at the pairs of
-    :func:`~scatjet.forward_scattering.symmetric_pairs`, in that order, and ``W`` last.
+    :func:`~scatjet.boundary_jets.symmetric_pairs`, in that order, and ``W`` last.
     """
-    H = np.empty(x.shape[:-1] + (n, n), dtype=x.dtype)
-    rows, cols = symmetric_pairs(n)
-    H[..., rows, cols] = H[..., cols, rows] = x[..., :-1]
-    return H, x[..., -1]
+    return symmetric_matrix(x[..., :-1], n), x[..., -1]
 
 
 @dataclass(frozen=True)

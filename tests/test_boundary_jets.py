@@ -5,14 +5,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scatjet.boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
+    cholesky_inverse,
     indicial_root,
     indicial_v0,
+    lower_entries,
     perturbation_coefficients,
     positive_definite_inverse,
+    positive_definite_inverse_or_raise,
 )
 from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary
 from scatjet.forward_scattering import principal_symbol
@@ -219,6 +225,142 @@ def test_positive_definite_inverse_refuses():
         assert positive_definite_inverse(np.stack([np.eye(3), bad])) is None
     # a pivot so small that the inverse leaves double range
     assert positive_definite_inverse(np.diag([1.0, 1e-320])) is None
+
+
+def _dot(a, b):
+    """``a[0] b[0] + a[1] b[1] + ...``, left to right."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc += x * y
+    return acc
+
+
+def _potf2_inverse(M):
+    """LAPACK's unblocked lower Cholesky, then ``X^T X`` with ``X = L^-1``, in Python floats."""
+    n = len(M)
+    L = [[0.0] * n for _ in range(n)]
+    X = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = float(M[j][j]) - _dot(L[j][:j], L[j][:j]) if j else float(M[j][j])
+        if not pivot > 0:
+            return None
+        L[j][j] = math.sqrt(pivot)
+        X[j][j] = 1.0 / L[j][j]
+        for i in range(j + 1, n):
+            a = float(M[i][j])
+            L[i][j] = (a - _dot(L[i][:j], L[j][:j])) * X[j][j] if j else a * X[j][j]
+    for k in range(n):
+        for i in range(k):
+            acc = L[k][i] * X[i][i]
+            for m in range(i + 1, k):
+                acc += L[k][m] * X[m][i]
+            X[k][i] = -acc / L[k][k]
+    out = np.empty((n, n))
+    for j in range(n):
+        for i in range(j + 1):
+            acc = X[j][i] * X[j][j]
+            for k in range(j + 1, n):
+                acc += X[k][i] * X[k][j]
+            out[i, j] = out[j, i] = acc
+    return out if np.isfinite(out).all() else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cholesky_inverse_has_the_bits_of_potf2(n):
+    """Entry-wise over a stack, the bits of the unblocked factorization done one matrix at a time.
+
+    The sums are formed left to right before they are subtracted; the lower
+    triangle is read, so an upper triangle that differs by rounding changes nothing.
+    """
+    rng = np.random.default_rng(70 + n)
+    M = np.stack([random_spd(rng, n) for _ in range(300)])
+    got = positive_definite_inverse(M)
+    for m, g in zip(M, got):
+        np.testing.assert_array_equal(g, _potf2_inverse(m))
+    inverse, refused = cholesky_inverse(lower_entries(M), n)
+    assert inverse.shape == M.shape and refused.shape == (300,) and not refused.any()
+    np.testing.assert_array_equal(inverse, got)
+
+
+_BAD = ("nan", "+inf", "-inf", "indefinite", "semidefinite", "subnormal pivot", "overflow")
+
+
+def _bad_matrix(kind: str, n: int, rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = rng.uniform(0.5, 2.0, size=n)
+    if kind == "indefinite":
+        eigs[rng.integers(n)] = -rng.uniform(1e-3, 2.0)
+    elif kind == "semidefinite":
+        eigs[rng.integers(n)] = 0.0
+    M = q * eigs @ q.T
+    if kind in ("nan", "+inf", "-inf"):
+        i, j = rng.integers(n, size=2)
+        M[i, j] = M[j, i] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}[kind]
+    elif kind == "subnormal pivot":
+        # 1 / pivot overflows below about 5.6e-309, not above
+        M = np.eye(n)
+        M[-1, -1] = rng.uniform(5e-324, 2.2e-308)
+    elif kind == "overflow":
+        M *= 1e-312
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_BAD)), max_size=4),
+)
+def test_cholesky_inverse_judges_each_matrix_alone(n, shape, seed, bad):
+    """Random SPD stacks with bad matrices at random positions.
+
+    A NaN, a -inf, an indefinite matrix and one whose inverse overflows are
+    refused, and a lone subnormal pivot is refused when its inverse
+    overflows; a semidefinite matrix or a +inf entry may go either way.
+    Each matrix gets the same verdict and the same bits alone as in the
+    stack; ``positive_definite_inverse_or_raise`` names the first refused
+    matrix in C order; the SPD matrices' inverses are within 1e-14 max|inv|
+    of ``np.linalg.inv``.
+    """
+    rng = np.random.default_rng(seed)
+    M = np.stack([random_spd(rng, n) for _ in range(math.prod(shape))]).reshape(shape + (n, n))
+    spd = np.ones(shape, dtype=bool)
+    kinds = {}
+    for pos, kind in bad:
+        idx = np.unravel_index(pos % spd.size, shape)
+        M[idx] = _bad_matrix(kind, n, rng)
+        spd[idx] = False
+        kinds[idx] = kind
+    inverse, refused = cholesky_inverse(lower_entries(M), n)
+    assert inverse.shape == M.shape and refused.shape == shape
+    for idx, kind in kinds.items():
+        if kind == "subnormal pivot":
+            x = 1.0 / math.sqrt(float(M[idx][-1, -1]))
+            assert refused[idx] == (not math.isfinite(x * x))
+        elif kind in ("nan", "-inf", "indefinite", "overflow"):
+            assert refused[idx]
+    for idx in np.ndindex(*shape):
+        alone, alone_refused = cholesky_inverse(lower_entries(M[idx]), n)
+        assert alone_refused.shape == () and bool(alone_refused) == refused[idx]
+        np.testing.assert_array_equal(alone, inverse[idx])
+        assert (positive_definite_inverse(M[idx]) is None) == refused[idx]
+    want = np.linalg.inv(M[spd])
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert not refused[spd].any() and np.all(np.abs(inverse[spd] - want) <= 1e-14 * scale)
+
+    def message(i):
+        return f"bad {i}"
+
+    if not refused.any():
+        got = positive_definite_inverse_or_raise(lower_entries(M), n, ValueError, message)
+        np.testing.assert_array_equal(got, inverse)
+        return
+    # the first n axes are the grid, any further ones the sample
+    first = tuple(int(k) for k in np.argwhere(refused)[0])
+    where = [f"grid index {first[:n]}"] + ([f"sample {first[n:]}"] if len(first) > n else [])
+    with pytest.raises(ValueError, match=f"^{re.escape(message(first) + ' at ' + ', '.join(where))}$"):
+        positive_definite_inverse_or_raise(lower_entries(M), n, ValueError, message)
 
 
 def test_patch_grid_helpers():

@@ -283,6 +283,20 @@ def test_packed_array_keeps_every_bit(words, imag, at):
         np.testing.assert_array_equal(_bits(np.array(again, dtype=kind)), _bits(arr))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["AAAAAAAA8D8", "AAAAAAAA8D8=\n", "AAAAAAAA8D8==", "AAAA*AAA", "AAAAAAAAé8D8="],
+    ids=["short-padding", "newline", "excess-padding", "bad-character", "non-ascii"],
+)
+def test_unpack_array_refuses_malformed_base64_as_b64decode_does(text):
+    """The error class and message of ``base64.b64decode(text, validate=True)``, named by array."""
+    with pytest.raises(ValueError) as want:
+        base64.b64decode(text, validate=True)
+    message = f"a: not a base64 string of float64 bytes: {want.value}"
+    with pytest.raises(IoError, match=f"^{re.escape(message)}$"):
+        unpack_array(text, "a", (1,), float)
+
+
 @pytest.mark.parametrize("lam", ["4", "4+0.5i"], ids=["real", "complex"])
 def test_forward_file_packs_real_parts_only_for_exactly_real_arrays(tmp_path, lam):
     """Real energies: ``prod(shape)`` values per complex array; a complex energy keeps the pairs.

@@ -554,6 +554,29 @@ def test_metric_at_one_dimension_refuses_a_squared_norm_past_double_range():
         layer_strip_driver(big)
 
 
+def test_metric_refuses_a_negative_norm():
+    """A norm of -1 squares to the metric of +1: refused by name, before polarization."""
+    norms = np.tile([1.0, 1.0, 2**0.5], (4, 4, 1))
+    norms[2, 3, 1] = -1.0
+    with pytest.raises(
+        InconsistentData,
+        match=r"^recovered covector norm -1\.0 is negative at grid index \(2, 3\), sample \(1,\)$",
+    ):
+        metric_boundary_recovery(norms, 2)
+    # before the range check of the same point, and at n = 1
+    norms[2, 3, 2] = 1e200
+    with pytest.raises(InconsistentData, match=r"norm -1\.0 is negative at grid index \(2, 3\)"):
+        metric_boundary_recovery(norms, 2)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^recovered covector norm -1\.0 is negative at grid index \(1,\), sample \(0,\)$",
+    ):
+        metric_boundary_recovery([[2.0], [-1.0]], 1)
+    # -0.0 is not negative: its zero square is refused as not positive definite
+    with pytest.raises(NotPositiveDefinite, match=r"grid index \(0,\)$"):
+        metric_boundary_recovery([[-0.0], [1.0]], 1)
+
+
 def test_metric_missing_sample():
     """Norms come as a (..., C) array; a missing covector is a shape error."""
     with pytest.raises(ValueError, match=r"last axis of length 3 for n=2, got shape \(2,\)"):
@@ -1035,6 +1058,20 @@ def test_driver_names_the_stage_of_a_linalg_failure(monkeypatch):
         InconsistentData, match=r"^\[stage first-order\] linear algebra failed: SVD did not"
     ):
         layer_strip_driver(ds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_round_trip_makes_no_lapack_cholesky_call(monkeypatch, n):
+    """h0 and the recovered inverse metrics are factored entry-wise, never by LAPACK per matrix."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    truth, ds = make_synthetic_pair(seed=5, n=n)
+    report = layer_strip_driver(ds)
+    assert report.status == "ok"
+    assert np.max(np.abs(report.h0 - truth.h0)) <= 1e-8
 
 
 def test_driver_checks_the_metric_at_every_energy():
