@@ -207,16 +207,6 @@ def cholesky_inverse(entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return full.T.reshape(stack + (n, n)), refused
 
 
-def positive_definite_inverse(M: np.ndarray) -> np.ndarray | None:
-    """``inv(M)`` of a ``(..., n, n)`` stack of symmetric matrices, or ``None`` if one is refused.
-
-    :func:`cholesky_inverse` of the stack's lower triangle: a stack passes
-    when every matrix in it passes.
-    """
-    inverse, refused = cholesky_inverse(lower_entries(M), M.shape[-1])
-    return None if refused.any() else inverse
-
-
 def positive_definite_inverse_or_raise(
     entries: np.ndarray, n: int, error: type[Exception], message
 ):

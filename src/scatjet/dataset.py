@@ -40,7 +40,6 @@ from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
 from __future__ import annotations
 
 import base64
-import binascii
 import cmath
 import json
 import math
@@ -207,8 +206,7 @@ def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np
         got = type(text).__name__
         raise IoError(f"{name}: expected a base64 string of float64 bytes, got {got}")
     try:
-        # base64.b64decode(text, validate=True) without its ASCII copy of the text
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise IoError(f"{name}: not a base64 string of float64 bytes: {exc}") from None
     if len(raw) % 8:

@@ -17,7 +17,6 @@ from scatjet.boundary_jets import (
     indicial_v0,
     lower_entries,
     perturbation_coefficients,
-    positive_definite_inverse,
     positive_definite_inverse_or_raise,
 )
 from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary
@@ -196,7 +195,7 @@ def test_patch_leaves_the_callers_arrays_alone():
         assert not arr.flags.writeable
 
 
-# -- positive_definite_inverse ---------------------------------------------
+# -- cholesky_inverse ------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -206,25 +205,26 @@ def test_positive_definite_inverse_agrees_with_inv(n):
     q, _ = np.linalg.qr(rng.normal(size=(3, 7, n, n)))
     M = q * rng.uniform(0.5, 2.0, size=(3, 7, 1, n)) @ np.swapaxes(q, -1, -2)
     M = (M + np.swapaxes(M, -1, -2)) / 2.0
-    got = positive_definite_inverse(M)
+    got, refused = cholesky_inverse(lower_entries(M), n)
     want = np.linalg.inv(M)
-    assert got.shape == M.shape
+    assert got.shape == M.shape and not refused.any()
     scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
     np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
     # elementwise over the stack: each matrix alone has the bits it has in the stack
     for idx in np.ndindex(3, 7):
-        np.testing.assert_array_equal(positive_definite_inverse(M[idx]), got[idx])
+        np.testing.assert_array_equal(cholesky_inverse(lower_entries(M[idx]), n)[0], got[idx])
 
 
 def test_positive_definite_inverse_refuses():
     """A NaN, an indefinite and a singular semidefinite matrix, alone or in a stack, are refused."""
     v = np.array([1.0, 2.0, -0.5])
     for bad in (np.full((3, 3), np.nan), np.diag([1.0, -1e-3, 2.0]), np.outer(v, v), np.zeros((3, 3))):
-        assert positive_definite_inverse(bad) is None
-        assert positive_definite_inverse(np.stack([np.eye(3), bad])) is None
+        assert cholesky_inverse(lower_entries(bad), 3)[1]
+        refused = cholesky_inverse(lower_entries(np.stack([np.eye(3), bad])), 3)[1]
+        assert refused.tolist() == [False, True]
     # a pivot so small that the inverse leaves double range
-    assert positive_definite_inverse(np.diag([1.0, 1e-320])) is None
+    assert cholesky_inverse(lower_entries(np.diag([1.0, 1e-320])), 2)[1]
 
 
 def _dot(a, b):
@@ -274,12 +274,10 @@ def test_cholesky_inverse_has_the_bits_of_potf2(n):
     """
     rng = np.random.default_rng(70 + n)
     M = np.stack([random_spd(rng, n) for _ in range(300)])
-    got = positive_definite_inverse(M)
-    for m, g in zip(M, got):
-        np.testing.assert_array_equal(g, _potf2_inverse(m))
     inverse, refused = cholesky_inverse(lower_entries(M), n)
     assert inverse.shape == M.shape and refused.shape == (300,) and not refused.any()
-    np.testing.assert_array_equal(inverse, got)
+    for m, g in zip(M, inverse):
+        np.testing.assert_array_equal(g, _potf2_inverse(m))
 
 
 _BAD = ("nan", "+inf", "-inf", "indefinite", "semidefinite", "subnormal pivot", "overflow")
@@ -344,7 +342,6 @@ def test_cholesky_inverse_judges_each_matrix_alone(n, shape, seed, bad):
         alone, alone_refused = cholesky_inverse(lower_entries(M[idx]), n)
         assert alone_refused.shape == () and bool(alone_refused) == refused[idx]
         np.testing.assert_array_equal(alone, inverse[idx])
-        assert (positive_definite_inverse(M[idx]) is None) == refused[idx]
     want = np.linalg.inv(M[spd])
     scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
     assert not refused[spd].any() and np.all(np.abs(inverse[spd] - want) <= 1e-14 * scale)
