@@ -46,7 +46,11 @@ and I, ``(k+4-2l)/2`` for J).
   to where the integrand has fallen by ``e^-40``.  A half-order rule on the
   same panels gives ``est_error``; every panel is bisected until it meets
   the ``QuadratureSpec``, within ``max_subdivisions`` bisections in all.
-  ``n_evals`` counts integrand evaluations.
+  ``n_evals`` counts integrand evaluations.  A refinement level is one array
+  pass: the panels of both halves and the nodes of both orders are
+  evaluated together, in float64 when ``sigma`` is real and in complex
+  arithmetic otherwise.  Either way the nodes, the panels and ``n_evals``
+  are the same; only rounding differs.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import loggamma
 
 from .errors import GammaPole, NotConvergent, QuadratureFailure
+from .forward_scattering import real_part_if_real
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,15 @@ class ModelIntegralValue:
     n_evals: int
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: the rule and its error check.
+# Gauss-Legendre nodes on [-1, 1]: the 16-point rule, then the 8-point rule
+# that checks it.  Column 0 of the (24, 2) table weights the 16-point nodes,
+# column 1 the 8-point ones, so one product gives both sums of every panel.
 _HIGH = np.polynomial.legendre.leggauss(16)
 _LOW = np.polynomial.legendre.leggauss(8)
+_NODES = np.concatenate([_HIGH[0], _LOW[0]])
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[: _HIGH[1].size, 0] = _HIGH[1]
+_WEIGHTS[_HIGH[1].size :, 1] = _LOW[1]
 _PANEL = 1.0  # panel width in the log variable
 _DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches this
 _ROUNDING = 4 * np.finfo(float).eps  # relative rounding per unit of summed log magnitude
@@ -162,21 +173,50 @@ def _closed_form(
 # -- the 1-D rule of I -------------------------------------------------------
 
 
-def _half_sums(edges, near, far, p, b, d_sq):
-    """High- and low-order sums over the panels ``edges`` of one half of ``(0, 1)``.
+def _rule_exponents(p: complex, b: complex):
+    """``p`` and ``b`` as I's rule takes them: a real one as a float.
 
-    With ``w = e^x`` the distance to the half's near end, the integrand
-    (Jacobian included) is ``w^p (1-w)^(p-1) c^-b`` with
-    ``c = w (1-w) d^2 + w near + (1-w) far``.
+    With both real the rule runs in float64, whose ``exp`` and ``log`` cost
+    about a tenth of the complex ones; a complex ``p`` keeps the complex
+    arithmetic (:func:`~scatjet.forward_scattering.real_part_if_real`).
     """
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * np.diff(edges)
-    sums = []
-    for nodes, weights in (_HIGH, _LOW):
-        x = mid + half[:, None] * nodes
-        w = np.exp(x)
-        c = w * (1.0 - w) * d_sq + w * near + (1.0 - w) * far
-        sums.append(half * (np.exp(p * x + (p - 1) * np.log1p(-w) - b * np.log(c)) @ weights))
+    return real_part_if_real(p), real_part_if_real(b)
+
+
+def _panel_starts(start: float, stop: float) -> list:
+    """All but the last edge of ``np.linspace(start, stop, m + 1)``, ``m`` unit panels.
+
+    ``m = ceil((stop - start) / _PANEL)``; the edges are ``start + k step``
+    with ``step = (stop - start) / m``, the values ``linspace`` computes.
+    """
+    m = math.ceil((stop - start) / _PANEL)
+    step = (stop - start) / max(m, 1)
+    return [start + k * step for k in range(m)]
+
+
+def _panel_sums(mid, half, near, far, p, b, d_sq):
+    """``(panels, 2)``: the 16- and 8-point sums over panels of both halves of ``(0, 1)``.
+
+    A panel has midpoint ``mid`` and half-width ``half`` in ``x``, the log of
+    ``w``, the distance to its half's near end; ``near`` and ``far`` are the
+    ``(panels, 1)`` squared widths of that half.  The integrand (Jacobian
+    included) is ``w^p (1-w)^(p-1) c^-b`` with
+    ``c = w (1-w) d^2 + w near + (1-w) far``, evaluated once at all 24 nodes
+    of every panel, in float64 when ``p`` and ``b`` are floats.
+    """
+    x = half[:, None] * _NODES
+    x += mid[:, None]
+    w = np.exp(x)
+    rest = 1.0 - w
+    c = w * rest
+    c *= d_sq
+    c += w * near
+    c += rest * far
+    f = p * x
+    f += (p - 1) * np.log1p(-w)
+    f -= b * np.log(c)
+    sums = np.exp(f, out=f) @ _WEIGHTS
+    sums *= half[:, None]
     return sums
 
 
@@ -184,31 +224,41 @@ def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec
     """``(int_0^1 t^(p-1) (1-t)^(p-1) c(t)^-b dt, est_error, n_evals)`` for I.
 
     ``c(t) = t (1-t) d^2 + t s^2 + (1-t)``.  The error is judged on the
-    integral times ``scale``; each refinement bisects every panel.
+    integral times ``scale``; each refinement bisects every panel.  The
+    panels of both halves sit in one array, the half near ``t = 0`` before
+    the seam, so a level is one :func:`_panel_sums` pass over 24 nodes a
+    panel; each half is still summed on its own.  Float ``p`` and ``b`` run
+    it in float64 and give a float sum.  The panel edges are the values
+    ``np.linspace`` gave, bit for bit, so the nodes and ``n_evals`` do not
+    depend on the arithmetic.
     """
     d_sq, s_sq = d * d, s * s
     top = -math.log(2.0)
-    halves = []
+    lo, counts = [], []
     # the half near t = 0 (near width s, far width 1), then the one near t = 1
     for near, far in ((s_sq, 1.0), (1.0, s_sq)):
         knee = min(math.log(far / (far + near + d_sq)), top)
-        bottom = knee - _DEPTH / p.real
-        edges = np.concatenate(
-            [
-                np.linspace(bottom, knee, math.ceil((knee - bottom) / _PANEL) + 1),
-                np.linspace(knee, top, math.ceil((top - knee) / _PANEL) + 1)[1:],
-            ]
-        )
-        halves.append((edges, near, far))
+        starts = _panel_starts(knee - _DEPTH / p.real, knee) + _panel_starts(knee, top)
+        lo += starts
+        counts.append(len(starts))
+    seam = counts[0]
+    lo = np.array(lo)
+    # a panel ends where the next one of its half starts; each half's last ends at top
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[seam - 1 : seam] = hi[-1:] = top
+    widths = np.empty((lo.size, 2))
+    widths[:seam] = s_sq, 1.0
+    widths[seam:] = 1.0, s_sq
     n_evals = subdivisions = 0
     while True:
-        value, est, panels = 0j, 0.0, 0
-        for edges, near, far in halves:
-            high, low = _half_sums(edges, near, far, p, b, d_sq)
-            value += complex(np.sum(high))
-            est += float(np.sum(np.abs(high - low)))
-            panels += high.size
-        n_evals += panels * (_HIGH[0].size + _LOW[0].size)
+        mid = 0.5 * (hi + lo)
+        sums = _panel_sums(mid, 0.5 * (hi - lo), widths[:, :1], widths[:, 1:], p, b, d_sq)
+        high, gap = sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
+        value = (np.add.reduce(high[:seam]) + np.add.reduce(high[seam:])).item()
+        est = float(np.add.reduce(gap[:seam]) + np.add.reduce(gap[seam:]))
+        panels = mid.size
+        n_evals += panels * _NODES.size
         est *= abs(scale)
         tol = max(spec.rel_tol * abs(scale * value), spec.abs_tol)
         if est <= tol:
@@ -220,10 +270,10 @@ def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec
                 f"would exceed max_subdivisions={spec.max_subdivisions}"
             )
         subdivisions += panels
-        halves = [
-            (np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])), near, far)
-            for edges, near, far in halves
-        ]
+        # panel i becomes panels 2i and 2i + 1, split at its midpoint
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        widths = np.repeat(widths, 2, axis=0)
+        seam *= 2
 
 
 # -- public integrals -------------------------------------------------------
@@ -320,35 +370,40 @@ def i_full_integral(
     (a zero sum that would pass any error check), raises
     :class:`QuadratureFailure`.
     """
-    zv = np.asarray(z, dtype=float)
-    n = zv.size
+    zs = [float(x) for x in z]
+    n = len(zs)
     _check_arguments(l, sigma, n)
     if not (0 < s < math.inf):
         raise ValueError(f"s = {s} must be positive and finite")
-    if not np.all(np.isfinite(zv)):
-        raise ValueError(f"z = {zv} is not finite")
+    if not all(map(math.isfinite, zs)):
+        raise ValueError(f"z = {np.asarray(zs)} is not finite")
     sig = complex(sigma)
     E = 2.0 * sig + 4 - 2 * l - n
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
     b, terms = _front_terms(E, sig, n)
-    with np.errstate(all="ignore"):
-        front = complex(np.exp(sum(terms) + sig * math.log(s)))
+    log_front = sum(terms) + sig * math.log(s)
+    try:
+        front = cmath.exp(log_front)
+    except (OverflowError, ValueError):
+        # past double range cmath raises; the refusal below names numpy's inf or NaN
+        with np.errstate(all="ignore"):
+            front = complex(np.exp(log_front))
     # refused before the rule runs: an overflowed front fails every panel's check,
     # and an underflowed one makes a zero value
     if front == 0 or not cmath.isfinite(front):
         raise QuadratureFailure(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front} leaves double range"
         )
-    d = math.hypot(*zv)
+    d = math.hypot(*zs)
     # the rule's knees are 1 and s^2 over 1 + s^2 + |z|^2; the lower must be a double > 0
     if not min(s * s, 1.0) / (1.0 + s * s + d * d) > 0:
         raise QuadratureFailure(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the rule's knee "
             f"min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range (|z| = {d:g})"
         )
-    value, est, n_evals = _feynman_rule(sig, b, d, s, front, spec)
+    value, est, n_evals = _feynman_rule(*_rule_exponents(sig, b), d, s, front, spec)
     # each node's integrand is an exponential, so a zero sum means every one underflowed
     if value == 0:
         raise QuadratureFailure(
@@ -359,7 +414,7 @@ def i_full_integral(
     if result == 0 or not cmath.isfinite(result):
         raise QuadratureFailure(
             f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front:.3e} times the "
-            f"rule's sum {value:.3e} leaves double range"
+            f"rule's sum {complex(value):.3e} leaves double range"
         )
     return ModelIntegralValue(result, est, True, n_evals)
 

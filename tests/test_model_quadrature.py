@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatjet import model_quadrature
 from scatjet.errors import GammaPole, NotConvergent, QuadratureFailure
@@ -203,9 +205,9 @@ def test_value_past_double_range_is_refused(monkeypatch):
     with pytest.raises(QuadratureFailure, match=r"^J_1 at sigma=1e\+308, n=2, k=1: the closed form"):
         j_integral(1, 1, 1e308, 2)
     evals = []
-    real_sums = model_quadrature._half_sums
+    real_sums = model_quadrature._panel_sums
     monkeypatch.setattr(
-        model_quadrature, "_half_sums", lambda *a: evals.append(a) or real_sums(*a)
+        model_quadrature, "_panel_sums", lambda *a: evals.append(a) or real_sums(*a)
     )
     with pytest.raises(
         QuadratureFailure,
@@ -276,6 +278,80 @@ def test_i_against_mpmath():
         got = i_full_integral(l, sigma, s, [zmag] + [0.0] * (n - 1))
         want = _i_mpmath(l, sigma, s, zmag, n)
         assert abs(got.value - want) <= 1e-7 * abs(want), (l, sigma, s, zmag, n)
+
+
+# the benchmark's I cases: (s, |z|) = (1e-3, 1e3) at the spec (5e-4, 1e-300, 20000)
+I_BENCH_SPEC = QuadratureSpec(rel_tol=5e-4, abs_tol=1e-300, max_subdivisions=20000)
+
+
+@pytest.mark.parametrize(
+    "l,sigma,n_evals", [(1, 2.0, 1944), (2, 2.0, 1944), (1, 2.5, 1752), (2, 2.5, 1752)]
+)
+def test_i_rule_layout_is_pinned(l, sigma, n_evals):
+    """The rule's panels, as counted by ``n_evals``, at the benchmark's I cases.
+
+    Each half has ``ceil(40 / sigma)`` unit panels below its knee, 20 at
+    sigma = 2 and 16 at 2.5, and 14 (half near t = 0) or 27 (near t = 1)
+    from the knee to ``-log 2``.  One level of 24 nodes a panel meets the
+    spec: 81 * 24 = 1944 and 73 * 24 = 1752.
+    """
+    assert i_full_integral(l, complex(sigma), 1e-3, [1e3], I_BENCH_SPEC).n_evals == n_evals
+
+
+def test_i_rule_layout_is_pinned_after_a_bisection():
+    """The second run of the halving test bisects every panel once: (73 + 146) * 24 evals."""
+    first = i_full_integral(2, 2.5, 1e-3, [1e3], QuadratureSpec(abs_tol=1e-300))
+    half = 0.5 * first.est_error / abs(first.value)
+    second = i_full_integral(2, 2.5, 1e-3, [1e3], QuadratureSpec(rel_tol=half, abs_tol=1e-300))
+    assert (first.n_evals, second.n_evals) == (1752, 5256)
+
+
+@pytest.mark.parametrize(
+    "start,stop",
+    [(-33.815510557964274, -13.815510557964274), (-13.815510557964274, -math.log(2.0)),
+     (-43.63102111592855, -27.631021115928547), (-1.5, -1.5), (-math.pi, -math.log(2.0))],
+)
+def test_panel_edges_are_linspace_bit_for_bit(start, stop):
+    """The rule's unit panels keep the edges ``np.linspace`` made, so its nodes stay put."""
+    m = math.ceil((stop - start) / 1.0)
+    edges = model_quadrature._panel_starts(start, stop) + [stop]
+    assert edges == np.linspace(start, stop, m + 1).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    l=st.sampled_from([1, 2]),
+    n=st.integers(1, 3),
+    above=st.floats(0.05, 4.0),
+    log_s=st.floats(-3.0, 3.0),
+    log_z=st.floats(-3.0, 3.0),
+)
+def test_i_real_sigma_matches_the_complex_kernel(l, n, above, log_s, log_z):
+    """A real sigma runs the rule in float64; sigma + 0j forced through complex gives the same.
+
+    Same panels and ``n_evals``, the same value to rounding, and the float64
+    value is exactly real.  sigma sits above both convergence gates.
+    """
+    sigma = max((5 - 2 * l) / 2, (n + 2 * l - 5) / 2) + above
+    s, z = 10.0**log_s, [10.0**log_z] + [0.0] * (n - 1)
+    dtypes = []
+    panel_sums = model_quadrature._panel_sums
+
+    def spy(*args):
+        sums = panel_sums(*args)
+        dtypes.append(sums.dtype)
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_quadrature, "_panel_sums", spy)
+        real = i_full_integral(l, sigma, s, z)
+        # the complex kernel: p and b stay complex
+        mp.setattr(model_quadrature, "_rule_exponents", lambda p, b: (p, b))
+        forced = i_full_integral(l, complex(sigma), s, z)
+    assert set(dtypes) == {np.dtype(float), np.dtype(complex)}
+    assert real.n_evals == forced.n_evals
+    assert real.value.imag == 0.0
+    assert abs(real.value - forced.value) <= 1e-14 * abs(forced.value)
 
 
 def test_i_positive_real():
