@@ -99,7 +99,8 @@ def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.n
     )
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
     arr.setflags(write=False)
     return arr
 
@@ -115,7 +116,7 @@ def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    return _read_only(np.concatenate([d, i])), _read_only(np.concatenate([d, j]))
+    return read_only(np.concatenate([d, i])), read_only(np.concatenate([d, j]))
 
 
 @functools.cache
@@ -124,7 +125,7 @@ def _pair_index(n: int) -> np.ndarray:
     rows, cols = symmetric_pairs(n)
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return _read_only(index)
+    return read_only(index)
 
 
 def lower_entries(M: np.ndarray) -> np.ndarray:
@@ -207,21 +208,6 @@ def cholesky_inverse(entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return full.T.reshape(stack + (n, n)), refused
 
 
-def positive_definite_inverse_or_raise(
-    entries: np.ndarray, n: int, error: type[Exception], message
-):
-    """The inverse of :func:`cholesky_inverse` of the packed ``(*grid, ..., C)`` entries, or raise.
-
-    At the first refused matrix in C order,
-    :func:`~scatjet.errors.raise_first` raises ``error`` with ``message(i)``,
-    naming the grid index (the first ``n`` axes) and the sample along the
-    axes before the packed one.  The matrices are ``n x n``.
-    """
-    inverse, refused = cholesky_inverse(entries, n)
-    raise_first(n, [(refused, error, message)])
-    return inverse
-
-
 def _not_finite(name: str, arr: np.ndarray):
     """A :func:`~scatjet.errors.raise_first` check naming ``name`` where ``arr`` is not finite."""
     return ~np.isfinite(arr), ConfigError, lambda i: f"{name} is not finite"
@@ -288,9 +274,8 @@ class BoundaryPatch:
             gap = np.abs(a - b)
         if not ((gap <= 1e-12 + 1e-12 * np.abs(b)) & (gap <= 1e-12 + 1e-12 * np.abs(a))).all():
             raise ConfigError("h^(0) must be symmetric")
-        h0_inv = positive_definite_inverse_or_raise(
-            lower, n, ConfigError, lambda i: "h^(0) must be positive definite"
-        )
+        h0_inv, refused = cholesky_inverse(lower, n)
+        raise_first(n, [(refused, ConfigError, lambda i: "h^(0) must be positive definite")])
         for arr in (alpha, *v_jet, *h_jet, h0_inv):
             arr.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)

@@ -300,8 +300,9 @@ def cmd_verify(args) -> int:
         xi = rng.normal(size=n)
         idx = (0,) * n
         scales = (1.0, 2.0, 4.0, 8.0)
-        base, *scaled = principal_symbol(patch, np.outer(scales, xi), (en,))[0][idx]
-        sig = indicial_root(patch, en)[idx]
+        sigma, symbols = principal_symbol(patch, np.outer(scales, xi), (en,))
+        base, *scaled = symbols[0][idx]
+        sig = sigma[idx][0]
         for t, value in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)
             worst_h = max(worst_h, abs(value - expected) / max(1.0, abs(expected)))
@@ -361,12 +362,15 @@ def cmd_roundtrip(args) -> int:
 
 
 def _at_least(kind: type, low):
-    """argparse type: a ``kind`` number no smaller than ``low``."""
+    """argparse type: a finite ``kind`` number no smaller than ``low``."""
 
     def parse(text: str):
         value = kind(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        # canonical JSON has no infinity to write
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"

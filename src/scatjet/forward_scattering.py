@@ -9,7 +9,8 @@ The principal symbol of the scattering matrix at energy ``lambda`` is
 with ``sigma = sigma(lambda, y)`` the indicial root and
 ``|xi|_{h0}^2 = xi^T h0^-1 xi`` the covector norm, homogeneous of degree
 ``2 sigma - n``.  ``principal_symbol`` evaluates it over the whole grid for a
-stack of covectors and a sequence of energies at once.  Where ``sigma`` is
+stack of covectors and a sequence of energies at once, and returns the
+indicial roots it computes on the way with the symbols.  Where ``sigma`` is
 real, as at a real energy above the cut, the prefactor takes scipy's real
 ``gamma`` and the power numpy's real ``exp`` (:func:`real_or_complex` picks
 the kernel per element), so the symbols of real energies are exactly real,
@@ -46,28 +47,12 @@ from .boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
     PerturbationData,
-    _read_only,
     indicial_root,
+    read_only,
     symmetric_pairs,
 )
 from .errors import GammaPole, ScatjetError, ZeroCovector, raise_first
 from scipy.special import gamma as _gamma
-
-
-def check_unit_probes(probes, error: type[Exception], prefix: str) -> None:
-    """Raise ``error`` naming the first probe whose norm misses 1 by more than 1e-12.
-
-    ``probes`` is a ``(..., n)`` stack of probe directions, counted in C
-    order; a probe with a non-finite component is named as not finite.
-    """
-    w = np.asarray(probes, dtype=float)
-    w = w.reshape(-1, w.shape[-1])
-    # written so that a NaN norm fails too
-    bad = np.flatnonzero(~(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-12))
-    if bad.size:
-        j = int(bad[0])
-        why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
-        raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
 
 
 def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
@@ -75,7 +60,8 @@ def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarr
 
     Anything else raises ``error`` with a message led by ``prefix``: values
     that are not an array of numbers, another shape (a list with no probes
-    has shape ``(0,)``), or a probe that :func:`check_unit_probes` refuses.
+    has shape ``(0,)``), or, naming the first such probe, a probe whose norm
+    misses 1 by more than 1e-12 (named as not finite when a component is).
     """
     want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
     try:
@@ -84,7 +70,12 @@ def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarr
         raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
     if w.ndim != 2 or not len(w) or w.shape[1] != n:
         raise error(f"{want}, got shape {w.shape}")
-    check_unit_probes(w, error, prefix)
+    # written so that a NaN norm fails too
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-12))
+    if bad.size:
+        j = int(bad[0])
+        why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
+        raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
     return w
 
 
@@ -102,7 +93,7 @@ def polarization_covectors(n: int) -> np.ndarray:
     """
     rows, cols = symmetric_pairs(n)
     eye = np.eye(n)
-    return _read_only(eye[rows] + (rows < cols)[:, None] * eye[cols])
+    return read_only(eye[rows] + (rows < cols)[:, None] * eye[cols])
 
 
 @functools.cache
@@ -115,7 +106,7 @@ def default_probe_set(n: int) -> np.ndarray:
     rows, cols = (k[n:] for k in symmetric_pairs(n))
     eye = np.eye(n)
     pairs = np.stack([eye[rows] + eye[cols], eye[rows] - eye[cols]], axis=1) / np.sqrt(2.0)
-    return _read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
+    return read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
 
 
 def float_or_complex(x) -> np.ndarray:
@@ -218,8 +209,28 @@ def prefactor_and_poles(sigma, n: int):
     )
 
 
-def _roots_and_symbols(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]):
-    """``(sigma, symbols)``: the ``(*grid, E)`` indicial roots and :func:`principal_symbol`."""
+def principal_symbol(
+    patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, symbols)``: the indicial roots and the principal symbol over the whole grid.
+
+    ``sigma`` has shape ``patch.grid_shape + (len(energies),)``, energy
+    last: :func:`~scatjet.boundary_jets.indicial_root` at each energy, float64
+    when every energy is real and complex128 otherwise.  ``xi`` has shape
+    ``(..., n)``; ``symbols`` has shape
+    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
+    It is float64 when every energy is real and every sample is finite, and
+    complex128 otherwise.
+    The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
+    not depend on the energy: their log is computed once and shared by every
+    energy, and so is one Gamma prefactor call over the roots of every
+    energy.  Each point and energy is checked in this order, and the first
+    failure raises: a Gamma pole (:class:`~scatjet.errors.GammaPole`), then a
+    value past double range, or one that underflows to zero
+    (:class:`~scatjet.errors.ScatjetError`).  The message names the grid
+    index, then the energy index and covector as the sample.
+    :func:`~scatjet.boundary_jets.indicial_root` refuses an energy first.
+    """
     n = patch.n
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (n,):
@@ -263,38 +274,6 @@ def _roots_and_symbols(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnerg
     return sigma, out
 
 
-def principal_symbol(patch: BoundaryPatch, xi, energies: Sequence[ComplexEnergy]) -> np.ndarray:
-    """Principal symbol over the whole grid for a stack of covectors, at each energy.
-
-    ``xi`` has shape ``(..., n)``; the result has shape
-    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
-    It is float64 when every energy is real (so is every root, see
-    :func:`~scatjet.boundary_jets.indicial_root`) and every sample is
-    finite, and complex128 otherwise.
-    The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
-    not depend on the energy: their log is computed once and shared by every
-    energy, and so is one Gamma prefactor call over the roots of every
-    energy.  Each point and energy is checked in this order, and the first
-    failure raises: a Gamma pole (:class:`~scatjet.errors.GammaPole`), then a
-    value past double range, or one that underflows to zero
-    (:class:`~scatjet.errors.ScatjetError`).  The message names the grid
-    index, then the energy index and covector as the sample.
-    :func:`~scatjet.boundary_jets.indicial_root` refuses an energy first.
-    """
-    return _roots_and_symbols(patch, xi, energies)[1]
-
-
-def hessian_profile_factors(sigma):
-    """``(3 - 2 sigma, 1 - 2 sigma)``, elementwise: the two factors of the Hessian profile.
-
-    The profile is ``D_ij(omega) = p (delta_ij + q w_i w_j)`` for ``(p, q)``
-    these factors.  They are float for a real ``sigma``, complex for a
-    complex one.
-    """
-    sig = float_or_complex(sigma)
-    return 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
-
-
 def first_order_factors(probes: np.ndarray, sigma, t1: complex):
     """``(M, a, b)``: the probe matrix and the profile factors of ``F = M (T u)``.
 
@@ -311,11 +290,11 @@ def first_order_factors(probes: np.ndarray, sigma, t1: complex):
     M = np.concatenate(
         [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
     )
-    p, q = hessian_profile_factors(sigma)
+    sig = float_or_complex(sigma)
     # np.multiply, not *: a one-point call stays a numpy scalar (a Python complex
     # times a numpy float, a subclass of float, would give a Python complex)
-    b = np.multiply(real_part_if_real(t1), p)
-    return M, b * q, b
+    b = np.multiply(real_part_if_real(t1), 3.0 - 2.0 * sig)
+    return M, b * (1.0 - 2.0 * sig), b
 
 
 def singularity_coefficient(

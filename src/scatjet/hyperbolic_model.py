@@ -26,6 +26,11 @@ import numpy as np
 from .errors import ConfigError, GridTooCoarse
 
 MIN_POINTS = 16
+# the window of the residual study: it keeps the spacing well below min s, the
+# kernel's shortest length scale, so the leading-order error term dominates on
+# the coarse grid already
+_TAU_SPAN = (-0.75, 0.75)
+_Z_EXTENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -184,21 +189,18 @@ def green_residual_convergence(
     sigma: complex,
     n: int,
     base_points: int = 33,
-    tau_span: tuple[float, float] = (-0.75, 0.75),
-    z_extent: float = 1.0,
 ) -> tuple[GreenResidualReport, GreenResidualReport, float]:
     """Residuals on a grid and its exact refinement; returns the decay ratio.
 
-    The fine grid halves every spacing (same spans, ``2m - 1`` points) and
+    Both grids cover ``tau`` in ``[-0.75, 0.75]`` and each ``z`` axis in
+    ``[-1, 1]``.  The fine grid halves every spacing (``2m - 1`` points) and
     keeps the coarse exclusion radius so both residuals cover the same
-    region; second-order convergence shows as a ratio near 4.  The default
-    window keeps the spacing well below ``min s``, the kernel's shortest
-    length scale, so the leading-order error term dominates on the coarse
-    grid already.  A ``sigma`` whose kernel is constant (zero residuals) or
-    overflows (non-finite residuals) has no ratio: :class:`ConfigError`.
+    region; second-order convergence shows as a ratio near 4.  A ``sigma``
+    whose kernel is constant (zero residuals) or overflows (non-finite
+    residuals) has no ratio: :class:`ConfigError`.
     """
-    coarse = HalfSpaceGrid(n, tau_span, z_extent, base_points)
-    fine = HalfSpaceGrid(n, tau_span, z_extent, 2 * base_points - 1, r_excl=coarse.r_excl)
+    coarse = HalfSpaceGrid(n, _TAU_SPAN, _Z_EXTENT, base_points)
+    fine = HalfSpaceGrid(n, _TAU_SPAN, _Z_EXTENT, 2 * base_points - 1, r_excl=coarse.r_excl)
     rc = green_residual_check(sigma, n, coarse)
     rf = green_residual_check(sigma, n, fine)
     # written so that a NaN residual fails too

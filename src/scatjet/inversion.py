@@ -62,8 +62,8 @@ import numpy as np
 
 from .boundary_jets import (
     ComplexEnergy,
+    cholesky_inverse,
     indicial_v0,
-    positive_definite_inverse_or_raise,
     symmetric_matrix,
     symmetric_pairs,
 )
@@ -83,7 +83,6 @@ from .errors import (
 from .forward_scattering import (
     first_order_factors,
     float_or_complex,
-    hessian_profile_factors,
     prefactor_and_poles,
     probe_array,
     real_or_complex,
@@ -264,10 +263,9 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
     covectors of :func:`~scatjet.forward_scattering.polarization_covectors`,
     in that order.  Polarization gives the entries of the inverse metric at
-    the same pairs, which
-    :func:`~scatjet.boundary_jets.positive_definite_inverse_or_raise` factors
-    and inverts entry-wise over the whole stack; the inverse metric must come
-    out positive definite.  The result has shape ``(..., n, n)``.
+    the same pairs, which :func:`~scatjet.boundary_jets.cholesky_inverse`
+    factors and inverts entry-wise over the whole stack; the inverse metric
+    must come out positive definite.  The result has shape ``(..., n, n)``.
 
     A point passes or fails in any batch as it does alone; the first refused
     grid index (the first ``n`` axes) and sample (the axes between the grid
@@ -305,13 +303,19 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
             ),
         ],
     )
-    return positive_definite_inverse_or_raise(
-        entries,
+    inverse, refused = cholesky_inverse(entries, n)
+    raise_first(
         n,
-        NotPositiveDefinite,
-        lambda k: "recovered inverse metric has eigenvalues "
-        f"{np.linalg.eigvalsh(symmetric_matrix(entries[k], n))}; not positive definite",
+        [
+            (
+                refused,
+                NotPositiveDefinite,
+                lambda k: "recovered inverse metric has eigenvalues "
+                f"{np.linalg.eigvalsh(symmetric_matrix(entries[k], n))}; not positive definite",
+            )
+        ],
     )
+    return inverse
 
 
 def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
@@ -412,12 +416,12 @@ class FirstOrderResult:
 
 
 def _design_factors(probes, sigma, t1: complex, t2: complex, alpha_sq, h0):
-    """``(M, a, e)``: the first-order design is ``M T`` with ``T = [[a I, 0], [e^T, t2]]``.
+    """``(M, a, b, e)``: the first-order design is ``M T`` with ``T = [[a I, 0], [e^T, t2]]``.
 
-    ``M`` and ``a`` come from
+    ``M``, ``a`` and ``b = t1 (3-2 sigma)`` come from
     :func:`~scatjet.forward_scattering.first_order_factors`.  Per point,
-    ``e = t1 (3-2 sigma) delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``, with
-    ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``.
+    ``e = b delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``, with ``mult`` 1 on
+    the pairs ``i = j`` and 2 on ``i < j``.
     """
     n = h0.shape[-1]
     rows, cols = symmetric_pairs(n)
@@ -425,7 +429,7 @@ def _design_factors(probes, sigma, t1: complex, t2: complex, alpha_sq, h0):
     c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
     mult = np.where(rows == cols, 1.0, 2.0)
     e = b[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
-    return M, a, e
+    return M, a, b, e
 
 
 def _solve_triangular(a, e, t2: complex, z) -> np.ndarray:
@@ -479,9 +483,9 @@ def first_order_recovery(
     # the messages print t1 and t2 as given, the arithmetic takes a real one as a float
     r1, r2 = real_part_if_real(t1), real_part_if_real(t2)
     with np.errstate(all="ignore"):
-        M, a, e = _design_factors(w, sigma, r1, r2, alpha_sq, h0)
+        M, a, trace_factor, e = _design_factors(w, sigma, r1, r2, alpha_sq, h0)
         a, e = np.broadcast_to(a, grid), np.broadcast_to(e, grid + e.shape[-1:])
-        bound = _SV_CUT * np.maximum(np.abs(r1 * hessian_profile_factors(sigma)[0]), abs(r2))
+        bound = _SV_CUT * np.maximum(np.abs(trace_factor), abs(r2))
     raise_first(
         len(grid),
         [

@@ -366,9 +366,9 @@ def i_full_integral(
     which depends on ``z`` only through ``|z|``; the module docstring's 1-D
     rule evaluates it to the tolerances of ``spec``.  A front factor, a
     knee of the rule or a value (overflowed or underflowed to zero) past
-    double range, or an integrand that underflows at every node of the rule
-    (a zero sum that would pass any error check), raises
-    :class:`QuadratureFailure`.
+    double range, a rule with no panel, or an integrand that underflows at
+    every node of the rule (a zero sum that would pass any error check),
+    raises :class:`QuadratureFailure`.
     """
     zs = [float(x) for x in z]
     n = len(zs)
@@ -404,6 +404,13 @@ def i_full_integral(
             f"min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range (|z| = {d:g})"
         )
     value, est, n_evals = _feynman_rule(*_rule_exponents(sig, b), d, s, front, spec)
+    # a half has no panel when its knee is at the top and the span below the knee rounds away
+    if not n_evals:
+        raise QuadratureFailure(
+            f"I_{l} at sigma={sigma}, s={s}, n={n}: the rule has no panel, so no node is "
+            f"evaluated: both knees sit at the top, -log 2, and the span {_DEPTH:g} / Re(sigma) "
+            f"= {_DEPTH / sig.real:.3e} below them rounds away"
+        )
     # each node's integrand is an exponential, so a zero sum means every one underflowed
     if value == 0:
         raise QuadratureFailure(
@@ -430,12 +437,14 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     """Leading scalar of the model Green kernel.
 
     ``pi^(-n/2)/2 * Gamma(sigma)/Gamma(sigma - (n-2)/2)
-    * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`GammaPole` when
-    either Gamma argument sits at a nonpositive integer, and
-    :class:`QuadratureFailure` when the value leaves double range.
+    * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`ValueError` for an
+    ``s`` that is not positive and finite or a ``z`` that is not finite,
+    :class:`GammaPole` when either Gamma argument sits at a nonpositive
+    integer, and :class:`QuadratureFailure` when the value leaves double
+    range or underflows to zero.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not (0 < s < math.inf):
+        raise ValueError(f"s = {s} must be positive and finite")
     sig = complex(sigma)
     for name, arg in (("sigma", sig), ("sigma - (n-2)/2", sig - (n - 2) / 2.0)):
         if _near_nonpositive_int(arg):
@@ -443,6 +452,8 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     zv = np.asarray(z, dtype=float)
     if zv.shape != (n,):
         raise ValueError(f"z must have length n={n}")
+    if not np.all(np.isfinite(zv)):
+        raise ValueError(f"z = {zv} is not finite")
     base = 1.0 + s * s + float(zv @ zv)
     # past double range the value comes out inf or NaN, which is refused
     with np.errstate(all="ignore"):
@@ -451,5 +462,10 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     if not cmath.isfinite(value):
         raise QuadratureFailure(
             f"G at sigma={sig}: value {value} (error 0.0) is not finite in double precision"
+        )
+    # off the Gamma poles refused above, a zero is an underflow
+    if value == 0:
+        raise QuadratureFailure(
+            f"G at sigma={sig}: value {value} (error 0.0) underflows to zero in double precision"
         )
     return value

@@ -17,9 +17,9 @@ from .boundary_jets import BoundaryPatch, ComplexEnergy, perturbation_coefficien
 from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
 from .forward_scattering import (
-    _roots_and_symbols,
     default_probe_set,
     polarization_covectors,
+    principal_symbol,
     singularity_coefficient,
 )
 from .spectral_sets import exceptional_set, is_admissible
@@ -136,7 +136,7 @@ def forward_dataset(
     covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     # the roots of every energy, computed once: the singularity samples read the first
-    sigma, symbols = _roots_and_symbols(patch1, xi, energies)
+    sigma, symbols = principal_symbol(patch1, xi, energies)
 
     singularity = omega = None
     if patch2 is not None:

@@ -37,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from scatjet.forward_scattering import (
-    check_unit_probes,
-    hessian_profile_factors,
-    symmetric_pairs,
-)
+from scatjet.forward_scattering import symmetric_pairs
 from scatjet.inversion import _unpack
 
 R0 = 50.0
@@ -246,8 +242,13 @@ def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     ``omega.shape[:-1]``; the result stacks ``n x n`` matrices over both.
     """
     w = np.asarray(omega, dtype=float)
-    check_unit_probes(w, ValueError, "omega: ")
-    p, q = hessian_profile_factors(np.asarray(sigma)[..., None, None])
+    for j, probe in enumerate(w.reshape(-1, w.shape[-1])):
+        if not np.all(np.isfinite(probe)):
+            raise ValueError(f"omega: probe {j} {tuple(probe.tolist())} is not finite")
+        if abs(math.hypot(*probe) - 1.0) > 1e-12:
+            raise ValueError(f"omega: probe {j} {tuple(probe.tolist())} is not a unit vector")
+    sig = np.asarray(sigma)[..., None, None]
+    p, q = 3.0 - 2.0 * sig, 1.0 - 2.0 * sig
     delta = np.eye(w.shape[-1], dtype=bool)
     return p * (delta + q * (w[..., :, None] * w[..., None, :]))
 

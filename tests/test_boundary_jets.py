@@ -17,9 +17,8 @@ from scatjet.boundary_jets import (
     indicial_v0,
     lower_entries,
     perturbation_coefficients,
-    positive_definite_inverse_or_raise,
 )
-from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary
+from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary, raise_first
 from scatjet.forward_scattering import principal_symbol
 from scatjet.synthetic import constant_patch, random_spd
 
@@ -317,7 +316,7 @@ def test_cholesky_inverse_judges_each_matrix_alone(n, shape, seed, bad):
     refused, and a lone subnormal pivot is refused when its inverse
     overflows; a semidefinite matrix or a +inf entry may go either way.
     Each matrix gets the same verdict and the same bits alone as in the
-    stack; ``positive_definite_inverse_or_raise`` names the first refused
+    stack; ``raise_first`` on the ``refused`` mask names the first refused
     matrix in C order; the SPD matrices' inverses are within 1e-14 max|inv|
     of ``np.linalg.inv``.
     """
@@ -350,14 +349,13 @@ def test_cholesky_inverse_judges_each_matrix_alone(n, shape, seed, bad):
         return f"bad {i}"
 
     if not refused.any():
-        got = positive_definite_inverse_or_raise(lower_entries(M), n, ValueError, message)
-        np.testing.assert_array_equal(got, inverse)
+        raise_first(n, [(refused, ValueError, message)])
         return
     # the first n axes are the grid, any further ones the sample
     first = tuple(int(k) for k in np.argwhere(refused)[0])
     where = [f"grid index {first[:n]}"] + ([f"sample {first[n:]}"] if len(first) > n else [])
     with pytest.raises(ValueError, match=f"^{re.escape(message(first) + ' at ' + ', '.join(where))}$"):
-        positive_definite_inverse_or_raise(lower_entries(M), n, ValueError, message)
+        raise_first(n, [(refused, ValueError, message)])
 
 
 def test_patch_grid_helpers():

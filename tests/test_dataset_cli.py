@@ -1152,6 +1152,29 @@ def _with_patches(tmp_path, argv):
             "G at sigma=(10000000000+0j): value (nan+nanj) (error 0.0) is not finite",
         ),
         (
+            ["integrals", "--which", "G", "--sigma", "1.5", "--n", "1", "--s", "1e-320"],
+            1,
+            "G at sigma=(1.5+0j): value 0j (error 0.0) underflows to zero in double precision",
+        ),
+        *(
+            (
+                ["integrals", "--which", "G", "--sigma", "1.5", "--n", "1", f"--{name}", value],
+                2,
+                f"integrals: {message}",
+            )
+            for name, value, message in (
+                ("s", "nan", "s = nan must be positive and finite"),
+                ("s", "inf", "s = inf must be positive and finite"),
+                ("z", "nan", "z = [nan] is not finite"),
+                ("z", "inf", "z = [inf] is not finite"),
+            )
+        ),
+        (
+            ["integrals", "--which", "I", "--sigma", "1e200", "--n", "1", "--s", "1", "--z", "0"],
+            1,
+            "I_1 at sigma=(1e+200+0j), s=1.0, n=1: the rule has no panel, so no node is evaluated",
+        ),
+        (
             ["verify", "green", "--sigma", "0", "--n", "1"],
             2,
             "sigma=0j: residuals 0.0 (coarse) and 0.0 (fine) give no decay ratio",
@@ -1174,6 +1197,12 @@ def _with_patches(tmp_path, argv):
         "integrals-i",
         "integrals-t1-rounding",
         "integrals-green",
+        "integrals-green-underflow",
+        "integrals-green-s-nan",
+        "integrals-green-s-inf",
+        "integrals-green-z-nan",
+        "integrals-green-z-inf",
+        "integrals-i-no-panel",
         "verify-green-constant",
         "sets-lam",
         "forward-lam",
@@ -1359,6 +1388,9 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         (["roundtrip", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
         (["roundtrip", "--seed", "7", "--tol", "nan"], "argument --tol: must be at least 0, got nan"),
         (["roundtrip", "--seed", "7", "--tol", "-0.5"], "argument --tol: must be at least 0, got -0.5"),
+        (["roundtrip", "--seed", "7", "--tol", "inf"], "argument --tol: must be finite, got inf"),
+        (["invert", "--data", "ds.json", "--margin", "inf"], "argument --margin: must be finite, got inf"),
+        (["sets", "--patch", "p.json", "--margin", "inf"], "argument --margin: must be finite, got inf"),
     ],
     ids=[
         "invert-margin",
@@ -1373,6 +1405,9 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         "roundtrip-seed-negative",
         "roundtrip-tol-nan",
         "roundtrip-tol-negative",
+        "roundtrip-tol-inf",
+        "invert-margin-inf",
+        "sets-margin-inf",
     ],
 )
 def test_cli_out_of_range_argument_exits_2(capsys, argv, message):

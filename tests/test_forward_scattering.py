@@ -92,7 +92,7 @@ def test_prefactor_against_mpmath(n):
 def test_symbol_closed_value_n1():
     patch = constant_patch(1, 1.0, 0.0, np.eye(1))
     # alpha = 1, V0 = 0, lambda = i/2: sigma = 1/2 + sqrt(1/2 + lambda^2) = 1
-    values = principal_symbol(patch, [1.0], (ComplexEnergy(0.5j),))[0]
+    values = principal_symbol(patch, [1.0], (ComplexEnergy(0.5j),))[1][0]
     assert values.shape == (4,)
     np.testing.assert_allclose(values, -1.0, atol=1e-12)
 
@@ -104,7 +104,7 @@ def test_symbol_homogeneity():
     sigma = indicial_root(patch, en)[0, 0]
     xi = rng.standard_normal((50, 2))
     scales = np.array([1.0, 2.0, 4.0, 8.0])
-    values = principal_symbol(patch, scales[:, None, None] * xi, (en,))[0]
+    values = principal_symbol(patch, scales[:, None, None] * xi, (en,))[1][0]
     assert values.shape == (4, 4, 4, 50)
     base = values[0, 0, 0]
     for t, scaled in zip(scales[1:], values[0, 0, 1:]):
@@ -117,7 +117,7 @@ def test_symbol_log_slope():
     sigma = indicial_root(patch, en)[0, 0]
     xi = np.array([0.6, -0.8])
     ts = np.array([1.0, 2.0, 4.0, 8.0])
-    vals = np.abs(principal_symbol(patch, np.outer(ts, xi), (en,))[0][0, 0])
+    vals = np.abs(principal_symbol(patch, np.outer(ts, xi), (en,))[1][0][0, 0])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     assert slope == pytest.approx(2 * sigma.real - 2, abs=1e-10)
 
@@ -128,7 +128,7 @@ def test_symbol_isotropy_for_euclidean_metric():
     angles = np.array([0.0, 0.7, 2.1])
     vals = principal_symbol(
         patch, np.stack([np.cos(angles), np.sin(angles)], axis=-1), (en,)
-    )[0][0, 0]
+    )[1][0][0, 0]
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
@@ -146,10 +146,10 @@ def test_symbol_energy_axis_equals_one_energy_calls():
     patch, _, energies, _ = varying_patch_pair(seed=43)
     xi = np.array([[[1.0, 0.0], [2.0, 0.0]], [[0.3, -1.7], [0.6, -3.4]]])
     for pair in (energies, (ComplexEnergy(2.0 + 3.0j), ComplexEnergy(1.5 - 0.5j))):
-        both = principal_symbol(patch, xi, pair)
+        both = principal_symbol(patch, xi, pair)[1]
         assert both.shape == (2,) + patch.grid_shape + (2, 2)
         for e, en in enumerate(pair):
-            assert both[e].tobytes() == principal_symbol(patch, xi, (en,))[0].tobytes()
+            assert both[e].tobytes() == principal_symbol(patch, xi, (en,))[1][0].tobytes()
 
 
 def test_symbol_matches_pointwise_formula_on_varying_patch():
@@ -158,7 +158,7 @@ def test_symbol_matches_pointwise_formula_on_varying_patch():
     n = patch.n
     xi = np.array([[1.0, 0.0], [0.3, -1.7], [2.0, 2.0]])
     for en in energies:
-        got = principal_symbol(patch, xi, (en,))[0]
+        got = principal_symbol(patch, xi, (en,))[1][0]
         assert got.shape == patch.grid_shape + (3,)
         worst = 0.0
         for idx in np.ndindex(*patch.grid_shape):
@@ -407,7 +407,7 @@ def test_symbol_norms_match_the_solve_oracle():
         n = patch.n
         covectors = polarization_covectors(n)
         xi = np.stack([covectors, 2.0 * covectors], axis=1)
-        got = principal_symbol(patch, xi, energies)
+        got = principal_symbol(patch, xi, energies)[1]
         log_norm = solve_log_norm(patch.h_jet[0], xi)
         pad = patch.grid_shape + (1, 1)
         for e, en in enumerate(energies):

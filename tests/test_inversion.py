@@ -93,7 +93,7 @@ def test_sigma_via_forward_module():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
     en = ComplexEnergy(4.0)
     xi = np.array([0.6, 0.8])
-    v, vt = principal_symbol(patch, [xi, 2 * xi], (en,))[0][0, 0]
+    v, vt = principal_symbol(patch, [xi, 2 * xi], (en,))[1][0][0, 0]
     rec = recover_sigma_from_symbol(v, vt, 2.0, 2)
     assert rec.sigma == pytest.approx(indicial_root(patch, en)[0, 0], abs=1e-12)
     assert rec.norm == pytest.approx(1.0, abs=1e-12)  # h0 = I and |xi| = 1
@@ -853,7 +853,7 @@ def test_first_order_design_factors_as_probe_matrix_times_triangular_map():
     for n in (1, 2, 3):
         for probes in (default_probe_set(n), _random_first_order_case(rng, n, 5, False)[1]):
             _, _, sigma, t1, t2, alpha_sq, h0 = _random_first_order_case(rng, n, 1, False)
-            M, a, e = _design_factors(probes, sigma, t1, t2, alpha_sq, h0)
+            M, a, _, e = _design_factors(probes, sigma, t1, t2, alpha_sq, h0)
             k = M.shape[1]
             T = np.zeros((3, k, k), dtype=complex)
             T[:, :-1, :-1] = a[:, None, None] * np.eye(k - 1)

@@ -394,6 +394,17 @@ def test_i_refuses_an_integrand_that_underflows_at_every_node():
         i_full_integral(1, 30, 1e10, [1.0])
 
 
+def test_i_refuses_a_rule_with_no_panel():
+    """At s = 1, z = 0 both knees sit at -log 2, and 40 / sigma is below their ulp."""
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^I_1 at sigma=1e\+200, s=1\.0, n=1: the rule has no panel, so no node is "
+        r"evaluated: both knees sit at the top, -log 2, and the span 40 / Re\(sigma\) = "
+        r"4\.000e-199 below them rounds away$",
+    ):
+        i_full_integral(1, 1e200, 1.0, [0.0])
+
+
 @pytest.mark.parametrize(
     "l,sigma,s,z,message",
     [
