@@ -129,7 +129,9 @@ def raise_first(n: int, checks) -> None:
     """
     masks = [np.asarray(failed, dtype=bool) for failed, _, _ in checks]
     depth = min(m.ndim for m in masks)
-    shape = np.broadcast_shapes(*(m.shape[:depth] for m in masks))
+    shape = masks[0].shape[:depth]
+    if any(m.shape[:depth] != shape for m in masks):
+        shape = np.broadcast_shapes(*(m.shape[:depth] for m in masks))
     # when nothing fails this costs one reduction per check; it comes after the
     # shapes are judged, so that a mis-shaped check list still raises
     if not any(m.any() for m in masks):

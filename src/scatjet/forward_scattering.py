@@ -12,9 +12,15 @@ with ``sigma = sigma(lambda, y)`` the indicial root and
 stack of covectors and a sequence of energies at once, and returns the
 indicial roots it computes on the way with the symbols.  Where ``sigma`` is
 real, as at a real energy above the cut, the prefactor takes scipy's real
-``gamma`` and the power numpy's real ``exp`` (:func:`real_or_complex` picks
-the kernel per element), so the symbols of real energies are exactly real,
-and they come out float64.
+``gamma`` and the power numpy's real ``exp``, so the symbols of real
+energies are exactly real, and they come out float64.
+:func:`real_or_complex` picks the kernel per element: each caller passes
+its condition for the real kernel as a function of the operands (on the
+real axis, :func:`on_real_axis`; for the division and the log of
+:mod:`scatjet.inversion` also a nonzero divisor and a positive argument),
+the call decides once from whole-array tests, and the per-element mask is
+built only when an operand is complex or not finite, or the condition
+fails somewhere.
 
 When two operators share boundary data to zeroth order, the difference of
 their scattering kernels has radial leading singularity with angular
@@ -129,30 +135,52 @@ def real_part_if_real(z):
     return z.real if z.imag == 0 else z
 
 
+def on_real_axis(x):
+    """``x.imag == 0`` elementwise for a complex ``x``, ``True`` for a real one.
+
+    A float ``x`` is on the real axis by its type, so no array of zero
+    imaginary parts is built for it.
+    """
+    return x.imag == 0 if np.iscomplexobj(x) else True
+
+
 def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
     """Elementwise ``real_kernel`` on the real axis, ``complex_kernel`` elsewhere.
 
-    The elements of the broadcast ``operands`` go to ``real_kernel`` where
-    the caller's mask ``real`` holds (a zero imaginary part, say) and every
-    operand is finite.  When no operand is complex and every element goes
-    there, the result is ``real_kernel``'s float64 array, which the real
-    kernels return for float64 operands.  Otherwise the operands are widened
-    to complex, ``real_kernel`` runs over all elements at once and is kept
-    only where it applies, and ``complex_kernel`` runs on the other elements
+    ``real(*operands)`` is the caller's condition for the real kernel, as a
+    boolean scalar or array that broadcasts with the operands (on the real
+    axis, say: :func:`on_real_axis`); an element goes to ``real_kernel``
+    where it holds and every operand is finite.  The choice is made once per
+    call from whole-array tests: when no operand is complex, every operand
+    is finite and the condition holds everywhere, ``real_kernel`` runs on
+    the operands as given and the result is its float64 array, which the
+    real kernels return for float64 operands.  Only otherwise are the
+    operands broadcast and the per-element mask built: they are widened to
+    complex, ``real_kernel`` runs over all elements at once and is kept only
+    where it applies, and ``complex_kernel`` runs on the other elements
     alone, giving a complex result.  So each element gets the same bits in
     any array as alone, only the result's dtype is chosen per call, and the
     costly complex kernels run only where an operand is off the real axis or
     not finite.  Both kernels return new arrays, and so does this function.
     """
-    operands = np.broadcast_arrays(*operands)
     with np.errstate(all="ignore"):
+        if (
+            not any(np.iscomplexobj(x) for x in operands)
+            and all(np.isfinite(x).all() for x in operands)
+            and np.all(real(*operands))
+        ):
+            return np.asarray(real_kernel(*operands), dtype=float)
+        operands = np.broadcast_arrays(*operands)
+        mask = real(*operands)
         for x in operands:
-            real = real & np.isfinite(x)
-        if not any(np.iscomplexobj(x) for x in operands) and np.all(real):
+            mask = mask & np.isfinite(x)
+        # the tests above also see the elements an empty broadcast drops:
+        # float operands whose broadcast is empty give float all the same
+        if not any(np.iscomplexobj(x) for x in operands) and np.all(mask):
             return np.asarray(real_kernel(*operands), dtype=float)
         operands = [x.astype(complex, copy=False) for x in operands]
         out = np.asarray(real_kernel(*operands), dtype=complex)
-        rest = ~real
+        rest = ~mask
         out[rest] = complex_kernel(*(x[rest] for x in operands))
     return out
 
@@ -196,7 +224,7 @@ def prefactor_and_poles(sigma, n: int):
             & (np.abs(re - np.round(re)) < 1e-12)
         )
     value = real_or_complex(
-        sigma.imag == 0,
+        on_real_axis,
         lambda s: _real_prefactor(s, n),
         lambda s: _complex_prefactor(s, n),
         sigma,
@@ -207,6 +235,13 @@ def prefactor_and_poles(sigma, n: int):
         lambda i: f"sigma - n/2 = {complex(half_off[i])} is an integer: "
         "Gamma pole/zero in the prefactor",
     )
+
+
+def _exp(x):
+    """``exp`` elementwise: numpy's real ``exp`` where ``x`` is real and
+    finite, its complex ``exp`` elsewhere.  Float for a float ``x`` that is
+    finite everywhere (:func:`real_or_complex`)."""
+    return real_or_complex(on_real_axis, lambda x: np.exp(x.real), np.exp, x)
 
 
 def principal_symbol(
@@ -253,9 +288,7 @@ def principal_symbol(
 
     with np.errstate(all="ignore"):
         arg = by_energy(2.0 * sigma - n) * log_norm
-        out = by_energy(pref) * real_or_complex(
-            arg.imag == 0, lambda x: np.exp(x.real), np.exp, arg
-        )
+        out = by_energy(pref) * _exp(arg)
     # (*grid, E, ...): a failure names the grid index, then the energy index and covector
     moved = np.moveaxis(out, 0, n)
     raise_first(

@@ -83,6 +83,7 @@ from .errors import (
 from .forward_scattering import (
     first_order_factors,
     float_or_complex,
+    on_real_axis,
     prefactor_and_poles,
     probe_array,
     real_or_complex,
@@ -138,7 +139,7 @@ def _divide(a, b):
     a = float_or_complex(a)
     b = float_or_complex(b)
     return real_or_complex(
-        (b.imag == 0) & (b.real != 0),
+        lambda a, b: on_real_axis(b) & (b.real != 0),
         lambda a, b: _over_real(a, b.real),
         _smith_divide,
         a,
@@ -150,7 +151,9 @@ def _log(x):
     """The principal log, elementwise: numpy's real ``log`` where ``x`` is real,
     finite and positive, its complex ``log`` elsewhere.  Float for a float
     ``x`` that is finite and positive everywhere."""
-    return real_or_complex((x.imag == 0) & (x.real > 0), lambda x: np.log(x.real), np.log, x)
+    return real_or_complex(
+        lambda x: on_real_axis(x) & (x.real > 0), lambda x: np.log(x.real), np.log, x
+    )
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,15 @@ _DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches 
 _ROUNDING = 4 * np.finfo(float).eps  # relative rounding per unit of summed log magnitude
 
 
+def _check_dimension(n: int) -> None:
+    if not 1 <= n <= 3:
+        raise ValueError("n must be 1..3 (the supported boundary dimensions)")
+
+
 def _check_arguments(l: int, sigma: complex, n: int) -> None:
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    if not 1 <= n <= 3:
-        raise ValueError("n must be 1..3 (the supported boundary dimensions)")
+    _check_dimension(n)
     if not cmath.isfinite(complex(sigma)):
         raise ValueError(f"sigma = {sigma} is not finite")
 
@@ -438,11 +442,12 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
 
     ``pi^(-n/2)/2 * Gamma(sigma)/Gamma(sigma - (n-2)/2)
     * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`ValueError` for an
-    ``s`` that is not positive and finite or a ``z`` that is not finite,
-    :class:`GammaPole` when either Gamma argument sits at a nonpositive
-    integer, and :class:`QuadratureFailure` when the value leaves double
-    range or underflows to zero.
+    ``n`` outside 1..3, an ``s`` that is not positive and finite or a ``z``
+    that is not finite, :class:`GammaPole` when either Gamma argument sits
+    at a nonpositive integer, and :class:`QuadratureFailure` when the value
+    leaves double range or underflows to zero.
     """
+    _check_dimension(n)
     if not (0 < s < math.inf):
         raise ValueError(f"s = {s} must be positive and finite")
     sig = complex(sigma)

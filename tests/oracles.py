@@ -38,7 +38,6 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from scatjet.forward_scattering import symmetric_pairs
-from scatjet.inversion import _unpack
 
 R0 = 50.0
 N_RADII = 4
@@ -325,7 +324,10 @@ def first_order_svd_fit(values, probes, sigma, t1, t2, alpha_sq, h0) -> SvdFirst
     miss = (A @ x[..., None])[..., 0] - b
     residual = np.sqrt(np.vecdot(miss.real, miss.real) + np.vecdot(miss.imag, miss.imag))
 
-    H, W = _unpack(x, n)
+    # the unknowns laid out here, not by the library's pair index
+    H = np.empty(x.shape[:-1] + (n, n), dtype=complex)
+    for k, (i, j) in enumerate(zip(*symmetric_pairs(n))):
+        H[..., i, j] = H[..., j, i] = x[..., k]
     return SvdFirstOrderFit(
-        H=H, W1=W, residual=residual, design_rank=keep.sum(axis=-1), right_vectors=Vh
+        H=H, W1=x[..., -1], residual=residual, design_rank=keep.sum(axis=-1), right_vectors=Vh
     )

@@ -1156,6 +1156,11 @@ def _with_patches(tmp_path, argv):
             1,
             "G at sigma=(1.5+0j): value 0j (error 0.0) underflows to zero in double precision",
         ),
+        (
+            ["integrals", "--which", "G", "--sigma", "5.3", "--n", "4", "--z", "0"],
+            2,
+            "integrals: n must be 1..3 (the supported boundary dimensions)",
+        ),
         *(
             (
                 ["integrals", "--which", "G", "--sigma", "1.5", "--n", "1", f"--{name}", value],
@@ -1198,6 +1203,7 @@ def _with_patches(tmp_path, argv):
         "integrals-t1-rounding",
         "integrals-green",
         "integrals-green-underflow",
+        "integrals-green-n-4",
         "integrals-green-s-nan",
         "integrals-green-s-inf",
         "integrals-green-z-nan",

@@ -34,6 +34,67 @@ def test_raise_first_refuses_a_mis_shaped_check_list_that_passes():
         raise_first(2, _checks(np.zeros((3, 4), bool), np.zeros((2, 4, 5), bool)))
 
 
+def _faults(shape, *where):
+    mask = np.zeros(shape, bool)
+    for i in where:
+        mask[i] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "masks,raised",
+    [
+        # equal leading shapes, extra sample axes: the point (1, 2) comes first,
+        # where the third check fails at sample (1, 0)
+        (
+            [_faults((3, 4)), _faults((3, 4, 5), (2, 0, 0)), _faults((3, 4, 2, 2), (1, 2, 1, 0))],
+            (BranchCut, r"^check 2 at \(1, 2, 1, 0\) at grid index \(1, 2\), sample \(1, 0\)$"),
+        ),
+        ([_faults((3, 4)), _faults((3, 4, 5)), _faults((3, 4, 2, 2))], None),
+        # broadcastable but unequal: a (4, 1) check holds for every column of its row
+        (
+            [_faults((4, 1), (2, 0)), _faults((4, 4), (1, 3))],
+            (InconsistentData, r"^check 1 at \(1, 3\) at grid index \(1, 3\)$"),
+        ),
+        (
+            [_faults((4, 1), (1, 0)), _faults((4, 4), (1, 3))],
+            (ZeroSymbol, r"^check 0 at \(1, 0\) at grid index \(1, 0\)$"),
+        ),
+        ([_faults((4, 4, 3), (0, 2, 1)), _faults((4, 1))], (ZeroSymbol, r"^check 0 at \(0, 2, 1\)")),
+        ([_faults((4, 1)), _faults((4, 4))], None),
+        # mis-shaped: refused whether or not a check fails
+        ([_faults((4, 3)), _faults((4, 4))], ValueError),
+        ([_faults((4, 3), (0, 0)), _faults((4, 4, 2))], ValueError),
+        ([_faults((3, 4, 5)), _faults((3, 5, 5), (0, 0, 0))], ValueError),
+    ],
+    ids=[
+        "equal-leading-fails",
+        "equal-leading-passes",
+        "broadcast-later-row",
+        "broadcast-same-row",
+        "broadcast-sample-axes",
+        "broadcast-passes",
+        "mis-shaped-passes",
+        "mis-shaped-fails",
+        "mis-shaped-sample-axes",
+    ],
+)
+def test_raise_first_point_shapes(masks, raised):
+    """Checks whose leading shapes are equal, broadcast, or do not broadcast."""
+    classes = (ZeroSymbol, InconsistentData, BranchCut)
+    checks = [
+        (m, cls, lambda i, k=k: f"check {k} at {i}") for k, (m, cls) in enumerate(zip(masks, classes))
+    ]
+    if raised is None:
+        assert raise_first(2, checks) is None
+    elif raised is ValueError:
+        with pytest.raises(ValueError):
+            raise_first(2, checks)
+    else:
+        with pytest.raises(raised[0], match=raised[1]):
+            raise_first(2, checks)
+
+
 def test_raise_first_names_the_first_point_in_c_order():
     """Faults at points (1, 3), (2, 0) and (2, 1), in checks of different rank."""
     point_mask = np.zeros((3, 4), bool)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from scatjet.errors import (
     ZeroSymbol,
 )
 from scatjet.forward_scattering import (
+    _exp,
     default_probe_set,
     polarization_covectors,
     prefactor_and_poles,
@@ -111,6 +112,14 @@ def test_divide_by_a_real_divisor_warns_nothing():
     assert not np.isfinite(got[2])
 
 
+def test_float_operands_of_an_empty_broadcast_give_float():
+    """An element that no broadcast keeps decides nothing, not even when it is NaN."""
+    for a, b in ((np.zeros(0), np.array([math.nan])), (np.zeros((0, 1)), np.array([1.0, 0.0]))):
+        assert _divide(a, b).dtype == np.float64
+        assert _divide(b, a).dtype == np.float64
+    assert _log(np.zeros(0)).dtype == np.float64
+
+
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 _PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _SPECIAL)
 _ENTRIES = st.one_of(_PARTS.map(complex), st.builds(complex, _PARTS, _PARTS))
@@ -133,14 +142,33 @@ def _bits(x):
     return parts.tobytes()
 
 
+def _kernel_calls(f, a, b):
+    """The calls of ``f`` on ``a`` (and ``b``) that the kernel tests make.
+
+    A one-operand ``f`` runs on ``a`` and on a 0-d ``a[0]``.  ``_divide``
+    runs on ``(a, b)``, then on operands that broadcast without being
+    broadcast first, as the sigma stage divides a point's samples by its
+    prefactor (``v / pref[..., None]``): ``a`` as a column over ``b``, and
+    a 0-d numerator or divisor against a 1-d other.
+    """
+    if f is not _divide:
+        return [(a,), (np.asarray(a[0]),)]
+    return [(a, b), (a[:, None], b), (np.asarray(a[0]), b), (a, np.asarray(b[0]))]
+
+
+_SPECIALS = np.array([-math.inf, math.inf, math.nan, 0.0, -1.0, 2.0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda k: st.tuples(_mixed(k), _mixed(k))), st.integers(1, 3))
+@example((_SPECIALS.astype(complex), _SPECIALS[::-1].astype(complex)), 2)
 def test_real_axis_kernels_judge_each_element_alone(ab, n):
-    """The Gamma prefactor, the division and the log pick their kernel per element.
+    """The Gamma prefactor, the symbol's exp, the division and the log pick their kernel per element.
 
-    Each element gets the same bits in the array as alone; real finite
-    operands give an imaginary part of exactly zero; and a finite numerator
-    over a real, finite, nonzero divisor is its parts divided by the divisor.
+    Each element gets the same bits in the array as alone, also where the
+    operands broadcast or are 0-d; real finite operands give an imaginary
+    part of exactly zero; and a finite numerator over a real, finite,
+    nonzero divisor is its parts divided by the divisor.
     """
     a, b = ab
 
@@ -149,12 +177,16 @@ def test_real_axis_kernels_judge_each_element_alone(ab, n):
         with np.errstate(all="ignore"):
             return prefactor_and_poles(np.asarray(sigma), n)[0]
 
-    for f, args in ((prefactor, (a,)), (_log, (a,)), (_divide, (a, b))):
-        whole = f(*args)
-        for i in range(len(a)):
-            assert _bits(whole[i]) == _bits(f(*(x[i] for x in args)))
+    for f in (prefactor, _exp, _log, _divide):
+        for args in _kernel_calls(f, a, b):
+            whole = f(*args)
+            each = np.broadcast_arrays(*args)
+            assert whole.shape == each[0].shape
+            for i in np.ndindex(whole.shape):
+                assert _bits(whole[i]) == _bits(f(*(x[i] for x in each)))
 
     assert np.all(prefactor(a)[_real_finite(a)].imag == 0)
+    assert np.all(_exp(a)[_real_finite(a)].imag == 0)
     assert np.all(_log(a)[_real_finite(a) & (a.real > 0)].imag == 0)
     by_real = _real_finite(b) & (b.real != 0)
     got = _divide(a, b)
@@ -182,6 +214,10 @@ def _float_operands(size):
     st.integers(1, 12).flatmap(lambda k: st.tuples(_float_operands(k), _float_operands(k))),
     st.integers(1, 3),
 )
+@example((_SPECIALS, _SPECIALS[::-1].copy()), 2)
+@example((np.array([1.0, 2.0]), np.array([math.inf, 3.0])), 2)
+@example((np.array([-math.inf, 1.0]), np.array([1.0, 2.0])), 2)
+@example((np.array([1.0, 2.0]), np.array([1.0, math.nan])), 2)
 def test_float_operands_give_float_only_where_every_element_is_real(ab, n):
     """Float operands give a float64 result exactly when every element takes the real kernel.
 
@@ -189,6 +225,10 @@ def test_float_operands_give_float_only_where_every_element_is_real(ab, n):
     operands widened to complex, and its imaginary parts are zero; a
     division's zero quotient may differ in sign only (``_divide``'s
     docstring).  Any other result is complex, bit for bit the widened call's.
+    A real result that is finite is no reason for the real kernel: a finite
+    number over an infinite divisor, or the exp of ``-inf``, is zero, yet
+    takes the complex kernel.  All of this holds for operands that
+    broadcast and for 0-d operands too.
     """
     a, b = ab
 
@@ -196,24 +236,27 @@ def test_float_operands_give_float_only_where_every_element_is_real(ab, n):
         with np.errstate(all="ignore"):
             return prefactor_and_poles(sigma, n)[0]
 
-    finite = np.isfinite(a)
-    for f, args, real in (
-        (prefactor, (a,), finite),
-        (_log, (a,), finite & (a > 0)),
-        (_divide, (a, b), finite & np.isfinite(b) & (b != 0)),
-    ):
-        got = f(*args)
-        widened = f(*(x.astype(complex) for x in args))
-        assert widened.dtype == complex
-        if real.all():
-            assert got.dtype == np.float64
-            assert not np.any(widened.imag)
-            if f is _divide:
-                got, widened = got + 0.0, widened.real + 0.0  # -0.0 + 0.0 is +0.0
-            assert _bits(got) == _bits(widened.real)
-        else:
-            assert got.dtype == complex
-            assert _bits(got) == _bits(widened)
+    conditions = {
+        prefactor: np.isfinite,
+        _exp: np.isfinite,
+        _log: lambda a: np.isfinite(a) & (a > 0),
+        _divide: lambda a, b: np.isfinite(a) & np.isfinite(b) & (b != 0),
+    }
+    for f, condition in conditions.items():
+        for args in _kernel_calls(f, a, b):
+            real = condition(*np.broadcast_arrays(*args))
+            got = f(*args)
+            widened = f(*(x.astype(complex) for x in args))
+            assert widened.dtype == complex
+            if real.all():
+                assert got.dtype == np.float64
+                assert not np.any(widened.imag)
+                if f is _divide:
+                    got, widened = got + 0.0, widened.real + 0.0  # -0.0 + 0.0 is +0.0
+                assert _bits(got) == _bits(widened.real)
+            else:
+                assert got.dtype == complex
+                assert _bits(got) == _bits(widened)
 
 
 def test_real_energies_give_exactly_real_symbols_and_roots():

@@ -483,6 +483,16 @@ def test_green_kernel_refuses_a_value_past_double_range():
         green_kernel(1.0, [0.0, 0.0], 1e10, 2)
 
 
+@pytest.mark.parametrize("n,z", [(4, [0.0] * 4), (0, []), (4, [math.nan])])
+def test_green_kernel_refuses_a_dimension_outside_1_to_3(n, z):
+    """The dimension is judged as T, J and I judge it, before ``z`` is read."""
+    message = r"^n must be 1\.\.3 \(the supported boundary dimensions\)$"
+    with pytest.raises(ValueError, match=message):
+        t_limit_integral(1, 5.3, n, SPEC)
+    with pytest.raises(ValueError, match=message):
+        green_kernel(1.0, z, 5.3, n)
+
+
 def test_green_kernel_pole():
     with pytest.raises(GammaPole):
         green_kernel(1.0, [0.0, 0.0, 0.0], 0.5, 3)  # sigma - 1/2 = 0
