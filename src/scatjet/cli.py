@@ -34,7 +34,7 @@ from .dataset import (
     canonical_json,
     encode_complex,
     pack_array,
-    read_text,
+    read_json,
     write_text,
 )
 from .errors import ConfigError, IoError, ScatjetError
@@ -43,6 +43,7 @@ from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
 from .model_quadrature import (
     QuadratureSpec,
+    check_dimension,
     green_kernel,
     i_full_integral,
     j_integral,
@@ -68,16 +69,6 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"input file does not exist: {p}")
-    try:
-        return json.loads(read_text(p))
-    except json.JSONDecodeError as exc:
-        raise IoError(f"{p} is not valid JSON: {exc}") from None
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -86,6 +77,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _z_vector(raw: str, n: int) -> np.ndarray:
+    check_dimension(n)  # judged first: the length of --z depends on it
     parts = [float(p) for p in raw.split(",")]
     if len(parts) == 1:
         parts = parts + [0.0] * (n - 1)
@@ -98,14 +90,14 @@ def _z_vector(raw: str, n: int) -> np.ndarray:
 
 
 def cmd_forward(args) -> int:
-    patch = BoundaryPatch.from_dict(_load_json(args.patch))
-    patch2 = BoundaryPatch.from_dict(_load_json(args.patch2)) if args.patch2 else None
+    patch = BoundaryPatch.from_dict(read_json(args.patch))
+    patch2 = BoundaryPatch.from_dict(read_json(args.patch2)) if args.patch2 else None
     if not args.lam:
         raise ConfigError("forward requires at least one --lam")
     energies = tuple(ComplexEnergy(parse_complex(s)) for s in args.lam)
     probes = None
     if args.probes:
-        probes = probe_array(_load_json(args.probes), patch.n, ConfigError, "--probes: ")
+        probes = probe_array(read_json(args.probes), patch.n, ConfigError, "--probes: ")
     log.info(
         "forward: S(xi) = 2^(n-2s) Gamma(n/2-s)/Gamma(s-n/2) |xi|_h0^(2s-n), "
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"
@@ -155,7 +147,7 @@ def cmd_sets(args) -> int:
     has no zeros, and its continuation has poles only at
     sigma = (5-2l)/2 - j and sigma = (n+2l-5)/2 - j (j = 0, 1, ...).
     """
-    patch = BoundaryPatch.from_dict(_load_json(args.patch))
+    patch = BoundaryPatch.from_dict(read_json(args.patch))
     excluded = tuple(parse_complex(s) for s in args.exclude)
     # alpha^2 as the forward map takes it, so the screen's cut is indicial_root's
     es = exceptional_set(patch.alpha**2, patch.v_jet[0], patch.n, args.k_max, excluded)
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="recover boundary data from a symbol dataset")
     p.add_argument("--data", required=True, help="symbol dataset JSON")
-    p.add_argument("--alpha-sq-known", type=float, help="use a known alpha^2 (single-energy mode)")
+    p.add_argument("--alpha-sq-known", type=float, help="known alpha^2: fit V0 alone, over every energy")
     p.add_argument("--margin", type=_at_least(float, 0), default=1e-6, help="admissibility margin")
     p.add_argument("--csv", help="also write zeroth-order fields as CSV")
     p.add_argument("--out", default="-", help="output path or - for stdout")

@@ -138,6 +138,17 @@ def read_text(path: str | Path) -> str:
     raise IoError(f"cannot read {path}: {reason}")
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file ``path``; :class:`IoError` naming it if the
+    file is missing, cannot be read or is not valid JSON."""
+    if not Path(path).exists():
+        raise IoError(f"input file not found: {path}")
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise IoError(f"{path} is not valid JSON: {exc}") from None
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to the file ``path``; :class:`IoError` naming it if that fails."""
     try:
@@ -370,11 +381,4 @@ class SymbolDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "SymbolDataset":
-        p = Path(path)
-        if not p.exists():
-            raise IoError(f"dataset file not found: {p}")
-        try:
-            data = json.loads(read_text(p))
-        except json.JSONDecodeError as exc:
-            raise IoError(f"dataset file {p} is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path))

@@ -56,7 +56,7 @@ class NotPositiveDefinite(ScatjetError):
 
 
 class DegenerateEnergies(ScatjetError):
-    """Two-energy recovery called with coinciding squared energies."""
+    """Squared energies that all coincide, where the zeroth-order fit needs alpha^2 from them."""
 
 
 class InconsistentData(ScatjetError):

@@ -17,11 +17,12 @@ Stage by stage:
    metric, and factors and inverts every point's matrix in one entry-wise
    Cholesky pass (:func:`~scatjet.boundary_jets.cholesky_inverse`), which
    also judges it positive definite.
-3. ``two_energy_recovery`` solves the pair of indicial identities
-   ``alpha^2 sigma_i (n - sigma_i) = V0 - lambda_i^2 - n^2/4`` for
-   ``alpha^2`` and ``V0``; with ``alpha^2`` known, the first identity alone
-   gives ``V0``.  Both routes share one formula for ``V0`` and one check
-   that ``alpha^2`` and ``V0`` come out real, ``alpha^2`` positive.
+3. ``zeroth_order_recovery`` fits ``alpha^2`` and ``V0`` to the indicial
+   identities ``alpha^2 sigma_e (n - sigma_e) - V0 = -(lambda_e^2 + n^2/4)``
+   of every energy, real and imaginary parts as rows of one real least-squares
+   problem per point, solved in closed form over the energy axis; a known
+   ``alpha^2`` drops its column.  The misfit of the identities, in the units
+   of ``lambda^2``, must be at most 1e-8 and ``alpha^2`` positive.
 4. ``first_order_recovery`` fits the first-order angular samples
    ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``.
    Its design is the forward map's factorization
@@ -63,7 +64,6 @@ import numpy as np
 from .boundary_jets import (
     ComplexEnergy,
     cholesky_inverse,
-    indicial_v0,
     symmetric_matrix,
     symmetric_pairs,
 )
@@ -97,7 +97,7 @@ STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 _SV_CUT = 1e-10
 _BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
 _SIGMA_SPREAD_TOL = 1e-6  # largest spread of sigma across one point's covectors
-_REALNESS_TOL = 1e-8  # largest relative imaginary part of alpha^2 and V0
+_MISFIT_TOL = 1e-8  # largest zeroth-order misfit, per max(1, max |lambda^2 + n^2/4|)
 _PHASE_TOL = 1e-8  # largest imaginary part of log |xi|_{h0} from the peeled symbol
 _CROSS_ENERGY_TOL = 1e-8  # largest metric gap between energies, per max |h0| entry
 _FIT_TOL = 1e-8  # largest first-order fit residual, per max |F| of the point
@@ -129,7 +129,7 @@ def _divide(a, b):
     ``a`` are divided by ``b`` (:func:`_over_real`): the bits of Smith's
     method, but for the sign of a zero.  Elsewhere Smith's method divides.
     numpy's complex division multiplies by a rounded reciprocal instead; the
-    extra rounding, amplified by the two-energy solve, moved ``V0`` by up to
+    extra rounding, amplified by the zeroth-order solve, moved ``V0`` by up to
     1e-12 against the scalar division.  Float operands that all take the
     parts division give a float result, any other a complex one
     (:func:`~scatjet.forward_scattering.real_or_complex`).  No division
@@ -321,68 +321,74 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     return inverse
 
 
-def _zeroth_order(alpha_sq, sigma1, lam1: complex, n: int, checks=()):
-    """``(alpha_sq, v0, realness_residual)`` from ``alpha^2`` and the first root.
+def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None):
+    """``(alpha_sq, v0, misfit)`` over the grid from the roots at every energy.
 
-    ``V0`` is :func:`~scatjet.boundary_jets.indicial_v0` at the first energy,
-    with ``alpha_sq`` and the roots as scalars or grid arrays, float or
-    complex; a real ``lambda^2`` enters as a float.  Both outputs must be
-    real to ``_REALNESS_TOL`` (relative) and ``alpha_sq`` positive;
-    ``checks`` come before these at each point.
+    ``sigma`` has shape ``(..., E)``, a root per
+    :class:`~scatjet.boundary_jets.ComplexEnergy` of ``energies``.  With
+    ``p = sigma (n - sigma)`` and ``c = lambda^2 + n^2/4``, the real and
+    imaginary parts of each energy's identity ``alpha^2 p - V0 = -c`` are two
+    rows of a real least-squares problem per point.  ``V0`` enters the real
+    rows alone, so its fit centres them: ``V0 = alpha^2 mean(Re p) + mean(Re c)``,
+    and ``alpha^2 = -sum(P C) / sum(P^2)`` over the rows ``P`` and ``C`` left
+    (centred real parts, imaginary parts).  A known ``alpha_sq`` drops its
+    column.  ``misfit`` is the largest ``|alpha^2 P + C|``, per ``max(1, max |c|)``.
+
+    With ``alpha^2`` unknown, ``lambda^2`` that all coincide raise
+    :class:`DegenerateEnergies`.  Then the first failing point raises
+    :class:`InconsistentData`, checked in this order, NaN failing each: an
+    ``alpha^2`` column of norm at most ``1e-12 max(1, max |p|)`` (``alpha^2``
+    unknown), a misfit above 1e-8, an ``alpha^2`` that is not positive.
     """
-    alpha_sq, sigma1 = float_or_complex(alpha_sq), float_or_complex(sigma1)
+    sigma = float_or_complex(sigma)
+    lam_sq = np.array([en.lam_sq for en in energies])
+    if sigma.shape[-1:] != lam_sq.shape:
+        raise ValueError(f"sigma needs a last axis of {lam_sq.size} energies, got {sigma.shape}")
+    if alpha_sq is None and np.all(np.abs(lam_sq - lam_sq[0]) <= 1e-12 * max(1, abs(lam_sq[0]))):
+        raise DegenerateEnergies(f"lambda^2 values {lam_sq} coincide: alpha^2 needs two")
+    c = lam_sq + n * n / 4.0
+    scale = max(1.0, float(np.max(np.abs(c))))
     with np.errstate(all="ignore"):
-        v0 = indicial_v0(alpha_sq, real_part_if_real(complex(lam1) ** 2), sigma1, n)
-        resid = np.maximum(
-            np.abs(alpha_sq.imag) / (1.0 + np.abs(alpha_sq.real)),
-            np.abs(v0.imag) / (1.0 + np.abs(v0.real)),
-        )
+        p = sigma * (n - sigma)
+        p_mean = fold_last(np.add, p.real) / lam_sq.size
+        # the rows: the centred real parts, and for complex data the imaginary parts
+        rows_p, rows_c = p.real - p_mean[..., None], c.real - np.mean(c.real)
+        if np.iscomplexobj(p) or np.any(c.imag):
+            rows_p = np.concatenate([rows_p, p.imag], axis=-1)
+            rows_c = np.concatenate([rows_c, c.imag])
+        if alpha_sq is None:
+            norm_sq = fold_last(np.add, rows_p * rows_p)
+            alpha = -fold_last(np.add, rows_p * rows_c) / norm_sq
+            column = np.sqrt(norm_sq) > 1e-12 * np.maximum(1, fold_last(np.maximum, np.abs(p)))
+        else:
+            alpha = np.full(sigma.shape[:-1], float(alpha_sq))
+            column = np.ones(alpha.shape, dtype=bool)
+        v0 = alpha * p_mean + np.mean(c.real)
+        misfit = fold_last(np.maximum, np.abs(alpha[..., None] * rows_p + rows_c)) / scale
     raise_first(
         n,
         [
-            *checks,
-            # both written so that NaN fails too
             (
-                ~(resid <= _REALNESS_TOL),
+                ~column,
                 InconsistentData,
-                lambda i: f"recovered alpha^2/V0 not real to tolerance (residual {resid[i]:.3e})",
+                lambda i: "indicial products sigma (n - sigma) are real and coincide; "
+                "system is singular",
             ),
             (
-                ~(alpha_sq.real > 0),
+                ~(misfit <= _MISFIT_TOL),
                 InconsistentData,
-                lambda i: f"recovered alpha^2 = {alpha_sq.real[i]:.6g} is not positive",
+                lambda i: f"no real alpha^2 and V0 fit the indicial identities: misfit "
+                f"{misfit[i]:.3e} above {_MISFIT_TOL:g} times max(1, |lambda^2 + n^2/4|) "
+                f"= {scale:.3e}",
+            ),
+            (
+                ~(alpha > 0),
+                InconsistentData,
+                lambda i: f"recovered alpha^2 = {alpha[i]:.6g} is not positive",
             ),
         ],
     )
-    return alpha_sq.real[()], v0.real[()], resid[()]
-
-
-def two_energy_recovery(sigma1, sigma2, lam1: complex, lam2: complex, n: int):
-    """Curvature scale and boundary potential from roots at two energies.
-
-    Solves the indicial identity at both energies: their difference gives
-    ``alpha^2 = (lambda_2^2 - lambda_1^2) / (sigma_1(n-sigma_1) - sigma_2(n-sigma_2))``
-    and :func:`~scatjet.boundary_jets.indicial_v0` at the first gives ``V0``.
-
-    Returns ``(alpha_sq, v0, realness_residual)``, scalars or grid arrays
-    like the roots; both outputs must be real to 1e-8 (relative) and
-    ``alpha_sq`` positive.  Real roots and energies run in float arithmetic,
-    any complex one in complex arithmetic.
-    """
-    l1sq, l2sq = complex(lam1) ** 2, complex(lam2) ** 2
-    if abs(l1sq - l2sq) <= 1e-12 * max(1.0, abs(l1sq)):
-        raise DegenerateEnergies(f"lambda^2 values coincide: {l1sq} vs {l2sq}")
-    s1 = float_or_complex(sigma1)
-    s2 = float_or_complex(sigma2)
-    p1 = s1 * (n - s1)
-    denom = p1 - s2 * (n - s2)
-    alpha_sq = _divide(real_part_if_real(l2sq - l1sq), denom)
-    singular = (
-        np.abs(denom) <= 1e-12 * np.maximum(1.0, np.abs(p1)),
-        InconsistentData,
-        lambda i: "indicial products coincide; system is singular",
-    )
-    return _zeroth_order(alpha_sq, s1, lam1, n, [singular])
+    return alpha[()], v0[()], misfit[()]
 
 
 # -- first-order stage ------------------------------------------------------
@@ -631,16 +637,17 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     """Run the staged recovery over a full symbol dataset.
 
     Stages: root/norm recovery and metric polarization over every grid point
-    and energy, two-energy (or, for one energy, known-``alpha``) zeroth-order
-    algebra, the admissibility screen, then the first-order fit when
-    singularity samples are present.  The screen (:func:`~scatjet.spectral_sets.is_admissible`)
-    judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
-    at every grid point and mode order; an energy that fails it gives a
-    ``refused`` report with the reason, naming the energy, the grid index and
-    the mode ``k`` or the branch cut, in ``notes`` and no fields.  With one
-    energy and ``alpha^2`` unknown the driver stops at ``h0``, and ``notes``
-    says the screen did not run.
-    A known ``alpha^2`` with two or more energies raises :class:`ConfigError`.
+    and energy, the zeroth-order least squares over every energy (``alpha^2``
+    fitted, or given as ``alpha_sq_known``), the admissibility screen, then
+    the first-order fit when singularity samples are present.  An energy
+    whose roots contradict the others' is refused by the zeroth-order misfit.
+    The screen (:func:`~scatjet.spectral_sets.is_admissible`) judges every
+    energy at ``margin`` on the recovered ``alpha^2`` and ``V0`` at every grid
+    point and mode order; an energy that fails it gives a ``refused`` report
+    with the reason, naming the energy, the grid index and the mode ``k`` or
+    the branch cut, in ``notes`` and no fields.  With one energy and
+    ``alpha^2`` unknown the driver stops at ``h0``, and ``notes`` says the
+    screen did not run.
     ``h0`` is the metric at the first energy; ``h0_cross_energy`` is its
     largest gap to the metric at any other energy.  That gap and the
     first-order fit residual are judged here, each so that NaN fails:
@@ -656,11 +663,6 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     a2 = cfg.alpha_sq_known
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
-    if a2 is not None and len(dataset.energies) > 1:
-        raise ConfigError(
-            f"alpha_sq_known applies to one energy only; the dataset has "
-            f"{len(dataset.energies)} energies, which give alpha^2"
-        )
     n = dataset.n
     shape = dataset.grid_shape
     report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
@@ -713,21 +715,11 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         ]
         return report
 
+    log.info("zeroth-order stage: least squares of alpha^2 s(n-s) - V0 = -(l^2 + n^2/4)")
     with _stage("zeroth-order"):
-        if single_energy:
-            log.info("zeroth-order stage: V0 = lambda^2 + n^2/4 + alpha^2 sigma (n - sigma)")
-            alpha_field, v0_field, realness = _zeroth_order(
-                np.full(shape, float(a2)), sigma1, energies[0].lam, n
-            )
-            report.notes.append("alpha^2 supplied a priori; single-energy recovery of V0")
-        else:
-            log.info(
-                "zeroth-order stage: alpha^2 = (l2^2 - l1^2)/(s1(n-s1) - s2(n-s2)), "
-                "V0 = l1^2 + n^2/4 + alpha^2 s1(n-s1)"
-            )
-            alpha_field, v0_field, realness = two_energy_recovery(
-                sigma1, report.sigma2, energies[0].lam, energies[1].lam, n
-            )
+        alpha_field, v0_field, misfit = zeroth_order_recovery(rec.sigma, energies, n, a2)
+    if a2 is not None:
+        report.notes.append("alpha^2 supplied a priori; V0 fitted over the energies")
     # the energies are judged on the recovered fields; a refusal keeps none of them
     es = exceptional_set(alpha_field, v0_field, n)
     for en in energies:
@@ -736,7 +728,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             return RecoveryReport(n, shape, status="refused", notes=[adm.reason])
     report.alpha_sq = alpha_field
     report.v0 = v0_field
-    report.residuals["zeroth_order_realness"] = float(np.max(realness))
+    report.residuals["zeroth_order_realness"] = float(np.max(misfit))
 
     if dataset.singularity is not None:
         log.info(

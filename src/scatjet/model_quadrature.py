@@ -45,7 +45,9 @@ and I, ``(k+4-2l)/2`` for J).
   knee of ``c`` (``t`` about ``1/|z|^2``, ``1-t`` about ``s^2/|z|^2``), down
   to where the integrand has fallen by ``e^-40``.  A half-order rule on the
   same panels gives ``est_error``; every panel is bisected until it meets
-  the ``QuadratureSpec``, within ``max_subdivisions`` bisections in all.
+  the ``QuadratureSpec``, within ``max_subdivisions`` bisections in all.  A
+  tolerance below the rule's rounding bound, one rounding unit of the summed
+  magnitude of its panels, is refused with ``QuadratureFailure`` at once.
   ``n_evals`` counts integrand evaluations.  A refinement level is one array
   pass: the panels of both halves and the nodes of both orders are
   evaluated together, in float64 when ``sigma`` is real and in complex
@@ -104,7 +106,8 @@ _DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches 
 _ROUNDING = 4 * np.finfo(float).eps  # relative rounding per unit of summed log magnitude
 
 
-def _check_dimension(n: int) -> None:
+def check_dimension(n: int) -> None:
+    """:class:`ValueError` unless ``n`` is a supported boundary dimension, 1..3."""
     if not 1 <= n <= 3:
         raise ValueError("n must be 1..3 (the supported boundary dimensions)")
 
@@ -112,7 +115,7 @@ def _check_dimension(n: int) -> None:
 def _check_arguments(l: int, sigma: complex, n: int) -> None:
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    _check_dimension(n)
+    check_dimension(n)
     if not cmath.isfinite(complex(sigma)):
         raise ValueError(f"sigma = {sigma} is not finite")
 
@@ -267,6 +270,14 @@ def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec
         tol = max(spec.rel_tol * abs(scale * value), spec.abs_tol)
         if est <= tol:
             return value, est, n_evals
+        # one rounding unit of the summed magnitude: no bisection resolves less
+        floor = np.finfo(float).eps * float(np.add.reduce(np.abs(high))) * abs(scale)
+        if tol < floor:
+            raise QuadratureFailure(
+                f"error estimate {est:.3e} above tolerance {tol:.3e}, which is below the "
+                f"rule's rounding bound {floor:.3e} ({n_evals} evals, {panels} panels): "
+                "the 16- and 8-point sums cannot resolve it"
+            )
         if subdivisions + panels > spec.max_subdivisions:
             raise QuadratureFailure(
                 f"error estimate {est:.3e} above tolerance {tol:.3e} after {subdivisions} "
@@ -447,7 +458,7 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     at a nonpositive integer, and :class:`QuadratureFailure` when the value
     leaves double range or underflows to zero.
     """
-    _check_dimension(n)
+    check_dimension(n)
     if not (0 < s < math.inf):
         raise ValueError(f"s = {s} must be positive and finite")
     sig = complex(sigma)

@@ -922,9 +922,20 @@ def test_cli_forward_requires_energy(tmp_path):
     assert main(["forward", "--patch", str(p1)]) == 2
 
 
-def test_cli_missing_input_file(tmp_path):
-    assert main(["forward", "--patch", str(tmp_path / "absent.json"), "--lam", "4.0"]) == 2
-    assert main(["invert", "--data", str(tmp_path / "absent.json")]) == 2
+def test_cli_missing_input_file(tmp_path, caplog):
+    """Every input file is read by one reader: the same message, naming the path."""
+    absent = tmp_path / "absent.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path, message in (
+        (absent, f"input file not found: {absent}"),
+        (bad, f"{bad} is not valid JSON"),
+    ):
+        caplog.clear()
+        assert main(["forward", "--patch", str(path), "--lam", "4.0"]) == 2
+        assert main(["invert", "--data", str(path)]) == 2
+        got = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(got) == 2 and all(m.startswith(message) for m in got), got
 
 
 def test_cli_invert_refused_energy(tmp_path):
@@ -1163,6 +1174,14 @@ def _with_patches(tmp_path, argv):
         ),
         *(
             (
+                ["integrals", "--which", which, "--sigma", "2", "--n", "0"],
+                2,
+                "integrals: n must be 1..3 (the supported boundary dimensions)",
+            )
+            for which in ("G", "I")
+        ),
+        *(
+            (
                 ["integrals", "--which", "G", "--sigma", "1.5", "--n", "1", f"--{name}", value],
                 2,
                 f"integrals: {message}",
@@ -1204,6 +1223,8 @@ def _with_patches(tmp_path, argv):
         "integrals-green",
         "integrals-green-underflow",
         "integrals-green-n-4",
+        "integrals-green-n-0",
+        "integrals-i-n-0",
         "integrals-green-s-nan",
         "integrals-green-s-inf",
         "integrals-green-z-nan",

@@ -40,7 +40,7 @@ from scatjet.inversion import (
     layer_strip_driver,
     metric_boundary_recovery,
     recover_sigma_from_symbol,
-    two_energy_recovery,
+    zeroth_order_recovery,
 )
 from scatjet.spectral_sets import exceptional_set, is_admissible
 from scatjet.synthetic import (
@@ -375,7 +375,7 @@ def test_stages_name_the_first_failing_grid_index():
     s2 = indicial_root(patch, ComplexEnergy(5j)).copy()
     s2[3, 1] = s1[3, 1]
     with pytest.raises(InconsistentData, match=r"singular at grid index \(3, 1\)$"):
-        two_energy_recovery(s1, s2, 3j, 5j, 2)
+        zeroth_order_recovery(np.stack([s1, s2], axis=-1), _ENERGIES_3J_5J, 2)
 
 
 def test_sigma_checks_each_point_in_order():
@@ -629,38 +629,82 @@ def test_metric_missing_sample():
 # -- zeroth-order algebra ---------------------------------------------------
 
 
+_ENERGIES_3J_5J = (ComplexEnergy(3j), ComplexEnergy(5j))
+
+
 def test_two_energy_worked_example():
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root(patch, ComplexEnergy(3j))[0, 0]
-    s2 = indicial_root(patch, ComplexEnergy(5j))[0, 0]
-    a2, v0, resid = two_energy_recovery(s1, s2, 3j, 5j, 2)
+    sigma = [indicial_root(patch, en)[0, 0] for en in _ENERGIES_3J_5J]
+    a2, v0, misfit = zeroth_order_recovery(sigma, _ENERGIES_3J_5J, 2)
     assert a2 == pytest.approx(1.69, abs=1e-12)
     assert v0 == pytest.approx(0.7, abs=1e-12)
-    assert resid <= 1e-12
+    assert misfit <= 1e-12
 
 
 def test_two_energy_degenerate():
-    with pytest.raises(DegenerateEnergies):
-        two_energy_recovery(2.0, 2.5, 3j, -3j, 2)
+    with pytest.raises(DegenerateEnergies, match="coincide"):
+        zeroth_order_recovery([2.0, 2.5], (ComplexEnergy(3j), ComplexEnergy(-3j)), 2)
+    # one energy cannot give alpha^2
+    with pytest.raises(DegenerateEnergies, match="coincide"):
+        zeroth_order_recovery([2.0], (ComplexEnergy(3j),), 2)
 
 
 def test_two_energy_singular_system():
     with pytest.raises(InconsistentData, match="coincide"):
-        two_energy_recovery(2.0, 2.0, 3j, 5j, 2)
+        zeroth_order_recovery([2.0, 2.0], _ENERGIES_3J_5J, 2)
 
 
 def test_two_energy_realness_enforced():
-    with pytest.raises(InconsistentData, match="real"):
-        two_energy_recovery(2.0 + 0.1j, 3.0, 3j, 5j, 2)
+    with pytest.raises(InconsistentData, match="^no real alpha"):
+        zeroth_order_recovery([2.0 + 0.1j, 3.0], _ENERGIES_3J_5J, 2)
 
 
 def test_two_energy_rejects_negative_alpha_sq():
     # swapping the energies against the roots flips the sign of alpha^2
     patch = constant_patch(2, 1.3, 0.7, np.eye(2))
-    s1 = indicial_root(patch, ComplexEnergy(3j))[0, 0]
-    s2 = indicial_root(patch, ComplexEnergy(5j))[0, 0]
+    s1, s2 = (indicial_root(patch, en)[0, 0] for en in _ENERGIES_3J_5J)
     with pytest.raises(InconsistentData, match="positive"):
-        two_energy_recovery(s2, s1, 3j, 5j, 2)
+        zeroth_order_recovery([s2, s1], _ENERGIES_3J_5J, 2)
+
+
+def test_zeroth_order_matches_the_two_energy_formula():
+    """Over two energies the fit is the Cramer solution of the pair of identities."""
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    energies = (ComplexEnergy(4.0), ComplexEnergy(2.0 + 1.5j))
+    s1, s2 = (indicial_root(patch, en) for en in energies)
+    a2, v0, misfit = zeroth_order_recovery(np.stack([s1, s2], axis=-1), energies, 2)
+    p1, p2 = s1 * (2 - s1), s2 * (2 - s2)
+    (l1, l2) = (en.lam_sq for en in energies)
+    cramer = (l2 - l1) / (p1 - p2)
+    np.testing.assert_allclose(a2, cramer.real, rtol=1e-13)
+    np.testing.assert_allclose(v0, (l1 + 1 + cramer * p1).real, rtol=0, atol=1e-12)
+    assert a2.dtype == v0.dtype == misfit.dtype == np.float64
+    assert np.max(misfit) <= 1e-14
+
+
+def test_zeroth_order_with_a_known_alpha_sq_fits_v0_alone():
+    """A known alpha^2 drops its column: V0 comes from any number of energies."""
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    energies = (ComplexEnergy(4.0), ComplexEnergy(5.0), ComplexEnergy(2.0 + 1.5j))
+    sigma = np.stack([indicial_root(patch, en) for en in energies], axis=-1)
+    a2, v0, misfit = zeroth_order_recovery(sigma, energies, 2, alpha_sq=1.69)
+    np.testing.assert_array_equal(a2, 1.69)
+    np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
+    assert np.max(misfit) <= 1e-14
+    # coinciding energies are no obstacle when alpha^2 is known
+    a2, v0, _ = zeroth_order_recovery(sigma[..., [0, 0]], energies[:1] * 2, 2, alpha_sq=1.69)
+    np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^no real alpha\^2 and V0 fit the indicial identities: misfit 9\.615e-01 "
+        r"above 1e-08 .* = 2\.600e\+01 at grid index \(0, 0\)$",
+    ):
+        zeroth_order_recovery(sigma, energies, 2, alpha_sq=3 * 1.69)
+
+
+def test_zeroth_order_refuses_a_root_axis_that_misses_an_energy():
+    with pytest.raises(ValueError, match=r"last axis of 2 energies, got \(3,\)"):
+        zeroth_order_recovery([2.0, 2.5, 3.0], _ENERGIES_3J_5J, 2)
 
 
 # -- first-order fit --------------------------------------------------------
@@ -943,7 +987,7 @@ def test_driver_single_energy_with_known_alpha():
 
 
 def test_driver_known_alpha_checks_realness():
-    """A wrong known alpha^2 at a complex energy gives a complex V0: refused."""
+    """A wrong known alpha^2 at a complex energy leaves the imaginary row unfit: refused."""
     patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
     ds = forward_dataset(patch, (ComplexEnergy(3 + 0.5j),))
     report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
@@ -951,20 +995,56 @@ def test_driver_known_alpha_checks_realness():
     assert report.residuals["zeroth_order_realness"] <= 1e-12
     with pytest.raises(
         InconsistentData,
-        match=r"\[stage zeroth-order\] recovered alpha\^2/V0 not real to tolerance "
-        r"\(residual 2\.92\de-01\) at grid index \(0, 0\)$",
+        match=r"\[stage zeroth-order\] no real alpha\^2 and V0 fit the indicial identities: "
+        r"misfit 1\.920e-01 above 1e-08 times max\(1, \|lambda\^2 \+ n\^2/4\|\) = 1\.020e\+01 "
+        r"at grid index \(0, 0\)$",
     ):
         layer_strip_driver(ds, InversionConfig(alpha_sq_known=2.0))
 
 
-def test_driver_refuses_known_alpha_with_two_energies():
-    """With two energies alpha^2 comes from the data; a known value would be ignored."""
-    truth, ds = make_synthetic_pair(seed=7, n=2)
+def test_driver_known_alpha_with_two_energies():
+    """A known alpha^2 fits V0 over every energy; a wrong one leaves a misfit."""
+    patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
+    ds = forward_dataset(patch, (ComplexEnergy(4.0), ComplexEnergy(5.0)))
+    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    assert report.status == "ok"
+    np.testing.assert_array_equal(report.alpha_sq, 1.1**2)
+    np.testing.assert_allclose(report.v0, 0.4, rtol=0, atol=1e-12)
+    assert report.residuals["zeroth_order_realness"] <= 1e-14
     with pytest.raises(
-        ConfigError,
-        match=r"^alpha_sq_known applies to one energy only; the dataset has 2 energies",
+        InconsistentData, match=r"^\[stage zeroth-order\] no real alpha\^2 and V0 fit"
     ):
-        layer_strip_driver(ds, InversionConfig(alpha_sq_known=3.0 * truth.alpha**2))
+        layer_strip_driver(ds, InversionConfig(alpha_sq_known=3.0 * 1.1**2))
+
+
+def _three_energy_dataset(v0_last):
+    """Energies 4, 4.5 and 5 from alpha = 1.1, h0 = diag(2, 1) and V0 = 0.3, the
+    last energy's symbols from the same patch with V0 = ``v0_last``."""
+    energies = (ComplexEnergy(4.0), ComplexEnergy(4.5), ComplexEnergy(5.0))
+    h0 = np.diag([2.0, 1.0])
+    ds = forward_dataset(constant_patch(2, 1.1, 0.3, h0), energies)
+    last = forward_dataset(constant_patch(2, 1.1, v0_last, h0), energies)
+    return dataclasses.replace(ds, symbols=np.concatenate([ds.symbols[:2], last.symbols[2:]]))
+
+
+def test_driver_refuses_an_energy_that_contradicts_the_others():
+    """Every energy enters the zeroth-order fit: a third energy from another V0 is refused."""
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage zeroth-order\] no real alpha\^2 and V0 fit the indicial identities: "
+        r"misfit \d\.\d{3}e-03 above 1e-08 .* at grid index \(0, 0\)$",
+    ):
+        layer_strip_driver(_three_energy_dataset(0.9))
+
+
+def test_driver_fits_three_consistent_energies():
+    report = layer_strip_driver(_three_energy_dataset(0.3))
+    assert report.status == "ok", report.notes
+    np.testing.assert_allclose(report.alpha_sq, 1.1**2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.v0, 0.3, rtol=0, atol=1e-12)
+    h0 = np.broadcast_to(np.diag([2.0, 1.0]), report.h0.shape)
+    np.testing.assert_allclose(report.h0, h0, rtol=0, atol=1e-12)
+    assert report.residuals["zeroth_order_realness"] <= 1e-14
 
 
 def test_driver_refuses_inadmissible_energy():

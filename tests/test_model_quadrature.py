@@ -183,19 +183,37 @@ def test_halving_rel_tol_stays_within_estimate():
 
 
 def test_quadrature_failure_on_tiny_budget():
-    """A tolerance below rounding fails every integral, each saying why.
+    """A tolerance below rounding fails every integral, each naming its rounding bound.
 
-    The I rule names what it spent; T and J name their rounding bound.
+    The I rule refuses it at once, before any bisection, and names what it spent.
     """
     starved = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=100)
     with pytest.raises(
-        QuadratureFailure, match=r"after [1-9]\d* subdivisions \([1-9]\d* evals, \d+ panels\)"
+        QuadratureFailure,
+        match=r"^error estimate \d\.\d{3}e-15 above tolerance 1\.000e-300, which is below the "
+        r"rule's rounding bound \d\.\d{3}e-18 \(912 evals, 38 panels\): the 16- and 8-point "
+        r"sums cannot resolve it$",
     ):
         i_full_integral(1, 2.5, 0.5, [3.0], starved)
     with pytest.raises(QuadratureFailure, match=r"^T_1 at sigma=2.5, n=2: closed-form rounding"):
         t_limit_integral(1, 2.5, 2, starved)
     with pytest.raises(QuadratureFailure, match=r"^J_2 at sigma=3.0, n=1, k=1: closed-form"):
         j_integral(2, 1, 3.0, 1, starved)
+
+
+def test_i_rule_blames_the_budget_only_for_a_tolerance_it_can_meet():
+    """Above the rounding bound, a tolerance that needs more bisections than the
+    budget allows names the budget and what it spent."""
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=50)
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^error estimate \d\.\d{3}e-\d\d above tolerance \d\.\d{3}e-\d\d after 0 "
+        r"subdivisions \(1752 evals, 73 panels\); bisecting every panel would exceed "
+        r"max_subdivisions=50$",
+    ):
+        i_full_integral(2, 2.5, 1e-3, [1e3], spec)
+    enough = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=73)
+    assert i_full_integral(2, 2.5, 1e-3, [1e3], enough).n_evals == 5256
 
 
 def test_value_past_double_range_is_refused(monkeypatch):
