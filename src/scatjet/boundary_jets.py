@@ -376,13 +376,22 @@ class PerturbationData:
 # alpha^2 (q - k^2/4) for every k >= 0, the roots at mode_k being n/2 -+ k/2.
 
 
+def over_real(a, d):
+    """``a / d`` for a real ``d``: each part of ``a`` divided alone, a true division.
+
+    numpy's complex division multiplies by a rounded reciprocal, an ulp off.
+    Float for a float ``a``.
+    """
+    if np.iscomplexobj(a):
+        return a.real / d + 1j * (a.imag / d)
+    return a / d
+
+
 def indicial_q(alpha_sq, v0, lam_sq: complex, n: int) -> np.ndarray:
     """``q = (sigma - n/2)^2 = n^2/4 - (V0 - lambda^2 - n^2/4) / alpha^2``, complex."""
     quarter = n * n / 4.0
-    shifted = np.asarray(v0 - lam_sq - quarter, dtype=complex)
-    # divide each part by the real alpha^2: numpy's complex-by-complex division
-    # multiplies by a rounded reciprocal, which is off by an ulp where q must vanish exactly
-    return quarter - (shifted.real / alpha_sq + 1j * (shifted.imag / alpha_sq))
+    # q must vanish exactly where V0 - lambda^2 - n^2/4 does
+    return quarter - over_real(np.asarray(v0 - lam_sq - quarter, dtype=complex), alpha_sq)
 
 
 def indicial_lambda_sq(alpha_sq, v0, q, n: int):

@@ -55,10 +55,6 @@ class NotPositiveDefinite(ScatjetError):
     """Recovered (or supplied) metric fails positive-definiteness."""
 
 
-class DegenerateEnergies(ScatjetError):
-    """Squared energies that all coincide, where the zeroth-order fit needs alpha^2 from them."""
-
-
 class InconsistentData(ScatjetError):
     """Input samples are mutually inconsistent beyond tolerance."""
 

@@ -189,6 +189,23 @@ def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
 _EVERY_DOUBLE_AN_INTEGER = 2.0**52
 
 
+def near_integer(w) -> np.ndarray:
+    """Where ``w`` is an integer to 1e-12, elementwise: the one Gamma-pole rule.
+
+    It is judged only where ``|Re w| < 2^52``: every double above that is an
+    integer, so the test would name rounding, not a pole.  A ``w`` that is
+    not finite is no integer.
+    """
+    w = np.asarray(w)
+    with np.errstate(all="ignore"):
+        re = w.real
+        return (
+            (np.abs(w.imag) < 1e-12)
+            & (np.abs(re) < _EVERY_DOUBLE_AN_INTEGER)
+            & (np.abs(re - np.round(re)) < 1e-12)
+        )
+
+
 def _real_prefactor(sigma, n: int):
     s = sigma.real
     return np.power(2.0, n - 2.0 * s) * _gamma(n / 2.0 - s) / _gamma(s - n / 2.0)
@@ -210,19 +227,10 @@ def prefactor_and_poles(sigma, n: int):
     finite everywhere gives a float result (:func:`real_or_complex`).  The
     check is a ``(failed, error_class, message)`` entry for
     :func:`~scatjet.errors.raise_first`; off the poles the values are final.
-    A pole is an integer ``sigma - n/2`` to 1e-12, judged only where
-    ``|Re(sigma - n/2)| < 2^52``: every double above that is an integer, so
-    the test would name rounding, not a pole.
+    A pole is an integer ``sigma - n/2`` (:func:`near_integer`).
     """
     sigma = float_or_complex(sigma)
     half_off = sigma - n / 2.0
-    with np.errstate(all="ignore"):  # a sigma that is not finite is no pole
-        re = half_off.real
-        at_pole = (
-            (np.abs(half_off.imag) < 1e-12)
-            & (np.abs(re) < _EVERY_DOUBLE_AN_INTEGER)
-            & (np.abs(re - np.round(re)) < 1e-12)
-        )
     value = real_or_complex(
         on_real_axis,
         lambda s: _real_prefactor(s, n),
@@ -230,7 +238,7 @@ def prefactor_and_poles(sigma, n: int):
         sigma,
     )
     return value, (
-        at_pole,
+        near_integer(half_off),
         GammaPole,
         lambda i: f"sigma - n/2 = {complex(half_off[i])} is an integer: "
         "Gamma pole/zero in the prefactor",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridTooCoarse
+from .model_quadrature import check_dimension
 
 MIN_POINTS = 16
 # the window of the residual study: it keeps the spacing well below min s, the
@@ -37,25 +38,20 @@ _Z_EXTENT = 1.0
 class HalfSpaceGrid:
     """Uniform grid in ``(tau, z)`` with an exclusion ball at ``(s, z) = (1, 0)``.
 
-    ``points`` per axis: ``tau`` spans ``tau_span`` and each of the ``n``
-    ``z`` axes spans ``[-z_extent, z_extent]``.  The ball's radius
+    ``points`` per axis: ``tau`` spans ``_TAU_SPAN`` and each of the ``n``
+    ``z`` axes spans ``[-_Z_EXTENT, _Z_EXTENT]``.  ``n`` must be 1..3
+    (:func:`~scatjet.model_quadrature.check_dimension`).  The ball's radius
     ``r_excl`` is three times the largest spacing unless given.
     """
 
     n: int
-    tau_span: tuple[float, float]
-    z_extent: float
     points: int
     r_excl: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= 3:
-            raise ValueError("n must be 1..3")
+        check_dimension(self.n)
         if self.points < MIN_POINTS:
             raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {self.points}")
-        # written so that a NaN span fails too
-        if not (self.dtau > 0 and self.dz > 0):
-            raise ValueError("axes must be strictly increasing")
         if self.r_excl is None:
             object.__setattr__(self, "r_excl", 3.0 * max(self.dtau, self.dz))
         if self.r_excl <= 2.0 * max(self.dtau, self.dz):
@@ -63,12 +59,12 @@ class HalfSpaceGrid:
 
     @property
     def tau(self) -> np.ndarray:
-        return np.linspace(self.tau_span[0], self.tau_span[1], self.points)
+        return np.linspace(*_TAU_SPAN, self.points)
 
     @property
     def z(self) -> np.ndarray:
         """The one ``z`` axis, shared by all ``n`` of them."""
-        return np.linspace(-self.z_extent, self.z_extent, self.points)
+        return np.linspace(-_Z_EXTENT, _Z_EXTENT, self.points)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,7 +144,7 @@ class GreenResidualReport:
 
 def _kernel_on(grid: HalfSpaceGrid, sigma: complex) -> np.ndarray:
     """Exact annihilated kernel ``s^sigma (s^2 + |z|^2)^-sigma`` with ghosts."""
-    grids = np.meshgrid(*grid.axes(ghost=True), indexing="ij")
+    grids = grid.mesh(ghost=True)
     s = np.exp(grids[0])
     q = s * s
     for g in grids[1:]:
@@ -156,33 +152,22 @@ def _kernel_on(grid: HalfSpaceGrid, sigma: complex) -> np.ndarray:
     return np.exp(sigma * (np.log(s) - np.log(q)))
 
 
-def green_residual_check(
-    sigma: complex,
-    n: int,
-    grid: HalfSpaceGrid,
-    wrong_sign: bool = False,
-) -> GreenResidualReport:
-    """Max norm of ``(D0 - sigma (n - sigma)) G`` off the exclusion ball.
+def green_residual_check(sigma: complex, grid: HalfSpaceGrid) -> GreenResidualReport:
+    """Max norm of ``(D0 - sigma (n - sigma)) G`` off the exclusion ball, ``n = grid.n``.
 
     ``G = s^sigma (s^2 + |z|^2)^-sigma`` solves the model equation exactly,
     so the residual is pure discretization error and decays at second order
-    in the spacing.  With ``wrong_sign=True`` the eigenvalue term is flipped
-    to ``sigma (sigma - n)`` (a regression guard: that residual stays O(1)).
+    in the spacing.
     """
-    if grid.n != n:
-        raise ValueError("grid dimension does not match n")
     sig = complex(sigma)
-    eig = sig * (sig - n) if wrong_sign else sig * (n - sig)
+    eig = sig * (grid.n - sig)
     # a kernel past double range gives non-finite residuals, which callers refuse
     with np.errstate(all="ignore"):
         G = _kernel_on(grid, sig)
         core = G[tuple(slice(1, -1) for _ in range(G.ndim))]
         resid = hyperbolic_laplacian_apply(G, grid) - eig * core
-    mask = grid.exclusion_mask()
-    return GreenResidualReport(
-        max_residual=float(np.max(np.abs(resid[mask]))),
-        spacing=max(grid.dtau, grid.dz),
-    )
+    max_residual = float(np.max(np.abs(resid[grid.exclusion_mask()])))
+    return GreenResidualReport(max_residual, max(grid.dtau, grid.dz))
 
 
 def green_residual_convergence(
@@ -199,10 +184,10 @@ def green_residual_convergence(
     whose kernel is constant (zero residuals) or overflows (non-finite
     residuals) has no ratio: :class:`ConfigError`.
     """
-    coarse = HalfSpaceGrid(n, _TAU_SPAN, _Z_EXTENT, base_points)
-    fine = HalfSpaceGrid(n, _TAU_SPAN, _Z_EXTENT, 2 * base_points - 1, r_excl=coarse.r_excl)
-    rc = green_residual_check(sigma, n, coarse)
-    rf = green_residual_check(sigma, n, fine)
+    coarse = HalfSpaceGrid(n, base_points)
+    fine = HalfSpaceGrid(n, 2 * base_points - 1, r_excl=coarse.r_excl)
+    rc = green_residual_check(sigma, coarse)
+    rf = green_residual_check(sigma, fine)
     # written so that a NaN residual fails too
     if not (0.0 < rf.max_residual < np.inf and rc.max_residual < np.inf):
         raise ConfigError(

@@ -64,6 +64,7 @@ import numpy as np
 from .boundary_jets import (
     ComplexEnergy,
     cholesky_inverse,
+    over_real,
     symmetric_matrix,
     symmetric_pairs,
 )
@@ -71,7 +72,6 @@ from .dataset import SymbolDataset, encode_complex, pack_array
 from .errors import (
     BranchAmbiguity,
     ConfigError,
-    DegenerateEnergies,
     InconsistentData,
     NotPositiveDefinite,
     ScatjetError,
@@ -112,35 +112,24 @@ def _smith_divide(a, b):
     return re / denom + 1j * (im / denom)
 
 
-def _over_real(a, d):
-    """``a / d`` for a real ``d``: each part of ``a`` divided alone, a true division.
-
-    Float for a float ``a``.
-    """
-    if np.iscomplexobj(a):
-        return a.real / d + 1j * (a.imag / d)
-    return a / d
-
-
 def _divide(a, b):
     """``a / b``, elementwise, ending in a true division.
 
     Where ``b`` is real, finite and nonzero and ``a`` is finite, the parts of
-    ``a`` are divided by ``b`` (:func:`_over_real`): the bits of Smith's
-    method, but for the sign of a zero.  Elsewhere Smith's method divides.
-    numpy's complex division multiplies by a rounded reciprocal instead; the
-    extra rounding, amplified by the zeroth-order solve, moved ``V0`` by up to
-    1e-12 against the scalar division.  Float operands that all take the
-    parts division give a float result, any other a complex one
-    (:func:`~scatjet.forward_scattering.real_or_complex`).  No division
-    raises a numpy warning, and a zero divisor gives inf or NaN for the
-    caller to refuse.
+    ``a`` are divided by ``b`` (:func:`~scatjet.boundary_jets.over_real`):
+    the bits of Smith's method, but for the sign of a zero.  Elsewhere
+    Smith's method divides.  numpy's rounded reciprocal, amplified by the
+    zeroth-order solve, moved ``V0`` by up to 1e-12 against the scalar
+    division.  Float operands that all take the parts division give a float
+    result, any other a complex one
+    (:func:`~scatjet.forward_scattering.real_or_complex`).  No division raises
+    a numpy warning, and a zero divisor gives inf or NaN for the caller to refuse.
     """
     a = float_or_complex(a)
     b = float_or_complex(b)
     return real_or_complex(
         lambda a, b: on_real_axis(b) & (b.real != 0),
-        lambda a, b: _over_real(a, b.real),
+        lambda a, b: over_real(a, b.real),
         _smith_divide,
         a,
         b,
@@ -206,7 +195,7 @@ def recover_sigma_from_symbol(
     with np.errstate(all="ignore"):
         q = _log(_divide(vt, v))
         d = 2.0 * math.log(t)
-        each = n / 2.0 + _over_real(q, d)
+        each = n / 2.0 + over_real(q, d)
         samples = each.reshape(shape or (1,))
         # the first sample plus the mean deviation: exact where the samples
         # agree, where a sum over C can round off by an ulp, which the peel
@@ -334,18 +323,20 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
     (centred real parts, imaginary parts).  A known ``alpha_sq`` drops its
     column.  ``misfit`` is the largest ``|alpha^2 P + C|``, per ``max(1, max |c|)``.
 
-    With ``alpha^2`` unknown, ``lambda^2`` that all coincide raise
-    :class:`DegenerateEnergies`.  Then the first failing point raises
-    :class:`InconsistentData`, checked in this order, NaN failing each: an
-    ``alpha^2`` column of norm at most ``1e-12 max(1, max |p|)`` (``alpha^2``
-    unknown), a misfit above 1e-8, an ``alpha^2`` that is not positive.
+    The first failing point raises :class:`InconsistentData`, checked in this
+    order, NaN failing each, the first two with ``alpha^2`` unknown: an
+    ``alpha^2`` column of norm at most ``1e-12 max(1, max |p|)``, real
+    ``lambda^2`` that coincide to ``1e-12 max(1, max |c|)`` under roots that
+    differ, a misfit above 1e-8, an ``alpha^2`` that is not positive.  The
+    column check alone decides whether the energies determine ``alpha^2``:
+    the roots of real ``lambda^2`` that all coincide, one included, make it
+    singular, and complex ones, coinciding or alone, are solved from their
+    imaginary rows.
     """
     sigma = float_or_complex(sigma)
     lam_sq = np.array([en.lam_sq for en in energies])
     if sigma.shape[-1:] != lam_sq.shape:
         raise ValueError(f"sigma needs a last axis of {lam_sq.size} energies, got {sigma.shape}")
-    if alpha_sq is None and np.all(np.abs(lam_sq - lam_sq[0]) <= 1e-12 * max(1, abs(lam_sq[0]))):
-        raise DegenerateEnergies(f"lambda^2 values {lam_sq} coincide: alpha^2 needs two")
     c = lam_sq + n * n / 4.0
     scale = max(1.0, float(np.max(np.abs(c))))
     with np.errstate(all="ignore"):
@@ -360,9 +351,11 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
             norm_sq = fold_last(np.add, rows_p * rows_p)
             alpha = -fold_last(np.add, rows_p * rows_c) / norm_sq
             column = np.sqrt(norm_sq) > 1e-12 * np.maximum(1, fold_last(np.maximum, np.abs(p)))
+            # real lambda^2 that all coincide leave only alpha^2 = 0 to fit roots that differ
+            varied = np.full(alpha.shape, np.max(np.abs(rows_c)) > 1e-12 * scale)
         else:
             alpha = np.full(sigma.shape[:-1], float(alpha_sq))
-            column = np.ones(alpha.shape, dtype=bool)
+            column = varied = np.ones(alpha.shape, dtype=bool)
         v0 = alpha * p_mean + np.mean(c.real)
         misfit = fold_last(np.maximum, np.abs(alpha[..., None] * rows_p + rows_c)) / scale
     raise_first(
@@ -373,6 +366,12 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
                 InconsistentData,
                 lambda i: "indicial products sigma (n - sigma) are real and coincide; "
                 "system is singular",
+            ),
+            (
+                ~varied,
+                InconsistentData,
+                lambda i: "lambda^2 are real and coincide, yet the indicial products "
+                "sigma (n - sigma) differ: no alpha^2 > 0 fits",
             ),
             (
                 ~(misfit <= _MISFIT_TOL),

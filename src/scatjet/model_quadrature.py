@@ -47,7 +47,9 @@ and I, ``(k+4-2l)/2`` for J).
   same panels gives ``est_error``; every panel is bisected until it meets
   the ``QuadratureSpec``, within ``max_subdivisions`` bisections in all.  A
   tolerance below the rule's rounding bound, one rounding unit of the summed
-  magnitude of its panels, is refused with ``QuadratureFailure`` at once.
+  magnitude of its panels, is refused with ``QuadratureFailure`` at once, and
+  so is a level that does not lower an estimate within eight such bounds:
+  the estimate's own noise then sets it.
   ``n_evals`` counts integrand evaluations.  A refinement level is one array
   pass: the panels of both halves and the nodes of both orders are
   evaluated together, in float64 when ``sigma`` is real and in complex
@@ -66,7 +68,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import loggamma
 
 from .errors import GammaPole, NotConvergent, QuadratureFailure
-from .forward_scattering import real_part_if_real
+from .forward_scattering import near_integer, real_part_if_real
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,6 @@ def _closed_form(
 # -- the 1-D rule of I -------------------------------------------------------
 
 
-def _rule_exponents(p: complex, b: complex):
-    """``p`` and ``b`` as I's rule takes them: a real one as a float.
-
-    With both real the rule runs in float64, whose ``exp`` and ``log`` cost
-    about a tenth of the complex ones; a complex ``p`` keeps the complex
-    arithmetic (:func:`~scatjet.forward_scattering.real_part_if_real`).
-    """
-    return real_part_if_real(p), real_part_if_real(b)
-
-
 def _panel_starts(start: float, stop: float) -> list:
     """All but the last edge of ``np.linspace(start, stop, m + 1)``, ``m`` unit panels.
 
@@ -227,17 +219,17 @@ def _panel_sums(mid, half, near, far, p, b, d_sq):
     return sums
 
 
-def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec):
+def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec, name):
     """``(int_0^1 t^(p-1) (1-t)^(p-1) c(t)^-b dt, est_error, n_evals)`` for I.
 
     ``c(t) = t (1-t) d^2 + t s^2 + (1-t)``.  The error is judged on the
-    integral times ``scale``; each refinement bisects every panel.  The
-    panels of both halves sit in one array, the half near ``t = 0`` before
-    the seam, so a level is one :func:`_panel_sums` pass over 24 nodes a
-    panel; each half is still summed on its own.  Float ``p`` and ``b`` run
-    it in float64 and give a float sum.  The panel edges are the values
-    ``np.linspace`` gave, bit for bit, so the nodes and ``n_evals`` do not
-    depend on the arithmetic.
+    integral times ``scale``; each refinement bisects every panel, and each
+    refusal (module docstring) is led by ``name()``.  The panels of both
+    halves sit in one array, the half near ``t = 0`` before the seam, so a
+    level is one :func:`_panel_sums` pass over 24 nodes a panel; each half
+    is still summed on its own.  Float ``p`` and ``b`` run it in float64 and
+    give a float sum.  The panel edges are the values ``np.linspace`` gave,
+    bit for bit, so the nodes and ``n_evals`` do not depend on the arithmetic.
     """
     d_sq, s_sq = d * d, s * s
     top = -math.log(2.0)
@@ -258,6 +250,7 @@ def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec
     widths[:seam] = s_sq, 1.0
     widths[seam:] = 1.0, s_sq
     n_evals = subdivisions = 0
+    previous = math.inf
     while True:
         mid = 0.5 * (hi + lo)
         sums = _panel_sums(mid, 0.5 * (hi - lo), widths[:, :1], widths[:, 1:], p, b, d_sq)
@@ -274,17 +267,25 @@ def _feynman_rule(p, b, d: float, s: float, scale: complex, spec: QuadratureSpec
         floor = np.finfo(float).eps * float(np.add.reduce(np.abs(high))) * abs(scale)
         if tol < floor:
             raise QuadratureFailure(
-                f"error estimate {est:.3e} above tolerance {tol:.3e}, which is below the "
-                f"rule's rounding bound {floor:.3e} ({n_evals} evals, {panels} panels): "
+                f"{name()}: error estimate {est:.3e} above tolerance {tol:.3e}, which is below "
+                f"the rule's rounding bound {floor:.3e} ({n_evals} evals, {panels} panels): "
                 "the 16- and 8-point sums cannot resolve it"
+            )
+        # within eight rounding bounds an estimate that stops falling is set by its
+        # own noise: no further bisection would meet the tolerance
+        if previous <= est <= 8.0 * floor:
+            raise QuadratureFailure(
+                f"{name()}: error estimate stalled at {previous:.3e} above tolerance {tol:.3e}: "
+                f"bisecting every panel again gave {est:.3e} ({n_evals} evals, {panels} panels)"
             )
         if subdivisions + panels > spec.max_subdivisions:
             raise QuadratureFailure(
-                f"error estimate {est:.3e} above tolerance {tol:.3e} after {subdivisions} "
-                f"subdivisions ({n_evals} evals, {panels} panels); bisecting every panel "
-                f"would exceed max_subdivisions={spec.max_subdivisions}"
+                f"{name()}: error estimate {est:.3e} above tolerance {tol:.3e} after "
+                f"{subdivisions} subdivisions ({n_evals} evals, {panels} panels); bisecting "
+                f"every panel would exceed max_subdivisions={spec.max_subdivisions}"
             )
         subdivisions += panels
+        previous = est
         # panel i becomes panels 2i and 2i + 1, split at its midpoint
         lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
         widths = np.repeat(widths, 2, axis=0)
@@ -383,7 +384,9 @@ def i_full_integral(
     knee of the rule or a value (overflowed or underflowed to zero) past
     double range, a rule with no panel, or an integrand that underflows at
     every node of the rule (a zero sum that would pass any error check),
-    raises :class:`QuadratureFailure`.
+    raises :class:`QuadratureFailure`, as does each refusal of the rule;
+    every such message is led by ``I_l at sigma=..., s=..., n=...``.  A ``rel_tol``
+    below ``6e-16`` may be refused as stalled where a noise dip would meet it.
     """
     zs = [float(x) for x in z]
     n = len(zs)
@@ -397,6 +400,10 @@ def i_full_integral(
     why = _divergence(E, sig, n)
     if why:
         raise NotConvergent(f"I_{l} diverges for sigma={sigma}, n={n}: {why}")
+
+    def name():
+        return f"I_{l} at sigma={sigma}, s={s}, n={n}"
+
     b, terms = _front_terms(E, sig, n)
     log_front = sum(terms) + sig * math.log(s)
     try:
@@ -408,44 +415,37 @@ def i_full_integral(
     # refused before the rule runs: an overflowed front fails every panel's check,
     # and an underflowed one makes a zero value
     if front == 0 or not cmath.isfinite(front):
-        raise QuadratureFailure(
-            f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front} leaves double range"
-        )
+        raise QuadratureFailure(f"{name()}: the front factor {front} leaves double range")
     d = math.hypot(*zs)
     # the rule's knees are 1 and s^2 over 1 + s^2 + |z|^2; the lower must be a double > 0
     if not min(s * s, 1.0) / (1.0 + s * s + d * d) > 0:
         raise QuadratureFailure(
-            f"I_{l} at sigma={sigma}, s={s}, n={n}: the rule's knee "
-            f"min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range (|z| = {d:g})"
+            f"{name()}: the rule's knee min(s^2, 1) / (1 + s^2 + |z|^2) leaves double range "
+            f"(|z| = {d:g})"
         )
-    value, est, n_evals = _feynman_rule(*_rule_exponents(sig, b), d, s, front, spec)
+    # a real p and b run the rule in float64, whose exp and log cost a tenth of the complex ones
+    p, b = real_part_if_real(sig), real_part_if_real(b)
+    value, est, n_evals = _feynman_rule(p, b, d, s, front, spec, name)
     # a half has no panel when its knee is at the top and the span below the knee rounds away
     if not n_evals:
         raise QuadratureFailure(
-            f"I_{l} at sigma={sigma}, s={s}, n={n}: the rule has no panel, so no node is "
-            f"evaluated: both knees sit at the top, -log 2, and the span {_DEPTH:g} / Re(sigma) "
-            f"= {_DEPTH / sig.real:.3e} below them rounds away"
+            f"{name()}: the rule has no panel, so no node is evaluated: both knees sit at the "
+            f"top, -log 2, and the span {_DEPTH:g} / Re(sigma) = {_DEPTH / sig.real:.3e} below "
+            "them rounds away"
         )
     # each node's integrand is an exponential, so a zero sum means every one underflowed
     if value == 0:
         raise QuadratureFailure(
-            f"I_{l} at sigma={sigma}, s={s}, n={n}: the integrand underflows at every node "
-            "of the rule, so its zero sum is no value"
+            f"{name()}: the integrand underflows at every node of the rule, so its zero sum "
+            "is no value"
         )
     result = front * value
     if result == 0 or not cmath.isfinite(result):
         raise QuadratureFailure(
-            f"I_{l} at sigma={sigma}, s={s}, n={n}: the front factor {front:.3e} times the "
-            f"rule's sum {complex(value):.3e} leaves double range"
+            f"{name()}: the front factor {front:.3e} times the rule's sum "
+            f"{complex(value):.3e} leaves double range"
         )
     return ModelIntegralValue(result, est, True, n_evals)
-
-
-def _near_nonpositive_int(w: complex, tol: float = 1e-12) -> bool:
-    if abs(w.imag) > tol:
-        return False
-    r = round(w.real)
-    return r <= 0 and abs(w.real - r) <= tol
 
 
 def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> complex:
@@ -455,15 +455,16 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`ValueError` for an
     ``n`` outside 1..3, an ``s`` that is not positive and finite or a ``z``
     that is not finite, :class:`GammaPole` when either Gamma argument sits
-    at a nonpositive integer, and :class:`QuadratureFailure` when the value
-    leaves double range or underflows to zero.
+    at a nonpositive integer (by :func:`~scatjet.forward_scattering.near_integer`,
+    which judges none past ``|Re| = 2^52``), and :class:`QuadratureFailure`
+    when the value leaves double range or underflows to zero.
     """
     check_dimension(n)
     if not (0 < s < math.inf):
         raise ValueError(f"s = {s} must be positive and finite")
     sig = complex(sigma)
     for name, arg in (("sigma", sig), ("sigma - (n-2)/2", sig - (n - 2) / 2.0)):
-        if _near_nonpositive_int(arg):
+        if near_integer(arg) and round(arg.real) <= 0:
             raise GammaPole(f"Gamma argument {name} = {arg} is a nonpositive integer")
     zv = np.asarray(z, dtype=float)
     if zv.shape != (n,):

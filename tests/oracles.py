@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from scatjet.forward_scattering import symmetric_pairs
+from scatjet.hyperbolic_model import hyperbolic_laplacian_apply
 
 R0 = 50.0
 N_RADII = 4
@@ -178,6 +179,21 @@ def model_laplacian_apply_sym(expr, s, zs):
     sds = lambda g: s * sp.diff(g, s)
     lap = sum(sp.diff(expr, z, 2) for z in zs)
     return sp.simplify(-sds(sds(expr)) + n * sds(expr) - s**2 * lap)
+
+
+def wrong_sign_green_residual(sigma: complex, grid) -> float:
+    """Max norm of ``(D0 - sigma (sigma - n)) G`` off the exclusion ball of ``grid``.
+
+    The eigenvalue term of :func:`scatjet.hyperbolic_model.green_residual_check`
+    with its sign flipped, so the kernel ``G = s^sigma (s^2 + |z|^2)^-sigma``
+    leaves an O(1) defect: a guard that the check would see a wrong sign.
+    """
+    mesh = grid.mesh(ghost=True)
+    s = np.exp(mesh[0])
+    G = (s / (s * s + sum(z * z for z in mesh[1:]))) ** sigma
+    core = G[(slice(1, -1),) * G.ndim]
+    resid = hyperbolic_laplacian_apply(G, grid) - sigma * (sigma - grid.n) * core
+    return float(np.max(np.abs(resid[grid.exclusion_mask()])))
 
 
 def hessian_profile_sym(sigma_val: complex, omega: np.ndarray) -> np.ndarray:

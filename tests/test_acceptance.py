@@ -15,11 +15,7 @@ import pytest
 from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0
 from scatjet.errors import BranchCut
 from scatjet.forward_scattering import default_probe_set, principal_symbol
-from scatjet.hyperbolic_model import (
-    HalfSpaceGrid,
-    green_residual_check,
-    green_residual_convergence,
-)
+from scatjet.hyperbolic_model import HalfSpaceGrid, green_residual_convergence
 from scatjet.inversion import (
     InversionConfig,
     first_order_recovery,
@@ -36,7 +32,7 @@ from scatjet.spectral_sets import exceptional_set, is_admissible
 from scatjet.synthetic import constant_patch, forward_dataset, make_synthetic_pair
 
 from cli_process import run_scatjet
-from oracles import j_oracle, t_oracle
+from oracles import j_oracle, t_oracle, wrong_sign_green_residual
 
 
 def _criterion(num, title):
@@ -121,8 +117,7 @@ def test_acceptance_green_residual():
         _, _, ratio = green_residual_convergence(sigma, n)
         ratios[(n, sigma)] = ratio
         assert 3.5 <= ratio <= 4.5
-    grid = HalfSpaceGrid(1, (-0.75, 0.75), 1.0, 65)
-    bad = green_residual_check(1.5, 1, grid, wrong_sign=True).max_residual
+    bad = wrong_sign_green_residual(1.5, HalfSpaceGrid(1, 65))
     assert bad > 0.1
     pretty = ", ".join(f"(n={n},sigma={s})->{r:.2f}" for (n, s), r in ratios.items())
     return f"refinement ratios {pretty}; wrong-sign residual {bad:.2f}"

@@ -1168,6 +1168,11 @@ def _with_patches(tmp_path, argv):
             "G at sigma=(1.5+0j): value 0j (error 0.0) underflows to zero in double precision",
         ),
         (
+            ["integrals", "--which", "G", "--sigma=-1e20", "--n", "2"],
+            1,
+            "G at sigma=(-1e+20+0j): value (nan+nanj) (error 0.0) is not finite",
+        ),
+        (
             ["integrals", "--which", "G", "--sigma", "5.3", "--n", "4", "--z", "0"],
             2,
             "integrals: n must be 1..3 (the supported boundary dimensions)",
@@ -1199,6 +1204,13 @@ def _with_patches(tmp_path, argv):
             "I_1 at sigma=(1e+200+0j), s=1.0, n=1: the rule has no panel, so no node is evaluated",
         ),
         (
+            ["integrals", "--which", "I", "--sigma", "2.5", "--n", "1", "--s", "0.5", "--z", "3"]
+            + ["--rel-tol", "1e-300", "--abs-tol", "1e-300"],
+            1,
+            "I_1 at sigma=(2.5+0j), s=0.5, n=1: error estimate 1.028e-15 above tolerance "
+            "1.000e-300, which is below the rule's rounding bound",
+        ),
+        (
             ["verify", "green", "--sigma", "0", "--n", "1"],
             2,
             "sigma=0j: residuals 0.0 (coarse) and 0.0 (fine) give no decay ratio",
@@ -1222,6 +1234,7 @@ def _with_patches(tmp_path, argv):
         "integrals-t1-rounding",
         "integrals-green",
         "integrals-green-underflow",
+        "integrals-green-no-pole-past-2^52",
         "integrals-green-n-4",
         "integrals-green-n-0",
         "integrals-i-n-0",
@@ -1230,6 +1243,7 @@ def _with_patches(tmp_path, argv):
         "integrals-green-z-nan",
         "integrals-green-z-inf",
         "integrals-i-no-panel",
+        "integrals-i-rounding",
         "verify-green-constant",
         "sets-lam",
         "forward-lam",

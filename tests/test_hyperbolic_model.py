@@ -11,11 +11,11 @@ from scatjet.hyperbolic_model import (
     hyperbolic_laplacian_apply,
 )
 
-from oracles import model_laplacian_apply_sym
+from oracles import model_laplacian_apply_sym, wrong_sign_green_residual
 
 
 def _grid(n=1, points=33, **kw):
-    return HalfSpaceGrid(n, (-0.75, 0.75), 1.0, points, **kw)
+    return HalfSpaceGrid(n, points, **kw)
 
 
 def _field(grid, fn):
@@ -30,10 +30,12 @@ def _field(grid, fn):
 
 
 def test_grid_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        HalfSpaceGrid(4, (-1.0, 1.0), 1.0, 33)
-    with pytest.raises(ValueError):
-        HalfSpaceGrid(1, (1.0, -1.0), 1.0, 33)
+    """The dimension is judged as the model integrals judge it."""
+    for n in (0, 4):
+        with pytest.raises(ValueError, match=r"^n must be 1\.\.3 \(the supported boundary"):
+            HalfSpaceGrid(n, 33)
+    with pytest.raises(ValueError, match="exclusion radius"):
+        _grid(r_excl=0.1)
 
 
 def test_grid_too_coarse():
@@ -128,20 +130,14 @@ def test_green_residual_second_order():
 
 def test_green_residual_wrong_sign_guard():
     grid = _grid(n=1, points=65)
-    good = green_residual_check(1.5, 1, grid)
-    bad = green_residual_check(1.5, 1, grid, wrong_sign=True)
+    good = green_residual_check(1.5, grid)
+    bad = wrong_sign_green_residual(1.5, grid)
     # right sign: pure discretization error; wrong sign: O(1) defect
-    assert bad.max_residual > 0.1
-    assert bad.max_residual > 20.0 * good.max_residual
-
-
-def test_green_residual_dimension_check():
-    grid = _grid(n=2, points=17)
-    with pytest.raises(ValueError):
-        green_residual_check(1.5, 1, grid)
+    assert bad > 0.1
+    assert bad > 20.0 * good.max_residual
 
 
 def test_green_report_fields():
     grid = _grid(n=1, points=17)
-    rep = green_residual_check(1.5, 1, grid)
+    rep = green_residual_check(1.5, grid)
     assert rep.spacing == pytest.approx(max(grid.dtau, grid.dz))

@@ -17,7 +17,6 @@ from scatjet.dataset import SymbolDataset, canonical_json
 from scatjet.errors import (
     BranchAmbiguity,
     ConfigError,
-    DegenerateEnergies,
     InconsistentData,
     NotPositiveDefinite,
     ZeroIntegralFactor,
@@ -642,11 +641,35 @@ def test_two_energy_worked_example():
 
 
 def test_two_energy_degenerate():
-    with pytest.raises(DegenerateEnergies, match="coincide"):
+    """Real lambda^2 that coincide leave the alpha^2 column zero: the system is singular."""
+    # roots that differ at one real lambda^2 = -9 leave only alpha^2 = 0 to fit them
+    with pytest.raises(
+        InconsistentData,
+        match=r"^lambda\^2 are real and coincide, yet the indicial products sigma \(n - sigma\) "
+        r"differ: no alpha\^2 > 0 fits$",
+    ):
         zeroth_order_recovery([2.0, 2.5], (ComplexEnergy(3j), ComplexEnergy(-3j)), 2)
-    # one energy cannot give alpha^2
-    with pytest.raises(DegenerateEnergies, match="coincide"):
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    energies = (ComplexEnergy(3j), ComplexEnergy(-3j))  # lambda^2 = -9 twice
+    sigma = np.stack([indicial_root(patch, en) for en in energies], axis=-1)
+    singular = r"^indicial products sigma \(n - sigma\) are real and coincide; system is singular"
+    with pytest.raises(InconsistentData, match=singular + r" at grid index \(0, 0\)$"):
+        zeroth_order_recovery(sigma, energies, 2)
+    # one real energy cannot give alpha^2
+    with pytest.raises(InconsistentData, match=singular + "$"):
         zeroth_order_recovery([2.0], (ComplexEnergy(3j),), 2)
+
+
+@pytest.mark.parametrize("lams", [(4 + 0.5j, 4 + 0.5j), (2 + 1.5j,)], ids=["coinciding", "one"])
+def test_zeroth_order_solves_complex_lambda_sq_from_the_imaginary_rows(lams):
+    """Complex lambda^2, coinciding or alone, determine alpha^2 and V0 by their imaginary parts."""
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    energies = tuple(ComplexEnergy(lam) for lam in lams)
+    sigma = np.stack([indicial_root(patch, en) for en in energies], axis=-1)
+    a2, v0, misfit = zeroth_order_recovery(sigma, energies, 2)
+    np.testing.assert_allclose(a2, 1.69, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
+    assert np.max(misfit) <= 1e-14
 
 
 def test_two_energy_singular_system():

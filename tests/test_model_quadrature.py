@@ -190,9 +190,9 @@ def test_quadrature_failure_on_tiny_budget():
     starved = QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=100)
     with pytest.raises(
         QuadratureFailure,
-        match=r"^error estimate \d\.\d{3}e-15 above tolerance 1\.000e-300, which is below the "
-        r"rule's rounding bound \d\.\d{3}e-18 \(912 evals, 38 panels\): the 16- and 8-point "
-        r"sums cannot resolve it$",
+        match=r"^I_1 at sigma=2\.5, s=0\.5, n=1: error estimate \d\.\d{3}e-15 above tolerance "
+        r"1\.000e-300, which is below the rule's rounding bound \d\.\d{3}e-18 \(912 evals, "
+        r"38 panels\): the 16- and 8-point sums cannot resolve it$",
     ):
         i_full_integral(1, 2.5, 0.5, [3.0], starved)
     with pytest.raises(QuadratureFailure, match=r"^T_1 at sigma=2.5, n=2: closed-form rounding"):
@@ -207,13 +207,61 @@ def test_i_rule_blames_the_budget_only_for_a_tolerance_it_can_meet():
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=50)
     with pytest.raises(
         QuadratureFailure,
-        match=r"^error estimate \d\.\d{3}e-\d\d above tolerance \d\.\d{3}e-\d\d after 0 "
+        match=r"^I_2 at sigma=2\.5, s=0\.001, n=1: error estimate \d\.\d{3}e-\d\d above "
+        r"tolerance \d\.\d{3}e-\d\d after 0 "
         r"subdivisions \(1752 evals, 73 panels\); bisecting every panel would exceed "
         r"max_subdivisions=50$",
     ):
         i_full_integral(2, 2.5, 1e-3, [1e3], spec)
     enough = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=73)
     assert i_full_integral(2, 2.5, 1e-3, [1e3], enough).n_evals == 5256
+
+
+def test_i_rule_refuses_a_level_that_does_not_lower_the_estimate(monkeypatch):
+    """Past the level where the estimate stops falling, no bisection would meet the
+    tolerance: the rule refuses there, naming the estimate it stalled at, not the budget.
+
+    The raw estimates of levels 0 to 3 are about 8.4e-24, 3.0e-27, 1.8e-27 and
+    2.1e-27: (73 + 146 + 292 + 584) * 24 = 26280 evals, 584 panels.
+    """
+    raw = []
+    real_sums = model_quadrature._panel_sums
+
+    def spy(*args):
+        sums = real_sums(*args)
+        raw.append(float(np.sum(np.abs(sums[:, 0] - sums[:, 1]))))
+        return sums
+
+    monkeypatch.setattr(model_quadrature, "_panel_sums", spy)
+    spec = QuadratureSpec(rel_tol=4e-16, abs_tol=1e-300, max_subdivisions=20000)
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^I_2 at sigma=2\.5, s=0\.001, n=1: error estimate stalled at 3\.782e-35 above "
+        r"tolerance 2\.645e-35: bisecting every panel again gave 4\.424e-35 \(26280 evals, "
+        r"584 panels\)$",
+    ):
+        i_full_integral(2, 2.5, 1e-3, [1e3], spec)
+    assert len(raw) == 4 and raw[1] > raw[2] < raw[3]
+    np.testing.assert_allclose(raw, [8.4e-24, 3.0e-27, 1.8e-27, 2.1e-27], rtol=0.05)
+
+
+def test_i_rule_refuses_a_stall_where_a_noise_dip_would_have_converged():
+    """Below rel_tol 6e-16 the rule refuses a stall that one more level might pass.
+
+    At rel_tol 5e-16 the estimate rises from about 2.3 to 2.6 rounding bounds at
+    level 2; bisecting on, level 3 dips under the tolerance within noise at 26280
+    evals.  At 6e-16 the estimate of level 1 meets the tolerance.
+    """
+    spec = QuadratureSpec(rel_tol=5e-16, abs_tol=1e-300, max_subdivisions=20000)
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^I_1 at sigma=2\.5, s=0\.001, n=1: error estimate stalled at 1\.067e-29 above "
+        r"tolerance 1\.035e-29: bisecting every panel again gave 1\.183e-29 \(12264 evals, "
+        r"292 panels\)$",
+    ):
+        i_full_integral(1, 2.5, 1e-3, [1e3], spec)
+    converged = i_full_integral(1, 2.5, 1e-3, [1e3], QuadratureSpec(6e-16, 1e-300, 20000))
+    assert converged.n_evals == 5256 and converged.est_error == pytest.approx(1.067e-29, rel=1e-3)
 
 
 def test_value_past_double_range_is_refused(monkeypatch):
@@ -364,7 +412,7 @@ def test_i_real_sigma_matches_the_complex_kernel(l, n, above, log_s, log_z):
         mp.setattr(model_quadrature, "_panel_sums", spy)
         real = i_full_integral(l, sigma, s, z)
         # the complex kernel: p and b stay complex
-        mp.setattr(model_quadrature, "_rule_exponents", lambda p, b: (p, b))
+        mp.setattr(model_quadrature, "real_part_if_real", lambda x: x)
         forced = i_full_integral(l, complex(sigma), s, z)
     assert set(dtypes) == {np.dtype(float), np.dtype(complex)}
     assert real.n_evals == forced.n_evals
@@ -512,5 +560,21 @@ def test_green_kernel_refuses_a_dimension_outside_1_to_3(n, z):
 
 
 def test_green_kernel_pole():
-    with pytest.raises(GammaPole):
-        green_kernel(1.0, [0.0, 0.0, 0.0], 0.5, 3)  # sigma - 1/2 = 0
+    """The prefactor's rule judges the Gamma arguments: an integer to 1e-12, at most 0."""
+    for sigma, n, message in (
+        (0.5, 3, r"sigma - \(n-2\)/2 = 0j"),  # sigma - 1/2 = 0
+        (-3.0, 2, r"sigma = \(-3\+0j\)"),
+        (-3 + 1e-13j, 1, r"sigma = \(-3\+1e-13j\)"),
+    ):
+        with pytest.raises(GammaPole, match=rf"^Gamma argument {message} is a nonpositive integer$"):
+            green_kernel(1.0, [0.0] * n, sigma, n)
+
+
+def test_green_kernel_names_no_pole_past_2_to_the_52():
+    """Every double past 2^52 is an integer, so no pole is judged there: the Gamma
+    is not finite and the value is refused as such."""
+    with pytest.raises(
+        QuadratureFailure,
+        match=r"^G at sigma=\(-1e\+20\+0j\): value \(nan\+nanj\) \(error 0\.0\) is not finite",
+    ):
+        green_kernel(1.0, [0.0, 0.0], -1e20, 2)

@@ -1,4 +1,5 @@
-"""Module boundaries of the package: no module imports another's private name."""
+"""Module boundaries of the package: no module imports another's private name, and
+every error class of ``errors.py`` is raised somewhere."""
 import ast
 from pathlib import Path
 
@@ -21,3 +22,38 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_")
             ]
     assert SRC.is_dir() and not found, found
+
+
+def _raised_names(tree) -> set[str]:
+    """Names raised in ``tree``, and the error classes of its ``raise_first`` checks.
+
+    A check is a ``(failed, error_class, message)`` tuple, handed to
+    :func:`scatjet.errors.raise_first` directly or returned for a caller to hand it.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
+            if isinstance(node.elts[1], ast.Name):
+                names.add(node.elts[1].id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """Each ``ScatjetError`` subclass in ``errors.py`` is raised somewhere in the package,
+    or names the error class of a ``raise_first`` check: no class outlives its last use."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    family = {"ScatjetError"}
+    for node in errors.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in family for base in node.bases
+        ):
+            family.add(node.name)
+    raised = set()
+    for path in SRC.glob("*.py"):
+        raised |= _raised_names(ast.parse(path.read_text(), filename=str(path)))
+    unraised = sorted(family - {"ScatjetError"} - raised)
+    assert len(family) > 10 and not unraised, unraised
