@@ -2,18 +2,8 @@
 exceptional sets, model integrals, and the staged inverse recovery.
 
 Import names from their submodules, e.g. ``from scatjet.inversion import
-layer_strip_driver``.  Importing the package loads every submodule but the
-command line.
+layer_strip_driver``.  Importing the package imports nothing: each import
+loads only the submodule it names and what that submodule uses.  Only
+``forward_scattering`` and ``model_quadrature``, which evaluate Gamma, import
+scipy.
 """
-
-from . import (  # noqa: F401
-    boundary_jets,
-    dataset,
-    errors,
-    forward_scattering,
-    hyperbolic_model,
-    inversion,
-    model_quadrature,
-    spectral_sets,
-    synthetic,
-)

@@ -120,6 +120,52 @@ def symmetric_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
+def polarization_covectors(n: int) -> np.ndarray:
+    """The ``(C, n)`` covectors sampled at every grid point: ``e_i + e_j`` per pair ``i <= j``.
+
+    A diagonal pair gives ``e_i``; the order is that of :func:`symmetric_pairs`.
+    The array is read-only.
+    """
+    rows, cols = symmetric_pairs(n)
+    eye = np.eye(n)
+    return read_only(eye[rows] + (rows < cols)[:, None] * eye[cols])
+
+
+def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
+    """``probes`` as a new float ``(P, n)`` array of ``P >= 1`` unit vectors.
+
+    Anything else raises ``error`` with a message led by ``prefix``: values
+    that are not an array of numbers, another shape (a list with no probes
+    has shape ``(0,)``), or, naming the first such probe, a probe whose norm
+    misses 1 by more than 1e-12 (named as not finite when a component is).
+    """
+    want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
+    try:
+        w = np.array(probes, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
+    if w.ndim != 2 or not len(w) or w.shape[1] != n:
+        raise error(f"{want}, got shape {w.shape}")
+    # written so that a NaN norm fails too
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-12))
+    if bad.size:
+        j = int(bad[0])
+        why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
+        raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
+    return w
+
+
+def float_or_complex(x) -> np.ndarray:
+    """``x`` as a complex128 array if it is complex, as a float64 array otherwise.
+
+    The type decides, not the values: a complex array whose imaginary parts
+    are all zero stays complex.  An array of the chosen dtype is returned as
+    it is, not copied.
+    """
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+
+
+@functools.cache
 def _pair_index(n: int) -> np.ndarray:
     """The read-only ``(n, n)`` index of each pair ``{i, j}`` in :func:`symmetric_pairs`."""
     rows, cols = symmetric_pairs(n)

@@ -15,6 +15,11 @@ An out-of-range argument exits 2.  All structured output is canonical JSON
 their C-order little-endian float64 bytes), so identical inputs and seeds
 produce byte-identical files.  With ``--verbose``, ``forward``, ``invert``
 and ``roundtrip`` log each stage's wall time to stderr as one JSON line.
+
+Only scipy-free modules are imported here at module level.  Each command
+imports the modules that evaluate Gamma (and those built on them) inside its
+handler, so ``--help``, ``sets`` and ``verify green`` never load
+``scipy.special``.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0
+from .boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0, probe_array
 from .dataset import (
     SymbolDataset,
     canonical_json,
@@ -37,20 +42,9 @@ from .dataset import (
     read_json,
     write_text,
 )
-from .errors import ConfigError, IoError, ScatjetError
-from .forward_scattering import principal_symbol, probe_array
+from .errors import STAGE_LOGGER, ConfigError, IoError, ScatjetError, check_dimension, timed
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
-from .inversion import STAGE_LOGGER, InversionConfig, layer_strip_driver, timed
-from .model_quadrature import (
-    QuadratureSpec,
-    check_dimension,
-    green_kernel,
-    i_full_integral,
-    j_integral,
-    t_limit_integral,
-)
 from .spectral_sets import exceptional_set, is_admissible
-from .synthetic import constant_patch, forward_dataset, make_synthetic_pair, random_spd
 
 log = logging.getLogger("scatjet.cli")
 
@@ -90,6 +84,8 @@ def _z_vector(raw: str, n: int) -> np.ndarray:
 
 
 def cmd_forward(args) -> int:
+    from .synthetic import forward_dataset
+
     patch = BoundaryPatch.from_dict(read_json(args.patch))
     patch2 = BoundaryPatch.from_dict(read_json(args.patch2)) if args.patch2 else None
     if not args.lam:
@@ -127,6 +123,8 @@ def _encode_report(report) -> str:
 
 
 def cmd_invert(args) -> int:
+    from .inversion import InversionConfig, layer_strip_driver
+
     with timed("decode"):
         ds = SymbolDataset.load(args.data)
     cfg = InversionConfig(margin=args.margin, alpha_sq_known=args.alpha_sq_known)
@@ -191,6 +189,14 @@ def cmd_integrals(args) -> int:
 
 
 def _integrals(args) -> int:
+    from .model_quadrature import (
+        QuadratureSpec,
+        green_kernel,
+        i_full_integral,
+        j_integral,
+        t_limit_integral,
+    )
+
     which = args.which.strip().upper()
     sigma = parse_complex(args.sigma)
     n = args.n
@@ -258,6 +264,9 @@ def cmd_verify(args) -> int:
         )
         return 0 if ok else 1
 
+    from .forward_scattering import principal_symbol
+    from .synthetic import constant_patch, random_spd
+
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -312,6 +321,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .inversion import InversionConfig, layer_strip_driver
+    from .synthetic import make_synthetic_pair
+
     out_dir = Path(args.out_dir)
     if not out_dir.exists():
         raise ConfigError(f"output directory does not exist: {out_dir}")

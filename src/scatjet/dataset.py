@@ -16,7 +16,7 @@ Every bit is kept:
   by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
 * ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
   per energy, grid index and covector of
-  :func:`~scatjet.forward_scattering.polarization_covectors`;
+  :func:`~scatjet.boundary_jets.polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
   ``probes`` and ``t_pair`` are.
 
@@ -50,8 +50,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .boundary_jets import float_or_complex, polarization_covectors, probe_array
 from .errors import ConfigError, IoError, as_float, as_int, fold_last, raise_first
-from .forward_scattering import float_or_complex, polarization_covectors, probe_array
 
 SCHEMA = "scatjet.symbols/7"
 _OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
@@ -244,7 +244,7 @@ class SymbolDataset:
     ``symbols`` is a read-only array of shape ``(E, *grid_shape, C, 2)``:
     ``symbols[e, *idx, c]`` holds the pair ``(S(xi), S(t xi))`` for energy
     index ``e``, grid index ``idx`` and the covector
-    ``forward_scattering.polarization_covectors(n)[c]``.
+    ``boundary_jets.polarization_covectors(n)[c]``.
     ``probes`` (if present) is the read-only real ``(P, n)`` array of the
     unit probe directions, one set for every grid point, and
     ``singularity`` the read-only ``(*grid_shape, P)`` array of the

@@ -1,14 +1,27 @@
-"""Exception taxonomy for the scatjet toolkit.
+"""Exception taxonomy for the scatjet toolkit, and the base every module imports.
 
 Every error raised by library code derives from :class:`ScatjetError`, so
 callers (and the CLI) can distinguish numeric-stage failures from plain
 programming errors.  Names describe the failure mode, one class per mode.
+
+The module also holds the checks and helpers shared across modules: argument
+coercion, the grid checks (:func:`fold_last`, :func:`raise_first`), the
+dimension check, the one Gamma-pole rule (:func:`near_integer`) and the stage
+timer (:func:`timed`).  It needs numpy alone: only
+:mod:`~scatjet.forward_scattering` and :mod:`~scatjet.model_quadrature`,
+which evaluate Gamma, import scipy.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
+import logging
+import time
 
 import numpy as np
+
+STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 
 
 class ScatjetError(Exception):
@@ -146,3 +159,56 @@ def raise_first(n: int, checks) -> None:
             if len(i) > n:
                 where.append(f"sample {i[n:]}")
             raise error_class(message(i) + (f" at {', '.join(where)}" if where else ""))
+
+
+def check_dimension(n: int) -> None:
+    """:class:`ValueError` unless ``n`` is a supported boundary dimension, 1..3."""
+    if not 1 <= n <= 3:
+        raise ValueError("n must be 1..3 (the supported boundary dimensions)")
+
+
+def real_part_if_real(z):
+    """The scalar ``z`` as a float when its imaginary part is zero, as it is otherwise.
+
+    A zero-imaginary scalar then keeps float operands in float arithmetic;
+    against a complex operand numpy widens it back, so a complex computation
+    runs the same operations either way.
+    """
+    return z.real if z.imag == 0 else z
+
+
+# from here on every double is an integer
+_EVERY_DOUBLE_AN_INTEGER = 2.0**52
+
+
+def near_integer(w) -> np.ndarray:
+    """Where ``w`` is an integer to 1e-12, elementwise: the one Gamma-pole rule.
+
+    It is judged only where ``|Re w| < 2^52``: every double above that is an
+    integer, so the test would name rounding, not a pole.  A ``w`` that is
+    not finite is no integer.
+    """
+    w = np.asarray(w)
+    with np.errstate(all="ignore"):
+        re = w.real
+        return (
+            (np.abs(w.imag) < 1e-12)
+            & (np.abs(re) < _EVERY_DOUBLE_AN_INTEGER)
+            & (np.abs(re - np.round(re)) < 1e-12)
+        )
+
+
+@contextlib.contextmanager
+def timed(stage: str):
+    """Log the block's wall time at debug level as one JSON line.
+
+    The line is ``{"seconds": ..., "stage": stage}`` on the logger named
+    ``STAGE_LOGGER``, built only when that logger is enabled for debug; a
+    block that raises logs nothing.
+    """
+    start = time.perf_counter()
+    yield
+    seconds = time.perf_counter() - start
+    logger = logging.getLogger(STAGE_LOGGER)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(json.dumps({"seconds": seconds, "stage": stage}))

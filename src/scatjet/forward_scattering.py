@@ -53,53 +53,21 @@ from .boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
     PerturbationData,
+    float_or_complex,
     indicial_root,
+    probe_array,
     read_only,
     symmetric_pairs,
 )
-from .errors import GammaPole, ScatjetError, ZeroCovector, raise_first
+from .errors import (
+    GammaPole,
+    ScatjetError,
+    ZeroCovector,
+    near_integer,
+    raise_first,
+    real_part_if_real,
+)
 from scipy.special import gamma as _gamma
-
-
-def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
-    """``probes`` as a new float ``(P, n)`` array of ``P >= 1`` unit vectors.
-
-    Anything else raises ``error`` with a message led by ``prefix``: values
-    that are not an array of numbers, another shape (a list with no probes
-    has shape ``(0,)``), or, naming the first such probe, a probe whose norm
-    misses 1 by more than 1e-12 (named as not finite when a component is).
-    """
-    want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
-    try:
-        w = np.array(probes, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
-    if w.ndim != 2 or not len(w) or w.shape[1] != n:
-        raise error(f"{want}, got shape {w.shape}")
-    # written so that a NaN norm fails too
-    bad = np.flatnonzero(~(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-12))
-    if bad.size:
-        j = int(bad[0])
-        why = "a unit vector" if np.all(np.isfinite(w[j])) else "finite"
-        raise error(f"{prefix}probe {j} {tuple(w[j].tolist())} is not {why}")
-    return w
-
-
-# The tables below depend on n alone.  Each is built once per n and shared,
-# read-only, by every caller; :func:`~scatjet.boundary_jets.symmetric_pairs`
-# fixes the order of the pairs i <= j they follow.
-
-
-@functools.cache
-def polarization_covectors(n: int) -> np.ndarray:
-    """The ``(C, n)`` covectors sampled at every grid point: ``e_i + e_j`` per pair ``i <= j``.
-
-    A diagonal pair gives ``e_i``; the order is that of :func:`symmetric_pairs`.
-    The array is read-only.
-    """
-    rows, cols = symmetric_pairs(n)
-    eye = np.eye(n)
-    return read_only(eye[rows] + (rows < cols)[:, None] * eye[cols])
 
 
 @functools.cache
@@ -113,26 +81,6 @@ def default_probe_set(n: int) -> np.ndarray:
     eye = np.eye(n)
     pairs = np.stack([eye[rows] + eye[cols], eye[rows] - eye[cols]], axis=1) / np.sqrt(2.0)
     return read_only(np.concatenate([eye, pairs.reshape(-1, n)]))
-
-
-def float_or_complex(x) -> np.ndarray:
-    """``x`` as a complex128 array if it is complex, as a float64 array otherwise.
-
-    The type decides, not the values: a complex array whose imaginary parts
-    are all zero stays complex.  An array of the chosen dtype is returned as
-    it is, not copied.
-    """
-    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-
-
-def real_part_if_real(z):
-    """The scalar ``z`` as a float when its imaginary part is zero, as it is otherwise.
-
-    A zero-imaginary scalar then keeps float operands in float arithmetic;
-    against a complex operand numpy widens it back, so a complex computation
-    runs the same operations either way.
-    """
-    return z.real if z.imag == 0 else z
 
 
 def on_real_axis(x):
@@ -183,27 +131,6 @@ def real_or_complex(real, real_kernel, complex_kernel, *operands) -> np.ndarray:
         rest = ~mask
         out[rest] = complex_kernel(*(x[rest] for x in operands))
     return out
-
-
-# from here on every double is an integer
-_EVERY_DOUBLE_AN_INTEGER = 2.0**52
-
-
-def near_integer(w) -> np.ndarray:
-    """Where ``w`` is an integer to 1e-12, elementwise: the one Gamma-pole rule.
-
-    It is judged only where ``|Re w| < 2^52``: every double above that is an
-    integer, so the test would name rounding, not a pole.  A ``w`` that is
-    not finite is no integer.
-    """
-    w = np.asarray(w)
-    with np.errstate(all="ignore"):
-        re = w.real
-        return (
-            (np.abs(w.imag) < 1e-12)
-            & (np.abs(re) < _EVERY_DOUBLE_AN_INTEGER)
-            & (np.abs(re - np.round(re)) < 1e-12)
-        )
 
 
 def _real_prefactor(sigma, n: int):

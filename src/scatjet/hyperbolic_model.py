@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridTooCoarse
-from .model_quadrature import check_dimension
+from .errors import ConfigError, GridTooCoarse, check_dimension
 
 MIN_POINTS = 16
 # the window of the residual study: it keeps the spacing well below min s, the
@@ -40,7 +39,7 @@ class HalfSpaceGrid:
 
     ``points`` per axis: ``tau`` spans ``_TAU_SPAN`` and each of the ``n``
     ``z`` axes spans ``[-_Z_EXTENT, _Z_EXTENT]``.  ``n`` must be 1..3
-    (:func:`~scatjet.model_quadrature.check_dimension`).  The ball's radius
+    (:func:`~scatjet.errors.check_dimension`).  The ball's radius
     ``r_excl`` is three times the largest spacing unless given.
     """
 

@@ -53,10 +53,8 @@ on the recovered ``alpha^2`` and ``V0``, at every grid point and mode order
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +62,9 @@ import numpy as np
 from .boundary_jets import (
     ComplexEnergy,
     cholesky_inverse,
+    float_or_complex,
     over_real,
+    probe_array,
     symmetric_matrix,
     symmetric_pairs,
 )
@@ -79,20 +79,18 @@ from .errors import (
     ZeroSymbol,
     fold_last,
     raise_first,
+    real_part_if_real,
+    timed,
 )
 from .forward_scattering import (
     first_order_factors,
-    float_or_complex,
     on_real_axis,
     prefactor_and_poles,
-    probe_array,
     real_or_complex,
-    real_part_if_real,
 )
 from .spectral_sets import exceptional_set, is_admissible
 
 log = logging.getLogger(__name__)
-STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 
 _SV_CUT = 1e-10
 _BRANCH_TOL = 1e-8  # how far Re sigma may sit below n/2
@@ -253,7 +251,7 @@ def metric_boundary_recovery(norms, n: int) -> np.ndarray:
     """Boundary metric from covector norms at ``{e_i}`` and ``{e_i + e_j}``.
 
     ``norms`` has shape ``(..., C)``: the norms ``|xi|_{h0}`` at the ``C``
-    covectors of :func:`~scatjet.forward_scattering.polarization_covectors`,
+    covectors of :func:`~scatjet.boundary_jets.polarization_covectors`,
     in that order.  Polarization gives the entries of the inverse metric at
     the same pairs, which :func:`~scatjet.boundary_jets.cholesky_inverse`
     factors and inverts entry-wise over the whole stack; the inverse metric
@@ -545,22 +543,6 @@ def first_order_recovery(
 
 
 # -- full driver ------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def timed(stage: str):
-    """Log the block's wall time at debug level as one JSON line.
-
-    The line is ``{"seconds": ..., "stage": stage}`` on the logger named
-    ``STAGE_LOGGER``, built only when that logger is enabled for debug; a
-    block that raises logs nothing.
-    """
-    start = time.perf_counter()
-    yield
-    seconds = time.perf_counter() - start
-    logger = logging.getLogger(STAGE_LOGGER)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(json.dumps({"seconds": seconds, "stage": stage}))
 
 
 @contextlib.contextmanager

@@ -67,8 +67,14 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import loggamma
 
-from .errors import GammaPole, NotConvergent, QuadratureFailure
-from .forward_scattering import near_integer, real_part_if_real
+from .errors import (
+    GammaPole,
+    NotConvergent,
+    QuadratureFailure,
+    check_dimension,
+    near_integer,
+    real_part_if_real,
+)
 
 
 @dataclass(frozen=True)
@@ -106,12 +112,6 @@ _WEIGHTS[_HIGH[1].size :, 1] = _LOW[1]
 _PANEL = 1.0  # panel width in the log variable
 _DEPTH = 40.0  # the rule stops where Re(p) * (distance below the knee) reaches this
 _ROUNDING = 4 * np.finfo(float).eps  # relative rounding per unit of summed log magnitude
-
-
-def check_dimension(n: int) -> None:
-    """:class:`ValueError` unless ``n`` is a supported boundary dimension, 1..3."""
-    if not 1 <= n <= 3:
-        raise ValueError("n must be 1..3 (the supported boundary dimensions)")
 
 
 def _check_arguments(l: int, sigma: complex, n: int) -> None:
@@ -455,7 +455,7 @@ def green_kernel(s: float, z: Sequence[float], sigma: complex, n: int) -> comple
     * s^sigma / (1 + s^2 + |z|^2)^sigma``; raises :class:`ValueError` for an
     ``n`` outside 1..3, an ``s`` that is not positive and finite or a ``z``
     that is not finite, :class:`GammaPole` when either Gamma argument sits
-    at a nonpositive integer (by :func:`~scatjet.forward_scattering.near_integer`,
+    at a nonpositive integer (by :func:`~scatjet.errors.near_integer`,
     which judges none past ``|Re| = 2^52``), and :class:`QuadratureFailure`
     when the value leaves double range or underflows to zero.
     """

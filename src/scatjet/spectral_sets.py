@@ -8,17 +8,25 @@ For ``sets`` an :class:`ExceptionalSet` lists the modes ``k <= k_max`` as one
 ``(*grid, k_max + 1)`` array, the interval ``[min mode_0, max mode_0]`` (a
 real ``lambda^2`` below its top is on the branch cut somewhere) and
 user-excluded energies, standing in for the resolvent poles this toolkit
-does not compute.  :func:`is_admissible` is the one screen, used by the
-driver, the synthetic energy draw and ``sets --lam``.
+does not compute.  The modes array holds at most ``MAX_MODE_VALUES = 2^24``
+values (128 MiB of float64): a larger one is refused with
+:class:`~scatjet.errors.ConfigError` before any of it is allocated.
+:func:`is_admissible` is the one screen, used by the driver, the synthetic
+energy draw and ``sets --lam``; it judges every mode order whatever
+``k_max`` is, and allocates no modes array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .boundary_jets import ComplexEnergy, branch_cut, indicial_lambda_sq, indicial_q
+from .errors import ConfigError
+
+MAX_MODE_VALUES = 2**24
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,13 @@ class ExceptionalSet:
     @property
     def modes_lambda_sq(self) -> np.ndarray:
         """``[*idx, k]``: the ``lambda^2`` at which the lower root at ``idx`` is ``(n - k)/2``."""
+        shape = (*np.broadcast_shapes(self.alpha_sq.shape, self.v0.shape), self.k_max + 1)
+        size = math.prod(shape)
+        if size > MAX_MODE_VALUES:
+            raise ConfigError(
+                f"k_max = {self.k_max} asks for a modes array of shape {shape}, "
+                f"{size} values, above the {MAX_MODE_VALUES} allowed"
+            )
         k = np.arange(self.k_max + 1)
         return indicial_lambda_sq(self.alpha_sq[..., None], self.v0[..., None], k * k / 4.0, self.n)
 

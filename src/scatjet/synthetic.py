@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_jets import BoundaryPatch, ComplexEnergy, perturbation_coefficients
+from .boundary_jets import (
+    BoundaryPatch,
+    ComplexEnergy,
+    perturbation_coefficients,
+    polarization_covectors,
+)
 from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
-from .forward_scattering import (
-    default_probe_set,
-    polarization_covectors,
-    principal_symbol,
-    singularity_coefficient,
-)
+from .forward_scattering import default_probe_set, principal_symbol, singularity_coefficient
 from .spectral_sets import exceptional_set, is_admissible
 
 _ENERGY_DRAWS = 100

@@ -1216,6 +1216,12 @@ def _with_patches(tmp_path, argv):
             "sigma=0j: residuals 0.0 (coarse) and 0.0 (fine) give no decay ratio",
         ),
         (["sets", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
+        (
+            ["sets", "--k-max", "10000000000000"],
+            2,
+            "k_max = 10000000000000 asks for a modes array of shape (4, 4, 10000000000001), "
+            "160000000000016 values, above the 16777216 allowed",
+        ),
         (["forward", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
         (["forward", "--lam", "4", "--scale-t", "nan"], 2, "scale_t=nan must be finite, positive"),
         (["forward", "--lam", "4", "--scale-t", "inf"], 2, "scale_t=inf must be finite, positive"),
@@ -1246,6 +1252,7 @@ def _with_patches(tmp_path, argv):
         "integrals-i-rounding",
         "verify-green-constant",
         "sets-lam",
+        "sets-k-max-modes-array",
         "forward-lam",
         "forward-scale-t-nan",
         "forward-scale-t-inf",

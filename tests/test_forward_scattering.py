@@ -9,11 +9,11 @@ from scatjet.boundary_jets import (
     PerturbationData,
     indicial_root,
     perturbation_coefficients,
+    polarization_covectors,
 )
 from scatjet.errors import GammaPole, ScatjetError, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
-    polarization_covectors,
     prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,
@@ -87,6 +87,50 @@ def test_prefactor_against_mpmath(n):
                 value = mp.power(2, n - 2 * s) * mp.gamma(half_n - s) / mp.gamma(s - half_n)
                 want.append(complex(value))
         assert np.max(np.abs(got / np.array(want) - 1.0)) <= bar
+
+
+@pytest.mark.parametrize("n,sigma", [(1, 2.3), (2, 2.7), (3, 3.1 + 0.4j), (2, 2.9 - 0.3j)])
+def test_symbol_is_the_frobenius_ratio_of_the_model_ode(n, sigma):
+    """The closed form against the model operator, by a route that shares no code with it.
+
+    In ``s`` with ``z`` Fourier-transformed to ``xi``, the model equation is
+    ``s^2 u'' + (1 - n) s u' = (s^2 |xi|^2 - sigma (n - sigma)) u``.  Its
+    solution that decays as ``s -> inf`` is ``u = s^(n/2) K_nu(s |xi|)``,
+    ``nu = sigma - n/2``, and ``K_nu(s |xi|) = A s^-nu 0F1(; 1 - nu; (s |xi|)^2/4)
+    + B s^nu 0F1(; 1 + nu; (s |xi|)^2/4)``, so ``u = A s^(n - sigma) (...) +
+    B s^sigma (...)``.  The symbol is ``B / A``: the prefactor times
+    ``|xi|^(2 sigma - n)``, within 1e-12 relative.  mpmath checks the ODE by
+    numerical differentiation and finds ``A`` and ``B`` from two values of
+    ``K_nu``, all at 40 digits.
+    """
+    mp = pytest.importorskip("mpmath")
+    xi = 1.3
+    with mp.workdps(40):
+        sig, k = mp.mpmathify(sigma), mp.mpf(xi)
+        nu = sig - mp.mpf(n) / 2
+
+        def u(s):
+            return s ** (mp.mpf(n) / 2) * mp.besselk(nu, s * k)
+
+        for s in (mp.mpf("0.3"), mp.mpf("0.7"), mp.mpf("2.1")):
+            lhs = s**2 * mp.diff(u, s, 2) + (1 - n) * s * mp.diff(u, s)
+            rhs = (s**2 * k**2 - sig * (n - sig)) * u(s)
+            assert abs(lhs - rhs) <= mp.mpf("1e-25") * abs(rhs)
+
+        def frobenius(s):
+            x = (s * k) ** 2 / 4
+            return [s**-nu * mp.hyp0f1(1 - nu, x), s**nu * mp.hyp0f1(1 + nu, x)]
+
+        points = (mp.mpf("0.3"), mp.mpf("0.7"))
+        A, B = mp.lu_solve(
+            mp.matrix([frobenius(s) for s in points]),
+            mp.matrix([mp.besselk(nu, s * k) for s in points]),
+        )
+        ratio = complex(B / A)
+    pref, (at_pole, _, _) = prefactor_and_poles(np.asarray(sigma), n)
+    assert not at_pole
+    want = complex(pref) * xi ** (2 * sigma - n)
+    assert abs(ratio - want) <= 1e-12 * abs(ratio)
 
 
 def test_symbol_closed_value_n1():

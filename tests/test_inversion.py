@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scatjet.boundary_jets import ComplexEnergy, PerturbationData, indicial_root
+from scatjet.boundary_jets import (
+    ComplexEnergy,
+    PerturbationData,
+    indicial_root,
+    polarization_covectors,
+)
 from scatjet.dataset import SymbolDataset, canonical_json
 from scatjet.errors import (
     BranchAmbiguity,
@@ -25,7 +30,6 @@ from scatjet.errors import (
 from scatjet.forward_scattering import (
     _exp,
     default_probe_set,
-    polarization_covectors,
     prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,

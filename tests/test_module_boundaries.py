@@ -1,6 +1,11 @@
-"""Module boundaries of the package: no module imports another's private name, and
-every error class of ``errors.py`` is raised somewhere."""
+"""Module boundaries of the package: no module imports another's private name,
+every error class of ``errors.py`` is raised somewhere, and scipy loads only
+under the modules that evaluate Gamma."""
 import ast
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "scatjet"
@@ -57,3 +62,54 @@ def test_every_error_class_is_raised():
         raised |= _raised_names(ast.parse(path.read_text(), filename=str(path)))
     unraised = sorted(family - {"ScatjetError"} - raised)
     assert len(family) > 10 and not unraised, unraised
+
+
+def test_only_the_gamma_modules_import_scipy():
+    """``forward_scattering`` and ``model_quadrature`` evaluate Gamma; no other module imports scipy."""
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [(node.module or "").partition(".")[0]]
+            else:
+                continue
+            if "scipy" in roots:
+                importers.add(path.name)
+    assert importers == {"forward_scattering.py", "model_quadrature.py"}, importers
+
+
+def test_a_fresh_interpreter_loads_only_what_runs(tmp_path):
+    """In one fresh interpreter: ``import scatjet`` loads no submodule; the parser,
+    ``sets`` and ``verify green`` leave ``scipy.special`` unloaded; and, imported
+    afresh, ``model_quadrature`` loads no scatjet module but ``errors``."""
+    patch = tmp_path / "patch.json"
+    patch.write_text(
+        json.dumps({"n": 1, "axes": [4], "alpha": "1", "v_jet": ["0.2"], "h_jet": [[["1"]]]})
+    )
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(SRC.parent)!r})
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("scatjet."))
+
+        import scatjet
+        assert loaded() == [], loaded()
+
+        from scatjet import cli
+        cli.build_parser()
+        assert cli.main(["sets", "--patch", {str(patch)!r}, "--out", {str(tmp_path / "sets.json")!r}]) == 0
+        assert cli.main(["verify", "green", "--out", {str(tmp_path / "green.json")!r}]) == 0
+        assert "scipy.special" not in sys.modules, loaded()
+
+        for name in ["scatjet", *loaded()]:
+            del sys.modules[name]
+        import scatjet.model_quadrature
+        assert loaded() == ["scatjet.errors", "scatjet.model_quadrature"], loaded()
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
