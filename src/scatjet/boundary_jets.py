@@ -10,6 +10,11 @@ of the boundary at infinity, of
 * the Taylor coefficients ``h^(j)(y)`` of the boundary metric, with
   ``h^(0)`` symmetric positive definite.
 
+A patch whose two jets both reach order one carries its own first-order
+data: the forward map samples them against the patch's zeroth order alone
+(:func:`~scatjet.forward_scattering.singularity_coefficient`), so no second
+patch is needed.
+
 Positive definiteness is judged by :func:`cholesky_inverse`: one entry-wise
 Cholesky pass over the whole stack of symmetric matrices, written out as
 LAPACK's unblocked lower factorization with no LAPACK call, whose factor
@@ -35,18 +40,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import (
-    BranchCut,
-    ConfigError,
-    MismatchedBoundary,
-    ScatjetError,
-    as_int,
-    fold_last,
-    raise_first,
-)
+from .errors import BranchCut, ConfigError, ScatjetError, as_int, check_array_size, raise_first
 from .expressions import evaluate_field
-
-_BOUNDARY_MATCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -254,6 +249,16 @@ def cholesky_inverse(entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return full.T.reshape(stack + (n, n)), refused
 
 
+def _layout(n: int, axes) -> tuple[int, ...]:
+    """A patch's per-axis point counts as ints; :class:`ConfigError` for an unsupported layout."""
+    if not 1 <= n <= 3:
+        raise ConfigError(f"boundary dimension n={n} outside supported range 1..3")
+    axes = tuple(int(m) for m in axes)
+    if len(axes) != n or any(m < 4 for m in axes):
+        raise ConfigError("need one per-axis count per dimension, each >= 4")
+    return axes
+
+
 def _not_finite(name: str, arr: np.ndarray):
     """A :func:`~scatjet.errors.raise_first` check naming ``name`` where ``arr`` is not finite."""
     return ~np.isfinite(arr), ConfigError, lambda i: f"{name} is not finite"
@@ -281,11 +286,7 @@ class BoundaryPatch:
     h0_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= 3:
-            raise ConfigError(f"boundary dimension n={self.n} outside supported range 1..3")
-        axes = tuple(int(m) for m in self.axes)
-        if len(axes) != self.n or any(m < 4 for m in axes):
-            raise ConfigError("need one per-axis count per dimension, each >= 4")
+        axes = _layout(self.n, self.axes)
         object.__setattr__(self, "axes", axes)
         shape = axes
         alpha = np.array(self.alpha, dtype=float)
@@ -342,39 +343,6 @@ class BoundaryPatch:
 
     # -- construction -----------------------------------------------------
 
-    def with_first_order(self, v1, h1) -> "BoundaryPatch":
-        """This patch's zeroth-order data with the first-order jets ``v1`` and ``h1``.
-
-        The result shares this patch's ``alpha``, ``V^(0)``, ``h^(0)`` and its
-        already judged ``h0_inv``, and carries read-only copies of ``v1`` and
-        ``h1`` as its jets of order one.  Only the new jets are checked:
-        ``v1`` must have the grid shape and ``h1`` the shape
-        ``grid + (n, n)``, both finite, or :class:`ConfigError` is raised.
-        """
-        shape = self.grid_shape
-        v1 = np.array(v1, dtype=float)
-        h1 = np.array(h1, dtype=float)
-        if v1.shape != shape or h1.shape != shape + (self.n, self.n):
-            raise ConfigError(
-                f"first-order jets have shapes {v1.shape} and {h1.shape}, expected "
-                f"{shape} and {shape + (self.n, self.n)}"
-            )
-        raise_first(self.n, [_not_finite("v_jet[1]", v1), _not_finite("h_jet[1]", h1)])
-        v1.setflags(write=False)
-        h1.setflags(write=False)
-        # built without __init__: the zeroth-order data were judged with this patch
-        out = object.__new__(BoundaryPatch)
-        for name, value in (
-            ("n", self.n),
-            ("axes", self.axes),
-            ("alpha", self.alpha),
-            ("v_jet", (self.v_jet[0], v1)),
-            ("h_jet", (self.h_jet[0], h1)),
-            ("h0_inv", self.h0_inv),
-        ):
-            object.__setattr__(out, name, value)
-        return out
-
     @classmethod
     def from_dict(cls, spec: Mapping[str, Any]) -> "BoundaryPatch":
         """Build a patch from the JSON input schema.
@@ -384,15 +352,19 @@ class BoundaryPatch:
         entries are numbers, expression strings, or raw arrays.  An
         expression reads the coordinates ``y1, ..., yn``, with
         ``y_i = 2*pi*k/m_i`` at the ``k``-th of the ``m_i`` points of axis ``i``.
+        A grid whose metric fields, of shape ``axes + (n, n)``, would hold more
+        than :data:`~scatjet.errors.MAX_ARRAY_VALUES` values is refused with
+        :class:`ConfigError` before any field is built.
         """
         try:
             n = as_int(spec["n"], "n")
             axes = tuple(as_int(m, "axes entry") for m in spec["axes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad patch spec: {exc}") from None
-        shape = axes
+        shape = axes = _layout(n, axes)
+        check_array_size(axes + (n, n), "the patch's axes ask for metric fields")
         coord_axes = [2.0 * np.pi * np.arange(m) / m for m in axes]
-        grids = np.meshgrid(*coord_axes, indexing="ij") if axes else []
+        grids = np.meshgrid(*coord_axes, indexing="ij")
         coords = {f"y{i + 1}": g for i, g in enumerate(grids)}
         if "alpha" not in spec or "v_jet" not in spec or "h_jet" not in spec:
             raise ConfigError("patch spec needs alpha, v_jet and h_jet")
@@ -400,21 +372,6 @@ class BoundaryPatch:
         v_jet = tuple(_as_field(v, coords, shape) for v in spec["v_jet"])
         h_jet = tuple(_as_matrix_field(h, coords, shape, n) for h in spec["h_jet"])
         return cls(n=n, axes=axes, alpha=alpha, v_jet=v_jet, h_jet=h_jet)
-
-
-@dataclass(frozen=True)
-class PerturbationData:
-    """First-order differences of two patches sharing zeroth-order data.
-
-    With ``L = h2^(1) - h1^(1)``: ``H = h0^-1 L h0^-1``, ``T = tr(h0^-1 L)``
-    and ``W1 = V2^(1) - V1^(1)``, as grid arrays (``H`` of shape
-    ``grid + (n, n)``) or as the scalars of one point.
-    """
-
-    n: int
-    H: np.ndarray
-    T: float | np.ndarray
-    W1: float | np.ndarray
 
 
 # -- the indicial identity, written here and nowhere else, solved for one unknown
@@ -493,42 +450,3 @@ def indicial_root(patch: BoundaryPatch, energy: ComplexEnergy) -> np.ndarray:
     if energy.lam.imag == 0.0 and energy.lam_sq.imag == 0.0:
         q = q.real  # exactly real, and the cut refused its negative values above
     return patch.n / 2.0 + np.sqrt(q)
-
-
-def perturbation_coefficients(patch1: BoundaryPatch, patch2: BoundaryPatch) -> PerturbationData:
-    """First-order difference data of two compatible patches over the whole grid.
-
-    A zeroth-order mismatch names its first grid index in C order.  A value
-    past double range is kept, without a warning:
-    :func:`~scatjet.forward_scattering.singularity_coefficient` refuses the
-    samples it makes.
-    """
-    if patch1.n != patch2.n or patch1.axes != patch2.axes:
-        raise MismatchedBoundary(
-            f"patch layouts differ: n={patch1.n}/{patch2.n}, axes={patch1.axes}/{patch2.axes}"
-        )
-    if patch1.jet_order < 1 or patch2.jet_order < 1:
-        raise ConfigError("both patches must carry jets to order >= 1")
-    n = patch1.n
-    h0 = patch1.h_jet[0]
-    bad = {
-        "alpha": np.abs(patch1.alpha - patch2.alpha) > _BOUNDARY_MATCH_TOL,
-        "V^(0)": np.abs(patch1.v_jet[0] - patch2.v_jet[0]) > _BOUNDARY_MATCH_TOL,
-        "h^(0)": fold_last(np.maximum, np.abs(h0 - patch2.h_jet[0]), 2) > _BOUNDARY_MATCH_TOL,
-    }
-
-    def disagree(i):
-        return "zeroth-order boundary data disagree: " + ", ".join(k for k, b in bad.items() if b[i])
-
-    raise_first(n, [(np.logical_or.reduce(list(bad.values())), MismatchedBoundary, disagree)])
-    h0_inv = patch1.h0_inv
-    # a difference past double range is kept: the samples built from it are refused
-    with np.errstate(all="ignore"):
-        L = patch2.h_jet[1] - patch1.h_jet[1]
-        h0_inv_L = h0_inv @ L
-        return PerturbationData(
-            n=n,
-            H=h0_inv_L @ h0_inv,
-            T=np.trace(h0_inv_L, axis1=-2, axis2=-1),
-            W1=patch2.v_jet[1] - patch1.v_jet[1],
-        )

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    forward    patch JSON (+ optional second patch) -> symbol dataset JSON
+    forward    patch JSON -> symbol dataset JSON (first-order samples when it has order-1 jets)
     invert     symbol dataset JSON -> recovery report JSON (+ optional CSV)
     sets       patch JSON -> exceptional-set summary, admissibility checks
     integrals  evaluate T_l / J_l / I_l / the Green-kernel scalar
@@ -87,7 +87,6 @@ def cmd_forward(args) -> int:
     from .synthetic import forward_dataset
 
     patch = BoundaryPatch.from_dict(read_json(args.patch))
-    patch2 = BoundaryPatch.from_dict(read_json(args.patch2)) if args.patch2 else None
     if not args.lam:
         raise ConfigError("forward requires at least one --lam")
     energies = tuple(ComplexEnergy(parse_complex(s)) for s in args.lam)
@@ -99,7 +98,7 @@ def cmd_forward(args) -> int:
         "s = n/2 + sqrt((n/2)^2 - (V0 - lam^2 - n^2/4)/alpha^2)"
     )
     with timed("forward"):
-        ds = forward_dataset(patch, energies, patch2=patch2, scale_t=args.scale_t, probes=probes)
+        ds = forward_dataset(patch, energies, scale_t=args.scale_t, probes=probes)
     with timed("encode"):
         text = canonical_json(ds.to_dict())
     _write_out(text, args.out)
@@ -393,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("forward", help="generate a symbol dataset from boundary patches")
-    p.add_argument("--patch", required=True, help="boundary patch JSON")
-    p.add_argument("--patch2", help="second patch (enables first-order samples)")
+    p = sub.add_parser("forward", help="generate a symbol dataset from a boundary patch")
+    p.add_argument(
+        "--patch", required=True, help="boundary patch JSON (order-1 jets add first-order samples)"
+    )
     p.add_argument("--lam", action="append", default=[], help="energy, e.g. 3.5 or 2+1i (repeatable)")
     p.add_argument("--scale-t", type=float, default=2.0, help="homogeneity probe scale (default 2)")
     p.add_argument("--probes", help="JSON file: a (P, n) list of unit probes (overrides the defaults)")

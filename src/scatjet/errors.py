@@ -6,8 +6,9 @@ programming errors.  Names describe the failure mode, one class per mode.
 
 The module also holds the checks and helpers shared across modules: argument
 coercion, the grid checks (:func:`fold_last`, :func:`raise_first`), the
-dimension check, the one Gamma-pole rule (:func:`near_integer`) and the stage
-timer (:func:`timed`).  It needs numpy alone: only
+dimension check, the one bound on the size of an input-sized array
+(:func:`check_array_size`), the one Gamma-pole rule (:func:`near_integer`) and
+the stage timer (:func:`timed`).  It needs numpy alone: only
 :mod:`~scatjet.forward_scattering` and :mod:`~scatjet.model_quadrature`,
 which evaluate Gamma, import scipy.
 """
@@ -17,11 +18,15 @@ import contextlib
 import itertools
 import json
 import logging
+import math
 import time
 
 import numpy as np
 
 STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
+
+# the most values an array whose size the input sets may hold: 256 MiB of float64
+MAX_ARRAY_VALUES = 2**25
 
 
 class ScatjetError(Exception):
@@ -30,10 +35,6 @@ class ScatjetError(Exception):
 
 class BranchCut(ScatjetError):
     """Square-root argument fell on the negative real axis at some grid point."""
-
-
-class MismatchedBoundary(ScatjetError):
-    """Two patches disagree where their zeroth-order boundary data must match."""
 
 
 class NotConvergent(ScatjetError):
@@ -165,6 +166,19 @@ def check_dimension(n: int) -> None:
     """:class:`ValueError` unless ``n`` is a supported boundary dimension, 1..3."""
     if not 1 <= n <= 3:
         raise ValueError("n must be 1..3 (the supported boundary dimensions)")
+
+
+def check_array_size(shape: tuple[int, ...], subject: str) -> None:
+    """:class:`ConfigError` if an array of ``shape`` would hold over ``MAX_ARRAY_VALUES`` values.
+
+    Judged from the shape alone, before anything is allocated; the message
+    reads ``subject`` followed by the shape and its size.
+    """
+    size = math.prod(shape)
+    if size > MAX_ARRAY_VALUES:
+        raise ConfigError(
+            f"{subject} of shape {shape}, {size} values, above the {MAX_ARRAY_VALUES} allowed"
+        )
 
 
 def real_part_if_real(z):

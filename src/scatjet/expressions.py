@@ -4,7 +4,10 @@ Supported: ``+ - * / **``, unary minus, ``cos``, ``sin``, ``exp``, numeric
 literals, the constants ``pi`` and ``e``, and the boundary coordinates
 ``y1 .. yn``.  Expressions are parsed with :mod:`ast` and evaluated against
 numpy coordinate arrays, so anything outside the whitelist is rejected
-rather than executed.
+rather than executed.  Every literal is a float64, so ``10**20`` is ``1e20``
+and ``2**-1`` is ``0.5``, not integer arithmetic; a literal past double
+range is refused.  Arithmetic that leaves double range gives an infinity or
+a NaN without a warning, and the caller refuses the field.
 """
 from __future__ import annotations
 
@@ -42,9 +45,16 @@ def evaluate_field(expr: str, coords: Mapping[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, ast.Expression):
             return walk(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return node.value
-            raise ConfigError(f"non-numeric literal {node.value!r} in {expr!r}")
+            if not isinstance(node.value, (int, float)):
+                raise ConfigError(f"non-numeric literal {node.value!r} in {expr!r}")
+            try:
+                value = float(node.value)
+            except OverflowError:  # an integer past double range
+                value = math.inf
+            if not math.isfinite(value):  # such as 1e400, which parses as inf
+                literal = ast.get_source_segment(expr, node)
+                raise ConfigError(f"literal {literal} in {expr!r} is past double range")
+            return value
         if isinstance(node, ast.Name):
             if node.id in coords:
                 return coords[node.id]
@@ -64,7 +74,8 @@ def evaluate_field(expr: str, coords: Mapping[str, np.ndarray]) -> np.ndarray:
             raise ConfigError(f"unsupported call in {expr!r}")
         raise ConfigError(f"unsupported syntax {type(node).__name__} in {expr!r}")
 
-    value = walk(tree)
+    with np.errstate(all="ignore"):  # a value that is not finite is the caller's to refuse
+        value = walk(tree)
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords.values())) if coords else ()
     out = np.broadcast_to(np.asarray(value, dtype=float), shape)
     return np.array(out, dtype=float)  # writable, contiguous copy

@@ -22,12 +22,14 @@ the call decides once from whole-array tests, and the per-element mask is
 built only when an operand is complex or not finite, or the condition
 fails somewhere.
 
-When two operators share boundary data to zeroth order, the difference of
-their scattering kernels has radial leading singularity with angular
-profile
+A patch's first-order jets ``h^(1)`` and ``V^(1)`` set its scattering kernel
+apart from that of its zeroth-order model, the same patch with both jets
+zero past order 0.  The difference of the two kernels has radial leading
+singularity with angular profile
 
     F(omega) = t1 * sum_ij H_ij D_ij(omega) + t2 * (W1 - alpha^2 (1-n) T / 4)
 
+with ``H = h0^-1 h^(1) h0^-1``, ``T = tr(h0^-1 h^(1))`` and ``W1 = V^(1)``,
 where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
 are the model-integral factors a dataset records as ``t_pair`` (all other
@@ -37,9 +39,8 @@ the frame where ``alpha^2 h0`` is the identity.  In the unknowns
 ``F = M (T u)``: ``M`` is a real matrix fixed by the probes and ``T`` is
 lower-triangular per point (:func:`first_order_factors`).  The first-order
 fit of :mod:`scatjet.inversion` inverts the same factorization.
-``singularity_coefficient`` evaluates ``F`` over the whole grid for one
-``(P, n)`` array of probes at once, from the grid arrays of
-``boundary_jets.perturbation_coefficients``.
+``singularity_coefficient`` evaluates ``F`` over the whole grid of a patch
+for one ``(P, n)`` array of probes at once, from the patch's own jets.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ import numpy as np
 from .boundary_jets import (
     BoundaryPatch,
     ComplexEnergy,
-    PerturbationData,
     float_or_complex,
     indicial_root,
     probe_array,
@@ -266,43 +266,46 @@ def first_order_factors(probes: np.ndarray, sigma, t1: complex):
 
 
 def singularity_coefficient(
-    pd: PerturbationData,
-    alpha,
+    patch: BoundaryPatch,
     sigma,
     t1: complex,
     t2: complex,
     probes,
 ) -> np.ndarray:
-    """Angular singularity coefficient ``F(omega)`` of the kernel difference.
+    """Angular singularity coefficient ``F(omega)`` of the patch's first-order jets.
 
-    ``pd``, ``alpha`` and ``sigma`` are grid arrays or one point's scalars,
-    broadcast against each other; ``probes`` is one ``(P, n)`` array of unit
-    probes shared by every point; :func:`probe_array` judges them and raises
-    :class:`ValueError`.  ``F = M (T u)`` with the factors of
-    :func:`first_order_factors`; the trace term reads ``pd.T``.  The result
-    has shape ``grid_shape + (P,)``, and each point's values have the same
-    bits alone as in any grid: float64 for a real ``sigma`` and ``t1``,
-    ``t2`` with no imaginary part, complex128 otherwise.  A value that is
-    not finite raises :class:`~scatjet.errors.ScatjetError` naming the first
-    grid index and, as the sample, the probe.
+    The patch must carry order-1 entries in both jets.  Over its grid,
+    ``H = (h0_inv @ h^(1)) @ h0_inv`` and ``T = tr(h0_inv @ h^(1))`` read
+    ``patch.h0_inv``, and ``W1`` is ``V^(1)`` itself.  ``sigma`` is the grid
+    array of roots, or one root for every point; ``probes`` is one ``(P, n)``
+    array of unit probes shared by every point; :func:`probe_array` judges
+    them and raises :class:`ValueError`.  ``F = M (T u)`` with the factors
+    of :func:`first_order_factors`.  The result has shape
+    ``grid_shape + (P,)``, and each point's values have the same bits in
+    any grid: float64 for a real ``sigma`` and ``t1``, ``t2`` with no
+    imaginary part, complex128 otherwise.  A value that is not finite
+    raises :class:`~scatjet.errors.ScatjetError` naming the first grid index
+    and, as the sample, the probe.
     """
-    n = pd.n
+    n = patch.n
     w = probe_array(probes, n, ValueError, "omega: ")
     M, a, b = first_order_factors(w, sigma, t1)
     rows, cols = symmetric_pairs(n)
-    H = np.asarray(pd.H)
+    h0_inv = patch.h0_inv
     with np.errstate(all="ignore"):  # a value past double range is refused below
+        h0_inv_h1 = h0_inv @ patch.h_jet[1]
+        H = h0_inv_h1 @ h0_inv
+        T = np.trace(h0_inv_h1, axis1=-2, axis2=-1)
         last = b * np.trace(H, axis1=-2, axis2=-1) + real_part_if_real(t2) * (
-            pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
+            patch.v_jet[1] - patch.alpha * patch.alpha * (1.0 - n) * T / 4.0
         )
-        grid = np.broadcast_shapes(a.shape, H.shape[:-2], np.shape(last))
-        Tu = np.empty(grid + (len(rows) + 1,), dtype=np.result_type(a, last))
+        Tu = np.empty(patch.grid_shape + (len(rows) + 1,), dtype=np.result_type(a, last))
         Tu[..., :-1] = a[..., None] * H[..., rows, cols]
         Tu[..., -1] = last
         # one dot product per point and probe, so every point gets the same bits in any grid
         F = np.vecdot(M, Tu[..., None, :])
     raise_first(
-        len(grid),
+        n,
         [
             (
                 ~np.isfinite(F),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridTooCoarse, check_dimension
+from .errors import ConfigError, GridTooCoarse, check_array_size, check_dimension
 
 MIN_POINTS = 16
 # the window of the residual study: it keeps the spacing well below min s, the
@@ -39,8 +39,10 @@ class HalfSpaceGrid:
 
     ``points`` per axis: ``tau`` spans ``_TAU_SPAN`` and each of the ``n``
     ``z`` axes spans ``[-_Z_EXTENT, _Z_EXTENT]``.  ``n`` must be 1..3
-    (:func:`~scatjet.errors.check_dimension`).  The ball's radius
-    ``r_excl`` is three times the largest spacing unless given.
+    (:func:`~scatjet.errors.check_dimension`), and the grid with its ghost
+    layer may hold at most :data:`~scatjet.errors.MAX_ARRAY_VALUES` points,
+    judged before any axis is built.  The ball's radius ``r_excl`` is three
+    times the largest spacing unless given.
     """
 
     n: int
@@ -51,6 +53,11 @@ class HalfSpaceGrid:
         check_dimension(self.n)
         if self.points < MIN_POINTS:
             raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {self.points}")
+        check_array_size(
+            (self.points + 2,) * (self.n + 1),
+            f"a half-space grid of {self.points} points per axis asks, with its ghost layer, "
+            "for arrays",
+        )
         if self.r_excl is None:
             object.__setattr__(self, "r_excl", 3.0 * max(self.dtau, self.dz))
         if self.r_excl <= 2.0 * max(self.dtau, self.dz):

@@ -8,8 +8,8 @@ For ``sets`` an :class:`ExceptionalSet` lists the modes ``k <= k_max`` as one
 ``(*grid, k_max + 1)`` array, the interval ``[min mode_0, max mode_0]`` (a
 real ``lambda^2`` below its top is on the branch cut somewhere) and
 user-excluded energies, standing in for the resolvent poles this toolkit
-does not compute.  The modes array holds at most ``MAX_MODE_VALUES = 2^24``
-values (128 MiB of float64): a larger one is refused with
+does not compute.  The modes array holds at most
+:data:`~scatjet.errors.MAX_ARRAY_VALUES` values: a larger one is refused with
 :class:`~scatjet.errors.ConfigError` before any of it is allocated.
 :func:`is_admissible` is the one screen, used by the driver, the synthetic
 energy draw and ``sets --lam``; it judges every mode order whatever
@@ -17,16 +17,13 @@ energy draw and ``sets --lam``; it judges every mode order whatever
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .boundary_jets import ComplexEnergy, branch_cut, indicial_lambda_sq, indicial_q
-from .errors import ConfigError
-
-MAX_MODE_VALUES = 2**24
+from .errors import check_array_size
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,7 @@ class ExceptionalSet:
     def modes_lambda_sq(self) -> np.ndarray:
         """``[*idx, k]``: the ``lambda^2`` at which the lower root at ``idx`` is ``(n - k)/2``."""
         shape = (*np.broadcast_shapes(self.alpha_sq.shape, self.v0.shape), self.k_max + 1)
-        size = math.prod(shape)
-        if size > MAX_MODE_VALUES:
-            raise ConfigError(
-                f"k_max = {self.k_max} asks for a modes array of shape {shape}, "
-                f"{size} values, above the {MAX_MODE_VALUES} allowed"
-            )
+        check_array_size(shape, f"k_max = {self.k_max} asks for a modes array")
         k = np.arange(self.k_max + 1)
         return indicial_lambda_sq(self.alpha_sq[..., None], self.v0[..., None], k * k / 4.0, self.n)
 

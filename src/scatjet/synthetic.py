@@ -1,4 +1,4 @@
-"""Synthetic boundary pairs and their forward scattering datasets.
+"""Synthetic boundary patches and their forward scattering datasets.
 
 Everything here is driven by a seeded :class:`numpy.random.Generator`; the
 same seed always produces the same truth, the same admissible energies and
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_jets import (
-    BoundaryPatch,
-    ComplexEnergy,
-    perturbation_coefficients,
-    polarization_covectors,
-)
+from .boundary_jets import BoundaryPatch, ComplexEnergy, polarization_covectors
 from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
 from .forward_scattering import default_probe_set, principal_symbol, singularity_coefficient
@@ -103,9 +98,8 @@ def draw_admissible_energies(
 
 
 def forward_dataset(
-    patch1: BoundaryPatch,
+    patch: BoundaryPatch,
     energies: tuple[ComplexEnergy, ...],
-    patch2: BoundaryPatch | None = None,
     scale_t: float = 2.0,
     probes: np.ndarray | None = None,
     t_pair: tuple[complex, complex] | None = None,
@@ -113,40 +107,46 @@ def forward_dataset(
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
     Symbols are sampled at the covectors of :func:`polarization_covectors`
-    and at ``scale_t`` times each, at every grid point and energy.  When a
-    second patch is supplied, the first-order angular samples ``F(omega)``
-    at the ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set`
-    unless given), at every grid point, are attached together with the
-    probes and the model-integral factor pair used to build them (``(1, 1)``
-    unless given).  The dataset holds these samples and nothing else derived
-    from the patches: the inverse screens the energies against the
-    exceptional set of the fields it recovers.  Probes without a second
-    patch, or a header that :func:`~scatjet.dataset.check_header` refuses,
-    raise :class:`ConfigError` before any sampling.
+    and at ``scale_t`` times each, at every grid point and energy.  When the
+    patch carries order-1 entries in both jets, the first-order angular
+    samples ``F(omega)`` of those jets
+    (:func:`~scatjet.forward_scattering.singularity_coefficient`) at the
+    ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set` unless
+    given), at every grid point, are attached together with the probes and
+    the model-integral factor pair used to build them (``(1, 1)`` unless
+    given).  The dataset holds these samples and nothing else derived from
+    the patch: the inverse screens the energies against the exceptional set
+    of the fields it recovers.  Order-1 entries in one jet alone, probes for
+    a patch with none, or a header that :func:`~scatjet.dataset.check_header`
+    refuses, raise :class:`ConfigError` before any sampling.
     """
-    if probes is not None and patch2 is None:
+    lacking = [name for name in ("v_jet", "h_jet") if len(getattr(patch, name)) < 2]
+    if len(lacking) == 1:
         raise ConfigError(
-            "probes given without patch2: the first-order samples need a second patch"
+            f"the patch has no order-1 entry in {lacking[0]}: first-order samples need "
+            "order-1 entries in both v_jet and h_jet"
         )
-    n = patch1.n
-    shape = patch1.grid_shape
+    first_order = not lacking
+    if probes is not None and not first_order:
+        raise ConfigError(
+            "probes given for a patch with no order-1 jets: there are no first-order samples"
+        )
+    n = patch.n
+    shape = patch.grid_shape
     lams = tuple(en.lam for en in energies)
     # the header is judged before sampling: a scale_t it refuses makes zero or NaN covectors
     check_header(n, shape, scale_t, lams)
     covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     # the roots of every energy, computed once: the singularity samples read the first
-    sigma, symbols = principal_symbol(patch1, xi, energies)
+    sigma, symbols = principal_symbol(patch, xi, energies)
 
     singularity = omega = None
-    if patch2 is not None:
+    if first_order:
         if t_pair is None:
             t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
         omega = default_probe_set(n) if probes is None else probes
-        pd = perturbation_coefficients(patch1, patch2)
-        singularity = singularity_coefficient(
-            pd, patch1.alpha, sigma[..., 0], t_pair[0], t_pair[1], omega
-        )
+        singularity = singularity_coefficient(patch, sigma[..., 0], t_pair[0], t_pair[1], omega)
 
     return SymbolDataset(
         n=n,
@@ -167,30 +167,20 @@ def make_synthetic_pair(
 ) -> tuple[SyntheticTruth, SymbolDataset]:
     """Random constant-coefficient truth plus its forward dataset.
 
-    The dataset has ``scale_t = 2`` and first-order data at the default
-    probes, with ``t_pair = (1, 1)``.  The first-order perturbation uses a
-    traceless ``H`` (so the fitted system's structural kernel direction is
-    orthogonal to the truth) and ``W1 = 0``, matching the regime in which
-    minimum-norm recovery is exact.
+    The truth is one :func:`constant_patch` whose first-order jets are
+    ``h^(1) = h0 H h0`` with a traceless ``H`` and ``V^(1) = W1 = 0``: the
+    fitted system's structural kernel direction is then orthogonal to the
+    truth, the regime in which minimum-norm recovery is exact.  The dataset
+    has ``scale_t = 2`` and first-order data at the default probes, with
+    ``t_pair = (1, 1)``.
     """
     rng = np.random.default_rng(seed)
     alpha = float(rng.uniform(0.5, 2.0))
     v0 = float(rng.uniform(-1.0, 1.0))
     h0 = random_spd(rng, n)
     H = traceless_symmetric(rng, n)
-    L = h0 @ H @ h0
     W1 = 0.0
-    v1_base = float(rng.uniform(-0.5, 0.5))
-    h1_base = rng.normal(size=(n, n))
-    h1_base = (h1_base + h1_base.T) / 2.0
-
-    patch1 = constant_patch(n, alpha, v0, h0, v1=v1_base, h1=h1_base, axes=axes)
-    # patch2 shares patch1's zeroth-order data, so h^(0) is judged and inverted once
-    shape = patch1.grid_shape
-    patch2 = patch1.with_first_order(
-        np.full(shape, v1_base + W1), np.tile(h1_base + L, shape + (1, 1))
-    )
-    lam1, lam2 = draw_admissible_energies(rng, patch1)
-
-    ds = forward_dataset(patch1, (lam1, lam2), patch2=patch2)
+    patch = constant_patch(n, alpha, v0, h0, v1=W1, h1=h0 @ H @ h0, axes=axes)
+    energies = draw_admissible_energies(rng, patch)
+    ds = forward_dataset(patch, energies)
     return SyntheticTruth(n=n, alpha=alpha, v0=v0, h0=h0, H=H, W1=W1), ds

@@ -19,7 +19,8 @@ at most three-dimensional for every supported ``n``.
 
 The first-order references build the angular samples and each point's full
 design entry by entry from the Hessian kernel ``radial_derivative_kernel``,
-and solve the design by one SVD per point;
+take a patch's first-order data by linear solves against its ``h0``, and
+solve the design by one SVD per point;
 :func:`scatjet.forward_scattering.singularity_coefficient` and
 :func:`scatjet.inversion.first_order_recovery` factor both instead, so they
 share only the profile factors and the order of the unknowns.
@@ -268,18 +269,32 @@ def radial_derivative_kernel(omega, sigma) -> np.ndarray:
     return p * (delta + q * (w[..., :, None] * w[..., None, :]))
 
 
-def kernel_singularity_coefficient(pd, alpha, sigma, t1, t2, probes) -> np.ndarray:
+def kernel_profile(n, H, T, W1, alpha, sigma, t1, t2, probes) -> np.ndarray:
     """``F = t1 sum_ij H_ij D_ij(omega) + t2 (W1 - alpha^2 (1-n) T / 4)`` from the kernel.
 
-    ``pd``, ``alpha`` and ``sigma`` broadcast against each other over the
-    grid; ``probes`` is a ``(P, n)`` array, and the result has shape
-    ``grid + (P,)``.
+    ``H`` (with trailing ``n x n`` axes), ``T``, ``W1``, ``alpha`` and
+    ``sigma`` broadcast against each other over the grid; ``probes`` is a
+    ``(P, n)`` array, and the result has shape ``grid + (P,)``.
     """
-    n = pd.n
     D = radial_derivative_kernel(probes, np.asarray(sigma)[..., None])
-    H = np.asarray(pd.H)[..., None, :, :]
-    const = pd.W1 - alpha * alpha * (1.0 - n) * pd.T / 4.0
+    H = np.asarray(H)[..., None, :, :]
+    const = W1 - alpha * alpha * (1.0 - n) * T / 4.0
     return t1 * np.sum(H * D, axis=(-2, -1)) + t2 * np.asarray(const)[..., None]
+
+
+def kernel_singularity_coefficient(patch, sigma, t1, t2, probes) -> np.ndarray:
+    """:func:`kernel_profile` of a patch's first-order jets.
+
+    ``H = h0^-1 h^(1) h0^-1`` and ``T = tr(h0^-1 h^(1))`` are solved from the
+    patch's ``h^(0)`` by ``np.linalg.solve``, not read off ``patch.h0_inv``;
+    ``W1`` is ``V^(1)``.
+    """
+    h0 = patch.h_jet[0]
+    solved = np.linalg.solve(h0, patch.h_jet[1])  # h0^-1 h^(1)
+    # (h0^-1 h^(1)) h0^-1 is the transpose of h0^-1 (h0^-1 h^(1))^T, h0 being symmetric
+    H = np.swapaxes(np.linalg.solve(h0, np.swapaxes(solved, -1, -2)), -1, -2)
+    T = np.trace(solved, axis1=-2, axis2=-1)
+    return kernel_profile(patch.n, H, T, patch.v_jet[1], patch.alpha, sigma, t1, t2, probes)
 
 
 def first_order_design(probes, sigma, t1, t2, alpha_sq, h0) -> np.ndarray:

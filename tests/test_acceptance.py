@@ -226,16 +226,15 @@ def test_acceptance_first_order_round_trip():
     # same round trip with t1, t2 actually computed from the limit integrals
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=20000)
     h0 = np.diag([2.0, 1.0])
-    patch1 = constant_patch(2, 1.1, 0.4, h0, v1=0.1)
     L = np.array([[0.5, 0.2], [0.2, -0.125]])  # h0^-1 L h0^-1 is traceless
-    patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=L)
+    patch = constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=L)
     en1, en2 = ComplexEnergy(4.0), ComplexEnergy(5.0)
-    sig = indicial_root(patch1, en1)[0, 0]
+    sig = indicial_root(patch, en1)[0, 0]
     t_pair = (
         t_limit_integral(1, sig, 2, spec).value,
         t_limit_integral(2, sig, 2, spec).value,
     )
-    ds = forward_dataset(patch1, (en1, en2), patch2=patch2, t_pair=t_pair)
+    ds = forward_dataset(patch, (en1, en2), t_pair=t_pair)
     report_q = layer_strip_driver(ds)
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
     gap_q = max(

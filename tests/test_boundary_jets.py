@@ -1,4 +1,4 @@
-"""Boundary patch construction, indicial roots, and jet differences."""
+"""Boundary patch construction, indicial roots, and a patch's first-order data."""
 import dataclasses
 import math
 import re
@@ -16,11 +16,12 @@ from scatjet.boundary_jets import (
     indicial_root,
     indicial_v0,
     lower_entries,
-    perturbation_coefficients,
 )
-from scatjet.errors import BranchCut, ConfigError, MismatchedBoundary, raise_first
-from scatjet.forward_scattering import principal_symbol
-from scatjet.synthetic import constant_patch, random_spd
+from scatjet.errors import MAX_ARRAY_VALUES, BranchCut, ConfigError, raise_first
+from scatjet.forward_scattering import default_probe_set, principal_symbol, singularity_coefficient
+from scatjet.synthetic import constant_patch, forward_dataset, random_spd
+
+from oracles import kernel_profile
 
 
 # -- ComplexEnergy ----------------------------------------------------------
@@ -182,8 +183,7 @@ def test_patch_leaves_the_callers_arrays_alone():
     v0, v1 = rng.normal(size=(2, 4, 5))
     h0 = np.tile(random_spd(rng, 2), (4, 5, 1, 1))
     h1 = np.tile(np.eye(2), (4, 5, 1, 1))
-    patch = BoundaryPatch(n=2, axes=(4, 5), alpha=alpha, v_jet=(v0,), h_jet=(h0,))
-    both = patch.with_first_order(v1, h1)
+    both = BoundaryPatch(n=2, axes=(4, 5), alpha=alpha, v_jet=(v0, v1), h_jet=(h0, h1))
     kept = [a.copy() for a in (alpha, v0, h0, v1, h1)]
     for arr in (alpha, v0, h0, v1, h1):
         assert arr.flags.writeable
@@ -421,6 +421,59 @@ def test_patch_from_dict_rejects_malformed():
             BoundaryPatch.from_dict({**good, key: value})
 
 
+def test_patch_from_dict_refuses_a_grid_past_the_bound():
+    """Metric fields of more than MAX_ARRAY_VALUES values are refused before any field is built."""
+    identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for n, axes, h0 in ((3, [10**6] * 3, identity), (1, [MAX_ARRAY_VALUES + 1], [[1.0]])):
+        spec = {"n": n, "axes": axes, "alpha": 1.0, "v_jet": [0.0], "h_jet": [h0]}
+        shape = (*axes, n, n)
+        message = (
+            f"the patch's axes ask for metric fields of shape {shape}, "
+            f"{math.prod(shape)} values, above the {MAX_ARRAY_VALUES} allowed"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BoundaryPatch.from_dict(spec)
+
+
+_PAST_DOUBLE = "1" + "0" * 400
+_NOT_FINITE = "v_jet[0] is not finite at grid index (0,)"
+
+
+@pytest.mark.parametrize(
+    "expr,v0,message",
+    [
+        ("10**20", 1e20, None),
+        ("2**-1", 0.5, None),
+        ("10**1000", None, _NOT_FINITE),
+        ("exp(1000)", None, _NOT_FINITE),
+        ("1e308*10", None, _NOT_FINITE),
+        ("(-1)**0.5", None, _NOT_FINITE),
+        ("1/(y1-y1)", None, _NOT_FINITE),
+        ("1e400", None, "literal 1e400 in '1e400' is past double range"),
+        (_PAST_DOUBLE, None, f"literal {_PAST_DOUBLE} in '{_PAST_DOUBLE}' is past double range"),
+    ],
+    ids=[
+        "int-power-past-int64",
+        "negative-int-power",
+        "int-power-past-double",
+        "exp-overflow",
+        "product-overflow",
+        "root-of-negative",
+        "division-by-zero",
+        "float-literal-past-double",
+        "int-literal-past-double",
+    ],
+)
+def test_patch_expression_literals_are_float64(expr, v0, message):
+    """Literals are float64: no integer wraparound, and no raw warning before a named refusal."""
+    spec = {"n": 1, "axes": [4], "alpha": 1.0, "v_jet": [expr], "h_jet": [[[1.0]]]}
+    if message is None:
+        assert BoundaryPatch.from_dict(spec).v_jet[0].tolist() == [v0] * 4
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BoundaryPatch.from_dict(spec)
+
+
 # -- indicial roots ---------------------------------------------------------
 
 
@@ -496,131 +549,68 @@ def test_indicial_continuity_in_lambda():
     assert diffs[1] / diffs[2] == pytest.approx(2.0, rel=0.1)
 
 
-# -- perturbation data ------------------------------------------------------
+# -- first-order data --------------------------------------------------------
+#
+# A patch's first-order data are its order-1 jets taken against its own
+# zeroth-order model: H = h0^-1 h^(1) h0^-1, T = tr(h0^-1 h^(1)), W1 = V^(1).
+# They are read through the samples of singularity_coefficient.
+
+_T_PAIR = (0.9 + 0.2j, 1.3 - 0.1j)
 
 
-def _patch_pair(n, h0, v1_delta=0.0, h1_delta=None, v0=0.25):
-    p1 = constant_patch(n, 1.0, v0, h0, v1=0.1, h1=np.zeros((n, n)))
-    h1 = np.zeros((n, n)) if h1_delta is None else h1_delta
-    p2 = constant_patch(n, 1.0, v0, h0, v1=0.1 + v1_delta, h1=h1)
-    return p1, p2
+def _samples(patch, sigma=2.4):
+    return singularity_coefficient(patch, sigma, *_T_PAIR, default_probe_set(patch.n))
+
+
+def _samples_of(patch, H, T, W1, sigma=2.4):
+    """The kernel oracle's samples of hand-computed data on the patch's grid."""
+    probes = default_probe_set(patch.n)
+    return kernel_profile(patch.n, H, T, W1, patch.alpha, sigma, *_T_PAIR, probes)
 
 
 def test_perturbation_identical_patches():
-    p1, p2 = _patch_pair(2, np.eye(2))
-    pd = perturbation_coefficients(p1, p2)
-    assert pd.H.shape == (4, 4, 2, 2) and pd.T.shape == (4, 4)
-    assert not pd.H.any()
-    assert not pd.T.any()
-    assert not pd.W1.any()
+    """Zero order-1 jets: the patch is its own zeroth-order model, and every sample is zero."""
+    patch = constant_patch(2, 1.0, 0.25, random_spd(np.random.default_rng(4), 2), v1=0.0)
+    F = _samples(patch)
+    assert F.shape == (4, 4, 4)
+    assert not F.any()
 
 
 def test_perturbation_identity_metric():
-    L = np.diag([2.0, -2.0])
-    p1, p2 = _patch_pair(2, np.eye(2), h1_delta=L)
-    pd = perturbation_coefficients(p1, p2)
-    np.testing.assert_allclose(pd.H, np.broadcast_to(L, (4, 4, 2, 2)), atol=1e-14)
-    np.testing.assert_allclose(pd.T, 0.0, atol=1e-14)
+    """With h0 = I the data are H = h^(1) and T = tr h^(1)."""
+    h1 = np.diag([2.0, -2.0])
+    patch = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.1, h1=h1)
+    np.testing.assert_allclose(_samples(patch), _samples_of(patch, h1, 0.0, 0.1), rtol=1e-14)
 
 
 def test_perturbation_worked_case():
     h0 = np.diag([4.0, 1.0])
-    L = np.array([[4.0, 2.0], [2.0, 1.0]])
-    p1, p2 = _patch_pair(2, h0, h1_delta=L, v1_delta=0.7)
-    pd = perturbation_coefficients(p1, p2)
-    np.testing.assert_allclose(pd.H[0, 0], [[0.25, 0.5], [0.5, 1.0]], atol=1e-14)
-    assert pd.T[0, 0] == pytest.approx(2.0)
-    assert pd.W1[0, 0] == pytest.approx(0.7)
-    # reconstruction invariant: h0 H h0 is the jet difference
-    np.testing.assert_allclose(h0 @ pd.H @ h0, np.broadcast_to(L, pd.H.shape), atol=1e-12)
+    h1 = np.array([[4.0, 2.0], [2.0, 1.0]])
+    patch = constant_patch(2, 1.0, 0.25, h0, v1=0.7, h1=h1)
+    H = np.array([[0.25, 0.5], [0.5, 1.0]])
+    np.testing.assert_allclose(_samples(patch), _samples_of(patch, H, 2.0, 0.7), rtol=1e-14)
 
 
 def test_perturbation_antisymmetric_under_swap():
+    """Swapping the patch and its zeroth-order model negates the jets, and every sample, exactly."""
     rng = np.random.default_rng(11)
     h0 = random_spd(rng, 3)
     sym = rng.standard_normal((3, 3))
-    L = sym + sym.T
-    p1, p2 = _patch_pair(3, h0, h1_delta=L, v1_delta=-0.4)
-    fwd = perturbation_coefficients(p1, p2)
-    rev = perturbation_coefficients(p2, p1)
-    np.testing.assert_allclose(fwd.H, -rev.H, atol=1e-13)
-    np.testing.assert_allclose(fwd.T, -rev.T, rtol=1e-12)
-    np.testing.assert_allclose(fwd.W1, -rev.W1, atol=1e-13)
-
-
-def test_perturbation_mismatched_zeroth_order():
-    p1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
-    p2 = constant_patch(2, 1.0, 0.30, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
-    with pytest.raises(MismatchedBoundary, match="V"):
-        perturbation_coefficients(p1, p2)
-    p3 = constant_patch(2, 1.0, 0.25, np.diag([1.0, 2.0]), v1=0.0, h1=np.zeros((2, 2)))
-    with pytest.raises(MismatchedBoundary):
-        perturbation_coefficients(p1, p3)
-
-
-def test_perturbation_mismatch_names_first_grid_index():
-    """Faults at (1, 2) and (2, 0): the first in C order is named, with its fields."""
-    p1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.0, h1=np.zeros((2, 2)))
-    alpha = p1.alpha.copy()
-    v0 = p1.v_jet[0].copy()
-    h0 = p1.h_jet[0].copy()
-    alpha[2, 0] = 1.5
-    v0[1, 2] = 0.5
-    h0[1, 2] = np.diag([1.0, 3.0])
-    p2 = BoundaryPatch(
-        n=2, axes=p1.axes, alpha=alpha, v_jet=(v0, p1.v_jet[1]), h_jet=(h0, p1.h_jet[1])
-    )
-    with pytest.raises(
-        MismatchedBoundary, match=r"disagree: V\^\(0\), h\^\(0\) at grid index \(1, 2\)$"
-    ):
-        perturbation_coefficients(p1, p2)
-
-
-def test_with_first_order_shares_the_judged_zeroth_order_data():
-    """A derived patch reuses h0_inv and gives the bits of a fully built one."""
-    rng = np.random.default_rng(5)
-    h0 = random_spd(rng, 3)
-    L = rng.standard_normal((3, 3))
-    L = L + L.T
-    p1, built = _patch_pair(3, h0, v1_delta=-0.4, h1_delta=L)
-    derived = p1.with_first_order(built.v_jet[1], built.h_jet[1])
-    assert derived.h0_inv is p1.h0_inv
-    assert derived.alpha is p1.alpha and derived.h_jet[0] is p1.h_jet[0]
-    assert not derived.h_jet[1].flags.writeable and not derived.v_jet[1].flags.writeable
-    want = perturbation_coefficients(p1, built)
-    got = perturbation_coefficients(p1, derived)
-    for name in ("H", "T", "W1"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-
-
-def test_with_first_order_checks_the_new_jets():
-    p1, _ = _patch_pair(2, np.eye(2))
-    v1, h1 = np.zeros((4, 4)), np.zeros((4, 4, 2, 2))
-    with pytest.raises(ConfigError, match=r"^first-order jets have shapes \(4, 3\) and"):
-        p1.with_first_order(v1[:, :3], h1)
-    with pytest.raises(ConfigError, match=r"expected \(4, 4\) and \(4, 4, 2, 2\)$"):
-        p1.with_first_order(v1, h1[..., :1])
-    h1[2, 1, 0, 1] = np.nan
-    with pytest.raises(
-        ConfigError, match=r"^h_jet\[1\] is not finite at grid index \(2, 1\), sample \(0, 1\)$"
-    ):
-        p1.with_first_order(v1, h1)
-    # the first grid point in C order with a non-finite entry is named
-    v1[1, 3] = np.inf
-    with pytest.raises(ConfigError, match=r"^v_jet\[1\] is not finite at grid index \(1, 3\)$"):
-        p1.with_first_order(v1, h1)
+    h1 = sym + sym.T
+    patch = constant_patch(3, 1.0, 0.25, h0, v1=-0.4, h1=h1)
+    swapped = constant_patch(3, 1.0, 0.25, h0, v1=0.4, h1=-h1)
+    np.testing.assert_array_equal(_samples(swapped), -_samples(patch))
 
 
 def test_perturbation_needs_first_order_jets():
-    p1 = constant_patch(2, 1.0, 0.25, np.eye(2))  # zeroth-order only
-    p2 = constant_patch(2, 1.0, 0.25, np.eye(2))
-    with pytest.raises(ConfigError):
-        perturbation_coefficients(p1, p2)
-
-
-def test_perturbation_layout_mismatch():
-    p1, _ = _patch_pair(2, np.eye(2))
-    q1, _ = _patch_pair(2, np.eye(2))
-    q1 = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.1, h1=np.zeros((2, 2)), axes=(6, 6))
-    with pytest.raises(MismatchedBoundary):
-        perturbation_coefficients(p1, q1)
+    """Order-1 entries in one jet alone are refused before any sampling, naming the other jet."""
+    patch = constant_patch(2, 1.0, 0.25, np.eye(2), v1=0.1)
+    for missing in ("v_jet", "h_jet"):
+        jets = {"v_jet": patch.v_jet, "h_jet": patch.h_jet, missing: getattr(patch, missing)[:1]}
+        one_sided = BoundaryPatch(n=2, axes=patch.axes, alpha=patch.alpha, **jets)
+        message = (
+            f"the patch has no order-1 entry in {missing}: first-order samples need "
+            "order-1 entries in both v_jet and h_jet"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            forward_dataset(one_sided, (ComplexEnergy(4.0), ComplexEnergy(5.0)))

@@ -304,12 +304,11 @@ def test_forward_file_packs_real_parts_only_for_exactly_real_arrays(tmp_path, la
     The file that ``forward`` writes decodes to the dataset built in memory, bit for bit.
     """
     h0 = np.diag([2.0, 1.0])
-    patch1 = constant_patch(2, 1.1, 0.4, h0, v1=0.1)
-    patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=0.1 * h0)
-    ds = forward_dataset(patch1, (ComplexEnergy(parse_complex(lam)), ComplexEnergy(5.0)), patch2=patch2)
-    p1, p2 = _write_patch(tmp_path, "p1.json", patch1), _write_patch(tmp_path, "p2.json", patch2)
+    patch = constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=0.1 * h0)
+    ds = forward_dataset(patch, (ComplexEnergy(parse_complex(lam)), ComplexEnergy(5.0)))
+    path = _write_patch(tmp_path, "p.json", patch)
     out = tmp_path / "ds.json"
-    argv = ["forward", "--patch", str(p1), "--patch2", str(p2), "--lam", lam, "--lam", "5"]
+    argv = ["forward", "--patch", str(path), "--lam", lam, "--lam", "5"]
     assert main([*argv, "--out", str(out)]) == 0
     text = out.read_text()
     assert text == canonical_json(ds.to_dict())
@@ -830,19 +829,15 @@ def _write_patch(tmp_path, name, patch):
 
 def test_cli_forward_invert_flow(tmp_path):
     h0 = np.diag([2.0, 1.0])
-    p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, h0, v1=0.1))
-    # L chosen so that H = h0^-1 L h0^-1 is traceless: then the truth is
+    # h^(1) chosen so that H = h0^-1 h^(1) h0^-1 is traceless: then the truth is
     # orthogonal to the fit's structural kernel and min-norm recovery is exact
     L = np.array([[0.5, 0.2], [0.2, -0.125]])
-    p2 = _write_patch(
-        tmp_path, "p2.json", constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=L)
-    )
+    path = _write_patch(tmp_path, "p.json", constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=L))
     ds_path = tmp_path / "ds.json"
     rc = main(
         [
             "forward",
-            "--patch", str(p1),
-            "--patch2", str(p2),
+            "--patch", str(path),
             "--lam", "4.0",
             "--lam", "5.0",
             "--out", str(ds_path),
@@ -891,19 +886,18 @@ _NOT_NUMBERS = _PROBES_SHAPE + r", got values that are not an array of numbers"
     ids=["not-unit", "three-components", "empty", "one-component", "ragged", "int-past-double"],
 )
 def test_cli_forward_rejects_bad_probes(tmp_path, caplog, probes, message):
-    p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.1))
-    p2 = _write_patch(tmp_path, "p2.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.2))
+    path = _write_patch(tmp_path, "p.json", constant_patch(2, 1.1, 0.4, np.eye(2), v1=0.1))
     probe_path = tmp_path / "probes.json"
     probe_path.write_text(json.dumps(probes))
     out = tmp_path / "ds.json"
-    argv = ["forward", "--patch", str(p1), "--patch2", str(p2), "--lam", "4.0", "--lam", "5.0"]
+    argv = ["forward", "--patch", str(path), "--lam", "4.0", "--lam", "5.0"]
     assert main([*argv, "--probes", str(probe_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert any(re.search(message, r.getMessage()) for r in caplog.records)
 
 
-def test_cli_forward_probes_need_a_second_patch(tmp_path, caplog):
-    """--probes without --patch2 is refused, not dropped from the dataset."""
+def test_cli_forward_probes_need_first_order_jets(tmp_path, caplog):
+    """--probes for a patch with no order-1 jets is refused, not dropped from the dataset."""
     p1 = _write_patch(tmp_path, "p1.json", constant_patch(2, 1.1, 0.4, np.eye(2)))
     probe_path = tmp_path / "probes.json"
     probe_path.write_text(json.dumps(default_probe_set(2).tolist()))
@@ -912,9 +906,33 @@ def test_cli_forward_probes_need_a_second_patch(tmp_path, caplog):
     assert main([*argv, "--probes", str(probe_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert any(
-        r.getMessage() == "probes given without patch2: the first-order samples need a second patch"
+        r.getMessage()
+        == "probes given for a patch with no order-1 jets: there are no first-order samples"
         for r in caplog.records
     )
+
+
+def test_cli_forward_refuses_order_one_entries_in_one_jet(tmp_path, caplog):
+    """A patch with an order-1 potential jet but no order-1 metric jet exits 2, naming h_jet."""
+    spec = {"n": 1, "axes": [4], "alpha": 1.0, "v_jet": [0.2, 0.1], "h_jet": [[[1.0]]]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "ds.json"
+    argv = ["forward", "--patch", str(path), "--lam", "4.0", "--lam", "5.0", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert any(
+        r.getMessage().startswith("the patch has no order-1 entry in h_jet") for r in caplog.records
+    )
+
+
+def test_cli_forward_has_no_second_patch(tmp_path, capsys):
+    """The first-order samples come from the one patch: --patch2 is an unrecognized argument."""
+    path = _write_patch(tmp_path, "p.json", constant_patch(2, 1.1, 0.4, np.eye(2)))
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--patch", str(path), "--patch2", str(path), "--lam", "4.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --patch2" in capsys.readouterr().err
 
 
 def test_cli_forward_requires_energy(tmp_path):
@@ -1097,12 +1115,12 @@ _FORWARD_OVERFLOWS = [
     ),
     *(
         (
-            ["forward", "--patch", "{alpha_one}", "--patch2", patch2, "--lam", "4", "--lam", "5"],
+            ["forward", "--patch", patch, "--lam", "4", "--lam", "5"],
             1,
             "singularity coefficient at probe (1.0, 0.0) leaves double range "
             "at grid index (0, 0), sample (0,)",
         )
-        for patch2 in ("{huge_first_order}", "{huge_trace}")
+        for patch in ("{huge_first_order}", "{huge_trace}")
     ),
 ]
 _FORWARD_OVERFLOW_IDS = [
@@ -1120,7 +1138,8 @@ def _with_patches(tmp_path, argv):
     A ``sets`` or ``forward`` run that names no patch gets ``alpha_one``.
     The patches are constant on a 4 x 4 grid with ``V0 = 0.2`` and
     ``h^(0) = I``: ``alpha_one`` (alpha = 1, zero first-order jets),
-    ``alpha_half`` (alpha = 0.5), and two with ``alpha_one``'s zeroth order:
+    ``alpha_half`` (alpha = 0.5, no first-order jets), and two with
+    ``alpha_one``'s zeroth order whose first-order samples overflow:
     ``huge_first_order`` (``V^(1) = 1e308``, ``h^(1) = diag(1e308, -1e308)``)
     and ``huge_trace`` (``h^(1) = diag(1e308, 1e308)``, whose trace overflows).
     """
@@ -1220,7 +1239,7 @@ def _with_patches(tmp_path, argv):
             ["sets", "--k-max", "10000000000000"],
             2,
             "k_max = 10000000000000 asks for a modes array of shape (4, 4, 10000000000001), "
-            "160000000000016 values, above the 16777216 allowed",
+            "160000000000016 values, above the 33554432 allowed",
         ),
         (["forward", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
         (["forward", "--lam", "4", "--scale-t", "nan"], 2, "scale_t=nan must be finite, positive"),
@@ -1271,6 +1290,55 @@ def test_cli_value_past_double_precision(tmp_path, caplog, argv, code, message):
     assert main([*argv, "--out", str(out)]) == code
     assert not out.exists()
     assert any(r.getMessage().startswith(message) for r in caplog.records)
+
+
+_HUGE_AXES = [10**6] * 3
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        *(
+            (
+                [command, "--patch", "{huge_axes}", *extra],
+                "the patch's axes ask for metric fields of shape (1000000, 1000000, 1000000, 3, 3), "
+                "9000000000000000000 values, above the 33554432 allowed",
+            )
+            for command, extra in (("sets", []), ("forward", ["--lam", "4"]))
+        ),
+        *(
+            (
+                ["verify", "green", "--n", "3", "--grid-size", str(points)],
+                f"a half-space grid of {points} points per axis asks, with its ghost layer, for "
+                f"arrays of shape {(points + 2,) * 4}, {(points + 2) ** 4} values, above the "
+                "33554432 allowed",
+            )
+            for points in (3000, 10000000)
+        ),
+    ],
+    ids=["sets-huge-axes", "forward-huge-axes", "verify-green-3000", "verify-green-10000000"],
+)
+def test_cli_input_sized_array_past_the_bound_exits_2(tmp_path, caplog, argv, message):
+    """An array sized by the input past MAX_ARRAY_VALUES is refused, by size, before allocation."""
+    identity = np.eye(3).tolist()
+    spec = {"n": 3, "axes": _HUGE_AXES, "alpha": 1.0, "v_jet": [0.0], "h_jet": [identity]}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert main([*(a.format(huge_axes=huge) for a in argv), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert any(r.getMessage() == message for r in caplog.records)
+
+
+def test_cli_process_patch_expression_warns_nothing_raw(tmp_path):
+    """An expression that leaves double range ends in the named refusal alone, exit 2."""
+    for expr in ("exp(1000)", "1e308*10", "(-1)**0.5", "1/(y1-y1)"):
+        spec = {"n": 1, "axes": [4], "alpha": 1.0, "v_jet": [expr], "h_jet": [[[1.0]]]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        proc = run_scatjet("sets", "--patch", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "ERROR scatjet.cli: v_jet[0] is not finite at grid index (0,)\n"
 
 
 def test_cli_integrals_i_underflow_exits_1(tmp_path, caplog):

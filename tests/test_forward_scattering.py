@@ -4,13 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from scatjet.boundary_jets import (
-    ComplexEnergy,
-    PerturbationData,
-    indicial_root,
-    perturbation_coefficients,
-    polarization_covectors,
-)
+from scatjet.boundary_jets import ComplexEnergy, indicial_root, polarization_covectors
 from scatjet.errors import GammaPole, ScatjetError, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
@@ -19,7 +13,7 @@ from scatjet.forward_scattering import (
     singularity_coefficient,
     symmetric_pairs,
 )
-from scatjet.synthetic import constant_patch, make_synthetic_pair
+from scatjet.synthetic import constant_patch, make_synthetic_pair, random_spd
 
 from oracles import (
     hessian_profile_sym,
@@ -27,12 +21,13 @@ from oracles import (
     radial_derivative_kernel,
     solve_log_norm,
 )
-from varying_patch import varying_patch_pair
+from varying_patch import varying_patch
 
 
-def _pd(n, H, T=0.0, W1=0.0):
-    """Hand-assembled perturbation data (fields used as given by the forward map)."""
-    return PerturbationData(n=n, H=np.asarray(H, dtype=float), T=T, W1=W1)
+def _jets(n, h1, v1=0.0, h0=None, alpha=1.0):
+    """A constant patch with first-order jets ``h1`` and ``v1`` (``h0 = I`` unless given)."""
+    h0 = np.eye(n) if h0 is None else h0
+    return constant_patch(n, alpha, 0.25, h0, v1=v1, h1=np.asarray(h1, dtype=float))
 
 
 # -- Gamma prefactor and symbol ---------------------------------------------
@@ -187,7 +182,7 @@ def test_symbol_zero_covector():
 
 def test_symbol_energy_axis_equals_one_energy_calls():
     """The energies share one norm pass, and each keeps the bits of its own call."""
-    patch, _, energies, _ = varying_patch_pair(seed=43)
+    patch, energies, _ = varying_patch(seed=43)
     xi = np.array([[[1.0, 0.0], [2.0, 0.0]], [[0.3, -1.7], [0.6, -3.4]]])
     for pair in (energies, (ComplexEnergy(2.0 + 3.0j), ComplexEnergy(1.5 - 0.5j))):
         both = principal_symbol(patch, xi, pair)[1]
@@ -198,7 +193,7 @@ def test_symbol_energy_axis_equals_one_energy_calls():
 
 def test_symbol_matches_pointwise_formula_on_varying_patch():
     """The grid evaluation against the closed form written out point by point."""
-    patch, _, energies, _ = varying_patch_pair(seed=41)
+    patch, energies, _ = varying_patch(seed=41)
     n = patch.n
     xi = np.array([[1.0, 0.0], [0.3, -1.7], [2.0, 2.0]])
     for en in energies:
@@ -316,19 +311,19 @@ def test_n_only_tables_are_shared_and_read_only():
 
 
 def test_singularity_zero_data():
-    pd = _pd(2, np.zeros((2, 2)))
-    F = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, [[1.0, 0.0]])
-    assert F.shape == (1,) and F[0] == 0.0
+    F = singularity_coefficient(_jets(2, np.zeros((2, 2))), 2.0, 1.0, 1.0, [[1.0, 0.0]])
+    assert F.shape == (4, 4, 1) and not F.any()
 
 
-def test_singularity_of_one_point_names_the_probe_alone():
-    """Scalar input has no grid: the refusal names the probe as the sample, and no grid index."""
-    pd = _pd(2, np.diag([1e308, 1e308]))
+def test_singularity_refusal_names_the_grid_index_and_the_probe():
+    """A sample past double range names the first grid index and, as the sample, the probe."""
+    patch = _jets(2, np.diag([1e308, 1e308]))
     with pytest.raises(
         ScatjetError,
-        match=r"^singularity coefficient at probe \(1\.0, 0\.0\) leaves double range at sample \(0,\)$",
+        match=r"^singularity coefficient at probe \(1\.0, 0\.0\) leaves double range "
+        r"at grid index \(0, 0\), sample \(0,\)$",
     ):
-        singularity_coefficient(pd, 1.0, 2.5, 1, 1, default_probe_set(2))
+        singularity_coefficient(patch, 2.5, 1, 1, default_probe_set(2))
 
 
 def test_singularity_linearity():
@@ -337,22 +332,26 @@ def test_singularity_linearity():
     H1 = H1 + H1.T
     H2 = rng.standard_normal((2, 2))
     H2 = H2 + H2.T
+    h0 = random_spd(rng, 2)
     omega = [[0.0, 1.0]]
-    args = (1.2, 2.3, 0.7 + 0.1j, 1.1, omega)
+    args = (2.3, 0.7 + 0.1j, 1.1, omega)
     a, b = 2.0, -0.5
-    f1 = singularity_coefficient(_pd(2, H1, W1=0.4), *args)
-    f2 = singularity_coefficient(_pd(2, H2, W1=-1.0), *args)
-    fc = singularity_coefficient(_pd(2, a * H1 + b * H2, W1=a * 0.4 + b * -1.0), *args)
-    assert fc == pytest.approx(a * f1 + b * f2, rel=1e-12)
+
+    def samples(h1, v1):
+        return singularity_coefficient(_jets(2, h1, v1, h0, alpha=1.2), *args)
+
+    f1 = samples(H1, 0.4)
+    f2 = samples(H2, -1.0)
+    fc = samples(a * H1 + b * H2, a * 0.4 + b * -1.0)
+    np.testing.assert_allclose(fc, a * f1 + b * f2, rtol=1e-12)
 
 
 def test_singularity_worked_identity_case():
-    # H = I, T = 2, W = 0, t1 = t2 = 1, sigma = 2, n = 2, omega = e1:
+    # h0 = I and h^(1) = I: H = I, T = 2, W = 0, t1 = t2 = 1, sigma = 2, n = 2, omega = e1:
     # sum H_ij D_ij = trace D = (3-4)(2+1-4) = 1, so F = 1 + alpha^2/2
     for alpha in (1.0, 1.3):
-        pd = _pd(2, np.eye(2), T=2.0)
-        (F,) = singularity_coefficient(pd, alpha, 2.0, 1.0, 1.0, [[1.0, 0.0]])
-        assert F == pytest.approx(1.0 + alpha**2 / 2.0, rel=1e-12)
+        F = singularity_coefficient(_jets(2, np.eye(2), alpha=alpha), 2.0, 1.0, 1.0, [[1.0, 0.0]])
+        np.testing.assert_allclose(F, 1.0 + alpha**2 / 2.0, rtol=1e-12)
 
 
 def test_singularity_quadratic_form_decomposition():
@@ -360,30 +359,25 @@ def test_singularity_quadratic_form_decomposition():
     rng = np.random.default_rng(13)
     H = rng.standard_normal((2, 2))
     H = H + H.T
-    pd = _pd(2, H, T=1.1, W1=0.6)
     sigma, t1, t2 = 2.4, 0.9 + 0.2j, 1.3
     A = t1 * (3 - 2 * sigma) * (1 - 2 * sigma)
     probes = default_probe_set(2)
-    F = singularity_coefficient(pd, 1.2, sigma, t1, t2, probes)
+    F = singularity_coefficient(_jets(2, H, 0.6, alpha=1.2), sigma, t1, t2, probes)[0, 0]
     consts = F - A * np.einsum("pi,ij,pj->p", probes, H, probes)
     assert np.max(np.abs(consts - consts[0])) <= 1e-10
 
 
 def test_singularity_all_ones_varies_with_probe():
-    pd = _pd(2, np.ones((2, 2)))
-    vals = singularity_coefficient(pd, 1.0, 2.0, 1.0, 1.0, default_probe_set(2))
-    assert vals.shape == (4,)
-    assert np.ptp(vals.real) > 0.5
+    vals = singularity_coefficient(_jets(2, np.ones((2, 2))), 2.0, 1.0, 1.0, default_probe_set(2))
+    assert vals.shape == (4, 4, 4)
+    assert np.ptp(vals[0, 0].real) > 0.5
 
 
 def test_singularity_consistent_with_patch_pipeline():
-    """End-to-end through perturbation_coefficients instead of synthetic data."""
+    """A patch's own jets, read against its zeroth order, give the worked samples."""
     h0 = np.diag([4.0, 1.0])
     L = np.array([[4.0, 2.0], [2.0, 1.0]])
-    p1 = constant_patch(2, 1.0, 0.25, h0, v1=0.1, h1=np.zeros((2, 2)))
-    p2 = constant_patch(2, 1.0, 0.25, h0, v1=0.1, h1=L)
-    pd = perturbation_coefficients(p1, p2)
-    F = singularity_coefficient(pd, p1.alpha, 2.0, 1.0, 1.0, [[1.0, 0.0]])
+    F = singularity_coefficient(_jets(2, L, 0.0, h0), 2.0, 1.0, 1.0, [[1.0, 0.0]])
     assert F.shape == (4, 4, 1)
     # H = [[.25,.5],[.5,1]], D = diag(2,-1) at e1: sum H D = .5 - 1 = -.5
     # trace term: -(1-n) alpha^2 T/4 = 2/4 = 0.5 with T = 2
@@ -392,62 +386,66 @@ def test_singularity_consistent_with_patch_pipeline():
 
 def test_singularity_over_a_varying_grid_matches_each_point():
     """The grid call equals the one-point formula at every point of a varying patch."""
-    patch1, patch2, energies, _ = varying_patch_pair(seed=29)
-    sigma = indicial_root(patch1, energies[0])
+    patch, energies, _ = varying_patch(seed=29)
+    sigma = indicial_root(patch, energies[0])
     probes = default_probe_set(2)
     t1, t2 = 0.9 + 0.2j, 1.3 - 0.1j
-    pd = perturbation_coefficients(patch1, patch2)
-    F = singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, probes)
-    assert F.shape == patch1.grid_shape + (len(probes),)
-    for idx in np.ndindex(*patch1.grid_shape):
-        h0 = patch1.h_jet[0][idx]
-        L = patch2.h_jet[1][idx] - patch1.h_jet[1][idx]
+    F = singularity_coefficient(patch, sigma, t1, t2, probes)
+    assert F.shape == patch.grid_shape + (len(probes),)
+    for idx in np.ndindex(*patch.grid_shape):
+        h0 = patch.h_jet[0][idx]
+        L = patch.h_jet[1][idx]
         H = np.linalg.solve(h0, np.linalg.solve(h0, L).T)
         T = np.trace(np.linalg.solve(h0, L))
         for k, w in enumerate(probes):
             s = sigma[idx]
             quad = (3 - 2 * s) * (np.trace(H) + (1 - 2 * s) * (w @ H @ w))
-            want = t1 * quad - t2 * patch1.alpha[idx] ** 2 * (1 - 2) * T / 4
+            want = t1 * quad - t2 * patch.alpha[idx] ** 2 * (1 - 2) * T / 4
             assert F[idx][k] == pytest.approx(want, rel=1e-12)
     # one (P, n) array of probes, nothing else
     for bad in ([[1.0]], [1.0, 0.0], [[[1.0, 0.0]]], np.zeros((0, 2))):
         with pytest.raises(ValueError, match=r"^omega: expected an array of shape \(P, 2\) with P >= 1"):
-            singularity_coefficient(pd, patch1.alpha, sigma, t1, t2, bad)
+            singularity_coefficient(patch, sigma, t1, t2, bad)
 
 
 def test_singularity_of_a_point_alone_has_the_bits_of_its_grid():
-    """A point's F alone equals its F in the grid bit for bit, so repeats are byte-identical."""
+    """A point's F, alone on a constant patch, equals its F in the grid bit for bit."""
     for seed in (29, 31, 37):
-        patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
-        pd = perturbation_coefficients(patch1, patch2)
-        sigma = indicial_root(patch1, energies[0])
+        patch, energies, _ = varying_patch(seed=seed)
+        sigma = indicial_root(patch, energies[0])
         args = (0.9 + 0.2j, 1.3 - 0.1j, default_probe_set(2))
-        grid = singularity_coefficient(pd, patch1.alpha, sigma, *args)
-        for idx in np.ndindex(*patch1.grid_shape):
-            one = PerturbationData(n=2, H=pd.H[idx], T=pd.T[idx], W1=pd.W1[idx])
-            alone = singularity_coefficient(one, patch1.alpha[idx], sigma[idx], *args)
-            assert alone.tobytes() == grid[idx].tobytes()
+        grid = singularity_coefficient(patch, sigma, *args)
+        for idx in np.ndindex(*patch.grid_shape):
+            alone = constant_patch(
+                2,
+                patch.alpha[idx],
+                patch.v_jet[0][idx],
+                patch.h_jet[0][idx],
+                v1=patch.v_jet[1][idx],
+                h1=patch.h_jet[1][idx],
+            )
+            F = singularity_coefficient(alone, sigma[idx], *args)
+            assert all(F[k].tobytes() == grid[idx].tobytes() for k in np.ndindex(4, 4))
 
 
 def _rounding_cases():
-    """``(patch, energies, pd)`` at ``make_synthetic_pair`` seeds 600-624 for n = 1..3
-    (the patch and ``pd`` rebuilt from the truth) and at the varying seeds 29, 31, 37."""
+    """``(patch, energies)`` at ``make_synthetic_pair`` seeds 600-624 for n = 1..3
+    (the patch rebuilt from the truth) and at the varying seeds 29, 31, 37."""
     for seed in range(600, 625):
         for n in (1, 2, 3):
             truth, ds = make_synthetic_pair(seed, n)
-            patch = constant_patch(n, truth.alpha, truth.v0, truth.h0)
-            H = np.broadcast_to(truth.H, patch.grid_shape + (n, n))
-            pd = PerturbationData(n=n, H=H, T=np.trace(truth.h0 @ truth.H), W1=truth.W1)
-            yield patch, tuple(ComplexEnergy(lam) for lam in ds.energies), pd
+            h1 = truth.h0 @ truth.H @ truth.h0
+            patch = constant_patch(n, truth.alpha, truth.v0, truth.h0, v1=truth.W1, h1=h1)
+            yield patch, tuple(ComplexEnergy(lam) for lam in ds.energies)
     for seed in (29, 31, 37):
-        patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
-        yield patch1, energies, perturbation_coefficients(patch1, patch2)
+        patch, energies, _ = varying_patch(seed=seed)
+        yield patch, energies
 
 
 def test_symbol_norms_match_the_solve_oracle():
     """Norms from the patch's kept inverse of h0 move each symbol by rounding only."""
     worst = 0.0
-    for patch, energies, _ in _rounding_cases():
+    for patch, energies in _rounding_cases():
         n = patch.n
         covectors = polarization_covectors(n)
         xi = np.stack([covectors, 2.0 * covectors], axis=1)
@@ -465,13 +463,16 @@ def test_symbol_norms_match_the_solve_oracle():
 
 
 def test_singularity_matches_the_kernel_oracle():
-    """F as the probe matrix times T u equals F from the Hessian kernel, to rounding."""
-    for patch, energies, pd in _rounding_cases():
+    """F as the probe matrix times T u equals F from the Hessian kernel, to rounding.
+
+    The oracle solves H and T from h0; the forward reads the patch's kept inverse.
+    """
+    for patch, energies in _rounding_cases():
         sigma = indicial_root(patch, energies[0])
         probes = default_probe_set(patch.n)
         for t1, t2 in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
-            got = singularity_coefficient(pd, patch.alpha, sigma, t1, t2, probes)
-            want = kernel_singularity_coefficient(pd, patch.alpha, sigma, t1, t2, probes)
+            got = singularity_coefficient(patch, sigma, t1, t2, probes)
+            want = kernel_singularity_coefficient(patch, sigma, t1, t2, probes)
             assert got.shape == want.shape == patch.grid_shape + (len(probes),)
             # at n = 1 a traceless H and W1 = 0 make F vanish: both read 0 exactly
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -8,16 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scatjet.boundary_jets import (
-    ComplexEnergy,
-    PerturbationData,
-    indicial_root,
-    polarization_covectors,
-)
+from scatjet.boundary_jets import ComplexEnergy, indicial_root, polarization_covectors
 from scatjet.dataset import SymbolDataset, canonical_json
 from scatjet.errors import (
     BranchAmbiguity,
@@ -55,7 +51,7 @@ from scatjet.synthetic import (
 )
 
 from oracles import first_order_design, first_order_svd_fit, per_sample_sigma_and_norm
-from varying_patch import varying_patch_pair
+from varying_patch import varying_patch
 
 
 def _symbol_pair(sigma, norm, t, n):
@@ -314,9 +310,8 @@ def test_a_complex_energy_keeps_complex128(lams):
     real, written as their real parts, and decode as float64.
     """
     h0 = np.diag([2.0, 1.0])
-    patch1 = constant_patch(2, 1.1, 0.4, h0, v1=0.1)
-    patch2 = constant_patch(2, 1.1, 0.4, h0, v1=0.1, h1=0.1 * h0)
-    ds = forward_dataset(patch1, tuple(ComplexEnergy(lam) for lam in lams), patch2=patch2)
+    patch = constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=0.1 * h0)
+    ds = forward_dataset(patch, tuple(ComplexEnergy(lam) for lam in lams))
     assert ds.symbols.dtype == ds.singularity.dtype == complex
     again = SymbolDataset.from_dict(json.loads(canonical_json(ds.to_dict())))
     assert again.symbols.dtype == complex
@@ -413,22 +408,33 @@ def test_sigma_checks_each_point_in_order():
 
 
 def test_sigma_stage_norms_match_the_per_sample_peel():
-    """Peeling once per point, at the mean root, moves each norm by rounding only."""
+    """Peeling once per point, at the mean root, moves each norm by rounding only.
+
+    Rounding here is a root's rounding carried through the peel: a move
+    ``d`` of sigma moves ``log |xi|`` by ``d (P'/P + 2 log |xi|) / (2 sigma - n)``,
+    with ``P'/P = -2 log 2 - psi(n/2 - sigma) - psi(sigma - n/2)`` the log
+    derivative of the Gamma prefactor, which grows near its poles.  The bar
+    is 8 ulps of that, per sample.
+    """
     cases = []
     for seed in range(600, 625):
         for n in (1, 2, 3):
             cases.append((n, make_synthetic_pair(seed, n)[1]))
     for seed in (29, 31, 37):
-        patch1, _, energies, _ = varying_patch_pair(seed=seed)
-        cases.append((2, forward_dataset(patch1, energies)))
+        patch, energies, _ = varying_patch(seed=seed)
+        cases.append((2, forward_dataset(patch, energies)))
     worst = 0.0
     for n, ds in cases:
         symbols = np.moveaxis(ds.symbols, 0, n)
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
         sigma, norm = per_sample_sigma_and_norm(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
         np.testing.assert_allclose(rec.sigma, sigma.mean(axis=-1), rtol=1e-15, atol=0)
-        worst = max(worst, np.max(np.abs(rec.norm / norm - 1.0)))
-    assert worst <= 1e-14
+        s = rec.sigma[..., None]
+        log_derivative = -2.0 * math.log(2.0) - digamma(n / 2.0 - s) - digamma(s - n / 2.0)
+        gain = np.abs(s) * np.abs(log_derivative + 2.0 * np.log(norm)) / np.abs(2.0 * s - n)
+        ulps = np.abs(rec.norm / norm - 1.0) / (np.finfo(float).eps * (1.0 + gain))
+        worst = max(worst, np.max(ulps))
+    assert worst <= 8
 
 
 def test_sigma_branch_ambiguity():
@@ -448,7 +454,7 @@ def test_sigma_phase_leak_detected():
     with pytest.raises(
         InconsistentData,
         match=r"^\[stage sigma\] log of the recovered covector norm has imaginary part "
-        r"1\.287e-01 above 1e-08: .* at grid index \(0, 0\), sample \(0, 0\)$",
+        r"1\.773e-01 above 1e-08: .* at grid index \(0, 0\), sample \(0, 0\)$",
     ):
         layer_strip_driver(dataclasses.replace(ds, symbols=ds.symbols * np.exp(1j)))
     # with 2 Im(sigma) log t past pi the root comes back off the principal log
@@ -738,11 +744,15 @@ def test_zeroth_order_refuses_a_root_axis_that_misses_an_energy():
 
 
 def _samples(H, W1, h0, alpha, sigma, t1, t2, probes=None):
-    """``(values, probes)``: the forward model's samples at one point."""
+    """``(values, probes)``: the forward model's samples at one point.
+
+    They are read at the first point of a constant patch whose first-order
+    jets are ``h^(1) = h0 H h0`` and ``V^(1) = W1``.
+    """
     n = H.shape[0]
-    pd = PerturbationData(n=n, H=H, T=float(np.trace(h0 @ H)), W1=W1)
+    patch = constant_patch(n, alpha, 0.0, h0, v1=W1, h1=h0 @ H @ h0)
     probes = default_probe_set(n) if probes is None else probes
-    return singularity_coefficient(pd, alpha, sigma, t1, t2, probes), probes
+    return singularity_coefficient(patch, sigma, t1, t2, probes)[(0,) * n], probes
 
 
 def test_first_order_zero_data():
@@ -841,11 +851,11 @@ def test_first_order_n1_kernel_direction():
 
 def test_first_order_grid_matches_each_point():
     """One call over a varying grid equals the one-point fit at every point."""
-    patch1, patch2, energies, _ = varying_patch_pair(seed=29)
-    ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(0.9 + 0.2j, 1.3 - 0.1j))
-    sigma = indicial_root(patch1, energies[0])
-    alpha_sq = patch1.alpha**2
-    h0 = patch1.h_jet[0]
+    patch, energies, _ = varying_patch(seed=29)
+    ds = forward_dataset(patch, energies, t_pair=(0.9 + 0.2j, 1.3 - 0.1j))
+    sigma = indicial_root(patch, energies[0])
+    alpha_sq = patch.alpha**2
+    h0 = patch.h_jet[0]
     args = (0.9 + 0.2j, 1.3 - 0.1j)
     grid = first_order_recovery(ds.singularity, ds.probes, sigma, *args, alpha_sq, h0)
     assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank == 3
@@ -920,11 +930,11 @@ def test_first_order_matches_svd_oracle_on_seeded_data():
             )
     for seed in (29, 31, 37):
         for t_pair in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
-            patch1, patch2, energies, _ = varying_patch_pair(seed=seed)
-            ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=t_pair)
-            sigma = indicial_root(patch1, energies[0])
+            patch, energies, _ = varying_patch(seed=seed)
+            ds = forward_dataset(patch, energies, t_pair=t_pair)
+            sigma = indicial_root(patch, energies[0])
             _assert_matches_svd_oracle(
-                ds.singularity, ds.probes, sigma, *t_pair, patch1.alpha**2, patch1.h_jet[0]
+                ds.singularity, ds.probes, sigma, *t_pair, patch.alpha**2, patch.h_jet[0]
             )
 
 
@@ -1285,16 +1295,16 @@ def test_driver_rejects_nan_symbol_pair():
 
 def test_driver_round_trip_on_varying_patch():
     """Every field recovered point by point where every field varies."""
-    patch1, patch2, energies, H = varying_patch_pair(seed=29)
-    ds = forward_dataset(patch1, energies, patch2=patch2, t_pair=(1.0 + 0j, 1.0 + 0j))
+    patch, energies, H = varying_patch(seed=29)
+    ds = forward_dataset(patch, energies, t_pair=(1.0 + 0j, 1.0 + 0j))
     report = layer_strip_driver(ds)
     assert report.status == "ok"
-    sigmas = [indicial_root(patch1, en) for en in energies]
+    sigmas = [indicial_root(patch, en) for en in energies]
     np.testing.assert_allclose(report.sigma1, sigmas[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.sigma2, sigmas[1], rtol=0, atol=1e-8)
-    np.testing.assert_allclose(report.h0, patch1.h_jet[0], rtol=0, atol=1e-8)
-    np.testing.assert_allclose(report.alpha_sq, patch1.alpha**2, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(report.v0, patch1.v_jet[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.h0, patch.h_jet[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.alpha_sq, patch.alpha**2, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.v0, patch.v_jet[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.H, H, rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.W1, 0.0, rtol=0, atol=1e-8)
 
@@ -1327,10 +1337,9 @@ def _truths(draw):
     h0 = (h0 + h0.T) / 2.0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     H = traceless_symmetric(rng, n)
-    patch1 = constant_patch(n, alpha, v0, h0, v1=0.1, h1=np.zeros((n, n)))
-    patch2 = constant_patch(n, alpha, v0, h0, v1=0.1, h1=h0 @ H @ h0)
-    energies = draw_admissible_energies(rng, patch1)
-    ds = forward_dataset(patch1, energies, patch2=patch2)
+    patch = constant_patch(n, alpha, v0, h0, v1=0.0, h1=h0 @ H @ h0)
+    energies = draw_admissible_energies(rng, patch)
+    ds = forward_dataset(patch, energies)
     ds = SymbolDataset.from_dict(json.loads(canonical_json(ds.to_dict())))
     return alpha * alpha, v0, h0, H, ds
 

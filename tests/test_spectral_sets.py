@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root
-from scatjet.errors import BranchCut, ConfigError
-from scatjet.spectral_sets import MAX_MODE_VALUES, exceptional_set, is_admissible
+from scatjet.errors import MAX_ARRAY_VALUES, BranchCut, ConfigError
+from scatjet.spectral_sets import exceptional_set, is_admissible
 from scatjet.synthetic import constant_patch
 
 
@@ -110,18 +110,18 @@ def test_modes_constant_patch_dedup_and_validation():
         _set_of(patch, k_max=-1)
 
 
-@pytest.mark.parametrize("k_max", [MAX_MODE_VALUES // 16, 10**13])
+@pytest.mark.parametrize("k_max", [MAX_ARRAY_VALUES // 16, 10**13])
 def test_modes_array_past_the_bound_is_refused_before_allocation(k_max):
-    """A ``(4, 4, k_max + 1)`` modes array of more than ``MAX_MODE_VALUES`` values is refused.
+    """A ``(4, 4, k_max + 1)`` modes array of more than ``MAX_ARRAY_VALUES`` values is refused.
 
-    ``MAX_MODE_VALUES // 16`` is the smallest ``k_max`` refused on 16 points;
+    ``MAX_ARRAY_VALUES // 16`` is the smallest ``k_max`` refused on 16 points;
     the screen, which needs no modes array, still runs at any ``k_max``.
     """
     es = _set_of(constant_patch(2, 1.0, 0.0, np.eye(2)), k_max=k_max)
     shape = (4, 4, k_max + 1)
     message = (
         f"k_max = {k_max} asks for a modes array of shape {shape}, "
-        f"{16 * (k_max + 1)} values, above the {MAX_MODE_VALUES} allowed"
+        f"{16 * (k_max + 1)} values, above the {MAX_ARRAY_VALUES} allowed"
     )
     with pytest.raises(ConfigError, match=re.escape(message)):
         es.modes_lambda_sq
