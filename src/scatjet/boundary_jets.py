@@ -336,11 +336,6 @@ class BoundaryPatch:
     def grid_shape(self) -> tuple[int, ...]:
         return self.axes
 
-    @property
-    def jet_order(self) -> int:
-        """Highest common Taylor order carried by both jets."""
-        return min(len(self.v_jet), len(self.h_jet)) - 1
-
     # -- construction -----------------------------------------------------
 
     @classmethod

@@ -111,7 +111,7 @@ def _field_csv(report) -> str:
         key = "-".join(str(i) for i in idx)
         a = float(report.alpha_sq[idx]) if report.alpha_sq is not None else float("nan")
         v = float(report.v0[idx]) if report.v0 is not None else float("nan")
-        s = complex(report.sigma1[idx])
+        s = complex(report.sigma[idx][0])
         lines.append(f"{key},{a!r},{v!r},{s.real!r},{s.imag!r}")
     return "\n".join(lines) + "\n"
 

@@ -5,12 +5,12 @@ callers (and the CLI) can distinguish numeric-stage failures from plain
 programming errors.  Names describe the failure mode, one class per mode.
 
 The module also holds the checks and helpers shared across modules: argument
-coercion, the grid checks (:func:`fold_last`, :func:`raise_first`), the
-dimension check, the one bound on the size of an input-sized array
-(:func:`check_array_size`), the one Gamma-pole rule (:func:`near_integer`) and
-the stage timer (:func:`timed`).  It needs numpy alone: only
-:mod:`~scatjet.forward_scattering` and :mod:`~scatjet.model_quadrature`,
-which evaluate Gamma, import scipy.
+coercion, the grid checks (:func:`fold_last`, :func:`raise_first` and its
+:class:`Residual`), the dimension check, the one bound on the size of an
+input-sized array (:func:`check_array_size`), the one Gamma-pole rule
+(:func:`near_integer`) and the stage timer (:func:`timed`).  It needs numpy
+alone: only :mod:`~scatjet.forward_scattering` and
+:mod:`~scatjet.model_quadrature`, which evaluate Gamma, import scipy.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ import json
 import logging
 import math
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,20 +125,53 @@ def fold_last(ufunc, a, k: int = 1):
     return out[()]
 
 
+@dataclass(frozen=True)
+class Residual:
+    """A per-point residual and its bound: the one record a refusal and a report both read.
+
+    ``values`` has the grid as its first ``n`` axes and a point's samples
+    along any others; ``bound`` broadcasts against it.  A value fails where it
+    is not ``<= bound``, so NaN fails; :func:`raise_first` then raises
+    ``error`` with ``message(i)``.
+    """
+
+    name: str
+    values: np.ndarray
+    bound: float | np.ndarray
+    error: type
+    message: Callable[[tuple[int, ...]], str]
+
+    def worst(self, n: int) -> dict:
+        """The largest value, its first index in C order, split as :func:`raise_first`
+        names a refusal into ``grid_index`` and ``sample``, and the ``bound`` there."""
+        values = np.asarray(self.values)
+        i = np.unravel_index(values.argmax(), values.shape)
+        return {
+            "worst": float(values[i]),
+            "grid_index": tuple(int(k) for k in i[:n]),
+            "sample": tuple(int(k) for k in i[n:]),
+            "bound": float(np.broadcast_to(self.bound, values.shape)[i]),
+        }
+
+
 def raise_first(n: int, checks) -> None:
     """Raise for the first failing point, in C order, of elementwise checks.
 
-    ``checks`` lists ``(failed, error_class, message)`` in the order one
-    point is checked: ``failed`` is a boolean scalar or array and
-    ``message(i)`` describes the failure at index ``i`` of its array.  The
-    points are the indices over the leading axes that every check has; a
-    check with more axes judges the samples of a point along them.  At the
-    first point where any check fails, the first check that fails there
-    raises, at its first failing index in that point.  For array input the
-    message ends with the grid index (the first ``n`` axes) and, when the
-    index has more axes, the sample index along them; with ``n = 0`` (one
-    point's scalars) it names the sample alone.
+    ``checks`` lists, in the order one point is checked, a :class:`Residual`
+    or a ``(failed, error_class, message)`` triple: ``failed`` is a boolean
+    scalar or array and ``message(i)`` describes the failure at index ``i``
+    of its array.  The points are the indices over the leading axes that
+    every check has; a check with more axes judges the samples of a point
+    along them.  At the first point where any check fails, the first check
+    that fails there raises, at its first failing index in that point.  For
+    array input the message ends with the grid index (the first ``n`` axes)
+    and, when the index has more axes, the sample index along them; with
+    ``n = 0`` (one point's scalars) it names the sample alone.
     """
+    checks = [
+        (~(np.asarray(c.values) <= c.bound), c.error, c.message) if isinstance(c, Residual) else c
+        for c in checks
+    ]
     masks = [np.asarray(failed, dtype=bool) for failed, _, _ in checks]
     depth = min(m.ndim for m in masks)
     shape = masks[0].shape[:depth]

@@ -8,8 +8,8 @@ Stage by stage:
    ``sigma_consistency`` residual), and their mean is the point's
    ``sigma``.  The Gamma prefactor is peeled once per point, at that mean,
    to expose each covector norm ``|xi|_{h0}``, which must come out finite
-   and real: a phase left on the samples is refused.  The stage runs real
-   division, ``log`` and Gamma prefactor on every element whose operands are
+   and real: a phase left on the samples (``sigma_phase``) is refused.  The
+   stage runs real division, ``log`` and Gamma prefactor on every element whose operands are
    real and finite, and the complex ones elsewhere, so the exactly real
    symbols of real energies give exactly real roots.
 2. ``metric_boundary_recovery`` refuses a negative norm, polarizes squared
@@ -22,7 +22,8 @@ Stage by stage:
    of every energy, real and imaginary parts as rows of one real least-squares
    problem per point, solved in closed form over the energy axis; a known
    ``alpha^2`` drops its column.  The misfit of the identities, in the units
-   of ``lambda^2``, must be at most 1e-8 and ``alpha^2`` positive.
+   of ``lambda^2``, is the ``zeroth_order_misfit`` residual; it must be at
+   most 1e-8 and ``alpha^2`` positive.
 4. ``first_order_recovery`` fits the first-order angular samples
    ``F(omega)`` by minimum-norm least squares in the unknowns ``(H, W)``.
    Its design is the forward map's factorization
@@ -30,7 +31,8 @@ Stage by stage:
    matrix, the same at every grid point, times a lower-triangular map per
    point, so one SVD of the probe matrix and a forward substitution per
    point give the fit, with no per-point SVD.  A fit past double range is
-   refused.
+   refused, and the driver refuses a ``first_order_fit`` residual above
+   1e-8 times the point's largest ``|F|``.
    The fit has a structural one-dimensional kernel: ``omega^T H omega`` is
    constant over unit probes when ``H`` is a multiple of the identity, so
    that direction trades off against the constant ``W`` term.  The design
@@ -45,7 +47,9 @@ stage to the first-order fit (its dot products and QR included), and give
 float64 fields; any complex input runs the complex arithmetic.
 ``layer_strip_driver``
 chains the stages over a full symbol dataset, one call per stage: the sigma
-and metric stages carry the energy axis after the grid axes.  The dataset
+and metric stages carry the energy axis after the grid axes.  Each residual
+judged against a bound is one :class:`~scatjet.errors.Residual`, which the
+refusal and the report both read.  The dataset
 holds the scattering data alone, so the energies are screened after stage 3,
 on the recovered ``alpha^2`` and ``V0``, at every grid point and mode order
 (:func:`~scatjet.spectral_sets.is_admissible`).
@@ -74,6 +78,7 @@ from .errors import (
     ConfigError,
     InconsistentData,
     NotPositiveDefinite,
+    Residual,
     ScatjetError,
     ZeroIntegralFactor,
     ZeroSymbol,
@@ -146,11 +151,12 @@ def _log(x):
 @dataclass(frozen=True)
 class SigmaRecovery:
     """The sigma stage per point: the root ``sigma`` and the ``spread`` of the
-    roots of its samples, and the covector ``norm`` of each sample."""
+    roots of its samples, and each sample's covector ``norm`` and ``phase``."""
 
     sigma: complex | np.ndarray
     norm: float | np.ndarray
-    spread: float | np.ndarray
+    spread: Residual
+    phase: Residual
 
 
 def recover_sigma_from_symbol(
@@ -207,6 +213,22 @@ def recover_sigma_from_symbol(
         norm = np.exp(w.real)
         phase = np.abs(w.imag)
     finite = np.isfinite(v) & np.isfinite(vt)
+    spread_check = Residual(
+        "sigma_consistency",
+        spread[()],
+        _SIGMA_SPREAD_TOL,
+        InconsistentData,
+        lambda i: f"sigma estimates disagree across covectors (spread {spread[i]:.3e})",
+    )
+    phase_check = Residual(
+        "sigma_phase",
+        phase[()],
+        _PHASE_TOL,
+        InconsistentData,
+        lambda i: "log of the recovered covector norm has imaginary part "
+        f"{phase[i]:.3e} above {_PHASE_TOL:g}: a phase on the samples, "
+        "or sigma off the principal log branch",
+    )
     raise_first(
         n,
         [
@@ -222,12 +244,7 @@ def recover_sigma_from_symbol(
                 lambda i: f"recovered Re sigma = {each.real[i]:.6g} below n/2 = {n / 2}; "
                 "no log branch restores the principal half-plane",
             ),
-            # written so that a NaN spread fails too
-            (
-                ~(spread <= _SIGMA_SPREAD_TOL),
-                InconsistentData,
-                lambda i: f"sigma estimates disagree across covectors (spread {spread[i]:.3e})",
-            ),
+            spread_check,
             pole_check,
             (power == 0, ZeroSymbol, lambda i: "prefactor-normalized sample is zero"),
             (
@@ -235,16 +252,10 @@ def recover_sigma_from_symbol(
                 InconsistentData,
                 lambda i: f"recovered covector norm {norm[i]} is not finite",
             ),
-            (
-                ~(phase <= _PHASE_TOL),
-                InconsistentData,
-                lambda i: "log of the recovered covector norm has imaginary part "
-                f"{phase[i]:.3e} above {_PHASE_TOL:g}: a phase on the samples, "
-                "or sigma off the principal log branch",
-            ),
+            phase_check,
         ],
     )
-    return SigmaRecovery(sigma=sigma[()], norm=norm[()], spread=spread[()])
+    return SigmaRecovery(sigma=sigma[()], norm=norm[()], spread=spread_check, phase=phase_check)
 
 
 def metric_boundary_recovery(norms, n: int) -> np.ndarray:
@@ -319,7 +330,8 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
     rows alone, so its fit centres them: ``V0 = alpha^2 mean(Re p) + mean(Re c)``,
     and ``alpha^2 = -sum(P C) / sum(P^2)`` over the rows ``P`` and ``C`` left
     (centred real parts, imaginary parts).  A known ``alpha_sq`` drops its
-    column.  ``misfit`` is the largest ``|alpha^2 P + C|``, per ``max(1, max |c|)``.
+    column.  ``misfit`` is the :class:`~scatjet.errors.Residual`
+    ``zeroth_order_misfit``: the largest ``|alpha^2 P + C|``, per ``max(1, max |c|)``.
 
     The first failing point raises :class:`InconsistentData`, checked in this
     order, NaN failing each, the first two with ``alpha^2`` unknown: an
@@ -356,6 +368,15 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
             column = varied = np.ones(alpha.shape, dtype=bool)
         v0 = alpha * p_mean + np.mean(c.real)
         misfit = fold_last(np.maximum, np.abs(alpha[..., None] * rows_p + rows_c)) / scale
+    misfit_check = Residual(
+        "zeroth_order_misfit",
+        misfit[()],
+        _MISFIT_TOL,
+        InconsistentData,
+        lambda i: f"no real alpha^2 and V0 fit the indicial identities: misfit "
+        f"{misfit[i]:.3e} above {_MISFIT_TOL:g} times max(1, |lambda^2 + n^2/4|) "
+        f"= {scale:.3e}",
+    )
     raise_first(
         n,
         [
@@ -371,13 +392,7 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
                 lambda i: "lambda^2 are real and coincide, yet the indicial products "
                 "sigma (n - sigma) differ: no alpha^2 > 0 fits",
             ),
-            (
-                ~(misfit <= _MISFIT_TOL),
-                InconsistentData,
-                lambda i: f"no real alpha^2 and V0 fit the indicial identities: misfit "
-                f"{misfit[i]:.3e} above {_MISFIT_TOL:g} times max(1, |lambda^2 + n^2/4|) "
-                f"= {scale:.3e}",
-            ),
+            misfit_check,
             (
                 ~(alpha > 0),
                 InconsistentData,
@@ -385,7 +400,7 @@ def zeroth_order_recovery(sigma, energies, n: int, alpha_sq: float | None = None
             ),
         ],
     )
-    return alpha[()], v0[()], misfit[()]
+    return alpha[()], v0[()], misfit_check
 
 
 # -- first-order stage ------------------------------------------------------
@@ -571,21 +586,22 @@ class InversionConfig:
 class RecoveryReport:
     """What the driver recovered; a field no stage reached is ``None``.
 
-    Grid fields have shape ``grid_shape``, plus ``(n, n)`` for ``h0`` and
-    ``H``; ``alpha_sq``, ``v0`` and ``h0`` are always float64, and
-    ``sigma1``, ``sigma2``, ``H``, ``W1`` and each ``kernel_basis`` ``H`` are
-    float64 for real data (real energies, float samples, real ``t_pair``)
-    and complex128 otherwise.  :meth:`to_dict` writes each as the base64
-    string of :func:`~scatjet.dataset.pack_array`, so a float field, or a
-    complex one whose imaginary parts are all ``+0.0``, is written as its
-    real parts and any other as ``re, im`` pairs.
+    Grid fields have shape ``grid_shape``, plus ``(E,)`` for ``sigma``, the
+    root at each energy, and ``(n, n)`` for ``h0`` and ``H``; ``alpha_sq``,
+    ``v0`` and ``h0`` are always float64, and ``sigma``, ``H``, ``W1`` and
+    each ``kernel_basis`` ``H`` are float64 for real data (real energies,
+    float samples, real ``t_pair``) and complex128 otherwise.
+    :meth:`to_dict` writes each as the base64 string of
+    :func:`~scatjet.dataset.pack_array`, so a float field, or a complex one
+    whose imaginary parts are all ``+0.0``, is written as its real parts and
+    any other as ``re, im`` pairs.  ``residuals`` maps each judged
+    :class:`~scatjet.errors.Residual` by name to its ``worst`` summary.
     """
 
     n: int
     grid_shape: tuple[int, ...]
     status: str
-    sigma1: np.ndarray | None = None
-    sigma2: np.ndarray | None = None
+    sigma: np.ndarray | None = None
     h0: np.ndarray | None = None
     alpha_sq: np.ndarray | None = None
     v0: np.ndarray | None = None
@@ -601,10 +617,10 @@ class RecoveryReport:
             "n": self.n,
             "grid_shape": list(self.grid_shape),
             "status": self.status,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "residuals": self.residuals,
             "notes": list(self.notes),
         }
-        for name in ("sigma1", "sigma2", "alpha_sq", "v0", "h0", "H", "W1"):
+        for name in ("sigma", "alpha_sq", "v0", "h0", "H", "W1"):
             val = getattr(self, name)
             out[name] = None if val is None else pack_array(val)
         out["design_rank"] = self.design_rank
@@ -629,10 +645,11 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     the branch cut, in ``notes`` and no fields.  With one energy and
     ``alpha^2`` unknown the driver stops at ``h0``, and ``notes`` says the
     screen did not run.
-    ``h0`` is the metric at the first energy; ``h0_cross_energy`` is its
-    largest gap to the metric at any other energy.  That gap and the
-    first-order fit residual are judged here, each so that NaN fails:
-    a metric gap above 1e-8 times the point's largest ``|h0|`` entry raises
+    ``sigma`` holds the root at every energy and ``h0`` is the metric at the
+    first; ``h0_cross_energy`` is its largest gap to the metric at any
+    energy, 0 at one energy.  That gap and the first-order fit residual are
+    judged here, each a :class:`~scatjet.errors.Residual`: a metric gap
+    above 1e-8 times the point's largest ``|h0|`` entry raises
     :class:`InconsistentData` in the metric stage, naming the grid index and
     the energy index, and a fit residual above 1e-8 times the point's largest
     ``|F|`` raises it in the first-order stage, naming the grid index.  Jets
@@ -650,50 +667,42 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
 
     # ComplexEnergy refuses a lambda whose square overflows
     energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
-    single_energy = len(energies) == 1
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
     with _stage("sigma"):
         # (*grid, E, C, 2): a failure names the grid index and the sample (energy,
         # covector), or the energy alone for the spread and the pole
         symbols = np.moveaxis(dataset.symbols, 0, n)
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], dataset.scale_t, n)
-    report.residuals["sigma_consistency"] = float(rec.spread.max())
-    sigma1 = report.sigma1 = rec.sigma[..., 0]
-    if not single_energy:
-        report.sigma2 = rec.sigma[..., 1]
+    report.sigma = rec.sigma
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
     with _stage("metric"):
         h0_fields = metric_boundary_recovery(rec.norm, n)
-        h0_field = h0_fields[..., 0, :, :]
-        if not single_energy:
-            # (*grid, E): each energy's largest gap to the metric at energy 0
-            with np.errstate(all="ignore"):
-                gaps = fold_last(np.maximum, np.abs(h0_fields - h0_field[..., None, :, :]), 2)
-                scale = fold_last(np.maximum, np.abs(h0_field), 2)
-            raise_first(
-                n,
-                [
-                    # written so that a NaN gap fails too
-                    (
-                        ~(gaps <= _CROSS_ENERGY_TOL * scale[..., None]),
-                        InconsistentData,
-                        lambda i: f"metric at energy index {i[n]} differs from energy 0's by "
-                        f"{gaps[i]:.3e}, more than {_CROSS_ENERGY_TOL:g} times the largest "
-                        f"|h0| entry {scale[i[:n]]:.3e}",
-                    )
-                ],
-            )
-    report.h0 = h0_field
-    if not single_energy:
-        report.residuals["h0_cross_energy"] = float(np.max(gaps))
+        h0 = h0_fields[..., 0, :, :]
+        # (*grid, E): each energy's largest gap to the metric at energy 0
+        with np.errstate(all="ignore"):
+            gaps = fold_last(np.maximum, np.abs(h0_fields - h0[..., None, :, :]), 2)
+            h0_scale = fold_last(np.maximum, np.abs(h0), 2)
+        gap = Residual(
+            "h0_cross_energy",
+            gaps,
+            _CROSS_ENERGY_TOL * h0_scale[..., None],
+            InconsistentData,
+            lambda i: f"metric at energy index {i[n]} differs from energy 0's by "
+            f"{gaps[i]:.3e}, more than {_CROSS_ENERGY_TOL:g} times the largest "
+            f"|h0| entry {h0_scale[i[:n]]:.3e}",
+        )
+        raise_first(n, [gap])
+    report.h0 = h0
+    judged = [rec.spread, rec.phase, gap]
 
-    if single_energy and a2 is None:
+    if len(energies) == 1 and a2 is None:
         report.status = "partial: sigma and h0 only (one energy, alpha unknown)"
         report.notes += [
             "a second energy or a known alpha^2 is required for the zeroth-order algebra",
             "admissibility screen not run: alpha^2 is unknown",
         ]
+        report.residuals = {r.name: r.worst(n) for r in judged}
         return report
 
     log.info("zeroth-order stage: least squares of alpha^2 s(n-s) - V0 = -(l^2 + n^2/4)")
@@ -709,7 +718,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             return RecoveryReport(n, shape, status="refused", notes=[adm.reason])
     report.alpha_sq = alpha_field
     report.v0 = v0_field
-    report.residuals["zeroth_order_realness"] = float(np.max(misfit))
+    judged.append(misfit)
 
     if dataset.singularity is not None:
         log.info(
@@ -717,29 +726,29 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         )
         with _stage("first-order"):
             fo = first_order_recovery(
-                dataset.singularity, dataset.probes, sigma1, *dataset.t_pair, alpha_field, h0_field
+                dataset.singularity, dataset.probes, rec.sigma[..., 0], *dataset.t_pair,
+                alpha_field, h0
             )
-            scale = fold_last(np.maximum, np.abs(dataset.singularity))
-            raise_first(
-                n,
-                [
-                    # written so that a NaN residual fails and an all-zero F passes
-                    (
-                        ~(fo.residual <= _FIT_TOL * scale),
-                        InconsistentData,
-                        lambda i: f"first-order fit residual {fo.residual[i]:.3e} is more than "
-                        f"{_FIT_TOL:g} times the largest |F| {scale[i]:.3e}: the samples do "
-                        "not fit the first-order model",
-                    )
-                ],
+            f_scale = fold_last(np.maximum, np.abs(dataset.singularity))
+            # an all-zero F passes with its zero residual
+            fit = Residual(
+                "first_order_fit",
+                fo.residual,
+                _FIT_TOL * f_scale,
+                InconsistentData,
+                lambda i: f"first-order fit residual {fo.residual[i]:.3e} is more than "
+                f"{_FIT_TOL:g} times the largest |F| {f_scale[i]:.3e}: the samples do "
+                "not fit the first-order model",
             )
+            raise_first(n, [fit])
         report.H = fo.H
         report.W1 = fo.W1
-        report.residuals["first_order_fit"] = float(np.max(fo.residual))
+        judged.append(fit)
         report.design_rank = fo.design_rank
         # the kernel directions, as seen at the last grid index
         report.kernel_basis = fo.kernel_basis(tuple(m - 1 for m in shape))
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
     report.status = "ok"
+    report.residuals = {r.name: r.worst(n) for r in judged}
     return report

@@ -386,7 +386,7 @@ def test_patch_from_dict_expressions_round_trip():
         "h_jet": [[["1"]], [["0"]]],
     }
     patch = BoundaryPatch.from_dict(raw)
-    assert patch.jet_order == 1
+    assert len(patch.v_jet) == len(patch.h_jet) == 2
     y = 2 * np.pi * np.arange(8) / 8
     np.testing.assert_allclose(patch.alpha, 1 + 0.5 * np.cos(y))
     # the same fields as explicit per-grid-point arrays give the same patch

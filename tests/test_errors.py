@@ -1,5 +1,7 @@
 """``raise_first``: the first failing point in C order, then the first failing check.
 
+``Residual``: a bounded check that ``raise_first`` judges and a report summarizes.
+
 ``fold_last``: numpy's reduce over short trailing axes, one elementwise call per slice.
 """
 import math
@@ -11,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scatjet.errors import BranchCut, InconsistentData, ZeroSymbol, fold_last, raise_first
+from scatjet.errors import (
+    BranchCut,
+    InconsistentData,
+    Residual,
+    ZeroSymbol,
+    fold_last,
+    raise_first,
+)
 
 
 def _checks(point_mask, sample_mask):
@@ -26,6 +35,44 @@ def test_raise_first_returns_none_when_every_check_passes():
     checks = _checks(np.zeros((3, 4), bool), np.zeros((3, 4, 5), bool))
     assert raise_first(2, checks) is None
     assert raise_first(2, [(False, BranchCut, lambda i: "scalar")]) is None
+
+
+def test_a_residual_fails_where_it_is_not_within_its_bound():
+    """A Residual is judged as the triple ``(~(values <= bound), error, message)``:
+    NaN fails, and the bound broadcasts against the values."""
+    values = np.zeros((3, 4, 2))
+    bound = np.full((3, 4, 1), 1e-8)
+    record = Residual("gap", values, bound, InconsistentData, lambda i: f"gap {values[i]}")
+    assert raise_first(2, [record]) is None
+    values[1, 2, 1] = 1e-8
+    assert raise_first(2, [record]) is None
+    values[2, 0, 1] = math.nan
+    values[2, 1, 0] = 1.0
+    triple = (~(values <= bound), InconsistentData, record.message)
+    for check in (record, triple):
+        with pytest.raises(
+            InconsistentData, match=r"^gap nan at grid index \(2, 0\), sample \(1,\)$"
+        ):
+            raise_first(2, [check])
+
+
+def test_a_residual_reports_its_worst_value_where_it_first_sits():
+    values = np.array([[0.0, 3.0], [3.0, 1.0]])
+    bound = np.array([[1.0], [2.0]]) * 10
+    record = Residual("r", values, bound, InconsistentData, lambda i: "")
+    assert record.worst(1) == {"worst": 3.0, "grid_index": (0,), "sample": (1,), "bound": 10.0}
+    assert record.worst(2)["grid_index"] == (0, 1) and record.worst(2)["sample"] == ()
+    assert Residual("s", np.float64(0.5), 1.0, InconsistentData, str).worst(0) == {
+        "worst": 0.5, "grid_index": (), "sample": (), "bound": 1.0
+    }
+
+
+def test_a_scalar_residual_is_judged_like_an_array():
+    assert raise_first(0, [Residual("s", 0.5, 1.0, BranchCut, lambda i: "s")]) is None
+    with pytest.raises(BranchCut, match="^s$"):
+        raise_first(0, [Residual("s", 1.5, 1.0, BranchCut, lambda i: "s")])
+    with pytest.raises(BranchCut, match="^s$"):
+        raise_first(0, [Residual("s", math.nan, 1.0, BranchCut, lambda i: "s")])
 
 
 def test_raise_first_refuses_a_mis_shaped_check_list_that_passes():

@@ -276,7 +276,7 @@ def test_real_energies_give_exactly_real_symbols_and_roots():
                 assert d.symbols.dtype == d.singularity.dtype == np.float64
             report = layer_strip_driver(ds)
             assert report.status == "ok"
-            fields = ("sigma1", "sigma2", "alpha_sq", "v0", "h0", "H", "W1")
+            fields = ("sigma", "alpha_sq", "v0", "h0", "H", "W1")
             for name in fields:
                 assert getattr(report, name).dtype == np.float64, name
             assert all(H.dtype == np.float64 for H, _ in report.kernel_basis)
@@ -288,7 +288,7 @@ def test_real_energies_give_exactly_real_symbols_and_roots():
                 )
             )
             assert widened.status == "ok"
-            for name in fields[:5]:
+            for name in fields[:4]:
                 got, want = getattr(report, name), getattr(widened, name)
                 assert not np.any(np.imag(want)), name
                 assert np.real(want).tobytes() == got.tobytes(), name
@@ -318,7 +318,7 @@ def test_a_complex_energy_keeps_complex128(lams):
     assert again.singularity.dtype == (np.float64 if lams[0] == 4.0 else complex)
     report = layer_strip_driver(ds)
     assert report.status == "ok"
-    for name in ("sigma1", "sigma2", "H", "W1"):
+    for name in ("sigma", "H", "W1"):
         assert getattr(report, name).dtype == complex, name
     for name in ("alpha_sq", "v0", "h0"):
         assert getattr(report, name).dtype == np.float64, name
@@ -383,7 +383,7 @@ def test_sigma_checks_each_point_in_order():
     values = np.full((2, 2, 3), v)
     txi = np.full((2, 2, 3), vt)
     rec = recover_sigma_from_symbol(values, txi, 2.0, 2)
-    assert rec.sigma.shape == rec.spread.shape == (2, 2) and rec.norm.shape == (2, 2, 3)
+    assert rec.sigma.shape == rec.spread.values.shape == (2, 2) and rec.norm.shape == (2, 2, 3)
     # at (0, 1) a phase on sample 0 and a root off the others' on sample 1
     values[0, 1, 0] *= np.exp(0.3j)
     txi[0, 1, 0] *= np.exp(0.3j)
@@ -647,7 +647,7 @@ def test_two_energy_worked_example():
     a2, v0, misfit = zeroth_order_recovery(sigma, _ENERGIES_3J_5J, 2)
     assert a2 == pytest.approx(1.69, abs=1e-12)
     assert v0 == pytest.approx(0.7, abs=1e-12)
-    assert misfit <= 1e-12
+    assert misfit.values <= 1e-12
 
 
 def test_two_energy_degenerate():
@@ -679,7 +679,7 @@ def test_zeroth_order_solves_complex_lambda_sq_from_the_imaginary_rows(lams):
     a2, v0, misfit = zeroth_order_recovery(sigma, energies, 2)
     np.testing.assert_allclose(a2, 1.69, rtol=0, atol=1e-12)
     np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
-    assert np.max(misfit) <= 1e-14
+    assert np.max(misfit.values) <= 1e-14
 
 
 def test_two_energy_singular_system():
@@ -711,8 +711,8 @@ def test_zeroth_order_matches_the_two_energy_formula():
     cramer = (l2 - l1) / (p1 - p2)
     np.testing.assert_allclose(a2, cramer.real, rtol=1e-13)
     np.testing.assert_allclose(v0, (l1 + 1 + cramer * p1).real, rtol=0, atol=1e-12)
-    assert a2.dtype == v0.dtype == misfit.dtype == np.float64
-    assert np.max(misfit) <= 1e-14
+    assert a2.dtype == v0.dtype == misfit.values.dtype == np.float64
+    assert np.max(misfit.values) <= 1e-14
 
 
 def test_zeroth_order_with_a_known_alpha_sq_fits_v0_alone():
@@ -723,7 +723,7 @@ def test_zeroth_order_with_a_known_alpha_sq_fits_v0_alone():
     a2, v0, misfit = zeroth_order_recovery(sigma, energies, 2, alpha_sq=1.69)
     np.testing.assert_array_equal(a2, 1.69)
     np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
-    assert np.max(misfit) <= 1e-14
+    assert np.max(misfit.values) <= 1e-14
     # coinciding energies are no obstacle when alpha^2 is known
     a2, v0, _ = zeroth_order_recovery(sigma[..., [0, 0]], energies[:1] * 2, 2, alpha_sq=1.69)
     np.testing.assert_allclose(v0, 0.7, rtol=0, atol=1e-12)
@@ -926,7 +926,12 @@ def test_first_order_matches_svd_oracle_on_seeded_data():
             _, ds = make_synthetic_pair(seed, n)
             report = layer_strip_driver(ds)
             _assert_matches_svd_oracle(
-                ds.singularity, ds.probes, report.sigma1, *ds.t_pair, report.alpha_sq, report.h0
+                ds.singularity,
+                ds.probes,
+                report.sigma[..., 0],
+                *ds.t_pair,
+                report.alpha_sq,
+                report.h0,
             )
     for seed in (29, 31, 37):
         for t_pair in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
@@ -999,8 +1004,8 @@ def test_driver_round_trip():
     np.testing.assert_allclose(report.v0, truth.v0, atol=1e-8)
     np.testing.assert_allclose(report.H[0, 0], truth.H, atol=1e-8)
     assert np.max(np.abs(report.W1)) <= 1e-8
-    assert report.residuals["sigma_consistency"] <= 1e-8
-    assert report.residuals["h0_cross_energy"] <= 1e-8
+    assert report.residuals["sigma_consistency"]["worst"] <= 1e-8
+    assert report.residuals["h0_cross_energy"]["worst"] <= 1e-8
     assert any("jets of order" in note for note in report.notes)
 
 
@@ -1029,7 +1034,7 @@ def test_driver_known_alpha_checks_realness():
     ds = forward_dataset(patch, (ComplexEnergy(3 + 0.5j),))
     report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
     np.testing.assert_allclose(report.v0, 0.4, atol=1e-8)
-    assert report.residuals["zeroth_order_realness"] <= 1e-12
+    assert report.residuals["zeroth_order_misfit"]["worst"] <= 1e-12
     with pytest.raises(
         InconsistentData,
         match=r"\[stage zeroth-order\] no real alpha\^2 and V0 fit the indicial identities: "
@@ -1047,7 +1052,7 @@ def test_driver_known_alpha_with_two_energies():
     assert report.status == "ok"
     np.testing.assert_array_equal(report.alpha_sq, 1.1**2)
     np.testing.assert_allclose(report.v0, 0.4, rtol=0, atol=1e-12)
-    assert report.residuals["zeroth_order_realness"] <= 1e-14
+    assert report.residuals["zeroth_order_misfit"]["worst"] <= 1e-14
     with pytest.raises(
         InconsistentData, match=r"^\[stage zeroth-order\] no real alpha\^2 and V0 fit"
     ):
@@ -1081,7 +1086,54 @@ def test_driver_fits_three_consistent_energies():
     np.testing.assert_allclose(report.v0, 0.3, rtol=0, atol=1e-12)
     h0 = np.broadcast_to(np.diag([2.0, 1.0]), report.h0.shape)
     np.testing.assert_allclose(report.h0, h0, rtol=0, atol=1e-12)
-    assert report.residuals["zeroth_order_realness"] <= 1e-14
+    assert report.residuals["zeroth_order_misfit"]["worst"] <= 1e-14
+
+
+def test_driver_reports_sigma_at_every_energy():
+    """A third energy's roots are reported, not dropped: ``sigma`` is one (*grid, E) field."""
+    patch = constant_patch(2, 1.3, 0.7, np.eye(2))
+    energies = tuple(ComplexEnergy(lam) for lam in (3.5, 4.5, 5.5))
+    report = layer_strip_driver(forward_dataset(patch, energies))
+    assert report.status == "ok", report.notes
+    assert report.sigma.shape == (4, 4, 3)
+    for e, en in enumerate(energies):
+        want = indicial_root(patch, en)
+        np.testing.assert_allclose(report.sigma[..., e], want, rtol=0, atol=1e-12)
+
+
+def test_driver_residuals_name_where_their_worst_value_sits():
+    """Each residual reports its largest value, that value's grid index and sample, and
+    the bound there: a nudge to one symbol of energy 1 shows in the sigma spread and the
+    metric gap at that point, well inside both bounds."""
+    _, ds = make_synthetic_pair(seed=7, n=2)
+    symbols = ds.symbols.copy()
+    symbols[1, 2, 3, 0, 1] *= 1 + 1e-9
+    report = layer_strip_driver(dataclasses.replace(ds, symbols=symbols))
+    assert report.status == "ok", report.notes
+    assert sorted(report.residuals) == [
+        "first_order_fit", "h0_cross_energy", "sigma_consistency", "sigma_phase",
+        "zeroth_order_misfit",
+    ]
+    for name in ("sigma_consistency", "h0_cross_energy"):
+        record = report.residuals[name]
+        assert (record["grid_index"], record["sample"]) == ((2, 3), (1,)), name
+        assert 0 < record["worst"] <= record["bound"], name
+    assert report.residuals["sigma_consistency"]["bound"] == 1e-6
+    assert report.residuals["sigma_phase"]["sample"] == (0, 0)
+    assert report.residuals["first_order_fit"]["sample"] == ()
+    # the JSON report writes each record as an object, its indices as lists
+    written = json.loads(canonical_json(report.to_dict()))["residuals"]["h0_cross_energy"]
+    assert written["grid_index"] == [2, 3] and written["sample"] == [1]
+    assert written["worst"] == report.residuals["h0_cross_energy"]["worst"]
+
+
+def test_driver_judges_the_metric_gap_at_one_energy():
+    """At one energy the metric gap is built and judged too, and reads 0 everywhere."""
+    patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
+    report = layer_strip_driver(forward_dataset(patch, (ComplexEnergy(4.0),)))
+    assert report.status.startswith("partial") and report.sigma.shape == (4, 4, 1)
+    assert sorted(report.residuals) == ["h0_cross_energy", "sigma_consistency", "sigma_phase"]
+    assert report.residuals["h0_cross_energy"]["worst"] == 0.0
 
 
 def test_driver_refuses_inadmissible_energy():
@@ -1090,7 +1142,7 @@ def test_driver_refuses_inadmissible_energy():
     ds = forward_dataset(patch, (ComplexEnergy(1j * math.sqrt(2.0)), ComplexEnergy(4.0)))
     report = layer_strip_driver(ds)
     assert report.status == "refused"
-    assert report.notes and report.sigma1 is None
+    assert report.notes and report.sigma is None
 
 
 def test_driver_screens_one_energy_on_a_known_alpha():
@@ -1099,7 +1151,7 @@ def test_driver_screens_one_energy_on_a_known_alpha():
     ds = forward_dataset(patch, (ComplexEnergy(1j * math.sqrt(2.0)),))
     report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.0))
     assert report.status == "refused"
-    assert report.sigma1 is None and report.alpha_sq is None and not report.residuals
+    assert report.sigma is None and report.alpha_sq is None and not report.residuals
     (note,) = report.notes
     assert note.startswith("energy ") and "of omega-prime-mode" in note
 
@@ -1239,7 +1291,7 @@ def test_driver_checks_the_metric_at_every_energy():
     energies = tuple(ComplexEnergy(lam) for lam in (4.0, 5.0, 5.5))
     ds = forward_dataset(patch, energies)
     report = layer_strip_driver(ds)
-    assert report.status == "ok" and report.residuals["h0_cross_energy"] <= 1e-12
+    assert report.status == "ok" and report.residuals["h0_cross_energy"]["worst"] <= 1e-12
     # scaling both samples of one pair keeps sigma and moves only that norm
     symbols = ds.symbols.copy()
     symbols[2, 1, 2, 2] *= 1e6
@@ -1300,8 +1352,8 @@ def test_driver_round_trip_on_varying_patch():
     report = layer_strip_driver(ds)
     assert report.status == "ok"
     sigmas = [indicial_root(patch, en) for en in energies]
-    np.testing.assert_allclose(report.sigma1, sigmas[0], rtol=0, atol=1e-8)
-    np.testing.assert_allclose(report.sigma2, sigmas[1], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.sigma[..., 0], sigmas[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.sigma[..., 1], sigmas[1], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.h0, patch.h_jet[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.alpha_sq, patch.alpha**2, rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.v0, patch.v_jet[0], rtol=0, atol=1e-8)

@@ -32,7 +32,8 @@ def test_no_module_imports_a_private_name_of_another():
 def _raised_names(tree) -> set[str]:
     """Names raised in ``tree``, and the error classes of its ``raise_first`` checks.
 
-    A check is a ``(failed, error_class, message)`` tuple, handed to
+    A check is a ``(failed, error_class, message)`` tuple or a
+    ``Residual(name, values, bound, error, message)`` record, handed to
     :func:`scatjet.errors.raise_first` directly or returned for a caller to hand it.
     """
     names = set()
@@ -44,6 +45,9 @@ def _raised_names(tree) -> set[str]:
         elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
             if isinstance(node.elts[1], ast.Name):
                 names.add(node.elts[1].id)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Residual":
+            error = [k.value for k in node.keywords if k.arg == "error"] + node.args[3:4]
+            names |= {e.id for e in error if isinstance(e, ast.Name)}
     return names
 
 
