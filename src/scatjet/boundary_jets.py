@@ -40,7 +40,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import BranchCut, ConfigError, ScatjetError, as_int, check_array_size, raise_first
+from .errors import (
+    DIMENSIONS,
+    BranchCut,
+    ConfigError,
+    ScatjetError,
+    as_int,
+    check_array_size,
+    raise_first,
+)
 from .expressions import evaluate_field
 
 
@@ -251,7 +259,7 @@ def cholesky_inverse(entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 def _layout(n: int, axes) -> tuple[int, ...]:
     """A patch's per-axis point counts as ints; :class:`ConfigError` for an unsupported layout."""
-    if not 1 <= n <= 3:
+    if n not in DIMENSIONS:
         raise ConfigError(f"boundary dimension n={n} outside supported range 1..3")
     axes = tuple(int(m) for m in axes)
     if len(axes) != n or any(m < 4 for m in axes):

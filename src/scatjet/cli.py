@@ -5,16 +5,18 @@ Subcommands::
     forward    patch JSON -> symbol dataset JSON (first-order samples when it has order-1 jets)
     invert     symbol dataset JSON -> recovery report JSON (+ optional CSV)
     sets       patch JSON -> exceptional-set summary, admissibility checks
-    integrals  evaluate T_l / J_l / I_l / the Green-kernel scalar
+    integrals  evaluate T1, T2, J1, J2, I1, I2 or G, the Green-kernel scalar
     verify     built-in identity checks; `verify green` runs the residual study alone
     roundtrip  seeded synthetic pair -> forward -> invert -> error summary
 
 Exit codes: 0 success, 1 numeric-stage failure, 2 configuration/IO problems.
-An out-of-range argument exits 2.  All structured output is canonical JSON
-(sorted keys, complex scalars as [re, im], grid arrays as base64 strings of
-their C-order little-endian float64 bytes), so identical inputs and seeds
-produce byte-identical files.  With ``--verbose``, ``forward``, ``invert``
-and ``roundtrip`` log each stage's wall time to stderr as one JSON line.
+An out-of-range argument exits 2.  A refused ``invert`` writes no report:
+stderr names the driver stage that failed, as ``[stage screen]`` for an
+exceptional energy.  All structured output is canonical JSON (sorted keys,
+complex scalars as [re, im], grid arrays as base64 strings of their C-order
+little-endian float64 bytes), so identical inputs and seeds produce
+byte-identical files.  With ``--verbose``, ``forward``, ``invert`` and
+``roundtrip`` log each stage's wall time to stderr as one JSON line.
 
 Only scipy-free modules are imported here at module level.  Each command
 imports the modules that evaluate Gamma (and those built on them) inside its
@@ -42,7 +44,15 @@ from .dataset import (
     read_json,
     write_text,
 )
-from .errors import STAGE_LOGGER, ConfigError, IoError, ScatjetError, check_dimension, timed
+from .errors import (
+    DIMENSIONS,
+    STAGE_LOGGER,
+    ConfigError,
+    IoError,
+    ScatjetError,
+    check_dimension,
+    timed,
+)
 from .hyperbolic_model import MIN_POINTS, green_residual_convergence
 from .spectral_sets import exceptional_set, is_admissible
 
@@ -122,16 +132,12 @@ def _encode_report(report) -> str:
 
 
 def cmd_invert(args) -> int:
-    from .inversion import InversionConfig, layer_strip_driver
+    from .inversion import layer_strip_driver
 
     with timed("decode"):
         ds = SymbolDataset.load(args.data)
-    cfg = InversionConfig(margin=args.margin, alpha_sq_known=args.alpha_sq_known)
-    report = layer_strip_driver(ds, cfg)
+    report = layer_strip_driver(ds, margin=args.margin, alpha_sq_known=args.alpha_sq_known)
     _write_out(_encode_report(report), args.out)
-    if report.status == "refused":
-        log.error("inversion refused: %s", "; ".join(report.notes))
-        return 1
     if args.csv:
         write_text(args.csv, _field_csv(report))
     return 0
@@ -171,15 +177,6 @@ def cmd_sets(args) -> int:
     return 0
 
 
-def _integral_level(which: str, flag_l: int) -> int:
-    """Level from an explicit suffix (``T2``) or the ``--l`` flag (bare ``J``/``I``)."""
-    if len(which) > 1 and which[1:].isdigit():
-        return int(which[1:])
-    if flag_l not in (1, 2):
-        raise ConfigError("--l must be 1 or 2")
-    return flag_l
-
-
 def cmd_integrals(args) -> int:
     try:
         return _integrals(args)
@@ -196,41 +193,35 @@ def _integrals(args) -> int:
         t_limit_integral,
     )
 
-    which = args.which.strip().upper()
+    which = args.which
     sigma = parse_complex(args.sigma)
     n = args.n
     qspec = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     payload: dict = {"which": which, "n": n, "sigma": encode_complex(sigma)}
-    if which in ("T", "T1", "T2"):
-        l = _integral_level(which, args.l)
+    if which[0] in ("G", "I"):
+        z = _z_vector(args.z, n)
+        payload.update({"s": args.s, "z": z.tolist()})
+    if which == "G":
+        log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
+        payload["value"] = encode_complex(green_kernel(args.s, z, sigma, n))
+        _write_out(canonical_json(payload), args.out)
+        return 0
+    l = int(which[1])
+    if which[0] == "T":
         log.info("T_%d: two-center integral, u-exponent 2*sigma + %d - n", l, 4 - 2 * l)
         mv = t_limit_integral(l, sigma, n, qspec)
-    elif which in ("J", "J1", "J2"):
-        l = _integral_level(which, args.l)
+    elif which[0] == "J":
         log.info(
             "J_%d: convergence-scale integral, u-exponent 2*Re(sigma) + k + %d - n", l, 3 - 2 * l
         )
         mv = j_integral(l, args.k, sigma, n, qspec)
         payload["k"] = args.k
-    elif which in ("I", "I1", "I2"):
-        l = _integral_level(which, args.l)
-        z = _z_vector(args.z, n)
+    else:
         log.info("I_%d at s=%g, |z|=%g: 1-D Feynman-parameter integral", l, args.s, math.hypot(*z))
         mv = i_full_integral(l, sigma, args.s, z, qspec)
-        payload["s"] = args.s
-        payload["z"] = z.tolist()
-    elif which in ("G", "GREEN"):
-        z = _z_vector(args.z, n)
-        log.info("green: pi^(-n/2)/2 Gamma(s)/Gamma(s-(n-2)/2) s^sigma (1+s^2+|z|^2)^-sigma")
-        val = green_kernel(args.s, z, sigma, n)
-        payload.update({"s": args.s, "z": z.tolist(), "value": encode_complex(val)})
-        _write_out(canonical_json(payload), args.out)
-        return 0
-    else:
-        raise ConfigError(f"unknown integral {args.which!r} (use T1,T2,J,I,G)")
-    payload["l"] = l
     payload.update(
         {
+            "l": l,
             "value": encode_complex(mv.value),
             "err": float(mv.est_error),
             "converged": bool(mv.converged),
@@ -320,7 +311,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    from .inversion import InversionConfig, layer_strip_driver
+    from .inversion import layer_strip_driver
     from .synthetic import make_synthetic_pair
 
     out_dir = Path(args.out_dir)
@@ -335,7 +326,7 @@ def cmd_roundtrip(args) -> int:
     # invert what the file holds, so the round trip crosses the codec
     with timed("decode"):
         ds = SymbolDataset.from_dict(json.loads(text))
-    report = layer_strip_driver(ds, InversionConfig())
+    report = layer_strip_driver(ds)
     write_text(out_dir / "report.json", _encode_report(report))
 
     errors = {
@@ -428,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sets)
 
     p = sub.add_parser("integrals", help="evaluate model integrals")
-    p.add_argument("--which", required=True, help="one of T1, T2, J, I, G (bare J/I take --l)")
+    which = ("T1", "T2", "J1", "J2", "I1", "I2", "G")
+    p.add_argument("--which", required=True, choices=which, help="G is the Green-kernel scalar")
     p.add_argument("--sigma", required=True, help="indicial root, e.g. 2+0i")
     p.add_argument("--n", type=int, required=True, help="boundary dimension")
-    p.add_argument("--l", type=int, default=1, help="integral level for bare J/I (1 or 2)")
     p.add_argument("--k", type=int, default=1, help="jet order for J integrals")
     p.add_argument("--s", type=float, default=1.0, help="boundary-defining ratio for I/green")
     p.add_argument("--z", default="1.0", help="boundary offset (scalar or comma-separated vector)")
@@ -451,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--sigma", default="1.5", help="indicial root for 'verify green'")
     p.add_argument(
-        "--n", type=int, default=1, choices=(1, 2, 3), help="boundary dimension for 'verify green'"
+        "--n", type=int, default=1, choices=DIMENSIONS, help="boundary dimension for 'verify green'"
     )
     p.add_argument(
         "--grid-size",
@@ -464,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="synthetic forward + inverse round trip")
     p.add_argument("--seed", type=_at_least(int, 0), required=True)
-    p.add_argument("--n", type=int, default=2, choices=(1, 2, 3))
+    p.add_argument("--n", type=int, default=2, choices=DIMENSIONS)
     p.add_argument("--tol", type=_at_least(float, 0), default=1e-8)
     p.add_argument("--out-dir", default=".", help="directory for dataset/report/summary JSON")
     p.set_defaults(func=cmd_roundtrip)

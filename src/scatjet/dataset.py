@@ -51,7 +51,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .boundary_jets import float_or_complex, polarization_covectors, probe_array
-from .errors import ConfigError, IoError, as_float, as_int, fold_last, raise_first
+from .errors import DIMENSIONS, ConfigError, IoError, as_float, as_int, fold_last, raise_first
 
 SCHEMA = "scatjet.symbols/7"
 _OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
@@ -157,13 +157,18 @@ def write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def valid_scale(t: float) -> bool:
+    """The rule for a homogeneity scale ``t``: finite, positive and not 1 (NaN fails)."""
+    return math.isfinite(t) and t > 0 and t != 1
+
+
 def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) -> None:
     """The checks that the shapes of the grid arrays rest on, and the rule for ``scale_t``.
 
     :class:`ConfigError` names the first bad entry.
     """
-    if n < 1:
-        raise ConfigError(f"dataset dimension n={n} must be at least 1")
+    if n not in DIMENSIONS:
+        raise ConfigError(f"dataset dimension n={n} outside supported range 1..3")
     if len(grid_shape) != n:
         raise ConfigError(f"grid_shape {tuple(grid_shape)} has {len(grid_shape)} axes, expected n={n}")
     for axis, m in enumerate(grid_shape):
@@ -171,7 +176,7 @@ def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) 
             raise ConfigError(
                 f"grid_shape {tuple(grid_shape)}: axis {axis} has {m} points, need at least 1"
             )
-    if not (math.isfinite(scale_t) and scale_t > 0 and scale_t != 1):
+    if not valid_scale(scale_t):
         raise ConfigError(
             f"scale_t={scale_t} must be finite, positive and not 1 "
             "(the sigma stage divides by log t)"

@@ -6,10 +6,10 @@ programming errors.  Names describe the failure mode, one class per mode.
 
 The module also holds the checks and helpers shared across modules: argument
 coercion, the grid checks (:func:`fold_last`, :func:`raise_first` and its
-:class:`Residual`), the dimension check, the one bound on the size of an
-input-sized array (:func:`check_array_size`), the one Gamma-pole rule
-(:func:`near_integer`) and the stage timer (:func:`timed`).  It needs numpy
-alone: only :mod:`~scatjet.forward_scattering` and
+:class:`Residual`), the dimension rule (``DIMENSIONS``), the one bound on
+the size of an input-sized array (:func:`check_array_size`), the one
+Gamma-pole rule (:func:`near_integer`) and the stage timer (:func:`timed`).
+It needs numpy alone: only :mod:`~scatjet.forward_scattering` and
 :mod:`~scatjet.model_quadrature`, which evaluate Gamma, import scipy.
 """
 from __future__ import annotations
@@ -29,6 +29,7 @@ STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 
 # the most values an array whose size the input sets may hold: 256 MiB of float64
 MAX_ARRAY_VALUES = 2**25
+DIMENSIONS = (1, 2, 3)  # the supported boundary dimensions n
 
 
 class ScatjetError(Exception):
@@ -73,6 +74,10 @@ class NotPositiveDefinite(ScatjetError):
 
 class InconsistentData(ScatjetError):
     """Input samples are mutually inconsistent beyond tolerance."""
+
+
+class ExceptionalEnergy(ScatjetError):
+    """An energy is on the branch cut or within the margin of an exceptional energy."""
 
 
 class ZeroIntegralFactor(ScatjetError):
@@ -198,8 +203,8 @@ def raise_first(n: int, checks) -> None:
 
 
 def check_dimension(n: int) -> None:
-    """:class:`ValueError` unless ``n`` is a supported boundary dimension, 1..3."""
-    if not 1 <= n <= 3:
+    """:class:`ValueError` unless ``n`` is one of the supported ``DIMENSIONS``, 1..3."""
+    if n not in DIMENSIONS:
         raise ValueError("n must be 1..3 (the supported boundary dimensions)")
 
 

@@ -52,7 +52,8 @@ judged against a bound is one :class:`~scatjet.errors.Residual`, which the
 refusal and the report both read.  The dataset
 holds the scattering data alone, so the energies are screened after stage 3,
 on the recovered ``alpha^2`` and ``V0``, at every grid point and mode order
-(:func:`~scatjet.spectral_sets.is_admissible`).
+(:func:`~scatjet.spectral_sets.is_admissible`), in a stage of its own: like
+every stage, it refuses by raising a named error led by ``[stage <name>]``.
 """
 from __future__ import annotations
 
@@ -72,10 +73,11 @@ from .boundary_jets import (
     symmetric_matrix,
     symmetric_pairs,
 )
-from .dataset import SymbolDataset, encode_complex, pack_array
+from .dataset import SymbolDataset, encode_complex, pack_array, valid_scale
 from .errors import (
     BranchAmbiguity,
     ConfigError,
+    ExceptionalEnergy,
     InconsistentData,
     NotPositiveDefinite,
     Residual,
@@ -190,8 +192,7 @@ def recover_sigma_from_symbol(
     the first failing grid index and the sample along the other axes (for
     the spread and the pole, the point's axes alone).
     """
-    # written so that a NaN t fails too
-    if not (math.isfinite(t) and t > 0 and t != 1.0):
+    if not valid_scale(t):
         raise ValueError(f"scale factor t={t} must be finite, positive and != 1")
     kind = complex if np.iscomplexobj(value_xi) or np.iscomplexobj(value_txi) else float
     v, vt = np.broadcast_arrays(np.asarray(value_xi, kind), np.asarray(value_txi, kind))
@@ -577,12 +578,6 @@ def _stage(name: str):
 
 
 @dataclass
-class InversionConfig:
-    margin: float = 1e-6
-    alpha_sq_known: float | None = None
-
-
-@dataclass
 class RecoveryReport:
     """What the driver recovered; a field no stage reached is ``None``.
 
@@ -600,7 +595,7 @@ class RecoveryReport:
 
     n: int
     grid_shape: tuple[int, ...]
-    status: str
+    status: str  # "ok", or the partial status of one energy with alpha^2 unknown
     sigma: np.ndarray | None = None
     h0: np.ndarray | None = None
     alpha_sq: np.ndarray | None = None
@@ -630,7 +625,7 @@ class RecoveryReport:
         return out
 
 
-def layer_strip_driver(dataset, config: InversionConfig | None = None) -> RecoveryReport:
+def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> RecoveryReport:
     """Run the staged recovery over a full symbol dataset.
 
     Stages: root/norm recovery and metric polarization over every grid point
@@ -638,13 +633,14 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     fitted, or given as ``alpha_sq_known``), the admissibility screen, then
     the first-order fit when singularity samples are present.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
-    The screen (:func:`~scatjet.spectral_sets.is_admissible`) judges every
-    energy at ``margin`` on the recovered ``alpha^2`` and ``V0`` at every grid
-    point and mode order; an energy that fails it gives a ``refused`` report
-    with the reason, naming the energy, the grid index and the mode ``k`` or
-    the branch cut, in ``notes`` and no fields.  With one energy and
-    ``alpha^2`` unknown the driver stops at ``h0``, and ``notes`` says the
-    screen did not run.
+    The ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`)
+    judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
+    at every grid point and mode order; the first energy that fails it
+    raises :class:`ExceptionalEnergy` with the screen's reason, naming the
+    energy, the grid index and the mode ``k`` or the branch cut.  Every
+    refusal raises from its stage, led by ``[stage <name>]``.  With one
+    energy and ``alpha^2`` unknown the driver stops at ``h0``, with the
+    partial status, and ``notes`` says the screen did not run.
     ``sigma`` holds the root at every energy and ``h0`` is the metric at the
     first; ``h0_cross_energy`` is its largest gap to the metric at any
     energy, 0 at one energy.  That gap and the first-order fit residual are
@@ -657,13 +653,10 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     """
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
-    cfg = config or InversionConfig()
-    a2 = cfg.alpha_sq_known
+    a2 = alpha_sq_known
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
     n = dataset.n
-    shape = dataset.grid_shape
-    report = RecoveryReport(n=n, grid_shape=shape, status="incomplete")
 
     # ComplexEnergy refuses a lambda whose square overflows
     energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
@@ -673,7 +666,6 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         # covector), or the energy alone for the spread and the pole
         symbols = np.moveaxis(dataset.symbols, 0, n)
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], dataset.scale_t, n)
-    report.sigma = rec.sigma
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")
     with _stage("metric"):
@@ -693,7 +685,7 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
             f"|h0| entry {h0_scale[i[:n]]:.3e}",
         )
         raise_first(n, [gap])
-    report.h0 = h0
+    report = RecoveryReport(n, dataset.grid_shape, "ok", sigma=rec.sigma, h0=h0)
     judged = [rec.spread, rec.phase, gap]
 
     if len(energies) == 1 and a2 is None:
@@ -708,16 +700,15 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
     log.info("zeroth-order stage: least squares of alpha^2 s(n-s) - V0 = -(l^2 + n^2/4)")
     with _stage("zeroth-order"):
         alpha_field, v0_field, misfit = zeroth_order_recovery(rec.sigma, energies, n, a2)
+    with _stage("screen"):
+        es = exceptional_set(alpha_field, v0_field, n)
+        for en in energies:
+            adm = is_admissible(en, es, margin)
+            if not adm.ok:
+                raise ExceptionalEnergy(adm.reason)
     if a2 is not None:
         report.notes.append("alpha^2 supplied a priori; V0 fitted over the energies")
-    # the energies are judged on the recovered fields; a refusal keeps none of them
-    es = exceptional_set(alpha_field, v0_field, n)
-    for en in energies:
-        adm = is_admissible(en, es, cfg.margin)
-        if not adm.ok:
-            return RecoveryReport(n, shape, status="refused", notes=[adm.reason])
-    report.alpha_sq = alpha_field
-    report.v0 = v0_field
+    report.alpha_sq, report.v0 = alpha_field, v0_field
     judged.append(misfit)
 
     if dataset.singularity is not None:
@@ -746,9 +737,8 @@ def layer_strip_driver(dataset, config: InversionConfig | None = None) -> Recove
         judged.append(fit)
         report.design_rank = fo.design_rank
         # the kernel directions, as seen at the last grid index
-        report.kernel_basis = fo.kernel_basis(tuple(m - 1 for m in shape))
+        report.kernel_basis = fo.kernel_basis(tuple(m - 1 for m in dataset.grid_shape))
 
     report.notes.append("jets of order k >= 2: not attempted (out of scope)")
-    report.status = "ok"
     report.residuals = {r.name: r.worst(n) for r in judged}
     return report

@@ -17,7 +17,6 @@ from scatjet.errors import BranchCut
 from scatjet.forward_scattering import default_probe_set, principal_symbol
 from scatjet.hyperbolic_model import HalfSpaceGrid, green_residual_convergence
 from scatjet.inversion import (
-    InversionConfig,
     first_order_recovery,
     layer_strip_driver,
 )
@@ -200,7 +199,7 @@ def test_acceptance_zeroth_order_round_trip():
 
     patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
-    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    report = layer_strip_driver(ds, alpha_sq_known=1.1**2)
     assert report.status == "ok"
     gap = float(np.max(np.abs(report.v0 - 0.4)))
     assert gap <= 1e-8

@@ -439,6 +439,22 @@ def test_dataset_rejects_bad_arrays_in_memory(field, index, value, message):
         dataclasses.replace(ds, **{field: _with_entry(getattr(ds, field), index, value)})
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_dataset_dimension_outside_1_to_3_is_refused(tmp_path, n):
+    """A dataset's n takes the one dimension rule: ConfigError in memory, IoError from a file."""
+    good = make_synthetic_pair(seed=3, n=1)[1]
+    message = rf"^dataset dimension n={n} outside supported range 1\.\.3$"
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(good, n=n, grid_shape=(4,) * n)
+    data = good.to_dict()
+    data.update(n=n, grid_shape=[4] * n)
+    with pytest.raises(IoError, match=message):
+        SymbolDataset.from_dict(data)
+    path = tmp_path / "ds.json"
+    path.write_text(canonical_json(data))
+    assert main(["invert", "--data", str(path)]) == 2
+
+
 def test_dataset_from_dict_ignores_unknown_keys():
     _, ds = make_synthetic_pair(seed=4, n=2)
     data = ds.to_dict()
@@ -766,15 +782,32 @@ def test_cli_integrals_t2_matches_oracle(tmp_path):
     assert payload["err"] < 1e-5 and payload["evals"] == 0  # closed form
 
 
-def test_cli_integrals_bare_j_uses_level_flag(tmp_path):
+def test_cli_integrals_j_takes_its_level_from_its_name(tmp_path):
     out = tmp_path / "j.json"
     rc = main(
-        ["integrals", "--which", "J", "--l", "1", "--k", "1", "--sigma", "3+0i", "--n", "1", "--out", str(out)]
+        ["integrals", "--which", "J1", "--k", "1", "--sigma", "3+0i", "--n", "1", "--out", str(out)]
     )
     assert rc == 0
     payload = _read_json(out)
-    assert payload["l"] == 1 and payload["k"] == 1
+    assert payload["which"] == "J1" and payload["l"] == 1 and payload["k"] == 1
     assert decode_complex(payload["value"], "value").real > 0
+
+
+@pytest.mark.parametrize("which", ["J", "I", "T", "t1", "GREEN", "green"])
+def test_cli_integrals_take_one_spelling_each(which, capsys):
+    """Only T1, T2, J1, J2, I1, I2 and G name an integral; any other spelling exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["integrals", "--which", which, "--sigma", "2+0i", "--n", "1"])
+    assert exc.value.code == 2
+    assert f"argument --which: invalid choice: '{which}'" in capsys.readouterr().err
+
+
+def test_cli_integrals_have_no_level_flag(capsys):
+    """The level is the suffix of --which alone: --l is no option, so T2 --l 1 exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["integrals", "--which", "T2", "--l", "1", "--sigma", "2+0i", "--n", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --l 1" in capsys.readouterr().err
 
 
 def test_cli_integrals_green(tmp_path):
@@ -788,10 +821,12 @@ def test_cli_integrals_green(tmp_path):
 
 
 def test_cli_integrals_error_codes(tmp_path):
-    assert main(["integrals", "--which", "Q7", "--sigma", "2+0i", "--n", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["integrals", "--which", "Q7", "--sigma", "2+0i", "--n", "1"])
+    assert exc.value.code == 2
     # below the convergence gate: numeric-stage refusal, not a config problem
     assert main(["integrals", "--which", "T1", "--sigma", "0.9+0i", "--n", "1"]) == 1
-    assert main(["integrals", "--which", "I", "--sigma", "2+0i", "--n", "2", "--z", "1,2,3"]) == 2
+    assert main(["integrals", "--which", "I1", "--sigma", "2+0i", "--n", "2", "--z", "1,2,3"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -956,7 +991,7 @@ def test_cli_missing_input_file(tmp_path, caplog):
         assert len(got) == 2 and all(m.startswith(message) for m in got), got
 
 
-def test_cli_invert_refused_energy(tmp_path):
+def test_cli_invert_refused_energy(tmp_path, caplog):
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     ds = forward_dataset(
         patch, (ComplexEnergy(1j * math.sqrt(2.0)), ComplexEnergy(4.0))
@@ -968,8 +1003,28 @@ def test_cli_invert_refused_energy(tmp_path):
     argv = ["invert", "--data", str(ds_path), "--out", str(out), "--margin", "1e-3"]
     rc = main([*argv, "--csv", str(csv)])
     assert rc == 1
-    assert _read_json(out)["status"] == "refused"
-    assert not csv.exists()  # a refused report has no fields to write
+    # refused like every other stage: no report and no fields are written
+    assert not out.exists() and not csv.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("[stage screen] energy "), errors
+
+
+def test_cli_process_invert_refuses_an_energy_next_to_a_pole(tmp_path):
+    """lambda^2 = 12 + 1e-7, 1e-7 from mode 4: exit 1, the screen's reason on stderr, no files."""
+    patch = constant_patch(2, 1.0, 10.0, np.eye(2))
+    energies = (ComplexEnergy(math.sqrt(12.0 + 1e-7)), ComplexEnergy(math.sqrt(11.0)))
+    ds = forward_dataset(patch, energies)
+    ds_path = tmp_path / "ds.json"
+    ds_path.write_text(canonical_json(ds.to_dict()))
+    out, csv = tmp_path / "report.json", tmp_path / "fields.csv"
+    proc = run_scatjet("invert", "--data", str(ds_path), "--out", str(out), "--csv", str(csv))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert (
+        f"ERROR scatjet.cli: [stage screen] energy {complex(math.sqrt(12.0 + 1e-7))}: lambda^2 "
+        "within margin 1e-06 of omega-prime-mode k = 4 at grid index (0, 0) (distance 1.000e-07)\n"
+    ) in proc.stderr
+    assert not out.exists() and not csv.exists()
 
 
 def test_cli_invert_fails_on_metrics_that_differ_across_energies(tmp_path, caplog):
@@ -1167,7 +1222,7 @@ def _with_patches(tmp_path, argv):
             "T_1 at sigma=(1e+308+0j), n=2: the closed form leaves double range",
         ),
         (
-            ["integrals", "--which", "I", "--sigma", "1e308", "--n", "2"],
+            ["integrals", "--which", "I1", "--sigma", "1e308", "--n", "2"],
             1,
             "I_1 at sigma=(1e+308+0j), s=1.0, n=2: the front factor (nan+nanj) leaves double range",
         ),
@@ -1202,7 +1257,7 @@ def _with_patches(tmp_path, argv):
                 2,
                 "integrals: n must be 1..3 (the supported boundary dimensions)",
             )
-            for which in ("G", "I")
+            for which in ("G", "I1")
         ),
         *(
             (
@@ -1218,12 +1273,12 @@ def _with_patches(tmp_path, argv):
             )
         ),
         (
-            ["integrals", "--which", "I", "--sigma", "1e200", "--n", "1", "--s", "1", "--z", "0"],
+            ["integrals", "--which", "I1", "--sigma", "1e200", "--n", "1", "--s", "1", "--z", "0"],
             1,
             "I_1 at sigma=(1e+200+0j), s=1.0, n=1: the rule has no panel, so no node is evaluated",
         ),
         (
-            ["integrals", "--which", "I", "--sigma", "2.5", "--n", "1", "--s", "0.5", "--z", "3"]
+            ["integrals", "--which", "I1", "--sigma", "2.5", "--n", "1", "--s", "0.5", "--z", "3"]
             + ["--rel-tol", "1e-300", "--abs-tol", "1e-300"],
             1,
             "I_1 at sigma=(2.5+0j), s=0.5, n=1: error estimate 1.028e-15 above tolerance "
@@ -1344,7 +1399,7 @@ def test_cli_process_patch_expression_warns_nothing_raw(tmp_path):
 def test_cli_integrals_i_underflow_exits_1(tmp_path, caplog):
     """An I whose rule underflows at every node is refused, not written as zero."""
     out = tmp_path / "out.json"
-    argv = ["integrals", "--which", "I", "--l", "1", "--sigma", "30", "--s", "1e10", "--z", "1.0"]
+    argv = ["integrals", "--which", "I1", "--sigma", "30", "--s", "1e10", "--z", "1.0"]
     assert main([*argv, "--n", "1", "--out", str(out)]) == 1
     assert not out.exists()
     assert any(
@@ -1390,7 +1445,7 @@ def test_cli_process_symbol_past_double_range_exits_1(tmp_path):
 
 def test_cli_process_i_knee_past_double_range_exits_1():
     """|z|^2 past double range: a named numeric failure, exit 1, no raw warning."""
-    argv = ["integrals", "--which", "I", "--sigma", "2.5", "--s", "1e-3", "--n", "1"]
+    argv = ["integrals", "--which", "I1", "--sigma", "2.5", "--s", "1e-3", "--n", "1"]
     proc = run_scatjet(*argv, "--z", "1e160")
     assert proc.returncode == 1, proc.stderr
     assert (
@@ -1622,7 +1677,7 @@ def _stage_names(stderr):
     return [record["stage"] for record in records]
 
 
-_DRIVER_STAGES = ["sigma", "metric", "zeroth-order", "first-order"]
+_DRIVER_STAGES = ["sigma", "metric", "zeroth-order", "screen", "first-order"]
 
 
 def test_cli_process_verbose_logs_stage_times(tmp_path):

@@ -18,6 +18,7 @@ from scatjet.dataset import SymbolDataset, canonical_json
 from scatjet.errors import (
     BranchAmbiguity,
     ConfigError,
+    ExceptionalEnergy,
     InconsistentData,
     NotPositiveDefinite,
     ZeroIntegralFactor,
@@ -31,7 +32,6 @@ from scatjet.forward_scattering import (
     singularity_coefficient,
 )
 from scatjet.inversion import (
-    InversionConfig,
     _design_factors,
     _divide,
     _log,
@@ -1022,7 +1022,7 @@ def test_driver_single_energy_partial():
 def test_driver_single_energy_with_known_alpha():
     patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
-    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    report = layer_strip_driver(ds, alpha_sq_known=1.1**2)
     assert report.status == "ok"
     np.testing.assert_allclose(report.v0, 0.4, atol=1e-8)
     assert any("a priori" in note for note in report.notes)
@@ -1032,7 +1032,7 @@ def test_driver_known_alpha_checks_realness():
     """A wrong known alpha^2 at a complex energy leaves the imaginary row unfit: refused."""
     patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
     ds = forward_dataset(patch, (ComplexEnergy(3 + 0.5j),))
-    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    report = layer_strip_driver(ds, alpha_sq_known=1.1**2)
     np.testing.assert_allclose(report.v0, 0.4, atol=1e-8)
     assert report.residuals["zeroth_order_misfit"]["worst"] <= 1e-12
     with pytest.raises(
@@ -1041,14 +1041,14 @@ def test_driver_known_alpha_checks_realness():
         r"misfit 1\.920e-01 above 1e-08 times max\(1, \|lambda\^2 \+ n\^2/4\|\) = 1\.020e\+01 "
         r"at grid index \(0, 0\)$",
     ):
-        layer_strip_driver(ds, InversionConfig(alpha_sq_known=2.0))
+        layer_strip_driver(ds, alpha_sq_known=2.0)
 
 
 def test_driver_known_alpha_with_two_energies():
     """A known alpha^2 fits V0 over every energy; a wrong one leaves a misfit."""
     patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
     ds = forward_dataset(patch, (ComplexEnergy(4.0), ComplexEnergy(5.0)))
-    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.1**2))
+    report = layer_strip_driver(ds, alpha_sq_known=1.1**2)
     assert report.status == "ok"
     np.testing.assert_array_equal(report.alpha_sq, 1.1**2)
     np.testing.assert_allclose(report.v0, 0.4, rtol=0, atol=1e-12)
@@ -1056,7 +1056,7 @@ def test_driver_known_alpha_with_two_energies():
     with pytest.raises(
         InconsistentData, match=r"^\[stage zeroth-order\] no real alpha\^2 and V0 fit"
     ):
-        layer_strip_driver(ds, InversionConfig(alpha_sq_known=3.0 * 1.1**2))
+        layer_strip_driver(ds, alpha_sq_known=3.0 * 1.1**2)
 
 
 def _three_energy_dataset(v0_last):
@@ -1140,20 +1140,18 @@ def test_driver_refuses_inadmissible_energy():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     # lambda^2 = -2 is a mode value for this patch, so the screen trips
     ds = forward_dataset(patch, (ComplexEnergy(1j * math.sqrt(2.0)), ComplexEnergy(4.0)))
-    report = layer_strip_driver(ds)
-    assert report.status == "refused"
-    assert report.notes and report.sigma is None
+    with pytest.raises(ExceptionalEnergy, match=r"^\[stage screen\] energy "):
+        layer_strip_driver(ds)
 
 
 def test_driver_screens_one_energy_on_a_known_alpha():
     """With alpha^2 known, the screen runs on one energy: lambda^2 = -2 is a mode value."""
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     ds = forward_dataset(patch, (ComplexEnergy(1j * math.sqrt(2.0)),))
-    report = layer_strip_driver(ds, InversionConfig(alpha_sq_known=1.0))
-    assert report.status == "refused"
-    assert report.sigma is None and report.alpha_sq is None and not report.residuals
-    (note,) = report.notes
-    assert note.startswith("energy ") and "of omega-prime-mode" in note
+    with pytest.raises(ExceptionalEnergy) as exc:
+        layer_strip_driver(ds, alpha_sq_known=1.0)
+    message = str(exc.value)
+    assert message.startswith("[stage screen] energy ") and "of omega-prime-mode" in message
 
 
 # alpha = 1, V0 = 10 at n = 2: mode_k = 8 + k^2/4, so the cut is lambda^2 < 8 and the
@@ -1171,16 +1169,35 @@ def test_driver_admits_a_regular_energy_between_modes():
 
 
 def test_driver_refuses_an_energy_next_to_a_high_order_pole():
-    """lambda^2 = 12 + 1e-7 is 1e-7 from the Gamma pole of mode 4, which k <= 2 never saw."""
+    """lambda^2 = 12 + 1e-7 is 1e-7 from the Gamma pole of mode 4, which k <= 2 never saw.
+
+    The screen stage raises with the reason of
+    :func:`~scatjet.spectral_sets.is_admissible` on the recovered fields, led
+    by the stage's name.
+    """
     patch = constant_patch(*_MODE_PATCH)
-    ds = forward_dataset(
-        patch, (ComplexEnergy(math.sqrt(12.0 + 1e-7)), ComplexEnergy(math.sqrt(11.0)))
+    energies = (ComplexEnergy(math.sqrt(12.0 + 1e-7)), ComplexEnergy(math.sqrt(11.0)))
+    ds = forward_dataset(patch, energies)
+    with pytest.raises(ExceptionalEnergy) as exc:
+        layer_strip_driver(ds)
+    assert str(exc.value) == (
+        f"[stage screen] energy {complex(math.sqrt(12.0 + 1e-7))}: lambda^2 within margin "
+        "1e-06 of omega-prime-mode k = 4 at grid index (0, 0) (distance 1.000e-07)"
     )
-    report = layer_strip_driver(ds)
-    assert report.status == "refused"
-    (note,) = report.notes
-    assert note.startswith(f"energy {complex(math.sqrt(12.0 + 1e-7))}: ")
-    assert "within margin 1e-06 of omega-prime-mode k = 4 at grid index (0, 0)" in note
+    assert isinstance(exc.value.__cause__, ExceptionalEnergy)
+
+
+def test_driver_screens_at_the_margin_it_is_given():
+    """lambda^2 = 10 lies 0.25 from mode 3: admitted at margin 0.2, refused at 0.3."""
+    patch = constant_patch(*_MODE_PATCH)
+    ds = forward_dataset(patch, (ComplexEnergy(math.sqrt(10.0)), ComplexEnergy(math.sqrt(11.0))))
+    assert layer_strip_driver(ds, margin=0.2).status == "ok"
+    with pytest.raises(
+        ExceptionalEnergy,
+        match=r"^\[stage screen\] energy \(3\.1622776601683795\+0j\): lambda\^2 within "
+        r"margin 0\.3 of omega-prime-mode k = 3 at grid index \(0, 0\) \(distance 2\.500e-01\)$",
+    ):
+        layer_strip_driver(ds, margin=0.3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1415,7 +1432,7 @@ def test_forward_encode_decode_invert_is_identity(truth):
         probes=None,
         t_pair=None,
     )
-    report = layer_strip_driver(one, InversionConfig(alpha_sq_known=alpha_sq))
+    report = layer_strip_driver(one, alpha_sq_known=alpha_sq)
     assert report.status == "ok"
     np.testing.assert_array_equal(report.alpha_sq, alpha_sq)
     np.testing.assert_allclose(report.v0, v0, rtol=0, atol=1e-8)
