@@ -27,20 +27,24 @@ apart from that of its zeroth-order model, the same patch with both jets
 zero past order 0.  The difference of the two kernels has radial leading
 singularity with angular profile
 
-    F(omega) = t1 * sum_ij H_ij D_ij(omega) + t2 * (W1 - alpha^2 (1-n) T / 4)
+    F(omega) = t1 * sum_ij H_ij D_ij(omega) + t2 * (W1 - alpha^2 (1-n) tr(h0 H) / 4)
 
-with ``H = h0^-1 h^(1) h0^-1``, ``T = tr(h0^-1 h^(1))`` and ``W1 = V^(1)``,
-where ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
+with ``H = h0^-1 h^(1) h0^-1``, so ``tr(h0 H) = tr(h0^-1 h^(1))``, and
+``W1 = V^(1)``, where
+``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
 are the model-integral factors a dataset records as ``t_pair`` (all other
-scalar prefactors are normalized to one).  Probe directions are understood in
-the frame where ``alpha^2 h0`` is the identity.  In the unknowns
+scalar prefactors are normalized to one).  The probes ``omega`` are
+Euclidean unit vectors in the coordinates ``y``, and ``delta_ij`` contracts
+the coordinate components of ``H``: the profile is not coordinate-covariant
+(item 20 of ROADMAP.md).  In the unknowns
 ``u = (H_11, ..., H_nn, H_ij (i<j) ..., W1)`` the profile factors as
 ``F = M (T u)``: ``M`` is a real matrix fixed by the probes and ``T`` is
-lower-triangular per point (:func:`first_order_factors`).  The first-order
-fit of :mod:`scatjet.inversion` inverts the same factorization.
-``singularity_coefficient`` evaluates ``F`` over the whole grid of a patch
-for one ``(P, n)`` array of probes at once, from the patch's own jets.
+lower-triangular per point.  :func:`first_order_factors` is the one
+definition of the model: ``singularity_coefficient`` applies ``T`` and
+``M`` over the whole grid of a patch for one ``(P, n)`` array of probes at
+once, from the patch's own jets, and the first-order fit of
+:mod:`scatjet.inversion` inverts them.
 """
 from __future__ import annotations
 
@@ -242,18 +246,22 @@ def principal_symbol(
     return sigma, out
 
 
-def first_order_factors(probes: np.ndarray, sigma, t1: complex):
-    """``(M, a, b)``: the probe matrix and the profile factors of ``F = M (T u)``.
+def first_order_factors(probes: np.ndarray, sigma, t1: complex, t2: complex, alpha_sq, h0):
+    """``(M, a, b, e)``: the factors of ``F = M (T u)``, ``T = [[a I, 0], [e^T, t2]]``.
 
     ``M = [mult w_i w_j | 1]`` is the real ``(P, k)`` matrix of the ``(P, n)``
     ``probes``, with ``mult`` 1 on the pairs ``i = j`` and 2 on ``i < j``, in
     the order of :func:`symmetric_pairs`.  Elementwise in ``sigma``,
-    ``a = t1 (3 - 2 sigma)(1 - 2 sigma)`` and ``b = t1 (3 - 2 sigma)``: per
-    point ``T u`` holds ``a H_ij`` at each pair, then
-    ``b tr H + t2 (W1 - alpha^2 (1-n) T/4)``.  A real ``sigma`` and a ``t1``
-    with no imaginary part give float ``a`` and ``b``.
+    ``a = t1 (3 - 2 sigma)(1 - 2 sigma)`` and ``b = t1 (3 - 2 sigma)``; per
+    point, ``e = b delta_ij - t2 alpha^2 (1-n)/4 mult h0[i, j]``, so that the
+    last entry of ``T u``, ``e . u + t2 W1``, is
+    ``b tr H + t2 (W1 - alpha^2 (1-n) tr(h0 H)/4)``.  ``sigma`` and
+    ``alpha_sq`` are scalars or grid arrays and ``h0`` has shape
+    ``(..., n, n)``.  ``t1`` and ``t2`` with no imaginary part are taken as
+    floats, so a real ``sigma`` gives float ``a``, ``b`` and ``e``.
     """
-    rows, cols = symmetric_pairs(probes.shape[-1])
+    n = probes.shape[-1]
+    rows, cols = symmetric_pairs(n)
     mult = np.where(rows == cols, 1.0, 2.0)
     M = np.concatenate(
         [mult * probes[:, rows] * probes[:, cols], np.ones((len(probes), 1))], axis=1
@@ -262,7 +270,9 @@ def first_order_factors(probes: np.ndarray, sigma, t1: complex):
     # np.multiply, not *: a one-point call stays a numpy scalar (a Python complex
     # times a numpy float, a subclass of float, would give a Python complex)
     b = np.multiply(real_part_if_real(t1), 3.0 - 2.0 * sig)
-    return M, b * (1.0 - 2.0 * sig), b
+    c_trace = real_part_if_real(t2) * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
+    e = b[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
+    return M, b * (1.0 - 2.0 * sig), b, e
 
 
 def singularity_coefficient(
@@ -274,33 +284,32 @@ def singularity_coefficient(
 ) -> np.ndarray:
     """Angular singularity coefficient ``F(omega)`` of the patch's first-order jets.
 
-    The patch must carry order-1 entries in both jets.  Over its grid,
-    ``H = (h0_inv @ h^(1)) @ h0_inv`` and ``T = tr(h0_inv @ h^(1))`` read
-    ``patch.h0_inv``, and ``W1`` is ``V^(1)`` itself.  ``sigma`` is the grid
-    array of roots, or one root for every point; ``probes`` is one ``(P, n)``
-    array of unit probes shared by every point; :func:`probe_array` judges
-    them and raises :class:`ValueError`.  ``F = M (T u)`` with the factors
-    of :func:`first_order_factors`.  The result has shape
-    ``grid_shape + (P,)``, and each point's values have the same bits in
-    any grid: float64 for a real ``sigma`` and ``t1``, ``t2`` with no
-    imaginary part, complex128 otherwise.  A value that is not finite
-    raises :class:`~scatjet.errors.ScatjetError` naming the first grid index
-    and, as the sample, the probe.
+    The patch must carry order-1 entries in both jets.  Over its grid, the
+    unknowns ``u`` are the entries of ``H = (h0_inv @ h^(1)) @ h0_inv`` at
+    the pairs of :func:`symmetric_pairs`, read from ``patch.h0_inv``, then
+    ``W1 = V^(1)`` itself, and ``F = M (T u)`` with the factors of
+    :func:`first_order_factors` at ``alpha^2`` and ``h^(0)`` of the patch.
+    ``sigma`` is the grid array of roots, or one root for every point;
+    ``probes`` is one ``(P, n)`` array of unit probes shared by every point;
+    :func:`probe_array` judges them and raises :class:`ValueError`.  The
+    result has shape ``grid_shape + (P,)``, and each point's values have the
+    same bits in any grid: float64 for a real ``sigma`` and ``t1``, ``t2``
+    with no imaginary part, complex128 otherwise.  A value that is not
+    finite raises :class:`~scatjet.errors.ScatjetError` naming the first grid
+    index and, as the sample, the probe.
     """
     n = patch.n
     w = probe_array(probes, n, ValueError, "omega: ")
-    M, a, b = first_order_factors(w, sigma, t1)
     rows, cols = symmetric_pairs(n)
-    h0_inv = patch.h0_inv
     with np.errstate(all="ignore"):  # a value past double range is refused below
-        h0_inv_h1 = h0_inv @ patch.h_jet[1]
-        H = h0_inv_h1 @ h0_inv
-        T = np.trace(h0_inv_h1, axis1=-2, axis2=-1)
-        last = b * np.trace(H, axis1=-2, axis2=-1) + real_part_if_real(t2) * (
-            patch.v_jet[1] - patch.alpha * patch.alpha * (1.0 - n) * T / 4.0
+        M, a, _, e = first_order_factors(
+            w, sigma, t1, t2, patch.alpha * patch.alpha, patch.h_jet[0]
         )
+        u = ((patch.h0_inv @ patch.h_jet[1]) @ patch.h0_inv)[..., rows, cols]
+        # T's last row by np.sum, as in the fit's substitution: np.vecdot conjugates a complex e
+        last = np.sum(e * u, axis=-1) + real_part_if_real(t2) * patch.v_jet[1]
         Tu = np.empty(patch.grid_shape + (len(rows) + 1,), dtype=np.result_type(a, last))
-        Tu[..., :-1] = a[..., None] * H[..., rows, cols]
+        Tu[..., :-1] = a[..., None] * u
         Tu[..., -1] = last
         # one dot product per point and probe, so every point gets the same bits in any grid
         F = np.vecdot(M, Tu[..., None, :])

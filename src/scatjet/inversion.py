@@ -37,8 +37,9 @@ Stage by stage:
    constant over unit probes when ``H`` is a multiple of the identity, so
    that direction trades off against the constant ``W`` term.  The design
    rank and the kernel directions are reported, never silently resolved.
-   Where ``t1 (3 - 2 sigma)(1 - 2 sigma)`` vanishes the probes cannot see
-   the traceless part of ``H``, and the fit refuses.
+   Where the diagonal ``a`` of the triangular map vanishes, at
+   ``sigma = 3/2`` or ``1/2``, the probes cannot see the traceless part of
+   ``H``, and the fit refuses.
 
 Every stage takes scalars or whole grid arrays, float or complex, and keeps
 real data real: float64 samples and roots, and energies and model-integral
@@ -95,7 +96,7 @@ from .forward_scattering import (
     prefactor_and_poles,
     real_or_complex,
 )
-from .spectral_sets import exceptional_set, is_admissible
+from .spectral_sets import exceptional_set, is_admissible, valid_margin
 
 log = logging.getLogger(__name__)
 
@@ -437,23 +438,6 @@ class FirstOrderResult:
         return tuple((H, complex(W)) for H, W in zip(Hs, Ws))
 
 
-def _design_factors(probes, sigma, t1: complex, t2: complex, alpha_sq, h0):
-    """``(M, a, b, e)``: the first-order design is ``M T`` with ``T = [[a I, 0], [e^T, t2]]``.
-
-    ``M``, ``a`` and ``b = t1 (3-2 sigma)`` come from
-    :func:`~scatjet.forward_scattering.first_order_factors`.  Per point,
-    ``e = b delta - t2 alpha^2 (1-n)/4 mult h0[i, j]``, with ``mult`` 1 on
-    the pairs ``i = j`` and 2 on ``i < j``.
-    """
-    n = h0.shape[-1]
-    rows, cols = symmetric_pairs(n)
-    M, a, b = first_order_factors(probes, sigma, t1)
-    c_trace = t2 * np.asarray(alpha_sq, dtype=float) * (1.0 - n) / 4.0
-    mult = np.where(rows == cols, 1.0, 2.0)
-    e = b[..., None] * (rows == cols) - c_trace[..., None] * mult * h0[..., rows, cols]
-    return M, a, b, e
-
-
 def _solve_triangular(a, e, t2: complex, z) -> np.ndarray:
     """``T^-1 z`` along the last axis of ``z``, by forward substitution."""
     y = z[..., :-1] / a[..., None]
@@ -476,13 +460,12 @@ def first_order_recovery(
     samples ``F(omega)`` per point, at one set of unit probes shared by every
     point; ``sigma`` and ``alpha_sq`` are scalars or arrays over ``...`` and
     ``h0`` has shape ``(..., n, n)``.
-    Design rows follow the forward model
-    ``F(omega) = t1 sum_ij H_ij D_ij(omega) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)``
-    in the unknowns ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order.
-
-    The design factors as ``A = M T`` (:func:`_design_factors`): a real
-    probe matrix ``M``, the same at every point, times a lower-triangular
-    ``T`` per point.  One SVD of ``M`` gives ``M^+``, its rank and its kernel
+    The design is the forward model's, in the unknowns
+    ``(H_11, ..., H_nn, H_ij (i<j) ..., W)``, in that order: ``A = M T``
+    with the factors of
+    :func:`~scatjet.forward_scattering.first_order_factors`, a real probe
+    matrix ``M``, the same at every point, times a lower-triangular ``T``
+    per point.  One SVD of ``M`` gives ``M^+``, its rank and its kernel
     ``K``; per point ``z = M^+ b``, ``y = T^-1 z``, and the minimum-norm fit
     is ``y`` less its projection onto the fit's kernel ``T^-1 K``.  The
     residual is ``|b - M z|``.  Rank deficiency is reported, not raised.
@@ -503,9 +486,9 @@ def first_order_recovery(
     sigma = float_or_complex(sigma)
     grid = np.broadcast_shapes(b.shape[:-1], sigma.shape, np.shape(alpha_sq), h0.shape[:-2])
     # the messages print t1 and t2 as given, the arithmetic takes a real one as a float
-    r1, r2 = real_part_if_real(t1), real_part_if_real(t2)
+    r2 = real_part_if_real(t2)
     with np.errstate(all="ignore"):
-        M, a, trace_factor, e = _design_factors(w, sigma, r1, r2, alpha_sq, h0)
+        M, a, trace_factor, e = first_order_factors(w, sigma, t1, t2, alpha_sq, h0)
         a, e = np.broadcast_to(a, grid), np.broadcast_to(e, grid + e.shape[-1:])
         bound = _SV_CUT * np.maximum(np.abs(trace_factor), abs(r2))
     raise_first(
@@ -633,8 +616,10 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     fitted, or given as ``alpha_sq_known``), the admissibility screen, then
     the first-order fit when singularity samples are present.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
-    The ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`)
-    judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
+    A ``margin`` below 0 or NaN, or an ``alpha_sq_known`` that is not finite
+    and positive, raises :class:`ConfigError` before any stage runs.  The
+    ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`) judges
+    every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
     at every grid point and mode order; the first energy that fails it
     raises :class:`ExceptionalEnergy` with the screen's reason, naming the
     energy, the grid index and the mode ``k`` or the branch cut.  Every
@@ -656,6 +641,8 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     a2 = alpha_sq_known
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
+    if not valid_margin(margin):
+        raise ConfigError(f"margin={margin} must be >= 0")
     n = dataset.n
 
     # ComplexEnergy refuses a lambda whose square overflows
@@ -712,9 +699,7 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     judged.append(misfit)
 
     if dataset.singularity is not None:
-        log.info(
-            "first-order stage: F(w) = t1 sum H_ij D_ij(w) + t2 (W - alpha^2 (1-n) tr(h0 H)/4)"
-        )
+        log.info("first-order stage: least squares of F = M (T u) from first_order_factors")
         with _stage("first-order"):
             fo = first_order_recovery(
                 dataset.singularity, dataset.probes, rec.sigma[..., 0], *dataset.t_pair,

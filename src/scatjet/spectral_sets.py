@@ -67,6 +67,11 @@ def exceptional_set(
     return ExceptionalSet(*fields, n, k_max, tuple(complex(z) for z in user_excluded))
 
 
+def valid_margin(margin: float) -> bool:
+    """The rule for an admissibility margin: at least 0 (NaN fails)."""
+    return margin >= 0
+
+
 def is_admissible(
     energy: ComplexEnergy, es: ExceptionalSet, margin: float = 1e-6
 ) -> Admissibility:
@@ -82,7 +87,7 @@ def is_admissible(
     after the cut.  ``distances`` holds the smallest mode distance, when every
     point has one, and the user-excluded distance; a NaN distance is a violation.
     """
-    if not margin >= 0:
+    if not valid_margin(margin):
         raise ValueError("margin must be >= 0")
     with np.errstate(all="ignore"):  # a q past double range is refused below
         q = indicial_q(es.alpha_sq, es.v0, energy.lam_sq, es.n)

@@ -8,6 +8,7 @@ from scatjet.boundary_jets import ComplexEnergy, indicial_root, polarization_cov
 from scatjet.errors import GammaPole, ScatjetError, ZeroCovector
 from scatjet.forward_scattering import (
     default_probe_set,
+    first_order_factors,
     prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,
@@ -477,3 +478,48 @@ def test_singularity_matches_the_kernel_oracle():
             # at n = 1 a traceless H and W1 = 0 make F vanish: both read 0 exactly
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+
+
+def _applied_point_by_point(patch, sigma, t1, t2, probes):
+    """``M (T u)`` at each point alone, ``T = [[a I, 0], [e^T, t2]]`` from
+    :func:`first_order_factors`: ``T u`` is ``a`` times the ``H`` entries, then
+    ``e . u + t2 W1``, the dot product taken as the fit's forward substitution takes it."""
+    rows, cols = symmetric_pairs(patch.n)
+    M, a, _, e = first_order_factors(
+        probes, sigma, t1, t2, patch.alpha * patch.alpha, patch.h_jet[0]
+    )
+    a = np.broadcast_to(a, patch.grid_shape)
+    out = []
+    for idx in np.ndindex(*patch.grid_shape):
+        u = ((patch.h0_inv[idx] @ patch.h_jet[1][idx]) @ patch.h0_inv[idx])[rows, cols]
+        Tu = np.append(a[idx] * u, np.sum(e[idx] * u) + t2 * patch.v_jet[1][idx])
+        out.append(np.vecdot(M, Tu))
+    return np.reshape(out, patch.grid_shape + (len(probes),))
+
+
+def test_singularity_applies_the_first_order_factors_bit_for_bit():
+    """The forward map is ``M (T u)`` with the factors the first-order fit inverts.
+
+    Bit for bit at n = 1..3, on constant patches with general jets under a
+    root that varies per point, and on a varying patch; real and complex
+    roots and model-integral factors.
+    """
+    rng = np.random.default_rng(43)
+    patches = []
+    for n in (1, 2, 3):
+        h1 = rng.normal(size=(n, n))
+        h0 = random_spd(rng, n)
+        patches.append(_jets(n, h1 + h1.T, rng.normal(), h0, alpha=rng.uniform(0.5, 2.0)))
+    patches.append(varying_patch(seed=29)[0])
+    for patch in patches:
+        n, grid = patch.n, patch.grid_shape
+        root = rng.uniform(1.6, 4.0, size=grid)
+        probes = rng.normal(size=(3, n))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        for sigma in (root, root + 1j * rng.uniform(-1.0, 1.0, size=grid)):
+            for t1, t2 in ((0.7, 1.3), (0.9 + 0.2j, 1.3 - 0.1j)):
+                for w in (default_probe_set(n), probes):
+                    got = singularity_coefficient(patch, sigma, t1, t2, w)
+                    want = _applied_point_by_point(patch, sigma, t1, t2, w)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()

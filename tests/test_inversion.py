@@ -27,12 +27,12 @@ from scatjet.errors import (
 from scatjet.forward_scattering import (
     _exp,
     default_probe_set,
+    first_order_factors,
     prefactor_and_poles,
     principal_symbol,
     singularity_coefficient,
 )
 from scatjet.inversion import (
-    _design_factors,
     _divide,
     _log,
     first_order_recovery,
@@ -982,7 +982,7 @@ def test_first_order_design_factors_as_probe_matrix_times_triangular_map():
     for n in (1, 2, 3):
         for probes in (default_probe_set(n), _random_first_order_case(rng, n, 5, False)[1]):
             _, _, sigma, t1, t2, alpha_sq, h0 = _random_first_order_case(rng, n, 1, False)
-            M, a, _, e = _design_factors(probes, sigma, t1, t2, alpha_sq, h0)
+            M, a, _, e = first_order_factors(probes, sigma, t1, t2, alpha_sq, h0)
             k = M.shape[1]
             T = np.zeros((3, k, k), dtype=complex)
             T[:, :-1, :-1] = a[:, None, None] * np.eye(k - 1)
@@ -1198,6 +1198,21 @@ def test_driver_screens_at_the_margin_it_is_given():
         r"margin 0\.3 of omega-prime-mode k = 3 at grid index \(0, 0\) \(distance 2\.500e-01\)$",
     ):
         layer_strip_driver(ds, margin=0.3)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("energies", [2, 1], ids=["two-energies", "one-energy"])
+def test_driver_refuses_a_bad_margin_before_any_stage(margin, energies):
+    """A NaN or negative margin is a ConfigError at entry, led by no stage, also
+    with one energy and alpha^2 unknown, where the screen never runs."""
+    if energies == 2:
+        _, ds = make_synthetic_pair(3, 2)
+    else:
+        patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
+        ds = forward_dataset(patch, (ComplexEnergy(4.0),))
+        assert layer_strip_driver(ds).status.startswith("partial")
+    with pytest.raises(ConfigError, match=rf"^margin={margin} must be >= 0$"):
+        layer_strip_driver(ds, margin=margin)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,6 @@
-"""Module boundaries of the package: no module imports another's private name,
-every error class of ``errors.py`` is raised somewhere, and scipy loads only
-under the modules that evaluate Gamma."""
+"""Module boundaries of the package: no module imports another's private name
+or keeps a module-level name it never uses, every error class of ``errors.py``
+is raised somewhere, and scipy loads only under the modules that evaluate Gamma."""
 import ast
 import json
 import subprocess
@@ -26,6 +26,43 @@ def test_no_module_imports_a_private_name_of_another():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert SRC.is_dir() and not found, found
+
+
+def _bound_at_module_level(node) -> list[str]:
+    """The names a module-level statement binds: its imports, or its ``_``-prefixed
+    functions, classes and assigned names (dunders aside)."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            return []
+        return [(a.asname or a.name).partition(".")[0] for a in node.names]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        return []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_module_keeps_an_unused_import_or_private_name():
+    """Every module-level import and ``_``-prefixed name is read somewhere in its
+    module, so a deletion leaves no import or helper behind."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{node.lineno} {name}"
+            for node in tree.body
+            for name in _bound_at_module_level(node)
+            if name not in read
+        ]
     assert SRC.is_dir() and not found, found
 
 
