@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
         idx = (0,) * n
         scales = (1.0, 2.0, 4.0, 8.0)
         sigma, symbols = principal_symbol(patch, np.outer(scales, xi), (en,))
-        base, *scaled = symbols[0][idx]
+        base, *scaled = symbols[idx][0]
         sig = sigma[idx][0]
         for t, value in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)

@@ -14,16 +14,18 @@ Every bit is kept:
 
 * ``probes`` (with first-order data): the ``P`` unit probe directions shared
   by every grid point, real ``(P, n)``, so ``P`` is the value count over ``n``;
-* ``symbols``: complex ``(E, *grid, C, 2)``, the pairs ``(S(xi), S(t xi))``
-  per energy, grid index and covector of
+* ``symbols``: complex ``(E, *grid, C, 2)``, energy first, the pairs
+  ``(S(xi), S(t xi))`` per energy, grid index and covector of
   :func:`~scatjet.boundary_jets.polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
   ``probes`` and ``t_pair`` are.
 
-In memory ``symbols`` and ``singularity`` are float64 for real data (the
-forward map at real energies, or a file that holds real parts) and
-complex128 otherwise; a float array packs to the same bytes as a complex
-array whose imaginary parts are all ``+0.0``.
+In memory every grid array is grid first, ``symbols`` ``(*grid, E, C, 2)``:
+the codec (``to_dict``, ``from_dict``) alone moves the energy axis.  ``symbols``
+and ``singularity`` are float64 for real data (the forward map at real
+energies, or a file that holds real parts) and complex128 otherwise; a float
+array packs to the same bytes as a complex array whose imaginary parts are
+all ``+0.0``.
 
 A dataset holds the scattering data and nothing derived from the unknowns:
 the inverse screens its energies against the exceptional set of the fields
@@ -246,9 +248,9 @@ def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np
 class SymbolDataset:
     """Symbol samples over a boundary grid, with optional extras.
 
-    ``symbols`` is a read-only array of shape ``(E, *grid_shape, C, 2)``:
-    ``symbols[e, *idx, c]`` holds the pair ``(S(xi), S(t xi))`` for energy
-    index ``e``, grid index ``idx`` and the covector
+    ``symbols`` is a read-only array of shape ``(*grid_shape, E, C, 2)``:
+    ``symbols[(*idx, e, c)]`` holds the pair ``(S(xi), S(t xi))`` for grid
+    index ``idx``, energy index ``e`` and the covector
     ``boundary_jets.polarization_covectors(n)[c]``.
     ``probes`` (if present) is the read-only real ``(P, n)`` array of the
     unit probe directions, one set for every grid point, and
@@ -278,10 +280,10 @@ class SymbolDataset:
         check_header(self.n, self.grid_shape, self.scale_t, self.energies)
         g = len(self.grid_shape)
         symbols = float_or_complex(self.symbols).copy()
-        want = (len(self.energies), *self.grid_shape, len(polarization_covectors(self.n)), 2)
+        want = (*self.grid_shape, len(self.energies), len(polarization_covectors(self.n)), 2)
         if symbols.shape != want:
             raise ConfigError(f"symbols has shape {symbols.shape}, expected {want}")
-        bad = np.moveaxis(~fold_last(np.logical_and, np.isfinite(symbols)), 0, g)
+        bad = ~fold_last(np.logical_and, np.isfinite(symbols))
         raise_first(
             g, [(bad, ConfigError, lambda i: "symbols: sample (energy index, covector) is not finite")]
         )
@@ -317,7 +319,7 @@ class SymbolDataset:
             "grid_shape": list(self.grid_shape),
             "scale_t": float(self.scale_t),
             "energies": [encode_complex(lam) for lam in self.energies],
-            "symbols": pack_array(self.symbols),
+            "symbols": pack_array(np.moveaxis(self.symbols, len(self.grid_shape), 0)),
         }
         if self.singularity is not None:
             out["singularity"] = pack_array(self.singularity)
@@ -352,12 +354,10 @@ class SymbolDataset:
             energies = tuple(decode_complex(z, "energies entry") for z in data["energies"])
             # the expected array lengths below are only meaningful for a valid header
             check_header(n, grid_shape, scale_t, energies)
-            symbols = unpack_array(
-                data["symbols"],
-                "symbols",
-                (len(energies), *grid_shape, len(polarization_covectors(n)), 2),
-                complex,
-            )
+            file_shape = (len(energies), *grid_shape, len(polarization_covectors(n)), 2)
+            symbols = unpack_array(data["symbols"], "symbols", file_shape, complex)
+            # the file is energy first; the constructor copies this grid-first view
+            symbols = np.moveaxis(symbols, 0, len(grid_shape))
             singularity, probes = data.get("singularity"), data.get("probes")
             if probes is not None:
                 probes = unpack_array(probes, "probes", (-1, n), float)

@@ -192,7 +192,7 @@ def principal_symbol(
     last: :func:`~scatjet.boundary_jets.indicial_root` at each energy, float64
     when every energy is real and complex128 otherwise.  ``xi`` has shape
     ``(..., n)``; ``symbols`` has shape
-    ``(len(energies),) + patch.grid_shape + xi.shape[:-1]``, energy first.
+    ``patch.grid_shape + (len(energies),) + xi.shape[:-1]``, grid first like ``sigma``.
     It is float64 when every energy is real and every sample is finite, and
     complex128 otherwise.
     The covector norms ``|xi|^2 = xi^T h0^-1 xi`` read ``patch.h0_inv`` and do
@@ -215,31 +215,26 @@ def principal_symbol(
     sq = np.einsum("...ij,ki,kj->...k", patch.h0_inv, x, x)
     with np.errstate(divide="ignore"):
         # a norm that underflows to zero has log -inf; its samples are refused below
-        log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + xi.shape[:-1])
+        log_norm = np.log(np.sqrt(sq)).reshape(patch.grid_shape + (1,) + xi.shape[:-1])
     # (*grid, E): float when every energy is real, complex otherwise
     sigma = np.stack([indicial_root(patch, energy) for energy in energies], axis=-1)
     pref, pole_check = prefactor_and_poles(sigma, n)
-    pad = (len(energies),) + patch.grid_shape + (1,) * (xi.ndim - 1)
-
-    def by_energy(arr):
-        # (*grid, E) as (E, *grid, 1, ...), to broadcast against log_norm
-        return np.moveaxis(arr, -1, 0).reshape(pad)
-
+    # (*grid, E, 1, ...), to broadcast against log_norm's (*grid, 1, ...)
+    per_sample = sigma.shape + (1,) * (xi.ndim - 1)
     with np.errstate(all="ignore"):
-        arg = by_energy(2.0 * sigma - n) * log_norm
-        out = by_energy(pref) * _exp(arg)
-    # (*grid, E, ...): a failure names the grid index, then the energy index and covector
-    moved = np.moveaxis(out, 0, n)
+        arg = (2.0 * sigma - n).reshape(per_sample) * log_norm
+        out = pref.reshape(per_sample) * _exp(arg)
+    # a failure names the grid index, then the energy index and covector
     raise_first(
         n,
         [
             pole_check,
             (
-                ~np.isfinite(moved) | (moved == 0),
+                ~np.isfinite(out) | (out == 0),
                 ScatjetError,
                 lambda i: f"principal symbol at energy index {i[n]}, covector "
                 f"{tuple(xi[i[n + 1 :]].tolist())} "
-                + ("underflows to zero" if moved[i] == 0 else "leaves double range"),
+                + ("underflows to zero" if out[i] == 0 else "leaves double range"),
             ),
         ],
     )

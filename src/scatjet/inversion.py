@@ -616,10 +616,10 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     fitted, or given as ``alpha_sq_known``), the admissibility screen, then
     the first-order fit when singularity samples are present.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
-    A ``margin`` below 0 or NaN, or an ``alpha_sq_known`` that is not finite
-    and positive, raises :class:`ConfigError` before any stage runs.  The
-    ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`) judges
-    every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
+    A ``margin`` that is negative, NaN or infinite, or an ``alpha_sq_known``
+    that is not finite and positive, raises :class:`ConfigError` before any
+    stage runs.  The ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`)
+    judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
     at every grid point and mode order; the first energy that fails it
     raises :class:`ExceptionalEnergy` with the screen's reason, naming the
     energy, the grid index and the mode ``k`` or the branch cut.  Every
@@ -642,16 +642,16 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
     if not valid_margin(margin):
-        raise ConfigError(f"margin={margin} must be >= 0")
+        raise ConfigError(f"margin={margin} must be finite and >= 0")
     n = dataset.n
 
     # ComplexEnergy refuses a lambda whose square overflows
     energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
     with _stage("sigma"):
-        # (*grid, E, C, 2): a failure names the grid index and the sample (energy,
-        # covector), or the energy alone for the spread and the pole
-        symbols = np.moveaxis(dataset.symbols, 0, n)
+        # a failure names the grid index and the sample (energy, covector), or the
+        # energy alone for the spread and the pole
+        symbols = dataset.symbols
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], dataset.scale_t, n)
 
     log.info("metric stage: polarization of |xi|^2_{h0} over e_i, e_i + e_j")

@@ -68,8 +68,8 @@ def exceptional_set(
 
 
 def valid_margin(margin: float) -> bool:
-    """The rule for an admissibility margin: at least 0 (NaN fails)."""
-    return margin >= 0
+    """The rule for an admissibility margin: finite and at least 0 (NaN fails)."""
+    return 0 <= margin < np.inf
 
 
 def is_admissible(
@@ -88,7 +88,7 @@ def is_admissible(
     point has one, and the user-excluded distance; a NaN distance is a violation.
     """
     if not valid_margin(margin):
-        raise ValueError("margin must be >= 0")
+        raise ValueError("margin must be finite and >= 0")
     with np.errstate(all="ignore"):  # a q past double range is refused below
         q = indicial_q(es.alpha_sq, es.v0, energy.lam_sq, es.n)
         # the nearest k^2/4 to Re q, and so to q, is at floor(2 sqrt(Re q)) or the next k

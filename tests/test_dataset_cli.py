@@ -126,25 +126,45 @@ def test_parse_complex_refuses_non_finite(text):
 # -- dataset round trip ------------------------------------------------------
 
 
-def test_dataset_save_load_identical(tmp_path):
-    _, ds = make_synthetic_pair(seed=4, n=2)
+def _first_order_dataset_at_a_mixed_pair():
+    """A first-order dataset at lambda = (4+0.5i, 5): its arrays are written as re, im pairs."""
+    h0 = np.diag([2.0, 1.0])
+    patch = constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=0.1 * h0)
+    return forward_dataset(patch, (ComplexEnergy(4 + 0.5j), ComplexEnergy(5.0)))
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n3", "mixed-n2"])
+def test_dataset_save_load_identical(tmp_path, case):
+    mixed = case == "mixed-n2"
+    if mixed:
+        ds = _first_order_dataset_at_a_mixed_pair()
+    else:
+        _, ds = make_synthetic_pair(seed=4, n=int(case[1]))
+    n, grid = ds.n, ds.grid_shape
+    text = canonical_json(ds.to_dict())
     path = tmp_path / "ds.json"
-    path.write_text(canonical_json(ds.to_dict()))
+    path.write_text(text)
     again = SymbolDataset.load(path)
-    assert canonical_json(again.to_dict()) == canonical_json(ds.to_dict())
+    assert canonical_json(again.to_dict()) == text
     assert again.energies == ds.energies
     np.testing.assert_array_equal(again.symbols, ds.symbols)
-    assert again.symbols.shape == (2, 4, 4, 3, 2) and not again.symbols.flags.writeable
+    assert again.symbols.shape == (*grid, 2, n * (n + 1) // 2, 2)
+    assert again.symbols.flags.c_contiguous and not again.symbols.flags.writeable
     np.testing.assert_array_equal(again.singularity, ds.singularity)
     np.testing.assert_array_equal(again.probes, ds.probes)
-    assert again.singularity.shape == (4, 4, 4) and again.probes.shape == (4, 2)
+    count = len(default_probe_set(n))
+    assert again.singularity.shape == (*grid, count) and again.probes.shape == (count, n)
     assert not (again.singularity.flags.writeable or again.probes.flags.writeable)
-    # real energies: every complex array is written as its real parts
+    # real energies write every complex array as its real parts, the mixed pair as pairs
+    width = 2 if mixed else 1
     data = json.loads(path.read_text())
-    assert _value_count(data["symbols"]) == ds.symbols.size
-    assert _value_count(data["singularity"]) == ds.singularity.size
+    assert _value_count(data["symbols"]) == width * ds.symbols.size
+    assert _value_count(data["singularity"]) == width * ds.singularity.size
     for name in ("symbols", "singularity"):
         np.testing.assert_array_equal(_bits(getattr(again, name)), _bits(getattr(ds, name)))
+    # the file keeps the energy-first order, every bit
+    packed = np.frombuffer(base64.b64decode(data["symbols"]), dtype="<u8")
+    np.testing.assert_array_equal(packed, _bits(np.moveaxis(ds.symbols, n, 0)).reshape(-1))
 
 
 def _bits(arr):
@@ -197,7 +217,7 @@ def _datasets(draw):
         grid_shape=grid,
         scale_t=draw(st.floats(0.1, 10.0).filter(lambda t: t != 1.0)),
         energies=tuple(complex_array((n_energies,))),
-        symbols=complex_array((n_energies, *grid, n * (n + 1) // 2, 2)),
+        symbols=complex_array((*grid, n_energies, n * (n + 1) // 2, 2)),
         singularity=complex_array(grid + (count,)),
         probes=raw / norm,
         t_pair=tuple(complex_array((2,))),
@@ -355,15 +375,15 @@ def test_packed_non_finite_value_is_refused_at_its_grid_index(field, position, w
 def test_dataset_unknown_energy_and_missing_extras():
     patch = constant_patch(1, 1.0, 0.2, np.eye(1))
     ds = forward_dataset(patch, (ComplexEnergy(4.0),))
-    with pytest.raises(ConfigError, match=r"expected \(2, 4, 1, 2\)"):
+    with pytest.raises(ConfigError, match=r"expected \(4, 2, 1, 2\)"):
         dataclasses.replace(ds, energies=ds.energies + (9.0,))
     assert ds.singularity is None and ds.probes is None
 
 
 def test_dataset_rejects_symbols_of_wrong_shape():
     _, ds = make_synthetic_pair(seed=4, n=2)
-    with pytest.raises(ConfigError, match=r"shape \(2, 4, 3, 3, 2\), expected \(2, 4, 4, 3, 2\)"):
-        dataclasses.replace(ds, symbols=ds.symbols[:, :, 1:])
+    with pytest.raises(ConfigError, match=r"shape \(4, 3, 2, 3, 2\), expected \(4, 4, 2, 3, 2\)"):
+        dataclasses.replace(ds, symbols=ds.symbols[:, 1:])
 
 
 def test_dataset_rejects_singularity_without_every_grid_index():
@@ -424,7 +444,7 @@ def _with_entry(array, index, value):
         ),
         (
             "symbols",
-            (1, 2, 3, 0, 1),
+            (2, 3, 1, 0, 1),
             complex(math.nan),
             r"symbols: sample \(energy index, covector\) is not finite "
             r"at grid index \(2, 3\), sample \(1, 0\)",
@@ -1032,7 +1052,7 @@ def test_cli_invert_fails_on_metrics_that_differ_across_energies(tmp_path, caplo
     energies = (ComplexEnergy(3.2), ComplexEnergy(4.5))
     a = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0])), energies)
     b = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([1.0, 3.0])), energies)
-    ds = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:1], b.symbols[1:]]))
+    ds = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:, :, :1], b.symbols[:, :, 1:]], 2))
     ds_path = tmp_path / "ds.json"
     ds_path.write_text(canonical_json(ds.to_dict()))
     out = tmp_path / "report.json"

@@ -132,7 +132,7 @@ def test_symbol_is_the_frobenius_ratio_of_the_model_ode(n, sigma):
 def test_symbol_closed_value_n1():
     patch = constant_patch(1, 1.0, 0.0, np.eye(1))
     # alpha = 1, V0 = 0, lambda = i/2: sigma = 1/2 + sqrt(1/2 + lambda^2) = 1
-    values = principal_symbol(patch, [1.0], (ComplexEnergy(0.5j),))[1][0]
+    values = principal_symbol(patch, [1.0], (ComplexEnergy(0.5j),))[1][:, 0]
     assert values.shape == (4,)
     np.testing.assert_allclose(values, -1.0, atol=1e-12)
 
@@ -144,7 +144,7 @@ def test_symbol_homogeneity():
     sigma = indicial_root(patch, en)[0, 0]
     xi = rng.standard_normal((50, 2))
     scales = np.array([1.0, 2.0, 4.0, 8.0])
-    values = principal_symbol(patch, scales[:, None, None] * xi, (en,))[1][0]
+    values = principal_symbol(patch, scales[:, None, None] * xi, (en,))[1][:, :, 0]
     assert values.shape == (4, 4, 4, 50)
     base = values[0, 0, 0]
     for t, scaled in zip(scales[1:], values[0, 0, 1:]):
@@ -157,7 +157,7 @@ def test_symbol_log_slope():
     sigma = indicial_root(patch, en)[0, 0]
     xi = np.array([0.6, -0.8])
     ts = np.array([1.0, 2.0, 4.0, 8.0])
-    vals = np.abs(principal_symbol(patch, np.outer(ts, xi), (en,))[1][0][0, 0])
+    vals = np.abs(principal_symbol(patch, np.outer(ts, xi), (en,))[1][0, 0, 0])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     assert slope == pytest.approx(2 * sigma.real - 2, abs=1e-10)
 
@@ -168,7 +168,7 @@ def test_symbol_isotropy_for_euclidean_metric():
     angles = np.array([0.0, 0.7, 2.1])
     vals = principal_symbol(
         patch, np.stack([np.cos(angles), np.sin(angles)], axis=-1), (en,)
-    )[1][0][0, 0]
+    )[1][0, 0, 0]
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
@@ -187,9 +187,10 @@ def test_symbol_energy_axis_equals_one_energy_calls():
     xi = np.array([[[1.0, 0.0], [2.0, 0.0]], [[0.3, -1.7], [0.6, -3.4]]])
     for pair in (energies, (ComplexEnergy(2.0 + 3.0j), ComplexEnergy(1.5 - 0.5j))):
         both = principal_symbol(patch, xi, pair)[1]
-        assert both.shape == (2,) + patch.grid_shape + (2, 2)
+        assert both.shape == patch.grid_shape + (2, 2, 2)
         for e, en in enumerate(pair):
-            assert both[e].tobytes() == principal_symbol(patch, xi, (en,))[1][0].tobytes()
+            one = principal_symbol(patch, xi, (en,))[1][..., 0, :, :]
+            assert both[..., e, :, :].tobytes() == one.tobytes()
 
 
 def test_symbol_matches_pointwise_formula_on_varying_patch():
@@ -198,7 +199,7 @@ def test_symbol_matches_pointwise_formula_on_varying_patch():
     n = patch.n
     xi = np.array([[1.0, 0.0], [0.3, -1.7], [2.0, 2.0]])
     for en in energies:
-        got = principal_symbol(patch, xi, (en,))[1][0]
+        got = principal_symbol(patch, xi, (en,))[1][..., 0, :]
         assert got.shape == patch.grid_shape + (3,)
         worst = 0.0
         for idx in np.ndindex(*patch.grid_shape):
@@ -459,7 +460,7 @@ def test_symbol_norms_match_the_solve_oracle():
                 exponent * log_norm
             )
             # the relative move of |xi|_{h0} that the symbols imply
-            worst = max(worst, np.max(np.abs(np.log(got[e] / want) / exponent)))
+            worst = max(worst, np.max(np.abs(np.log(got[..., e, :, :] / want) / exponent)))
     assert worst <= 1e-14
 
 

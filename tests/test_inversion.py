@@ -425,7 +425,7 @@ def test_sigma_stage_norms_match_the_per_sample_peel():
         cases.append((2, forward_dataset(patch, energies)))
     worst = 0.0
     for n, ds in cases:
-        symbols = np.moveaxis(ds.symbols, 0, n)
+        symbols = ds.symbols
         rec = recover_sigma_from_symbol(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
         sigma, norm = per_sample_sigma_and_norm(symbols[..., 0], symbols[..., 1], ds.scale_t, n)
         np.testing.assert_allclose(rec.sigma, sigma.mean(axis=-1), rtol=1e-15, atol=0)
@@ -1066,7 +1066,9 @@ def _three_energy_dataset(v0_last):
     h0 = np.diag([2.0, 1.0])
     ds = forward_dataset(constant_patch(2, 1.1, 0.3, h0), energies)
     last = forward_dataset(constant_patch(2, 1.1, v0_last, h0), energies)
-    return dataclasses.replace(ds, symbols=np.concatenate([ds.symbols[:2], last.symbols[2:]]))
+    return dataclasses.replace(
+        ds, symbols=np.concatenate([ds.symbols[:, :, :2], last.symbols[:, :, 2:]], 2)
+    )
 
 
 def test_driver_refuses_an_energy_that_contradicts_the_others():
@@ -1107,7 +1109,7 @@ def test_driver_residuals_name_where_their_worst_value_sits():
     metric gap at that point, well inside both bounds."""
     _, ds = make_synthetic_pair(seed=7, n=2)
     symbols = ds.symbols.copy()
-    symbols[1, 2, 3, 0, 1] *= 1 + 1e-9
+    symbols[2, 3, 1, 0, 1] *= 1 + 1e-9
     report = layer_strip_driver(dataclasses.replace(ds, symbols=symbols))
     assert report.status == "ok", report.notes
     assert sorted(report.residuals) == [
@@ -1200,18 +1202,20 @@ def test_driver_screens_at_the_margin_it_is_given():
         layer_strip_driver(ds, margin=0.3)
 
 
-@pytest.mark.parametrize("margin", [float("nan"), -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "margin", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"]
+)
 @pytest.mark.parametrize("energies", [2, 1], ids=["two-energies", "one-energy"])
 def test_driver_refuses_a_bad_margin_before_any_stage(margin, energies):
-    """A NaN or negative margin is a ConfigError at entry, led by no stage, also
-    with one energy and alpha^2 unknown, where the screen never runs."""
+    """A NaN, negative or infinite margin is a ConfigError at entry, led by no
+    stage, also with one energy and alpha^2 unknown, where the screen never runs."""
     if energies == 2:
         _, ds = make_synthetic_pair(3, 2)
     else:
         patch = constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0]))
         ds = forward_dataset(patch, (ComplexEnergy(4.0),))
         assert layer_strip_driver(ds).status.startswith("partial")
-    with pytest.raises(ConfigError, match=rf"^margin={margin} must be >= 0$"):
+    with pytest.raises(ConfigError, match=rf"^margin={margin} must be finite and >= 0$"):
         layer_strip_driver(ds, margin=margin)
 
 
@@ -1257,7 +1261,7 @@ def test_driver_stage_labels_on_failure():
     with pytest.raises(ZeroSymbol, match=r"\[stage sigma\].*grid index \(0, 0\)"):
         layer_strip_driver(bad)
     # the sample names the energy and the covector
-    bad = _with_symbol(ds, (1, 2, 3, 1), [0j, 0j])
+    bad = _with_symbol(ds, (2, 3, 1, 1), [0j, 0j])
     with pytest.raises(ZeroSymbol, match=r"grid index \(2, 3\), sample \(1, 1\)$"):
         layer_strip_driver(bad)
 
@@ -1326,7 +1330,7 @@ def test_driver_checks_the_metric_at_every_energy():
     assert report.status == "ok" and report.residuals["h0_cross_energy"]["worst"] <= 1e-12
     # scaling both samples of one pair keeps sigma and moves only that norm
     symbols = ds.symbols.copy()
-    symbols[2, 1, 2, 2] *= 1e6
+    symbols[1, 2, 2, 2] *= 1e6
     with pytest.raises(
         NotPositiveDefinite, match=r"^\[stage metric\].*grid index \(1, 2\), sample \(2,\)$"
     ):
@@ -1338,7 +1342,7 @@ def test_driver_refuses_metrics_that_differ_across_energies():
     energies = (ComplexEnergy(3.2), ComplexEnergy(4.5))
     a = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([2.0, 1.0])), energies)
     b = forward_dataset(constant_patch(2, 1.1, 0.4, np.diag([1.0, 3.0])), energies)
-    mixed = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:1], b.symbols[1:]]))
+    mixed = dataclasses.replace(a, symbols=np.concatenate([a.symbols[:, :, :1], b.symbols[:, :, 1:]], 2))
     with pytest.raises(
         InconsistentData,
         match=r"^\[stage metric\] metric at energy index 1 differs from energy 0's by "
@@ -1374,7 +1378,7 @@ def test_driver_rejects_nan_symbol_pair():
     """A NaN pair never reaches layer_strip_driver: the dataset refuses it when built."""
     _, ds = make_synthetic_pair(seed=3, n=2)
     with pytest.raises(ConfigError, match=r"symbols: .* not finite at grid index \(1, 0\)"):
-        _with_symbol(ds, (0, 1, 0, 0, 1), complex(math.nan, 0.0))
+        _with_symbol(ds, (1, 0, 0, 0, 1), complex(math.nan, 0.0))
 
 
 def test_driver_round_trip_on_varying_patch():
@@ -1442,7 +1446,7 @@ def test_forward_encode_decode_invert_is_identity(truth):
     one = dataclasses.replace(
         ds,
         energies=ds.energies[:1],
-        symbols=ds.symbols[:1],
+        symbols=ds.symbols[..., :1, :, :],
         singularity=None,
         probes=None,
         t_pair=None,

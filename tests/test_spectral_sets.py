@@ -184,8 +184,8 @@ def test_energy_whose_q_leaves_double_range_is_refused_without_a_warning():
 def test_admissibility_margin_validation_and_monotonicity():
     patch = constant_patch(2, 1.0, 0.0, np.eye(2))
     es = _set_of(patch)
-    for margin in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match=r"^margin must be >= 0$"):
+    for margin in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^margin must be finite and >= 0$"):
             is_admissible(ComplexEnergy(5.0j), es, margin=margin)
     lam = ComplexEnergy(complex(np.sqrt(complex(-2.3))))
     assert is_admissible(lam, es, margin=0.05).ok
