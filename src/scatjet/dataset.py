@@ -21,7 +21,8 @@ Every bit is kept:
   ``probes`` and ``t_pair`` are.
 
 In memory every grid array is grid first, ``symbols`` ``(*grid, E, C, 2)``:
-the codec (``to_dict``, ``from_dict``) alone moves the energy axis.  ``symbols``
+the codec (``to_dict``, ``from_dict``) alone moves the energy axis.  An
+energy is a :class:`~scatjet.boundary_jets.ComplexEnergy` of its ``lam`` alone.  ``symbols``
 and ``singularity`` are float64 for real data (the forward map at real
 energies, or a file that holds real parts) and complex128 otherwise; a float
 array packs to the same bytes as a complex array whose imaginary parts are
@@ -52,7 +53,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .boundary_jets import float_or_complex, polarization_covectors, probe_array
+from .boundary_jets import ComplexEnergy, float_or_complex, polarization_covectors, probe_array
 from .errors import DIMENSIONS, ConfigError, IoError, as_float, as_int, fold_last, raise_first
 
 SCHEMA = "scatjet.symbols/7"
@@ -185,9 +186,6 @@ def check_header(n: int, grid_shape: tuple[int, ...], scale_t: float, energies) 
         )
     if not energies:
         raise ConfigError("dataset has no energies")
-    for e, lam in enumerate(energies):
-        if not cmath.isfinite(lam):
-            raise ConfigError(f"energies: energy index {e} ({lam}) is not finite")
 
 
 def pack_array(arr: np.ndarray) -> PackedArray:
@@ -248,6 +246,7 @@ def unpack_array(text: Any, name: str, shape: tuple[int, ...], kind: type) -> np
 class SymbolDataset:
     """Symbol samples over a boundary grid, with optional extras.
 
+    ``energies`` holds the ``ComplexEnergy`` of each ``lam`` given (a number or an energy's).
     ``symbols`` is a read-only array of shape ``(*grid_shape, E, C, 2)``:
     ``symbols[(*idx, e, c)]`` holds the pair ``(S(xi), S(t xi))`` for grid
     index ``idx``, energy index ``e`` and the covector
@@ -270,7 +269,7 @@ class SymbolDataset:
     n: int
     grid_shape: tuple[int, ...]
     scale_t: float
-    energies: tuple[complex, ...]
+    energies: tuple[ComplexEnergy, ...]
     symbols: np.ndarray
     singularity: np.ndarray | None = None
     probes: np.ndarray | None = None
@@ -278,6 +277,8 @@ class SymbolDataset:
 
     def __post_init__(self):
         check_header(self.n, self.grid_shape, self.scale_t, self.energies)
+        lams = (e.lam if isinstance(e, ComplexEnergy) else e for e in self.energies)
+        object.__setattr__(self, "energies", tuple(map(ComplexEnergy, lams)))
         g = len(self.grid_shape)
         symbols = float_or_complex(self.symbols).copy()
         want = (*self.grid_shape, len(self.energies), len(polarization_covectors(self.n)), 2)
@@ -318,7 +319,7 @@ class SymbolDataset:
             "n": self.n,
             "grid_shape": list(self.grid_shape),
             "scale_t": float(self.scale_t),
-            "energies": [encode_complex(lam) for lam in self.energies],
+            "energies": [encode_complex(en.lam) for en in self.energies],
             "symbols": pack_array(np.moveaxis(self.symbols, len(self.grid_shape), 0)),
         }
         if self.singularity is not None:

@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary_jets import (
-    ComplexEnergy,
     cholesky_inverse,
     float_or_complex,
     over_real,
@@ -614,7 +613,8 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     Stages: root/norm recovery and metric polarization over every grid point
     and energy, the zeroth-order least squares over every energy (``alpha^2``
     fitted, or given as ``alpha_sq_known``), the admissibility screen, then
-    the first-order fit when singularity samples are present.  An energy
+    the first-order fit when singularity samples are present, each reading the
+    dataset's :class:`~scatjet.boundary_jets.ComplexEnergy` entries as they are.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
     A ``margin`` that is negative, NaN or infinite, or an ``alpha_sq_known``
     that is not finite and positive, raises :class:`ConfigError` before any
@@ -644,9 +644,6 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     if not valid_margin(margin):
         raise ConfigError(f"margin={margin} must be finite and >= 0")
     n = dataset.n
-
-    # ComplexEnergy refuses a lambda whose square overflows
-    energies = tuple(ComplexEnergy(lam) for lam in dataset.energies)
     log.info("sigma stage: sigma = n/2 + log(S(t xi)/S(xi)) / (2 log t), t=%g", dataset.scale_t)
     with _stage("sigma"):
         # a failure names the grid index and the sample (energy, covector), or the
@@ -675,7 +672,7 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     report = RecoveryReport(n, dataset.grid_shape, "ok", sigma=rec.sigma, h0=h0)
     judged = [rec.spread, rec.phase, gap]
 
-    if len(energies) == 1 and a2 is None:
+    if len(dataset.energies) == 1 and a2 is None:
         report.status = "partial: sigma and h0 only (one energy, alpha unknown)"
         report.notes += [
             "a second energy or a known alpha^2 is required for the zeroth-order algebra",
@@ -686,10 +683,10 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
 
     log.info("zeroth-order stage: least squares of alpha^2 s(n-s) - V0 = -(l^2 + n^2/4)")
     with _stage("zeroth-order"):
-        alpha_field, v0_field, misfit = zeroth_order_recovery(rec.sigma, energies, n, a2)
+        alpha_field, v0_field, misfit = zeroth_order_recovery(rec.sigma, dataset.energies, n, a2)
     with _stage("screen"):
         es = exceptional_set(alpha_field, v0_field, n)
-        for en in energies:
+        for en in dataset.energies:
             adm = is_admissible(en, es, margin)
             if not adm.ok:
                 raise ExceptionalEnergy(adm.reason)

@@ -106,6 +106,7 @@ def forward_dataset(
 ) -> SymbolDataset:
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
+    Each energy's ``lam`` is kept: a :class:`ComplexEnergy` in memory, ``[re, im]`` on disk.
     Symbols are sampled at the covectors of :func:`polarization_covectors`
     and at ``scale_t`` times each, at every grid point and energy.  When the
     patch carries order-1 entries in both jets, the first-order angular
@@ -133,9 +134,8 @@ def forward_dataset(
         )
     n = patch.n
     shape = patch.grid_shape
-    lams = tuple(en.lam for en in energies)
     # the header is judged before sampling: a scale_t it refuses makes zero or NaN covectors
-    check_header(n, shape, scale_t, lams)
+    check_header(n, shape, scale_t, energies)
     covectors = polarization_covectors(n)
     xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
     # the roots of every energy, computed once: the singularity samples read the first
@@ -152,7 +152,7 @@ def forward_dataset(
         n=n,
         grid_shape=shape,
         scale_t=float(scale_t),
-        energies=lams,
+        energies=energies,
         symbols=symbols,
         singularity=singularity,
         probes=omega,

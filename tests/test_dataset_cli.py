@@ -6,6 +6,7 @@ point through ``python -m scatjet``.
 """
 import argparse
 import base64
+import cmath
 import dataclasses
 import json
 import math
@@ -212,11 +213,14 @@ def _datasets(draw):
     raw = draw(hnp.arrays(float, (count, n), elements=st.floats(-1.0, 1.0)))
     norm = np.linalg.norm(raw, axis=-1, keepdims=True)
     assume(np.all(norm > 1e-3))
+    energies = tuple(complex_array((n_energies,)))
+    # the energy rule of ComplexEnergy: a finite square
+    assume(all(cmath.isfinite(complex(lam) * complex(lam)) for lam in energies))
     return SymbolDataset(
         n=n,
         grid_shape=grid,
         scale_t=draw(st.floats(0.1, 10.0).filter(lambda t: t != 1.0)),
-        energies=tuple(complex_array((n_energies,))),
+        energies=energies,
         symbols=complex_array((*grid, n_energies, n * (n + 1) // 2, 2)),
         singularity=complex_array(grid + (count,)),
         probes=raw / norm,
@@ -242,9 +246,9 @@ def test_dataset_encode_decode_is_identity(ds):
         widened = np.array(getattr(again, name), dtype=arr.dtype)
         np.testing.assert_array_equal(_bits(widened), _bits(arr))
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
-    assert _bits(np.array(again.energies + again.t_pair)).tolist() == _bits(
-        np.array(ds.energies + ds.t_pair)
-    ).tolist()
+    got = [en.lam for en in again.energies] + list(again.t_pair)
+    want = [en.lam for en in ds.energies] + list(ds.t_pair)
+    assert _bits(np.array(got)).tolist() == _bits(np.array(want)).tolist()
 
 
 # float64 words the packer must keep: -0.0, the smallest and largest
@@ -378,6 +382,19 @@ def test_dataset_unknown_energy_and_missing_extras():
     with pytest.raises(ConfigError, match=r"expected \(4, 2, 1, 2\)"):
         dataclasses.replace(ds, energies=ds.energies + (9.0,))
     assert ds.singularity is None and ds.probes is None
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 1e200])
+def test_dataset_refuses_an_energy_whose_square_is_not_finite(lam):
+    """Built in code or read from a file, the energy meets ComplexEnergy's one rule."""
+    _, ds = make_synthetic_pair(seed=4, n=2)
+    with pytest.raises(ConfigError, match=r"^energy .*: lambda\^2 = .* is not finite$") as built:
+        dataclasses.replace(ds, energies=(lam, ds.energies[1]))
+    data = ds.to_dict()
+    data["energies"][0] = [lam, 0.0]
+    with pytest.raises(IoError) as read:
+        SymbolDataset.from_dict(json.loads(canonical_json(data)))
+    assert str(read.value) == str(built.value)
 
 
 def test_dataset_rejects_symbols_of_wrong_shape():

@@ -438,7 +438,7 @@ def _rounding_cases():
             truth, ds = make_synthetic_pair(seed, n)
             h1 = truth.h0 @ truth.H @ truth.h0
             patch = constant_patch(n, truth.alpha, truth.v0, truth.h0, v1=truth.W1, h1=h1)
-            yield patch, tuple(ComplexEnergy(lam) for lam in ds.energies)
+            yield patch, ds.energies
     for seed in (29, 31, 37):
         patch, energies, _ = varying_patch(seed=seed)
         yield patch, energies

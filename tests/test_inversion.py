@@ -1239,9 +1239,8 @@ def test_screen_on_recovered_fields_matches_the_truths_set(n):
         np.testing.assert_allclose(
             recovered.modes_lambda_sq, true.modes_lambda_sq, rtol=0, atol=1e-12
         )
-        for lam in ds.energies:
+        for en in ds.energies:
             for margin in (1e-6, 1e-3):
-                en = ComplexEnergy(lam)
                 assert (
                     is_admissible(en, recovered, margin).ok == is_admissible(en, true, margin).ok
                 )
@@ -1399,8 +1398,8 @@ def test_driver_round_trip_on_varying_patch():
 
 def test_driver_refuses_an_energy_whose_square_overflows():
     _, ds = make_synthetic_pair(seed=3, n=2)
-    huge = dataclasses.replace(ds, energies=(1e200, ds.energies[1]))
     with pytest.raises(ConfigError, match=r"^energy \(1e\+200\+0j\): lambda\^2 = \(inf\+0j\)"):
+        huge = dataclasses.replace(ds, energies=(1e200, ds.energies[1]))
         layer_strip_driver(huge)
 
 
