@@ -42,9 +42,11 @@ import numpy as np
 
 from .errors import (
     DIMENSIONS,
+    MALFORMED,
     BranchCut,
     ConfigError,
     ScatjetError,
+    as_complex,
     as_int,
     check_array_size,
     raise_first,
@@ -54,23 +56,20 @@ from .expressions import evaluate_field
 
 @dataclass(frozen=True)
 class ComplexEnergy:
-    """Spectral parameter ``lam`` with its cached square, which must be finite."""
+    """Spectral parameter ``lam`` and its cached square: numbers, not bools; the square finite."""
 
     lam: complex
     lam_sq: complex = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        lam = complex(self.lam)
+        lam = as_complex(self.lam, "lam")
+        lam_sq = lam * lam if self.lam_sq is None else as_complex(self.lam_sq, "lam_sq")
+        if abs(lam_sq - lam * lam) > 1e-12 * max(1.0, abs(lam_sq)):
+            raise ConfigError("lam_sq does not equal lam**2")
+        if not cmath.isfinite(lam_sq):
+            raise ConfigError(f"energy {lam}: lambda^2 = {lam_sq} is not finite")
         object.__setattr__(self, "lam", lam)
-        if self.lam_sq is None:
-            object.__setattr__(self, "lam_sq", lam * lam)
-        else:
-            given = complex(self.lam_sq)
-            if abs(given - lam * lam) > 1e-12 * max(1.0, abs(given)):
-                raise ConfigError("lam_sq does not equal lam**2")
-            object.__setattr__(self, "lam_sq", given)
-        if not cmath.isfinite(self.lam_sq):
-            raise ConfigError(f"energy {lam}: lambda^2 = {self.lam_sq} is not finite")
+        object.__setattr__(self, "lam_sq", lam_sq)
 
 
 def _as_field(value: Any, coords: Mapping[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -85,8 +84,9 @@ def _as_field(value: Any, coords: Mapping[str, np.ndarray], shape: tuple[int, ..
     return arr
 
 
-def _as_matrix_field(value: Any, coords, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """Coerce an n x n nest of entry specs (or a raw array) to shape ``shape + (n, n)``."""
+def _as_matrix_field(value: Any, coords, shape: tuple[int, ...]) -> np.ndarray:
+    """Coerce an n x n nest of entry specs, or an array, to ``shape + (n, n)``, n = len(shape)."""
+    n = len(shape)
     arr = np.asarray(value, dtype=object)
     if arr.shape == (n, n):
         out = np.empty(shape + (n, n), dtype=float)
@@ -371,9 +371,20 @@ class BoundaryPatch:
         coords = {f"y{i + 1}": g for i, g in enumerate(grids)}
         if "alpha" not in spec or "v_jet" not in spec or "h_jet" not in spec:
             raise ConfigError("patch spec needs alpha, v_jet and h_jet")
-        alpha = _as_field(spec["alpha"], coords, shape)
-        v_jet = tuple(_as_field(v, coords, shape) for v in spec["v_jet"])
-        h_jet = tuple(_as_matrix_field(h, coords, shape, n) for h in spec["h_jet"])
+
+        def read(build, name: str, value):
+            try:
+                return build(value, coords, shape)
+            except MALFORMED as exc:
+                why = f"{type(exc).__name__}: {exc}"
+                raise ConfigError(f"malformed patch field {name}: {why}") from None
+
+        for name in ("v_jet", "h_jet"):
+            if not isinstance(spec[name], (list, tuple)):
+                raise ConfigError(f"patch field {name} must be a list, got {spec[name]!r}")
+        alpha = read(_as_field, "alpha", spec["alpha"])
+        v_jet = tuple(read(_as_field, f"v_jet[{k}]", v) for k, v in enumerate(spec["v_jet"]))
+        h_jet = tuple(read(_as_matrix_field, f"h_jet[{k}]", h) for k, h in enumerate(spec["h_jet"]))
         return cls(n=n, axes=axes, alpha=alpha, v_jet=v_jet, h_jet=h_jet)
 
 

@@ -6,7 +6,7 @@ Subcommands::
     invert     symbol dataset JSON -> recovery report JSON (+ optional CSV)
     sets       patch JSON -> exceptional-set summary, admissibility checks
     integrals  evaluate T1, T2, J1, J2, I1, I2 or G, the Green-kernel scalar
-    verify     built-in identity checks; `verify green` runs the residual study alone
+    verify     built-in identity checks, the model ODE's symbol among them
     roundtrip  seeded synthetic pair -> forward -> invert -> error summary
 
 Exit codes: 0 success, 1 numeric-stage failure, 2 configuration/IO problems.
@@ -20,8 +20,7 @@ byte-identical files.  With ``--verbose``, ``forward``, ``invert`` and
 
 Only scipy-free modules are imported here at module level.  Each command
 imports the modules that evaluate Gamma (and those built on them) inside its
-handler, so ``--help``, ``sets`` and ``verify green`` never load
-``scipy.special``.
+handler, so ``--help`` and ``sets`` never load ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ from .errors import (
     check_dimension,
     timed,
 )
-from .hyperbolic_model import MIN_POINTS, green_residual_convergence
+from .hyperbolic_model import frobenius_ratio
 from .spectral_sets import exceptional_set, is_admissible
 
 log = logging.getLogger("scatjet.cli")
@@ -233,27 +232,6 @@ def _integrals(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.what == "green":
-        sigma = parse_complex(args.sigma)
-        log.info("verify green: (D0 - s(n-s)) on the annihilated kernel, two-grid refinement")
-        rc, rf, ratio = green_residual_convergence(sigma, args.n, base_points=args.grid_size)
-        ok = 3.5 <= ratio <= 4.5
-        _write_out(
-            canonical_json(
-                {
-                    "sigma": encode_complex(sigma),
-                    "n": args.n,
-                    "grid_size": args.grid_size,
-                    "coarse": {"max_residual": rc.max_residual, "spacing": rc.spacing},
-                    "fine": {"max_residual": rf.max_residual, "spacing": rf.spacing},
-                    "ratio": float(ratio),
-                    "second_order": bool(ok),
-                }
-            ),
-            args.out,
-        )
-        return 0 if ok else 1
-
     from .forward_scattering import principal_symbol
     from .synthetic import constant_patch, random_spd
 
@@ -282,6 +260,7 @@ def cmd_verify(args) -> int:
 
     log.info("verify: homogeneity S(t xi) = t^(2s-n) S(xi)")
     worst_h = 0.0
+    samples = {n: [] for n in DIMENSIONS}  # (sigma, S(xi), |xi|_h0) of each configuration
     for _ in range(20):
         n = int(rng.integers(1, 4))
         patch = constant_patch(
@@ -297,13 +276,16 @@ def cmd_verify(args) -> int:
         for t, value in zip(scales[1:], scaled):
             expected = base * t ** (2 * sig - n)
             worst_h = max(worst_h, abs(value - expected) / max(1.0, abs(expected)))
+        samples[n].append((sig, base, math.sqrt(xi @ patch.h0_inv[idx] @ xi)))
     checks.append({"name": "symbol-homogeneity", "metric": worst_h, "pass": bool(worst_h <= 1e-10)})
 
-    log.info("verify: (D0 - s(n-s)) G residual, second-order grid convergence")
-    _, _, ratio = green_residual_convergence(1.5, 1)
-    checks.append(
-        {"name": "green-residual-ratio", "metric": float(ratio), "pass": bool(3.5 <= ratio <= 4.5)}
-    )
+    log.info("verify: S(xi) = B/A |xi|^(2s-n), B/A from a solve of the model's normal ODE")
+    gap = 0.0
+    for n, at_n in samples.items():
+        for (sig, base, norm), ratio in zip(at_n, frobenius_ratio([s[0] for s in at_n], n)):
+            expected = ratio * norm ** (2 * sig - n)
+            gap = max(gap, float(abs(base - expected) / abs(expected)))
+    checks.append({"name": "model-ode-symbol", "metric": gap, "pass": bool(gap <= 1e-12)})
 
     ok = all(c["pass"] for c in checks)
     _write_out(canonical_json({"checks": checks, "ok": ok, "seed": args.seed}), args.out)
@@ -432,24 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("verify", help="run built-in identity checks")
-    p.add_argument(
-        "what",
-        nargs="?",
-        default="all",
-        choices=("all", "green"),
-        help="'green' runs only the Green-kernel residual study",
-    )
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
-    p.add_argument("--sigma", default="1.5", help="indicial root for 'verify green'")
-    p.add_argument(
-        "--n", type=int, default=1, choices=DIMENSIONS, help="boundary dimension for 'verify green'"
-    )
-    p.add_argument(
-        "--grid-size",
-        type=_at_least(int, MIN_POINTS),
-        default=33,
-        help="coarse grid points for 'verify green'",
-    )
     p.add_argument("--out", default="-", help="output path or - for stdout")
     p.set_defaults(func=cmd_verify)
 

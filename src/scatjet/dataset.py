@@ -54,11 +54,19 @@ from typing import Any, Mapping
 import numpy as np
 
 from .boundary_jets import ComplexEnergy, float_or_complex, polarization_covectors, probe_array
-from .errors import DIMENSIONS, ConfigError, IoError, as_float, as_int, fold_last, raise_first
+from .errors import (
+    DIMENSIONS,
+    MALFORMED,
+    ConfigError,
+    IoError,
+    as_float,
+    as_int,
+    fold_last,
+    raise_first,
+)
 
 SCHEMA = "scatjet.symbols/7"
 _OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
-_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -382,7 +390,7 @@ class SymbolDataset:
             )
         except ConfigError as exc:
             raise IoError(str(exc)) from None
-        except _MALFORMED as exc:
+        except MALFORMED as exc:
             raise IoError(f"malformed dataset: {type(exc).__name__}: {exc}") from None
 
     @classmethod

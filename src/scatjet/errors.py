@@ -30,6 +30,8 @@ STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 # the most values an array whose size the input sets may hold: 256 MiB of float64
 MAX_ARRAY_VALUES = 2**25
 DIMENSIONS = (1, 2, 3)  # the supported boundary dimensions n
+# what reading a malformed JSON value raises, which the readers turn into named refusals
+MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 class ScatjetError(Exception):
@@ -50,10 +52,6 @@ class QuadratureFailure(ScatjetError):
 
 class GammaPole(ScatjetError):
     """A Gamma-function argument sits at a nonpositive integer."""
-
-
-class GridTooCoarse(ScatjetError):
-    """Finite-difference grid below the minimum supported resolution."""
 
 
 class ZeroCovector(ScatjetError):
@@ -104,6 +102,13 @@ def as_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_complex(value, name: str) -> complex:
+    """``value`` as a complex if it is a number; :class:`ConfigError` for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return complex(value)
 
 
 def fold_last(ufunc, a, k: int = 1):

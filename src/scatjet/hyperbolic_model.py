@@ -1,203 +1,111 @@
-"""Finite-difference model operator on the hyperbolic half-space.
+"""The model operator's normal ODE and its vectorized solve.
 
 The model operator in half-space coordinates ``(s, z)`` is
+``D0 = -(s d_s)^2 + n s d_s - s^2 Lap_z``; at a frozen boundary point the
+normal operator is ``alpha^2 (D0 - sigma (n - sigma))``, ``sigma`` the
+indicial root.  A Fourier transform in ``z`` leaves one ODE per covector
+``xi``, which in ``x = s |xi|`` and ``tau = log x`` reads
 
-    D0 = -(s d_s)^2 + n s d_s - s^2 Lap_z
+    f_tau_tau - n f_tau = (x^2 - sigma (n - sigma)) f.
 
-discretized on a grid uniform in ``tau = log s`` (so ``s d_s`` is exactly
-``d_tau``) and uniform in each ``z`` axis.  ``D0`` acts on ``s^a`` as
-multiplication by ``a (n - a)``, and the normal operator at a frozen
-boundary point ``y_c`` is
+With ``nu = sigma - n/2`` its Frobenius solutions about ``x = 0`` are
+``phi_a = x^a sum_k c_k x^2k``, ``c_0 = 1``: at ``a = sigma`` with
+``c_k = c_(k-1) / (4k (k + nu))``, at ``a = n - sigma`` with
+``c_k = c_(k-1) / (4k (k - nu))``.  The solution that decays as
+``x -> inf``, ``x^(n/2) K_nu(x)``, is ``A phi_(n-sigma) + B phi_sigma``, and
 
-    N f = alpha_c^2 * D0 f - (v0_c - lambda^2 - n^2/4) f
-        = alpha_c^2 * (D0 - sigma (n - sigma)) f
+    B / A = 2^(n - 2 sigma) Gamma(n/2 - sigma) / Gamma(sigma - n/2)
 
-where sigma is the indicial root for ``(alpha_c, v0_c, lambda)``, so ``N``
-annihilates ``s^sigma`` identically.  ``green_residual_check`` verifies, at
-second order in the spacing, that ``D0 - sigma (n - sigma)`` annihilates the
-exact off-boundary kernel ``s^sigma (s^2 + |z|^2)^-sigma``.
+is the principal symbol at ``|xi| = 1``.  In ``s`` the two terms carry
+``|xi|^(n - sigma)`` and ``|xi|^sigma``, so the symbol at ``xi`` is
+``B / A |xi|_h0^(2 sigma - n)``, with no ``alpha``.
+
+:func:`frobenius_ratio` finds ``B / A`` from the ODE alone.  It integrates
+the Riccati form, ``w = d log f / d tau``,
+
+    w' = n w + x^2 - sigma (n - sigma) - w^2,
+
+by fixed-step RK4 in ``tau``, vectorized over ``sigma``, inward from
+``x0 = x_m + MARCH``, where ``w = (n - 1)/2 - x0``: inward the decaying
+solution dominates, so the start's error falls like ``e^(-2 (x0 - x))``.  At
+``x_m = max(MATCH_MIN, |Re nu|)`` it matches the series:
+
+    B / A = (phi'_(n-sigma) - w phi_(n-sigma)) / (w phi_sigma - phi'_sigma),
+
+primes in ``tau``.  There each series' log-derivative differs from ``w`` by
+about ``2 x``, so nothing cancels, as it would at a small ``x`` or below
+``|nu|``.  The recurrences are written in ``nu``: near a Gamma pole the only
+small difference, ``k - nu``, is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, GridTooCoarse, check_array_size, check_dimension
+from .boundary_jets import float_or_complex
+from .errors import GammaPole, check_dimension, near_integer, raise_first
 
-MIN_POINTS = 16
-# the window of the residual study: it keeps the spacing well below min s, the
-# kernel's shortest length scale, so the leading-order error term dominates on
-# the coarse grid already
-_TAU_SPAN = (-0.75, 0.75)
-_Z_EXTENT = 1.0
+STEPS = 2000  # RK4 steps in tau from x0 to x_m
+TERMS = 80  # Frobenius terms k = 0 .. TERMS - 1 of each series
+MATCH_MIN = 4.0  # x_m = max(MATCH_MIN, |Re nu|)
+MARCH = 30.0  # x0 = x_m + MARCH
+NU_MAX = 14.0  # the largest |Re nu| the solve is checked at
+IM_NU_MAX = 0.5  # the largest |Im nu| it is checked at; at |Im nu| = 2 it is 3e-12 off
 
 
-@dataclass(frozen=True)
-class HalfSpaceGrid:
-    """Uniform grid in ``(tau, z)`` with an exclusion ball at ``(s, z) = (1, 0)``.
+def frobenius_ratio(sigma, n: int) -> np.ndarray:
+    """``B / A`` of the model ODE's decaying solution at ``|xi| = 1``, elementwise in ``sigma``.
 
-    ``points`` per axis: ``tau`` spans ``_TAU_SPAN`` and each of the ``n``
-    ``z`` axes spans ``[-_Z_EXTENT, _Z_EXTENT]``.  ``n`` must be 1..3
-    (:func:`~scatjet.errors.check_dimension`), and the grid with its ghost
-    layer may hold at most :data:`~scatjet.errors.MAX_ARRAY_VALUES` points,
-    judged before any axis is built.  The ball's radius ``r_excl`` is three
-    times the largest spacing unless given.
+    ``sigma`` is a scalar or an array, real or complex; the result has its
+    shape, float64 for a real ``sigma`` and complex128 otherwise.  Refused,
+    naming the first such ``sigma``: one that is not finite
+    (:class:`ValueError`); an integer ``nu = sigma - n/2`` by
+    :func:`~scatjet.errors.near_integer`, a Gamma pole
+    (:class:`~scatjet.errors.GammaPole`); and ``|Re nu| > NU_MAX`` or
+    ``|Im nu| > IM_NU_MAX``, past the range it is checked on (:class:`ValueError`).
     """
+    check_dimension(n)
+    sigma = float_or_complex(sigma)
+    nu = sigma - n / 2.0
+    beyond = ~((np.abs(nu.real) <= NU_MAX) & (np.abs(nu.imag) <= IM_NU_MAX))
+    raise_first(
+        0,
+        [
+            (~np.isfinite(sigma), ValueError, lambda i: f"sigma = {sigma[i]} is not finite"),
+            (near_integer(nu), GammaPole, lambda i: f"sigma - n/2 = {nu[i]} is a Gamma pole"),
+            (beyond, ValueError, lambda i: f"sigma - n/2 = {nu[i]} is past the checked range"),
+        ],
+    )
+    x_m = np.maximum(MATCH_MIN, np.abs(nu.real))
+    tau0 = np.log(x_m + MARCH)
+    h = (np.log(x_m) - tau0) / STEPS
+    c = sigma * (n - sigma)
 
-    n: int
-    points: int
-    r_excl: float | None = None
+    def forcing(half_steps):  # x^2 - sigma (n - sigma) at tau = tau0 + half_steps * h / 2
+        return np.exp(2.0 * tau0 + half_steps * h) - c
 
-    def __post_init__(self):
-        check_dimension(self.n)
-        if self.points < MIN_POINTS:
-            raise GridTooCoarse(f"each axis needs >= {MIN_POINTS} points, got {self.points}")
-        check_array_size(
-            (self.points + 2,) * (self.n + 1),
-            f"a half-space grid of {self.points} points per axis asks, with its ghost layer, "
-            "for arrays",
-        )
-        if self.r_excl is None:
-            object.__setattr__(self, "r_excl", 3.0 * max(self.dtau, self.dz))
-        if self.r_excl <= 2.0 * max(self.dtau, self.dz):
-            raise ValueError("exclusion radius must exceed twice the largest spacing")
+    w = ((n - 1) / 2.0 - (x_m + MARCH)).astype(sigma.dtype)
+    end = forcing(0)
+    for k in range(STEPS):
+        # w' = w (n - w) + forcing; each step's end is the next one's start
+        start, mid, end = end, forcing(2 * k + 1), forcing(2 * k + 2)
+        k1 = w * (n - w) + start
+        k2 = (w2 := w + 0.5 * h * k1) * (n - w2) + mid
+        k3 = (w3 := w + 0.5 * h * k2) * (n - w3) + mid
+        k4 = (w4 := w + h * k3) * (n - w4) + end
+        w = w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    @property
-    def tau(self) -> np.ndarray:
-        return np.linspace(*_TAU_SPAN, self.points)
+    def series(sign):
+        """``phi_a`` and ``phi_a'`` at ``x_m``, over ``x_m^a``, for ``a = n/2 + sign nu``."""
+        a = n / 2.0 + sign * nu
+        term = np.ones_like(sigma)
+        value, derivative = term, a * term
+        for k in range(1, TERMS):
+            term = term * (x_m * x_m / 4.0) / (k * (k + sign * nu))
+            value, derivative = value + term, derivative + (a + 2 * k) * term
+        return value, derivative
 
-    @property
-    def z(self) -> np.ndarray:
-        """The one ``z`` axis, shared by all ``n`` of them."""
-        return np.linspace(-_Z_EXTENT, _Z_EXTENT, self.points)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points,) * (self.n + 1)
-
-    @property
-    def dtau(self) -> float:
-        return float(self.tau[1] - self.tau[0])
-
-    @property
-    def dz(self) -> float:
-        return float(self.z[1] - self.z[0])
-
-    def axes(self, ghost: bool = False) -> list[np.ndarray]:
-        """Coordinate axes, optionally extended by one ghost point per side."""
-        out = []
-        for ax in (self.tau, *(self.z,) * self.n):
-            if ghost:
-                d = ax[1] - ax[0]
-                ax = np.concatenate(([ax[0] - d], ax, [ax[-1] + d]))
-            out.append(ax)
-        return out
-
-    def mesh(self, ghost: bool = False) -> list[np.ndarray]:
-        return np.meshgrid(*self.axes(ghost=ghost), indexing="ij")
-
-    def exclusion_mask(self) -> np.ndarray:
-        """True where ``(s, z)`` lies outside the ball around ``(1, 0)``."""
-        grids = self.mesh()
-        s = np.exp(grids[0])
-        d2 = (s - 1.0) ** 2
-        for g in grids[1:]:
-            d2 = d2 + g**2
-        return d2 > self.r_excl**2
-
-
-def _second_diff(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central second difference along ``axis``; loses one layer per side."""
-    sl = [slice(1, -1)] * f.ndim
-    lo, mid, hi = list(sl), list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    return (f[tuple(hi)] - 2.0 * f[tuple(mid)] + f[tuple(lo)]) / (h * h)
-
-
-def _first_diff(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    sl = [slice(1, -1)] * f.ndim
-    lo, hi = list(sl), list(sl)
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    return (f[tuple(hi)] - f[tuple(lo)]) / (2.0 * h)
-
-
-def hyperbolic_laplacian_apply(f: np.ndarray, grid: HalfSpaceGrid) -> np.ndarray:
-    """Apply ``D0`` by central differences; ``f`` must carry one ghost layer.
-
-    ``f`` has shape ``grid.shape + 2`` per axis (values on ``grid.axes(ghost=True)``);
-    the result is returned on the grid proper.
-    """
-    expected = tuple(m + 2 for m in grid.shape)
-    if f.shape != expected:
-        raise ValueError(f"f must include one ghost layer: expected shape {expected}, got {f.shape}")
-    d2_tau = _second_diff(f, 0, grid.dtau)
-    d1_tau = _first_diff(f, 0, grid.dtau)
-    lap_z = sum(_second_diff(f, 1 + a, grid.dz) for a in range(grid.n))
-    s = np.exp(grid.tau)
-    s2 = (s * s).reshape((-1,) + (1,) * grid.n)
-    return -d2_tau + grid.n * d1_tau - s2 * lap_z
-
-
-@dataclass(frozen=True)
-class GreenResidualReport:
-    max_residual: float
-    spacing: float
-
-
-def _kernel_on(grid: HalfSpaceGrid, sigma: complex) -> np.ndarray:
-    """Exact annihilated kernel ``s^sigma (s^2 + |z|^2)^-sigma`` with ghosts."""
-    grids = grid.mesh(ghost=True)
-    s = np.exp(grids[0])
-    q = s * s
-    for g in grids[1:]:
-        q = q + g**2
-    return np.exp(sigma * (np.log(s) - np.log(q)))
-
-
-def green_residual_check(sigma: complex, grid: HalfSpaceGrid) -> GreenResidualReport:
-    """Max norm of ``(D0 - sigma (n - sigma)) G`` off the exclusion ball, ``n = grid.n``.
-
-    ``G = s^sigma (s^2 + |z|^2)^-sigma`` solves the model equation exactly,
-    so the residual is pure discretization error and decays at second order
-    in the spacing.
-    """
-    sig = complex(sigma)
-    eig = sig * (grid.n - sig)
-    # a kernel past double range gives non-finite residuals, which callers refuse
-    with np.errstate(all="ignore"):
-        G = _kernel_on(grid, sig)
-        core = G[tuple(slice(1, -1) for _ in range(G.ndim))]
-        resid = hyperbolic_laplacian_apply(G, grid) - eig * core
-    max_residual = float(np.max(np.abs(resid[grid.exclusion_mask()])))
-    return GreenResidualReport(max_residual, max(grid.dtau, grid.dz))
-
-
-def green_residual_convergence(
-    sigma: complex,
-    n: int,
-    base_points: int = 33,
-) -> tuple[GreenResidualReport, GreenResidualReport, float]:
-    """Residuals on a grid and its exact refinement; returns the decay ratio.
-
-    Both grids cover ``tau`` in ``[-0.75, 0.75]`` and each ``z`` axis in
-    ``[-1, 1]``.  The fine grid halves every spacing (``2m - 1`` points) and
-    keeps the coarse exclusion radius so both residuals cover the same
-    region; second-order convergence shows as a ratio near 4.  A ``sigma``
-    whose kernel is constant (zero residuals) or overflows (non-finite
-    residuals) has no ratio: :class:`ConfigError`.
-    """
-    coarse = HalfSpaceGrid(n, base_points)
-    fine = HalfSpaceGrid(n, 2 * base_points - 1, r_excl=coarse.r_excl)
-    rc = green_residual_check(sigma, coarse)
-    rf = green_residual_check(sigma, fine)
-    # written so that a NaN residual fails too
-    if not (0.0 < rf.max_residual < np.inf and rc.max_residual < np.inf):
-        raise ConfigError(
-            f"sigma={sigma}: residuals {rc.max_residual} (coarse) and {rf.max_residual} (fine) "
-            "give no decay ratio; the kernel is constant or overflows"
-        )
-    return rc, rf, rc.max_residual / rf.max_residual
+    phi_plus, dphi_plus = series(1.0)
+    phi_minus, dphi_minus = series(-1.0)
+    # x_m^(n - sigma) / x_m^sigma restores the powers the series leave out
+    ratio = (dphi_minus - w * phi_minus) / (w * phi_plus - dphi_plus)
+    return np.exp(-2.0 * nu * np.log(x_m)) * ratio

@@ -84,6 +84,7 @@ from .errors import (
     ScatjetError,
     ZeroIntegralFactor,
     ZeroSymbol,
+    as_float,
     fold_last,
     raise_first,
     real_part_if_real,
@@ -616,9 +617,10 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     the first-order fit when singularity samples are present, each reading the
     dataset's :class:`~scatjet.boundary_jets.ComplexEnergy` entries as they are.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
-    A ``margin`` that is negative, NaN or infinite, or an ``alpha_sq_known``
-    that is not finite and positive, raises :class:`ConfigError` before any
-    stage runs.  The ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`)
+    A ``margin`` or ``alpha_sq_known`` that is not a number (a bool is not),
+    a negative, NaN or infinite ``margin``, or an ``alpha_sq_known`` that is
+    not finite and positive, raises :class:`ConfigError` before any stage
+    runs.  The ``screen`` stage (:func:`~scatjet.spectral_sets.is_admissible`)
     judges every energy at ``margin`` on the recovered ``alpha^2`` and ``V0``
     at every grid point and mode order; the first energy that fails it
     raises :class:`ExceptionalEnergy` with the screen's reason, naming the
@@ -638,9 +640,10 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     """
     if not isinstance(dataset, SymbolDataset):
         raise TypeError(f"layer_strip_driver needs a SymbolDataset, got {type(dataset).__name__}")
-    a2 = alpha_sq_known
+    a2 = None if alpha_sq_known is None else as_float(alpha_sq_known, "alpha_sq_known")
     if a2 is not None and not (math.isfinite(a2) and a2 > 0):
         raise ConfigError(f"alpha_sq_known={a2} must be finite and positive")
+    margin = as_float(margin, "margin")
     if not valid_margin(margin):
         raise ConfigError(f"margin={margin} must be finite and >= 0")
     n = dataset.n

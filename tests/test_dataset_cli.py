@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scatjet import cli
 from scatjet.boundary_jets import ComplexEnergy, indicial_root
 from scatjet.cli import build_parser, main, parse_complex
 from scatjet.dataset import (
@@ -1321,11 +1322,6 @@ def _with_patches(tmp_path, argv):
             "I_1 at sigma=(2.5+0j), s=0.5, n=1: error estimate 1.028e-15 above tolerance "
             "1.000e-300, which is below the rule's rounding bound",
         ),
-        (
-            ["verify", "green", "--sigma", "0", "--n", "1"],
-            2,
-            "sigma=0j: residuals 0.0 (coarse) and 0.0 (fine) give no decay ratio",
-        ),
         (["sets", "--lam", "1e200"], 2, "energy (1e+200+0j): lambda^2 = (inf+0j) is not finite"),
         (
             ["sets", "--k-max", "10000000000000"],
@@ -1361,7 +1357,6 @@ def _with_patches(tmp_path, argv):
         "integrals-green-z-inf",
         "integrals-i-no-panel",
         "integrals-i-rounding",
-        "verify-green-constant",
         "sets-lam",
         "sets-k-max-modes-array",
         "forward-lam",
@@ -1398,17 +1393,8 @@ _HUGE_AXES = [10**6] * 3
             )
             for command, extra in (("sets", []), ("forward", ["--lam", "4"]))
         ),
-        *(
-            (
-                ["verify", "green", "--n", "3", "--grid-size", str(points)],
-                f"a half-space grid of {points} points per axis asks, with its ghost layer, for "
-                f"arrays of shape {(points + 2,) * 4}, {(points + 2) ** 4} values, above the "
-                "33554432 allowed",
-            )
-            for points in (3000, 10000000)
-        ),
     ],
-    ids=["sets-huge-axes", "forward-huge-axes", "verify-green-3000", "verify-green-10000000"],
+    ids=["sets-huge-axes", "forward-huge-axes"],
 )
 def test_cli_input_sized_array_past_the_bound_exits_2(tmp_path, caplog, argv, message):
     """An array sized by the input past MAX_ARRAY_VALUES is refused, by size, before allocation."""
@@ -1420,6 +1406,60 @@ def test_cli_input_sized_array_past_the_bound_exits_2(tmp_path, caplog, argv, me
     assert main([*(a.format(huge_axes=huge) for a in argv), "--out", str(out)]) == 2
     assert not out.exists()
     assert any(r.getMessage() == message for r in caplog.records)
+
+
+_IDENTITY_2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("command", [["sets"], ["forward", "--lam", "4"]], ids=["sets", "forward"])
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (
+            "h_jet",
+            [[[1, 0], [0]]],
+            "malformed patch field h_jet[0]: ValueError: setting an array element with a sequence",
+        ),
+        (
+            "alpha",
+            {"a": 1},
+            "malformed patch field alpha: TypeError: float() argument must be a string or a "
+            "real number, not 'dict'",
+        ),
+        (
+            "h_jet",
+            [{"a": 1}],
+            "malformed patch field h_jet[0]: TypeError: float() argument must be a string or a "
+            "real number, not 'dict'",
+        ),
+        ("v_jet", "0.5", "patch field v_jet must be a list, got '0.5'"),
+        ("v_jet", 0.5, "patch field v_jet must be a list, got 0.5"),
+        ("v_jet", {"0": 0.5}, "patch field v_jet must be a list, got {'0': 0.5}"),
+        ("h_jet", "[[1, 0], [0, 1]]", "patch field h_jet must be a list, got '[[1, 0], [0, 1]]'"),
+    ],
+    ids=[
+        "h-jet-ragged",
+        "alpha-object",
+        "h-jet-entry-object",
+        "v-jet-string",
+        "v-jet-number",
+        "v-jet-object",
+        "h-jet-string",
+    ],
+)
+def test_cli_malformed_patch_field_exits_2_naming_it(
+    tmp_path, caplog, command, field, value, message
+):
+    """A patch field of the wrong JSON type is a ConfigError naming the field, exit 2, no output."""
+    spec = {"n": 2, "axes": [4, 4], "alpha": 1.0, "v_jet": [0.2], "h_jet": [_IDENTITY_2]}
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({**spec, field: value}))
+    out = tmp_path / "out.json"
+    assert main([*command, "--patch", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert [r.getMessage()[: len(message)] for r in caplog.records if r.levelname == "ERROR"] == [
+        message
+    ]
 
 
 def test_cli_process_patch_expression_warns_nothing_raw(tmp_path):
@@ -1451,10 +1491,9 @@ def test_cli_integrals_i_underflow_exits_1(tmp_path, caplog):
     "argv,code,message",
     [
         (["integrals", "--which", "T1", "--sigma", "1e308", "--n", "2"], 1, ""),
-        (["verify", "green", "--sigma", "1e308"], 2, ""),
         *_FORWARD_OVERFLOWS,
     ],
-    ids=["integrals-t1", "verify-green", *_FORWARD_OVERFLOW_IDS],
+    ids=["integrals-t1", *_FORWARD_OVERFLOW_IDS],
 )
 def test_cli_process_overflow_warns_nothing_raw(tmp_path, argv, code, message):
     """An overflow inside numpy ends in the named error alone: no RuntimeWarning on stderr."""
@@ -1518,7 +1557,6 @@ _COMMANDS = {
     "integrals-sigma": lambda d, text: [
         "integrals", "--which", "T1", f"--sigma={text}", "--n", "2"
     ],
-    "verify-green-sigma": lambda d, text: ["verify", "green", f"--sigma={text}", "--n", "1"],
 }
 
 
@@ -1587,10 +1625,6 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         (["invert", "--data", "ds.json", "--margin", "-1"], _MARGIN_NOT_NEGATIVE),
         (["sets", "--patch", "p.json", "--margin", "-1"], _MARGIN_NOT_NEGATIVE),
         (["sets", "--patch", "p.json", "--k-max", "-1"], "argument --k-max: must be at least 0, got -1"),
-        (["verify", "green", "--n", "0"], "argument --n: invalid choice: 0"),
-        (["verify", "green", "--n", "4"], "argument --n: invalid choice: 4"),
-        (["verify", "green", "--grid-size", "1"], "argument --grid-size: must be at least 16, got 1"),
-        (["verify", "green", "--grid-size", "15"], "argument --grid-size: must be at least 16, got 15"),
         (["sets", "--patch", "p.json", "--margin", "wide"], "invalid float value: 'wide'"),
         (["verify", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
         (["roundtrip", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
@@ -1604,10 +1638,6 @@ _MARGIN_NOT_NEGATIVE = "argument --margin: must be at least 0, got -1"
         "invert-margin",
         "sets-margin",
         "sets-k-max",
-        "verify-n-0",
-        "verify-n-4",
-        "verify-grid-size-1",
-        "verify-grid-size-15",
         "margin-not-a-number",
         "verify-seed-negative",
         "roundtrip-seed-negative",
@@ -1666,14 +1696,12 @@ def test_cli_option_given_two_dashes_exits_2(tmp_path, monkeypatch, capsys, comm
 # -- CLI: verify -------------------------------------------------------------
 
 
-def test_cli_verify_green(tmp_path):
-    out = tmp_path / "green.json"
-    rc = main(["verify", "green", "--sigma", "1.5", "--n", "1", "--out", str(out)])
-    assert rc == 0
-    payload = _read_json(out)
-    assert payload["second_order"] is True
-    assert 3.5 <= payload["ratio"] <= 4.5
-    assert payload["fine"]["max_residual"] < payload["coarse"]["max_residual"]
+def test_cli_verify_green(capsys):
+    """The finite-difference study is gone: ``verify green`` is an argparse error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "green"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: green" in capsys.readouterr().err
 
 
 def test_cli_verify_all(tmp_path):
@@ -1683,7 +1711,21 @@ def test_cli_verify_all(tmp_path):
     payload = _read_json(out)
     assert payload["ok"] is True
     names = {c["name"] for c in payload["checks"]}
-    assert names == {"indicial-identity", "symbol-homogeneity", "green-residual-ratio"}
+    assert names == {"indicial-identity", "symbol-homogeneity", "model-ode-symbol"}
+
+
+def test_cli_verify_fails_when_the_solve_misses_the_symbol(tmp_path, monkeypatch):
+    """A solve 1e-9 off the symbol fails ``model-ode-symbol``, and ``verify`` exits 1."""
+    solve = cli.frobenius_ratio
+    monkeypatch.setattr(cli, "frobenius_ratio", lambda sigma, n: solve(sigma, n) * (1 + 1e-9))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
+    payload = _read_json(out)
+    assert payload["ok"] is False
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["model-ode-symbol"]["pass"] is False
+    assert checks["model-ode-symbol"]["metric"] > 1e-10
+    assert checks["indicial-identity"]["pass"] and checks["symbol-homogeneity"]["pass"]
 
 
 # -- CLI: roundtrip determinism ---------------------------------------------

@@ -1,143 +1,59 @@
-"""Finite-difference model operator: eigen-actions, cancellation, residuals."""
+"""The normal ODE's solve: shapes and dtypes, refusals, and a symmetry of the ratio.
+
+Its agreement with the closed form is acceptance check 3 (``test_acceptance.py``).
+"""
 import numpy as np
 import pytest
-import sympy as sp
 
-from scatjet.errors import GridTooCoarse
-from scatjet.hyperbolic_model import (
-    HalfSpaceGrid,
-    green_residual_check,
-    green_residual_convergence,
-    hyperbolic_laplacian_apply,
+from scatjet.errors import GammaPole
+from scatjet.hyperbolic_model import IM_NU_MAX, NU_MAX, frobenius_ratio
+
+
+def test_the_ratio_keeps_the_shape_and_the_kind_of_sigma():
+    real = frobenius_ratio(np.array([[1.7, 2.2, 9.3]]), 2)
+    assert real.shape == (1, 3) and real.dtype == np.float64
+    tilted = frobenius_ratio(np.array([1.7 + 0.2j, 2.2 - 0.1j]), 2)
+    assert tilted.shape == (2,) and tilted.dtype == np.complex128
+    # one sigma gives its value, the same bits as in an array
+    assert frobenius_ratio(2.2, 2) == real[0, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_two_roots_give_reciprocal_ratios(n):
+    """``sigma`` and ``n - sigma`` swap the two Frobenius solutions, so ``B/A`` inverts."""
+    nu = np.array([0.3, 1.7, 4.45, 12.9, 2.5 + 0.4j, 0.6 - 0.5j])
+    product = frobenius_ratio(n / 2.0 + nu, n) * frobenius_ratio(n / 2.0 - nu, n)
+    np.testing.assert_allclose(product, 1.0, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "sigma, error, message",
+    [
+        (np.nan, ValueError, r"^sigma = nan is not finite$"),
+        (complex(2.0, np.inf), ValueError, r"^sigma = \(2\+infj\) is not finite$"),
+        (3.0, GammaPole, r"^sigma - n/2 = 2\.0 is a Gamma pole$"),
+        (1.0 + 1e-13, GammaPole, r"^sigma - n/2 = 9\.99\d*e-14 is a Gamma pole$"),
+        (1.0 + NU_MAX + 0.5, ValueError, r"^sigma - n/2 = 14\.5 is past the checked range$"),
+        (1.0 - NU_MAX - 0.5, ValueError, r"^sigma - n/2 = -14\.5 is past the checked range$"),
+        (
+            complex(2.3, IM_NU_MAX + 0.1),
+            ValueError,
+            r"^sigma - n/2 = \(1\.29\d*\+0\.6j\) is past the checked range$",
+        ),
+    ],
+    ids=["nan", "complex-inf", "pole", "near-pole", "nu-above-range", "nu-below-range", "im-nu"],
 )
-
-from oracles import model_laplacian_apply_sym, wrong_sign_green_residual
-
-
-def _grid(n=1, points=33, **kw):
-    return HalfSpaceGrid(n, points, **kw)
+def test_refusals_name_their_cause(sigma, error, message):
+    with pytest.raises(error, match=message):
+        frobenius_ratio(sigma, 2)
 
 
-def _field(grid, fn):
-    """Evaluate fn(s, z-array) on the ghost-extended grid."""
-    axes = grid.axes(ghost=True)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    s = np.exp(mesh[0])
-    return fn(s, mesh[1:])
+def test_a_refusal_names_the_first_bad_sigma():
+    with pytest.raises(GammaPole, match=r"^sigma - n/2 = 2\.0 is a Gamma pole at sample \(2,\)$"):
+        frobenius_ratio([2.5, 1.7, 3.0, np.nan], 2)
 
 
-# -- grid validation --------------------------------------------------------
-
-
-def test_grid_rejects_bad_inputs():
-    """The dimension is judged as the model integrals judge it."""
-    for n in (0, 4):
-        with pytest.raises(ValueError, match=r"^n must be 1\.\.3 \(the supported boundary"):
-            HalfSpaceGrid(n, 33)
-    with pytest.raises(ValueError, match="exclusion radius"):
-        _grid(r_excl=0.1)
-
-
-def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
-        _grid(points=8)
-
-
-def test_ghost_layer_shape_enforced():
-    grid = _grid()
-    with pytest.raises(ValueError, match="expected"):
-        hyperbolic_laplacian_apply(np.zeros((33, 33)), grid)
-
-
-# -- Laplacian eigen-actions ------------------------------------------------
-
-
-def test_constant_annihilated():
-    grid = _grid(n=2, points=17)
-    f = _field(grid, lambda s, zs: np.ones_like(s))
-    out = hyperbolic_laplacian_apply(f, grid)
-    assert np.max(np.abs(out)) < 1e-12
-
-
-@pytest.mark.parametrize("a", [1.0, 2.5, 0.5 + 1.0j])
-def test_power_action(a):
-    """f = s^a is an exact eigenfunction with eigenvalue a(n - a)."""
-    grid = _grid(n=1)
-    f = _field(grid, lambda s, zs: s**a)
-    out = hyperbolic_laplacian_apply(f, grid)
-    expected = a * (1 - a) * _field(grid, lambda s, zs: s**a)[1:-1, 1:-1]
-    err = np.max(np.abs(out - expected))
-    # error is pure tau-discretization, O(dtau^2)
-    assert err <= 30.0 * grid.dtau**2
-
-
-def test_quadratic_z_term_matches_symbolic_oracle():
-    s_sym, z1 = sp.symbols("s z1", positive=True)
-    expr = s_sym**2 * z1
-    n = 2
-    applied = model_laplacian_apply_sym(expr, s_sym, [z1, sp.Symbol("z2")])
-    assert sp.simplify(applied - (-4 + 2 * n) * expr) == 0
-
-    grid = _grid(n=2, points=25)
-    f = _field(grid, lambda s, zs: s**2 * zs[0])
-    out = hyperbolic_laplacian_apply(f, grid)
-    want = _field(grid, lambda s, zs: (-4 + 2 * n) * s**2 * zs[0])
-    sl = (slice(1, -1),) * 3
-    h = max(grid.dtau, grid.dz)
-    assert np.max(np.abs(out - want[sl])) <= 50.0 * h**2
-
-
-# -- normal operator --------------------------------------------------------
-
-
-def _indicial_sigma(alpha, v0, lam, n):
-    disc = (n / 2.0) ** 2 - (v0 - lam**2 - n**2 / 4.0) / alpha**2
-    return n / 2.0 + np.sqrt(complex(disc))
-
-
-def test_indicial_cancellation_two_grid():
-    """s^sigma lies in the kernel; the discrete residual shrinks at 2nd order."""
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        n = int(rng.integers(1, 3))
-        alpha = float(rng.uniform(0.6, 1.8))
-        v0 = float(rng.uniform(-0.5, 0.5))
-        lam = complex(rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0))
-        sigma = _indicial_sigma(alpha, v0, lam, n)
-        resids = []
-        for pts in (17, 33):
-            grid = _grid(n=n, points=pts)
-            f = _field(grid, lambda s, zs: s**sigma)
-            # frozen-coefficient normal operator alpha^2 D0 f - (V0 - lambda^2 - n^2/4) f
-            core = f[tuple(slice(1, -1) for _ in range(f.ndim))]
-            mult = v0 - lam * lam - n * n / 4.0
-            out = alpha**2 * hyperbolic_laplacian_apply(f, grid) - mult * core
-            resids.append(np.max(np.abs(out)))
-        ratio = resids[0] / resids[1]
-        assert 3.5 <= ratio <= 4.5, (n, alpha, v0, lam, ratio)
-
-
-# -- Green-kernel residual --------------------------------------------------
-
-
-def test_green_residual_second_order():
-    for n, sigma in ((1, 1.5), (2, 2.3)):
-        coarse, fine, ratio = green_residual_convergence(sigma, n)
-        assert coarse.max_residual > fine.max_residual
-        assert 3.5 <= ratio <= 4.5, (n, sigma, ratio)
-        assert fine.spacing < coarse.spacing
-
-
-def test_green_residual_wrong_sign_guard():
-    grid = _grid(n=1, points=65)
-    good = green_residual_check(1.5, grid)
-    bad = wrong_sign_green_residual(1.5, grid)
-    # right sign: pure discretization error; wrong sign: O(1) defect
-    assert bad > 0.1
-    assert bad > 20.0 * good.max_residual
-
-
-def test_green_report_fields():
-    grid = _grid(n=1, points=17)
-    rep = green_residual_check(1.5, grid)
-    assert rep.spacing == pytest.approx(max(grid.dtau, grid.dz))
+@pytest.mark.parametrize("n", [0, 4])
+def test_the_dimension_is_judged_as_everywhere(n):
+    with pytest.raises(ValueError, match=r"^n must be 1\.\.3 \(the supported boundary"):
+        frobenius_ratio(2.2, n)

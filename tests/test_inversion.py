@@ -1219,6 +1219,54 @@ def test_driver_refuses_a_bad_margin_before_any_stage(margin, energies):
         layer_strip_driver(ds, margin=margin)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda ds: ComplexEnergy("4"), "lam must be a number, got '4'"),
+        (lambda ds: ComplexEnergy(True), "lam must be a number, got True"),
+        (lambda ds: ComplexEnergy(1.0, lam_sq=True), "lam_sq must be a number, got True"),
+        (lambda ds: ComplexEnergy(2.0, lam_sq="4"), "lam_sq must be a number, got '4'"),
+        (lambda ds: dataclasses.replace(ds, energies=("4", True)), "lam must be a number, got '4'"),
+        (lambda ds: layer_strip_driver(ds, margin=True), "margin must be a number, got True"),
+        (lambda ds: layer_strip_driver(ds, margin="1"), "margin must be a number, got '1'"),
+        (
+            lambda ds: layer_strip_driver(ds, alpha_sq_known="1"),
+            "alpha_sq_known must be a number, got '1'",
+        ),
+        (
+            lambda ds: layer_strip_driver(ds, alpha_sq_known=True),
+            "alpha_sq_known must be a number, got True",
+        ),
+    ],
+    ids=[
+        "energy-str",
+        "energy-bool",
+        "energy-square-bool",
+        "energy-square-str",
+        "dataset-energies",
+        "margin-bool",
+        "margin-str",
+        "alpha-sq-known-str",
+        "alpha-sq-known-bool",
+    ],
+)
+def test_library_entry_points_refuse_a_bool_or_a_non_number(call, message):
+    """An energy, a margin and a known alpha^2 are numbers: a bool or a string is a ConfigError."""
+    _, ds = make_synthetic_pair(3, 1)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(ds)
+
+
+def test_library_entry_points_take_numpy_numbers():
+    """numpy's numeric scalars are numbers like Python's, with the same results."""
+    _, ds = make_synthetic_pair(3, 1)
+    for lam in (np.float64(4.0), np.int64(4), np.complex128(4.0)):
+        assert ComplexEnergy(lam) == ComplexEnergy(4.0)
+    assert ComplexEnergy(np.float32(2.0), lam_sq=np.float64(4.0)) == ComplexEnergy(2.0)
+    want = canonical_json(layer_strip_driver(ds, margin=1e-6).to_dict())
+    assert canonical_json(layer_strip_driver(ds, margin=np.float64(1e-6)).to_dict()) == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_screen_on_recovered_fields_matches_the_truths_set(n):
     """The set the driver builds from its recovered alpha^2 and V0 is the truth's set.

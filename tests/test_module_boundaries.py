@@ -122,9 +122,9 @@ def test_only_the_gamma_modules_import_scipy():
 
 
 def test_a_fresh_interpreter_loads_only_what_runs(tmp_path):
-    """In one fresh interpreter: ``import scatjet`` loads no submodule; the parser,
-    ``sets`` and ``verify green`` leave ``scipy.special`` unloaded; and, imported
-    afresh, ``model_quadrature`` loads no scatjet module but ``errors``."""
+    """In one fresh interpreter: ``import scatjet`` loads no submodule; the parser
+    and ``sets`` leave ``scipy.special`` unloaded; and, imported afresh,
+    ``model_quadrature`` loads no scatjet module but ``errors``."""
     patch = tmp_path / "patch.json"
     patch.write_text(
         json.dumps({"n": 1, "axes": [4], "alpha": "1", "v_jet": ["0.2"], "h_jet": [[["1"]]]})
@@ -143,7 +143,6 @@ def test_a_fresh_interpreter_loads_only_what_runs(tmp_path):
         from scatjet import cli
         cli.build_parser()
         assert cli.main(["sets", "--patch", {str(patch)!r}, "--out", {str(tmp_path / "sets.json")!r}]) == 0
-        assert cli.main(["verify", "green", "--out", {str(tmp_path / "green.json")!r}]) == 0
         assert "scipy.special" not in sys.modules, loaded()
 
         for name in ["scatjet", *loaded()]:
