@@ -49,6 +49,7 @@ from .errors import (
     as_complex,
     as_int,
     check_array_size,
+    json_numbers,
     raise_first,
 )
 from .expressions import evaluate_field
@@ -137,14 +138,16 @@ def polarization_covectors(n: int) -> np.ndarray:
 def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
     """``probes`` as a new float ``(P, n)`` array of ``P >= 1`` unit vectors.
 
-    Anything else raises ``error`` with a message led by ``prefix``: values
-    that are not an array of numbers, another shape (a list with no probes
-    has shape ``(0,)``), or, naming the first such probe, a probe whose norm
-    misses 1 by more than 1e-12 (named as not finite when a component is).
+    A bool or ``null`` in nested lists raises :class:`ConfigError`
+    (:func:`~scatjet.errors.json_numbers`).  Anything else raises ``error``
+    with a message led by ``prefix``: values that are not an array of
+    numbers, another shape (a list with no probes has shape ``(0,)``), or,
+    naming the first such probe, a probe whose norm misses 1 by more than
+    1e-12 (named as not finite when a component is).
     """
     want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
     try:
-        w = np.array(probes, dtype=float)
+        w = np.array(json_numbers(probes, f"{prefix}probe entry"), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
     if w.ndim != 2 or not len(w) or w.shape[1] != n:
@@ -355,6 +358,8 @@ class BoundaryPatch:
         entries are numbers, expression strings, or raw arrays.  An
         expression reads the coordinates ``y1, ..., yn``, with
         ``y_i = 2*pi*k/m_i`` at the ``k``-th of the ``m_i`` points of axis ``i``.
+        A key outside the schema, or a bool or ``null`` where a number goes,
+        is refused with :class:`ConfigError` naming it.
         A grid whose metric fields, of shape ``axes + (n, n)``, would hold more
         than :data:`~scatjet.errors.MAX_ARRAY_VALUES` values is refused with
         :class:`ConfigError` before any field is built.
@@ -364,6 +369,9 @@ class BoundaryPatch:
             axes = tuple(as_int(m, "axes entry") for m in spec["axes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad patch spec: {exc}") from None
+        unknown = sorted(set(spec) - {"n", "axes", "alpha", "v_jet", "h_jet"})
+        if unknown:
+            raise ConfigError(f"patch key {unknown[0]!r} is not in the patch schema")
         shape = axes = _layout(n, axes)
         check_array_size(axes + (n, n), "the patch's axes ask for metric fields")
         coord_axes = [2.0 * np.pi * np.arange(m) / m for m in axes]
@@ -374,7 +382,7 @@ class BoundaryPatch:
 
         def read(build, name: str, value):
             try:
-                return build(value, coords, shape)
+                return build(json_numbers(value, name), coords, shape)
             except MALFORMED as exc:
                 why = f"{type(exc).__name__}: {exc}"
                 raise ConfigError(f"malformed patch field {name}: {why}") from None

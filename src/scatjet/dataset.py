@@ -1,15 +1,16 @@
-"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/7``.
+"""Serialized scattering-symbol datasets, schema ``scatjet.symbols/8``.
 
 The JSON layout is columnar and canonical: object keys are sorted and
 separators fixed, so the same dataset always serializes to the same bytes.
 The header holds ``n``, ``grid_shape``, ``scale_t`` and the ``energies``
-(and, with first-order data, ``t_pair``) as ``[re, im]`` pairs of JSON
-numbers; an integer field must be a JSON integer and a float field a JSON
-number, never a string or a boolean.  Each array is one string written by
-:func:`pack_array`: the standard, padded base64 of its C-order
-little-endian float64 bytes.  A complex array whose imaginary parts are all
-``+0.0`` is written as its real parts, any other as ``re, im`` pairs; the
-reader tells the two apart by the value count, which the header fixes.
+as ``[re, im]`` pairs of JSON numbers; an integer field must be a JSON
+integer and a float field a JSON number, never a string or a boolean.  A
+key the schema does not define is refused by name.  Each array is one
+string written by :func:`pack_array`: the standard, padded base64 of its
+C-order little-endian float64 bytes.  A complex array whose imaginary parts
+are all ``+0.0`` is written as its real parts, any other as ``re, im``
+pairs; the reader tells the two apart by the value count, which the header
+fixes.
 Every bit is kept:
 
 * ``probes`` (with first-order data): the ``P`` unit probe directions shared
@@ -18,7 +19,7 @@ Every bit is kept:
   ``(S(xi), S(t xi))`` per energy, grid index and covector of
   :func:`~scatjet.boundary_jets.polarization_covectors`;
 * ``singularity`` (optional): complex ``(*grid, P)``, present exactly when
-  ``probes`` and ``t_pair`` are.
+  ``probes`` is.
 
 In memory every grid array is grid first, ``symbols`` ``(*grid, E, C, 2)``:
 the codec (``to_dict``, ``from_dict``) alone moves the energy axis.  An
@@ -28,9 +29,9 @@ energies, or a file that holds real parts) and complex128 otherwise; a float
 array packs to the same bytes as a complex array whose imaginary parts are
 all ``+0.0``.
 
-A dataset holds the scattering data and nothing derived from the unknowns:
-the inverse screens its energies against the exceptional set of the fields
-it recovers.
+A dataset holds the scattering data and nothing derived from the unknowns
+or the model: the inverse screens its energies against the exceptional set
+of the fields it recovers, and fits at the model's ``UNIT_FACTORS``.
 
 :func:`pack_array` returns its text as a :class:`PackedArray`, a ``str``
 that :func:`canonical_json` copies as it stands: base64 needs no JSON
@@ -38,12 +39,11 @@ escape, so the encoder never scans it.  Decoding only turns each string
 into an array of its declared shape; every check of the values runs in the
 :class:`SymbolDataset` constructor, for datasets built in memory and read
 from files alike.  Files of the earlier layouts ``scatjet.symbols/1`` to
-``/6`` are refused.
+``/7`` are refused.
 """
 from __future__ import annotations
 
 import base64
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -65,8 +65,9 @@ from .errors import (
     raise_first,
 )
 
-SCHEMA = "scatjet.symbols/7"
-_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 7))
+SCHEMA = "scatjet.symbols/8"
+_OLD_SCHEMAS = tuple(f"scatjet.symbols/{k}" for k in range(1, 8))
+_KEYS = {"schema", "n", "grid_shape", "scale_t", "energies", "symbols", "singularity", "probes"}
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -262,16 +263,13 @@ class SymbolDataset:
     ``probes`` (if present) is the read-only real ``(P, n)`` array of the
     unit probe directions, one set for every grid point, and
     ``singularity`` the read-only ``(*grid_shape, P)`` array of the
-    first-order singularity coefficient ``F`` at those probes, and
-    ``t_pair`` the two model-integral factors
-    they were built with, which the inverse reads; the three come together
-    or not at all.  ``symbols`` and ``singularity`` keep the dtype the
-    caller gives, as copies: float64 for real data (the forward map at real
-    energies, a file written as real parts) and complex128 for complex ones.
-    Construction checks every field and raises
-    :class:`ConfigError` naming the first bad entry (a missing one of the
-    three by name, a probe by its index, an entry of a grid array by its
-    grid index and sample).
+    first-order singularity coefficient ``F`` at those probes; the two come
+    together or not at all.  ``symbols`` and ``singularity`` keep the dtype
+    the caller gives, as copies: float64 for real data (the forward map at
+    real energies, a file written as real parts) and complex128 for complex
+    ones.  Construction checks every field and raises :class:`ConfigError`
+    naming the first bad entry (a missing one of the two by name, a probe by
+    its index, an entry of a grid array by its grid index and sample).
     """
 
     n: int
@@ -281,7 +279,6 @@ class SymbolDataset:
     symbols: np.ndarray
     singularity: np.ndarray | None = None
     probes: np.ndarray | None = None
-    t_pair: tuple[complex, complex] | None = None
 
     def __post_init__(self):
         check_header(self.n, self.grid_shape, self.scale_t, self.energies)
@@ -298,11 +295,10 @@ class SymbolDataset:
         )
         symbols.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
-        missing = [k for k in ("singularity", "probes", "t_pair") if getattr(self, k) is None]
-        if 0 < len(missing) < 3:
+        missing = [k for k in ("singularity", "probes") if getattr(self, k) is None]
+        if len(missing) == 1:
             raise ConfigError(
-                "singularity, probes and t_pair come together or not at all; "
-                f"missing: {', '.join(missing)}"
+                f"singularity and probes come together or not at all; missing: {missing[0]}"
             )
         if not missing:
             probes = probe_array(self.probes, self.n, ConfigError, "probes: ")
@@ -316,8 +312,6 @@ class SymbolDataset:
             for arr, name in ((singularity, "singularity"), (probes, "probes")):
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-            if len(self.t_pair) != 2 or not all(cmath.isfinite(t) for t in self.t_pair):
-                raise ConfigError(f"t_pair {self.t_pair} is not two finite numbers")
 
     # -- serialization ------------------------------------------------------
 
@@ -333,20 +327,19 @@ class SymbolDataset:
         if self.singularity is not None:
             out["singularity"] = pack_array(self.singularity)
             out["probes"] = pack_array(self.probes)
-        if self.t_pair is not None:
-            out["t_pair"] = [encode_complex(self.t_pair[0]), encode_complex(self.t_pair[1])]
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SymbolDataset":
-        """Decode a ``scatjet.symbols/7`` dataset and check it.
+        """Decode a ``scatjet.symbols/8`` dataset and check it.
 
-        Raises :class:`IoError`: for an array that is not a base64 string of
-        the right value count, naming the array (and its expected shape),
-        for a header field of the wrong JSON type, naming the field,
-        otherwise with the message of the constructor's :class:`ConfigError`
-        (for a bad probe, its index; for a non-finite entry of a grid array,
-        its grid index and sample).
+        Raises :class:`IoError`: for an earlier or unknown schema, for a key
+        the schema does not define, naming it, for an array that is not a
+        base64 string of the right value count, naming the array (and its
+        expected shape), for a header field of the wrong JSON type, naming
+        the field, otherwise with the message of the constructor's
+        :class:`ConfigError` (for a bad probe, its index; for a non-finite
+        entry of a grid array, its grid index and sample).
         """
         try:
             schema = data.get("schema")
@@ -357,6 +350,9 @@ class SymbolDataset:
                 )
             if schema != SCHEMA:
                 raise IoError(f"unrecognized dataset schema {schema!r}")
+            unknown = sorted(set(data) - _KEYS)
+            if unknown:
+                raise IoError(f"dataset key {unknown[0]!r} is not defined by schema {SCHEMA!r}")
             n = as_int(data["n"], "n")
             grid_shape = tuple(as_int(m, "grid_shape entry") for m in data["grid_shape"])
             scale_t = as_float(data["scale_t"], "scale_t")
@@ -374,10 +370,6 @@ class SymbolDataset:
                     singularity = unpack_array(
                         singularity, "singularity", (*grid_shape, len(probes)), complex
                     )
-            t_pair = None
-            if "t_pair" in data:
-                t1, t2 = data["t_pair"]
-                t_pair = (decode_complex(t1, "t_pair entry"), decode_complex(t2, "t_pair entry"))
             return cls(
                 n=n,
                 grid_shape=grid_shape,
@@ -386,7 +378,6 @@ class SymbolDataset:
                 symbols=symbols,
                 singularity=singularity,
                 probes=probes,
-                t_pair=t_pair,
             )
         except ConfigError as exc:
             raise IoError(str(exc)) from None

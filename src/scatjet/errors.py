@@ -104,6 +104,15 @@ def as_float(value, name: str) -> float:
     return float(value)
 
 
+def json_numbers(value, name: str):
+    """``value``, once :func:`as_float` has refused any bool or ``null`` in its nested lists."""
+    for v in value if isinstance(value, list) else ():
+        json_numbers(v, name)
+    if value is None or isinstance(value, bool):
+        as_float(value, name)
+    return value
+
+
 def as_complex(value, name: str) -> complex:
     """``value`` as a complex if it is a number; :class:`ConfigError` for a bool or a non-number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, complex, np.number)):

@@ -45,7 +45,7 @@ def evaluate_field(expr: str, coords: Mapping[str, np.ndarray]) -> np.ndarray:
         if isinstance(node, ast.Expression):
             return walk(node.body)
         if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ConfigError(f"non-numeric literal {node.value!r} in {expr!r}")
             try:
                 value = float(node.value)

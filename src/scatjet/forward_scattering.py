@@ -33,8 +33,9 @@ with ``H = h0^-1 h^(1) h0^-1``, so ``tr(h0 H) = tr(h0^-1 h^(1))``, and
 ``W1 = V^(1)``, where
 ``D_ij(omega) = (3 - 2 sigma)(delta_ij + (1 - 2 sigma) omega_i omega_j)``
 is the unit-sphere Hessian profile of ``|Y|^(3 - 2 sigma)`` and ``t1, t2``
-are the model-integral factors a dataset records as ``t_pair`` (all other
-scalar prefactors are normalized to one).  The probes ``omega`` are
+are the model-integral factors, normalized to one like every other scalar
+prefactor: the forward map and the inverse both take ``UNIT_FACTORS``, a
+constant of the model that no dataset carries.  The probes ``omega`` are
 Euclidean unit vectors in the coordinates ``y``, and ``delta_ij`` contracts
 the coordinate components of ``H``: the profile is not coordinate-covariant
 (item 20 of ROADMAP.md).  In the unknowns
@@ -72,6 +73,8 @@ from .errors import (
     real_part_if_real,
 )
 from scipy.special import gamma as _gamma
+
+UNIT_FACTORS = (1.0, 1.0)  # the model's (t1, t2) of the first-order profile F
 
 
 @functools.cache

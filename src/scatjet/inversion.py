@@ -91,6 +91,7 @@ from .errors import (
     timed,
 )
 from .forward_scattering import (
+    UNIT_FACTORS,
     first_order_factors,
     on_real_axis,
     prefactor_and_poles,
@@ -567,8 +568,8 @@ class RecoveryReport:
     Grid fields have shape ``grid_shape``, plus ``(E,)`` for ``sigma``, the
     root at each energy, and ``(n, n)`` for ``h0`` and ``H``; ``alpha_sq``,
     ``v0`` and ``h0`` are always float64, and ``sigma``, ``H``, ``W1`` and
-    each ``kernel_basis`` ``H`` are float64 for real data (real energies,
-    float samples, real ``t_pair``) and complex128 otherwise.
+    each ``kernel_basis`` ``H`` are float64 for real data (real energies and
+    float samples) and complex128 otherwise.
     :meth:`to_dict` writes each as the base64 string of
     :func:`~scatjet.dataset.pack_array`, so a float field, or a complex one
     whose imaginary parts are all ``+0.0``, is written as its real parts and
@@ -614,8 +615,9 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
     Stages: root/norm recovery and metric polarization over every grid point
     and energy, the zeroth-order least squares over every energy (``alpha^2``
     fitted, or given as ``alpha_sq_known``), the admissibility screen, then
-    the first-order fit when singularity samples are present, each reading the
-    dataset's :class:`~scatjet.boundary_jets.ComplexEnergy` entries as they are.  An energy
+    the first-order fit at the model's ``UNIT_FACTORS`` when singularity
+    samples are present, each reading the dataset's
+    :class:`~scatjet.boundary_jets.ComplexEnergy` entries as they are.  An energy
     whose roots contradict the others' is refused by the zeroth-order misfit.
     A ``margin`` or ``alpha_sq_known`` that is not a number (a bool is not),
     a negative, NaN or infinite ``margin``, or an ``alpha_sq_known`` that is
@@ -702,7 +704,7 @@ def layer_strip_driver(dataset, *, margin=1e-6, alpha_sq_known=None) -> Recovery
         log.info("first-order stage: least squares of F = M (T u) from first_order_factors")
         with _stage("first-order"):
             fo = first_order_recovery(
-                dataset.singularity, dataset.probes, rec.sigma[..., 0], *dataset.t_pair,
+                dataset.singularity, dataset.probes, rec.sigma[..., 0], *UNIT_FACTORS,
                 alpha_field, h0
             )
             f_scale = fold_last(np.maximum, np.abs(dataset.singularity))

@@ -16,7 +16,12 @@ import numpy as np
 from .boundary_jets import BoundaryPatch, ComplexEnergy, polarization_covectors
 from .dataset import SymbolDataset, check_header
 from .errors import ConfigError, ScatjetError
-from .forward_scattering import default_probe_set, principal_symbol, singularity_coefficient
+from .forward_scattering import (
+    UNIT_FACTORS,
+    default_probe_set,
+    principal_symbol,
+    singularity_coefficient,
+)
 from .spectral_sets import exceptional_set, is_admissible
 
 _ENERGY_DRAWS = 100
@@ -102,7 +107,6 @@ def forward_dataset(
     energies: tuple[ComplexEnergy, ...],
     scale_t: float = 2.0,
     probes: np.ndarray | None = None,
-    t_pair: tuple[complex, complex] | None = None,
 ) -> SymbolDataset:
     """Forward map: symbol pairs (and first-order singularity samples) on disk form.
 
@@ -113,13 +117,14 @@ def forward_dataset(
     samples ``F(omega)`` of those jets
     (:func:`~scatjet.forward_scattering.singularity_coefficient`) at the
     ``(P, n)`` array of unit ``probes`` (:func:`default_probe_set` unless
-    given), at every grid point, are attached together with the probes and
-    the model-integral factor pair used to build them (``(1, 1)`` unless
-    given).  The dataset holds these samples and nothing else derived from
-    the patch: the inverse screens the energies against the exceptional set
-    of the fields it recovers.  Order-1 entries in one jet alone, probes for
-    a patch with none, or a header that :func:`~scatjet.dataset.check_header`
-    refuses, raise :class:`ConfigError` before any sampling.
+    given), at every grid point, are attached together with the probes.  They
+    are sampled at the model's ``UNIT_FACTORS``, which the inverse fits with
+    and no dataset carries.  The dataset holds these samples and nothing
+    else derived from the patch: the inverse screens the energies against
+    the exceptional set of the fields it recovers.  Order-1 entries in one
+    jet alone, probes for a patch with none, or a header that
+    :func:`~scatjet.dataset.check_header` refuses, raise
+    :class:`ConfigError` before any sampling.
     """
     lacking = [name for name in ("v_jet", "h_jet") if len(getattr(patch, name)) < 2]
     if len(lacking) == 1:
@@ -143,10 +148,8 @@ def forward_dataset(
 
     singularity = omega = None
     if first_order:
-        if t_pair is None:
-            t_pair = (1.0 + 0.0j, 1.0 + 0.0j)
         omega = default_probe_set(n) if probes is None else probes
-        singularity = singularity_coefficient(patch, sigma[..., 0], t_pair[0], t_pair[1], omega)
+        singularity = singularity_coefficient(patch, sigma[..., 0], *UNIT_FACTORS, omega)
 
     return SymbolDataset(
         n=n,
@@ -156,7 +159,6 @@ def forward_dataset(
         symbols=symbols,
         singularity=singularity,
         probes=omega,
-        t_pair=t_pair,
     )
 
 
@@ -171,8 +173,8 @@ def make_synthetic_pair(
     ``h^(1) = h0 H h0`` with a traceless ``H`` and ``V^(1) = W1 = 0``: the
     fitted system's structural kernel direction is then orthogonal to the
     truth, the regime in which minimum-norm recovery is exact.  The dataset
-    has ``scale_t = 2`` and first-order data at the default probes, with
-    ``t_pair = (1, 1)``.
+    has ``scale_t = 2`` and first-order data at the default probes, sampled
+    at the model's ``UNIT_FACTORS``.
     """
     rng = np.random.default_rng(seed)
     alpha = float(rng.uniform(0.5, 2.0))

@@ -14,7 +14,12 @@ import pytest
 
 from scatjet.boundary_jets import BoundaryPatch, ComplexEnergy, indicial_root, indicial_v0
 from scatjet.errors import DIMENSIONS, BranchCut
-from scatjet.forward_scattering import default_probe_set, prefactor_and_poles, principal_symbol
+from scatjet.forward_scattering import (
+    default_probe_set,
+    prefactor_and_poles,
+    principal_symbol,
+    singularity_coefficient,
+)
 from scatjet.hyperbolic_model import IM_NU_MAX, NU_MAX, frobenius_ratio
 from scatjet.inversion import (
     first_order_recovery,
@@ -251,24 +256,24 @@ def test_acceptance_first_order_round_trip():
     assert worst <= 1e-8
     assert report.design_rank is not None and len(report.kernel_basis) >= 1
 
-    # same round trip with t1, t2 actually computed from the limit integrals
+    # the same first-order model with t1, t2 computed from the limit integrals: the
+    # zeroth order comes from the driver on the unit-factor dataset, and the
+    # first-order samples at the computed factors are fitted with them
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=20000)
     h0 = np.diag([2.0, 1.0])
     L = np.array([[0.5, 0.2], [0.2, -0.125]])  # h0^-1 L h0^-1 is traceless
     patch = constant_patch(2, 1.1, 0.4, h0, v1=0.0, h1=L)
     en1, en2 = ComplexEnergy(4.0), ComplexEnergy(5.0)
-    sig = indicial_root(patch, en1)[0, 0]
-    t_pair = (
-        t_limit_integral(1, sig, 2, spec).value,
-        t_limit_integral(2, sig, 2, spec).value,
+    sig = indicial_root(patch, en1)
+    t1, t2 = (t_limit_integral(l, sig[0, 0], 2, spec).value for l in (1, 2))
+    ds = forward_dataset(patch, (en1, en2))
+    zeroth = layer_strip_driver(ds)
+    samples = singularity_coefficient(patch, sig, t1, t2, ds.probes)
+    fit = first_order_recovery(
+        samples, ds.probes, zeroth.sigma[..., 0], t1, t2, zeroth.alpha_sq, zeroth.h0
     )
-    ds = forward_dataset(patch, (en1, en2), t_pair=t_pair)
-    report_q = layer_strip_driver(ds)
     want_H = np.linalg.solve(h0, np.linalg.solve(h0, L.T).T)
-    gap_q = max(
-        float(np.max(np.abs(report_q.H - want_H))),
-        float(np.max(np.abs(report_q.W1))),
-    )
+    gap_q = max(float(np.max(np.abs(fit.H - want_H))), float(np.max(np.abs(fit.W1))))
     assert gap_q <= 1e-6
 
     # no perturbation at all must come back as exactly (0, 0)

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +226,6 @@ def _datasets(draw):
         symbols=complex_array((*grid, n_energies, n * (n + 1) // 2, 2)),
         singularity=complex_array(grid + (count,)),
         probes=raw / norm,
-        t_pair=tuple(complex_array((2,))),
     )
 
 
@@ -247,8 +247,8 @@ def test_dataset_encode_decode_is_identity(ds):
         widened = np.array(getattr(again, name), dtype=arr.dtype)
         np.testing.assert_array_equal(_bits(widened), _bits(arr))
     assert (again.n, again.grid_shape, again.scale_t) == (ds.n, ds.grid_shape, ds.scale_t)
-    got = [en.lam for en in again.energies] + list(again.t_pair)
-    want = [en.lam for en in ds.energies] + list(ds.t_pair)
+    got = [en.lam for en in again.energies]
+    want = [en.lam for en in ds.energies]
     assert _bits(np.array(got)).tolist() == _bits(np.array(want)).tolist()
 
 
@@ -418,17 +418,12 @@ def test_dataset_rejects_singularity_without_every_grid_index():
     with pytest.raises(ConfigError, match=want + r"\(4, 4, 4, 2\)$"):
         dataclasses.replace(ds, probes=np.broadcast_to(ds.probes, (4, 4, 4, 2)))
     with pytest.raises(
-        ConfigError,
-        match=r"^singularity, probes and t_pair come together or not at all; missing: probes$",
+        ConfigError, match=r"^singularity and probes come together or not at all; missing: probes$"
     ):
         dataclasses.replace(ds, probes=None)
-    with pytest.raises(ConfigError, match=r"or not at all; missing: t_pair$"):
-        dataclasses.replace(ds, t_pair=None)
-    with pytest.raises(ConfigError, match=r"or not at all; missing: singularity, probes$"):
-        dataclasses.replace(ds, singularity=None, probes=None)
-    for t_pair in ((1.0, 1.0, 1.0), (1.0, math.nan)):
-        with pytest.raises(ConfigError, match=r"^t_pair \(.*\) is not two finite numbers$"):
-            dataclasses.replace(ds, t_pair=t_pair)
+    with pytest.raises(ConfigError, match=r"or not at all; missing: singularity$"):
+        dataclasses.replace(ds, singularity=None)
+    assert dataclasses.replace(ds, singularity=None, probes=None).probes is None
 
 
 def _with_entry(array, index, value):
@@ -493,12 +488,19 @@ def test_dataset_dimension_outside_1_to_3_is_refused(tmp_path, n):
     assert main(["invert", "--data", str(path)]) == 2
 
 
-def test_dataset_from_dict_ignores_unknown_keys():
+@pytest.mark.parametrize("key", ["t_pair", "extra"])
+def test_dataset_from_dict_refuses_unknown_keys(tmp_path, key):
+    """A key the schema does not define, the factors of the earlier schemas among them, is
+    refused by name, exit 2: it is never dropped silently."""
     _, ds = make_synthetic_pair(seed=4, n=2)
     data = ds.to_dict()
-    data["future_extension"] = {"anything": 1}
-    again = SymbolDataset.from_dict(data)
-    assert again.n == ds.n and again.energies == ds.energies
+    data[key] = [[1.0, 0.0], [1.0, 0.0]] if key == "t_pair" else 1
+    message = f"^dataset key '{key}' is not defined by schema 'scatjet.symbols/8'$"
+    with pytest.raises(IoError, match=message):
+        SymbolDataset.from_dict(data)
+    path = tmp_path / "ds.json"
+    path.write_text(canonical_json(data))
+    assert main(["invert", "--data", str(path)]) == 2
 
 
 def test_dataset_io_errors(tmp_path):
@@ -694,18 +696,13 @@ def _no_samples(data):
         ),
         (_drop("probes"), r"come together or not at all; missing: probes$"),
         (_drop("singularity"), r"come together or not at all; missing: singularity$"),
-        (_drop("t_pair"), r"come together or not at all; missing: t_pair$"),
-        (
-            lambda data: [data.pop(k) for k in ("singularity", "probes")],
-            r"come together or not at all; missing: singularity, probes$",
-        ),
         *(
             (
                 _set("schema", f"scatjet.symbols/{old}"),
                 rf"dataset schema 'scatjet.symbols/{old}' is no longer read; "
-                r"re-run `scatjet forward` to write 'scatjet.symbols/7'",
+                r"re-run `scatjet forward` to write 'scatjet.symbols/8'",
             )
-            for old in (1, 2, 3, 4, 5, 6)
+            for old in (1, 2, 3, 4, 5, 6, 7)
         ),
         (_set("scale_t", 1.0), r"scale_t=1.0 must be finite, positive and not 1"),
         (_set("scale_t", -2.0), r"scale_t=-2.0 must be finite, positive and not 1"),
@@ -713,7 +710,6 @@ def _no_samples(data):
         (_set("scale_t", True), r"^scale_t must be a number, got True$"),
         (_set("energies", [[True, 0.0], [5.0, 0.0]]), r"^energies entry must be a number, got True$"),
         (_set("energies", [[4.0, "0"], [5.0, 0.0]]), r"^energies entry must be a number, got '0'$"),
-        (_set("t_pair", [[True, 0], [1.0, 0.0]]), r"^t_pair entry must be a number, got True$"),
         (_set("energies", []), r"dataset has no energies"),
         (_set("grid_shape", [4, 0]), r"grid_shape \(4, 0\): axis 1 has 0 points"),
         (_set("grid_shape", [16]), r"grid_shape \(16,\) has 1 axes, expected n=2"),
@@ -750,21 +746,19 @@ def _no_samples(data):
         "omega-not-unit",
         "singularity-without-probes",
         "missing-singularity",
-        "singularity-without-t-pair",
-        "t-pair-without-singularity",
         "schema-1",
         "schema-2",
         "schema-3",
         "schema-4",
         "schema-5",
         "schema-6",
+        "schema-7",
         "scale-t-one",
         "scale-t-negative",
         "scale-t-string",
         "scale-t-bool",
         "energy-bool",
         "energy-string",
-        "t-pair-bool",
         "no-energies",
         "grid-axis-zero",
         "grid-rank-not-n",
@@ -918,11 +912,10 @@ def test_cli_forward_invert_flow(tmp_path):
     )
     assert rc == 0
     payload = _read_json(ds_path)
-    assert payload["schema"] == "scatjet.symbols/7"
-    # every block is a dataset field that load reads: no derived extras
+    assert payload["schema"] == "scatjet.symbols/8"
+    # every block is a dataset field that load reads: no derived extras, no model factors
     assert set(payload) == {
-        "schema", "n", "grid_shape", "scale_t", "energies", "t_pair",
-        "symbols", "singularity", "probes",
+        "schema", "n", "grid_shape", "scale_t", "energies", "symbols", "singularity", "probes",
     }
 
     report_path = tmp_path / "report.json"
@@ -1156,22 +1149,14 @@ def test_cli_non_finite_complex_argument_exits_2(tmp_path, caplog, command):
     )
 
 
-@pytest.mark.parametrize(
-    "case", ["sigma-no-first-order", "sigma-first-order", "first-order-svd", "first-order-fit"]
-)
+@pytest.mark.parametrize("case", ["sigma-no-first-order", "sigma-first-order", "first-order-fit"])
 def test_cli_invert_overflow_exits_1(tmp_path, caplog, case):
     """Finite input that overflows inside a stage ends in that stage's error, exit 1."""
     _, ds = make_synthetic_pair(seed=3, n=2)
     if case == "sigma-no-first-order":
-        ds = dataclasses.replace(ds, singularity=None, probes=None, t_pair=None)
+        ds = dataclasses.replace(ds, singularity=None, probes=None)
     argv = ["invert", "--data", str(tmp_path / "ds.json"), "--out", str(tmp_path / "out.json")]
-    if case == "first-order-svd":
-        ds = dataclasses.replace(ds, t_pair=(1e308, 1e308))
-        expected = (
-            "[stage first-order] first-order design leaves double range "
-            "(t1=(1e+308+0j), t2=(1e+308+0j)) at grid index (0, 0)"
-        )
-    elif case == "first-order-fit":
+    if case == "first-order-fit":
         ds = dataclasses.replace(ds, singularity=np.full_like(ds.singularity, 1e308))
         expected = (
             "[stage first-order] fitted H, W1 or fit residual leaves double range "
@@ -1460,6 +1445,56 @@ def test_cli_malformed_patch_field_exits_2_naming_it(
     assert [r.getMessage()[: len(message)] for r in caplog.records if r.levelname == "ERROR"] == [
         message
     ]
+
+
+_FIRST_ORDER_2 = {
+    "n": 2, "axes": [4, 4], "alpha": 1.0, "v_jet": [0.2, 0.0], "h_jet": [_IDENTITY_2, _IDENTITY_2]
+}
+_ALPHA_BOOL = "alpha must be a number, got True"
+
+
+@pytest.mark.parametrize(
+    "command,change,message",
+    [
+        (["sets"], {"alpha": True}, _ALPHA_BOOL),
+        (["sets"], {"v_jet": [False]}, "v_jet[0] must be a number, got False"),
+        (["sets"], {"h_jet": [[[True, 0], [0, 1]]]}, "h_jet[0] must be a number, got True"),
+        (["sets"], {"alpha": [[1.0] * 4] * 3 + [[1.0, True, 1.0, 1.0]]}, _ALPHA_BOOL),
+        (["sets"], {"alpha": "True"}, "non-numeric literal True in 'True'"),
+        (["sets"], {"v_jet": ["2*False+1"]}, "non-numeric literal False in '2*False+1'"),
+        (["sets"], {"alpha": None}, "alpha must be a number, got None"),
+        (["sets"], {"extra": 1}, "patch key 'extra' is not in the patch schema"),
+        (["forward", "--lam", "4"], {"alpha": True}, _ALPHA_BOOL),
+        (
+            ["forward", "--lam", "4", "--probes", "probes.json"],
+            {},
+            "--probes: probe entry must be a number, got True",
+        ),
+    ],
+    ids=[
+        "sets-alpha-bool",
+        "sets-v-jet-bool",
+        "sets-h-jet-entry-bool",
+        "sets-bool-in-raw-array",
+        "sets-expression-true",
+        "sets-expression-false",
+        "sets-alpha-null",
+        "sets-unknown-key",
+        "forward-alpha-bool",
+        "forward-probes-bool",
+    ],
+)
+def test_cli_patch_and_probes_take_numbers_alone(
+    tmp_path, monkeypatch, caplog, command, change, message
+):
+    """A JSON boolean or null where a number goes, or a key the patch schema does not
+    define, is a ConfigError naming it: exit 2 and no output."""
+    monkeypatch.chdir(tmp_path)
+    Path("patch.json").write_text(json.dumps({**_FIRST_ORDER_2, **change}))
+    Path("probes.json").write_text(json.dumps([[True, False], [False, True]] * 2))
+    assert main([*command, "--patch", "patch.json", "--out", "out.json"]) == 2
+    assert not Path("out.json").exists()
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
 
 
 def test_cli_process_patch_expression_warns_nothing_raw(tmp_path):

@@ -25,6 +25,7 @@ from scatjet.errors import (
     ZeroSymbol,
 )
 from scatjet.forward_scattering import (
+    UNIT_FACTORS,
     _exp,
     default_probe_set,
     first_order_factors,
@@ -47,6 +48,7 @@ from scatjet.synthetic import (
     draw_admissible_energies,
     forward_dataset,
     make_synthetic_pair,
+    random_spd,
     traceless_symmetric,
 )
 
@@ -324,6 +326,28 @@ def test_a_complex_energy_keeps_complex128(lams):
         assert getattr(report, name).dtype == np.float64, name
 
 
+@pytest.mark.parametrize("lams", [(4 + 0.5j, 5 - 0.25j), (3.5, 4.5 + 1j)])
+def test_complex_energies_round_trip_every_field(lams):
+    """At a pair with a complex energy every recovered field, H and W1 among them, is
+    within 1e-8 of its truth after the codec, for seeded constant truths at n = 1..3."""
+    energies = tuple(ComplexEnergy(lam) for lam in lams)
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3):
+            alpha, v0 = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+            h0, H = random_spd(rng, n), traceless_symmetric(rng, n)
+            patch = constant_patch(n, alpha, v0, h0, v1=0.0, h1=h0 @ H @ h0)
+            text = canonical_json(forward_dataset(patch, energies).to_dict())
+            report = layer_strip_driver(SymbolDataset.from_dict(json.loads(text)))
+            assert report.status == "ok"
+            sigma = np.stack([indicial_root(patch, en) for en in energies], axis=-1)
+            truth = {"sigma": sigma, "alpha_sq": alpha**2, "v0": v0, "h0": h0, "H": H, "W1": 0.0}
+            for name, want in truth.items():
+                worst = max(worst, float(np.max(np.abs(getattr(report, name) - want))))
+    assert worst <= 1e-8
+
+
 def test_sigma_zero_and_scale_validation():
     with pytest.raises(ZeroSymbol):
         recover_sigma_from_symbol(0.0, 1.0, 2.0, 2)
@@ -484,8 +508,6 @@ def test_metric_worked_diagonal():
 def test_metric_random_round_trip(n):
     rng = np.random.default_rng(n)
     for _ in range(10):
-        from scatjet.synthetic import random_spd
-
         h0 = random_spd(rng, n)
         norms = [math.sqrt(xi @ np.linalg.solve(h0, xi)) for xi in polarization_covectors(n)]
         np.testing.assert_allclose(metric_boundary_recovery(norms, n), h0, atol=1e-10)
@@ -852,17 +874,16 @@ def test_first_order_n1_kernel_direction():
 def test_first_order_grid_matches_each_point():
     """One call over a varying grid equals the one-point fit at every point."""
     patch, energies, _ = varying_patch(seed=29)
-    ds = forward_dataset(patch, energies, t_pair=(0.9 + 0.2j, 1.3 - 0.1j))
     sigma = indicial_root(patch, energies[0])
     alpha_sq = patch.alpha**2
     h0 = patch.h_jet[0]
     args = (0.9 + 0.2j, 1.3 - 0.1j)
-    grid = first_order_recovery(ds.singularity, ds.probes, sigma, *args, alpha_sq, h0)
+    probes = default_probe_set(2)
+    samples = singularity_coefficient(patch, sigma, *args, probes)
+    grid = first_order_recovery(samples, probes, sigma, *args, alpha_sq, h0)
     assert grid.H.shape == (5, 6, 2, 2) and grid.design_rank == 3
     for idx in np.ndindex(5, 6):
-        one = first_order_recovery(
-            ds.singularity[idx], ds.probes, sigma[idx], *args, alpha_sq[idx], h0[idx]
-        )
+        one = first_order_recovery(samples[idx], probes, sigma[idx], *args, alpha_sq[idx], h0[idx])
         for name in ("H", "W1", "residual"):
             np.testing.assert_allclose(
                 getattr(grid, name)[idx], getattr(one, name), rtol=1e-12, atol=1e-14
@@ -872,7 +893,7 @@ def test_first_order_grid_matches_each_point():
             np.testing.assert_array_equal(Hg, H1)
             assert Wg == W1
     with pytest.raises(ValueError, match=r"^omega: expected an array of shape \(P, 2\) with P >= 1"):
-        first_order_recovery(ds.singularity, ds.probes[:, :1], sigma, *args, alpha_sq, h0)
+        first_order_recovery(samples, probes[:, :1], sigma, *args, alpha_sq, h0)
 
 
 @pytest.mark.parametrize("sigma", [1.5, 0.5])
@@ -897,6 +918,19 @@ def test_first_order_refuses_a_vanishing_profile_factor(sigma):
     res = first_order_recovery(*samples, near, 1.0, 1.0, alpha**2, h0)
     np.testing.assert_allclose(res.H, H, atol=1e-6)
     assert res.residual <= 1e-12
+
+
+def test_first_order_design_overflow_names_the_factors():
+    """Factors that take the design past double range are refused, printed as given."""
+    _, ds = make_synthetic_pair(seed=3, n=2)
+    report = layer_strip_driver(ds)
+    args = (ds.singularity, ds.probes, report.sigma[..., 0], 1e308, 1e308, report.alpha_sq)
+    with pytest.raises(
+        InconsistentData,
+        match=r"^first-order design leaves double range \(t1=1e\+308, t2=1e\+308\) "
+        r"at grid index \(0, 0\)$",
+    ):
+        first_order_recovery(*args, report.h0)
 
 
 def _assert_matches_svd_oracle(values, probes, sigma, t1, t2, alpha_sq, h0):
@@ -929,17 +963,18 @@ def test_first_order_matches_svd_oracle_on_seeded_data():
                 ds.singularity,
                 ds.probes,
                 report.sigma[..., 0],
-                *ds.t_pair,
+                *UNIT_FACTORS,
                 report.alpha_sq,
                 report.h0,
             )
+    probes = default_probe_set(2)
     for seed in (29, 31, 37):
-        for t_pair in ((1.0, 1.0), (0.9 + 0.2j, 1.3 - 0.1j)):
+        for factors in (UNIT_FACTORS, (0.9 + 0.2j, 1.3 - 0.1j)):
             patch, energies, _ = varying_patch(seed=seed)
-            ds = forward_dataset(patch, energies, t_pair=t_pair)
             sigma = indicial_root(patch, energies[0])
+            samples = singularity_coefficient(patch, sigma, *factors, probes)
             _assert_matches_svd_oracle(
-                ds.singularity, ds.probes, sigma, *t_pair, patch.alpha**2, patch.h_jet[0]
+                samples, probes, sigma, *factors, patch.alpha**2, patch.h_jet[0]
             )
 
 
@@ -1318,7 +1353,7 @@ def test_driver_refuses_non_finite_norm(with_first_order):
     """Finite but huge samples overflow the norm: an error, not a NaN report."""
     _, ds = make_synthetic_pair(seed=3, n=2)
     if not with_first_order:
-        ds = dataclasses.replace(ds, singularity=None, probes=None, t_pair=None)
+        ds = dataclasses.replace(ds, singularity=None, probes=None)
     big = dataclasses.replace(ds, symbols=ds.symbols * 1e308)
     with pytest.raises(
         InconsistentData,
@@ -1431,7 +1466,7 @@ def test_driver_rejects_nan_symbol_pair():
 def test_driver_round_trip_on_varying_patch():
     """Every field recovered point by point where every field varies."""
     patch, energies, H = varying_patch(seed=29)
-    ds = forward_dataset(patch, energies, t_pair=(1.0 + 0j, 1.0 + 0j))
+    ds = forward_dataset(patch, energies)
     report = layer_strip_driver(ds)
     assert report.status == "ok"
     sigmas = [indicial_root(patch, en) for en in energies]
@@ -1496,7 +1531,6 @@ def test_forward_encode_decode_invert_is_identity(truth):
         symbols=ds.symbols[..., :1, :, :],
         singularity=None,
         probes=None,
-        t_pair=None,
     )
     report = layer_strip_driver(one, alpha_sq_known=alpha_sq)
     assert report.status == "ok"
