@@ -47,9 +47,9 @@ from .errors import (
     ConfigError,
     ScatjetError,
     as_complex,
+    as_floats,
     as_int,
     check_array_size,
-    json_numbers,
     raise_first,
 )
 from .expressions import evaluate_field
@@ -73,34 +73,31 @@ class ComplexEnergy:
         object.__setattr__(self, "lam_sq", lam_sq)
 
 
-def _as_field(value: Any, coords: Mapping[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """Coerce an expression string, scalar, or array to a grid-shaped float array."""
+def _read_field(value: Any, name: str, coords: Mapping[str, np.ndarray], shape) -> np.ndarray:
+    """The field ``name`` at the grid ``shape``: a number, an expression on ``coords`` or an
+    array of numbers of that shape, each number by :func:`~scatjet.errors.as_float`'s rule."""
     if isinstance(value, str):
-        return np.broadcast_to(evaluate_field(value, coords), shape)
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape != shape:
-        raise ConfigError(f"field array has shape {arr.shape}, expected {shape}")
-    return arr
+        return evaluate_field(value, coords, name)
+    arr = as_floats(value, name)
+    if arr.ndim and arr.shape != shape:
+        raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+    return np.broadcast_to(arr, shape)
 
 
-def _as_matrix_field(value: Any, coords, shape: tuple[int, ...]) -> np.ndarray:
-    """Coerce an n x n nest of entry specs, or an array, to ``shape + (n, n)``, n = len(shape)."""
+def _read_matrix(value: Any, name: str, coords, shape) -> np.ndarray:
+    """The metric jet ``name`` at ``shape + (n, n)``, n = len(shape): an n x n nest whose
+    entry ``[i][j]`` is the field ``name[i][j]`` of :func:`_read_field`, or an array of numbers."""
     n = len(shape)
-    arr = np.asarray(value, dtype=object)
-    if arr.shape == (n, n):
-        out = np.empty(shape + (n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = _as_field(arr[i, j], coords, shape)
+    rows = value if isinstance(value, (list, tuple)) else ()
+    if len(rows) == n and all(isinstance(r, (list, tuple)) and len(r) == n for r in rows):
+        out = np.empty(shape + (n, n))
+        for i, j in np.ndindex(n, n):
+            out[..., i, j] = _read_field(rows[i][j], f"{name}[{i}][{j}]", coords, shape)
         return out
-    num = np.asarray(value, dtype=float)
-    if num.shape == shape + (n, n):
-        return num
-    raise ConfigError(
-        f"matrix field must be an {n}x{n} nest of entries or an array of shape {shape + (n, n)}"
-    )
+    arr = as_floats(rows, name)  # anything but a list reads as the empty array, refused here
+    if arr.shape != shape + (n, n):
+        raise ConfigError(f"{name} must be a {n}x{n} nest or an array of shape {shape + (n, n)}")
+    return arr
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -138,17 +135,17 @@ def polarization_covectors(n: int) -> np.ndarray:
 def probe_array(probes, n: int, error: type[Exception], prefix: str) -> np.ndarray:
     """``probes`` as a new float ``(P, n)`` array of ``P >= 1`` unit vectors.
 
-    A bool or ``null`` in nested lists raises :class:`ConfigError`
-    (:func:`~scatjet.errors.json_numbers`).  Anything else raises ``error``
-    with a message led by ``prefix``: values that are not an array of
-    numbers, another shape (a list with no probes has shape ``(0,)``), or,
-    naming the first such probe, a probe whose norm misses 1 by more than
-    1e-12 (named as not finite when a component is).
+    An entry that is not a number (:func:`~scatjet.errors.as_floats`) raises
+    :class:`ConfigError`.  Anything else raises ``error`` with a message led
+    by ``prefix``: a ragged nest or an integer past double range, another
+    shape (a list with no probes has shape ``(0,)``), or, naming the first
+    such probe, a probe whose norm misses 1 by more than 1e-12 (named as not
+    finite when a component is).
     """
     want = f"{prefix}expected an array of shape (P, {n}) with P >= 1"
     try:
-        w = np.array(json_numbers(probes, f"{prefix}probe entry"), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        w = as_floats(probes, f"{prefix}probe entry")
+    except (ValueError, OverflowError) as exc:
         raise error(f"{want}, got values that are not an array of numbers ({exc})") from None
     if w.ndim != 2 or not len(w) or w.shape[1] != n:
         raise error(f"{want}, got shape {w.shape}")
@@ -297,9 +294,8 @@ class BoundaryPatch:
     h0_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        axes = _layout(self.n, self.axes)
+        shape = axes = _layout(self.n, self.axes)
         object.__setattr__(self, "axes", axes)
-        shape = axes
         alpha = np.array(self.alpha, dtype=float)
         if alpha.shape != shape:
             raise ConfigError(f"alpha has shape {alpha.shape}, expected {shape}")
@@ -353,16 +349,16 @@ class BoundaryPatch:
     def from_dict(cls, spec: Mapping[str, Any]) -> "BoundaryPatch":
         """Build a patch from the JSON input schema.
 
-        Schema: ``{"n": int, "axes": [counts...], "alpha": expr-or-array,
-        "v_jet": [entries...], "h_jet": [matrix entries...]}`` where scalar
-        entries are numbers, expression strings, or raw arrays.  An
-        expression reads the coordinates ``y1, ..., yn``, with
-        ``y_i = 2*pi*k/m_i`` at the ``k``-th of the ``m_i`` points of axis ``i``.
-        A key outside the schema, or a bool or ``null`` where a number goes,
-        is refused with :class:`ConfigError` naming it.
-        A grid whose metric fields, of shape ``axes + (n, n)``, would hold more
-        than :data:`~scatjet.errors.MAX_ARRAY_VALUES` values is refused with
-        :class:`ConfigError` before any field is built.
+        Schema: ``{"n": int, "axes": [counts...], "alpha": field, "v_jet":
+        [fields...], "h_jet": [matrix fields...]}``.  A field is a number, an
+        expression string or an array of numbers of the grid's shape; a matrix
+        field is an ``n x n`` nest of fields or an array of shape ``axes + (n, n)``.
+        An expression reads ``y1, ..., yn``, with ``y_i = 2*pi*k/m_i`` at the
+        ``k``-th of the ``m_i`` points of axis ``i``.  Anything else (a key
+        outside the schema, a bool, a string inside an array) is refused with
+        :class:`ConfigError` naming its field.  A grid whose metric fields
+        would hold more than :data:`~scatjet.errors.MAX_ARRAY_VALUES` values is
+        refused with :class:`ConfigError` before any field is built.
         """
         try:
             n = as_int(spec["n"], "n")
@@ -374,15 +370,14 @@ class BoundaryPatch:
             raise ConfigError(f"patch key {unknown[0]!r} is not in the patch schema")
         shape = axes = _layout(n, axes)
         check_array_size(axes + (n, n), "the patch's axes ask for metric fields")
-        coord_axes = [2.0 * np.pi * np.arange(m) / m for m in axes]
-        grids = np.meshgrid(*coord_axes, indexing="ij")
+        grids = np.meshgrid(*(2.0 * np.pi * np.arange(m) / m for m in axes), indexing="ij")
         coords = {f"y{i + 1}": g for i, g in enumerate(grids)}
         if "alpha" not in spec or "v_jet" not in spec or "h_jet" not in spec:
             raise ConfigError("patch spec needs alpha, v_jet and h_jet")
 
         def read(build, name: str, value):
             try:
-                return build(json_numbers(value, name), coords, shape)
+                return build(value, name, coords, shape)
             except MALFORMED as exc:
                 why = f"{type(exc).__name__}: {exc}"
                 raise ConfigError(f"malformed patch field {name}: {why}") from None
@@ -390,9 +385,9 @@ class BoundaryPatch:
         for name in ("v_jet", "h_jet"):
             if not isinstance(spec[name], (list, tuple)):
                 raise ConfigError(f"patch field {name} must be a list, got {spec[name]!r}")
-        alpha = read(_as_field, "alpha", spec["alpha"])
-        v_jet = tuple(read(_as_field, f"v_jet[{k}]", v) for k, v in enumerate(spec["v_jet"]))
-        h_jet = tuple(read(_as_matrix_field, f"h_jet[{k}]", h) for k, h in enumerate(spec["h_jet"]))
+        alpha = read(_read_field, "alpha", spec["alpha"])
+        v_jet = tuple(read(_read_field, f"v_jet[{k}]", v) for k, v in enumerate(spec["v_jet"]))
+        h_jet = tuple(read(_read_matrix, f"h_jet[{k}]", h) for k, h in enumerate(spec["h_jet"]))
         return cls(n=n, axes=axes, alpha=alpha, v_jet=v_jet, h_jet=h_jet)
 
 

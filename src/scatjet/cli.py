@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import logging
 import math
@@ -115,14 +116,12 @@ def cmd_forward(args) -> int:
 
 
 def _field_csv(report) -> str:
-    lines = ["index,alpha_sq,v0,sigma1_re,sigma1_im"]
-    for idx in np.ndindex(*report.grid_shape):
-        key = "-".join(str(i) for i in idx)
-        a = float(report.alpha_sq[idx]) if report.alpha_sq is not None else float("nan")
-        v = float(report.v0[idx]) if report.v0 is not None else float("nan")
-        s = complex(report.sigma[idx][0])
-        lines.append(f"{key},{a!r},{v!r},{s.real!r},{s.imag!r}")
-    return "\n".join(lines) + "\n"
+    keys = itertools.product(*([str(k) for k in range(m)] for m in report.grid_shape))
+    sigma, nan = report.sigma[..., 0], np.full(report.grid_shape, math.nan)
+    fields = (report.alpha_sq, report.v0, sigma.real, sigma.imag)
+    columns = [map(repr, (nan if f is None else f).ravel().tolist()) for f in fields]
+    rows = map(",".join, zip(map("-".join, keys), *columns))
+    return "\n".join(["index,alpha_sq,v0,sigma1_re,sigma1_im", *rows]) + "\n"
 
 
 def _encode_report(report) -> str:

@@ -30,8 +30,8 @@ STAGE_LOGGER = "scatjet.stages"  # the logger of the stage timings of ``timed``
 # the most values an array whose size the input sets may hold: 256 MiB of float64
 MAX_ARRAY_VALUES = 2**25
 DIMENSIONS = (1, 2, 3)  # the supported boundary dimensions n
-# what reading a malformed JSON value raises, which the readers turn into named refusals
-MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
+# what reading a malformed JSON value, or too deep an expression, raises; the readers name it
+MALFORMED = (LookupError, TypeError, ValueError, AttributeError, OverflowError, RecursionError)
 
 
 class ScatjetError(Exception):
@@ -104,13 +104,21 @@ def as_float(value, name: str) -> float:
     return float(value)
 
 
-def json_numbers(value, name: str):
-    """``value``, once :func:`as_float` has refused any bool or ``null`` in its nested lists."""
-    for v in value if isinstance(value, list) else ():
-        json_numbers(v, name)
-    if value is None or isinstance(value, bool):
-        as_float(value, name)
-    return value
+def as_floats(value, name: str) -> np.ndarray:
+    """A number, ndarray or nest of lists as a new float array, each entry by :func:`as_float`.
+
+    A numeric ndarray is converted whole; anything else is walked, its first non-number
+    in C order refused.  A ragged nest or an integer past double range raises
+    :class:`ValueError` or :class:`OverflowError`."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float)
+    pending = [value.tolist() if isinstance(value, np.ndarray) else value]
+    while pending:
+        if not isinstance(v := pending.pop(), (list, tuple)):
+            as_float(v, name)
+        elif not set(map(type, v)) <= {int, float}:  # a list of plain numbers passes at once
+            pending.extend(reversed(v))
+    return np.array(value, dtype=float)
 
 
 def as_complex(value, name: str) -> complex:

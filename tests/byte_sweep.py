@@ -20,12 +20,14 @@ and a digest of its values: the sha256 of its skeleton (the text with
 every number, and every base64 array of :func:`scatjet.dataset.pack_array`,
 replaced by a placeholder), the count of its numbers, their absolute sum
 and two fixed weighted sums.  It also records the Python, numpy and scipy
-versions it was written on.
+versions it was written on, and numpy's SIMD targets on the CPU it ran on
+(:func:`cpu_targets`): numpy's float64 ``exp`` and ``log`` dispatch on them.
 
 The bytes are compared where those versions match the manifest's (Python by
 major and minor version: the outputs rest on numpy, scipy and the float
 repr, not on the patch release of the interpreter), and the values
-elsewhere, within ``RTOL`` of the absolute sum plus ``ATOL``.
+elsewhere, within ``RTOL`` of the absolute sum plus ``ATOL``.  The CPU
+targets do not choose the comparison; a failure prints them beside the stack.
 
 From the repository root, ``python tests/byte_sweep.py`` runs the sweep and
 lists the outputs that differ from the manifest; ``--write`` rewrites the
@@ -209,6 +211,15 @@ def stack() -> dict:
     }
 
 
+def cpu_targets() -> dict:
+    """numpy's SIMD targets here: its ``baseline`` and each ``dispatch`` target the CPU has."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
+    present = [t for t in umath.__cpu_dispatch__ if features.get(t)]
+    return {"baseline": list(umath.__cpu_baseline__), "dispatch": present}
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -306,7 +317,10 @@ def write_manifest(outputs: dict, path: Path = MANIFEST) -> None:
         f"{json.dumps(key)}: {json.dumps(entry, sort_keys=True)}"
         for key, entry in sorted(record(outputs).items())
     )
-    head = f'{{\n"stack": {json.dumps(stack(), sort_keys=True)},\n"outputs": {{\n'
+    head = (
+        f'{{\n"stack": {json.dumps(stack(), sort_keys=True)},\n'
+        f'"cpu_targets": {json.dumps(cpu_targets(), sort_keys=True)},\n"outputs": {{\n'
+    )
     path.write_text(head + body + "\n}}\n")
 
 

@@ -402,6 +402,15 @@ def test_patch_from_dict_expressions_round_trip():
     np.testing.assert_allclose(back.h_jet, patch.h_jet)
 
 
+def test_patch_from_dict_reads_a_nest_of_grid_arrays_as_the_raw_array():
+    """Each entry of an n x n nest may be a grid array, every entry one included."""
+    raw = {"n": 2, "axes": [4, 5], "alpha": 1.0, "v_jet": [0.0], "h_jet": [[["2", 0.5], [0.5, "3"]]]}
+    h0 = BoundaryPatch.from_dict(raw).h_jet[0]
+    nest = [[h0[..., i, j].tolist() for j in range(2)] for i in range(2)]
+    for h in (nest, h0.tolist()):
+        np.testing.assert_array_equal(BoundaryPatch.from_dict({**raw, "h_jet": [h]}).h_jet[0], h0)
+
+
 def test_patch_from_dict_rejects_malformed():
     with pytest.raises(ConfigError):
         BoundaryPatch.from_dict({"n": 1, "axes": [8]})
@@ -449,8 +458,12 @@ _NOT_FINITE = "v_jet[0] is not finite at grid index (0,)"
         ("1e308*10", None, _NOT_FINITE),
         ("(-1)**0.5", None, _NOT_FINITE),
         ("1/(y1-y1)", None, _NOT_FINITE),
-        ("1e400", None, "literal 1e400 in '1e400' is past double range"),
-        (_PAST_DOUBLE, None, f"literal {_PAST_DOUBLE} in '{_PAST_DOUBLE}' is past double range"),
+        ("1e400", None, "v_jet[0]: literal 1e400 in '1e400' is past double range"),
+        (
+            _PAST_DOUBLE,
+            None,
+            f"v_jet[0]: literal {_PAST_DOUBLE} in '{_PAST_DOUBLE}' is past double range",
+        ),
     ],
     ids=[
         "int-power-past-int64",

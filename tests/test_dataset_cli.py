@@ -1405,18 +1405,13 @@ _IDENTITY_2 = [[1, 0], [0, 1]]
             [[[1, 0], [0]]],
             "malformed patch field h_jet[0]: ValueError: setting an array element with a sequence",
         ),
+        ("alpha", {"a": 1}, "alpha must be a number, got {'a': 1}"),
         (
             "alpha",
-            {"a": 1},
-            "malformed patch field alpha: TypeError: float() argument must be a string or a "
-            "real number, not 'dict'",
+            "-" * 3000 + "1",
+            "malformed patch field alpha: RecursionError: maximum recursion depth exceeded",
         ),
-        (
-            "h_jet",
-            [{"a": 1}],
-            "malformed patch field h_jet[0]: TypeError: float() argument must be a string or a "
-            "real number, not 'dict'",
-        ),
+        ("h_jet", [{"a": 1}], "h_jet[0] must be a 2x2 nest or an array of shape (4, 4, 2, 2)"),
         ("v_jet", "0.5", "patch field v_jet must be a list, got '0.5'"),
         ("v_jet", 0.5, "patch field v_jet must be a list, got 0.5"),
         ("v_jet", {"0": 0.5}, "patch field v_jet must be a list, got {'0': 0.5}"),
@@ -1425,6 +1420,7 @@ _IDENTITY_2 = [[1, 0], [0, 1]]
     ids=[
         "h-jet-ragged",
         "alpha-object",
+        "alpha-expression-too-deep",
         "h-jet-entry-object",
         "v-jet-string",
         "v-jet-number",
@@ -1458,10 +1454,10 @@ _ALPHA_BOOL = "alpha must be a number, got True"
     [
         (["sets"], {"alpha": True}, _ALPHA_BOOL),
         (["sets"], {"v_jet": [False]}, "v_jet[0] must be a number, got False"),
-        (["sets"], {"h_jet": [[[True, 0], [0, 1]]]}, "h_jet[0] must be a number, got True"),
+        (["sets"], {"h_jet": [[[True, 0], [0, 1]]]}, "h_jet[0][0][0] must be a number, got True"),
         (["sets"], {"alpha": [[1.0] * 4] * 3 + [[1.0, True, 1.0, 1.0]]}, _ALPHA_BOOL),
-        (["sets"], {"alpha": "True"}, "non-numeric literal True in 'True'"),
-        (["sets"], {"v_jet": ["2*False+1"]}, "non-numeric literal False in '2*False+1'"),
+        (["sets"], {"alpha": "True"}, "alpha: non-numeric literal True in 'True'"),
+        (["sets"], {"v_jet": ["2*False+1"]}, "v_jet[0]: non-numeric literal False in '2*False+1'"),
         (["sets"], {"alpha": None}, "alpha must be a number, got None"),
         (["sets"], {"extra": 1}, "patch key 'extra' is not in the patch schema"),
         (["forward", "--lam", "4"], {"alpha": True}, _ALPHA_BOOL),
@@ -1493,6 +1489,61 @@ def test_cli_patch_and_probes_take_numbers_alone(
     Path("patch.json").write_text(json.dumps({**_FIRST_ORDER_2, **change}))
     Path("probes.json").write_text(json.dumps([[True, False], [False, True]] * 2))
     assert main([*command, "--patch", "patch.json", "--out", "out.json"]) == 2
+    assert not Path("out.json").exists()
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+
+
+_STRINGS = [["1"] * 4] * 4  # a grid array of strings where numbers go
+_NEST_OR_ARRAY = "must be a 2x2 nest or an array of shape (4, 4, 2, 2)"
+_NAMED_REFUSALS = {
+    # a string inside an array is not a number
+    "alpha-strings": ({"alpha": _STRINGS}, "alpha must be a number, got '1'"),
+    "v-jet-strings": ({"v_jet": [_STRINGS, 0.0]}, "v_jet[0] must be a number, got '1'"),
+    "h-jet-raw-strings": (
+        {"h_jet": [_IDENTITY_2, np.full((4, 4, 2, 2), "1").tolist()]},
+        "h_jet[1] must be a number, got '1'",
+    ),
+    "h-jet-entry-strings": (
+        {"h_jet": [[[_STRINGS, 0], [0, 1]], _IDENTITY_2]},
+        "h_jet[0][0][0] must be a number, got '1'",
+    ),
+    # None: the patch is valid, and the strings are in the --probes file
+    "probes-strings": (None, "--probes: probe entry must be a number, got '1'"),
+    # the expression grammar's refusals
+    "grammar-literal": ({"alpha": "True"}, "alpha: non-numeric literal True in 'True'"),
+    "grammar-range": (
+        {"v_jet": ["1e400", 0.0]},
+        "v_jet[0]: literal 1e400 in '1e400' is past double range",
+    ),
+    "grammar-call": (
+        {"h_jet": [[[1, 0], [0, "foo(y1)"]], _IDENTITY_2]},
+        "h_jet[0][1][1]: unsupported call in 'foo(y1)'",
+    ),
+    # a value of the wrong shape
+    "shape": ({"v_jet": [0.2, [1, 2]]}, "v_jet[1] has shape (2,), expected (4, 4)"),
+    "nest": ({"h_jet": [_IDENTITY_2, [[1, 0], [0, 1], [0, 0]]]}, f"h_jet[1] {_NEST_OR_ARRAY}"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,case",
+    [
+        (command, case)
+        for command in (["sets"], ["forward", "--lam", "4"])
+        for case in _NAMED_REFUSALS
+        if command[0] == "forward" or case != "probes-strings"  # sets takes no --probes
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_cli_patch_value_refusals_name_their_field(tmp_path, monkeypatch, caplog, command, case):
+    """A string inside an array, a grammar refusal and a value of the wrong shape each exit 2
+    with a message that names the field: every number passes one rule, every refusal one form."""
+    change, message = _NAMED_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("patch.json").write_text(json.dumps({**_FIRST_ORDER_2, **(change or {})}))
+    probes = ["--probes", "probes.json"] if change is None else []
+    Path("probes.json").write_text(json.dumps([["1", "0"], ["0", "1"]]))
+    assert main([*command, *probes, "--patch", "patch.json", "--out", "out.json"]) == 2
     assert not Path("out.json").exists()
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
 

@@ -33,6 +33,7 @@ from scatjet.forward_scattering import (
     principal_symbol,
     singularity_coefficient,
 )
+from scatjet.hyperbolic_model import frobenius_ratio
 from scatjet.inversion import (
     _divide,
     _log,
@@ -1477,6 +1478,56 @@ def test_driver_round_trip_on_varying_patch():
     np.testing.assert_allclose(report.v0, patch.v_jet[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.H, H, rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.W1, 0.0, rtol=0, atol=1e-8)
+
+
+def _operator_dataset(patch, energies):
+    """A zeroth-order dataset whose symbols the model operator makes, not the formula the
+    sigma stage inverts: ``frobenius_ratio(sigma, n) |xi|_{h0}^(2 sigma - n)``, the ratio
+    from a solve of the normal ODE, at the covectors and scale of ``forward_dataset``."""
+    n, scale_t = patch.n, 2.0
+    covectors = polarization_covectors(n)
+    xi = np.stack([covectors, scale_t * covectors], axis=1)  # (C, 2, n)
+    norm = np.sqrt(np.einsum("...ij,cti,ctj->...ct", patch.h0_inv, xi, xi))  # (*grid, C, 2)
+    sigma = np.stack([indicial_root(patch, en) for en in energies], axis=-1)  # (*grid, E)
+    power = (2.0 * sigma - n)[..., None, None]
+    symbols = frobenius_ratio(sigma, n)[..., None, None] * norm[..., None, :, :] ** power
+    return SymbolDataset(n, patch.grid_shape, scale_t, energies, symbols)
+
+
+def _operator_truth(seed: int, n: int | None = None):
+    """``(patch, energies)``: the varying n = 2 patch of ``seed``, or, given ``n``, a constant one."""
+    if n is None:
+        patch, energies, _ = varying_patch(seed)
+        return patch, energies
+    rng = np.random.default_rng(seed)
+    patch = constant_patch(n, rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), random_spd(rng, n))
+    return patch, draw_admissible_energies(rng, patch)
+
+
+@pytest.mark.parametrize(
+    "seed,n", [(seed, None) for seed in range(5)] + [(600, 1), (601, 1), (602, 3), (603, 3)]
+)
+def test_driver_inverts_symbols_made_by_the_model_operator(seed, n):
+    """The driver recovers alpha^2, V0 and h0 within 1e-10 from symbols it did not make."""
+    patch, energies = _operator_truth(seed, n)
+    report = layer_strip_driver(_operator_dataset(patch, energies))
+    assert report.status == "ok"
+    np.testing.assert_allclose(report.alpha_sq, patch.alpha**2, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.v0, patch.v_jet[0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(report.h0, patch.h_jet[0], rtol=0, atol=1e-10)
+
+
+def test_driver_refuses_operator_made_symbols_of_one_energy_scaled():
+    """Scaling one energy's symbols by 1 + 1e-6 keeps its roots and moves its metric."""
+    patch, energies = _operator_truth(0)
+    ds = _operator_dataset(patch, energies)
+    symbols = ds.symbols.copy()
+    symbols[..., 1, :, :] *= 1 + 1e-6
+    with pytest.raises(
+        InconsistentData,
+        match=r"^\[stage metric\] metric at energy index 1 differs from energy 0's by 6\.179e-07",
+    ):
+        layer_strip_driver(dataclasses.replace(ds, symbols=symbols))
 
 
 def test_driver_refuses_an_energy_whose_square_overflows():
